@@ -22,7 +22,6 @@ so everything here is safe to share between threads.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,7 +36,6 @@ __all__ = [
     "JordanAlgebra",
     "Element",
     "StructureMap",
-    "ConeChart",
     "rank_one",
     "sym",
     "spin",
@@ -49,7 +47,6 @@ __all__ = [
     "inner",
     "quad_rep",
     "quad_rep_matrix",
-    "mult_matrix",
     "spectral",
     "sqrt_in_cone",
     "inverse",
@@ -59,8 +56,6 @@ __all__ = [
     "iota_inv",
     "jacobian_iota",
     "chi",
-    "element_to_json",
-    "element_from_json",
     "random_rational_element",
     "random_cone_point",
     "random_interval_point",
@@ -91,19 +86,6 @@ def _frac(x):
 
 # ---------------------------------------------------------------------------
 # Determinant polynomials (dict: exponent tuple -> Fraction)
-
-
-def _poly_mul(p, q, n):
-    out = {}
-    for ea, ca in p.items():
-        for eb, cb in q.items():
-            e = tuple(a + b for a, b in zip(ea, eb))
-            c = out.get(e, 0) + ca * cb
-            if c:
-                out[e] = c
-            elif e in out:
-                del out[e]
-    return out
 
 
 def _poly_eval(p, coords):
@@ -470,17 +452,6 @@ def quad_rep(x: Element, y: Element) -> Element:
     return 2 * jordan_mul(x, jordan_mul(x, y)) - jordan_mul(jordan_mul(x, x), y)
 
 
-def mult_matrix(x: Element):
-    """Coordinate matrix of L(x): y -> x.y, as a list of columns."""
-    alg = x.algebra
-    cols = []
-    for j in range(alg.n):
-        basis = Element(alg, tuple(Fraction(int(i == j)) for i in range(alg.n)))
-        cols.append(jordan_mul(x, basis).coords)
-    # rows[i][j] = i-th coord of x.b_j
-    return [[cols[j][i] for j in range(alg.n)] for i in range(alg.n)]
-
-
 def quad_rep_matrix(x: Element):
     """Coordinate matrix of P(x), exact when x is."""
     alg = x.algebra
@@ -728,71 +699,6 @@ def chi(ell: StructureMap, samples: int = 5, rng: random.Random | None = None):
             f"{ell.label}: Det(ell) = {float(dm)} != chi^(n/r) = {expected}"
         )
     return c
-
-
-# ---------------------------------------------------------------------------
-# The chart as a value (round-trip bookkeeping)
-
-
-@dataclass(frozen=True)
-class ConeChart:
-    """A matched pair of chart coordinates: (x, y) in Omega^2 <-> (z, v)."""
-
-    x: Element
-    y: Element
-    z: Element
-    v: Element
-
-    @classmethod
-    def from_cone_pair(cls, x: Element, y: Element) -> "ConeChart":
-        z, v = iota_inv(x, y)
-        return cls(x, y, z, v)
-
-    @classmethod
-    def from_polar(cls, z: Element, v: Element) -> "ConeChart":
-        x, y = iota(z, v)
-        return cls(x, y, z, v)
-
-    def roundtrip_error(self) -> float:
-        x2, y2 = iota(self.z, self.v, check=False)
-        z2, v2 = iota_inv(self.x, self.y)
-        parts = []
-        for a, b in ((x2, self.x), (y2, self.y), (z2, self.z), (v2, self.v)):
-            parts.append(max(abs(float(p) - float(q)) for p, q in zip(a.coords, b.coords)))
-        return max(parts)
-
-
-# ---------------------------------------------------------------------------
-# Serialization (JSON wire format used by the CLI as well)
-
-
-def _coord_to_json(c):
-    if isinstance(c, Fraction):
-        return f"{c.numerator}/{c.denominator}"
-    if isinstance(c, int):
-        return f"{c}/1"
-    if isinstance(c, complex):
-        return [c.real, c.imag]
-    return float(c)
-
-
-def _coord_from_json(v):
-    if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, list):
-        return complex(v[0], v[1])
-    return float(v)
-
-
-def element_to_json(x: Element) -> str:
-    return json.dumps({"algebra": x.algebra.name,
-                       "coords": [_coord_to_json(c) for c in x.coords]})
-
-
-def element_from_json(text: str) -> Element:
-    data = json.loads(text)
-    alg = get_algebra(data["algebra"])
-    return alg.element(tuple(_coord_from_json(v) for v in data["coords"]))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ det-power weights, then exact extraction) and caches the result on disk;
 x -> (e - x)/2, y -> (e + x)/2, producing the one-variable-slot family that
 generalizes the Jacobi polynomials (and reduces to them exactly in rank 1).
 
-The check_* functions return plain JSON-serializable report dicts; exact
-checks use rational arithmetic end to end.
+The check_* functions return JSON-serializable reports made by
+``rclab.report``; exact checks use rational arithmetic end to end.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import random
 import tempfile
 from fractions import Fraction
 
+from . import report, worst
 from .algebra import (
     JordanAlgebra, Element, StructureMap, get_algebra, det, iota,
     random_rational_element, random_cone_point, random_interval_point,
@@ -50,37 +51,49 @@ def _cache_path(cache_dir, algebra, k):
     return os.path.join(cache_dir, f"c_{algebra.name}_k{k}.json")
 
 
+def _load_cached(path, algebra, k):
+    """c(k) from a cache file, or None unless the file holds exactly that
+    polynomial in the current format (missing, torn, stale or misnamed)."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        if (data["format"], data["algebra"], data["k"]) != (
+                CACHE_FORMAT, algebra.name, k):
+            return None
+        return BracketPolynomial.from_jsonable(data)
+    except (OSError, ValueError, KeyError, TypeError, AssertionError):
+        return None
+
+
 def compute_c(algebra: JordanAlgebra, k: int,
               cache_dir: str | None = None) -> BracketPolynomial:
     """The k-th bracket polynomial c(k)_{s,t} for the given algebra.
 
     Results are memoized in-process and, when ``cache_dir`` is given,
     persisted as versioned JSON (written atomically so concurrent readers
-    never see a torn file).
+    never see a torn file).  A cache file that does not hold this algebra's
+    c(k) in the current format is a miss and is rewritten.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     mem_key = (algebra.name, k)
     poly = _memory_cache.get(mem_key)
-    if poly is None and cache_dir:
-        path = _cache_path(cache_dir, algebra, k)
-        if os.path.exists(path):
-            with open(path) as fh:
-                data = json.load(fh)
-            if data.get("format") == CACHE_FORMAT:
-                poly = BracketPolynomial.from_jsonable(data)
-    if poly is None:
+    path = _cache_path(cache_dir, algebra, k) if cache_dir else None
+    if poly is None and path:
+        poly = _load_cached(path, algebra, k)
+    computed = poly is None
+    if computed:
         seed = SymExpr.det_power_seed(algebra, k, k)
         poly = extract_bracket_polynomial(apply_D_power(seed, k), k)
     _memory_cache[mem_key] = poly
-    if cache_dir and not os.path.exists(_cache_path(cache_dir, algebra, k)):
+    if path and (computed or not os.path.exists(path)):
         os.makedirs(cache_dir, exist_ok=True)
         payload = json.dumps(poly.to_jsonable(), separators=(",", ":"))
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(payload)
-            os.replace(tmp, _cache_path(cache_dir, algebra, k))
+            os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
@@ -265,16 +278,8 @@ def check_chi_covariance(algebra: JordanAlgebra, k: int, samples: int = 50,
         rhs = chi_val**k * c.evaluate(x, y, s0, t0)
         if lhs != rhs:
             violations.append({"sample": idx, "s": str(s0), "t": str(t0)})
-    return {
-        "schema": "rc-lab/1",
-        "check": "chi-covariance",
-        "algebra": algebra.name,
-        "k": k,
-        "samples": samples,
-        "exact": True,
-        "violations": violations,
-        "pass": not violations,
-    }
+    return report("chi-covariance", algebra.name, ok=not violations, k=k,
+                  samples=samples, exact=True, violations=violations)
 
 
 def check_iota_factorization(algebra: JordanAlgebra, k: int, samples: int = 20,
@@ -285,7 +290,6 @@ def check_iota_factorization(algebra: JordanAlgebra, k: int, samples: int = 20,
     c = compute_c(algebra, k, cache_dir)
     rng = random.Random(seed)
     rows = []
-    worst = 0.0
     for lam, mu in params:
         spec = c.specialize(Fraction(lam), Fraction(mu))
         C = compute_C(algebra, k, lam, mu, cache_dir)
@@ -296,19 +300,11 @@ def check_iota_factorization(algebra: JordanAlgebra, k: int, samples: int = 20,
             lhs = c.evaluate_specialized(spec, x, y)
             rhs = float(det(eta)) ** k * float(C.evaluate(v))
             scale = max(abs(lhs), abs(rhs), 1e-30)
-            res = abs(lhs - rhs) / scale
-            worst = max(worst, res)
-            rows.append({"lam": str(lam), "mu": str(mu), "residual": res})
-    return {
-        "schema": "rc-lab/1",
-        "check": "interval-chart-factorization",
-        "algebra": algebra.name,
-        "k": k,
-        "tolerance": tol,
-        "max_residual": worst,
-        "samples": rows,
-        "pass": worst < tol,
-    }
+            rows.append({"lam": str(lam), "mu": str(mu),
+                         "residual": abs(lhs - rhs) / scale})
+    return report("interval-chart-factorization", algebra.name, k=k,
+                  tolerance=tol, max_residual=worst(r["residual"] for r in rows),
+                  samples=rows)
 
 
 def _random_automorphism(algebra, rng):
@@ -351,22 +347,15 @@ def check_aut_invariance(algebra: JordanAlgebra, k: int, lam, mu,
     """C(k) composed with a sampled automorphism equals C(k)."""
     rng = random.Random(seed)
     C = compute_C(algebra, k, lam, mu, cache_dir)
-    worst = 0.0
+    residuals = []
     for _ in range(samples):
         act = _random_automorphism(algebra, rng)
         v = random_interval_point(rng, algebra).as_float()
         a = float(C.evaluate(v))
         b = float(C.evaluate(act(v)))
-        worst = max(worst, abs(a - b) / max(1.0, abs(a)))
-    return {
-        "schema": "rc-lab/1",
-        "check": "automorphism-invariance",
-        "algebra": algebra.name,
-        "k": k,
-        "max_residual": worst,
-        "tolerance": tol,
-        "pass": worst < tol,
-    }
+        residuals.append(abs(a - b) / max(1.0, abs(a)))
+    return report("automorphism-invariance", algebra.name, k=k,
+                  max_residual=worst(residuals), tolerance=tol)
 
 
 # ---------------------------------------------------------------------------

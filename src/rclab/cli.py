@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import SCHEMA
+from . import SCHEMA, report, worst
 from .algebra import get_algebra, ALGEBRA_NAMES, AlgebraError
 from . import brackets, quadrature, tube
 
@@ -40,6 +40,11 @@ CHECK_K = {"rank1": 6, "sym2": 3, "sym3": 2, "spin4": 2}
 
 class ConfigError(Exception):
     pass
+
+
+def _check_k(algebra) -> int:
+    """Largest k the suites check: CHECK_K, clamped to the feasibility cap."""
+    return min(CHECK_K.get(algebra.name, 2), K_CAPS[algebra.name])
 
 
 def _sanitize(obj):
@@ -241,21 +246,22 @@ def cmd_cache(args) -> int:
 
 
 def _suite_polynomiality(algebra, cache_dir, tols):
+    # compute_c certifies each row: a nonzero remainder or a monomial of the
+    # wrong degree raises, and run_suites turns that into a failed report
     rows = []
-    for k in range(CHECK_K.get(algebra.name, 2) + 1):
+    for k in range(_check_k(algebra) + 1):
         poly = brackets.compute_c(algebra, k, cache_dir)
         rows.append({"k": k, "monomials": poly.num_monomials(),
                      "degree": algebra.r * k, "zero_remainder": True,
                      "homogeneous": True})
-    return [{"schema": SCHEMA, "check": "rodrigues-polynomiality",
-             "algebra": algebra.name, "rows": rows, "pass": True}]
+    return [report("rodrigues-polynomiality", algebra.name, ok=True, rows=rows)]
 
 
 def _suite_exchange(algebra, cache_dir, tols):
     from .sympoly import ParamPoly
 
     reports = []
-    for k in range(CHECK_K.get(algebra.name, 2) + 1):
+    for k in range(_check_k(algebra) + 1):
         c = brackets.compute_c(algebra, k, cache_dir)
         sw = c.swap_slots_and_params()
         sign = Fraction((-1) ** (algebra.r * k))
@@ -264,28 +270,33 @@ def _suite_exchange(algebra, cache_dir, tols):
                 {kk: sign * v for kk, v in c.terms[m].terms.items()})
             for m in c.terms
         )
-        reports.append({"schema": SCHEMA, "check": "slot-exchange-antisymmetry",
-                        "algebra": algebra.name, "k": k, "exact": True,
-                        "pass": bool(ok)})
+        reports.append(report("slot-exchange-antisymmetry", algebra.name,
+                              ok=ok, k=k, exact=True))
     return reports
 
 
 def _suite_chi(algebra, cache_dir, tols):
     return [brackets.check_chi_covariance(algebra, k, samples=50,
                                           cache_dir=cache_dir)
-            for k in range(CHECK_K.get(algebra.name, 2) + 1)]
+            for k in range(_check_k(algebra) + 1)]
 
 
 def _suite_cayley(algebra, cache_dir, tols):
     from .sympoly import cayley_check
 
-    mmax = 4
+    # the Cayley identity: det(d/dx) det(x)^m = prod_{j<r} (m + j d/2) det(x)^(m-1)
+    # (Faraut-Koranyi, Analysis on Symmetric Cones, 1994)
     rows = []
-    for m in range(1, mmax + 1):
+    ok = True
+    for m in range(1, 5):
         val = cayley_check(algebra, m)
+        want = Fraction(1)
+        for j in range(algebra.r):
+            want *= m + Fraction(j * algebra.d, 2)
+        ok = ok and val == want
         rows.append({"m": m, "constant": f"{val.numerator}/{val.denominator}"})
-    return [{"schema": SCHEMA, "check": "determinant-operator-constant",
-             "algebra": algebra.name, "rows": rows, "pass": True}]
+    return [report("determinant-operator-constant", algebra.name, ok=ok,
+                   rows=rows)]
 
 
 def _suite_jacobi(algebra, cache_dir, tols):
@@ -297,15 +308,16 @@ def _suite_jacobi(algebra, cache_dir, tols):
             ratio = brackets.jacobi_proportionality(k, lam, mu, cache_dir)
             rows.append({"k": k, "lambda": lam, "mu": mu,
                          "ratio": f"{ratio.numerator}/{ratio.denominator}"})
-    return [{"schema": SCHEMA, "check": "rank1-jacobi-reduction",
-             "algebra": algebra.name, "exact": True, "rows": rows, "pass": True}]
+    # jacobi_proportionality raises unless C(k) is a nonzero multiple of P_k
+    return [report("rank1-jacobi-reduction", algebra.name, ok=True, exact=True,
+                   rows=rows)]
 
 
 def _suite_iota_fact(algebra, cache_dir, tols):
     tol = tols.get("iota-fact", 1e-10)
     return [brackets.check_iota_factorization(algebra, k, samples=10, tol=tol,
                                               cache_dir=cache_dir)
-            for k in range(1, min(CHECK_K.get(algebra.name, 2), 2) + 1)]
+            for k in range(1, min(_check_k(algebra), 2) + 1)]
 
 
 def _suite_jordan_numerics(algebra, cache_dir, tols):
@@ -315,31 +327,27 @@ def _suite_jordan_numerics(algebra, cache_dir, tols):
                           iota_inv, jacobian_iota)
 
     rng = _random.Random(17)
-    worst_rt = 0.0
+    roundtrip = []
     for _ in range(100):
         z = random_cone_point(rng, algebra).as_float()
         v = random_interval_point(rng, algebra).as_float()
         x, y = iota(z, v, check=False)
         z2, v2 = iota_inv(x, y)
-        worst_rt = max(worst_rt, max(
-            max(abs(p - q) for p, q in zip(z2.coords, z.coords)),
-            max(abs(p - q) for p, q in zip(v2.coords, v.coords))))
-    worst_j = 0.0
+        roundtrip.append(worst(abs(p - q) for p, q in
+                               zip(z2.coords + v2.coords, z.coords + v.coords)))
+    jacobian = []
     for _ in range(20):
         z = random_cone_point(rng, algebra).as_float()
         v = random_interval_point(rng, algebra).as_float()
-        fd = _fd_jacobian(algebra, z, v)
         an = jacobian_iota(z, v)
-        worst_j = max(worst_j, abs(fd - an) / abs(an))
-    tol_rt = tols.get("iota-roundtrip", 1e-12)
-    tol_j = tols.get("jacobian", 1e-6)
+        jacobian.append(abs(_fd_jacobian(algebra, z, v) - an) / abs(an))
     return [
-        {"schema": SCHEMA, "check": "polar-chart-roundtrip",
-         "algebra": algebra.name, "samples": 100, "max_residual": worst_rt,
-         "tolerance": tol_rt, "pass": worst_rt < tol_rt},
-        {"schema": SCHEMA, "check": "polar-chart-jacobian",
-         "algebra": algebra.name, "samples": 20, "max_residual": worst_j,
-         "tolerance": tol_j, "pass": worst_j < tol_j},
+        report("polar-chart-roundtrip", algebra.name, samples=100,
+               max_residual=worst(roundtrip),
+               tolerance=tols.get("iota-roundtrip", 1e-12)),
+        report("polar-chart-jacobian", algebra.name, samples=20,
+               max_residual=worst(jacobian),
+               tolerance=tols.get("jacobian", 1e-6)),
     ]
 
 
@@ -370,50 +378,27 @@ def _suite_varchange(algebra, cache_dir, tols):
 
 
 def _suite_gamma(algebra, cache_dir, tols):
-    reports = []
+    def gamma_report(nu, method, numeric, tol, **fields):
+        closed = quadrature.gamma_omega_closed(algebra, nu)
+        return report("cone-gamma-integral", algebra.name, nu=nu, method=method,
+                      **fields, closed=closed, numeric=numeric,
+                      residual=abs(numeric - closed) / closed, tolerance=tol)
+
     if algebra.family == "rank1":
-        closed = quadrature.gamma_omega_closed(algebra, 3.0)
-        num = quadrature.gamma_omega_numeric(algebra, 3.0, n=60)
-        tol = tols.get("gamma", 1e-10)
-        reports.append({
-            "schema": SCHEMA, "check": "cone-gamma-integral",
-            "algebra": algebra.name, "nu": 3.0, "method": "gauss-laguerre",
-            "closed": closed, "numeric": num,
-            "residual": abs(num - closed) / closed,
-            "tolerance": tol, "pass": abs(num - closed) / closed < tol})
-    elif algebra.name == "sym2":
-        closed = quadrature.gamma_omega_closed(algebra, 3.0)
-        num = quadrature.gamma_omega_numeric(algebra, 3.0, n=80)
-        tol = tols.get("gamma", 1e-6)
-        reports.append({
-            "schema": SCHEMA, "check": "cone-gamma-integral",
-            "algebra": algebra.name, "nu": 3.0,
-            "method": "eigenvalue-quadrature",
-            "closed": closed, "numeric": num,
-            "residual": abs(num - closed) / closed,
-            "tolerance": tol, "pass": abs(num - closed) / closed < tol})
+        return [gamma_report(3.0, "gauss-laguerre",
+                             quadrature.gamma_omega_numeric(algebra, 3.0, n=60),
+                             tols.get("gamma", 1e-10))]
+    if algebra.name == "sym2":
+        quad = quadrature.gamma_omega_numeric(algebra, 3.0, n=80)
         mc = quadrature.gamma_omega_numeric(algebra, 3.0, method="mc",
                                             mc_samples=1_000_000, seed=20240)
-        tol_mc = tols.get("gamma-mc", 1e-2)
-        reports.append({
-            "schema": SCHEMA, "check": "cone-gamma-integral",
-            "algebra": algebra.name, "nu": 3.0, "method": "monte-carlo",
-            "seed": 20240, "samples": 1_000_000,
-            "closed": closed, "numeric": mc,
-            "residual": abs(mc - closed) / closed,
-            "tolerance": tol_mc, "pass": abs(mc - closed) / closed < tol_mc})
-    else:
-        closed = quadrature.gamma_omega_closed(algebra, 4.0)
-        num = quadrature.gamma_omega_numeric(algebra, 4.0, n=48)
-        tol = tols.get("gamma", 1e-5)
-        reports.append({
-            "schema": SCHEMA, "check": "cone-gamma-integral",
-            "algebra": algebra.name, "nu": 4.0,
-            "method": "eigenvalue-quadrature",
-            "closed": closed, "numeric": num,
-            "residual": abs(num - closed) / closed,
-            "tolerance": tol, "pass": abs(num - closed) / closed < tol})
-    return reports
+        return [gamma_report(3.0, "eigenvalue-quadrature", quad,
+                             tols.get("gamma", 1e-6)),
+                gamma_report(3.0, "monte-carlo", mc, tols.get("gamma-mc", 1e-2),
+                             seed=20240, samples=1_000_000)]
+    return [gamma_report(4.0, "eigenvalue-quadrature",
+                         quadrature.gamma_omega_numeric(algebra, 4.0, n=48),
+                         tols.get("gamma", 1e-5))]
 
 
 def _suite_orthogonality(algebra, cache_dir, tols):
@@ -426,10 +411,8 @@ def _suite_orthogonality(algebra, cache_dir, tols):
     else:
         return []
     data = rep.to_jsonable()
-    data["check"] = "interval-orthogonality"
-    data["tolerance"] = tol
-    data["pass"] = rep.max_off_diagonal_ratio < tol
-    return [data]
+    del data["schema"], data["algebra"]
+    return [report("interval-orthogonality", algebra.name, tolerance=tol, **data)]
 
 
 def _tube_points_for(algebra):
@@ -443,7 +426,6 @@ def _suite_laplace(algebra, cache_dir, tols):
     tol = tols.get("laplace", 1e-8 if algebra.family == "rank1" else 1e-4)
     closed_gamma = quadrature.gamma_omega_closed(algebra, nu)
     ie = 1j * np.array([float(c) for c in algebra.e_coords])
-    worst = 0.0
     rows = []
     for z in _tube_points_for(algebra):
         num = quadrature.tube_laplace(
@@ -451,13 +433,11 @@ def _suite_laplace(algebra, cache_dir, tols):
             det_power=nu - algebra.n / algebra.r)
         want = closed_gamma * np.exp(
             -nu * tube.logdet_tube(algebra, (z.as_array() + ie).reshape(1, -1))[0])
-        res = abs(num - want) / abs(want)
-        worst = max(worst, res)
-        rows.append({"z": [repr(c) for c in z.coords], "residual": res})
-    out = [{"schema": SCHEMA, "check": "laplace-transform-of-weight",
-            "algebra": algebra.name, "nu": nu, "points": len(rows),
-            "max_residual": worst, "tolerance": tol, "samples": rows,
-            "pass": worst < tol}]
+        rows.append({"z": [repr(c) for c in z.coords],
+                     "residual": abs(num - want) / abs(want)})
+    out = [report("laplace-transform-of-weight", algebra.name, nu=nu,
+                  points=len(rows), max_residual=worst(r["residual"] for r in rows),
+                  tolerance=tol, samples=rows)]
     if algebra.family == "rank1":
         out.append(tube.check_bergman_isometry(
             algebra, tol=tols.get("isometry-norm", 1e-6)))
@@ -538,7 +518,7 @@ def _suite_hua(algebra, cache_dir, tols):
 def _suite_aut(algebra, cache_dir, tols):
     if algebra.family == "rank1":
         return []
-    kmax = min(CHECK_K.get(algebra.name, 2), 2)
+    kmax = min(_check_k(algebra), 2)
     return [brackets.check_aut_invariance(algebra, k, 3, 3,
                                           tol=tols.get("aut", 1e-10),
                                           cache_dir=cache_dir)
@@ -554,11 +534,8 @@ def _suite_branch(algebra, cache_dir, tols):
     wp = [np.asarray(-0.5 * e + 2.1j * e, dtype=complex)]
     direct = tube.logdet_tube(algebra, target.reshape(1, -1))[0]
     via = tube.logdet_tube(algebra, target.reshape(1, -1), waypoints=wp)[0]
-    tol = tols.get("branch", 1e-10)
-    res = abs(direct - via)
-    return [{"schema": SCHEMA, "check": "branch-path-independence",
-             "algebra": algebra.name, "residual": res, "tolerance": tol,
-             "pass": res < tol}]
+    return [report("branch-path-independence", algebra.name,
+                   residual=abs(direct - via), tolerance=tols.get("branch", 1e-10))]
 
 
 def _suite_cauchy(algebra, cache_dir, tols):
@@ -571,11 +548,9 @@ def _suite_cauchy(algebra, cache_dir, tols):
     alpha = tuple([2] + [0] * (algebra.n - 1))
     d32 = tube.holo_derivative(K, z, alpha, n_nodes=32)
     d64 = tube.holo_derivative(K, z, alpha, n_nodes=64)
-    res = abs(d32 - d64) / max(abs(d64), 1e-300)
-    tol = tols.get("cauchy", 1e-9)
-    return [{"schema": SCHEMA, "check": "contour-derivative-stability",
-             "algebra": algebra.name, "residual": res, "tolerance": tol,
-             "pass": res < tol}]
+    return [report("contour-derivative-stability", algebra.name,
+                   residual=abs(d32 - d64) / max(abs(d64), 1e-300),
+                   tolerance=tols.get("cauchy", 1e-9))]
 
 
 SUITES = {
@@ -613,8 +588,13 @@ def run_suites(algebra, selector: str, cache_dir=None, tols=None):
             f"unknown suite {selector!r}; choose from all, {', '.join(SUITES)}")
     reports = []
     for name in names:
-        reports.extend(SUITES[name](algebra, cache_dir, tols))
-    ok = all(r.get("pass", True) for r in reports)
+        try:
+            reports.extend(SUITES[name](algebra, cache_dir, tols))
+        except Exception as exc:
+            # an error inside a suite is a failed check, not an aborted run
+            reports.append(report("suite-error", algebra.name, ok=False,
+                                  suite=name, error=f"{type(exc).__name__}: {exc}"))
+    ok = all(r["pass"] for r in reports)
     return reports, ok
 
 

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import SCHEMA, report, worst
 from .algebra import JordanAlgebra, Element, get_algebra
 from .brackets import compute_C, diag_element
 
@@ -36,7 +36,6 @@ __all__ = [
     "gauss_jacobi",
     "gauss_legendre",
     "gauss_laguerre",
-    "monte_carlo_rule",
     "gamma_omega_closed",
     "gamma_omega_numeric",
     "mehta_cone_constant",
@@ -62,10 +61,6 @@ class QuadratureRule:
     nodes: np.ndarray = field(compare=False)
     weights: np.ndarray = field(compare=False)
     params: dict = field(compare=False, default_factory=dict)
-
-    def integrate(self, f):
-        vals = f(self.nodes)
-        return np.sum(self.weights * vals)
 
 
 def _orthonormal_eval(x, a, b, m0, n):
@@ -155,13 +150,6 @@ def gauss_laguerre(n: int, alpha: float = 0.0) -> QuadratureRule:
         b[k] = k * (k + alpha)
     return _gauss_from_recurrence(n, a, b, m0, "gauss-laguerre",
                                   {"alpha": alpha, "N": n})
-
-
-def monte_carlo_rule(n: int, seed: int) -> QuadratureRule:
-    """Uniform [0,1] sample 'rule' with the seed recorded in params."""
-    rng = np.random.default_rng(seed)
-    return QuadratureRule("monte-carlo", rng.random(n), np.full(n, 1.0 / n),
-                          {"N": n, "seed": seed})
 
 
 def scaled_interval_rule(rule: QuadratureRule, lo: float, hi: float):
@@ -359,7 +347,7 @@ class GramReport:
 
     def to_jsonable(self):
         return {
-            "schema": "rc-lab/1",
+            "schema": SCHEMA,
             "kind": "gram-report",
             "algebra": self.algebra,
             "lambda": self.lam,
@@ -412,16 +400,13 @@ def gram_matrix(algebra: JordanAlgebra, lam, mu, k_max: int, n: int | None = Non
     G = _gram_once(algebra, polys, lam, mu, n)
     G2 = _gram_once(algebra, polys, lam, mu, n + 8)
     err = max(abs(G[i][j] - G2[i][j]) for i in range(len(G)) for j in range(len(G)))
-    ratios = []
-    worst = 0.0
-    for k in range(k_max + 1):
-        for l in range(k + 1, k_max + 1):
-            ratio = abs(G2[k][l]) / math.sqrt(G2[k][k] * G2[l][l])
-            ratios.append({"k": k, "l": l, "ratio": ratio})
-            worst = max(worst, ratio)
+    ratios = [{"k": k, "l": l,
+               "ratio": abs(G2[k][l]) / math.sqrt(G2[k][k] * G2[l][l])}
+              for k in range(k_max + 1) for l in range(k + 1, k_max + 1)]
     return GramReport(
         algebra=algebra.name, lam=float(lam), mu=float(mu), k_max=k_max,
-        matrix=G2, off_diagonal_ratios=ratios, max_off_diagonal_ratio=worst,
+        matrix=G2, off_diagonal_ratios=ratios,
+        max_off_diagonal_ratio=worst(r["ratio"] for r in ratios),
         node_count=n + 8, estimated_error=err,
     )
 
@@ -570,11 +555,6 @@ def check_change_of_variables(algebra: JordanAlgebra, method: str = "auto",
         method = "quadrature" if algebra.family == "rank1" else "mc"
     center, radius = 2.0, 0.9
     f1 = trace_ball_bump(algebra, center, radius)
-
-    def f_pair(xc, yc):
-        return f1(xc) * f1(yc)
-
-    nalg, r = algebra.n, algebra.r
     if method == "quadrature":
         if algebra.family != "rank1":
             raise ValueError("quadrature path implemented for rank1")
@@ -592,22 +572,12 @@ def check_change_of_variables(algebra: JordanAlgebra, method: str = "auto",
         resid = abs(lhs - rhs) / max(abs(lhs), 1e-300)
         tol = 1e-6
     else:
-        rng = np.random.default_rng(seed)
-        lhs, rhs = _varchange_mc(algebra, f1, center, radius, rng, mc_samples)
+        lhs, rhs = _sym2_nested_mc(algebra, center, radius, mc_samples, seed)
         resid = abs(lhs - rhs) / max(abs(lhs), 1e-300)
         tol = 1e-2
-    return {
-        "schema": "rc-lab/1",
-        "check": "polar-chart-change-of-variables",
-        "algebra": algebra.name,
-        "method": method,
-        "lhs": lhs,
-        "rhs": rhs,
-        "residual": resid,
-        "tolerance": tol,
-        "seed": seed if method == "mc" else None,
-        "pass": resid < tol,
-    }
+    return report("polar-chart-change-of-variables", algebra.name,
+                  method=method, lhs=lhs, rhs=rhs, residual=resid, tolerance=tol,
+                  seed=seed if method == "mc" else None)
 
 
 def _sym2_eigs(c):
@@ -639,24 +609,40 @@ def _sym2_iota(zc, vc):
     return (zc - w) / 2, (zc + w) / 2
 
 
-def _varchange_mc(algebra, f1, center, radius, rng, samples):
+def _sym2_nested_mc(algebra, center, radius, samples, seed, weight=None):
+    """Monte Carlo estimates of both sides of the sym2 polar-chart formula.
+
+    With f1 the trace_ball_bump of ``radius`` around ``center`` e,
+    lhs = int int f1(x) f1(y) w(x) w(y) dx dy and rhs is the same integral
+    in the chart coordinates, 2^{-n} int int f1(x) f1(y) w(z) (det z)^{n/r}
+    dv dz with (x, y) = iota(z, v) and z = x + y.  ``weight`` w maps (m, 3)
+    coordinates to (m,) values and must satisfy w(x) w(y) = w(x + y), as a
+    Fourier phase does (complex estimates); None means w = 1, the change of
+    variables itself, estimated in float64.
+    """
     if algebra.name != "sym2":
-        raise ValueError("MC change-of-variables implemented for sym2")
+        raise ValueError("nested Monte Carlo implemented for sym2")
+    dtype = float if weight is None else complex
+    f1 = trace_ball_bump(algebra, center, radius)
+    rng = np.random.default_rng(seed)
     # LHS: sample (x, y) uniformly in boxes covering the trace-form balls
     lo, hi = center - radius, center + radius
     b = radius / math.sqrt(2.0)
     vol1 = (hi - lo) ** 2 * (2 * b)
 
-    def draw_box(m, lo_d, hi_d, b_off):
+    def draw_box(m):
         out = np.empty((m, 3))
-        out[:, 0] = rng.uniform(lo_d, hi_d, m)
-        out[:, 1] = rng.uniform(lo_d, hi_d, m)
-        out[:, 2] = rng.uniform(-b_off, b_off, m)
+        out[:, 0] = rng.uniform(lo, hi, m)
+        out[:, 1] = rng.uniform(lo, hi, m)
+        out[:, 2] = rng.uniform(-b, b, m)
         return out
 
-    xs = draw_box(samples, lo, hi, b)
-    ys = draw_box(samples, lo, hi, b)
-    lhs = vol1**2 * float(np.mean(f1(xs) * f1(ys)))
+    xs = draw_box(samples)
+    ys = draw_box(samples)
+    vals = f1(xs) * f1(ys)
+    if weight is not None:
+        vals = vals * weight(xs) * weight(ys)
+    lhs = vol1**2 * dtype(np.mean(vals))
     # RHS: nested estimator.  z = x + y lies in the trace ball of radius 2R
     # around 2 center e; given z, v = P(z^{-1/2})(y - x) is bounded by
     # rho(z) = min((|z - 2ce| + 2R)/lam_min(z), R/(center - R)), so the
@@ -685,7 +671,7 @@ def _varchange_mc(algebra, f1, center, radius, rng, samples):
                      vmax)
     vvol = (2 * rho) ** 2 * (2 * rho / math.sqrt(2.0))
     detz = zc[:, 0] * zc[:, 1] - zc[:, 2] ** 2
-    inner = np.zeros(len(zc))
+    inner = np.zeros(len(zc), dtype=dtype)
     for _ in range(m_v):
         vs = np.empty((len(zc), 3))
         vs[:, 0] = rho * (2 * rng.random(len(zc)) - 1)
@@ -694,10 +680,12 @@ def _varchange_mc(algebra, f1, center, radius, rng, samples):
         vlo, vhi = _sym2_eigs(vs)
         good = (vlo > -1) & (vhi < 1)
         x, y = _sym2_iota(zc, vs)
-        vals = f1(x) * f1(y)
+        vals = (f1(x) * f1(y)).astype(dtype)
         vals[~good] = 0.0
         inner += vals
     inner /= m_v
-    total = float(np.sum(inner * vvol * detz ** (algebra.n / algebra.r)))
-    rhs = 2.0 ** (-algebra.n) * zvol * total / n_z
+    terms = inner * vvol * detz ** (algebra.n / algebra.r)
+    if weight is not None:
+        terms = terms * weight(zc)
+    rhs = 2.0 ** (-algebra.n) * zvol * dtype(np.sum(terms)) / n_z
     return lhs, rhs

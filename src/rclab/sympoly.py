@@ -21,6 +21,7 @@ import heapq
 import json
 from fractions import Fraction
 
+from . import SCHEMA
 from .algebra import JordanAlgebra, Element, get_algebra
 
 __all__ = [
@@ -514,7 +515,7 @@ class BracketPolynomial:
                     for (i, j), v in self.terms[m].sorted_items()]
             rows.append({"mono": list(m), "coef": coef})
         return {
-            "schema": "rc-lab/1",
+            "schema": SCHEMA,
             "kind": "bracket-polynomial",
             "format": 1,
             "algebra": self.algebra.name,

@@ -19,13 +19,13 @@ array and return (m,) complex values.  All aggregation is deterministic.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from . import report, worst
 from .algebra import (
     JordanAlgebra, Element, det, sqrt_in_cone, in_cone, NotInCone,
     quad_rep_matrix,
@@ -33,7 +33,7 @@ from .algebra import (
 from .brackets import compute_c, compute_C
 from .quadrature import (
     gamma_omega_closed, tube_laplace, gauss_legendre, gauss_jacobi,
-    scaled_interval_rule, box_rule, weyl_integral,
+    scaled_interval_rule, box_rule, weyl_integral, _sym2_nested_mc,
 )
 
 __all__ = [
@@ -41,10 +41,8 @@ __all__ = [
     "tube_point",
     "det_batch",
     "logdet_tube",
-    "BranchedPower",
     "HoloFunction",
     "coherent_state",
-    "cauchy_riemann_residual",
     "holo_derivative",
     "holo_mixed_derivatives",
     "GroupGenerator",
@@ -143,32 +141,6 @@ def logdet_tube(algebra: JordanAlgebra, coords, waypoints=None,
     return total
 
 
-@dataclass
-class BranchedPower:
-    """log det(z/i) at a point, with the homotopy record that produced it."""
-
-    algebra: JordanAlgebra
-    point: np.ndarray
-    log_value: complex
-    waypoints: tuple = ()
-
-    @classmethod
-    def at(cls, algebra, coords, waypoints=None):
-        coords = np.asarray(coords, dtype=complex)
-        log = logdet_tube(algebra, coords.reshape(1, -1),
-                          waypoints=waypoints)[0]
-        return cls(algebra, coords, complex(log),
-                   tuple(tuple(w) for w in (waypoints or ())))
-
-    def power(self, nu) -> complex:
-        return cmath.exp(complex(nu) * self.log_value)
-
-    def consistency_error(self) -> float:
-        """|exp(log) - det(z/i)| relative; zero up to rounding."""
-        d = det_batch(self.algebra, (-1j) * self.point.reshape(1, -1))[0]
-        return abs(cmath.exp(self.log_value) - d) / max(abs(d), 1e-300)
-
-
 # ---------------------------------------------------------------------------
 # Holomorphic functions
 
@@ -205,23 +177,6 @@ def coherent_state(algebra: JordanAlgebra, nu, w: Element) -> HoloFunction:
 
     label = f"coherent(nu={nu})"
     return HoloFunction(algebra, ev, 0.4, label)
-
-
-def cauchy_riemann_residual(F: HoloFunction, z: Element, h: float = 1e-5) -> float:
-    """Max over coordinates of |d/d(conj z_i) F|, by central differences."""
-    z0 = z.as_array()
-    worst = 0.0
-    scale = max(abs(F(z0.reshape(1, -1))[0]), 1e-30)
-    for i in range(F.algebra.n):
-        pts = np.tile(z0, (4, 1))
-        pts[0, i] += h
-        pts[1, i] -= h
-        pts[2, i] += 1j * h
-        pts[3, i] -= 1j * h
-        v = F(pts)
-        dbar = 0.5 * ((v[0] - v[1]) / (2 * h) + 1j * (v[2] - v[3]) / (2 * h))
-        worst = max(worst, abs(dbar) / scale)
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -370,22 +325,6 @@ class GroupGenerator:
         """psi_{g^{-1}} = -psi_g o g^{-1} (same lift on both sides)."""
         return -self.psi(self.apply_inv(coords))
 
-    def jacobian_error(self, z: Element, h: float = 1e-6) -> float:
-        """|exp(psi_g(z)) - Det_C(Dg(z))| relative, Dg by central differences."""
-        z0 = z.as_array()
-        nd = self.algebra.n
-        J = np.zeros((nd, nd), dtype=complex)
-        for i in range(nd):
-            zp = z0.copy()
-            zm = z0.copy()
-            zp[i] += h
-            zm[i] -= h
-            J[:, i] = (self.apply(zp.reshape(1, -1))[0]
-                       - self.apply(zm.reshape(1, -1))[0]) / (2 * h)
-        det_num = np.linalg.det(J)
-        val = np.exp(self.psi(z0.reshape(1, -1))[0])
-        return abs(val - det_num) / max(abs(det_num), 1e-300)
-
     def __repr__(self):
         return f"GroupGenerator({self.algebra.name}, {self.kind})"
 
@@ -532,7 +471,6 @@ def check_covariance_B(algebra: JordanAlgebra, k: int, lam, mu,
     lhs_pair = transformed_pair(gen, lam, mu, F, G)
     plain_pair = product_pair(F, G)
     rows = []
-    worst = 0.0
     for z in points:
         zc = z.as_array()
         ginv_z = gen.apply_inv(zc.reshape(1, -1))[0]
@@ -545,22 +483,12 @@ def check_covariance_B(algebra: JordanAlgebra, k: int, lam, mu,
         fac = np.exp(complex(nu) * scale_psi * gen.psi_inv(zc.reshape(1, -1))[0])
         rhs = fac * inner_B
         scale = max(abs(lhs), abs(rhs), 1e-30)
-        res = abs(lhs - rhs) / scale
-        worst = max(worst, res)
-        rows.append({"z": [repr(c) for c in z.coords], "residual": res})
-    return {
-        "schema": "rc-lab/1",
-        "check": "bracket-group-covariance",
-        "algebra": algebra.name,
-        "k": k,
-        "lambda": float(lam),
-        "mu": float(mu),
-        "generator": gen.kind,
-        "tolerance": tol,
-        "max_residual": worst,
-        "samples": rows,
-        "pass": bool(rows) and worst < tol,
-    }
+        rows.append({"z": [repr(c) for c in z.coords],
+                     "residual": abs(lhs - rhs) / scale})
+    return report("bracket-group-covariance", algebra.name, ok=bool(rows), k=k,
+                  **{"lambda": float(lam)}, mu=float(mu), generator=gen.kind,
+                  tolerance=tol, max_residual=worst(r["residual"] for r in rows),
+                  samples=rows)
 
 
 def check_adjoint_image(algebra: JordanAlgebra, k: int, lam, mu,
@@ -617,26 +545,15 @@ def check_adjoint_image(algebra: JordanAlgebra, k: int, lam, mu,
     if abs(closed) < 1e-280:
         measured_phase = None
         resid = abs(num)
-        ok = resid < tol
     else:
         measured_phase = num / closed
         resid = abs(num - closed) / abs(closed)
-        ok = resid < tol
-    return {
-        "schema": "rc-lab/1",
-        "check": "adjoint-image-laplace",
-        "algebra": algebra.name,
-        "k": k,
-        "lambda": float(lam),
-        "mu": float(mu),
-        "numeric": [num.real, num.imag],
-        "closed": [closed.real, closed.imag],
-        "measured_phase": None if measured_phase is None
-        else [measured_phase.real, measured_phase.imag],
-        "tolerance": tol,
-        "residual": resid,
-        "pass": ok,
-    }
+    return report("adjoint-image-laplace", algebra.name, k=k,
+                  **{"lambda": float(lam)}, mu=float(mu),
+                  numeric=[num.real, num.imag], closed=[closed.real, closed.imag],
+                  measured_phase=None if measured_phase is None
+                  else [measured_phase.real, measured_phase.imag],
+                  tolerance=tol, residual=resid)
 
 
 def _bump_1d(lo, hi):
@@ -683,100 +600,25 @@ def check_J_factorization(algebra: JordanAlgebra, z: Element | None = None,
         jf = 0.5 * eg * inner
         rhs = complex(np.sum(we * jf * np.exp(1j * zz * eg)))
         resid = abs(lhs - rhs) / max(abs(lhs), 1e-300)
-        return {
-            "schema": "rc-lab/1",
-            "check": "laplace-averaging-factorization",
-            "algebra": algebra.name,
-            "method": "quadrature",
-            "tolerance": tol,
-            "residual": resid,
-            "lhs": [lhs.real, lhs.imag],
-            "rhs": [rhs.real, rhs.imag],
-            "pass": resid < tol,
-        }
+        return report("laplace-averaging-factorization", algebra.name,
+                      method="quadrature", tolerance=tol, residual=resid,
+                      lhs=[lhs.real, lhs.imag], rhs=[rhs.real, rhs.imag])
     if algebra.name != "sym2":
         raise ValueError("check implemented for rank1 and sym2")
     tol = 1e-2 if tol is None else tol
     if z is None:
         z = algebra.element((0.2 + 0.9j, -0.1 + 1.1j, 0.05 + 0.1j))
-    lhs, rhs = _jfact_mc_sym2(algebra, z, mc_samples, seed)
-    resid = abs(lhs - rhs) / max(abs(lhs), 1e-300)
-    return {
-        "schema": "rc-lab/1",
-        "check": "laplace-averaging-factorization",
-        "algebra": algebra.name,
-        "method": "mc",
-        "seed": seed,
-        "tolerance": tol,
-        "residual": resid,
-        "lhs": [lhs.real, lhs.imag],
-        "rhs": [rhs.real, rhs.imag],
-        "pass": resid < tol,
-    }
-
-
-def _jfact_mc_sym2(algebra, z, samples, seed):
-    from .quadrature import trace_ball_bump, _sym2_eigs, _sym2_iota
-
-    rng = np.random.default_rng(seed)
-    center, radius = 2.0, 0.9
-    f1 = trace_ball_bump(algebra, center, radius)
     zc = z.as_array()
     gram = np.array([1.0, 1.0, 2.0])
 
     def phase(coords):
         return np.exp(1j * (coords @ (gram * zc)))
 
-    lo, hi = center - radius, center + radius
-    b = radius / math.sqrt(2.0)
-    vol1 = (hi - lo) ** 2 * (2 * b)
-
-    def draw(m):
-        out = np.empty((m, 3))
-        out[:, 0] = rng.uniform(lo, hi, m)
-        out[:, 1] = rng.uniform(lo, hi, m)
-        out[:, 2] = rng.uniform(-b, b, m)
-        return out
-
-    xs, ys = draw(samples), draw(samples)
-    lhs = vol1**2 * complex(np.mean(f1(xs) * f1(ys) * phase(xs) * phase(ys)))
-    # rhs over (eta, v) with the nested per-eta box for v
-    n_z = max(samples // 4, 1)
-    m_v = 48
-    vmax = radius / (center - radius)
-    direc = rng.standard_normal((n_z, 3))
-    direc /= np.linalg.norm(direc, axis=1, keepdims=True)
-    rad = 2 * radius * rng.random(n_z) ** (1.0 / 3.0)
-    zs = np.empty((n_z, 3))
-    zs[:, 0] = 2 * center + rad * direc[:, 0]
-    zs[:, 1] = 2 * center + rad * direc[:, 1]
-    zs[:, 2] = rad * direc[:, 2] / math.sqrt(2.0)
-    zvol = (4.0 / 3.0) * math.pi * (2 * radius) ** 3 / math.sqrt(2.0)
-    ze1, _ = _sym2_eigs(zs)
-    ok = ze1 > 1e-9
-    zc_ = zs[ok]
-    e1 = ze1[ok]
-    rho = np.minimum(np.sqrt(np.maximum(4 * radius**2 - rad[ok] ** 2, 0.0)) / e1,
-                     vmax)
-    vvol = (2 * rho) ** 2 * (2 * rho / math.sqrt(2.0))
-    detz = zc_[:, 0] * zc_[:, 1] - zc_[:, 2] ** 2
-    inner = np.zeros(len(zc_), dtype=complex)
-    for _ in range(m_v):
-        vs = np.empty((len(zc_), 3))
-        vs[:, 0] = rho * (2 * rng.random(len(zc_)) - 1)
-        vs[:, 1] = rho * (2 * rng.random(len(zc_)) - 1)
-        vs[:, 2] = rho / math.sqrt(2.0) * (2 * rng.random(len(zc_)) - 1)
-        vlo, vhi = _sym2_eigs(vs)
-        good = (vlo > -1) & (vhi < 1)
-        x, y = _sym2_iota(zc_, vs)
-        vals = (f1(x) * f1(y)).astype(complex)
-        vals[~good] = 0.0
-        inner += vals
-    inner /= m_v
-    total = complex(np.sum(inner * vvol * detz ** (algebra.n / algebra.r)
-                           * phase(zc_)))
-    rhs = 2.0 ** (-algebra.n) * zvol * total / n_z
-    return lhs, rhs
+    lhs, rhs = _sym2_nested_mc(algebra, 2.0, 0.9, mc_samples, seed, weight=phase)
+    resid = abs(lhs - rhs) / max(abs(lhs), 1e-300)
+    return report("laplace-averaging-factorization", algebra.name, method="mc",
+                  seed=seed, tolerance=tol, residual=resid,
+                  lhs=[lhs.real, lhs.imag], rhs=[rhs.real, rhs.imag])
 
 
 def check_partial_isometry(algebra: JordanAlgebra, k: int, lam, mu,
@@ -822,7 +664,7 @@ def check_partial_isometry(algebra: JordanAlgebra, k: int, lam, mu,
         eta, we = scaled_interval_rule(g1, 1e-9, 3.0)
         den = float(np.sum(we * h(eta) ** 2 * eta ** (-nu + 1)))
         ratios.append(num / den)
-    spread = (max(ratios) - min(ratios)) / max(abs(r_) for r_ in ratios)
+    spread = (worst(ratios) - min(ratios)) / worst(map(abs, ratios))
     C = compute_C(algebra, k, Fraction(lam) - 1, Fraction(mu) - 1, cache_dir)
 
     def c2(eigs):
@@ -830,21 +672,11 @@ def check_partial_isometry(algebra: JordanAlgebra, k: int, lam, mu,
 
     interval = weyl_integral(algebra, c2, lam_f - 1, mu_f - 1, n=max(n, 2 * k + 8))
     expected = 2.0 ** (-algebra.r * lam_f - algebra.r * mu_f + algebra.n) * interval
-    resid_expected = abs(ratios[0] - expected) / abs(expected)
-    return {
-        "schema": "rc-lab/1",
-        "check": "adjoint-partial-isometry",
-        "algebra": algebra.name,
-        "k": k,
-        "lambda": lam_f,
-        "mu": mu_f,
-        "ratios": ratios,
-        "ratio_spread": spread,
-        "expected_constant": expected,
-        "constant_residual": resid_expected,
-        "tolerance": tol,
-        "pass": spread < tol and resid_expected < tol,
-    }
+    return report("adjoint-partial-isometry", algebra.name, k=k,
+                  **{"lambda": lam_f}, mu=mu_f, ratios=ratios,
+                  ratio_spread=spread, expected_constant=expected,
+                  constant_residual=abs(ratios[0] - expected) / abs(expected),
+                  tolerance=tol)
 
 
 def check_bracket_transform_equivalence(algebra: JordanAlgebra, k: int,
@@ -889,20 +721,11 @@ def check_bracket_transform_equivalence(algebra: JordanAlgebra, k: int,
     rk = algebra.r * k
     bhat = (1j ** rk) * 2.0 ** (-algebra.n) * eg ** (k + 1) * inner
     rhs = complex(np.sum(we * bhat * np.exp(1j * complex(z.coords[0]) * eg)))
-    resid = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-    return {
-        "schema": "rc-lab/1",
-        "check": "bracket-transform-equivalence",
-        "algebra": algebra.name,
-        "k": k,
-        "lambda": float(lam),
-        "mu": float(mu),
-        "lhs": [lhs.real, lhs.imag],
-        "rhs": [rhs.real, rhs.imag],
-        "residual": resid,
-        "tolerance": tol,
-        "pass": resid < tol,
-    }
+    return report("bracket-transform-equivalence", algebra.name, k=k,
+                  **{"lambda": float(lam)}, mu=float(mu),
+                  lhs=[lhs.real, lhs.imag], rhs=[rhs.real, rhs.imag],
+                  residual=abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300),
+                  tolerance=tol)
 
 
 def check_bergman_isometry(algebra: JordanAlgebra, nu: float = 2.5,
@@ -938,20 +761,11 @@ def check_bergman_isometry(algebra: JordanAlgebra, nu: float = 2.5,
         norm_cone = float(np.sum(wxi * f(xi) ** 2 * xi ** (1.0 - nu)))
         ratios.append(norm_tube / norm_cone)
     expected = (2 * math.pi) * 2.0 ** (1.0 - nu) * math.gamma(nu - 1.0)
-    spread = abs(ratios[0] - ratios[1]) / abs(ratios[0])
-    resid = max(abs(r_ - expected) / expected for r_ in ratios)
-    return {
-        "schema": "rc-lab/1",
-        "check": "transform-norm-isometry",
-        "algebra": algebra.name,
-        "nu": nu,
-        "ratios": ratios,
-        "expected_constant": expected,
-        "ratio_spread": spread,
-        "residual": resid,
-        "tolerance": tol,
-        "pass": spread < tol and resid < tol,
-    }
+    return report("transform-norm-isometry", algebra.name, nu=nu, ratios=ratios,
+                  expected_constant=expected,
+                  ratio_spread=abs(ratios[0] - ratios[1]) / abs(ratios[0]),
+                  residual=worst(abs(r_ - expected) / expected for r_ in ratios),
+                  tolerance=tol)
 
 
 def check_hua_cocycle(algebra: JordanAlgebra, gen: GroupGenerator,
@@ -968,16 +782,8 @@ def check_hua_cocycle(algebra: JordanAlgebra, gen: GroupGenerator,
     fw = np.exp(scale * gen.psi(wc)[0])
     mid = det_batch(algebra, (zc[0] - np.conj(wc[0])).reshape(1, -1))[0]
     rhs = fz * mid * np.conj(fw)
-    resid = abs(lhs - rhs) / max(abs(lhs), 1e-300)
-    return {
-        "schema": "rc-lab/1",
-        "check": "kernel-cocycle-identity",
-        "algebra": algebra.name,
-        "generator": gen.kind,
-        "tolerance": tol,
-        "residual": resid,
-        "pass": resid < tol,
-    }
+    return report("kernel-cocycle-identity", algebra.name, generator=gen.kind,
+                  tolerance=tol, residual=abs(lhs - rhs) / max(abs(lhs), 1e-300))
 
 
 def check_coherent_transform(algebra: JordanAlgebra, nu, gen: GroupGenerator,
@@ -991,18 +797,10 @@ def check_coherent_transform(algebra: JordanAlgebra, nu, gen: GroupGenerator,
     K2 = coherent_state(algebra, nu, algebra.element(tuple(gw)))
     fac = np.exp((algebra.r * complex(nu) / (2.0 * algebra.n))
                  * np.conj(gen.psi(w.as_array().reshape(1, -1))[0]))
-    worst = 0.0
+    residuals = []
     for z in points:
         a = KT.at(z)
         b = fac * K2.at(z)
-        worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1e-300))
-    return {
-        "schema": "rc-lab/1",
-        "check": "coherent-state-transport",
-        "algebra": algebra.name,
-        "nu": float(nu),
-        "generator": gen.kind,
-        "tolerance": tol,
-        "max_residual": worst,
-        "pass": worst < tol,
-    }
+        residuals.append(abs(a - b) / max(abs(a), abs(b), 1e-300))
+    return report("coherent-state-transport", algebra.name, nu=float(nu),
+                  generator=gen.kind, tolerance=tol, max_residual=worst(residuals))

@@ -96,7 +96,7 @@ def test_criterion_06_jacobian_and_change_of_variables():
 
     from rclab.algebra import (random_cone_point, random_interval_point,
                                jacobian_iota)
-    from tests_helpers import fd_jacobian_det
+    from rclab.cli import _fd_jacobian
 
     worst = 0.0
     for name in ("rank1", "sym2"):
@@ -105,7 +105,7 @@ def test_criterion_06_jacobian_and_change_of_variables():
         for _ in range(20):
             z = random_cone_point(rng, alg).as_float()
             v = random_interval_point(rng, alg).as_float()
-            fd = fd_jacobian_det(alg, z, v)
+            fd = _fd_jacobian(alg, z, v)
             an = jacobian_iota(z, v)
             worst = max(worst, abs(fd - an) / abs(an))
     rep1 = quadrature.check_change_of_variables(get_algebra("rank1"))

@@ -70,6 +70,33 @@ def test_disk_cache_roundtrip(tmp_path):
     assert not any(name.endswith(".tmp") for name in os.listdir(tmp_path))
 
 
+def test_disk_cache_rejects_a_misnamed_payload(tmp_path, monkeypatch):
+    import rclab.brackets as B
+
+    want = compute_c(get_algebra("rank1"), 3)
+    payload = compute_c(get_algebra("sym2"), 1).to_json()
+    path = tmp_path / "c_rank1_k3.json"
+    path.write_text(payload)
+    monkeypatch.setattr(B, "_memory_cache", {})
+    got = compute_c(get_algebra("rank1"), 3, str(tmp_path))
+    assert got == want
+    data = json.loads(path.read_text())
+    assert (data["algebra"], data["k"]) == ("rank1", 3)
+
+
+def test_disk_cache_rewrites_an_old_format(tmp_path, monkeypatch):
+    import rclab.brackets as B
+
+    alg = get_algebra("sym2")
+    data = compute_c(alg, 1).to_jsonable()
+    data["format"] = 0
+    path = tmp_path / "c_sym2_k1.json"
+    path.write_text(json.dumps(data))
+    monkeypatch.setattr(B, "_memory_cache", {})
+    compute_c(alg, 1, str(tmp_path))
+    assert json.loads(path.read_text())["format"] == B.CACHE_FORMAT
+
+
 def test_compute_C_k0_is_one():
     alg = get_algebra("sym2")
     C = compute_C(alg, 0, 2, 2)
@@ -137,6 +164,14 @@ def test_iota_factorization_reports():
         rep = check_iota_factorization(get_algebra(name), k, samples=8)
         assert rep["pass"], rep
         assert rep["max_residual"] < 1e-10
+
+
+def test_iota_factorization_fails_on_nan(monkeypatch):
+    import rclab.brackets as B
+
+    monkeypatch.setattr(B, "det", lambda x: float("nan"))
+    rep = check_iota_factorization(get_algebra("rank1"), 1)
+    assert rep["pass"] is False
 
 
 def test_aut_invariance():

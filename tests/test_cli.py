@@ -145,6 +145,75 @@ def test_check_suite_exit_zero(tmp_path):
     assert data["pass"] is True and data["schema"] == "rc-lab/1"
 
 
+def test_polys_recomputes_a_truncated_cache_file(tmp_path, monkeypatch):
+    import rclab.brackets as B
+
+    cache = tmp_path / "cache"
+    args = ["polys", "--algebra", "rank1", "--k", "2", "--cache-dir", str(cache)]
+    code, want, _ = run_cli(args)
+    assert code == 0
+    path = cache / "c_rank1_k2.json"
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+    monkeypatch.setattr(B, "_memory_cache", {})
+    code, out, _ = run_cli(args)
+    assert code == 0 and out == want
+    assert path.read_text() == text
+
+
+def test_check_cayley_fails_on_a_wrong_constant(monkeypatch):
+    from fractions import Fraction
+
+    import rclab.sympoly
+
+    monkeypatch.setattr(rclab.sympoly, "cayley_check", lambda alg, m: Fraction(1, 7))
+    code, out, _ = run_cli(["check", "cayley", "--algebra", "sym2"])
+    assert code == 1
+    assert json.loads(out)["reports"][0]["pass"] is False
+
+
+def test_check_all_reports_a_crashing_suite_and_goes_on(tmp_path, monkeypatch):
+    import rclab.cli as cli
+
+    def boom(algebra, cache_dir, tols):
+        raise ValueError("polydisc radius violation")
+
+    monkeypatch.setitem(cli.SUITES, "branch", boom)
+    code, out, _ = run_cli(["check", "all", "--algebra", "rank1",
+                            "--cache-dir", str(tmp_path / "c")])
+    assert code == 1
+    reports = json.loads(out)["reports"]
+    failed = [r for r in reports if not r["pass"]]
+    assert failed == [{"schema": "rc-lab/1", "check": "suite-error",
+                       "algebra": "rank1", "suite": "branch",
+                       "error": "ValueError: polydisc radius violation",
+                       "pass": False}]
+    names = {r["check"] for r in reports}
+    assert "branch-path-independence" not in names
+    # suites before and after the failing one still report
+    assert {"rodrigues-polynomiality", "contour-derivative-stability"} <= names
+
+
+def test_check_k_stays_within_the_caps(monkeypatch):
+    import rclab.brackets as B
+    from rclab.algebra import get_algebra
+    from rclab.cli import run_suites
+
+    class Stub:
+        def num_monomials(self):
+            return 0
+
+    seen = []
+
+    def record(algebra, k, cache_dir=None):
+        seen.append(k)
+        return Stub()
+
+    monkeypatch.setattr(B, "compute_c", record)
+    run_suites(get_algebra("sym4"), "polynomiality")
+    assert seen and max(seen) <= 1
+
+
 def test_check_unknown_suite():
     code, _, err = run_cli(["check", "nonsense", "--algebra", "rank1"])
     assert code == 2

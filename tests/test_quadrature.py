@@ -16,16 +16,6 @@ from rclab.quadrature import (
 )
 
 
-def test_monte_carlo_rule_kind_and_seed():
-    from rclab.quadrature import monte_carlo_rule
-
-    r1 = monte_carlo_rule(1000, 7)
-    r2 = monte_carlo_rule(1000, 7)
-    assert r1.kind == "monte-carlo" and r1.params["seed"] == 7
-    assert abs(r1.weights.sum() - 1.0) < 1e-12
-    np.testing.assert_array_equal(r1.nodes, r2.nodes)
-
-
 def test_gauss_rule_invariants():
     # positive weights; sum of weights = zeroth moment to 1e-12
     r = gauss_jacobi(48, 1.0, 2.0)
