@@ -99,16 +99,6 @@ def _poly_eval(p, coords):
     return total
 
 
-def _poly_diff(p, i):
-    out = {}
-    for expo, coef in p.items():
-        if expo[i]:
-            e = list(expo)
-            e[i] -= 1
-            out[tuple(e)] = coef * expo[i]
-    return out
-
-
 @dataclass(frozen=True)
 class JordanAlgebra:
     """Descriptor of a concrete algebra: dimensions, product table, det/trace.
@@ -151,21 +141,6 @@ class JordanAlgebra:
 
     def zero(self) -> "Element":
         return Element(self, (Fraction(0),) * self.n)
-
-    # -- scalar maps ---------------------------------------------------------
-
-    def det_gradients(self):
-        """Algebraic gradient of det: grad_i = (1/gram_i) d(det)/dx_i.
-
-        This is the trace-form gradient convention; for sym(r) the
-        off-diagonal entries carry the factor 1/2.
-        """
-        grads = []
-        for i in range(self.n):
-            g = _poly_diff(self.det_poly, i)
-            w = Fraction(1, 1) / _frac(self.gram[i])
-            grads.append({e: c * w for e, c in g.items()})
-        return grads
 
     def __repr__(self):
         return f"JordanAlgebra({self.name}, n={self.n}, r={self.r}, d={self.d})"

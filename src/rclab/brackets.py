@@ -1,7 +1,8 @@
 """Construction of the named polynomial families and their exact identities.
 
 ``compute_c`` runs the Rodrigues pipeline (determinant operator applied to
-det-power weights, then exact extraction) and caches the result on disk;
+det-power weights, then exact extraction), one power of the operator per
+step from c(k-1) to c(k), and caches every step on disk;
 ``compute_C`` restricts the two-slot polynomial to the interval chart
 x -> (e - x)/2, y -> (e + x)/2, producing the one-variable-slot family that
 generalizes the Jacobi polynomials (and reduces to them exactly in rank 1).
@@ -69,10 +70,13 @@ def compute_c(algebra: JordanAlgebra, k: int,
               cache_dir: str | None = None) -> BracketPolynomial:
     """The k-th bracket polynomial c(k)_{s,t} for the given algebra.
 
-    Results are memoized in-process and, when ``cache_dir`` is given,
-    persisted as versioned JSON (written atomically so concurrent readers
-    never see a torn file).  A cache file that does not hold this algebra's
-    c(k) in the current format is a miss and is rewritten.
+    c(k) is built from c(k-1), which this function itself returns, by
+    one application of the determinant operator D.  Results are memoized
+    in-process and, when ``cache_dir`` is given, persisted as versioned JSON
+    (written atomically so concurrent readers never see a torn file), so
+    building c(k) also writes any missing c(j < k) file.  A cache file that
+    does not hold this algebra's c(k) in the current format is a miss and is
+    rewritten.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -83,8 +87,13 @@ def compute_c(algebra: JordanAlgebra, k: int,
         poly = _load_cached(path, algebra, k)
     computed = poly is None
     if computed:
-        seed = SymExpr.det_power_seed(algebra, k, k)
-        poly = extract_bracket_polynomial(apply_D_power(seed, k), k)
+        if k == 0:
+            expr = SymExpr.det_power_seed(algebra, 0, 0)
+        else:
+            # c(k)_{s,t} = det(x)^-s det(y)^-t D[det(x)^(s+1) det(y)^(t+1) c(k-1)_{s+1,t+1}]
+            prev = compute_c(algebra, k - 1, cache_dir)
+            expr = apply_D_power(SymExpr.shifted_weight(prev), 1)
+        poly = extract_bracket_polynomial(expr, k)
     _memory_cache[mem_key] = poly
     if path and (computed or not os.path.exists(path)):
         os.makedirs(cache_dir, exist_ok=True)

@@ -577,6 +577,15 @@ SUITES = {
 }
 
 
+# every name a suite reads from ``tols``; `check --tol` accepts no other
+TOL_NAMES = frozenset((
+    "adjoint", "aut", "branch", "cauchy", "coherent", "covariance", "gamma",
+    "gamma-mc", "hua", "iota-fact", "iota-roundtrip", "isometry",
+    "isometry-norm", "jacobian", "laplace", "operator-equivalence",
+    "orthogonality",
+))
+
+
 def run_suites(algebra, selector: str, cache_dir=None, tols=None):
     tols = tols or {}
     if selector == "all":
@@ -602,10 +611,14 @@ def cmd_check(args) -> int:
     algebra = _algebra_from(args)
     selector = args.suite
     tols = {}
-    for item in merged(args, "tol", []) or []:
+    # flags give a list; a config file gives ``tol = name=value, name=value``
+    for item in merged(args, "tol", [], lambda v: v.replace(",", " ").split()):
         if "=" not in item:
             raise ConfigError(f"--tol expects name=value, got {item!r}")
         name, val = item.split("=", 1)
+        if name not in TOL_NAMES:
+            raise ConfigError(f"unknown tolerance {name!r}; choose from "
+                              f"{', '.join(sorted(TOL_NAMES))}")
         tols[name] = float(val)
     cache_dir = merged(args, "cache_dir")
     reports, ok = run_suites(algebra, selector, cache_dir, tols)

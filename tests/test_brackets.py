@@ -13,6 +13,7 @@ from rclab.brackets import (
     check_chi_covariance, check_iota_factorization, check_aut_invariance,
     bracket_table_csv, bracket_table_latex, bracket_table_json,
 )
+from rclab.sympoly import SymExpr, apply_D_power, extract_bracket_polynomial
 
 
 def test_compute_c_k0_constant_one():
@@ -95,6 +96,48 @@ def test_disk_cache_rewrites_an_old_format(tmp_path, monkeypatch):
     monkeypatch.setattr(B, "_memory_cache", {})
     compute_c(alg, 1, str(tmp_path))
     assert json.loads(path.read_text())["format"] == B.CACHE_FORMAT
+
+
+@pytest.mark.parametrize("name,kmax", [
+    ("rank1", 8), ("sym2", 4), ("sym3", 1), ("spin3", 3), ("spin4", 3),
+    ("spin5", 2), ("spin6", 2), ("spin7", 2), ("spin8", 2)])
+def test_compute_c_recurrence_matches_the_definition(name, kmax, monkeypatch):
+    # c(k) from c(k-1) by one power of D equals D^k on the seed, byte for byte
+    import rclab.brackets as B
+
+    monkeypatch.setattr(B, "_memory_cache", {})
+    alg = get_algebra(name)
+    for k in range(kmax + 1):
+        seed = SymExpr.det_power_seed(alg, k, k)
+        want = extract_bracket_polynomial(apply_D_power(seed, k), k)
+        assert compute_c(alg, k).to_json() == want.to_json()
+
+
+def test_compute_c_writes_every_lower_k(tmp_path, monkeypatch):
+    import rclab.brackets as B
+
+    alg = get_algebra("sym2")
+    monkeypatch.setattr(B, "_memory_cache", {})
+    c3 = compute_c(alg, 3, str(tmp_path))
+    assert sorted(os.listdir(tmp_path)) == [f"c_sym2_k{k}.json" for k in range(4)]
+    for k in range(4):
+        loaded = B._load_cached(str(tmp_path / f"c_sym2_k{k}.json"), alg, k)
+        assert loaded == compute_c(alg, k)
+    assert loaded == c3
+
+
+def test_recursion_rewrites_a_misnamed_lower_file(tmp_path, monkeypatch):
+    import rclab.brackets as B
+
+    alg = get_algebra("sym2")
+    want = compute_c(alg, 2)
+    path = tmp_path / "c_sym2_k1.json"
+    path.write_text(compute_c(get_algebra("spin3"), 1).to_json())
+    monkeypatch.setattr(B, "_memory_cache", {})
+    assert compute_c(alg, 2, str(tmp_path)) == want
+    data = json.loads(path.read_text())
+    assert (data["algebra"], data["k"]) == ("sym2", 1)
+    assert B._load_cached(str(path), alg, 1) == compute_c(alg, 1)
 
 
 def test_compute_C_k0_is_one():

@@ -228,6 +228,36 @@ def test_check_tolerance_override_can_fail(tmp_path):
     assert data["pass"] is False
 
 
+def test_config_file_tolerances_are_name_value_pairs(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol = branch=1e-9, cauchy=1e-8\n")
+    code, out, err = run_cli(["--config", str(cfg), "check", "branch",
+                              "--algebra", "rank1"])
+    assert code == 0, err
+    assert json.loads(out)["reports"][0]["tolerance"] == 1e-9
+
+
+def test_check_rejects_an_unknown_tolerance_name(tmp_path):
+    code, _, err = run_cli(["check", "branch", "--algebra", "rank1",
+                            "--tol", "brnch=1e-300"])
+    assert code == 2 and "brnch" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol = brnch=1e-300\n")
+    code, _, err = run_cli(["--config", str(cfg), "check", "branch",
+                            "--algebra", "rank1"])
+    assert code == 2 and "brnch" in err
+
+
+def test_every_tolerance_a_suite_reads_is_named():
+    import inspect
+    import re
+
+    import rclab.cli as cli
+
+    read = set(re.findall(r'tols\.get\("([\w-]+)"', inspect.getsource(cli)))
+    assert read == cli.TOL_NAMES
+
+
 def test_check_report_names_each_identity(tmp_path):
     code, out, _ = run_cli(["check", "orthogonality", "--algebra", "rank1",
                             "--cache-dir", str(tmp_path / "c")])
@@ -250,8 +280,16 @@ def test_check_all_rank1_exit_zero(tmp_path):
 
 
 def test_entry_point_runs():
+    import os
+
+    import rclab
+
+    # the child process imports rclab from where this process found it
+    where = os.path.dirname(os.path.dirname(rclab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [where, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "rclab.cli", "gamma", "--algebra", "rank1",
-         "--nu", "4"], capture_output=True, text=True)
+         "--nu", "4"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["closed"] == 6.0

@@ -9,7 +9,7 @@ from rclab.algebra import get_algebra
 from rclab.sympoly import (
     ParamPoly, SymExpr, BracketPolynomial, NonzeroRemainder,
     diff, apply_D_power, extract_bracket_polynomial, cayley_check,
-    _exact_divide,
+    _det_power_poly, _exact_divide,
 )
 
 
@@ -71,7 +71,7 @@ def test_diff_sym2_det_gradient_is_adjugate():
 
 def test_diff_constant_term_vanishes():
     alg = get_algebra("rank1")
-    e = SymExpr(alg, {((0, 0), 0, 0): {(0, 0): Fraction(3)}})
+    e = SymExpr(alg, {((0, 0), 0, 0): {(0, 0): 3}})
     # det-power offset 0 with s-degree 0 still differentiates to s * ...,
     # which vanishes only at s = 0; a true constant has empty det exponent
     d = diff(e, "y", 0)
@@ -158,10 +158,24 @@ def test_exchange_antisymmetry_small():
 
 def test_exact_divide_raises_on_remainder():
     alg = get_algebra("sym2")
-    detx = {tuple(m) + (0,) * 3: c for m, c in alg.det_poly.items()}
-    num = {(1, 0, 0, 0, 0, 0): {(0, 0): Fraction(1)}}   # x11: not divisible
+    detx = _det_power_poly(alg, 1, "x")     # the engine's integer divisor
+    assert all(type(c) is int for c in detx.values())
+    num = {(1, 0, 0, 0, 0, 0): {(0, 0): 1}}   # x11: not divisible
     with pytest.raises(NonzeroRemainder):
         _exact_divide(num, detx, "unit test")
+    # det x * x11 + 1 divides up to the remainder 1
+    num = {(2, 1, 0, 0, 0, 0): {(0, 0): 1}, (1, 0, 2, 0, 0, 0): {(0, 0): -1},
+           (0, 0, 0, 0, 0, 0): {(0, 0): 1}}
+    with pytest.raises(NonzeroRemainder):
+        _exact_divide(num, detx, "unit test")
+
+
+def test_extract_raises_on_a_non_polynomial():
+    # (det x)^(s-1) (det y)^t is no polynomial times (det x)^s (det y)^t
+    alg = get_algebra("sym2")
+    expr = SymExpr(alg, {((0,) * 6, -1, 0): {(0, 0): 1}})
+    with pytest.raises(NonzeroRemainder):
+        extract_bracket_polynomial(expr, 0)
 
 
 def test_specialize_and_evaluate_examples():
@@ -191,12 +205,17 @@ def test_cayley_sym2():
     assert cayley_check(alg, 2) == 5
 
 
-@pytest.mark.parametrize("name", ["rank1", "sym2", "sym3", "spin4"])
+@pytest.mark.parametrize("name", ["rank1", "sym2", "sym3", "sym4", "spin3",
+                                  "spin4", "spin5", "spin6", "spin7", "spin8"])
 def test_cayley_constant_all_algebras(name):
+    # det(d/dx) det(x)^m = prod_{j<r} (m + j d/2) det(x)^(m-1)
     alg = get_algebra(name)
     for m in range(1, 5):
         val = cayley_check(alg, m)   # raises if the quotient is not constant
-        assert val != 0
+        want = Fraction(1)
+        for j in range(alg.r):
+            want *= m + Fraction(j * alg.d, 2)
+        assert val == want
 
 
 # ---------------------------------------------------------------------------
