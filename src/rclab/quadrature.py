@@ -3,6 +3,9 @@
 One generic Gauss machine drives everything: recurrence coefficients for the
 weight, nodes from the recurrence's Jacobi matrix polished by Newton to
 1e-14, weights by the Christoffel sum of squared orthonormal polynomials.
+Each rule is built once per (n, alpha, beta) and cached for the life of the
+process; its nodes and weights are read-only arrays that every caller
+shares, so nobody can corrupt a rule in place.
 
 Cone integrals of invariant functions reduce to eigenvalue integrals against
 a Vandermonde-power density; the absolute normalization constant
@@ -15,12 +18,16 @@ formula in absolute terms, not just up to ratios.
 
 Interval (Weyl-reduced) integrals use the chamber normalization constant 1:
 only ratios and zero tests of those integrals are consumed downstream.
-Monte Carlo paths take an explicit seed and reports record it; summation is
-numpy's pairwise reduction, so results are reproducible bit for bit.
+The sym2 polar-chart checks use tensor midpoint rules over boxes that hold
+the compact supports of their smooth integrands.  The one Monte Carlo path
+left, for the Gamma integral, takes an explicit seed and its report records
+it; summation is numpy's pairwise reduction, so results are reproducible bit
+for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -43,7 +50,6 @@ __all__ = [
     "weyl_integral",
     "GramReport",
     "gram_matrix",
-    "sym2_polar_grid",
     "tube_laplace",
     "bump",
     "box_rule",
@@ -84,8 +90,6 @@ def _orthonormal_eval(x, a, b, m0, n):
 
 def _gauss_from_recurrence(n, a, b, m0, kind, params):
     """Golub-Welsch initial nodes, Newton-polished on the recurrence."""
-    if n < 1:
-        raise ValueError("need at least one node")
     J = np.zeros((n, n))
     for i in range(n):
         J[i, i] = a[i]
@@ -105,14 +109,22 @@ def _gauss_from_recurrence(n, a, b, m0, kind, params):
     for j in range(n):
         s += ps[j] ** 2
     w = 1.0 / s
+    x.flags.writeable = False
+    w.flags.writeable = False
     return QuadratureRule(kind, x, w, params)
 
 
 def gauss_jacobi(n: int, alpha: float, beta: float) -> QuadratureRule:
     """Nodes/weights for the weight (1-x)^alpha (1+x)^beta on [-1, 1]."""
+    if n < 1:
+        raise ValueError("need at least one node")
     if alpha <= -1 or beta <= -1:
         raise ValueError("Jacobi weight needs alpha, beta > -1")
-    alpha, beta = float(alpha), float(beta)
+    return _jacobi_rule(n, float(alpha), float(beta))
+
+
+@functools.cache
+def _jacobi_rule(n, alpha, beta):
     m0 = 2.0 ** (alpha + beta + 1) * math.gamma(alpha + 1) * math.gamma(beta + 1) \
         / math.gamma(alpha + beta + 2)
     a = np.zeros(n)
@@ -138,10 +150,17 @@ def gauss_legendre(n: int) -> QuadratureRule:
 
 def gauss_laguerre(n: int, alpha: float = 0.0) -> QuadratureRule:
     """Nodes/weights for x^alpha e^{-x} on [0, inf); keep n <= 256."""
+    if n < 1:
+        raise ValueError("need at least one node")
     if alpha <= -1:
         raise ValueError("Laguerre weight needs alpha > -1")
     if n > 256:
         raise ValueError("n > 256 overflows the orthonormal recurrence")
+    return _laguerre_rule(n, float(alpha))
+
+
+@functools.cache
+def _laguerre_rule(n, alpha):
     m0 = math.gamma(alpha + 1)
     a = np.array([2 * k + alpha + 1 for k in range(n)], dtype=float)
     b = np.zeros(n + 1)
@@ -415,29 +434,6 @@ def gram_matrix(algebra: JordanAlgebra, lam, mu, k_max: int, n: int | None = Non
 # Full-dimensional cone quadrature for sym2 (non-invariant integrands)
 
 
-def sym2_polar_grid(n_s: int, n_u: int, n_theta: int):
-    """Nodes/weights for integrating F over the sym2 cone in polar form.
-
-    x = R(theta) diag(lam) R(theta)^T with lam = (s(1-u)/2, s(1+u)/2);
-    integral of F dx = sum w * F(coords) * e^{-s_scale...}: the density
-    carried here is Lebesgue with the e^{-s} radial factor split off, i.e.
-    caller integrands are taken against e^{-(total radial scale)}.
-    Returns (s, u, theta, w) flat arrays with w containing everything
-    except the caller's function and the Laguerre exponential.
-    """
-    c_polar = mehta_cone_constant(get_algebra("sym2")) / math.pi
-    rs = gauss_laguerre(n_s)
-    gl = gauss_legendre(n_u)
-    u, wu = scaled_interval_rule(gl, 0.0, 1.0)
-    theta = (np.arange(n_theta) + 0.5) * math.pi / n_theta
-    wt = np.full(n_theta, math.pi / n_theta)
-    S, U, T = np.meshgrid(rs.nodes, u, theta, indexing="ij")
-    WS, WU, WT = np.meshgrid(rs.weights, wu, wt, indexing="ij")
-    s, u_, t = S.ravel(), U.ravel(), T.ravel()
-    w = (WS * WU * WT).ravel() * c_polar * (s * u_) ** 1 * (s / 2)
-    return s, u_, t, w
-
-
 def _sym2_coords(s, u, theta):
     lam1 = s * (1 - u) / 2
     lam2 = s * (1 + u) / 2
@@ -547,37 +543,37 @@ def box_rule(bounds, n: int):
     return nodes, weights
 
 
-def check_change_of_variables(algebra: JordanAlgebra, method: str = "auto",
-                              n: int = 160, mc_samples: int = 2_000_000,
-                              seed: int = 31) -> dict:
-    """Both sides of the polar-chart integration formula on a smooth bump."""
-    if method == "auto":
-        method = "quadrature" if algebra.family == "rank1" else "mc"
+def check_change_of_variables(algebra: JordanAlgebra, n: int = 160) -> dict:
+    """Both sides of the polar-chart integration formula on a smooth bump.
+
+    rank1: Gauss-Legendre with ``n`` nodes per axis at 1e-6.  sym2: the
+    tensor midpoint rules of SYM2_CHART_NODES at 1e-4.
+    """
     center, radius = 2.0, 0.9
+    if algebra.name == "sym2":
+        lhs, rhs = _sym2_nested_quadrature(algebra, center, radius)
+        return report("polar-chart-change-of-variables", algebra.name,
+                      method="quadrature", nodes=dict(SYM2_CHART_NODES), lhs=lhs,
+                      rhs=rhs, residual=abs(lhs - rhs) / max(abs(lhs), 1e-300),
+                      tolerance=1e-4)
+    if algebra.family != "rank1":
+        raise ValueError("check implemented for rank1 and sym2")
     f1 = trace_ball_bump(algebra, center, radius)
-    if method == "quadrature":
-        if algebra.family != "rank1":
-            raise ValueError("quadrature path implemented for rank1")
-        lo, hi = center - radius, center + radius
-        nodes, w = box_rule([(lo, hi), (lo, hi)], n)
-        lhs = float(np.sum(w * f1(nodes[:, :1]) * f1(nodes[:, 1:])))
-        # rhs: z in (2 lo, 2 hi), v in (-1, 1)
-        nodes2, w2 = box_rule([(2 * lo, 2 * hi), (-1.0, 1.0)], n)
-        zs, vs = nodes2[:, 0], nodes2[:, 1]
-        xs = zs * (1 - vs) / 2
-        ys = zs * (1 + vs) / 2
-        rhs = float(np.sum(
-            w2 * 0.5 * f1(xs.reshape(-1, 1)) * f1(ys.reshape(-1, 1)) * zs
-        ))
-        resid = abs(lhs - rhs) / max(abs(lhs), 1e-300)
-        tol = 1e-6
-    else:
-        lhs, rhs = _sym2_nested_mc(algebra, center, radius, mc_samples, seed)
-        resid = abs(lhs - rhs) / max(abs(lhs), 1e-300)
-        tol = 1e-2
+    lo, hi = center - radius, center + radius
+    nodes, w = box_rule([(lo, hi), (lo, hi)], n)
+    lhs = float(np.sum(w * f1(nodes[:, :1]) * f1(nodes[:, 1:])))
+    # rhs: z in (2 lo, 2 hi), v in (-1, 1)
+    nodes2, w2 = box_rule([(2 * lo, 2 * hi), (-1.0, 1.0)], n)
+    zs, vs = nodes2[:, 0], nodes2[:, 1]
+    xs = zs * (1 - vs) / 2
+    ys = zs * (1 + vs) / 2
+    rhs = float(np.sum(
+        w2 * 0.5 * f1(xs.reshape(-1, 1)) * f1(ys.reshape(-1, 1)) * zs
+    ))
     return report("polar-chart-change-of-variables", algebra.name,
-                  method=method, lhs=lhs, rhs=rhs, residual=resid, tolerance=tol,
-                  seed=seed if method == "mc" else None)
+                  method="quadrature", lhs=lhs, rhs=rhs,
+                  residual=abs(lhs - rhs) / max(abs(lhs), 1e-300), tolerance=1e-6,
+                  seed=None)   # a null seed keeps rank1 reports byte-stable
 
 
 def _sym2_eigs(c):
@@ -609,83 +605,67 @@ def _sym2_iota(zc, vc):
     return (zc - w) / 2, (zc + w) / 2
 
 
-def _sym2_nested_mc(algebra, center, radius, samples, seed, weight=None):
-    """Monte Carlo estimates of both sides of the sym2 polar-chart formula.
+def _sym2_iota_jacobian(zc):
+    """Jacobian 2^{-n} (det z)^{n/r} of the sym2 polar chart at rows z."""
+    return 2.0 ** -3 * (zc[:, 0] * zc[:, 1] - zc[:, 2] ** 2) ** 1.5
+
+
+def _midpoint_grid(bounds, n: int):
+    """Tensor midpoint nodes over a product of intervals, and the cell volume."""
+    axes = [lo + (hi - lo) * (np.arange(n) + 0.5) / n for lo, hi in bounds]
+    grids = np.meshgrid(*axes, indexing="ij")
+    cell = math.prod((hi - lo) / n for lo, hi in bounds)
+    return np.stack([g.ravel() for g in grids], axis=1), cell
+
+
+# Midpoint nodes per axis of the sym2 chart rules: x for the lhs, z and v for
+# the rhs (z over the box of the trace ball, v over a box per z)
+SYM2_CHART_NODES = {"x": 48, "z": 16, "v": 10}
+
+
+def _sym2_nested_quadrature(algebra, center, radius, weight=None):
+    """Both sides of the sym2 polar-chart formula by tensor midpoint rules.
 
     With f1 the trace_ball_bump of ``radius`` around ``center`` e,
     lhs = int int f1(x) f1(y) w(x) w(y) dx dy and rhs is the same integral
     in the chart coordinates, 2^{-n} int int f1(x) f1(y) w(z) (det z)^{n/r}
     dv dz with (x, y) = iota(z, v) and z = x + y.  ``weight`` w maps (m, 3)
     coordinates to (m,) values and must satisfy w(x) w(y) = w(x + y), as a
-    Fourier phase does (complex estimates); None means w = 1, the change of
-    variables itself, estimated in float64.
+    Fourier phase does (complex results); None means w = 1, the change of
+    variables itself (float results).  The ball must lie inside the cone
+    (radius < center).  Each integrand is C^infty with compact support
+    inside its box, where the midpoint rule converges faster than any power
+    of the node count.
     """
     if algebra.name != "sym2":
-        raise ValueError("nested Monte Carlo implemented for sym2")
-    dtype = float if weight is None else complex
+        raise ValueError("nested quadrature implemented for sym2")
     f1 = trace_ball_bump(algebra, center, radius)
-    rng = np.random.default_rng(seed)
-    # LHS: sample (x, y) uniformly in boxes covering the trace-form balls
-    lo, hi = center - radius, center + radius
-    b = radius / math.sqrt(2.0)
-    vol1 = (hi - lo) ** 2 * (2 * b)
 
-    def draw_box(m):
-        out = np.empty((m, 3))
-        out[:, 0] = rng.uniform(lo, hi, m)
-        out[:, 1] = rng.uniform(lo, hi, m)
-        out[:, 2] = rng.uniform(-b, b, m)
-        return out
+    def ball_box(c, r):
+        """The box around the trace ball of radius r about c e."""
+        return [(c - r, c + r), (c - r, c + r), (-r / math.sqrt(2.0), r / math.sqrt(2.0))]
 
-    xs = draw_box(samples)
-    ys = draw_box(samples)
-    vals = f1(xs) * f1(ys)
-    if weight is not None:
-        vals = vals * weight(xs) * weight(ys)
-    lhs = vol1**2 * dtype(np.mean(vals))
-    # RHS: nested estimator.  z = x + y lies in the trace ball of radius 2R
-    # around 2 center e; given z, v = P(z^{-1/2})(y - x) is bounded by
-    # rho(z) = min((|z - 2ce| + 2R)/lam_min(z), R/(center - R)), so the
-    # inner v samples are drawn from a per-z box of that halfwidth.
-    n_z = max(samples // 4, 1)
-    m_v = 48
-    vmax = radius / (center - radius)
-    # uniform samples in the trace-metric ball |z - 2 center e| <= 2R
-    # (metric coordinates scale the off-diagonal by sqrt(2))
-    direc = rng.standard_normal((n_z, 3))
-    direc /= np.linalg.norm(direc, axis=1, keepdims=True)
-    rad = 2 * radius * rng.random(n_z) ** (1.0 / 3.0)
-    zs = np.empty((n_z, 3))
-    zs[:, 0] = 2 * center + rad * direc[:, 0]
-    zs[:, 1] = 2 * center + rad * direc[:, 1]
-    zs[:, 2] = rad * direc[:, 2] / math.sqrt(2.0)
-    zvol = (4.0 / 3.0) * math.pi * (2 * radius) ** 3 / math.sqrt(2.0)
-    ze1, _ = _sym2_eigs(zs)
-    ok = ze1 > 1e-9
-    zc = zs[ok]
-    e1 = ze1[ok]
-    # admissible w = P(sqrt z)v lies in the intersection of the two balls
-    # |w -+ (z - 2ce)| <= 2R, hence |w| <= sqrt(4R^2 - d^2); pull back by
-    # the minimal eigenvalue of P(z^{1/2})
-    rho = np.minimum(np.sqrt(np.maximum(4 * radius**2 - rad[ok] ** 2, 0.0)) / e1,
-                     vmax)
-    vvol = (2 * rho) ** 2 * (2 * rho / math.sqrt(2.0))
-    detz = zc[:, 0] * zc[:, 1] - zc[:, 2] ** 2
-    inner = np.zeros(len(zc), dtype=dtype)
-    for _ in range(m_v):
-        vs = np.empty((len(zc), 3))
-        vs[:, 0] = rho * (2 * rng.random(len(zc)) - 1)
-        vs[:, 1] = rho * (2 * rng.random(len(zc)) - 1)
-        vs[:, 2] = rho / math.sqrt(2.0) * (2 * rng.random(len(zc)) - 1)
-        vlo, vhi = _sym2_eigs(vs)
-        good = (vlo > -1) & (vhi < 1)
-        x, y = _sym2_iota(zc, vs)
-        vals = (f1(x) * f1(y)).astype(dtype)
-        vals[~good] = 0.0
-        inner += vals
-    inner /= m_v
-    terms = inner * vvol * detz ** (algebra.n / algebra.r)
-    if weight is not None:
-        terms = terms * weight(zc)
-    rhs = 2.0 ** (-algebra.n) * zvol * dtype(np.sum(terms)) / n_z
-    return lhs, rhs
+    # lhs factors because w(x) w(y) = w(x + y): the square of one 3-D integral
+    xs, cell = _midpoint_grid(ball_box(center, radius), SYM2_CHART_NODES["x"])
+    vals = f1(xs) if weight is None else f1(xs) * weight(xs)
+    lhs = (cell * np.sum(vals)) ** 2
+    # rhs: z = x + y lies in the trace ball of radius 2R about 2 center e.
+    # Given z, w = P(z^{1/2}) v lies in the two balls |w -+ (z - 2ce)| < 2R,
+    # so |w| < sqrt(4R^2 - |z - 2ce|^2); pulled back by the least eigenvalue
+    # of P(z^{1/2}), v lies in the ball of radius rho(z) about 0.
+    zs, zcell = _midpoint_grid(ball_box(2 * center, 2 * radius), SYM2_CHART_NODES["z"])
+    d2 = (zs[:, 0] - 2 * center) ** 2 + (zs[:, 1] - 2 * center) ** 2 + 2 * zs[:, 2] ** 2
+    inside = d2 < 4 * radius**2
+    zs, d2 = zs[inside], d2[inside]
+    rho = np.sqrt(4 * radius**2 - d2) / _sym2_eigs(zs)[0]
+    unit, ucell = _midpoint_grid(ball_box(0.0, 1.0), SYM2_CHART_NODES["v"])
+    inner = np.zeros(len(zs))
+    # one v node at a time: a (z nodes x v nodes) broadcast would take
+    # several arrays of tens of MB and run no faster
+    for u in unit:
+        x, y = _sym2_iota(zs, rho[:, None] * u)
+        inner += f1(x) * f1(y)
+    terms = inner * ucell * rho**3 * _sym2_iota_jacobian(zs)
+    if weight is None:
+        return float(lhs), float(zcell * np.sum(terms))
+    return complex(lhs), complex(zcell * np.sum(terms * weight(zs)))

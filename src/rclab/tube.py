@@ -33,7 +33,8 @@ from .algebra import (
 from .brackets import compute_c, compute_C
 from .quadrature import (
     gamma_omega_closed, tube_laplace, gauss_legendre, gauss_jacobi,
-    scaled_interval_rule, box_rule, weyl_integral, _sym2_nested_mc,
+    scaled_interval_rule, box_rule, weyl_integral, _sym2_nested_quadrature,
+    SYM2_CHART_NODES,
 )
 
 __all__ = [
@@ -571,11 +572,11 @@ def _bump_1d(lo, hi):
 
 
 def check_J_factorization(algebra: JordanAlgebra, z: Element | None = None,
-                          n: int = 120, mc_samples: int = 1_500_000,
-                          seed: int = 67, tol: float | None = None) -> dict:
+                          n: int = 120, tol: float | None = None) -> dict:
     """res o (two-slot Laplace) against (one-slot Laplace) o averaging map.
 
-    rank1: nested quadrature at 1e-6.  sym2: Monte Carlo at 1%.
+    rank1: nested Gauss-Legendre with ``n`` nodes at 1e-6.  sym2: the tensor
+    midpoint rules of SYM2_CHART_NODES in the polar chart at 1e-4.
     """
     if algebra.family == "rank1":
         if z is None:
@@ -605,7 +606,7 @@ def check_J_factorization(algebra: JordanAlgebra, z: Element | None = None,
                       lhs=[lhs.real, lhs.imag], rhs=[rhs.real, rhs.imag])
     if algebra.name != "sym2":
         raise ValueError("check implemented for rank1 and sym2")
-    tol = 1e-2 if tol is None else tol
+    tol = 1e-4 if tol is None else tol
     if z is None:
         z = algebra.element((0.2 + 0.9j, -0.1 + 1.1j, 0.05 + 0.1j))
     zc = z.as_array()
@@ -614,10 +615,11 @@ def check_J_factorization(algebra: JordanAlgebra, z: Element | None = None,
     def phase(coords):
         return np.exp(1j * (coords @ (gram * zc)))
 
-    lhs, rhs = _sym2_nested_mc(algebra, 2.0, 0.9, mc_samples, seed, weight=phase)
+    lhs, rhs = _sym2_nested_quadrature(algebra, 2.0, 0.9, weight=phase)
     resid = abs(lhs - rhs) / max(abs(lhs), 1e-300)
-    return report("laplace-averaging-factorization", algebra.name, method="mc",
-                  seed=seed, tolerance=tol, residual=resid,
+    return report("laplace-averaging-factorization", algebra.name,
+                  method="quadrature", nodes=dict(SYM2_CHART_NODES),
+                  tolerance=tol, residual=resid,
                   lhs=[lhs.real, lhs.imag], rhs=[rhs.real, rhs.imag])
 
 

@@ -110,10 +110,10 @@ def test_criterion_06_jacobian_and_change_of_variables():
             worst = max(worst, abs(fd - an) / abs(an))
     rep1 = quadrature.check_change_of_variables(get_algebra("rank1"))
     rep2 = quadrature.check_change_of_variables(get_algebra("sym2"))
-    ok = worst < 1e-6 and rep1["residual"] < 1e-6 and rep2["residual"] < 1e-2
+    ok = worst < 1e-6 and rep1["residual"] < 1e-6 and rep2["residual"] < 1e-4
     _line(6, "polar-chart-jacobian+varchange", ok,
           f"(fd {worst:.2e} < 1e-6, rank1 {rep1['residual']:.2e} < 1e-6, "
-          f"sym2-mc {rep2['residual']:.2e} < 1e-2)")
+          f"sym2 {rep2['residual']:.2e} < 1e-4)")
 
 
 def test_criterion_07_gamma():
@@ -157,10 +157,10 @@ def test_criterion_08_laplace_identity():
 def test_criterion_09_L2_factorization():
     rep1 = tube.check_J_factorization(get_algebra("rank1"))
     rep2 = tube.check_J_factorization(get_algebra("sym2"))
-    ok = rep1["residual"] < 1e-6 and rep2["residual"] < 1e-2
+    ok = rep1["residual"] < 1e-6 and rep2["residual"] < 1e-4
     _line(9, "restriction-transform-factorization", ok,
           f"(rank1 {rep1['residual']:.2e} < 1e-6, "
-          f"sym2-mc {rep2['residual']:.2e} < 1e-2)")
+          f"sym2 {rep2['residual']:.2e} < 1e-4)")
 
 
 def test_criterion_10_adjoint_image(cache_dir):

@@ -5,15 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from rclab import quadrature
 from rclab.algebra import get_algebra
 from rclab.brackets import jacobi_classical
 from rclab.quadrature import (
     gauss_jacobi, gauss_legendre, gauss_laguerre,
     gamma_omega_closed, gamma_omega_numeric,
     cone_integrate_invariant, weyl_integral, gram_matrix,
-    tube_laplace, box_rule, check_change_of_variables, sym2_polar_grid,
-    _sym2_coords,
+    tube_laplace, box_rule, check_change_of_variables,
 )
+from rclab.tube import check_J_factorization
 
 
 def test_gauss_rule_invariants():
@@ -37,6 +38,37 @@ def test_gauss_jacobi_degree_exactness():
         got = float(np.sum(rule.weights * rule.nodes**deg))
         want = _jacobi_moment(deg, 1, 1)
         assert abs(got - want) < 1e-13, deg
+
+
+def test_gauss_rules_are_cached_and_read_only():
+    # one rule per (n, alpha, beta), shared by every caller and frozen
+    rule = gauss_jacobi(24, 1, 2.0)
+    assert gauss_jacobi(24, 1.0, 2) is rule
+    assert gauss_laguerre(40, 2.5) is gauss_laguerre(40, 2.5)
+    for arr in (rule.nodes, rule.weights, gauss_laguerre(40, 2.5).nodes):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    with pytest.raises(ValueError):
+        rule.weights *= 2.0
+    assert abs(gauss_jacobi(24, 1.0, 2.0).weights.sum()
+               - 2.0**4 * math.gamma(2.0) * math.gamma(3.0) / math.gamma(5.0)) < 1e-12
+    # distinct alphas stay distinct rules
+    a, b = gauss_laguerre(40, 2.5), gauss_laguerre(40, 2.0)
+    assert a is not b and not np.array_equal(a.nodes, b.nodes)
+    assert abs(b.weights.sum() - math.gamma(3.0)) < 1e-11 * math.gamma(3.0)
+    # Legendre is the Jacobi rule at alpha = beta = 0
+    assert gauss_legendre(32).nodes is gauss_jacobi(32, 0, 0).nodes
+    # arguments are rejected before the cache is consulted
+    with pytest.raises(ValueError):
+        gauss_laguerre(257)
+    with pytest.raises(ValueError):
+        gauss_laguerre(16, -1)
+    with pytest.raises(ValueError):
+        gauss_jacobi(16, -1.0, 0.0)
+    with pytest.raises(ValueError):
+        gauss_jacobi(16, 0.0, -2)
+    with pytest.raises(ValueError):
+        gauss_jacobi(0, 0.0, 0.0)
 
 
 def _jacobi_moment(deg, a, b):
@@ -97,20 +129,6 @@ def test_cone_constant_against_gamma_identity():
                                        n_radial=60, n_u=60)
         want = gamma_omega_closed(alg, alg.n / alg.r)
         assert abs(got - want) / want < 1e-8, name
-
-
-def test_sym2_polar_grid_gaussian():
-    # full (non-invariant-capable) polar grid integrates the trace-form
-    # Gaussian restricted to the cone; reference by invariant reduction
-    s, u, t, w = sym2_polar_grid(48, 48, 24)
-    coords = _sym2_coords(s, u, t)
-    q2 = coords[:, 0] ** 2 + coords[:, 1] ** 2 + 2 * coords[:, 2] ** 2
-    got = float(np.sum(w * np.exp(s - 0.5 * q2)))
-    alg = get_algebra("sym2")
-    want = cone_integrate_invariant(
-        alg, lambda e: math.exp(e[0] + e[1] - 0.5 * (e[0] ** 2 + e[1] ** 2)),
-        1.0, n_radial=60, n_u=60)
-    assert abs(got - want) / want < 1e-8
 
 
 def test_weyl_rank1_length():
@@ -208,8 +226,43 @@ def test_change_of_variables_rank1():
     assert rep["residual"] < 1e-6
 
 
-def test_change_of_variables_sym2_mc():
+def test_change_of_variables_sym2_quadrature():
     rep = check_change_of_variables(get_algebra("sym2"))
     assert rep["pass"], rep
-    assert rep["residual"] < 1e-2
-    assert rep["seed"] == 31
+    assert rep["residual"] < 1e-4
+    assert rep["method"] == "quadrature"
+    assert "seed" not in rep
+    assert rep == check_change_of_variables(get_algebra("sym2"))
+
+
+SYM2_CHART_CHECKS = [check_change_of_variables, check_J_factorization]
+
+
+@pytest.mark.parametrize("check", SYM2_CHART_CHECKS)
+def test_sym2_chart_checks_fail_on_a_scaled_chart(check, monkeypatch):
+    # a 1e-3 scale error in iota moves both sides apart by about 1e-3
+    iota = quadrature._sym2_iota
+
+    def scaled(zc, vc):
+        x, y = iota(zc, vc)
+        return 1.001 * x, 1.001 * y
+
+    monkeypatch.setattr(quadrature, "_sym2_iota", scaled)
+    rep = check(get_algebra("sym2"))
+    assert not rep["pass"] and rep["residual"] > rep["tolerance"], rep
+
+
+@pytest.mark.parametrize("check", SYM2_CHART_CHECKS)
+def test_sym2_chart_checks_fail_without_the_det_factor(check, monkeypatch):
+    monkeypatch.setattr(quadrature, "_sym2_iota_jacobian",
+                        lambda zc: np.full(len(zc), 2.0 ** -3))
+    rep = check(get_algebra("sym2"))
+    assert not rep["pass"] and rep["residual"] > rep["tolerance"], rep
+
+
+@pytest.mark.parametrize("check", SYM2_CHART_CHECKS)
+def test_sym2_chart_checks_fail_on_nan(check, monkeypatch):
+    bump = quadrature.bump
+    monkeypatch.setattr(quadrature, "bump", lambda q2: bump(q2) * np.nan)
+    rep = check(get_algebra("sym2"))
+    assert not rep["pass"], rep
