@@ -429,8 +429,8 @@ def _suite_laplace(algebra, cache_dir, tols):
     rows = []
     for z in _tube_points_for(algebra):
         num = quadrature.tube_laplace(
-            algebra, lambda c: np.ones(len(c)), z, kappa=1.0,
-            det_power=nu - algebra.n / algebra.r)
+            algebra, [lambda c: np.ones(len(c))], z, kappa=1.0,
+            det_power=nu - algebra.n / algebra.r)[0]
         want = closed_gamma * np.exp(
             -nu * tube.logdet_tube(algebra, (z.as_array() + ie).reshape(1, -1))[0])
         rows.append({"z": [repr(c) for c in z.coords],

@@ -1,8 +1,14 @@
 """Weighted quadrature over the cone, the interval, and eigenvalue chambers.
 
 One generic Gauss machine drives everything: recurrence coefficients for the
-weight, nodes from the recurrence's Jacobi matrix polished by Newton to
-1e-14, weights by the Christoffel sum of squared orthonormal polynomials.
+weight, nodes from the recurrence's Jacobi matrix, weights by the
+Christoffel sum of squared orthonormal polynomials.  Newton polishes the
+nodes until the largest step relative to max(1, |x|) is below 1e-14 or no
+longer shrinks: Laguerre nodes reach ~1000, where an absolute 1e-14 is below
+one ulp, and the steps then bounce at the rounding floor.  The recurrence
+rescales a node's polynomials by 2^-256 whenever they pass 2^256, so the
+Christoffel sum cannot overflow (it did from 187 Laguerre nodes); powers of
+two are exact, so every weight that was a normal float keeps its bits.
 Each rule is built once per (n, alpha, beta) and cached for the life of the
 process; its nodes and weights are read-only arrays that every caller
 shares, so nobody can corrupt a rule in place.
@@ -70,26 +76,40 @@ class QuadratureRule:
 
 
 def _orthonormal_eval(x, a, b, m0, n):
-    """p_tilde_0..p_tilde_n and derivatives at x (vectorized over x)."""
+    """p_tilde_n, its derivative and the Christoffel sum of p_tilde_0..n-1
+    squared at x (vectorized over x), each times 2^-e, 2^-e and 2^-2e.
+
+    The per-node exponent e grows by 256 whenever |p| or |dp| passes 2^256,
+    before a square can overflow; scaling by a power of two is exact, so
+    nodes that never pass it get the same bits as an unscaled recurrence.
+    """
     x = np.asarray(x, dtype=float)
     p_prev = np.zeros_like(x)
     p = np.full_like(x, 1.0 / math.sqrt(m0))
     dp_prev = np.zeros_like(x)
     dp = np.zeros_like(x)
-    ps = [p.copy()]
+    s = np.zeros_like(x)
+    e = np.zeros(x.shape, dtype=int)
     for j in range(n):
+        s += p ** 2
         sb_next = math.sqrt(b[j + 1])
         sb = math.sqrt(b[j]) if j > 0 else 0.0
         p_next = ((x - a[j]) * p - sb * p_prev) / sb_next
         dp_next = ((x - a[j]) * dp + p - sb * dp_prev) / sb_next
         p_prev, p = p, p_next
         dp_prev, dp = dp, dp_next
-        ps.append(p.copy())
-    return ps, p, dp
+        big = np.maximum(np.abs(p), np.abs(dp)) > 2.0 ** 256
+        if big.any():
+            f = np.where(big, 2.0 ** -256, 1.0)
+            p, p_prev, dp, dp_prev, s = p * f, p_prev * f, dp * f, dp_prev * f, s * f * f
+            e += 256 * big
+    return p, dp, s, e
 
 
 def _gauss_from_recurrence(n, a, b, m0, kind, params):
-    """Golub-Welsch initial nodes, Newton-polished on the recurrence."""
+    """Golub-Welsch initial nodes, Newton-polished on the recurrence until
+    the largest step relative to max(1, |x|) is below 1e-14 or stops
+    shrinking (the rounding floor)."""
     J = np.zeros((n, n))
     for i in range(n):
         J[i, i] = a[i]
@@ -98,17 +118,17 @@ def _gauss_from_recurrence(n, a, b, m0, kind, params):
             J[i, i + 1] = off
             J[i + 1, i] = off
     x = np.linalg.eigvalsh(J)
+    last = math.inf
     for _ in range(50):
-        _, pn, dpn = _orthonormal_eval(x, a, b, m0, n)
+        pn, dpn, _, _ = _orthonormal_eval(x, a, b, m0, n)
         dx = pn / dpn
         x = x - dx
-        if np.max(np.abs(dx)) < 1e-14:
+        step = np.max(np.abs(dx) / np.maximum(1.0, np.abs(x)))
+        if step < 1e-14 or step >= last:
             break
-    ps, _, _ = _orthonormal_eval(x, a, b, m0, n)
-    s = np.zeros_like(x)
-    for j in range(n):
-        s += ps[j] ** 2
-    w = 1.0 / s
+        last = step
+    _, _, s, e = _orthonormal_eval(x, a, b, m0, n)
+    w = np.ldexp(1.0 / s, -2 * e)
     x.flags.writeable = False
     w.flags.writeable = False
     return QuadratureRule(kind, x, w, params)
@@ -149,13 +169,14 @@ def gauss_legendre(n: int) -> QuadratureRule:
 
 
 def gauss_laguerre(n: int, alpha: float = 0.0) -> QuadratureRule:
-    """Nodes/weights for x^alpha e^{-x} on [0, inf); keep n <= 256."""
+    """Nodes/weights for x^alpha e^{-x} on [0, inf), n <= 256 (nodes past ~745
+    already get weights that underflow to 0)."""
     if n < 1:
         raise ValueError("need at least one node")
     if alpha <= -1:
         raise ValueError("Laguerre weight needs alpha > -1")
     if n > 256:
-        raise ValueError("n > 256 overflows the orthonormal recurrence")
+        raise ValueError("at most 256 Laguerre nodes")
     return _laguerre_rule(n, float(alpha))
 
 
@@ -227,19 +248,19 @@ def cone_integrate_invariant(algebra: JordanAlgebra, h_eig, kappa: float = 1.0,
     """integral over Omega of e^{-kappa tr x} det(x)^p h(eigenvalues(x)) dx.
 
     ``h_eig`` maps an (m, r) array of eigenvalue rows to m values.  Rank 1
-    uses Gauss-Laguerre directly.  Rank 2 uses the factorized chamber
-    coordinates lam = (s(1-u)/2, s(1+u)/2): trace and spread separate, and
-    the rules carry det^p = s^{2p} (1-u)^p (1+u)^p / 4^p with the density
-    s^{d+1} u^d / 2, Laguerre with alpha = 2p + d + 1 in s and Gauss-Jacobi
-    with alpha = p on t = 2u - 1, so a fractional power costs no accuracy.
-    r > 2 uses a tensor Laguerre grid in gap coordinates.
+    uses Gauss-Laguerre with alpha = p directly.  Rank 2 uses the factorized
+    chamber coordinates lam = (s(1-u)/2, s(1+u)/2): trace and spread
+    separate, and the rules carry det^p = s^{2p} (1-u)^p (1+u)^p / 4^p with
+    the density s^{d+1} u^d / 2, Laguerre with alpha = 2p + d + 1 in s and
+    Gauss-Jacobi with alpha = p on t = 2u - 1.  In both a fractional power
+    costs no accuracy.  r > 2 uses a tensor Laguerre grid in gap coordinates.
     """
     c0 = mehta_cone_constant(algebra)
     r, d, p = algebra.r, algebra.d, float(det_power)
     if r == 1:
-        rule = gauss_laguerre(n_radial)
+        rule = gauss_laguerre(n_radial, p)
         x = rule.nodes / kappa
-        return _integral(rule.weights * x**p * c0 / kappa, h_eig(x[:, None]))
+        return _integral(rule.weights * c0 / kappa ** (p + 1), h_eig(x[:, None]))
     if r == 2:
         rs = gauss_laguerre(n_radial, 2 * p + d + 1)
         ru = gauss_jacobi(n_u, p, 0.0)
@@ -444,18 +465,20 @@ def _sym2_coords(s, u, theta):
     return np.stack([x11, x22, x12], axis=1)
 
 
-def tube_laplace(algebra: JordanAlgebra, g, z: Element, kappa: float = 1.0,
+def tube_laplace(algebra: JordanAlgebra, integrands, z: Element, kappa: float = 1.0,
                  det_power: float = 0.0, n_s: int = 128, n_u: int = 48,
-                 n_theta: int = 48) -> complex:
-    """integral over Omega of det(xi)^p g(xi) e^{-kappa tr xi} e^{i(z, xi)} d xi.
+                 n_theta: int = 48) -> np.ndarray:
+    """integral over Omega of det(xi)^p g(xi) e^{-kappa tr xi} e^{i(z, xi)} d xi
+    for each g of the sequence ``integrands``, as a complex array.
 
-    ``g`` maps an (m, n) coordinate array to an (m,) array and must grow at
-    most polynomially; the (possibly fractional) det power p is absorbed
-    into a generalized-Laguerre radial rule, so endpoint behavior costs no
-    accuracy.  The radial direction is rescaled per ray so the built-in
-    exponential matches the full decay kappa*tr - (Im z, .); the leftover
-    bounded oscillation is handled by the rule itself.  Supports rank1 and
-    sym2 (the two families the analytic checks drive).
+    Each g maps an (m, n) coordinate array to an (m,) array and must grow at
+    most polynomially.  The rule is built once per call and every g is
+    evaluated on its nodes in turn.  The (possibly fractional) det power p
+    is absorbed into a generalized-Laguerre radial rule, so endpoint
+    behavior costs no accuracy.  The radial direction is rescaled per ray so
+    the built-in exponential matches the full decay kappa*tr - (Im z, .);
+    the leftover bounded oscillation is handled by the rule itself.
+    Supports rank1 and sym2 (the two families the analytic checks drive).
     """
     zc = z.as_array()
     p = float(det_power)
@@ -467,8 +490,8 @@ def tube_laplace(algebra: JordanAlgebra, g, z: Element, kappa: float = 1.0,
         rs = gauss_laguerre(n_s, alpha=p)
         xi = rs.nodes / q
         phase = np.exp(-1j * wcplx.imag * xi)
-        vals = g(xi.reshape(-1, 1))
-        return complex(np.sum(rs.weights * vals * phase) / q ** (1.0 + p))
+        return np.array([np.sum(rs.weights * g(xi.reshape(-1, 1)) * phase)
+                         / q ** (1.0 + p) for g in integrands], dtype=complex)
     if algebra.name != "sym2":
         raise ValueError("tube_laplace supports rank1 and sym2")
     c_polar = mehta_cone_constant(get_algebra("sym2")) / math.pi
@@ -495,10 +518,12 @@ def tube_laplace(algebra: JordanAlgebra, g, z: Element, kappa: float = 1.0,
     s_scaled = tau[None, :] / q[:, None]          # (nrays, n_s)
     coords = _sym2_coords(s_scaled.ravel(),
                           np.repeat(u_, n_s), np.repeat(t_, n_s))
-    vals = g(coords).reshape(nrays, n_s)
     phase = np.exp(1j * posc[:, None] * s_scaled)
-    radial = (vals * phase) @ rs.weights
-    return complex(np.sum(wray * radial / q ** (2 * p + 3)))
+    qpow = q ** (2 * p + 3)
+    # one integrand at a time: an (integrands x nodes) array would multiply
+    # the memory of the rule
+    return np.array([np.sum(wray * ((g(coords).reshape(nrays, n_s) * phase) @ rs.weights)
+                            / qpow) for g in integrands], dtype=complex)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ array and return (m,) complex values.  All aggregation is deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -39,8 +38,6 @@ from .quadrature import (
 )
 
 __all__ = [
-    "TubePoint",
-    "tube_point",
     "logdet_tube",
     "HoloFunction",
     "coherent_state",
@@ -61,29 +58,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Tube points and branch-tracked determinant powers
-
-
-@dataclass(frozen=True)
-class TubePoint:
-    """A complex element whose imaginary part lies in the open cone."""
-
-    point: Element
-
-    def __post_init__(self):
-        if not in_cone(self.point.imag()):
-            raise NotInCone("imaginary part is not in the cone")
-
-    @property
-    def algebra(self):
-        return self.point.algebra
-
-    def coords(self):
-        return self.point.as_array()
-
-
-def tube_point(algebra: JordanAlgebra, coords) -> TubePoint:
-    return TubePoint(algebra.element(tuple(complex(c) for c in coords)))
+# Branch-tracked determinant powers
 
 
 def logdet_tube(algebra: JordanAlgebra, coords, waypoints=None,
@@ -481,19 +456,16 @@ def check_adjoint_image(algebra: JordanAlgebra, k: int, lam, mu,
     shift = Fraction(n, r)
     spec = compute_c(algebra, k, cache_dir).specialize(Fraction(lam) - shift,
                                                       Fraction(mu) - shift)
-    transforms = {}     # (slot, monomial) -> its one-slot Laplace transform
-
-    def transform(slot, mono, z, weight):
-        if (slot, mono) not in transforms:
-            transforms[slot, mono] = tube_laplace(
-                algebra, Poly.from_terms({mono: 1}, n).numeric, z, kappa=1.0,
-                det_power=float(weight) - float(shift), n_s=n_s)
-        return transforms[slot, mono]
-
+    # one Laplace rule per slot transforms every monomial of that slot
+    slots = []
+    for cut, z, weight in ((slice(0, n), z1, lam), (slice(n, 2 * n), z2, mu)):
+        monos = list(dict.fromkeys(tuple(m) for m in spec.exps[:, cut].tolist()))
+        vals = tube_laplace(algebra, [Poly.from_terms({m: 1}, n).numeric for m in monos],
+                            z, kappa=1.0, det_power=float(weight) - float(shift), n_s=n_s)
+        slots.append(dict(zip(monos, vals.tolist())))
     num = 0.0 + 0.0j
     for mono, coef in zip(spec.exps.tolist(), spec.fcoef):
-        num += coef * transform(0, tuple(mono[:n]), z1, lam) \
-            * transform(1, tuple(mono[n:]), z2, mu)
+        num += coef * slots[0][tuple(mono[:n])] * slots[1][tuple(mono[n:])]
     num *= 1j ** (r * k)
     diff = z1 - z2
     det_diff = complex(det(diff)) ** k
@@ -700,6 +672,7 @@ def check_bergman_isometry(algebra: JordanAlgebra, nu: float = 2.5,
     jr = gauss_jacobi(n, 0.0, nu - 2.0)
     y_nodes = Y * (1 + jr.nodes) / 2
     wy = jr.weights * (Y / 2) ** (nu - 1.0)
+    kernel = np.exp(1j * np.outer(x_nodes, xi))   # e^{i x xi}, the same for every y
     ratios = []
     for lo, hi in ((1.0, 3.0), (0.8, 2.4)):
         f = _bump_1d(lo, hi)
@@ -708,7 +681,7 @@ def check_bergman_isometry(algebra: JordanAlgebra, nu: float = 2.5,
         norm_tube = 0.0
         for y0, wy0 in zip(y_nodes, wy):
             damped = fvals * np.exp(-y0 * xi)
-            lf = np.exp(1j * np.outer(x_nodes, xi)) @ damped
+            lf = kernel @ damped
             norm_tube += wy0 * float(wx @ (lf.real**2 + lf.imag**2))
         norm_cone = float(np.sum(wxi * f(xi) ** 2 * xi ** (1.0 - nu)))
         ratios.append(norm_tube / norm_cone)

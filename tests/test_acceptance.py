@@ -142,8 +142,8 @@ def test_criterion_08_laplace_identity():
         assert len(pts) == 5
         for z in pts:
             num = quadrature.tube_laplace(
-                alg, lambda c: np.ones(len(c)), z, kappa=1.0,
-                det_power=nu - alg.n / alg.r)
+                alg, [lambda c: np.ones(len(c))], z, kappa=1.0,
+                det_power=nu - alg.n / alg.r)[0]
             want = gamma_nu * np.exp(-nu * tube.logdet_tube(
                 alg, (z.as_array() + ie).reshape(1, -1))[0])
             res = max(res, abs(num - want) / abs(want))

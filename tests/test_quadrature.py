@@ -1,6 +1,7 @@
 """Quadrature rules, cone integrals, interval integrals, Gram matrices."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,77 @@ def test_gauss_rule_invariants():
     assert abs(r.weights.sum() - 1.0) < 1e-12
     r = gauss_laguerre(40, 2.5)
     assert abs(r.weights.sum() - math.gamma(3.5)) < 1e-11 * math.gamma(3.5)
+
+
+def test_newton_stops_at_the_rounding_floor(tmp_path, monkeypatch):
+    # every rule that check all builds for rank1 and sym2 takes at most three
+    # Newton passes over the recurrence and one pass for the weights
+    from rclab.cli import main
+
+    calls, per_rule = [0], {}
+    evaluate, build = quadrature._orthonormal_eval, quadrature._gauss_from_recurrence
+
+    def counted_eval(*args):
+        calls[0] += 1
+        return evaluate(*args)
+
+    def counted_build(n, a, b, m0, kind, params):
+        calls[0] = 0
+        rule = build(n, a, b, m0, kind, params)
+        per_rule[kind, tuple(sorted(params.items()))] = calls[0]
+        return rule
+
+    monkeypatch.setattr(quadrature, "_orthonormal_eval", counted_eval)
+    monkeypatch.setattr(quadrature, "_gauss_from_recurrence", counted_build)
+    quadrature._jacobi_rule.cache_clear()
+    quadrature._laguerre_rule.cache_clear()
+    for name in ("rank1", "sym2"):
+        assert main(["check", "all", "--algebra", name, "--cache-dir", str(tmp_path),
+                     "--output", str(tmp_path / f"{name}.json")]) == 0
+    assert {kind for kind, _ in per_rule} == {"gauss-jacobi", "gauss-laguerre"}
+    assert max(per_rule.values()) <= 4, per_rule
+
+
+def test_gauss_laguerre_moments_at_128_nodes():
+    for alpha in (0.0, 1.8, 2.5, 5.6):
+        rule = gauss_laguerre(128, alpha)
+        for k in range(41):
+            got = math.fsum(rule.weights * rule.nodes**k)
+            assert abs(got / math.gamma(k + alpha + 1) - 1) < 1e-12, (alpha, k)
+
+
+def test_gauss_laguerre_does_not_overflow_up_to_256_nodes():
+    # the Christoffel sum of the largest nodes overflowed from n = 187
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for n in (187, 256):
+            for alpha in (0.0, 2.5, 11.0):
+                rule = quadrature._laguerre_rule.__wrapped__(n, alpha)
+                assert np.all(np.isfinite(rule.weights)) and np.all(rule.weights >= 0)
+                for k in range(41):
+                    got = math.fsum(rule.weights * rule.nodes**k)
+                    assert abs(got / math.gamma(k + alpha + 1) - 1) < 1e-12, (n, alpha, k)
+
+
+def test_rescaled_christoffel_sum_keeps_the_bits():
+    # powers of two are exact: where the plain sum of squares is a normal
+    # float, the rescaled weights are the same bits
+    n, alpha = 186, 0.0
+    x = np.array(gauss_laguerre(n, alpha).nodes)
+    a = np.array([2 * k + alpha + 1 for k in range(n)], dtype=float)
+    b = np.array([1.0] + [k * (k + alpha) for k in range(1, n + 1)])
+    _, _, s, e = quadrature._orthonormal_eval(x, a, b, 1.0, n)
+    assert e.max() > 0
+    p_prev, p, plain = np.zeros_like(x), np.ones_like(x), np.zeros_like(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n):
+            plain += p ** 2
+            sb = math.sqrt(b[j]) if j > 0 else 0.0
+            p_prev, p = p, ((x - a[j]) * p - sb * p_prev) / math.sqrt(b[j + 1])
+        w = 1.0 / plain
+    normal = w >= np.finfo(float).tiny
+    assert normal.sum() >= n - 2
+    assert np.array_equal(np.ldexp(1.0 / s, -2 * e)[normal], w[normal])
 
 
 def test_gauss_jacobi_degree_exactness():
@@ -91,6 +163,12 @@ def test_gamma_closed_pole():
 def test_gamma_numeric_rank1():
     alg = get_algebra("rank1")
     assert abs(gamma_omega_numeric(alg, 3.0, n=60) - 2.0) < 1e-10
+
+
+def test_gamma_numeric_rank1_fractional_power():
+    # det^p lives in the Laguerre rule, so a fractional power costs nothing
+    alg = get_algebra("rank1")
+    assert abs(gamma_omega_numeric(alg, 2.5) - gamma_omega_closed(alg, 2.5)) < 1e-13
 
 
 def test_gamma_numeric_sym2_quadrature():
@@ -201,16 +279,29 @@ def test_tube_laplace_rank1_closed_form():
     alg = get_algebra("rank1")
     nu = 2.5
     z = alg.element((2 + 3j,))
-    got = tube_laplace(alg, lambda c: np.ones(len(c)), z, det_power=nu - 1.0)
+    got = tube_laplace(alg, [lambda c: np.ones(len(c))], z, det_power=nu - 1.0)[0]
     want = math.gamma(nu) * ((2 + 3j + 1j) / 1j) ** (-nu)
     assert abs(got - want) / abs(want) < 1e-12
+
+
+def test_tube_laplace_many_integrands_match_single_calls():
+    # one rule for three integrands gives the bits of three calls
+    integrands = [lambda c: np.ones(len(c)), lambda c: c[:, 0],
+                  lambda c: c[:, -1] ** 2 + 1j * c[:, 0]]
+    for name, coords in (("rank1", (0.3 + 1.4j,)), ("sym2", (0.3 + 1.4j, 1.1j, 0.2 + 0.1j))):
+        alg = get_algebra(name)
+        z = alg.element(coords)
+        got = tube_laplace(alg, integrands, z, det_power=0.8)
+        one = [tube_laplace(alg, [g], z, det_power=0.8) for g in integrands]
+        assert got.shape == (3,) and got.dtype == complex
+        assert got.tobytes() == np.concatenate(one).tobytes(), name
 
 
 def test_tube_laplace_divergence_guard():
     alg = get_algebra("rank1")
     z = alg.element((0 + 1j,))
     with pytest.raises(ValueError):
-        tube_laplace(alg, lambda c: np.ones(len(c)), z, kappa=-2.0)
+        tube_laplace(alg, [lambda c: np.ones(len(c))], z, kappa=-2.0)
 
 
 def test_box_rule_volume():
