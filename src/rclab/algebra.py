@@ -58,7 +58,6 @@ __all__ = [
     "iota",
     "iota_inv",
     "jacobian_iota",
-    "chi",
     "random_rational_element",
     "random_cone_point",
     "random_interval_point",
@@ -446,26 +445,19 @@ def quad_rep_matrix(x: Element):
 
 
 def _gauss_jordan(matrix, rhs):
-    """(det matrix, solution of matrix x = rhs) over Fractions; (0, None)
-    for a singular matrix."""
+    """The solution of matrix x = rhs over Fractions (matrix invertible)."""
     n = len(rhs)
     a = [[_frac(matrix[i][j]) for j in range(n)] + [_frac(rhs[i])] for i in range(n)]
-    det_val = Fraction(1)
     for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0), None
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det_val = -det_val
-        det_val *= a[col][col]
+        piv = next(i for i in range(col, n) if a[i][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
         inv = 1 / a[col][col]
         a[col] = [v * inv for v in a[col]]
         for i in range(n):
             if i != col and a[i][col]:
                 f = a[i][col]
                 a[i] = [v - f * w for v, w in zip(a[i], a[col])]
-    return det_val, [a[i][n] for i in range(n)]
+    return [a[i][n] for i in range(n)]
 
 
 def spectral(x: Element, tol: float = CLUSTER_TOL):
@@ -542,7 +534,7 @@ def inverse(x: Element) -> Element:
     if x.is_exact:
         if det(x) == 0:
             raise Singular("det x = 0")
-        return Element(alg, _gauss_jordan(quad_rep_matrix(x), x.coords)[1])
+        return Element(alg, _gauss_jordan(quad_rep_matrix(x), x.coords))
     d = det(x)
     if abs(complex(d)) < 1e-300:
         raise Singular("det x = 0")
@@ -593,7 +585,7 @@ class StructureMap:
 
     Built from a quadratic map P(a), so membership in the structure group
     holds by construction.  The coordinate matrix is materialized for
-    application and determinants.
+    application.
     """
 
     def __init__(self, algebra: JordanAlgebra, matrix, chi_value, label="P-map"):
@@ -601,12 +593,6 @@ class StructureMap:
         self.matrix = matrix          # list of rows (exact) or np.ndarray
         self.chi_value = chi_value
         self.label = label
-
-    @classmethod
-    def identity(cls, algebra):
-        n = algebra.n
-        rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        return cls(algebra, rows, Fraction(1), "id")
 
     @classmethod
     def quadratic(cls, a: Element):
@@ -619,35 +605,6 @@ class StructureMap:
         n = self.algebra.n
         out = [sum(self.matrix[i][j] * x.coords[j] for j in range(n)) for i in range(n)]
         return Element(self.algebra, out)
-
-    def det_map(self):
-        """Det of the map as a linear operator on V (exact when possible)."""
-        rows = self.matrix
-        if all(isinstance(v, (Fraction, int)) for row in rows for v in row):
-            return _gauss_jordan(rows, [0] * len(rows))[0]
-        return float(np.linalg.det(np.array(rows, dtype=float)))
-
-
-def chi(ell: StructureMap, samples: int = 5, rng: random.Random | None = None):
-    """The structure-group character: det(ell x) = chi(ell) det(x).
-
-    Validates the defining relation on random rational samples and checks
-    Det(ell) = chi(ell)^{n/r} numerically before returning chi(ell).
-    """
-    alg = ell.algebra
-    rng = rng or random.Random(7)
-    c = det(ell(alg.identity))  # det(e) = 1
-    for _ in range(samples):
-        x = random_rational_element(rng, alg)
-        if det(ell(x)) != c * det(x):
-            raise AlgebraError(f"{ell.label}: not in the structure group")
-    dm = ell.det_map()
-    expected = float(c) ** (alg.n / alg.r)
-    if abs(float(dm) - expected) > 1e-8 * max(1.0, abs(expected)):
-        raise AlgebraError(
-            f"{ell.label}: Det(ell) = {float(dm)} != chi^(n/r) = {expected}"
-        )
-    return c
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,9 @@ import os
 import random
 import tempfile
 from fractions import Fraction
-from functools import cached_property
 from math import comb
+
+import numpy as np
 
 from . import report, worst
 from .algebra import (
@@ -28,8 +29,7 @@ from .algebra import (
 )
 from .poly import Poly
 from .sympoly import (
-    SymExpr, ParamPoly, BracketPolynomial, apply_D_power,
-    extract_bracket_polynomial,
+    SymExpr, BracketPolynomial, apply_D_power, extract_bracket_polynomial,
 )
 
 __all__ = [
@@ -118,60 +118,54 @@ def compute_c(algebra: JordanAlgebra, k: int,
 class OrthoPoly:
     """C(k)_{lam,mu} on V: the bracket restricted to the interval chart.
 
-    ``terms`` maps n-variable exponent tuples to Fractions when (lam, mu)
-    are specialized, or to ParamPoly otherwise.  The polynomial is
-    invariant under the automorphism group of the algebra, so it only
-    depends on eigenvalues.
+    ``poly`` has coefficients in Q when (lam, mu) are specialized, else in
+    Q[s, t].  The polynomial is invariant under the automorphism group of
+    the algebra, so it only depends on eigenvalues.
     """
 
-    def __init__(self, algebra, k, lam, mu, terms):
-        self.algebra = algebra
-        self.k = k
-        self.lam = lam
-        self.mu = mu
-        self.terms = {m: c for m, c in terms.items() if c}
-
-    @cached_property
-    def poly(self) -> Poly:
-        return Poly.from_terms({m: c.terms if isinstance(c, ParamPoly) else c
-                                for m, c in self.terms.items()}, self.algebra.n)
+    def __init__(self, poly: Poly):
+        self.poly = poly
 
     def evaluate(self, v: Element):
         return self.poly(v.coords)
 
-    def __repr__(self):
-        return (f"OrthoPoly({self.algebra.name}, k={self.k}, "
-                f"lam={self.lam}, mu={self.mu}, {len(self.terms)} monomials)")
-
 
 def _restrict_1d(e, a, b):
-    """Coefficients of v^j in ((e - v)/2)^a ((e + v)/2)^b, j = 0..a+b."""
-    return [Fraction(sum((-1) ** p * comb(a, p) * comb(b, j - p)
-                         for p in range(max(0, j - b), min(a, j) + 1))
-                     * e ** (a + b - j), 2 ** (a + b)) for j in range(a + b + 1)]
+    """Integer coefficients of v^j in (e - v)^a (e + v)^b, j = 0..a+b."""
+    return [sum((-1) ** p * comb(a, p) * comb(b, j - p)
+                for p in range(max(0, j - b), min(a, j) + 1)) * e ** (a + b - j)
+            for j in range(a + b + 1)]
 
 
 def compute_C(algebra: JordanAlgebra, k: int, lam=None, mu=None,
               cache_dir: str | None = None) -> OrthoPoly:
-    """Substitute x <- (e - v)/2, y <- (e + v)/2 (and s <- lam, t <- mu)."""
-    c = compute_c(algebra, k, cache_dir)
+    """Substitute x <- (e - v)/2, y <- (e + v)/2 (and s <- lam, t <- mu).
+
+    The substitution runs over the integers: every monomial of c(k) has
+    degree rk, so each takes the factor 2^-(rk) into the denominator.
+    """
+    if (lam is None) != (mu is None):
+        raise ValueError("give both weights lam and mu, or neither")
+    c = compute_c(algebra, k, cache_dir).poly
+    if lam is not None:
+        c = c.at(lam, mu)
     n = algebra.n
-    specialize = lam is not None and mu is not None
-    if specialize:
-        lam, mu = Fraction(lam), Fraction(mu)
-    out: dict = {}
-    for mono, coef in c.specialize(lam, mu).items() if specialize else c.terms.items():
-        # expand prod_i ((e_i - v_i)/2)^alpha_i ((e_i + v_i)/2)^beta_i one
+    e = [int(x) for x in algebra.e_coords]
+    exps, rows, weights = [], [], []
+    for row, mono in enumerate(c.exps.tolist()):
+        # expand prod_i (e_i - v_i)^alpha_i (e_i + v_i)^beta_i one
         # coordinate at a time
-        acc = {(): coef}
+        acc = {(): 1}
         for i in range(n):
-            line = _restrict_1d(algebra.e_coords[i], mono[i], mono[n + i])
-            acc = {m + (j,): cc * w for m, cc in acc.items()
-                   for j, w in enumerate(line) if w}
-        for m, cc in acc.items():
-            out[m] = out[m] + cc if m in out else cc
-    out = {m: cc for m, cc in out.items() if cc}
-    return OrthoPoly(algebra, k, lam, mu, out)
+            line = _restrict_1d(e[i], mono[i], mono[n + i])
+            acc = {m + (j,): w * lw for m, w in acc.items()
+                   for j, lw in enumerate(line) if lw}
+        exps.extend(acc)
+        rows.extend([row] * len(acc))
+        weights.extend(acc.values())
+    coef = np.array(weights, dtype=object).reshape(-1, 1, 1) * c.coef[rows]
+    return OrthoPoly(Poly.collect(np.array(exps, dtype=np.int64).reshape(-1, n), coef,
+                                  c.den * 2 ** (algebra.r * k)))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +206,8 @@ def jacobi_proportionality(k: int, lam, mu, cache_dir=None):
     alg = get_algebra("rank1")
     C = compute_C(alg, k, lam, mu, cache_dir)
     ref = jacobi_classical(k, lam, mu)
-    ours = [C.terms.get((j,), Fraction(0)) for j in range(len(ref))]
+    coef = dict(C.poly.items())
+    ours = [coef.get((j,), Fraction(0)) for j in range(len(ref))]
     ratio = None
     for c_ours, c_ref in zip(ours, ref):
         if c_ref == 0:
@@ -351,13 +346,9 @@ def _mono_label(algebra, mono):
 
 
 def _coef_label(coef) -> str:
-    if isinstance(coef, ParamPoly):
-        bits = []
-        for (i, j), v in coef.sorted_items():
-            mono = "".join([f"*s^{i}" if i else "", f"*t^{j}" if j else ""])
-            bits.append(f"{v}{mono}")
-        return " + ".join(bits) if bits else "0"
-    return str(coef)
+    """One coefficient of ``Poly.rows`` as a sum of c*s^i*t^j terms."""
+    return " + ".join((f"{p}" if q == 1 else f"{p}/{q}") + (f"*s^{i}" if i else "")
+                      + (f"*t^{j}" if j else "") for i, j, p, q in coef)
 
 
 def bracket_table_json(poly: BracketPolynomial) -> str:
@@ -366,17 +357,16 @@ def bracket_table_json(poly: BracketPolynomial) -> str:
 
 def bracket_table_csv(poly: BracketPolynomial) -> str:
     lines = ["mono,coefficient"]
-    for m in sorted(poly.terms):
-        label = _mono_label(poly.algebra, m)
-        lines.append(f"\"{label}\",\"{_coef_label(poly.terms[m])}\"")
+    for m, coef in poly.poly.rows():
+        lines.append(f"\"{_mono_label(poly.algebra, m)}\",\"{_coef_label(coef)}\"")
     return "\n".join(lines) + "\n"
 
 
 def bracket_table_latex(poly: BracketPolynomial) -> str:
     rows = []
-    for m in sorted(poly.terms):
+    for m, coef in poly.poly.rows():
         label = _mono_label(poly.algebra, m).replace("*", r"\,")
-        coef = _coef_label(poly.terms[m]).replace("*", r"\,")
+        coef = _coef_label(coef).replace("*", r"\,")
         rows.append(f"  ${label}$ & ${coef}$ \\\\")
     body = "\n".join(rows)
     return (

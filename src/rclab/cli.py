@@ -27,6 +27,7 @@ import numpy as np
 from . import SCHEMA, report, worst
 from .algebra import get_algebra, ALGEBRA_NAMES, AlgebraError
 from . import brackets, quadrature, tube
+from .poly import Poly
 
 # documented feasibility caps for the Rodrigues pipeline (desk scale)
 K_CAPS = {
@@ -36,6 +37,14 @@ K_CAPS = {
 
 # acceptance-scale k ranges exercised by `check`
 CHECK_K = {"rank1": 6, "sym2": 3, "sym3": 2, "spin4": 2}
+
+# documented caps on the costly numeric options.  The sym2 Monte Carlo
+# sampler holds about ten float arrays of --samples values; a Gauss rule of
+# n nodes takes time growing faster than n^2 (4,000 nodes take about 20 s);
+# gram integrates on (n + 8)^r points, n = --nodes, for rank r.
+MAX_SAMPLES = 2_000_000
+MAX_NODES = 1_000
+MAX_GRAM_POINTS = 250_000
 
 
 class ConfigError(Exception):
@@ -100,6 +109,14 @@ def merged(args, key, default=None, cast=str):
     return default
 
 
+def _int_option(args, key, default, lo, hi):
+    """An integer option, rejected outside lo..hi."""
+    val = merged(args, key, default, int)
+    if not lo <= val <= hi:
+        raise ConfigError(f"--{key} must lie in {lo}..{hi}, got {val}")
+    return val
+
+
 def _algebra_from(args):
     name = merged(args, "algebra", "rank1")
     try:
@@ -143,10 +160,11 @@ def cmd_polys(args) -> int:
     else:
         lam = merged(args, "lam", None, Fraction)
         mu = merged(args, "mu", None, Fraction)
+        if (lam is None) != (mu is None):
+            raise ConfigError("give both --lambda and --mu, or neither")
         C = brackets.compute_C(algebra, k, lam, mu, cache_dir)
-        rows = []
-        for m in sorted(C.terms):
-            rows.append({"mono": list(m), "coef": brackets._coef_label(C.terms[m])})
+        rows = [{"mono": list(m), "coef": brackets._coef_label(coef)}
+                for m, coef in C.poly.rows()]
         payload = {"schema": SCHEMA, "kind": "restricted-polynomial",
                    "algebra": algebra.name, "k": k,
                    "lambda": None if lam is None else str(lam),
@@ -166,9 +184,7 @@ def cmd_polys(args) -> int:
 
 def cmd_gram(args) -> int:
     algebra = _algebra_from(args)
-    kmax = merged(args, "kmax", 2, int)
-    if kmax > K_CAPS[algebra.name]:
-        raise ConfigError(f"kmax={kmax} above cap {K_CAPS[algebra.name]}")
+    kmax = _int_option(args, "kmax", 2, 0, K_CAPS[algebra.name])
     lam = merged(args, "lam", 1.0, float)
     mu = merged(args, "mu", 1.0, float)
     threshold = 1 + (algebra.r - 1) * algebra.d - algebra.n / algebra.r
@@ -177,6 +193,10 @@ def cmd_gram(args) -> int:
             f"weights must exceed 1 + (r-1)d - n/r = {threshold} for orthogonality"
         )
     n = merged(args, "nodes", None, int)
+    if n is not None and not (1 <= n <= MAX_NODES - 8
+                              and (n + 8) ** algebra.r <= MAX_GRAM_POINTS):
+        raise ConfigError(f"--nodes must be >= 1 with n + 8 <= {MAX_NODES} and "
+                          f"(n + 8)^{algebra.r} <= {MAX_GRAM_POINTS}, got {n}")
     rep = quadrature.gram_matrix(algebra, lam, mu, kmax, n,
                                  merged(args, "cache_dir"))
     fmt = merged(args, "format", "json")
@@ -200,10 +220,10 @@ def cmd_gamma(args) -> int:
            "nu": nu, "closed": closed}
     kind = merged(args, "rule", None)
     if kind:
-        n = merged(args, "nodes", 80, int)
+        n = _int_option(args, "nodes", 80, 1, MAX_NODES)
         seed = merged(args, "seed", 20240, int)
         if kind == "monte-carlo":
-            samples = merged(args, "samples", 1_000_000, int)
+            samples = _int_option(args, "samples", 1_000_000, 1, MAX_SAMPLES)
             out["numeric"] = quadrature.gamma_omega_numeric(
                 algebra, nu, "mc", mc_samples=samples, seed=seed)
             out["rule"] = {"kind": kind, "samples": samples, "seed": seed}
@@ -258,18 +278,12 @@ def _suite_polynomiality(algebra, cache_dir, tols):
 
 
 def _suite_exchange(algebra, cache_dir, tols):
-    from .sympoly import ParamPoly
-
     reports = []
     for k in range(_check_k(algebra) + 1):
         c = brackets.compute_c(algebra, k, cache_dir)
         sw = c.swap_slots_and_params()
-        sign = Fraction((-1) ** (algebra.r * k))
-        ok = set(sw.terms) == set(c.terms) and all(
-            sw.terms[m] == ParamPoly(
-                {kk: sign * v for kk, v in c.terms[m].terms.items()})
-            for m in c.terms
-        )
+        p = c.poly
+        ok = sw.poly == Poly(p.exps, (-1) ** (algebra.r * k) * p.coef, p.den)
         reports.append(report("slot-exchange-antisymmetry", algebra.name,
                               ok=ok, k=k, exact=True))
     return reports

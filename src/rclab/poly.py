@@ -37,7 +37,7 @@ class Poly:
     __slots__ = ("exps", "coef", "den", "_columns", "_fcoef")
 
     def __init__(self, exps, coef, den=1):
-        """Rows of ``exps`` distinct and sorted; ``from_terms`` sees to both."""
+        """Rows of ``exps`` distinct and sorted; ``collect`` sees to both."""
         self.exps = exps          # (m, N) int64
         self.coef = coef          # (m, deg_s + 1, deg_t + 1) object array of ints
         self.den = den
@@ -46,25 +46,35 @@ class Poly:
         self._fcoef = None
 
     @classmethod
-    def from_terms(cls, terms, nvars: int) -> "Poly":
-        """From {exponent tuple: coefficient}; a coefficient is a rational or
-        a {(i, j): rational} dict, the polynomial sum of c s^i t^j."""
-        rows = []
-        for mono, c in terms.items():
-            c = c if isinstance(c, dict) else {(0, 0): c}
-            c = {ij: Fraction(v) for ij, v in c.items() if v}
-            if c:
-                rows.append((tuple(mono), c))
-        rows.sort(key=lambda row: row[0])
-        den = math.lcm(1, *(v.denominator for _, c in rows for v in c.values()))
-        ds = max((i for _, c in rows for i, _ in c), default=0)
-        dt = max((j for _, c in rows for _, j in c), default=0)
-        coef = np.zeros((len(rows), ds + 1, dt + 1), dtype=object)
-        for idx, (_, c) in enumerate(rows):
-            for (i, j), v in c.items():
-                coef[idx, i, j] = v.numerator * (den // v.denominator)
-        exps = np.array([m for m, _ in rows], dtype=np.int64).reshape(len(rows), nvars)
-        return cls(exps, coef, den)
+    def from_terms(cls, terms, nvars: int, den=1) -> "Poly":
+        """From {exponent tuple: coefficient}, every coefficient divided by
+        ``den``; a coefficient is a rational (int or Fraction) or a
+        {(i, j): rational} dict, the polynomial sum of c s^i t^j."""
+        coefs = [c if isinstance(c, dict) else {(0, 0): c} for c in terms.values()]
+        entries = [(r, i, j, v) for r, c in enumerate(coefs) for (i, j), v in c.items()]
+        rs, i, j, v = zip(*entries) if entries else ((),) * 4
+        lcm = math.lcm(1, *(x.denominator for x in v))
+        coef = np.zeros((len(coefs), max(i, default=0) + 1, max(j, default=0) + 1),
+                        dtype=object)
+        coef[list(rs), list(i), list(j)] = [x.numerator * (lcm // x.denominator) for x in v]
+        exps = np.array(list(terms), dtype=np.int64).reshape(len(coefs), nvars)
+        return cls.collect(exps, coef, lcm * den)
+
+    @classmethod
+    def collect(cls, exps, coef, den=1) -> "Poly":
+        """From integer rows in any order, over ``den``: equal exponent rows
+        are summed, zero rows and zero top powers of s and t dropped, and the
+        denominator reduced, so equal polynomials have equal tables."""
+        exps, inverse = np.unique(exps, axis=0, return_inverse=True)
+        summed = np.zeros((len(exps),) + coef.shape[1:], dtype=object)
+        np.add.at(summed, inverse.ravel(), coef)
+        nonzero = summed != 0
+        keep = nonzero.any(axis=(1, 2))
+        ds = max(np.flatnonzero(nonzero.any(axis=(0, 2))), default=0)
+        dt = max(np.flatnonzero(nonzero.any(axis=(0, 1))), default=0)
+        summed = summed[keep, :ds + 1, :dt + 1]
+        g = math.gcd(den, *summed.ravel().tolist())
+        return cls(exps[keep], summed // g, den // g)
 
     def at(self, s, t) -> "Poly":
         """This polynomial at rational s, t; rows that vanish are dropped."""
@@ -89,6 +99,22 @@ class Poly:
         """(exponent tuple, Fraction) per row of a Poly without parameters."""
         return [(tuple(m), Fraction(int(c), self.den))
                 for m, c in zip(self.exps.tolist(), self._constant())]
+
+    def rows(self):
+        """(exponent tuple, [(i, j, p, q)]) per row: each nonzero coefficient
+        p/q of s^i t^j in lowest terms (q > 0), in ascending (i, j)."""
+        out = [(tuple(m), []) for m in self.exps.tolist()]
+        row, i, j = np.nonzero(self.coef)
+        for r, i, j, c in zip(row.tolist(), i.tolist(), j.tolist(),
+                              self.coef[row, i, j].tolist()):
+            g = math.gcd(c, self.den)
+            out[r][1].append((i, j, c // g, self.den // g))
+        return out
+
+    def __eq__(self, other):
+        return (isinstance(other, Poly) and self.den == other.den
+                and np.array_equal(self.exps, other.exps)
+                and np.array_equal(self.coef, other.coef))
 
     @property
     def fcoef(self) -> np.ndarray:

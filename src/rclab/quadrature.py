@@ -34,7 +34,6 @@ for bit.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -395,9 +394,6 @@ class GramReport:
             "estimated_error": self.estimated_error,
             "seed": self.seed,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), indent=2, sort_keys=True) + "\n"
 
     def to_csv(self) -> str:
         lines = ["k,l,value"]

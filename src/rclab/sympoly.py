@@ -17,21 +17,21 @@ r, so 2^r times it is an integral combination of plain partial
 derivatives: the derivation tables, the determinant powers and the
 operator monomials are all integral.  Every determinant has leading
 coefficient +-1 in lex order, so the exact divisions of the extraction
-stay in Z and are remainder-checked.  Fractions appear only at the
-boundary (``ParamPoly``, ``BracketPolynomial`` and the JSON wire format),
-where c(k) is an integer table divided by 2^(rk).  Polynomiality of the
-extracted bracket is certified, not approximated.  Every operation is
-deterministic, independent of any evaluation schedule.
+stay in Z and are remainder-checked.  At the boundary c(k) becomes a
+``BracketPolynomial``, whose ``Poly`` is an integer Z[s,t] table over
+2^(rk).  Polynomiality of the extracted bracket is certified, not
+approximated.  Every operation is deterministic, independent of any
+evaluation schedule.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
 from fractions import Fraction
-from functools import cached_property
 from math import comb
 from operator import add, neg
+
+import numpy as np
 
 from . import SCHEMA
 from .algebra import JordanAlgebra, Element, get_algebra
@@ -39,10 +39,8 @@ from .poly import Poly
 
 __all__ = [
     "NonzeroRemainder",
-    "ParamPoly",
     "SymExpr",
     "BracketPolynomial",
-    "diff",
     "apply_D_power",
     "extract_bracket_polynomial",
     "cayley_check",
@@ -54,19 +52,8 @@ class NonzeroRemainder(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# Coefficient ring: plain dicts {(deg_s, deg_t): coefficient}, integers in
-# the engine and Fractions in ParamPoly, the public wrapper.
+# Coefficient ring: plain dicts {(deg_s, deg_t): int} of Z[s, t]
 
-
-def _c_add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        w = out.get(k, 0) + v
-        if w:
-            out[k] = w
-        elif k in out:
-            del out[k]
-    return out
 
 def _c_iadd(acc, b, factor=1):
     for k, v in b.items():
@@ -80,18 +67,6 @@ def _c_scale(a, f):
     if not f:
         return {}
     return {k: v * f for k, v in a.items()}
-
-def _c_mul(a, b):
-    out = {}
-    for (i1, j1), v1 in a.items():
-        for (i2, j2), v2 in b.items():
-            k = (i1 + i2, j1 + j2)
-            w = out.get(k, 0) + v1 * v2
-            if w:
-                out[k] = w
-            elif k in out:
-                del out[k]
-    return out
 
 def _c_mul_linear(a, var, const):
     """Multiply by (s + const) or (t + const): var is 0 for s, 1 for t."""
@@ -116,76 +91,6 @@ def _c_shift(a):
             for q in range(j + 1):
                 out[(p, q)] = out.get((p, q), 0) + v * comb(i, p) * comb(j, q)
     return {k: v for k, v in out.items() if v}
-
-
-class ParamPoly:
-    """Exact polynomial in the two parameters (s, t).
-
-    Sparse map (deg_s, deg_t) -> Fraction; zero coefficients are never
-    stored.  Supports ring arithmetic; a Poly (``Poly.at``) evaluates it.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for k, v in terms.items():
-                v = v if isinstance(v, Fraction) else Fraction(v)
-                if v:
-                    t[(int(k[0]), int(k[1]))] = v
-        self.terms = t
-
-    @classmethod
-    def const(cls, v):
-        return cls({(0, 0): Fraction(v)})
-
-    @classmethod
-    def _raw(cls, d):
-        p = cls.__new__(cls)
-        p.terms = d
-        return p
-
-    def __add__(self, other):
-        return ParamPoly._raw(_c_add(self.terms, other.terms))
-
-    def __sub__(self, other):
-        return ParamPoly._raw(_c_add(self.terms, _c_scale(other.terms, -1)))
-
-    def __neg__(self):
-        return ParamPoly._raw(_c_scale(self.terms, -1))
-
-    def __mul__(self, other):
-        if isinstance(other, ParamPoly):
-            return ParamPoly._raw(_c_mul(self.terms, other.terms))
-        return ParamPoly._raw(_c_scale(self.terms, Fraction(other)))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, ParamPoly) and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def degree(self):
-        return max((i + j for (i, j) in self.terms), default=-1)
-
-    def swap_st(self):
-        return ParamPoly._raw({(j, i): v for (i, j), v in self.terms.items()})
-
-    def sorted_items(self):
-        return sorted(self.terms.items())
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (i, j), v in self.sorted_items():
-            mono = "".join(["" if v is None else "",
-                            f"s^{i}" if i else "", f"t^{j}" if j else ""])
-            bits.append(f"{v}{('*' + mono) if mono else ''}")
-        return " + ".join(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -223,24 +128,14 @@ class SymExpr:
         """
         scale = poly.algebra.r * poly.k
         unit = 2**scale
-        terms = {}
-        for mono, coef in poly.terms.items():
-            ints = {}
-            for key, v in coef.terms.items():
-                q, rem = divmod(unit, v.denominator)
-                if rem:
-                    raise ValueError(f"{poly!r}: coefficient {v} not in 2^-{scale} Z")
-                ints[key] = v.numerator * q
-            terms[(mono, 1, 1)] = _c_shift(ints)
+        if unit % poly.poly.den:
+            raise ValueError(f"{poly!r}: coefficients not in 2^-{scale} Z")
+        terms = {(mono, 1, 1): _c_shift({(i, j): p * (unit // q) for i, j, p, q in coef})
+                 for mono, coef in poly.poly.rows()}
         return cls(poly.algebra, terms, scale)
 
     def num_terms(self):
         return len(self.terms)
-
-    def coefficient(self, mono, a, b) -> ParamPoly:
-        den = 2**self.scale
-        coef = self.terms.get((tuple(mono), a, b), {})
-        return ParamPoly._raw({key: Fraction(v, den) for key, v in coef.items()})
 
     def __eq__(self, other):
         return (isinstance(other, SymExpr) and self.algebra is other.algebra
@@ -383,23 +278,6 @@ def _derivation(terms, algebra, idx, out=None, factor=1):
     return out
 
 
-def diff(expr: SymExpr, slot: str, i: int) -> SymExpr:
-    """Exact derivation of ``expr`` in the trace-form gradient convention.
-
-    ``slot`` is "x" or "y"; ``i`` indexes the coordinate.  Off-diagonal
-    sym(r) coordinates carry the factor 1/2 (and every spin coordinate the
-    factor 1/2) coming from the trace-form Gram matrix, which is exactly
-    what makes the symbol of the determinant operator equal det(xi - zeta).
-    """
-    if slot not in ("x", "y"):
-        raise ValueError("slot must be 'x' or 'y'")
-    algebra = expr.algebra
-    idx = i if slot == "x" else algebra.n + i
-    halvings = {1: 0, 2: 1}[algebra.gram[i]]
-    return SymExpr(algebra, _derivation(expr.terms, algebra, idx),
-                   expr.scale + halvings)
-
-
 def _apply_operator(terms, algebra, ops):
     """Sum of c * d^alpha(terms) over ops {alpha: c}.
 
@@ -492,34 +370,23 @@ def _exact_divide(num, divisor, context=""):
 class BracketPolynomial:
     """The extracted bracket polynomial: exact, coefficients in Q[s,t].
 
-    ``terms`` maps 2n-exponent tuples to ParamPoly coefficients.  Every
-    monomial has total degree exactly r*k (checked at construction), and
-    any specialization (s0, t0) is a genuine polynomial on V x V.
+    ``poly`` holds it over Z[s,t] and one denominator.  Every monomial has
+    total degree exactly r*k (checked at construction), and any
+    specialization (s0, t0) is a genuine polynomial on V x V.
     """
 
-    def __init__(self, algebra: JordanAlgebra, k: int, terms, check=True):
+    def __init__(self, algebra: JordanAlgebra, k: int, poly: Poly):
         self.algebra = algebra
         self.k = int(k)
-        self.terms = {
-            tuple(m): (c if isinstance(c, ParamPoly) else ParamPoly(c))
-            for m, c in terms.items() if c
-        }
-        if check:
-            want = algebra.r * self.k
-            for m in self.terms:
-                if sum(m) != want:
-                    raise AssertionError(
-                        f"monomial {m} has degree {sum(m)}, expected {want}"
-                    )
+        self.poly = poly
+        bad = poly.exps.sum(axis=1) != algebra.r * self.k
+        if bad.any():
+            m = tuple(poly.exps[bad][0].tolist())
+            raise AssertionError(
+                f"monomial {m} has degree {sum(m)}, expected {algebra.r * self.k}")
 
     def num_monomials(self):
-        return len(self.terms)
-
-    @cached_property
-    def poly(self) -> Poly:
-        """The same polynomial as a Poly over Z[s,t], rows in canonical order."""
-        return Poly.from_terms({m: c.terms for m, c in self.terms.items()},
-                               2 * self.algebra.n)
+        return len(self.poly.exps)
 
     def specialize(self, s0, t0) -> Poly:
         """The polynomial at rational (s0, t0), for evaluate_specialized."""
@@ -533,25 +400,21 @@ class BracketPolynomial:
 
     def swap_slots_and_params(self) -> "BracketPolynomial":
         """c(k)_{t,s}(y, x) as a BracketPolynomial (for the exchange test)."""
-        n = self.algebra.n
-        out = {}
-        for m, c in self.terms.items():
-            out[m[n:] + m[:n]] = c.swap_st()
-        return BracketPolynomial(self.algebra, self.k, out)
+        p = self.poly
+        return BracketPolynomial(self.algebra, self.k, Poly.collect(
+            np.roll(p.exps, self.algebra.n, axis=1), p.coef.transpose(0, 2, 1), p.den))
 
     def __eq__(self, other):
         return (isinstance(other, BracketPolynomial)
                 and self.algebra is other.algebra and self.k == other.k
-                and self.terms == other.terms)
+                and self.poly == other.poly)
 
     # -- wire format --------------------------------------------------------
 
     def to_jsonable(self):
-        rows = []
-        for m in sorted(self.terms):
-            coef = [[i, j, f"{v.numerator}/{v.denominator}"]
-                    for (i, j), v in self.terms[m].sorted_items()]
-            rows.append({"mono": list(m), "coef": coef})
+        rows = [{"mono": list(mono),
+                 "coef": [[i, j, f"{p}/{q}"] for i, j, p, q in coef]}
+                for mono, coef in self.poly.rows()]
         return {
             "schema": SCHEMA,
             "kind": "bracket-polynomial",
@@ -561,21 +424,17 @@ class BracketPolynomial:
             "terms": rows,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), separators=(",", ":"))
-
     @classmethod
     def from_jsonable(cls, data) -> "BracketPolynomial":
         algebra = get_algebra(data["algebra"])
-        terms = {}
-        for row in data["terms"]:
-            coef = {(int(i), int(j)): Fraction(v) for i, j, v in row["coef"]}
-            terms[tuple(row["mono"])] = ParamPoly(coef)
-        return cls(algebra, data["k"], terms)
+        terms = {tuple(row["mono"]): {(int(i), int(j)): Fraction(v)
+                                      for i, j, v in row["coef"]}
+                 for row in data["terms"]}
+        return cls(algebra, data["k"], Poly.from_terms(terms, 2 * algebra.n))
 
     def __repr__(self):
         return (f"BracketPolynomial({self.algebra.name}, k={self.k}, "
-                f"{len(self.terms)} monomials)")
+                f"{self.num_monomials()} monomials)")
 
 
 def _mono_mul(m1, m2):
@@ -599,7 +458,7 @@ def _clear_negative_layers(terms, algebra, slot, context):
     det_this = _det_power_poly(algebra, 1, slot)
     other_slot = "y" if slot == "x" else "x"
     while True:
-        amin = min(key[1 + primary] for key in terms)
+        amin = min((key[1 + primary] for key in terms), default=0)
         if amin >= 0:
             return terms
         parts = {}          # b -> P_b
@@ -627,11 +486,9 @@ def extract_bracket_polynomial(expr: SymExpr, k: int) -> BracketPolynomial:
     the seed with offsets a = b = k.  Residual negative offsets are cleared
     layer by layer with exact divisions; a nonzero remainder would mean the
     operator expansion (not the construction) is wrong, so it raises.  The
-    integer coefficients become Fractions here, divided by 2^scale.
+    integer table is divided by 2^scale.
     """
     algebra = expr.algebra
-    if not expr.terms:
-        return BracketPolynomial(algebra, k, {})
     context = f"{algebra.name} k={k}"
     terms = {key: dict(coef) for key, coef in expr.terms.items()}
     terms = _clear_negative_layers(terms, algebra, "x", context)
@@ -642,10 +499,8 @@ def extract_bracket_polynomial(expr: SymExpr, k: int) -> BracketPolynomial:
             mxy = _mono_mul(mono, mx)
             for my, cy in _det_power_poly(algebra, b, "y").items():
                 _acc(out, _mono_mul(mxy, my), coef, cx * cy)
-    den = 2**expr.scale
-    return BracketPolynomial(algebra, k, {
-        m: ParamPoly._raw({key: Fraction(v, den) for key, v in c.items()})
-        for m, c in out.items()})
+    return BracketPolynomial(algebra, k, Poly.from_terms(out, 2 * algebra.n,
+                                                         2**expr.scale))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Exact and numeric behavior of the Jordan algebra layer."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,7 +12,7 @@ from rclab.cli import _fd_jacobian
 from rclab.algebra import (
     get_algebra, StructureMap,
     jordan_mul, trace, det, inner, quad_rep, spectral, sqrt_in_cone, inverse,
-    in_cone, in_interval, iota, iota_inv, jacobian_iota, chi,
+    in_cone, in_interval, iota, iota_inv, jacobian_iota,
     random_rational_element, random_cone_point, random_interval_point,
     AlgebraMismatch, NotInCone, Singular,
 )
@@ -262,22 +264,47 @@ def test_jacobian_matches_finite_differences(name):
         assert abs(fd - an) / abs(an) < 1e-6
 
 
+def linear_det(rows):
+    """Determinant of a square matrix, by the Leibniz formula."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+def character(ell, samples=5):
+    """chi(ell) = det(ell e), once det(ell x) = chi(ell) det(x) holds on
+    random rational samples and Det(ell) = chi(ell)^(n/r)."""
+    alg = ell.algebra
+    rng = random.Random(7)
+    c = det(ell(alg.identity))
+    for _ in range(samples):
+        x = random_rational_element(rng, alg)
+        assert det(ell(x)) == c * det(x), f"{ell.label}: not in the structure group"
+    expected = float(c) ** (alg.n / alg.r)
+    assert abs(float(linear_det(ell.matrix)) - expected) <= 1e-8 * max(1.0, abs(expected))
+    return c
+
+
 def test_chi_examples():
     alg = get_algebra("sym2")
-    assert chi(StructureMap.identity(alg)) == 1
+    identity = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    assert character(StructureMap(alg, identity, Fraction(1), "id")) == 1
     a = exact(alg, [2, 3, 0])
     ell = StructureMap.quadratic(a)
-    assert chi(ell) == 36
-    assert ell.det_map() == 216  # 36^{3/2}
+    assert character(ell) == 36 == ell.chi_value
+    assert linear_det(ell.matrix) == 216  # 36^{3/2}
     twice = [[Fraction(2 * (i == j)) for j in range(3)] for i in range(3)]
-    assert chi(StructureMap(alg, twice, Fraction(4), "2*id")) == 4  # c^r
+    assert character(StructureMap(alg, twice, Fraction(4), "2*id")) == 4  # c^r
 
 
 def test_chi_rejects_non_structure_map():
     alg = get_algebra("sym2")
     bad = StructureMap(alg, [[1, 1, 0], [0, 1, 0], [0, 0, 1]], 1, "shear")
-    with pytest.raises(Exception):
-        chi(bad)
+    with pytest.raises(AssertionError):
+        character(bad)
 
 
 def test_structure_map_composition():
@@ -289,7 +316,7 @@ def test_structure_map_composition():
     rows = [[sum(pa.matrix[i][m] * pb.matrix[m][j] for m in range(3)) for j in range(3)]
             for i in range(3)]
     comp = StructureMap(alg, rows, pa.chi_value * pb.chi_value, "P(a)P(b)")
-    assert chi(comp) == det(a) ** 2 * det(b) ** 2
+    assert character(comp) == det(a) ** 2 * det(b) ** 2
 
 
 def test_algebra_mismatch_raises():

@@ -15,21 +15,28 @@ from rclab.brackets import (
 )
 from rclab.sympoly import SymExpr, apply_D_power, extract_bracket_polynomial
 
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+def coefs(c):
+    """{monomial: {(i, j): coefficient of s^i t^j}} of c(k) or C(k)."""
+    return {m: {(i, j): Fraction(p, q) for i, j, p, q in coef}
+            for m, coef in c.poly.rows()}
+
 
 def test_compute_c_k0_constant_one():
     for name in ("rank1", "sym2"):
         alg = get_algebra(name)
         c = compute_c(alg, 0)
         zero = (0,) * (2 * alg.n)
-        assert list(c.terms) == [zero]
-        assert c.terms[zero].terms == {(0, 0): Fraction(1)}
+        assert coefs(c) == {zero: {(0, 0): Fraction(1)}}
 
 
 def test_compute_c_rank1_k1():
     alg = get_algebra("rank1")
     c = compute_c(alg, 1)
-    assert c.terms[(0, 1)].terms == {(1, 0): 1, (0, 0): 1}
-    assert c.terms[(1, 0)].terms == {(0, 1): -1, (0, 0): -1}
+    assert coefs(c)[(0, 1)] == {(1, 0): 1, (0, 0): 1}
+    assert coefs(c)[(1, 0)] == {(0, 1): -1, (0, 0): -1}
 
 
 def test_diagonal_restriction_at_equal_parameters():
@@ -75,7 +82,7 @@ def test_disk_cache_rejects_a_misnamed_payload(tmp_path, monkeypatch):
     import rclab.brackets as B
 
     want = compute_c(get_algebra("rank1"), 3)
-    payload = compute_c(get_algebra("sym2"), 1).to_json()
+    payload = json.dumps(compute_c(get_algebra("sym2"), 1).to_jsonable())
     path = tmp_path / "c_rank1_k3.json"
     path.write_text(payload)
     monkeypatch.setattr(B, "_memory_cache", {})
@@ -110,7 +117,7 @@ def test_compute_c_recurrence_matches_the_definition(name, kmax, monkeypatch):
     for k in range(kmax + 1):
         seed = SymExpr.det_power_seed(alg, k, k)
         want = extract_bracket_polynomial(apply_D_power(seed, k), k)
-        assert compute_c(alg, k).to_json() == want.to_json()
+        assert compute_c(alg, k).to_jsonable() == want.to_jsonable()
 
 
 def test_compute_c_writes_every_lower_k(tmp_path, monkeypatch):
@@ -132,7 +139,7 @@ def test_recursion_rewrites_a_misnamed_lower_file(tmp_path, monkeypatch):
     alg = get_algebra("sym2")
     want = compute_c(alg, 2)
     path = tmp_path / "c_sym2_k1.json"
-    path.write_text(compute_c(get_algebra("spin3"), 1).to_json())
+    path.write_text(json.dumps(compute_c(get_algebra("spin3"), 1).to_jsonable()))
     monkeypatch.setattr(B, "_memory_cache", {})
     assert compute_c(alg, 2, str(tmp_path)) == want
     data = json.loads(path.read_text())
@@ -143,14 +150,13 @@ def test_recursion_rewrites_a_misnamed_lower_file(tmp_path, monkeypatch):
 def test_compute_C_k0_is_one():
     alg = get_algebra("sym2")
     C = compute_C(alg, 0, 2, 2)
-    assert C.terms == {(0, 0, 0): Fraction(1)}
+    assert C.poly.items() == [((0, 0, 0), Fraction(1))]
 
 
 def test_compute_C_rank1_k1_formula():
     # C(1)_{lam,mu}(v) = (lam-mu)/2 + (lam+mu+2) v / 2
     C = compute_C(get_algebra("rank1"), 1, Fraction(3), Fraction(5))
-    assert C.terms[(0,)] == Fraction(-1)
-    assert C.terms[(1,)] == Fraction(5)
+    assert C.poly.items() == [((0,), Fraction(-1)), ((1,), Fraction(5))]
     C2 = compute_C(get_algebra("rank1"), 1, Fraction(2), Fraction(7))
     assert C2.evaluate(get_algebra("rank1").element((Fraction(0),))) == Fraction(-5, 2)
 
@@ -158,9 +164,8 @@ def test_compute_C_rank1_k1_formula():
 def test_compute_C_symbolic_parameters():
     C = compute_C(get_algebra("rank1"), 1)
     # coefficient of v is (s + t + 2)/2 as a parameter polynomial
-    coef = C.terms[(1,)]
-    assert coef.terms == {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2),
-                          (0, 0): Fraction(1)}
+    assert coefs(C)[(1,)] == {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2),
+                              (0, 0): Fraction(1)}
 
 
 def test_jacobi_classical_values():
@@ -251,4 +256,18 @@ def test_ortho_poly_degree_bound():
     alg = get_algebra("sym2")
     for k in (1, 2):
         C = compute_C(alg, k, 3, 3)
-        assert max(sum(m) for m in C.terms) <= alg.r * k
+        assert C.poly.exps.sum(axis=1).max() <= alg.r * k
+
+
+@pytest.mark.parametrize("name", ["sym2", "spin4"])
+def test_tables_match_the_golden_files(name):
+    # the CSV and LaTeX bytes of c(2), as the tables were first written
+    c = compute_c(get_algebra(name), 2)
+    for emit, ext in ((bracket_table_csv, "csv"), (bracket_table_latex, "tex")):
+        with open(os.path.join(FIXTURES, f"c_{name}_k2.{ext}")) as fh:
+            assert emit(c) == fh.read()
+
+
+def test_restriction_needs_both_weights_or_neither():
+    with pytest.raises(ValueError):
+        compute_C(get_algebra("rank1"), 1, 3)

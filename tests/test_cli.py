@@ -1,10 +1,15 @@
 """CLI behavior: subcommands, config precedence, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
-from rclab.cli import main
+import pytest
+
+from rclab.cli import MAX_NODES, MAX_SAMPLES, main
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def run_cli(args, tmp_path=None):
@@ -81,6 +86,43 @@ def test_polys_restricted_family():
     assert data["kind"] == "restricted-polynomial"
     assert {"mono": [0], "coef": "-1"} in data["terms"]
     assert {"mono": [1], "coef": "5"} in data["terms"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("weights,stem", [
+    ([], "restricted_rank1_k3"),
+    (["--lambda", "5/2", "--mu", "3"], "restricted_rank1_k3_lam5-2_mu3")])
+def test_polys_restricted_matches_the_golden_files(fmt, weights, stem):
+    code, out, _ = run_cli(["polys", "--algebra", "rank1", "--k", "3",
+                            "--kind", "restricted", "--format", fmt, *weights])
+    assert code == 0
+    with open(os.path.join(FIXTURES, f"{stem}.{fmt}")) as fh:
+        assert out == fh.read()
+
+
+@pytest.mark.parametrize("weight", ["--lambda", "--mu"])
+def test_polys_restricted_needs_both_weights(weight):
+    code, out, err = run_cli(["polys", "--algebra", "rank1", "--k", "3",
+                              "--kind", "restricted", weight, "3"])
+    assert code == 2 and out == ""
+    assert "--lambda and --mu" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["gamma", "--nu", "3", "--rule", "monte-carlo", "--samples", "0"],
+    ["gamma", "--nu", "3", "--rule", "monte-carlo", "--samples", str(MAX_SAMPLES + 1)],
+    ["gamma", "--nu", "3", "--rule", "eigenvalue-quadrature", "--nodes", "0"],
+    ["gamma", "--nu", "3", "--rule", "eigenvalue-quadrature", "--nodes", str(MAX_NODES + 1)],
+    ["gram", "--kmax", "-1"],
+    ["gram", "--nodes", "0"],
+    ["gram", "--nodes", str(MAX_NODES - 7)],
+    ["gram", "--algebra", "sym2", "--lambda", "3", "--mu", "3", "--nodes", "493"],
+])
+def test_costly_options_are_bounded(args):
+    # only rejected values: an accepted one at the cap would build the rule
+    code, out, err = run_cli(args)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --")
 
 
 def test_gram_cli_offdiagonals(tmp_path):
