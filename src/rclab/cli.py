@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -192,11 +193,20 @@ def cmd_gram(args) -> int:
         raise ConfigError(
             f"weights must exceed 1 + (r-1)d - n/r = {threshold} for orthogonality"
         )
+
+    def rule_fits(n):
+        return 1 <= n <= MAX_NODES - 8 and (n + 8) ** algebra.r <= MAX_GRAM_POINTS
+
+    caps = f"n + 8 <= {MAX_NODES} and (n + 8)^{algebra.r} <= {MAX_GRAM_POINTS}"
+    # the weights fix the rule size that integrates exactly, so they obey the
+    # caps even when --nodes is given; far past them the entries overflow
+    if not (math.isfinite(lam + mu)
+            and rule_fits(quadrature.gram_nodes(algebra, lam, mu, kmax))):
+        raise ConfigError(f"--lambda and --mu need a rule of n = 2 r kmax + "
+                          f"int(lambda + mu) + d + 12 nodes with {caps}")
     n = merged(args, "nodes", None, int)
-    if n is not None and not (1 <= n <= MAX_NODES - 8
-                              and (n + 8) ** algebra.r <= MAX_GRAM_POINTS):
-        raise ConfigError(f"--nodes must be >= 1 with n + 8 <= {MAX_NODES} and "
-                          f"(n + 8)^{algebra.r} <= {MAX_GRAM_POINTS}, got {n}")
+    if n is not None and not rule_fits(n):
+        raise ConfigError(f"--nodes must be >= 1 with {caps}, got {n}")
     rep = quadrature.gram_matrix(algebra, lam, mu, kmax, n,
                                  merged(args, "cache_dir"))
     fmt = merged(args, "format", "json")

@@ -144,8 +144,12 @@ def gauss_jacobi(n: int, alpha: float, beta: float) -> QuadratureRule:
 
 @functools.cache
 def _jacobi_rule(n, alpha, beta):
-    m0 = 2.0 ** (alpha + beta + 1) * math.gamma(alpha + 1) * math.gamma(beta + 1) \
-        / math.gamma(alpha + beta + 2)
+    try:
+        m0 = 2.0 ** (alpha + beta + 1) * math.gamma(alpha + 1) * math.gamma(beta + 1) \
+            / math.gamma(alpha + beta + 2)
+    except OverflowError:   # Gamma overflows from 171.7; the Beta value need not
+        m0 = math.exp((alpha + beta + 1) * math.log(2.0) + math.lgamma(alpha + 1)
+                      + math.lgamma(beta + 1) - math.lgamma(alpha + beta + 2))
     a = np.zeros(n)
     b = np.zeros(n + 1)
     b[0] = m0
@@ -422,6 +426,14 @@ def _gram_once(algebra, polys, lam, mu, n):
     return weyl_integral(algebra, products, lam, mu, n=n).tolist()
 
 
+def gram_nodes(algebra: JordanAlgebra, lam, mu, k_max: int) -> int:
+    """The node count ``gram_matrix`` takes when none is given.
+
+    Exactness bound: integrand eigen-degree <= 2*r*k_max + weights + Vandermonde.
+    """
+    return 2 * algebra.r * k_max + int(float(lam) + float(mu)) + algebra.d + 12
+
+
 def gram_matrix(algebra: JordanAlgebra, lam, mu, k_max: int, n: int | None = None,
                 cache_dir=None) -> GramReport:
     """Pairwise interval inner products of C(0..k_max) at weight (lam, mu).
@@ -431,8 +443,7 @@ def gram_matrix(algebra: JordanAlgebra, lam, mu, k_max: int, n: int | None = Non
     """
     polys = [compute_C(algebra, k, lam, mu, cache_dir) for k in range(k_max + 1)]
     if n is None:
-        # exactness bound: integrand eigen-degree <= 2*r*k_max + weights + Vandermonde
-        n = 2 * algebra.r * k_max + int(float(lam) + float(mu)) + algebra.d + 12
+        n = gram_nodes(algebra, lam, mu, k_max)
     G = _gram_once(algebra, polys, lam, mu, n)
     G2 = _gram_once(algebra, polys, lam, mu, n + 8)
     err = max(abs(G[i][j] - G2[i][j]) for i in range(len(G)) for j in range(len(G)))
@@ -652,25 +663,37 @@ def _sym2_nested_quadrature(algebra, center, radius, weight=None):
     if algebra.name != "sym2":
         raise ValueError("nested quadrature implemented for sym2")
     f1 = trace_ball_bump(algebra, center, radius)
-
-    def ball_box(c, r):
-        """The box around the trace ball of radius r about c e."""
-        return [(c - r, c + r), (c - r, c + r), (-r / math.sqrt(2.0), r / math.sqrt(2.0))]
-
     # lhs factors because w(x) w(y) = w(x + y): the square of one 3-D integral
-    xs, cell = _midpoint_grid(ball_box(center, radius), SYM2_CHART_NODES["x"])
+    xs, cell = _midpoint_grid(_ball_box(center, radius), SYM2_CHART_NODES["x"])
     vals = f1(xs) if weight is None else f1(xs) * weight(xs)
     lhs = (cell * np.sum(vals)) ** 2
-    # rhs: z = x + y lies in the trace ball of radius 2R about 2 center e.
-    # Given z, w = P(z^{1/2}) v lies in the two balls |w -+ (z - 2ce)| < 2R,
-    # so |w| < sqrt(4R^2 - |z - 2ce|^2); pulled back by the least eigenvalue
-    # of P(z^{1/2}), v lies in the ball of radius rho(z) about 0.
-    zs, zcell = _midpoint_grid(ball_box(2 * center, 2 * radius), SYM2_CHART_NODES["z"])
+    zs, terms, zcell = _sym2_chart_rule(center, radius)
+    if weight is None:
+        return float(lhs), float(zcell * np.sum(terms))
+    return complex(lhs), complex(zcell * np.sum(terms * weight(zs)))
+
+
+def _ball_box(c, r):
+    """The box around the sym2 trace ball of radius r about c e."""
+    return [(c - r, c + r), (c - r, c + r), (-r / math.sqrt(2.0), r / math.sqrt(2.0))]
+
+
+@functools.cache
+def _sym2_chart_rule(center, radius):
+    """The z nodes of the rhs rule of ``_sym2_nested_quadrature``, the chart
+    term at each (everything but the weight, the v integral done) and the z
+    cell volume.  Built once per (center, radius) and returned read-only."""
+    f1 = trace_ball_bump(get_algebra("sym2"), center, radius)
+    # z = x + y lies in the trace ball of radius 2R about 2 center e.  Given
+    # z, w = P(z^{1/2}) v lies in the two balls |w -+ (z - 2ce)| < 2R, so
+    # |w| < sqrt(4R^2 - |z - 2ce|^2); pulled back by the least eigenvalue of
+    # P(z^{1/2}), v lies in the ball of radius rho(z) about 0.
+    zs, zcell = _midpoint_grid(_ball_box(2 * center, 2 * radius), SYM2_CHART_NODES["z"])
     d2 = (zs[:, 0] - 2 * center) ** 2 + (zs[:, 1] - 2 * center) ** 2 + 2 * zs[:, 2] ** 2
     inside = d2 < 4 * radius**2
     zs, d2 = zs[inside], d2[inside]
     rho = np.sqrt(4 * radius**2 - d2) / _sym2_eigs(zs)[0]
-    unit, ucell = _midpoint_grid(ball_box(0.0, 1.0), SYM2_CHART_NODES["v"])
+    unit, ucell = _midpoint_grid(_ball_box(0.0, 1.0), SYM2_CHART_NODES["v"])
     inner = np.zeros(len(zs))
     # one v node at a time: a (z nodes x v nodes) broadcast would take
     # several arrays of tens of MB and run no faster
@@ -678,6 +701,6 @@ def _sym2_nested_quadrature(algebra, center, radius, weight=None):
         x, y = _sym2_iota(zs, rho[:, None] * u)
         inner += f1(x) * f1(y)
     terms = inner * ucell * rho**3 * _sym2_iota_jacobian(zs)
-    if weight is None:
-        return float(lhs), float(zcell * np.sum(terms))
-    return complex(lhs), complex(zcell * np.sum(terms * weight(zs)))
+    zs.flags.writeable = False
+    terms.flags.writeable = False
+    return zs, terms, zcell

@@ -319,13 +319,15 @@ def pi_action(gen: GroupGenerator, nu, F: HoloFunction) -> HoloFunction:
 # The bracket as a bi-differential operator
 
 
-def apply_B(algebra: JordanAlgebra, k: int, lam, mu, F2, z: Element,
+def apply_B(algebra: JordanAlgebra, k: int, lam, mu, F, G, z: Element,
             n_nodes: int = 32, cache_dir=None) -> complex:
-    """The k-th bracket applied to F2 (a function of a pair) at z.
+    """The k-th bracket applied to F(z) G(w), restricted to the diagonal w = z.
 
-    F2 is a vectorized evaluator on (m, 2n) arrays.  The operator is the
+    F and G are vectorized evaluators on (m, n) arrays.  The operator is the
     bracket polynomial specialized at (lam - n/r, mu - n/r), read as mixed
-    trace-form derivatives in the two slots, restricted to the diagonal.
+    trace-form derivatives in the two slots.  On a product each monomial
+    splits by Leibniz, d^a_z d^b_w [F(z) G(w)] = d^a F(z) d^b G(w), so each
+    slot gets its own contour grids over its own n coordinates.
     """
     shift = Fraction(algebra.n, algebra.r)
     spec = compute_c(algebra, k, cache_dir).specialize(Fraction(lam) - shift,
@@ -333,30 +335,16 @@ def apply_B(algebra: JordanAlgebra, k: int, lam, mu, F2, z: Element,
     # a trace-form derivative in coordinate i is d/dz_i / gram_i
     inv_gram = 1.0 / np.array([float(g) for g in algebra.gram * 2])
     coefs = spec.fcoef * np.prod(inv_gram ** spec.exps, axis=1)
-    alphas = [tuple(mono) for mono in spec.exps.tolist()]
-    point = np.concatenate([z.as_array(), z.as_array()])
-    derivs = holo_mixed_derivatives(algebra, F2, point, alphas, n_nodes=n_nodes)
+    n = algebra.n
+    alphas = [tuple(m) for m in spec.exps[:, :n].tolist()]
+    betas = [tuple(m) for m in spec.exps[:, n:].tolist()]
+    point = z.as_array()
+    dF = holo_mixed_derivatives(algebra, F, point, alphas, n_nodes=n_nodes)
+    dG = holo_mixed_derivatives(algebra, G, point, betas, n_nodes=n_nodes)
     total = 0.0 + 0.0j
-    for alpha, coef in zip(alphas, coefs):
-        total += coef * derivs[alpha]
+    for alpha, beta, coef in zip(alphas, betas, coefs):
+        total += coef * dF[alpha] * dG[beta]
     return complex(total)
-
-
-def product_pair(F: HoloFunction, G: HoloFunction):
-    """(z, w) -> F(z) G(w) as a 2n-coordinate evaluator."""
-    n = F.algebra.n
-
-    def ev(coords):
-        coords = np.atleast_2d(coords)
-        return F(coords[:, :n]) * G(coords[:, n:])
-
-    return ev
-
-
-def transformed_pair(gen: GroupGenerator, lam, mu, F: HoloFunction,
-                     G: HoloFunction):
-    """(z, w) -> [pi_lam(g) F](z) [pi_mu(g) G](w)."""
-    return product_pair(pi_action(gen, lam, F), pi_action(gen, mu, G))
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +386,11 @@ def check_covariance_B(algebra: JordanAlgebra, k: int, lam, mu,
                        gen: GroupGenerator, points=None, witnesses=None,
                        n_nodes: int = 32, tol: float = 1e-6,
                        cache_dir=None) -> dict:
-    """Both routes of the bracket covariance on a coherent-state product.
+    """Both routes of the bracket covariance on a coherent-state product F G.
 
-    LHS: transform the pair by (pi_lam x pi_mu)(g), then apply the bracket.
-    RHS: apply the bracket, then transform by pi_{lam+mu+2k}(g).
+    LHS: transform the slots, pi_lam(g) F and pi_mu(g) G, then apply the
+    bracket.  RHS: apply the bracket to F and G, then transform by
+    pi_{lam+mu+2k}(g).  apply_B differentiates each slot on its own.
     For the inversion the sample points keep g^{-1}(z) well inside the
     tube (minimal eigenvalue of the imaginary part > 0.1), where polydisc
     contours retain their accuracy.
@@ -418,8 +407,7 @@ def check_covariance_B(algebra: JordanAlgebra, k: int, lam, mu,
     if points is None:
         points = [algebra.element(tuple(c)) for c in _default_tube_points(algebra)]
     scale_psi = algebra.r / (2.0 * algebra.n)
-    lhs_pair = transformed_pair(gen, lam, mu, F, G)
-    plain_pair = product_pair(F, G)
+    F_g, G_g = pi_action(gen, lam, F), pi_action(gen, mu, G)
     rows = []
     for z in points:
         zc = z.as_array()
@@ -427,8 +415,8 @@ def check_covariance_B(algebra: JordanAlgebra, k: int, lam, mu,
         lam_min = _min_eig_imag(algebra, ginv_z)
         if lam_min < 0.1:
             continue
-        lhs = apply_B(algebra, k, lam, mu, lhs_pair, z, n_nodes, cache_dir)
-        inner_B = apply_B(algebra, k, lam, mu, plain_pair,
+        lhs = apply_B(algebra, k, lam, mu, F_g, G_g, z, n_nodes, cache_dir)
+        inner_B = apply_B(algebra, k, lam, mu, F, G,
                           algebra.element(tuple(ginv_z)), n_nodes, cache_dir)
         fac = np.exp(complex(nu) * scale_psi * gen.psi_inv(zc.reshape(1, -1))[0])
         rhs = fac * inner_B
@@ -611,7 +599,8 @@ def check_bracket_transform_equivalence(algebra: JordanAlgebra, k: int,
     """The bracket on transforms equals the transform of the averaged form.
 
     Left route: apply the bi-differential bracket to the two-slot transform
-    of a product bump (contour derivatives at (z, z)).  Right route:
+    of a product bump, the one-slot transform in each slot (contour
+    derivatives at z).  Right route:
     i^{rk} 2^{-n} (det eta)^{k + n/r} int C(k)_{lam-n/r, mu-n/r}(v)
     f(iota(eta, v)) dv, then the one-slot transform.  Rank 1.
     """
@@ -625,13 +614,10 @@ def check_bracket_transform_equivalence(algebra: JordanAlgebra, k: int,
     xi, wxi = scaled_interval_rule(gl, lo, hi)
     fw = f1(xi) * wxi
 
-    def pair_transform(coords):
-        coords = np.atleast_2d(coords)
-        lf_z = np.exp(1j * np.outer(coords[:, 0], xi)) @ fw
-        lf_w = np.exp(1j * np.outer(coords[:, 1], xi)) @ fw
-        return lf_z * lf_w
+    def transform(coords):
+        return np.exp(1j * np.outer(coords[:, 0], xi)) @ fw
 
-    lhs = apply_B(algebra, k, lam, mu, pair_transform, z, cache_dir=cache_dir)
+    lhs = apply_B(algebra, k, lam, mu, transform, transform, z, cache_dir=cache_dir)
     shift = Fraction(algebra.n, algebra.r)
     C = compute_C(algebra, k, Fraction(lam) - shift, Fraction(mu) - shift,
                   cache_dir)

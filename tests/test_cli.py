@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from rclab import quadrature
 from rclab.cli import MAX_NODES, MAX_SAMPLES, main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -123,6 +124,41 @@ def test_costly_options_are_bounded(args):
     code, out, err = run_cli(args)
     assert code == 2 and out == ""
     assert err.startswith("error: --")
+
+
+@pytest.mark.parametrize("args", [
+    # a 3,024-node rule that wrote "matrix": [[Infinity]] with exit 0
+    ["--algebra", "sym2", "--lambda", "3000", "--mu", "3"],
+    # an OverflowError traceback from the Jacobi rule
+    ["--algebra", "rank1", "--lambda", "4000", "--mu", "1"],
+    # --nodes does not lift the bound on the weights
+    ["--algebra", "sym2", "--lambda", "3000", "--mu", "3", "--nodes", "10"],
+    # one past the caps: n = int(lambda + mu) + d + 12 at kmax 0
+    ["--algebra", "rank1", "--lambda", "980.5", "--mu", "1"],
+    ["--algebra", "sym2", "--lambda", "477", "--mu", "3"],
+    ["--algebra", "sym2", "--kmax", "1", "--lambda", "473", "--mu", "3"],
+    ["--algebra", "rank1", "--lambda", "inf", "--mu", "1"],
+    ["--algebra", "rank1", "--lambda", "nan", "--mu", "1"],
+])
+def test_gram_weights_obey_the_rule_caps(args, monkeypatch):
+    # only rejected values, and no rule is built for them
+    from rclab import quadrature
+
+    def no_rule(*args, **kwargs):
+        raise AssertionError("a rejected configuration built a rule")
+
+    monkeypatch.setattr(quadrature, "gram_matrix", no_rule)
+    code, out, err = run_cli(["gram", "--kmax", "0"] + args)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --lambda and --mu"), err
+
+
+def test_jacobi_rule_past_the_gamma_overflow():
+    # Gamma(alpha + 1) overflows from alpha = 171; the total weight
+    # 2^(alpha+beta+1) B(alpha+1, beta+1) is still a float
+    rule = quadrature.gauss_jacobi(4, 200.0, 1.0)
+    want = 2.0 ** 202 / (201 * 202)
+    assert abs(rule.weights.sum() - want) / want < 1e-12
 
 
 def test_gram_cli_offdiagonals(tmp_path):

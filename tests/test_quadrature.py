@@ -329,8 +329,17 @@ def test_change_of_variables_sym2_quadrature():
 SYM2_CHART_CHECKS = [check_change_of_variables, check_J_factorization]
 
 
+@pytest.fixture
+def fresh_chart_rule():
+    """The sym2 chart rule is memoised: a test that breaks a piece of it must
+    rebuild it, and must not leave the broken rule to later tests."""
+    quadrature._sym2_chart_rule.cache_clear()
+    yield
+    quadrature._sym2_chart_rule.cache_clear()
+
+
 @pytest.mark.parametrize("check", SYM2_CHART_CHECKS)
-def test_sym2_chart_checks_fail_on_a_scaled_chart(check, monkeypatch):
+def test_sym2_chart_checks_fail_on_a_scaled_chart(check, monkeypatch, fresh_chart_rule):
     # a 1e-3 scale error in iota moves both sides apart by about 1e-3
     iota = quadrature._sym2_iota
 
@@ -344,7 +353,8 @@ def test_sym2_chart_checks_fail_on_a_scaled_chart(check, monkeypatch):
 
 
 @pytest.mark.parametrize("check", SYM2_CHART_CHECKS)
-def test_sym2_chart_checks_fail_without_the_det_factor(check, monkeypatch):
+def test_sym2_chart_checks_fail_without_the_det_factor(check, monkeypatch,
+                                                      fresh_chart_rule):
     monkeypatch.setattr(quadrature, "_sym2_iota_jacobian",
                         lambda zc: np.full(len(zc), 2.0 ** -3))
     rep = check(get_algebra("sym2"))
@@ -352,8 +362,28 @@ def test_sym2_chart_checks_fail_without_the_det_factor(check, monkeypatch):
 
 
 @pytest.mark.parametrize("check", SYM2_CHART_CHECKS)
-def test_sym2_chart_checks_fail_on_nan(check, monkeypatch):
+def test_sym2_chart_checks_fail_on_nan(check, monkeypatch, fresh_chart_rule):
     bump = quadrature.bump
     monkeypatch.setattr(quadrature, "bump", lambda q2: bump(q2) * np.nan)
     rep = check(get_algebra("sym2"))
     assert not rep["pass"], rep
+
+
+def test_check_all_sym2_runs_the_chart_inner_loop_once(tmp_path, monkeypatch,
+                                                       fresh_chart_rule):
+    # both sym2 chart checks integrate over the same ball, so they share one
+    # rhs rule: its 1,000-node v loop runs once per process, not once per check
+    from rclab.cli import main
+
+    iota = quadrature._sym2_iota
+    calls = []
+
+    def counted(zc, vc):
+        calls.append(len(zc))
+        return iota(zc, vc)
+
+    monkeypatch.setattr(quadrature, "_sym2_iota", counted)
+    code = main(["check", "all", "--algebra", "sym2", "--cache-dir", str(tmp_path),
+                 "--output", str(tmp_path / "all.json")])
+    assert code == 0
+    assert 0 < len(calls) <= 1000, len(calls)

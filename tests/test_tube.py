@@ -2,11 +2,13 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from rclab.algebra import get_algebra, in_cone, NotInCone
+from rclab.brackets import compute_c
 from rclab.quadrature import gamma_omega_closed, tube_laplace
 from rclab.tube import (
     logdet_tube, HoloFunction,
@@ -188,46 +190,51 @@ def test_pi_action_inversion_modulus():
     assert abs(abs(val) - 1.0) < 1e-12
 
 
+def _z(c):
+    return c[:, 0]
+
+
 def test_apply_B_k0_is_restriction():
     alg = get_algebra("rank1")
-
-    def F2(c):
-        return c[:, 0] * c[:, 1]
-
     z = alg.element((0.7 + 1.1j,))
-    got = apply_B(alg, 0, 4.0, 2.5, F2, z)
+    got = apply_B(alg, 0, 4.0, 2.5, _z, _z, z)
     assert abs(got - complex(z.coords[0]) ** 2) < 1e-12
 
 
 def test_apply_B_rank1_k1_oracle():
     alg = get_algebra("rank1")
-
-    def F2(c):
-        return c[:, 0] * c[:, 1]
-
     z = alg.element((0.7 + 1.1j,))
-    got = apply_B(alg, 1, 4.0, 2.5, F2, z)
+    got = apply_B(alg, 1, 4.0, 2.5, _z, _z, z)
     want = (4.0 - 2.5) * complex(z.coords[0])
     assert abs(got - want) / abs(want) < 1e-11
 
 
 def test_apply_B_bilinear():
+    # linear in each slot
     alg = get_algebra("rank1")
 
-    def F2(c):
-        return c[:, 0] * c[:, 1]
+    def F1(c):
+        return c[:, 0]
 
-    def G2(c):
+    def F2(c):
         return c[:, 0] ** 2
 
-    def S2(c):
-        return F2(c) + G2(c)
+    def S(c):
+        return F1(c) + F2(c)
+
+    def G(c):
+        return c[:, 0] ** 3 - 2.0 * c[:, 0]
 
     z = alg.element((0.4 + 1.3j,))
-    a = apply_B(alg, 1, 3.0, 3.0, F2, z)
-    b = apply_B(alg, 1, 3.0, 3.0, G2, z)
-    s = apply_B(alg, 1, 3.0, 3.0, S2, z)
-    assert abs(s - (a + b)) < 1e-10 * max(1.0, abs(s))
+    for k in (1, 2):
+        a = apply_B(alg, k, 3.0, 3.5, F1, G, z)
+        b = apply_B(alg, k, 3.0, 3.5, F2, G, z)
+        s = apply_B(alg, k, 3.0, 3.5, S, G, z)
+        assert abs(s - (a + b)) < 1e-10 * max(1.0, abs(s))
+        a = apply_B(alg, k, 3.0, 3.5, G, F1, z)
+        b = apply_B(alg, k, 3.0, 3.5, G, F2, z)
+        s = apply_B(alg, k, 3.0, 3.5, G, S, z)
+        assert abs(s - (a + b)) < 1e-10 * max(1.0, abs(s))
 
 
 def test_apply_B_degree_drop():
@@ -235,15 +242,94 @@ def test_apply_B_degree_drop():
     alg = get_algebra("rank1")
     k = 2
 
-    def F2(c):
-        return c[:, 0] ** 3 * c[:, 1] ** 2   # total degree 5
+    def F(c):
+        return c[:, 0] ** 3
+
+    def G(c):
+        return c[:, 0] ** 2      # total degree 5
 
     vals = []
     for t in (1.0, 2.0):
         z = alg.element((t * (0.5 + 1.0j),))
-        vals.append(apply_B(alg, k, 3.0, 3.0, F2, z))
+        vals.append(apply_B(alg, k, 3.0, 3.0, F, G, z))
     # homogeneous of degree 5 - rk = 3: scaling by 2 scales value by 8
     assert abs(vals[1] / vals[0] - 2.0 ** 3) < 1e-9
+
+
+def _rising(x, m):
+    return math.prod(x + i for i in range(m))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_apply_B_rank1_coherent_states_closed_form(k):
+    # the rank-1 bracket is the classical Rankin-Cohen bracket,
+    # sum_{a+b=k} (-1)^a C(k, a) (lam+a)_b (mu+b)_a F^(a) G^(b), and
+    # d^a/dz^a ((z - conj w)/i)^(-nu) = (-1)^a (nu)_a i^(-a) ((z - conj w)/i)^(-nu-a)
+    alg = get_algebra("rank1")
+    lam, mu = 2.6, 3.2
+    w1, w2 = 0.2 + 1.1j, -0.3 + 0.9j
+    F = coherent_state(alg, lam, alg.element((w1,)))
+    G = coherent_state(alg, mu, alg.element((w2,)))
+    z = 0.3 + 1.4j
+
+    def deriv(nu, w, a):
+        u = (z - w.conjugate()) / 1j
+        return (-1) ** a * _rising(nu, a) * 1j ** (-a) * u ** (-nu - a)
+
+    want = sum((-1) ** a * math.comb(k, a) * _rising(lam + a, k - a) * _rising(mu + k - a, a)
+               * deriv(lam, w1, a) * deriv(mu, w2, k - a) for a in range(k + 1))
+    got = apply_B(alg, k, lam, mu, F, G, alg.element((z,)))
+    assert abs(got - want) / abs(want) < 1e-10, (got, want)
+
+
+def _pair_route(alg, k, lam, mu, F, G, z):
+    """The bracket by contour grids over the 2n pair coordinates of F(z) G(w)."""
+    shift = Fraction(alg.n, alg.r)
+    spec = compute_c(alg, k).specialize(Fraction(lam) - shift, Fraction(mu) - shift)
+    inv_gram = 1.0 / np.array([float(g) for g in alg.gram * 2])
+    coefs = spec.fcoef * np.prod(inv_gram ** spec.exps, axis=1)
+    alphas = [tuple(m) for m in spec.exps.tolist()]
+    n = alg.n
+
+    def pair(c):
+        return F(c[:, :n]) * G(c[:, n:])
+
+    point = np.concatenate([z.as_array(), z.as_array()])
+    derivs = holo_mixed_derivatives(alg, pair, point, alphas)
+    return sum(coef * derivs[alpha] for alpha, coef in zip(alphas, coefs))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_apply_B_sym2_matches_the_pair_route(k):
+    alg = get_algebra("sym2")
+    lam, mu = 2.6, 3.2
+    e = np.array([float(c) for c in alg.e_coords])
+    F = coherent_state(alg, lam, alg.element(tuple((0.2 + 1.1j) * e + 0.05j * np.arange(3))))
+    G = coherent_state(alg, mu, alg.element(tuple((-0.3 + 0.9j) * e + 0.04j * np.arange(3)[::-1])))
+    z = alg.element((0.3 + 1.4j, -0.2 + 1.2j, 0.1 + 0.05j))
+    got = apply_B(alg, k, lam, mu, F, G, z)
+    want = _pair_route(alg, k, lam, mu, F, G, z)
+    assert abs(got - want) / abs(want) < 1e-9, abs(got - want) / abs(want)
+
+
+def test_covariance_differentiates_each_slot_on_its_own(monkeypatch):
+    # rank1 k=3 under a translation: one contour circle per slot and order
+    # group, not a tensor grid over both slots (21,760 points that way)
+    from rclab import tube
+
+    alg = get_algebra("rank1")
+    gens = {g.kind: g for g in default_generators(alg)}
+    logdet = tube.logdet_tube
+    points = []
+
+    def counted(algebra, coords, *args, **kwargs):
+        points.append(len(np.atleast_2d(coords)))
+        return logdet(algebra, coords, *args, **kwargs)
+
+    monkeypatch.setattr(tube, "logdet_tube", counted)
+    rep = check_covariance_B(alg, 3, 2.6, 3.2, gens["translation"])
+    assert rep["pass"], rep
+    assert 0 < sum(points) <= 2000, sum(points)
 
 
 @pytest.mark.parametrize("kind", ["translation", "dilation", "inversion"])
