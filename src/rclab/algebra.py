@@ -1,4 +1,4 @@
-"""Euclidean Jordan algebras: exact and floating-point arithmetic.
+"""Euclidean Jordan algebras: exact structure maps and the array polar chart.
 
 Three families are implemented, each as a table-driven commutative algebra
 with a positive-definite trace form:
@@ -9,8 +9,13 @@ with a positive-definite trace form:
 * ``spin(m)`` -- the spin factor R + R^{m-1} with
   (x0, xb).(y0, yb) = (x0*y0 + <xb, yb>, x0*yb + y0*xb).
 
-Coordinates may be exact (``fractions.Fraction``/int), float, or complex;
-the same code paths serve all three.  The trace inner product is
+``Element`` arithmetic, ``det``, ``quad_rep`` and ``quad_rep_matrix`` are
+exact over ``fractions.Fraction``/int coordinates (``Element`` and ``det``
+also take float or complex ones).  The numerics of the cone run on (m, n)
+float arrays, one point per row:
+``spectral`` (eigenvalues), ``cone_sqrt``, the P(x) stack
+``quad_rep_matrices`` (complex rows too) and the polar chart ``iota``, its
+inverse and its Jacobian.  The trace inner product is
 (x, y) = tr(x.y); its Gram matrix is diagonal in the chosen bases and the
 Lebesgue measure used throughout the package is the Euclidean measure of
 that form (orthonormal coordinates x_ii, sqrt(2) x_ij for sym(r)).
@@ -35,7 +40,6 @@ __all__ = [
     "AlgebraError",
     "AlgebraMismatch",
     "NotInCone",
-    "Singular",
     "JordanAlgebra",
     "Element",
     "StructureMap",
@@ -47,24 +51,19 @@ __all__ = [
     "jordan_mul",
     "trace",
     "det",
-    "inner",
     "quad_rep",
     "quad_rep_matrix",
     "spectral",
-    "sqrt_in_cone",
-    "inverse",
-    "in_cone",
-    "in_interval",
+    "cone_sqrt",
+    "quad_rep_matrices",
     "iota",
     "iota_inv",
-    "jacobian_iota",
+    "iota_jacobian",
     "random_rational_element",
     "random_cone_point",
     "random_interval_point",
+    "random_chart_points",
 ]
-
-CLUSTER_TOL = 1e-10
-
 
 class AlgebraError(ValueError):
     pass
@@ -76,10 +75,6 @@ class AlgebraMismatch(AlgebraError):
 
 class NotInCone(AlgebraError):
     """Argument is not in the open cone of squares."""
-
-
-class Singular(AlgebraError):
-    """Argument has zero determinant."""
 
 
 def _frac(x):
@@ -145,10 +140,6 @@ class Element:
 
     def __setattr__(self, *a):
         raise AttributeError("Element is immutable")
-
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(c, (Fraction, int)) for c in self.coords)
 
     @property
     def is_complex(self) -> bool:
@@ -400,12 +391,6 @@ def det(x: Element):
     return x.algebra.det_poly(x.coords)
 
 
-def inner(a: Element, b: Element):
-    """Trace-form pairing (a, b) = tr(a.b); bilinear (no conjugation)."""
-    a._check(b)
-    return sum(g * p * q for g, p, q in zip(a.algebra.gram, a.coords, b.coords))
-
-
 def quad_rep(x: Element, y: Element) -> Element:
     """P(x)y = 2 x.(x.y) - (x.x).y."""
     x._check(y)
@@ -413,18 +398,12 @@ def quad_rep(x: Element, y: Element) -> Element:
 
 
 def quad_rep_matrix(x: Element):
-    """Coordinate matrix of P(x) = 2 L(x)^2 - L(x.x), L(x)y = x.y.
-
-    Rows of Fractions when x is exact, built over the integers: with
-    x = X/q and structure constants C/t, t L(v) for an integer vector v is
-    an integer matrix, and both terms of P(x) lie over (q t)^2.  A float
-    or complex ndarray otherwise.
+    """Coordinate matrix of P(x) = 2 L(x)^2 - L(x.x), L(x)y = x.y, for
+    rational x: rows of Fractions, built over the integers.  With x = X/q
+    and structure constants C/t, t L(v) for an integer vector v is an
+    integer matrix, and both terms of P(x) lie over (q t)^2.
     """
     alg, n = x.algebra, x.algebra.n
-    if not x.is_exact:
-        a = x.as_array()
-        L = np.einsum("i,ijk->kj", a, alg._mult_tensor)
-        return 2 * L @ L - np.einsum("i,ijk->kj", L @ a, alg._mult_tensor)
     coords = [_frac(c) for c in x.coords]
     q = math.lcm(*(c.denominator for c in coords))
     t = math.lcm(*(c.denominator for *_, c in alg._sparse))
@@ -444,136 +423,104 @@ def quad_rep_matrix(x: Element):
              for j in range(n)] for i in range(n)]
 
 
-def _gauss_jordan(matrix, rhs):
-    """The solution of matrix x = rhs over Fractions (matrix invertible)."""
-    n = len(rhs)
-    a = [[_frac(matrix[i][j]) for j in range(n)] + [_frac(rhs[i])] for i in range(n)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if a[i][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [v - f * w for v, w in zip(a[i], a[col])]
-    return [a[i][n] for i in range(n)]
+# ---------------------------------------------------------------------------
+# Spectral data and the polar chart on point arrays
+#
+# Each function takes the rows of an (m, n) array as m points.  Rank 2
+# (sym2 and every spin factor) needs no eigensolver: x^2 - tr(x) x +
+# det(x) e = 0 gives the eigenvalues and the square root in closed form.
 
 
-def spectral(x: Element, tol: float = CLUSTER_TOL):
-    """Spectral decomposition x = sum_i lam_i c_i.
+def _sym_matrices(algebra: JordanAlgebra, X) -> np.ndarray:
+    """The (m, r, r) symmetric matrices of sym(r) coordinate rows."""
+    i, j = np.array(_sym_pairs(algebra.r)).T
+    M = np.empty((len(X), algebra.r, algebra.r), X.dtype)
+    M[:, i, j] = X
+    M[:, j, i] = X
+    return M
 
-    Returns (eigenvalues ascending, idempotent frame).  Near-degenerate
-    eigenvalues (within ``tol``) are clustered and their projectors summed,
-    which keeps functional calculus stable.
+
+def spectral(algebra: JordanAlgebra, X) -> np.ndarray:
+    """Ascending eigenvalues of real rows, shape (m, r).
+
+    Rank 2 gives tr/2 -+ delta, delta^2 half the trace-form norm^2 of the
+    traceless part x - (tr x / 2) e, which avoids the cancellation in
+    tr^2 - 4 det; sym(r >= 3) calls eigvalsh.
     """
-    alg = x.algebra
-    xf = [float(c) for c in x.coords]
-    if alg.family == "rank1":
-        return [xf[0]], [alg.identity.as_float()]
-    if alg.family == "spin":
-        x0, xb = xf[0], np.array(xf[1:])
-        rho = float(np.linalg.norm(xb))
-        if rho < tol:
-            return [x0], [alg.identity.as_float()]
-        u = xb / rho
-        c_minus = Element(alg, (0.5, *(-0.5 * u)))
-        c_plus = Element(alg, (0.5, *(0.5 * u)))
-        return [x0 - rho, x0 + rho], [c_minus, c_plus]
-    # sym(r): ordinary symmetric eigendecomposition
-    r = alg.r
-    pairs = _sym_pairs(r)
-    mat = np.zeros((r, r))
-    for k, (i, j) in enumerate(pairs):
-        mat[i, j] = xf[k]
-        mat[j, i] = xf[k]
-    evals, evecs = np.linalg.eigh(mat)
-    # cluster
-    clusters = []
-    for idx in range(r):
-        if clusters and evals[idx] - clusters[-1][0][-1] < tol:
-            clusters[-1][0].append(evals[idx])
-            clusters[-1][1].append(idx)
-        else:
-            clusters.append(([evals[idx]], [idx]))
-    lams, frame = [], []
-    for vals, idxs in clusters:
-        proj = sum(np.outer(evecs[:, i], evecs[:, i]) for i in idxs)
-        coords = tuple(proj[i, j] for (i, j) in pairs)
-        lams.append(float(np.mean(vals)))
-        frame.append(Element(alg, coords))
-    return lams, frame
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if algebra.r == 1:
+        return X
+    if algebra.r == 2:
+        half = X @ np.array(algebra.trace_vec, dtype=float) / 2
+        T = X - half[:, None] * np.array(algebra.e_coords, dtype=float)
+        delta = np.sqrt((T * T) @ np.array(algebra.gram, dtype=float) / 2)
+        return np.stack([half - delta, half + delta], axis=1)
+    return np.linalg.eigvalsh(_sym_matrices(algebra, X))
 
 
-def in_cone(x: Element, tol: float = 1e-12) -> bool:
-    lams, _ = spectral(x)
-    return all(l > tol for l in lams)
+def cone_sqrt(algebra: JordanAlgebra, Z) -> np.ndarray:
+    """The square roots inside the cone of real rows z.
+
+    Rank 2: z^{1/2} = (z + sqrt(det z) e) / sqrt(tr z + 2 sqrt(det z)),
+    taken as (z + s1 s2 e) / (s1 + s2) with s1, s2 the roots of the
+    eigenvalues.  sym(r >= 3): V diag(sqrt(lam)) V^T from eigh.  Raises
+    NotInCone when a row has an eigenvalue <= 0.
+    """
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    if algebra.r >= 3:
+        lams, vecs = np.linalg.eigh(_sym_matrices(algebra, Z))
+    else:
+        lams = spectral(algebra, Z)
+    if not np.all(lams > 0):
+        raise NotInCone("a point has an eigenvalue <= 0")
+    roots = np.sqrt(lams)
+    if algebra.r == 1:
+        return roots
+    if algebra.r == 2:
+        e = np.array(algebra.e_coords, dtype=float)
+        return (Z + np.prod(roots, axis=1)[:, None] * e) / np.sum(roots, axis=1)[:, None]
+    S = (vecs * roots[:, None, :]) @ np.swapaxes(vecs, 1, 2)
+    i, j = np.array(_sym_pairs(algebra.r)).T
+    return S[:, i, j]
 
 
-def in_interval(v: Element, tol: float = 1e-12) -> bool:
-    """True iff e - v and e + v both lie in the open cone."""
-    lams, _ = spectral(v)
-    return all(abs(l) < 1 - tol for l in lams)
+def quad_rep_matrices(algebra: JordanAlgebra, X) -> np.ndarray:
+    """The (m, n, n) coordinate matrices P(x) = 2 L(x)^2 - L(x.x) of float
+    or complex rows x."""
+    X = np.atleast_2d(X)
+    T = algebra._mult_tensor
+    L = np.einsum("bi,ijk->bkj", X, T)
+    P = L @ L               # built in place: each (m, n, n) temporary is large
+    P *= 2
+    P -= np.einsum("bi,ijk->bkj", np.einsum("bij,bj->bi", L, X), T)
+    return P
 
 
-def sqrt_in_cone(z: Element) -> Element:
-    """The unique square root of z inside the cone."""
-    lams, frame = spectral(z)
-    if any(l <= 0 for l in lams):
-        raise NotInCone(f"eigenvalues {lams} not all positive")
-    alg = z.algebra
-    out = alg.zero().as_float()
-    for l, c in zip(lams, frame):
-        out = out + np.sqrt(l) * c
-    return out
+def iota(algebra: JordanAlgebra, Z, V):
+    """Polar chart on rows: (z, v) -> ((z - P(z^{1/2})v)/2, (z + P(z^{1/2})v)/2).
 
-
-def inverse(x: Element) -> Element:
-    """x^{-1} = P(x)^{-1} x; exact for Fraction coordinates."""
-    alg = x.algebra
-    if x.is_exact:
-        if det(x) == 0:
-            raise Singular("det x = 0")
-        return Element(alg, _gauss_jordan(quad_rep_matrix(x), x.coords))
-    d = det(x)
-    if abs(complex(d)) < 1e-300:
-        raise Singular("det x = 0")
-    pmat = np.array(quad_rep_matrix(x),
-                    dtype=complex if x.is_complex else float)
-    sol = np.linalg.solve(pmat, x.as_array())
-    return Element(alg, tuple(sol))
-
-
-def iota(z: Element, v: Element, check: bool = True):
-    """Polar-type chart: (z, v) -> ((z - P(z^{1/2})v)/2, (z + P(z^{1/2})v)/2)."""
-    z._check(v)
-    if check and not in_cone(z):
-        raise NotInCone("iota: z not in the cone")
-    if check and not in_interval(v):
+    Raises NotInCone for a z outside the cone and AlgebraError for a v
+    outside the open interval )-e, e(.
+    """
+    Z, V = np.atleast_2d(Z), np.atleast_2d(V)
+    root = cone_sqrt(algebra, Z)
+    if not np.all(np.abs(spectral(algebra, V)) < 1):
         raise AlgebraError("iota: v not in the open interval )-e, e(")
-    s = sqrt_in_cone(z)
-    w = 2 * jordan_mul(s, jordan_mul(s, v)) - jordan_mul(z, v)  # P(z^{1/2}) v
-    half = 0.5
-    return ((z - w) * half, (z + w) * half)
+    W = np.einsum("bij,bj->bi", quad_rep_matrices(algebra, root), V)
+    return (Z - W) / 2, (Z + W) / 2
 
 
-def iota_inv(x: Element, y: Element):
-    """Inverse chart: z = x + y, v = P(z^{-1/2})(y - x)."""
-    x._check(y)
-    z = x + y
-    if not in_cone(z):
-        raise NotInCone("iota_inv: x + y not in the cone")
-    s_inv = inverse(sqrt_in_cone(z))
-    dxy = y - x
-    c = inverse(z)
-    v = 2 * jordan_mul(s_inv, jordan_mul(s_inv, dxy)) - jordan_mul(c, dxy)
-    return (z, v)
+def iota_inv(algebra: JordanAlgebra, X, Y):
+    """Inverse chart on rows: z = x + y, v = P(z^{1/2})^{-1} (y - x)."""
+    X, Y = np.atleast_2d(X), np.atleast_2d(Y)
+    Z = X + Y
+    P = quad_rep_matrices(algebra, cone_sqrt(algebra, Z))
+    return Z, np.linalg.solve(P, (Y - X)[..., None])[..., 0]
 
 
-def jacobian_iota(z: Element, v: Element) -> float:
-    """Analytic Jacobian determinant of iota: 2^{-n} (det z)^{n/r}."""
-    alg = z.algebra
-    return 2.0 ** (-alg.n) * float(det(z)) ** (alg.n / alg.r)
+def iota_jacobian(algebra: JordanAlgebra, Z) -> np.ndarray:
+    """Jacobian determinant 2^{-n} (det z)^{n/r} of iota at rows z."""
+    return 2.0 ** -algebra.n * algebra.det_poly.numeric(Z) ** (algebra.n / algebra.r)
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +537,7 @@ class StructureMap:
 
     def __init__(self, algebra: JordanAlgebra, matrix, chi_value, label="P-map"):
         self.algebra = algebra
-        self.matrix = matrix          # list of rows (exact) or np.ndarray
+        self.matrix = matrix          # list of rows
         self.chi_value = chi_value
         self.label = label
 
@@ -636,3 +583,13 @@ def random_interval_point(rng: random.Random, algebra: JordanAlgebra) -> Element
     t = trace(w)
     alpha = Fraction(rng.randint(1, 9), 10) * 2 / t
     return alpha * (w - (t / 2) * w.algebra.identity)
+
+
+def random_chart_points(rng: random.Random, algebra: JordanAlgebra, count: int):
+    """``count`` pairs (z, v), z in the cone and v in )-e, e(, drawn in turn
+    by random_cone_point and random_interval_point, as two (count, n) float
+    arrays."""
+    pairs = [(random_cone_point(rng, algebra).as_array(),
+              random_interval_point(rng, algebra).as_array()) for _ in range(count)]
+    Z, V = zip(*pairs)
+    return np.array(Z), np.array(V)

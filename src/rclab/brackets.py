@@ -26,6 +26,7 @@ from . import report, worst
 from .algebra import (
     JordanAlgebra, Element, StructureMap, get_algebra, det, iota,
     random_rational_element, random_cone_point, random_interval_point,
+    random_chart_points,
 )
 from .poly import Poly
 from .sympoly import (
@@ -262,10 +263,10 @@ def check_iota_factorization(algebra: JordanAlgebra, k: int, samples: int = 20,
     for lam, mu in params:
         spec = c.specialize(Fraction(lam), Fraction(mu))
         C = compute_C(algebra, k, lam, mu, cache_dir)
-        for _ in range(samples):
-            eta = random_cone_point(rng, algebra).as_float()
-            v = random_interval_point(rng, algebra).as_float()
-            x, y = iota(eta, v)
+        etas, vs = random_chart_points(rng, algebra, samples)
+        xs, ys = iota(algebra, etas, vs)
+        for point in zip(etas.tolist(), vs.tolist(), xs.tolist(), ys.tolist()):
+            eta, v, x, y = map(algebra.element, point)
             lhs = c.evaluate_specialized(spec, x, y)
             rhs = float(det(eta)) ** k * float(C.evaluate(v))
             scale = max(abs(lhs), abs(rhs), 1e-30)

@@ -347,52 +347,37 @@ def _suite_iota_fact(algebra, cache_dir, tols):
 def _suite_jordan_numerics(algebra, cache_dir, tols):
     import random as _random
 
-    from .algebra import (random_cone_point, random_interval_point, iota,
-                          iota_inv, jacobian_iota)
+    from .algebra import random_chart_points, iota, iota_inv, iota_jacobian
 
     rng = _random.Random(17)
-    roundtrip = []
-    for _ in range(100):
-        z = random_cone_point(rng, algebra).as_float()
-        v = random_interval_point(rng, algebra).as_float()
-        x, y = iota(z, v, check=False)
-        z2, v2 = iota_inv(x, y)
-        roundtrip.append(worst(abs(p - q) for p, q in
-                               zip(z2.coords + v2.coords, z.coords + v.coords)))
-    jacobian = []
-    for _ in range(20):
-        z = random_cone_point(rng, algebra).as_float()
-        v = random_interval_point(rng, algebra).as_float()
-        an = jacobian_iota(z, v)
-        jacobian.append(abs(_fd_jacobian(algebra, z, v) - an) / abs(an))
+    Z, V = random_chart_points(rng, algebra, 100)
+    Z2, V2 = iota_inv(algebra, *iota(algebra, Z, V))
+    roundtrip = np.abs(np.hstack([Z2 - Z, V2 - V])).max(axis=1)
+    Z, V = random_chart_points(rng, algebra, 20)
+    an = iota_jacobian(algebra, Z)
+    jacobian = np.abs(_fd_jacobian(algebra, Z, V) - an) / np.abs(an)
     return [
         report("polar-chart-roundtrip", algebra.name, samples=100,
-               max_residual=worst(roundtrip),
+               max_residual=worst(roundtrip.tolist()),
                tolerance=tols.get("iota-roundtrip", 1e-12)),
         report("polar-chart-jacobian", algebra.name, samples=20,
-               max_residual=worst(jacobian),
+               max_residual=worst(jacobian.tolist()),
                tolerance=tols.get("jacobian", 1e-6)),
     ]
 
 
-def _fd_jacobian(algebra, z, v, eps=1e-5):
+def _fd_jacobian(algebra, Z, V, eps=1e-5):
+    """Central-difference Jacobian determinants of iota at rows (z, v)."""
     from .algebra import iota
 
-    n = algebra.n
-    w0 = np.array([float(c) for c in z.coords] + [float(c) for c in v.coords])
-
-    def f(w):
-        a, b = iota(algebra.element(tuple(w[:n])),
-                    algebra.element(tuple(w[n:])), check=False)
-        return np.array([float(c) for c in a.coords + b.coords])
-
-    J = np.zeros((2 * n, 2 * n))
-    for i in range(2 * n):
-        wp, wm = w0.copy(), w0.copy()
-        wp[i] += eps
-        wm[i] -= eps
-        J[:, i] = (f(wp) - f(wm)) / (2 * eps)
-    return float(np.linalg.det(J))
+    m, n = Z.shape
+    steps = eps * np.eye(2 * n)
+    W = np.hstack([Z, V])[:, None, :]
+    rows = np.concatenate([W + steps, W - steps], axis=1).reshape(-1, 2 * n)
+    F = np.hstack(iota(algebra, rows[:, :n], rows[:, n:])).reshape(m, 2, 2 * n, 2 * n)
+    # F[:, 0, i] - F[:, 1, i] is column i of the Jacobian
+    J = np.swapaxes(F[:, 0] - F[:, 1], 1, 2) / (2 * eps)
+    return np.linalg.det(J)
 
 
 def _suite_varchange(algebra, cache_dir, tols):
@@ -568,10 +553,10 @@ def _suite_cauchy(algebra, cache_dir, tols):
     e = np.array([float(c) for c in algebra.e_coords])
     w = algebra.element(tuple((0.1 + 1.0j) * e))
     K = tube.coherent_state(algebra, 2.3, w)
-    z = algebra.element(tuple((0.3 + 1.4j) * e))
+    z = (0.3 + 1.4j) * e
     alpha = tuple([2] + [0] * (algebra.n - 1))
-    d32 = tube.holo_derivative(K, z, alpha, n_nodes=32)
-    d64 = tube.holo_derivative(K, z, alpha, n_nodes=64)
+    d32, d64 = (tube.holo_mixed_derivatives(algebra, K, z, [alpha], n_nodes=nodes)[alpha]
+                for nodes in (32, 64))
     return [report("contour-derivative-stability", algebra.name,
                    residual=abs(d32 - d64) / max(abs(d64), 1e-300),
                    tolerance=tols.get("cauchy", 1e-9))]

@@ -40,7 +40,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import SCHEMA, report, worst
-from .algebra import JordanAlgebra, Element, get_algebra
+from .algebra import (
+    JordanAlgebra, Element, get_algebra, spectral, cone_sqrt, quad_rep_matrices,
+    iota_jacobian,
+)
 from .brackets import compute_C
 
 __all__ = [
@@ -447,8 +450,14 @@ def gram_matrix(algebra: JordanAlgebra, lam, mu, k_max: int, n: int | None = Non
     G = _gram_once(algebra, polys, lam, mu, n)
     G2 = _gram_once(algebra, polys, lam, mu, n + 8)
     err = max(abs(G[i][j] - G2[i][j]) for i in range(len(G)) for j in range(len(G)))
-    ratios = [{"k": k, "l": l,
-               "ratio": abs(G2[k][l]) / math.sqrt(G2[k][k] * G2[l][l])}
+    def ratio(k, l):
+        scale = G2[k][k] * G2[l][l]
+        # where the product overflows, the root of each diagonal entry
+        root = (math.sqrt(G2[k][k]) * math.sqrt(G2[l][l]) if math.isinf(scale)
+                else math.sqrt(scale))
+        return abs(G2[k][l]) / root
+
+    ratios = [{"k": k, "l": l, "ratio": ratio(k, l)}
               for k in range(k_max + 1) for l in range(k + 1, k_max + 1)]
     return GramReport(
         algebra=algebra.name, lam=float(lam), mu=float(mu), k_max=k_max,
@@ -599,40 +608,6 @@ def check_change_of_variables(algebra: JordanAlgebra, n: int = 160) -> dict:
                   seed=None)   # a null seed keeps rank1 reports byte-stable
 
 
-def _sym2_eigs(c):
-    """Vectorized eigenvalues of [[a, x],[x, b]] rows (m, 3) -> (m, 2)."""
-    mid = 0.5 * (c[:, 0] + c[:, 1])
-    gap = np.sqrt(0.25 * (c[:, 0] - c[:, 1]) ** 2 + c[:, 2] ** 2)
-    return mid - gap, mid + gap
-
-
-def _sym2_iota(zc, vc):
-    """Vectorized polar chart for sym2 rows; assumes z in the cone."""
-    # 2x2 principal square root: sqrt(z) = (z + sqrt(det z) I) / t,
-    # t = sqrt(tr z + 2 sqrt(det z))
-    dz = zc[:, 0] * zc[:, 1] - zc[:, 2] ** 2
-    s = np.sqrt(dz)
-    t = np.sqrt(zc[:, 0] + zc[:, 1] + 2 * s)
-    ra = (zc[:, 0] + s) / t
-    rb = (zc[:, 1] + s) / t
-    rc = zc[:, 2] / t
-    # w = sqrt(z) v sqrt(z) as symmetric 2x2
-    m11 = ra * vc[:, 0] + rc * vc[:, 2]
-    m12 = ra * vc[:, 2] + rc * vc[:, 1]
-    m21 = rc * vc[:, 0] + rb * vc[:, 2]
-    m22 = rc * vc[:, 2] + rb * vc[:, 1]
-    w11 = m11 * ra + m12 * rc
-    w12 = m11 * rc + m12 * rb
-    w22 = m21 * rc + m22 * rb
-    w = np.stack([w11, w22, w12], axis=1)
-    return (zc - w) / 2, (zc + w) / 2
-
-
-def _sym2_iota_jacobian(zc):
-    """Jacobian 2^{-n} (det z)^{n/r} of the sym2 polar chart at rows z."""
-    return 2.0 ** -3 * (zc[:, 0] * zc[:, 1] - zc[:, 2] ** 2) ** 1.5
-
-
 def _midpoint_grid(bounds, n: int):
     """Tensor midpoint nodes over a product of intervals, and the cell volume."""
     axes = [lo + (hi - lo) * (np.arange(n) + 0.5) / n for lo, hi in bounds]
@@ -683,7 +658,8 @@ def _sym2_chart_rule(center, radius):
     """The z nodes of the rhs rule of ``_sym2_nested_quadrature``, the chart
     term at each (everything but the weight, the v integral done) and the z
     cell volume.  Built once per (center, radius) and returned read-only."""
-    f1 = trace_ball_bump(get_algebra("sym2"), center, radius)
+    sym2 = get_algebra("sym2")
+    f1 = trace_ball_bump(sym2, center, radius)
     # z = x + y lies in the trace ball of radius 2R about 2 center e.  Given
     # z, w = P(z^{1/2}) v lies in the two balls |w -+ (z - 2ce)| < 2R, so
     # |w| < sqrt(4R^2 - |z - 2ce|^2); pulled back by the least eigenvalue of
@@ -692,15 +668,19 @@ def _sym2_chart_rule(center, radius):
     d2 = (zs[:, 0] - 2 * center) ** 2 + (zs[:, 1] - 2 * center) ** 2 + 2 * zs[:, 2] ** 2
     inside = d2 < 4 * radius**2
     zs, d2 = zs[inside], d2[inside]
-    rho = np.sqrt(4 * radius**2 - d2) / _sym2_eigs(zs)[0]
+    rho = np.sqrt(4 * radius**2 - d2) / spectral(sym2, zs)[:, 0]
     unit, ucell = _midpoint_grid(_ball_box(0.0, 1.0), SYM2_CHART_NODES["v"])
+    # v = rho(z) u and w = P(z^{1/2}) v, with one matrix per z node.  Some
+    # v nodes of the box lie outside )-e, e(, where f1(x) f1(y) = 0 and
+    # iota would raise, so the chart is applied here.
+    Pz = rho[:, None, None] * quad_rep_matrices(sym2, cone_sqrt(sym2, zs))
     inner = np.zeros(len(zs))
     # one v node at a time: a (z nodes x v nodes) broadcast would take
     # several arrays of tens of MB and run no faster
     for u in unit:
-        x, y = _sym2_iota(zs, rho[:, None] * u)
-        inner += f1(x) * f1(y)
-    terms = inner * ucell * rho**3 * _sym2_iota_jacobian(zs)
+        w = Pz @ u
+        inner += f1((zs - w) / 2) * f1((zs + w) / 2)
+    terms = inner * ucell * rho**3 * iota_jacobian(sym2, zs)
     zs.flags.writeable = False
     terms.flags.writeable = False
     return zs, terms, zcell

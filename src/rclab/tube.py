@@ -26,22 +26,19 @@ import numpy as np
 
 from . import report, worst
 from .algebra import (
-    JordanAlgebra, Element, det, sqrt_in_cone, in_cone, NotInCone,
-    quad_rep_matrix,
+    JordanAlgebra, Element, det, spectral, cone_sqrt, quad_rep_matrices,
 )
 from .brackets import compute_c, compute_C
 from .poly import Poly
 from .quadrature import (
     gamma_omega_closed, tube_laplace, gauss_legendre, gauss_jacobi,
-    scaled_interval_rule, box_rule, weyl_integral, _sym2_nested_quadrature,
+    scaled_interval_rule, box_rule, weyl_integral, bump, _sym2_nested_quadrature,
     SYM2_CHART_NODES,
 )
 
 __all__ = [
     "logdet_tube",
-    "HoloFunction",
     "coherent_state",
-    "holo_derivative",
     "holo_mixed_derivatives",
     "GroupGenerator",
     "pi_action",
@@ -106,53 +103,27 @@ def logdet_tube(algebra: JordanAlgebra, coords, waypoints=None,
 # Holomorphic functions
 
 
-class HoloFunction:
-    """Vectorized evaluator of a holomorphic function on the tube.
-
-    ``radius_hint`` bounds (as a fraction of the minimal eigenvalue of the
-    imaginary part) how far polydisc contours may reach; 0.4 is safe for
-    every function built here.
-    """
-
-    def __init__(self, algebra, evaluator, radius_hint: float = 0.4,
-                 label: str = ""):
-        self.algebra = algebra
-        self.evaluator = evaluator
-        self.radius_hint = radius_hint
-        self.label = label
-
-    def __call__(self, coords) -> np.ndarray:
-        coords = np.atleast_2d(np.asarray(coords, dtype=complex))
-        return np.asarray(self.evaluator(coords), dtype=complex)
-
-    def at(self, z: Element) -> complex:
-        return complex(self(z.as_array().reshape(1, -1))[0])
-
-
-def coherent_state(algebra: JordanAlgebra, nu, w: Element) -> HoloFunction:
+def coherent_state(algebra: JordanAlgebra, nu, w: Element):
     """k_nu^w(z) = det((z - conj w)/i)^(-nu), branch-tracked."""
     wbar = np.conj(w.as_array())
 
-    def ev(coords):
+    def k(coords):
         return np.exp(complex(-nu) * logdet_tube(algebra, coords - wbar))
 
-    label = f"coherent(nu={nu})"
-    return HoloFunction(algebra, ev, 0.4, label)
+    return k
 
 
 # ---------------------------------------------------------------------------
 # Cauchy-integral derivatives on polydiscs
 
 
-def _min_eig_imag(algebra, point):
-    from .algebra import spectral
-
-    lams, _ = spectral(algebra.element(tuple(point)).imag())
-    return min(lams)
+# Polydisc radius as a fraction of the least eigenvalue of Im z: the
+# functions built here stay holomorphic that far from the point.
+CONTOUR_RADIUS = 0.4
 
 
 def holo_mixed_derivatives(algebra: JordanAlgebra, F, point, alphas,
-                           n_nodes: int = 32, radius_scale: float = 0.4):
+                           n_nodes: int = 32):
     """Coordinate mixed partials of F at ``point`` for several multi-indices.
 
     ``F`` is a vectorized evaluator on (m, d) arrays, d = len(point); the
@@ -171,9 +142,7 @@ def holo_mixed_derivatives(algebra: JordanAlgebra, F, point, alphas,
         by_axes.setdefault(axes, []).append(tuple(alpha))
     # safe polydisc radius: all slots perturb their own imaginary part
     slots = d // n
-    rho_bound = min(
-        _min_eig_imag(algebra, point[s * n:(s + 1) * n]) for s in range(slots)
-    ) * radius_scale
+    rho_bound = spectral(algebra, point.imag.reshape(slots, n)).min() * CONTOUR_RADIUS
     if rho_bound <= 0:
         raise ValueError("polydisc radius violation: point too close to the "
                          "tube boundary")
@@ -208,14 +177,6 @@ def holo_mixed_derivatives(algebra: JordanAlgebra, F, point, alphas,
     return out
 
 
-def holo_derivative(F: HoloFunction, z: Element, alpha, n_nodes: int = 32) -> complex:
-    """Single coordinate mixed partial of F at the tube point z."""
-    res = holo_mixed_derivatives(F.algebra, F, z.as_array(), [tuple(alpha)],
-                                 n_nodes=n_nodes,
-                                 radius_scale=F.radius_hint)
-    return res[tuple(alpha)]
-
-
 # ---------------------------------------------------------------------------
 # Lifted automorphism generators
 
@@ -238,13 +199,11 @@ class GroupGenerator:
         if kind == "translation":
             self._u = parameter.as_array().astype(complex)
         elif kind == "dilation":
-            a = parameter
-            if not in_cone(a.as_float()):
-                raise NotInCone("dilation parameter must lie in the cone")
-            root = sqrt_in_cone(a.as_float())
-            self._mat = np.array(quad_rep_matrix(root), dtype=float)
+            # cone_sqrt raises NotInCone for a parameter outside the cone
+            root = cone_sqrt(algebra, parameter.as_array())
+            self._mat = quad_rep_matrices(algebra, root)[0]
             self._mat_inv = np.linalg.inv(self._mat)
-            self._chi = float(det(a.as_float()))
+            self._chi = float(det(parameter.as_float()))
         elif kind == "inversion":
             pass
         else:
@@ -258,7 +217,9 @@ class GroupGenerator:
             return coords + self._u
         if self.kind == "dilation":
             return coords @ self._mat.T
-        return _neg_inverse_batch(self.algebra, coords)
+        # z -> -z^{-1}, with z^{-1} = P(z)^{-1} z
+        P = quad_rep_matrices(self.algebra, coords)
+        return -np.linalg.solve(P, coords[..., None])[..., 0]
 
     def apply_inv(self, coords: np.ndarray) -> np.ndarray:
         coords = np.atleast_2d(np.asarray(coords, dtype=complex))
@@ -266,7 +227,7 @@ class GroupGenerator:
             return coords - self._u
         if self.kind == "dilation":
             return coords @ self._mat_inv.T
-        return _neg_inverse_batch(self.algebra, coords)
+        return self.apply(coords)       # the inversion is an involution
 
     # -- cocycle -------------------------------------------------------------
 
@@ -290,29 +251,16 @@ class GroupGenerator:
         return f"GroupGenerator({self.algebra.name}, {self.kind})"
 
 
-def _neg_inverse_batch(algebra, coords):
-    """z -> -z^{-1} on a batch, via P(z) c = z (complex linear solves)."""
-    T = algebra._mult_tensor.astype(complex)
-    x = coords
-    L = np.einsum("bi,ijk->bkj", x, T)
-    xsq = np.einsum("bij,bj->bi", L, x)
-    Lsq = np.einsum("bi,ijk->bkj", xsq, T)
-    P = 2 * np.einsum("bij,bjk->bik", L, L) - Lsq
-    sol = np.linalg.solve(P, x[..., None])[..., 0]
-    return -sol
-
-
-def pi_action(gen: GroupGenerator, nu, F: HoloFunction) -> HoloFunction:
+def pi_action(gen: GroupGenerator, nu, F):
     """The weight-nu action: z -> e^{(r/2n) nu psi_{g^{-1}}(z)} F(g^{-1} z)."""
     alg = gen.algebra
     scale = alg.r / (2.0 * alg.n)
 
-    def ev(coords):
+    def moved(coords):
         inv = gen.apply_inv(coords)
         return np.exp(complex(nu) * scale * gen.psi_inv(coords)) * F(inv)
 
-    return HoloFunction(alg, ev, F.radius_hint,
-                        f"pi_{nu}({gen.kind}).{F.label}")
+    return moved
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +360,7 @@ def check_covariance_B(algebra: JordanAlgebra, k: int, lam, mu,
     for z in points:
         zc = z.as_array()
         ginv_z = gen.apply_inv(zc.reshape(1, -1))[0]
-        lam_min = _min_eig_imag(algebra, ginv_z)
-        if lam_min < 0.1:
+        if spectral(algebra, ginv_z.imag)[0, 0] < 0.1:
             continue
         lhs = apply_B(algebra, k, lam, mu, F_g, G_g, z, n_nodes, cache_dir)
         inner_B = apply_B(algebra, k, lam, mu, F, G,
@@ -478,20 +425,6 @@ def check_adjoint_image(algebra: JordanAlgebra, k: int, lam, mu,
                   tolerance=tol, residual=resid)
 
 
-def _bump_1d(lo, hi):
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        q = (x - mid) / half
-        out = np.zeros_like(x)
-        inside = np.abs(q) < 1.0
-        out[inside] = np.exp(1.0 - 1.0 / (1.0 - q[inside] ** 2))
-        return out
-
-    return f
-
-
 def check_J_factorization(algebra: JordanAlgebra, z: Element | None = None,
                           n: int = 120, tol: float | None = None) -> dict:
     """res o (two-slot Laplace) against (one-slot Laplace) o averaging map.
@@ -504,7 +437,10 @@ def check_J_factorization(algebra: JordanAlgebra, z: Element | None = None,
             z = algebra.element((0.4 + 1.3j,))
         tol = 1e-6 if tol is None else tol
         lo, hi = 1.0, 3.0
-        f1 = _bump_1d(lo, hi)
+
+        def f1(x):          # the bump on (lo, hi)
+            return bump((x - 2.0) ** 2)
+
         zz = complex(z.coords[0])
         nodes, w = box_rule([(lo, hi), (lo, hi)], n)
         lhs = complex(np.sum(
@@ -560,12 +496,12 @@ def check_partial_isometry(algebra: JordanAlgebra, k: int, lam, mu,
     shift = 1.0  # n/r
     spec = compute_c(algebra, k, cache_dir).specialize(Fraction(lam) - 1,
                                                       Fraction(mu) - 1)
-    bumps = [_bump_1d(1.0, 2.2), _bump_1d(1.6, 3.0), _bump_1d(0.8, 2.8)]
     ratios = []
-    for h in bumps:
+    for lo, hi in ((1.0, 2.2), (1.6, 3.0), (0.8, 2.8)):      # bumps h on (lo, hi)
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         nodes, w = box_rule([(1e-9, 3.0), (1e-9, 3.0)], n)
         xi, zeta = nodes[:, 0], nodes[:, 1]
-        hv = h(xi + zeta)
+        hv = bump(((xi + zeta - mid) / half) ** 2)
         mask = hv > 0
         # |Phi h|^2 against the L^2_{lam,mu} weight xi^{-lam+1} zeta^{-mu+1}
         # collapses to this integrand
@@ -578,7 +514,7 @@ def check_partial_isometry(algebra: JordanAlgebra, k: int, lam, mu,
         num = float(np.sum(w * integrand))
         g1 = gauss_legendre(n)
         eta, we = scaled_interval_rule(g1, 1e-9, 3.0)
-        den = float(np.sum(we * h(eta) ** 2 * eta ** (-nu + 1)))
+        den = float(np.sum(we * bump(((eta - mid) / half) ** 2) ** 2 * eta ** (-nu + 1)))
         ratios.append(num / den)
     spread = (worst(ratios) - min(ratios)) / worst(map(abs, ratios))
     C = compute_C(algebra, k, Fraction(lam) - 1, Fraction(mu) - 1, cache_dir)
@@ -609,7 +545,10 @@ def check_bracket_transform_equivalence(algebra: JordanAlgebra, k: int,
     if z is None:
         z = algebra.element((0.3 + 1.2j,))
     lo, hi = 1.0, 3.0
-    f1 = _bump_1d(lo, hi)
+
+    def f1(x):              # the bump on (lo, hi)
+        return bump((x - 2.0) ** 2)
+
     gl = gauss_legendre(n)
     xi, wxi = scaled_interval_rule(gl, lo, hi)
     fw = f1(xi) * wxi
@@ -661,15 +600,15 @@ def check_bergman_isometry(algebra: JordanAlgebra, nu: float = 2.5,
     kernel = np.exp(1j * np.outer(x_nodes, xi))   # e^{i x xi}, the same for every y
     ratios = []
     for lo, hi in ((1.0, 3.0), (0.8, 2.4)):
-        f = _bump_1d(lo, hi)
-        fvals = f(xi) * wxi
+        f = bump(((xi - 0.5 * (lo + hi)) / (0.5 * (hi - lo))) ** 2)    # a bump on (lo, hi)
+        fvals = f * wxi
         # transform values on the (x, y) grid, vectorized over x
         norm_tube = 0.0
         for y0, wy0 in zip(y_nodes, wy):
             damped = fvals * np.exp(-y0 * xi)
             lf = kernel @ damped
             norm_tube += wy0 * float(wx @ (lf.real**2 + lf.imag**2))
-        norm_cone = float(np.sum(wxi * f(xi) ** 2 * xi ** (1.0 - nu)))
+        norm_cone = float(np.sum(wxi * f ** 2 * xi ** (1.0 - nu)))
         ratios.append(norm_tube / norm_cone)
     expected = (2 * math.pi) * 2.0 ** (1.0 - nu) * math.gamma(nu - 1.0)
     return report("transform-norm-isometry", algebra.name, nu=nu, ratios=ratios,
@@ -710,8 +649,9 @@ def check_coherent_transform(algebra: JordanAlgebra, nu, gen: GroupGenerator,
                  * np.conj(gen.psi(w.as_array().reshape(1, -1))[0]))
     residuals = []
     for z in points:
-        a = KT.at(z)
-        b = fac * K2.at(z)
+        point = z.as_array()[None]
+        a = complex(KT(point)[0])
+        b = fac * complex(K2(point)[0])
         residuals.append(abs(a - b) / max(abs(a), abs(b), 1e-300))
     return report("coherent-state-transport", algebra.name, nu=float(nu),
                   generator=gen.kind, tolerance=tol, max_residual=worst(residuals))

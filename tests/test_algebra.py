@@ -11,10 +11,10 @@ import pytest
 from rclab.cli import _fd_jacobian
 from rclab.algebra import (
     get_algebra, StructureMap,
-    jordan_mul, trace, det, inner, quad_rep, spectral, sqrt_in_cone, inverse,
-    in_cone, in_interval, iota, iota_inv, jacobian_iota,
+    jordan_mul, trace, det, quad_rep, spectral, cone_sqrt, quad_rep_matrices,
+    iota, iota_inv, iota_jacobian,
     random_rational_element, random_cone_point, random_interval_point,
-    AlgebraMismatch, NotInCone, Singular,
+    random_chart_points, AlgebraError, AlgebraMismatch, NotInCone,
 )
 
 ALGEBRAS = ["rank1", "sym2", "sym3", "spin4", "spin5"]
@@ -64,7 +64,7 @@ def test_trace_form_positive_definite(algebra):
     for _ in range(20):
         x = random_rational_element(rng, algebra)
         if any(c != 0 for c in x.coords):
-            assert inner(x, x) > 0
+            assert trace(jordan_mul(x, x)) > 0
 
 
 def test_sym2_identity_acts_trivially():
@@ -117,151 +117,215 @@ def test_quad_rep_det_identity_exact(algebra):
         assert det(quad_rep(x, y)) == det(x) ** 2 * det(y)
 
 
+def rows(*points):
+    return np.array(points, dtype=float)
+
+
+def elements(algebra, X):
+    return [algebra.element(tuple(x)) for x in X.tolist()]
+
+
 def test_spectral_reconstruction(algebra):
+    # the eigenvalues give back tr x and det x, and each is a root of
+    # det(x - lam e)
     rng = random.Random(6)
-    for _ in range(5):
-        x = random_rational_element(rng, algebra).as_float()
-        lams, frame = spectral(x)
-        rec = algebra.zero().as_float()
-        for lam, c in zip(lams, frame):
-            rec = rec + lam * c
-            # frame idempotency
-            cc = jordan_mul(c, c)
-            assert max(abs(a - b) for a, b in zip(cc.coords, c.coords)) < 1e-10
-        assert max(abs(a - b) for a, b in zip(rec.coords, x.coords)) < 1e-12
+    X = np.array([random_rational_element(rng, algebra).as_array() for _ in range(5)])
+    lams = spectral(algebra, X)
+    assert lams.shape == (5, algebra.r)
+    assert np.all(np.diff(lams, axis=1) >= 0)
+    e = np.array(algebra.e_coords, dtype=float)
+    for x, lam in zip(elements(algebra, X), lams):
+        scale = max(1.0, *np.abs(lam))
+        assert abs(sum(lam) - trace(x)) < 1e-12 * scale
+        assert abs(np.prod(lam) - det(x)) < 1e-12 * scale ** algebra.r
+        shifted = algebra.det_poly.numeric(x.as_array() - lam[:, None] * e)
+        assert np.all(np.abs(shifted) < 1e-11 * scale ** algebra.r)
 
 
 def test_spectral_identity_eigenvalues(algebra):
-    lams, _ = spectral(algebra.identity.as_float())
-    assert all(abs(l - 1) < 1e-14 for l in lams)
+    lams = spectral(algebra, algebra.identity.as_array())
+    assert np.all(np.abs(lams - 1) < 1e-14)
 
 
 def test_spin_eigenvalue_formula():
     alg = get_algebra("spin4")
-    x = alg.element((2.0, 0.6, 0.0, 0.8))
-    lams, _ = spectral(x)
+    lams = spectral(alg, rows((2.0, 0.6, 0.0, 0.8)))[0]
     assert abs(lams[0] - 1.0) < 1e-14 and abs(lams[1] - 3.0) < 1e-14
 
 
+def test_rank2_spectral_keeps_a_small_gap():
+    # eigenvalues 1 -+ g with g near 1e-9: det = 1 - g^2 rounds to 1, so
+    # tr^2 - 4 det loses the gap, while the traceless part keeps it exactly
+    g = 2.0 ** -29
+    for name, x in (("sym2", (1.0 + g, 1.0 - g, 0.0)),
+                    ("spin5", (1.0, 0.6 * g, 0.0, 0.8 * g, 0.0))):
+        lams = spectral(get_algebra(name), rows(x))[0]
+        assert lams.tolist() == [1.0 - g, 1.0 + g], name
+
+
 def test_sqrt_examples(algebra):
-    e = algebra.identity.as_float()
-    s = sqrt_in_cone(e)
-    assert max(abs(a - b) for a, b in zip(s.coords, e.coords)) < 1e-14
+    e = algebra.identity.as_array()
+    assert np.max(np.abs(cone_sqrt(algebra, e) - e)) < 1e-14
 
 
 def test_sqrt_roundtrip(algebra):
     rng = random.Random(7)
-    for _ in range(10):
-        z = random_cone_point(rng, algebra).as_float()
-        s = sqrt_in_cone(z)
-        s2 = jordan_mul(s, s)
-        assert max(abs(a - b) for a, b in zip(s2.coords, z.coords)) < 1e-12
-        assert in_cone(s)
+    Z = np.array([random_cone_point(rng, algebra).as_array() for _ in range(10)])
+    S = cone_sqrt(algebra, Z)
+    for s, z in zip(elements(algebra, S), Z):
+        assert np.max(np.abs(np.array(jordan_mul(s, s).coords) - z)) < 1e-12
+    assert np.all(spectral(algebra, S) > 0)
+
+
+def test_sym_sqrt_matches_the_matrix_square_root():
+    # the rank-2 closed form and the eigh route give the symmetric matrix
+    # square root
+    from rclab.algebra import _sym_pairs
+
+    for name in ("sym2", "sym3"):
+        alg = get_algebra(name)
+        rng = random.Random(15)
+        Z = np.array([random_cone_point(rng, alg).as_array() for _ in range(10)])
+
+        def matrix(c):
+            m = np.zeros((alg.r, alg.r))
+            for (i, j), x in zip(_sym_pairs(alg.r), c):
+                m[i, j] = m[j, i] = x
+            return m
+
+        for z, s in zip(Z, cone_sqrt(alg, Z)):
+            lam, vec = np.linalg.eigh(matrix(z))
+            want = vec @ np.diag(np.sqrt(lam)) @ vec.T
+            assert np.max(np.abs(matrix(s) - want)) < 1e-12, name
+
+
+def inverses(algebra, X):
+    """x^{-1} = P(x)^{-1} x, through the tube's inversion z -> -z^{-1}."""
+    from rclab.tube import GroupGenerator
+
+    return -GroupGenerator(algebra, "inversion").apply(X).real
 
 
 def test_rank1_sqrt_inverse():
     alg = get_algebra("rank1")
-    assert abs(sqrt_in_cone(alg.element((4.0,))).coords[0] - 2.0) < 1e-14
-    assert inverse(exact(alg, [4])).coords[0] == Fraction(1, 4)
+    assert abs(cone_sqrt(alg, rows((4.0,)))[0, 0] - 2.0) < 1e-14
+    assert inverses(alg, rows((4.0,)))[0, 0] == 0.25
 
 
 def test_inverse_exact(algebra):
+    # at exact rational cone points, x.x^{-1} = e up to rounding
     rng = random.Random(8)
-    for _ in range(5):
-        x = random_cone_point(rng, algebra)
-        xi = inverse(x)
-        assert jordan_mul(x, xi) == algebra.identity
-
-
-def test_inverse_singular():
-    alg = get_algebra("sym2")
-    with pytest.raises(Singular):
-        inverse(exact(alg, [1, 0, 0]))
+    points = [random_cone_point(rng, algebra) for _ in range(5)]
+    X = np.array([x.as_array() for x in points])
+    for x, xi in zip(points, elements(algebra, inverses(algebra, X))):
+        got = np.array(jordan_mul(x.as_float(), xi).coords)
+        assert np.max(np.abs(got - algebra.identity.as_array())) < 1e-12
 
 
 def test_sqrt_not_in_cone():
     alg = get_algebra("sym2")
     with pytest.raises(NotInCone):
-        sqrt_in_cone(alg.element((-1.0, 1.0, 0.0)))
+        cone_sqrt(alg, rows((-1.0, 1.0, 0.0)))
+    # one bad row among good ones is enough
+    with pytest.raises(NotInCone):
+        cone_sqrt(alg, rows((1.0, 1.0, 0.0), (1.0, 1.0, 1.0)))
+
+
+def test_quad_rep_matrices_apply_P(algebra):
+    rng = random.Random(16)
+    X = np.array([random_rational_element(rng, algebra).as_array() for _ in range(4)])
+    Y = np.array([random_rational_element(rng, algebra).as_array() for _ in range(4)])
+    got = np.einsum("bij,bj->bi", quad_rep_matrices(algebra, X), Y)
+    for g, x, y in zip(got, elements(algebra, X), elements(algebra, Y)):
+        assert np.max(np.abs(g - np.array(quad_rep(x, y).coords))) < 1e-12
 
 
 def test_cone_membership_examples(algebra):
-    e = algebra.identity.as_float()
-    assert in_cone(e) and in_interval(0.5 * e)
-    assert not in_interval(2 * e)
+    e = algebra.identity.as_array()
+    assert np.all(spectral(algebra, e) > 0)
+    assert np.all(np.abs(spectral(algebra, 0.5 * e)) < 1)
+    assert not np.all(np.abs(spectral(algebra, 2 * e)) < 1)
+    iota(algebra, e, 0.5 * e)
+    with pytest.raises(AlgebraError):
+        iota(algebra, e, 2 * e)
 
 
 def test_in_interval_sym2_example():
     alg = get_algebra("sym2")
-    assert in_interval(alg.element((0.5, -0.9, 0.0)))
+    v = rows((0.5, -0.9, 0.0))
+    assert np.all(np.abs(spectral(alg, v)) < 1)
+    iota(alg, alg.identity.as_array(), v)
 
 
 def test_iota_rank1_examples():
     alg = get_algebra("rank1")
-    x, y = iota(alg.element((2.0,)), alg.element((0.0,)))
-    assert abs(x.coords[0] - 1.0) < 1e-14 and abs(y.coords[0] - 1.0) < 1e-14
+    x, y = iota(alg, rows((2.0,)), rows((0.0,)))
+    assert abs(x[0, 0] - 1.0) < 1e-14 and abs(y[0, 0] - 1.0) < 1e-14
 
 
 def test_iota_zero_v_splits_evenly(algebra):
     rng = random.Random(9)
-    z = random_cone_point(rng, algebra).as_float()
-    x, y = iota(z, algebra.zero().as_float())
-    for a, b, c in zip(x.coords, y.coords, z.coords):
-        assert abs(a - c / 2) < 1e-13 and abs(b - c / 2) < 1e-13
+    z = random_cone_point(rng, algebra).as_array()[None]
+    x, y = iota(algebra, z, np.zeros_like(z))
+    assert np.max(np.abs(x - z / 2)) < 1e-13 and np.max(np.abs(y - z / 2)) < 1e-13
 
 
 def test_iota_sym2_example():
     alg = get_algebra("sym2")
-    z = alg.element((1.0, 4.0, 0.0))
-    v = (0.3 * alg.identity).as_float()
-    x, y = iota(z, v)
-    np.testing.assert_allclose(list(x.coords), [0.35, 1.4, 0.0], atol=1e-12)
-    np.testing.assert_allclose(list(y.coords), [0.65, 2.6, 0.0], atol=1e-12)
-    z2, v2 = iota_inv(x, y)
-    np.testing.assert_allclose(list(z2.coords), list(z.coords), atol=1e-12)
+    z = rows((1.0, 4.0, 0.0))
+    v = 0.3 * alg.identity.as_array()[None]
+    x, y = iota(alg, z, v)
+    np.testing.assert_allclose(x[0], [0.35, 1.4, 0.0], atol=1e-12)
+    np.testing.assert_allclose(y[0], [0.65, 2.6, 0.0], atol=1e-12)
+    z2, v2 = iota_inv(alg, x, y)
+    np.testing.assert_allclose(z2, z, atol=1e-12)
 
 
 def test_iota_roundtrip_invariant(algebra):
-    rng = random.Random(10)
-    for _ in range(100):
-        z = random_cone_point(rng, algebra).as_float()
-        v = random_interval_point(rng, algebra).as_float()
-        x, y = iota(z, v)
-        z2, v2 = iota_inv(x, y)
-        err = max(abs(p - q) for p, q in zip(z2.coords + v2.coords,
-                                             z.coords + v.coords))
-        assert err < 1e-12
-        assert in_cone(x) and in_cone(y)
+    Z, V = random_chart_points(random.Random(10), algebra, 100)
+    X, Y = iota(algebra, Z, V)
+    Z2, V2 = iota_inv(algebra, X, Y)
+    assert np.max(np.abs(np.hstack([Z2 - Z, V2 - V]))) < 1e-12
+    assert np.all(spectral(algebra, X) > 0) and np.all(spectral(algebra, Y) > 0)
+
+
+def test_iota_batch_matches_one_row_at_a_time(algebra):
+    Z, V = random_chart_points(random.Random(13), algebra, 6)
+    X, Y = iota(algebra, Z, V)
+    for i in range(6):
+        x, y = iota(algebra, Z[i], V[i])
+        assert np.max(np.abs(x[0] - X[i])) < 1e-14 * max(1.0, np.abs(X[i]).max())
+        assert np.max(np.abs(y[0] - Y[i])) < 1e-14 * max(1.0, np.abs(Y[i]).max())
 
 
 def test_iota_domain_errors():
     alg = get_algebra("sym2")
+    zero = np.zeros((1, 3))
     with pytest.raises(NotInCone):
-        iota(alg.element((-1.0, 1.0, 0.0)), alg.zero().as_float())
+        iota(alg, rows((-1.0, 1.0, 0.0)), zero)
+    with pytest.raises(AlgebraError):
+        iota(alg, rows((1.0, 1.0, 0.0)), rows((0.5, 1.0, 0.0)))
+    with pytest.raises(NotInCone):
+        iota_inv(alg, rows((-1.0, 0.0, 0.0)), rows((0.5, 1.0, 0.0)))
 
 
 def test_jacobian_closed_form_examples():
     r1 = get_algebra("rank1")
-    z = r1.element((2.0,))
-    v = r1.element((0.1,))
-    assert abs(jacobian_iota(z, v) - 1.0) < 1e-14
-    assert abs(_fd_jacobian(r1, z, v) - 1.0) < 1e-6
+    z, v = rows((2.0,)), rows((0.1,))
+    assert abs(iota_jacobian(r1, z)[0] - 1.0) < 1e-14
+    assert abs(_fd_jacobian(r1, z, v)[0] - 1.0) < 1e-6
     s2 = get_algebra("sym2")
-    assert abs(jacobian_iota(s2.identity.as_float(), s2.zero().as_float()) - 0.125) < 1e-15
-    z2 = s2.element((1.0, 4.0, 0.0))
-    assert abs(jacobian_iota(z2, s2.zero().as_float()) - 1.0) < 1e-13
+    assert abs(iota_jacobian(s2, s2.identity.as_array()[None])[0] - 0.125) < 1e-15
+    assert abs(iota_jacobian(s2, rows((1.0, 4.0, 0.0)))[0] - 1.0) < 1e-13
 
 
 @pytest.mark.parametrize("name", ["rank1", "sym2", "spin4"])
 def test_jacobian_matches_finite_differences(name):
     algebra = get_algebra(name)
-    rng = random.Random(11)
-    for _ in range(20):
-        z = random_cone_point(rng, algebra).as_float()
-        v = random_interval_point(rng, algebra).as_float()
-        fd = _fd_jacobian(algebra, z, v)
-        an = jacobian_iota(z, v)
-        assert abs(fd - an) / abs(an) < 1e-6
+    Z, V = random_chart_points(random.Random(11), algebra, 20)
+    fd = _fd_jacobian(algebra, Z, V)
+    an = iota_jacobian(algebra, Z)
+    assert np.all(np.abs(fd - an) / np.abs(an) < 1e-6)
 
 
 def linear_det(rows):
@@ -328,4 +392,4 @@ def test_random_interval_points_are_in_interval(algebra):
     rng = random.Random(14)
     for _ in range(20):
         v = random_interval_point(rng, algebra)
-        assert in_interval(v.as_float())
+        assert np.all(np.abs(spectral(algebra, v.as_array())) < 1)

@@ -4,9 +4,10 @@ import json
 import os
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from rclab.algebra import get_algebra, det, iota
+from rclab.algebra import get_algebra, det, iota, spectral
 from rclab.brackets import (
     compute_c, compute_C,
     jacobi_classical, jacobi_proportionality,
@@ -201,9 +202,8 @@ def test_iota_factorization_rank1_v0():
     c = compute_c(alg, 1)
     lam, mu = Fraction(5), Fraction(2)
     spec = c.specialize(lam, mu)
-    eta = alg.element((1.7,))
-    x, y = iota(eta, alg.element((0.0,)))
-    lhs = c.evaluate_specialized(spec, x, y)
+    x, y = iota(alg, np.array([[1.7]]), np.array([[0.0]]))
+    lhs = c.evaluate_specialized(spec, alg.element(x[0]), alg.element(y[0]))
     assert abs(lhs - 1.7 * (5 - 2) / 2) < 1e-12
 
 
@@ -234,10 +234,7 @@ def test_diag_element():
     s2 = get_algebra("sym2")
     assert _diag_coords(s2, [[1.5, -0.5]]).tolist() == [[1.5, -0.5, 0.0]]
     sp = get_algebra("spin4")
-    v = sp.element(tuple(_diag_coords(sp, [[1.0, 3.0]])[0]))
-    from rclab.algebra import spectral
-
-    lams, _ = spectral(v.as_float())
+    lams = spectral(sp, _diag_coords(sp, [[1.0, 3.0]]))[0]
     assert abs(lams[0] - 1.0) < 1e-14 and abs(lams[1] - 3.0) < 1e-14
 
 

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rclab.algebra import ALGEBRA_NAMES, get_algebra, det, quad_rep, quad_rep_matrix
+from rclab.algebra import (
+    ALGEBRA_NAMES, get_algebra, det, quad_rep, quad_rep_matrix, quad_rep_matrices,
+)
 from rclab.brackets import compute_c, compute_C
 from rclab.cli import K_CAPS
 from rclab.poly import Poly
@@ -109,7 +111,7 @@ def test_quad_rep_matrix_is_the_column_by_column_matrix(name, data):
                for j in range(alg.n)]
     want = [[columns[j].coords[i] for j in range(alg.n)] for i in range(alg.n)]
     assert quad_rep_matrix(x) == want
-    got = np.array(quad_rep_matrix(x.as_float()))
+    got = quad_rep_matrices(alg, x.as_array())[0]
     assert np.allclose(got, np.array(want, dtype=float), rtol=1e-12, atol=1e-12)
 
 

@@ -267,6 +267,18 @@ def test_gram_sym2():
     assert csv.splitlines()[0] == "k,l,value"
 
 
+def test_gram_ratio_survives_a_diagonal_product_past_the_float_range():
+    # at lambda = 600 the diagonal entries reach 1e175 and 1e179, whose
+    # product overflows to inf and made every ratio 0.0
+    rep = gram_matrix(get_algebra("rank1"), 600.0, 1.0, 4)
+    G = rep.matrix
+    assert math.isinf(G[0][0] * G[4][4])
+    want = abs(G[0][4]) / (math.sqrt(G[0][0]) * math.sqrt(G[4][4]))
+    got = next(r["ratio"] for r in rep.off_diagonal_ratios if (r["k"], r["l"]) == (0, 4))
+    assert got > 0 and abs(got - want) <= 1e-12 * want
+    assert rep.max_off_diagonal_ratio >= got
+
+
 def test_gram_matrix_symmetric():
     rep = gram_matrix(get_algebra("rank1"), 2.0, 1.0, 3)
     G = rep.matrix
@@ -340,14 +352,14 @@ def fresh_chart_rule():
 
 @pytest.mark.parametrize("check", SYM2_CHART_CHECKS)
 def test_sym2_chart_checks_fail_on_a_scaled_chart(check, monkeypatch, fresh_chart_rule):
-    # a 1e-3 scale error in iota moves both sides apart by about 1e-3
-    iota = quadrature._sym2_iota
+    # a 1e-3 scale error in P(z^{1/2}), w = P(z^{1/2}) v, changes the chart's
+    # volume by about 3e-3 and moves both sides apart by as much
+    quad_rep_matrices = quadrature.quad_rep_matrices
 
-    def scaled(zc, vc):
-        x, y = iota(zc, vc)
-        return 1.001 * x, 1.001 * y
+    def scaled(algebra, X):
+        return 1.001 * quad_rep_matrices(algebra, X)
 
-    monkeypatch.setattr(quadrature, "_sym2_iota", scaled)
+    monkeypatch.setattr(quadrature, "quad_rep_matrices", scaled)
     rep = check(get_algebra("sym2"))
     assert not rep["pass"] and rep["residual"] > rep["tolerance"], rep
 
@@ -355,8 +367,8 @@ def test_sym2_chart_checks_fail_on_a_scaled_chart(check, monkeypatch, fresh_char
 @pytest.mark.parametrize("check", SYM2_CHART_CHECKS)
 def test_sym2_chart_checks_fail_without_the_det_factor(check, monkeypatch,
                                                       fresh_chart_rule):
-    monkeypatch.setattr(quadrature, "_sym2_iota_jacobian",
-                        lambda zc: np.full(len(zc), 2.0 ** -3))
+    monkeypatch.setattr(quadrature, "iota_jacobian",
+                        lambda algebra, zc: np.full(len(zc), 2.0 ** -3))
     rep = check(get_algebra("sym2"))
     assert not rep["pass"] and rep["residual"] > rep["tolerance"], rep
 
@@ -372,18 +384,19 @@ def test_sym2_chart_checks_fail_on_nan(check, monkeypatch, fresh_chart_rule):
 def test_check_all_sym2_runs_the_chart_inner_loop_once(tmp_path, monkeypatch,
                                                        fresh_chart_rule):
     # both sym2 chart checks integrate over the same ball, so they share one
-    # rhs rule: its 1,000-node v loop runs once per process, not once per check
+    # rhs rule: its chart matrices, and with them its 1,000-node v loop, are
+    # built once per process, not once per check
     from rclab.cli import main
 
-    iota = quadrature._sym2_iota
+    quad_rep_matrices = quadrature.quad_rep_matrices
     calls = []
 
-    def counted(zc, vc):
-        calls.append(len(zc))
-        return iota(zc, vc)
+    def counted(algebra, X):
+        calls.append(len(X))
+        return quad_rep_matrices(algebra, X)
 
-    monkeypatch.setattr(quadrature, "_sym2_iota", counted)
+    monkeypatch.setattr(quadrature, "quad_rep_matrices", counted)
     code = main(["check", "all", "--algebra", "sym2", "--cache-dir", str(tmp_path),
                  "--output", str(tmp_path / "all.json")])
     assert code == 0
-    assert 0 < len(calls) <= 1000, len(calls)
+    assert len(calls) == 1 and calls[0] > 0, calls
