@@ -2,7 +2,8 @@
 
 ``compute_c`` runs the Rodrigues pipeline (determinant operator applied to
 det-power weights, then exact extraction), one power of the operator per
-step from c(k-1) to c(k), and caches every step on disk;
+step from c(k-1) to c(k) in the pencil coordinates of ``rclab.sympoly``,
+and caches the c(k) it returns on disk;
 ``compute_C`` restricts the two-slot polynomial to the interval chart
 x -> (e - x)/2, y -> (e + x)/2, producing the one-variable-slot family that
 generalizes the Jacobi polynomials (and reduces to them exactly in rank 1).
@@ -49,6 +50,9 @@ __all__ = [
 
 CACHE_FORMAT = 1
 _memory_cache: dict = {}
+# algebra name -> [c(0), c(1), ...] times (det x)^s (det y)^t, in the pencil
+# coordinates: the in-process chain each build extends
+_pencils: dict = {}
 
 
 def _cache_path(cache_dir, algebra, k):
@@ -73,13 +77,15 @@ def compute_c(algebra: JordanAlgebra, k: int,
               cache_dir: str | None = None) -> BracketPolynomial:
     """The k-th bracket polynomial c(k)_{s,t} for the given algebra.
 
-    c(k) is built from c(k-1), which this function itself returns, by
-    one application of the determinant operator D.  Results are memoized
+    c(k) comes from memory, else from ``cache_dir``, else from a build.  A
+    build extends the in-process chain of pencil forms from c(0) = 1, one
+    application of the determinant operator D per step,
+    c(k) = det(x)^-s det(y)^-t D[det(x)^(s+1) det(y)^(t+1) c(k-1)_{s+1,t+1}],
+    and expands only c(k) to x, y monomials.  Results are memoized
     in-process and, when ``cache_dir`` is given, persisted as versioned JSON
-    (written atomically so concurrent readers never see a torn file), so
-    building c(k) also writes any missing c(j < k) file.  A cache file that
-    does not hold this algebra's c(k) in the current format is a miss and is
-    rewritten.
+    (written atomically so concurrent readers never see a torn file).  A
+    cache file that does not hold this algebra's c(k) in the current format
+    is a miss and is rewritten.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -90,13 +96,10 @@ def compute_c(algebra: JordanAlgebra, k: int,
         poly = _load_cached(path, algebra, k)
     computed = poly is None
     if computed:
-        if k == 0:
-            expr = SymExpr.det_power_seed(algebra, 0, 0)
-        else:
-            # c(k)_{s,t} = det(x)^-s det(y)^-t D[det(x)^(s+1) det(y)^(t+1) c(k-1)_{s+1,t+1}]
-            prev = compute_c(algebra, k - 1, cache_dir)
-            expr = apply_D_power(SymExpr.shifted_weight(prev), 1)
-        poly = extract_bracket_polynomial(expr, k)
+        chain = _pencils.setdefault(algebra.name, [SymExpr.det_power_seed(algebra, 0, 0)])
+        while len(chain) <= k:
+            chain.append(apply_D_power(SymExpr.shifted_weight(chain[-1]), 1))
+        poly = extract_bracket_polynomial(chain[k], k)
     _memory_cache[mem_key] = poly
     if path and (computed or not os.path.exists(path)):
         os.makedirs(cache_dir, exist_ok=True)
@@ -265,10 +268,9 @@ def check_iota_factorization(algebra: JordanAlgebra, k: int, samples: int = 20,
         C = compute_C(algebra, k, lam, mu, cache_dir)
         etas, vs = random_chart_points(rng, algebra, samples)
         xs, ys = iota(algebra, etas, vs)
-        for point in zip(etas.tolist(), vs.tolist(), xs.tolist(), ys.tolist()):
-            eta, v, x, y = map(algebra.element, point)
-            lhs = c.evaluate_specialized(spec, x, y)
-            rhs = float(det(eta)) ** k * float(C.evaluate(v))
+        lhss = spec.numeric(np.hstack([xs, ys]))
+        rhss = algebra.det_poly.numeric(etas) ** k * C.poly.numeric(vs)
+        for lhs, rhs in zip(lhss.tolist(), rhss.tolist()):
             scale = max(abs(lhs), abs(rhs), 1e-30)
             rows.append({"lam": str(lam), "mu": str(mu),
                          "residual": abs(lhs - rhs) / scale})

@@ -1,35 +1,38 @@
-"""Exact symbolic calculus for the Rodrigues construction.
+"""Exact symbolic calculus for the Rodrigues construction, in pencil coordinates.
 
-The expressions handled here are finite sums of terms
+Write det(x + tau y) = sum_j tau^j Delta_j(x, y), j = 0..r, so Delta_0 =
+det x and Delta_r = det y.  D = det(d/dx - d/dy) and the brackets c(k)_{s,t}
+are relative invariants of the pencil (x, y) under the structure group, and
+on functions of Delta_0..Delta_r, D acts as the order-r operator
+L = sum_{1 <= |beta| <= r} T_beta(Delta) d_Delta^beta, each T_beta of
+Delta-degree |beta| - 1.  The recursion runs on sums of terms
+coef(s, t) Delta_0^(s+e_0) Delta_1^e_1 ... Delta_r^(t+e_r), coef in Q[s, t].
 
-    coef(s, t) * x^alpha * y^beta * (det x)^(s+a) * (det y)^(t+b)
+L is derived once per algebra from exact jets.  At p = (x0, y0),
+(d/dx - d/dy)^gamma f(p) = d_u^gamma f(x0 + u, y0 - u) at u = 0, so
+sum_beta T_beta(p) w^beta = det(grad_u) exp(sum_j w_j (Delta_j(p + (u, -u))
+- Delta_j(p))) at u = 0, which Faa di Bruno's formula expands over the set
+partitions of the r derivatives of each monomial of det.  Each T_beta is
+fitted in the Delta-monomials of degree |beta| - 1 at seeded integer points
+of a Jordan frame, by exact integer elimination; a fit point that disagrees
+raises, and so does a generic point off the frame where L misses the jets,
+which certifies the invariance the fit assumes.
 
-with coef a polynomial in the two parameters (s, t), alpha/beta monomials
-in the n coordinates of each slot, and integer offsets a, b.  This class of
-expressions is closed under the partial derivatives d/dx_i, d/dy_i, which
-is all the determinant-operator pipeline needs.
-
-No floating point enters anywhere, and the engine runs over the integers.
-A ``SymExpr`` holds coefficients in Z[s, t] and a power of two, 2^scale,
-that its value is divided by.  The trace-form derivation in coordinate i
-is d/dz_i / gram_i with gram_i in {1, 2}, and det(d/dx - d/dy) has order
-r, so 2^r times it is an integral combination of plain partial
-derivatives: the derivation tables, the determinant powers and the
-operator monomials are all integral.  Every determinant has leading
-coefficient +-1 in lex order, so the exact divisions of the extraction
-stay in Z and are remainder-checked.  At the boundary c(k) becomes a
-``BracketPolynomial``, whose ``Poly`` is an integer Z[s,t] table over
-2^(rk).  Polynomiality of the extracted bracket is certified, not
-approximated.  Every operation is deterministic, independent of any
-evaluation schedule.
+Extraction strips Delta_0^s Delta_r^t.  The Delta_j are algebraically
+independent, so a term left with a negative power of Delta_0 or Delta_r is
+no polynomial and raises ``NonzeroRemainder``, the analogue of a remainder
+in division by det.  Only the polynomial asked for is expanded back to x, y
+monomials.  No floating point enters anywhere.
 """
 
 from __future__ import annotations
 
-import heapq
+import itertools
+import math
+import random
 from fractions import Fraction
 from math import comb
-from operator import add, neg
+from operator import add, sub
 
 import numpy as np
 
@@ -46,42 +49,36 @@ __all__ = [
     "cayley_check",
 ]
 
+# seed of the fit and certificate points of every algebra's operator L
+_POINT_SEED = 2024
+
 
 class NonzeroRemainder(ArithmeticError):
-    """Exact division left a remainder; signals an implementation bug."""
+    """An exact certificate failed: a non-polynomial remainder, or an operator
+    fit that misses a point; signals an implementation bug."""
 
 
 # ---------------------------------------------------------------------------
-# Coefficient ring: plain dicts {(deg_s, deg_t): int} of Z[s, t]
+# Coefficient ring: plain dicts {(deg_s, deg_t): rational} of Q[s, t]
 
 
-def _c_iadd(acc, b, factor=1):
-    for k, v in b.items():
-        w = acc.get(k, 0) + v * factor
-        if w:
-            acc[k] = w
-        elif k in acc:
-            del acc[k]
-
-def _c_scale(a, f):
-    if not f:
-        return {}
-    return {k: v * f for k, v in a.items()}
-
-def _c_mul_linear(a, var, const):
-    """Multiply by (s + const) or (t + const): var is 0 for s, 1 for t."""
+def _c_mul(a, ps, pt):
+    """a(s, t) ps(s) pt(t), with ps and pt coefficient lists, lowest first."""
     out = {}
     for (i, j), v in a.items():
-        k = (i + 1, j) if var == 0 else (i, j + 1)
-        out[k] = out.get(k, 0) + v
-        if const:
-            k0 = (i, j)
-            w = out.get(k0, 0) + v * const
-            if w:
-                out[k0] = w
-            elif k0 in out:
-                del out[k0]
-    return {k: v for k, v in out.items() if v}
+        for p, x in enumerate(ps):
+            for q, y in enumerate(pt):
+                out[i + p, j + q] = out.get((i + p, j + q), 0) + v * x * y
+    return out
+
+
+def _falling(e, q):
+    """Coefficients of (x + e)(x + e - 1)...(x + e - q + 1), lowest first."""
+    p = [1]
+    for m in range(q):
+        p = [a * (e - m) + b for a, b in zip(p + [0], [0] + p)]
+    return p
+
 
 def _c_shift(a):
     """a(s + 1, t + 1)."""
@@ -98,48 +95,52 @@ def _c_shift(a):
 
 
 class SymExpr:
-    """Sum of coef(s,t) * monomial * (det x)^(s+a) (det y)^(t+b) terms.
+    """Sum of coef(s,t) * Delta_0^(s+e_0) Delta_1^e_1 ... Delta_r^(t+e_r) terms.
 
-    Internal storage: dict {(mono, a, b): coefdict} where mono is a tuple
-    of 2n exponents (x-slot first) and coefdict is a Z[s,t] dict; the
-    expression is that sum divided by 2**scale.  Terms with equal
-    (mono, a, b) are always merged; zero terms are dropped.
+    Internal storage: dict {(e_0, ..., e_r): coefdict} with coefdict a
+    Q[s,t] dict.  Terms with equal exponents are always merged; zero terms
+    are dropped.
     """
 
-    __slots__ = ("algebra", "terms", "scale")
+    __slots__ = ("algebra", "terms")
 
-    def __init__(self, algebra: JordanAlgebra, terms=None, scale: int = 0):
+    def __init__(self, algebra: JordanAlgebra, terms=None):
         self.algebra = algebra
         self.terms = terms if terms is not None else {}
-        self.scale = scale
 
     @classmethod
     def det_power_seed(cls, algebra: JordanAlgebra, a: int, b: int) -> "SymExpr":
         """The single term (det x)^(s+a) (det y)^(t+b)."""
-        mono = (0,) * (2 * algebra.n)
-        return cls(algebra, {(mono, a, b): {(0, 0): 1}})
+        return cls(algebra, {(a,) + (0,) * (algebra.r - 1) + (b,): {(0, 0): 1}})
 
     @classmethod
-    def shifted_weight(cls, poly: "BracketPolynomial") -> "SymExpr":
-        """(det x)^(s+1) (det y)^(t+1) c_{s+1,t+1}(x, y) for c = c(k).
+    def shifted_weight(cls, expr: "SymExpr") -> "SymExpr":
+        """(det x)^(s+1) (det y)^(t+1) c_{s+1,t+1} for c = c(k).
 
-        D applied to it and stripped of (det x)^s (det y)^t is c(k+1).  The
-        coefficients of c(k) lie in 2^(-rk) Z, and 2^(rk) is the scale.
+        ``expr`` is c(k) (det x)^s (det y)^t, as ``apply_D_power`` returns
+        it; D applied to the weight and stripped of (det x)^s (det y)^t is
+        c(k+1).
         """
-        scale = poly.algebra.r * poly.k
-        unit = 2**scale
-        if unit % poly.poly.den:
-            raise ValueError(f"{poly!r}: coefficients not in 2^-{scale} Z")
-        terms = {(mono, 1, 1): _c_shift({(i, j): p * (unit // q) for i, j, p, q in coef})
-                 for mono, coef in poly.poly.rows()}
-        return cls(poly.algebra, terms, scale)
+        terms = _polynomial_terms(expr, f"{expr.algebra.name} weight")
+        return cls(expr.algebra, {(e[0] + 1,) + e[1:-1] + (e[-1] + 1,): _c_shift(coef)
+                                  for e, coef in terms.items()})
 
     def num_terms(self):
         return len(self.terms)
 
     def __eq__(self, other):
         return (isinstance(other, SymExpr) and self.algebra is other.algebra
-                and self.scale == other.scale and self.terms == other.terms)
+                and self.terms == other.terms)
+
+
+def _polynomial_terms(expr, context):
+    """The terms of ``expr``, which must be a polynomial in Delta times
+    Delta_0^s Delta_r^t: a negative power of Delta_0 or Delta_r raises."""
+    bad = [e for e in expr.terms if e[0] < 0 or e[-1] < 0]
+    if bad:
+        raise NonzeroRemainder(f"{context}: remainder at Delta^{max(bad)}, "
+                               f"not divisible by det x or det y")
+    return expr.terms
 
 
 # ---------------------------------------------------------------------------
@@ -154,217 +155,252 @@ def _memo(algebra, attr, build):
     return value
 
 
-def _det_power_poly(algebra, p, slot):
-    """(det)^p as an integer monomial dict embedded in the 2n variables."""
-    cache = _memo(algebra, "_detpow_cache", dict)
-    key = (p, slot)
-    if key in cache:
-        return cache[key]
-    pad = (0,) * algebra.n
-    base = {}
+def _det_terms(algebra):
+    """(exponent tuple, int) per monomial of det."""
+    out = []
     for mono, c in algebra.det_poly.items():
         if c.denominator != 1:
             raise ValueError(f"{algebra.name}: det coefficient {c} is not an integer")
-        base[tuple(mono) + pad if slot == "x" else pad + tuple(mono)] = int(c)
-    out = {(0,) * (2 * algebra.n): 1}
-    for _ in range(p):
-        nxt = {}
-        for m1, c1 in out.items():
-            for m2, c2 in base.items():
-                m = _mono_mul(m1, m2)
-                w = nxt.get(m, 0) + c1 * c2
-                if w:
-                    nxt[m] = w
-                elif m in nxt:
-                    del nxt[m]
-        out = nxt
-    cache[key] = out
+        out.append((mono, int(c)))
     return out
 
 
-def _gradients(algebra):
-    """Plain partial derivative of det in each of the 2n coordinates.
+def _mul(a, b):
+    """Product of two {exponent tuple: int} polynomials."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(map(add, m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
 
-    Entry idx < n is d(det x)/dx_idx, entry n + i is d(det y)/dy_i, both
-    as integer monomial dicts in the 2n variables.
-    """
+
+def _pencil_tables(algebra):
+    """Delta_0..Delta_r as integer dicts over the 2n coordinates (x-slot
+    first): substitute z = x + tau y in det and split by the power of tau."""
     def build():
-        n = algebra.n
-        grads = []
-        for idx in range(2 * n):
-            det = _det_power_poly(algebra, 1, "x" if idx < n else "y")
-            grads.append({m[:idx] + (m[idx] - 1,) + m[idx + 1:]: c * m[idx]
-                          for m, c in det.items() if m[idx]})
-        return grads
+        tables = [{} for _ in range(algebra.r + 1)]
+        for mono, c in _det_terms(algebra):
+            # prod_i (x_i + tau y_i)^m_i: a_i of the m_i factors come from y
+            for a in itertools.product(*(range(m + 1) for m in mono)):
+                w = c * math.prod(map(comb, mono, a))
+                key = tuple(map(sub, mono, a)) + a
+                table = tables[sum(a)]
+                table[key] = table.get(key, 0) + w
+        return [{m: c for m, c in t.items() if c} for t in tables]
 
-    return _memo(algebra, "_int_grads", build)
+    return _memo(algebra, "_pencil_tables", build)
 
 
-def _operator_monomials(algebra):
-    """2^r det(d/dx - d/dy) in the trace-form derivations, over plain partials.
-
-    The trace-form derivation in coordinate i is d/dz_i / gram_i with
-    gram_i in {1, 2}; each monomial of det has order r, so 2^r times its
-    weight is an integer.  Returns {exponent tuple (2n): int}.
-    """
-    def build():
-        n = algebra.n
-        result = {}
-        for dmono, dcoef in algebra.det_poly.items():
-            w = dcoef * 2**algebra.r
-            for g, e in zip(algebra.gram, dmono):
-                w /= Fraction(g) ** e
-            # multiply out prod_i (xi_i - zeta_i)^{e_i}
-            partial = {(0,) * (2 * n): w}
-            for i, e in enumerate(dmono):
-                for _ in range(e):
-                    nxt = {}
-                    for mono, c in partial.items():
-                        m1 = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
-                        nxt[m1] = nxt.get(m1, 0) + c
-                        j = n + i
-                        m2 = mono[:j] + (mono[j] + 1,) + mono[j + 1:]
-                        nxt[m2] = nxt.get(m2, 0) - c
-                    partial = nxt
-            for mono, c in partial.items():
-                w = result.get(mono, 0) + c
-                if w:
-                    result[mono] = w
-                elif mono in result:
-                    del result[mono]
-        if any(c.denominator != 1 for c in result.values()):
-            raise ValueError(f"{algebra.name}: 2^r D is not integral")
-        return {mono: int(c) for mono, c in result.items()}
-
-    return _memo(algebra, "_op_monos", build)
+def _pencil_monomial(algebra, e):
+    """Delta_0^e_0 ... Delta_r^e_r over the 2n coordinates, cached."""
+    cache = _memo(algebra, "_pencil_products", dict)
+    if e not in cache:
+        j = next((j for j, ej in enumerate(e) if ej), None)
+        if j is None:
+            cache[e] = {(0,) * (2 * algebra.n): 1}
+        else:
+            lower = e[:j] + (e[j] - 1,) + e[j + 1:]
+            cache[e] = _mul(_pencil_monomial(algebra, lower), _pencil_tables(algebra)[j])
+    return cache[e]
 
 
 # ---------------------------------------------------------------------------
-# Derivations and the determinant operator
+# The operator L, from jets
 
 
-def _acc(out, key, coef, factor):
-    """out[key] += factor * coef, dropping the key when it cancels."""
-    acc = out.get(key)
-    if acc is None:
-        out[key] = {ij: v * factor for ij, v in coef.items()}
-    else:
-        _c_iadd(acc, coef, factor)
-        if not acc:
-            del out[key]
+def _set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        yield [(first,)] + part
+        for i in range(len(part)):
+            yield part[:i] + [(first,) + part[i]] + part[i + 1:]
 
 
-def _derivation(terms, algebra, idx, out=None, factor=1):
-    """Plain partial derivative in coordinate idx (0..n-1 in x, n..2n-1 in y).
+def _faa_di_bruno(algebra):
+    """det(grad_u) exp(g(u)) at u = 0, for any g with g(0) = 0, as
+    ([(gammas, weight)], scale, plan): the sum over the entries of
+    weight/scale * prod_gamma [u^gamma] g, with integer weights.
 
-    Adds ``factor`` times the derivative into ``out`` (a new dict by
-    default) and returns it.
+    grad_u is the trace-form gradient d/du_i / gram_i.  For each monomial of
+    det and each set partition of its r derivatives, a block of multi-index
+    gamma takes gamma! [u^gamma] g.  ``plan`` lists, for gamma = 0 and each
+    block, the terms c_m prod_i C(m_i, gamma_i) and exponents m - gamma of
+    the monomials m of det that ``_jets`` differentiates to order gamma.
     """
-    in_x = idx < algebra.n
-    grad = _gradients(algebra)[idx]
-    out = {} if out is None else out
-    for (mono, a, b), coef in terms.items():
-        e = mono[idx]
-        if e:
-            _acc(out, (mono[:idx] + (e - 1,) + mono[idx + 1:], a, b), coef, e * factor)
-        # (s+a) (det x)^(s+a-1) d(det x)/dx_idx, or the same in y
-        if in_x:
-            shifted, a1, b1 = _c_mul_linear(coef, 0, a), a - 1, b
-        else:
-            shifted, a1, b1 = _c_mul_linear(coef, 1, b), a, b - 1
-        if shifted:
-            for gmono, gc in grad.items():
-                _acc(out, (_mono_mul(mono, gmono), a1, b1), shifted, gc * factor)
+    def build():
+        n, det = algebra.n, _det_terms(algebra)
+        table = {}
+        for mono, c in det:
+            w = c / math.prod(Fraction(g) ** e for g, e in zip(algebra.gram, mono))
+            positions = [i for i, e in enumerate(mono) for _ in range(e)]
+            for part in _set_partitions(list(range(len(positions)))):
+                key = tuple(sorted(tuple(sum(positions[p] == i for p in block) for i in range(n))
+                                   for block in part))
+                weight = w * math.prod(math.factorial(x) for gamma in key for x in gamma)
+                table[key] = table.get(key, 0) + weight
+        scale = math.lcm(1, *(w.denominator for w in table.values()))
+        plan = [(gamma, [(c * math.prod(map(comb, mono, gamma)), tuple(map(sub, mono, gamma)))
+                         for mono, c in det if all(map(int.__ge__, mono, gamma))])
+                for gamma in sorted({(0,) * n} | {g for key in table for g in key})]
+        return [(key, int(w * scale)) for key, w in table.items() if w], scale, plan
+
+    return _memo(algebra, "_faa_di_bruno", build)
+
+
+def _jets(algebra, point):
+    """{gamma: [u^gamma] Delta_j(x0 + u, y0 - u) for j = 0..r} at the integer
+    point (x0, y0), for gamma = 0 (the values Delta_j(p)) and every block of
+    ``_faa_di_bruno``.
+
+    Delta_j(x0 + u, y0 - u) is the tau^j coefficient of
+    det(a + (1 - tau) u), a = x0 + tau y0, and [u^gamma] det(a + v) is
+    sum_m c_m prod_i C(m_i, gamma_i) a_i^(m_i - gamma_i).
+    """
+    n, r = algebra.n, algebra.r
+    powers = [[np.array([1], dtype=object)] for _ in range(n)]
+    for i, _ in itertools.product(range(n), range(r)):
+        powers[i].append(np.convolve(powers[i][-1], [point[i], point[n + i]]))
+    out = {}
+    for gamma, terms in _faa_di_bruno(algebra)[2]:
+        acc = np.zeros(r + 1, dtype=object)
+        for c, rest in terms:
+            term = np.array([c], dtype=object)
+            for i, e in enumerate(rest):
+                if e:
+                    term = np.convolve(term, powers[i][e])
+            acc[:len(term)] += term
+        for _ in range(sum(gamma)):
+            acc = np.convolve(acc, [1, -1])
+        out[gamma] = acc[:r + 1].tolist()
     return out
 
 
-def _apply_operator(terms, algebra, ops):
-    """Sum of c * d^alpha(terms) over ops {alpha: c}.
+def _symbol(algebra, jets):
+    """{beta: scale * T_beta(p)} from the jets at p (see ``_faa_di_bruno``)."""
+    zero = (0,) * (algebra.r + 1)
+    out = {}
+    for key, weight in _faa_di_bruno(algebra)[0]:
+        poly = {zero: weight}
+        for gamma in key:
+            form = [(j, v) for j, v in enumerate(jets[gamma]) if v]
+            nxt = {}
+            for beta, c in poly.items():
+                for j, v in form:
+                    b = beta[:j] + (beta[j] + 1,) + beta[j + 1:]
+                    nxt[b] = nxt.get(b, 0) + c * v
+            poly = nxt
+        for beta, c in poly.items():
+            out[beta] = out.get(beta, 0) + c
+    return out
 
-    Each alpha is a sequence of derivations; sequences are walked in sorted
-    order, so a derivative shared by several monomials as a prefix is
-    computed once, and the last derivation of each adds straight into the
-    total.
+
+def _exponents(count, degree):
+    """Exponent tuples of ``count`` variables with the given total degree."""
+    return [e for e in itertools.product(range(degree + 1), repeat=count)
+            if sum(e) == degree]
+
+
+def _solve(a, b, context):
+    """X with a X = b, exactly, for integer matrices a (rows >= columns) and b.
+
+    Fraction-free elimination: each row step stays over the integers and is
+    divided by the gcd of the row.  A column without pivot (a singular fit)
+    and a row beyond the pivots with a nonzero right side (a fit point that
+    disagrees) raise ``NonzeroRemainder``.
     """
-    seqs = sorted((tuple(i for i, e in enumerate(alpha) for _ in range(e)), c)
-                  for alpha, c in ops.items())
-    total = {}
-    stack = [((), terms)]      # derivatives along the current prefix
-    for seq, c in seqs:
-        while seq[:len(stack[-1][0])] != stack[-1][0]:
-            stack.pop()
-        while len(stack[-1][0]) < len(seq) - 1:
-            prefix, cur = stack[-1]
-            idx = seq[len(prefix)]
-            stack.append((prefix + (idx,), _derivation(cur, algebra, idx)))
-        _derivation(stack[-1][1], algebra, seq[-1], total, c)
-    return total
+    m = np.array([list(ra) + list(rb) for ra, rb in zip(a, b)], dtype=object)
+    rows, cols = len(a), len(a[0])
+    for c in range(cols):
+        pivots = [i for i in range(c, rows) if m[i, c]]
+        if not pivots:
+            raise NonzeroRemainder(f"{context}: the fit is singular")
+        m[[c, pivots[0]]] = m[[pivots[0], c]]
+        pivot = m[c].copy()
+        for i in range(rows):
+            if i != c and m[i, c]:
+                row = m[i] * pivot[c] - pivot * m[i, c]
+                m[i] = row // (math.gcd(*row.tolist()) or 1)
+    if any(m[cols:, cols:].ravel().tolist()):
+        raise NonzeroRemainder(f"{context}: a fit point disagrees")
+    return [[Fraction(v, m[i, i]) for v in m[i, cols:].tolist()] for i in range(cols)]
+
+
+def _pencil_operator(algebra):
+    """L as [(beta, [(alpha, coefficient)])]: D acts on functions of Delta as
+    sum_beta T_beta(Delta) d_Delta^beta, T_beta = sum_alpha coefficient Delta^alpha.
+
+    Fitted at C(2r-1, r) + r integer points of a Jordan frame (only the
+    first r coordinates of each slot nonzero), then certified at two
+    generic integer points.
+    """
+    def build():
+        n, r = algebra.n, algebra.r
+        scale = _faa_di_bruno(algebra)[1]
+        rng = random.Random(_POINT_SEED)
+
+        def frame():
+            return tuple(rng.randint(-4, 4) for _ in range(r)) + (0,) * (n - r)
+
+        fit = [frame() + frame() for _ in range(comb(2 * r - 1, r) + r)]
+        generic = [tuple(rng.randint(-3, 3) for _ in range(2 * n)) for _ in range(2)]
+        samples = []
+        for point in fit + generic:
+            jets = _jets(algebra, point)
+            samples.append((jets[(0,) * n], _symbol(algebra, jets)))
+        fit, generic = samples[:len(fit)], samples[len(fit):]
+        operator = []
+        for q in range(1, r + 1):
+            alphas, betas = _exponents(r + 1, q - 1), _exponents(r + 1, q)
+            context = f"{algebra.name} operator, order {q}"
+            x = _solve([[math.prod(map(pow, delta, al)) for al in alphas] for delta, _ in fit],
+                       [[sym.get(be, 0) for be in betas] for _, sym in fit], context)
+            for col, beta in enumerate(betas):
+                coefs = [(al, x[row][col]) for row, al in enumerate(alphas) if x[row][col]]
+                for delta, sym in generic:
+                    if sum(v * math.prod(map(pow, delta, al)) for al, v in coefs) != sym.get(beta, 0):
+                        raise NonzeroRemainder(f"{context}: the certificate fails at {beta}")
+                if coefs:
+                    operator.append((beta, [(al, v / scale) for al, v in coefs]))
+        return operator
+
+    return _memo(algebra, "_pencil_operator", build)
+
+
+def _apply_pencil_operator(terms, algebra):
+    """L applied to {exponents: coefdict}: d_Delta^beta of each term, times T_beta."""
+    r, operator = algebra.r, _pencil_operator(algebra)
+    out = {}
+    for e, coef in terms.items():
+        for beta, t_beta in operator:
+            mid = math.prod(math.perm(e[j], beta[j]) for j in range(1, r))
+            if not mid:
+                continue
+            c = _c_mul(coef, _falling(e[0], beta[0]), _falling(e[r], beta[r]))
+            base = tuple(map(sub, e, beta))
+            for alpha, v in t_beta:
+                acc = out.setdefault(tuple(map(add, base, alpha)), {})
+                for ij, w in c.items():
+                    acc[ij] = acc.get(ij, 0) + w * v * mid
+    out = {e: {ij: w for ij, w in c.items() if w} for e, c in out.items()}
+    return {e: c for e, c in out.items() if c}
 
 
 def apply_D_power(expr: SymExpr, k: int) -> SymExpr:
-    """Apply det(d/dx - d/dy)^k, expanded via the algebra's det polynomial."""
+    """Apply det(d/dx - d/dy)^k, as the algebra's pencil operator L."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    algebra = expr.algebra
-    ops = _operator_monomials(algebra)
     terms = expr.terms
     for _ in range(k):
-        terms = _apply_operator(terms, algebra, ops)
-    return SymExpr(algebra, terms, expr.scale + algebra.r * k)
+        terms = _apply_pencil_operator(terms, expr.algebra)
+    return SymExpr(expr.algebra, terms)
 
 
 # ---------------------------------------------------------------------------
-# Polynomial extraction: common denominator + exact division
-
-
-def _divide(num, divisor, context=""):
-    """Divide {mono: coefdict} by {mono: int} over Z: num = quot * divisor + rem.
-
-    Lex order on exponent tuples; no monomial of ``rem`` is divisible by the
-    divisor's leading monomial.  That leading coefficient is +-1 for every
-    implemented determinant, so the quotient stays integral.
-    """
-    lead_div = max(divisor)
-    cd = divisor[lead_div]
-    if cd not in (1, -1):
-        raise ValueError(f"{context}: leading coefficient {cd} is not +-1")
-    work = {m: dict(c) for m, c in num.items()}
-    heap = [tuple(map(neg, m)) for m in work]
-    heapq.heapify(heap)
-    quot, rem = {}, {}
-    while work:
-        while heap:
-            m = tuple(map(neg, heap[0]))
-            if m in work:
-                break
-            heapq.heappop(heap)
-        lead = m
-        if any(a < b for a, b in zip(lead, lead_div)):
-            rem[lead] = work.pop(lead)
-            continue
-        qmono = tuple(a - b for a, b in zip(lead, lead_div))
-        qcoef = _c_scale(work[lead], cd)      # 1/cd == cd
-        quot[qmono] = qcoef
-        for dm, dc in divisor.items():
-            tgt = _mono_mul(qmono, dm)
-            acc = work.get(tgt)
-            if acc is None:
-                acc = {}
-                work[tgt] = acc
-                heapq.heappush(heap, tuple(map(neg, tgt)))
-            _c_iadd(acc, qcoef, -dc)
-            if not acc:
-                del work[tgt]
-    return quot, rem
-
-
-def _exact_divide(num, divisor, context=""):
-    """The quotient of ``_divide``; a nonzero remainder raises."""
-    quot, rem = _divide(num, divisor, context)
-    if rem:
-        raise NonzeroRemainder(f"{context}: remainder at {max(rem)}, "
-                               f"not divisible by {max(divisor)}")
-    return quot
+# Polynomial extraction
 
 
 class BracketPolynomial:
@@ -437,70 +473,25 @@ class BracketPolynomial:
                 f"{self.num_monomials()} monomials)")
 
 
-def _mono_mul(m1, m2):
-    return tuple(map(add, m1, m2))
-
-
-def _clear_negative_layers(terms, algebra, slot, context):
-    """Eliminate negative det-power offsets in one slot.
-
-    ``terms`` is {(mono, a, b): coefdict}.  The layer with the most
-    negative offset, L = sum_b P_b det_other^(b - bmin), is divisible by
-    det once: modulo det the whole expression reduces to that single
-    layer, the total is a polynomial, and det_x is coprime to det_y.  Each
-    P_b is divided by det on its own, P_b = Q_b det + R_b, and Q_b re-enters
-    one layer up at the same b.  No monomial of any R_b is divisible by
-    the leading monomial of det, nor of sum_b R_b det_other^(b - bmin),
-    which is L minus a multiple of det; a multiple of det with that
-    property is zero, and the check that it is zero certifies the step.
-    """
-    primary = 0 if slot == "x" else 1   # index of the offset being cleared
-    det_this = _det_power_poly(algebra, 1, slot)
-    other_slot = "y" if slot == "x" else "x"
-    while True:
-        amin = min((key[1 + primary] for key in terms), default=0)
-        if amin >= 0:
-            return terms
-        parts = {}          # b -> P_b
-        for key in [key for key in terms if key[1 + primary] == amin]:
-            parts.setdefault(key[2 - primary], {})[key[0]] = terms.pop(key)
-        bmin = min(parts)
-        leftover = {}
-        for b, part in parts.items():
-            quot, rem = _divide(part, det_this, f"{context} layer {slot}^{amin}")
-            for m, coef in quot.items():
-                _acc(terms, (m, amin + 1, b) if primary == 0 else (m, b, amin + 1),
-                     coef, 1)
-            for m, coef in rem.items():
-                for dm, dc in _det_power_poly(algebra, b - bmin, other_slot).items():
-                    _acc(leftover, _mono_mul(m, dm), coef, dc)
-        if leftover:
-            raise NonzeroRemainder(f"{context} layer {slot}^{amin}: remainder at "
-                                   f"{max(leftover)}, not divisible by det {slot}")
-
-
 def extract_bracket_polynomial(expr: SymExpr, k: int) -> BracketPolynomial:
-    """Strip (det x)^s (det y)^t and certify the result is a polynomial.
+    """Strip (det x)^s (det y)^t and expand the rest in x, y monomials.
 
     The input is D applied to a det-power weight, such as D^k applied to
-    the seed with offsets a = b = k.  Residual negative offsets are cleared
-    layer by layer with exact divisions; a nonzero remainder would mean the
-    operator expansion (not the construction) is wrong, so it raises.  The
-    integer table is divided by 2^scale.
+    the seed with offsets a = b = k.  A term left with a negative power of
+    det x or det y means the operator (not the construction) is wrong, so
+    it raises.
     """
     algebra = expr.algebra
-    context = f"{algebra.name} k={k}"
-    terms = {key: dict(coef) for key, coef in expr.terms.items()}
-    terms = _clear_negative_layers(terms, algebra, "x", context)
-    terms = _clear_negative_layers(terms, algebra, "y", context)
+    terms = _polynomial_terms(expr, f"{algebra.name} k={k}")
+    den = math.lcm(1, *(Fraction(v).denominator for c in terms.values() for v in c.values()))
     out = {}
-    for (mono, a, b), coef in terms.items():
-        for mx, cx in _det_power_poly(algebra, a, "x").items():
-            mxy = _mono_mul(mono, mx)
-            for my, cy in _det_power_poly(algebra, b, "y").items():
-                _acc(out, _mono_mul(mxy, my), coef, cx * cy)
-    return BracketPolynomial(algebra, k, Poly.from_terms(out, 2 * algebra.n,
-                                                         2**expr.scale))
+    for e, coef in terms.items():
+        coef = {ij: int(v * den) for ij, v in coef.items()}
+        for mono, c in _pencil_monomial(algebra, e).items():
+            acc = out.setdefault(mono, {})
+            for ij, v in coef.items():
+                acc[ij] = acc.get(ij, 0) + v * c
+    return BracketPolynomial(algebra, k, Poly.from_terms(out, 2 * algebra.n, den))
 
 
 # ---------------------------------------------------------------------------
@@ -510,30 +501,15 @@ def extract_bracket_polynomial(expr: SymExpr, k: int) -> BracketPolynomial:
 def cayley_check(algebra: JordanAlgebra, m: int) -> Fraction:
     """det(d/dx)(det x)^m / (det x)^(m-1), which must be a constant.
 
-    A non-constant quotient (or a remainder) indicates a gradient-convention
-    bug in the derivation tables.  For sym(2) the value is m(m + 1/2).  It
-    runs on the operator tables of ``apply_D_power``, keeping the monomials
-    with no y-derivative: 2^r det(d/dx).
+    It is L applied to Delta_0^m at s = t = 0; anything but a single term
+    c Delta_0^(m-1) raises.  For sym(2) the value is m(m + 1/2).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    n = algebra.n
-    ops = {alpha: c for alpha, c in _operator_monomials(algebra).items()
-           if not any(alpha[n:])}
-    seed = {((0,) * (2 * n), m, 0): {(0, 0): 1}}
-    # specialize s = 0: surviving terms all have det-exponent >= 0
-    plain = {}
-    for (mono, a, b), coef in _apply_operator(seed, algebra, ops).items():
-        v = coef.get((0, 0))
-        if not v:
-            continue
-        if a < 0:
-            raise NonzeroRemainder(f"negative det power {a} survived at s=0")
-        for mx, cx in _det_power_poly(algebra, a, "x").items():
-            _acc(plain, _mono_mul(mono, mx), {(0, 0): v}, cx)
-    divisor = _det_power_poly(algebra, m - 1, "x")
-    quot = _exact_divide(plain, divisor, f"cayley {algebra.name} m={m}")
-    zero = (0,) * (2 * n)
-    if set(quot) != {zero}:
-        raise NonzeroRemainder(f"cayley quotient not constant: {sorted(quot)[:3]}")
-    return Fraction(quot[zero].get((0, 0), 0), 2**algebra.r)
+    expr = apply_D_power(SymExpr.det_power_seed(algebra, m, 0), 1)
+    values = {e: coef[(0, 0)] for e, coef in expr.terms.items() if coef.get((0, 0))}
+    want = (m - 1,) + (0,) * algebra.r
+    if set(values) != {want}:
+        raise NonzeroRemainder(f"cayley {algebra.name} m={m}: L det^m is not a "
+                               f"multiple of det^(m-1): {sorted(values)[:3]}")
+    return Fraction(values[want])

@@ -1,24 +1,23 @@
-"""The exact symbolic engine: derivations, operator powers, extraction."""
+"""The exact symbolic engine: the pencil operator L, its powers, extraction."""
 
 import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from rclab.algebra import get_algebra
+import rclab.sympoly as S
+from rclab.algebra import get_algebra, rank_one, sym
 from rclab.poly import Poly
 from rclab.sympoly import (
     SymExpr, BracketPolynomial, NonzeroRemainder,
     apply_D_power, extract_bracket_polynomial, cayley_check,
-    _derivation, _det_power_poly, _exact_divide,
+    _pencil_operator, _pencil_tables,
 )
 
 
-def coefficient(expr, mono, a, b):
-    """The Q[s,t] coefficient of x^mono (det x)^(s+a) (det y)^(t+b) in expr."""
-    coef = expr.terms.get((tuple(mono), a, b), {})
-    return {key: Fraction(v, 2**expr.scale) for key, v in coef.items()}
+def coefficient(expr, e):
+    """The Q[s,t] coefficient of Delta_0^(s+e_0) ... Delta_r^(t+e_r) in expr."""
+    return {key: Fraction(v) for key, v in expr.terms.get(tuple(e), {}).items()}
 
 
 def coefs(c):
@@ -27,38 +26,89 @@ def coefs(c):
             for m, coef in c.poly.rows()}
 
 
+def operator(alg):
+    """L as {beta: {alpha: coefficient of Delta^alpha in T_beta}}."""
+    return {beta: dict(t_beta) for beta, t_beta in _pencil_operator(alg)}
+
+
 # ---------------------------------------------------------------------------
-# Derivation: plain partials, the trace-form derivation divided by gram_i
+# The pencil tables and the operator L
 
 
-def test_diff_rank1_power_rule():
-    alg = get_algebra("rank1")
-    e = SymExpr.det_power_seed(alg, 1, 0)   # x^{s+1}
-    d = _derivation(e.terms, alg, 0)
-    # (s+1) x^{s}
-    assert d == {((0, 0), 0, 0): {(1, 0): 1, (0, 0): 1}}
+def test_sym2_pencil_tables():
+    # det(x + tau y) for 2 x 2 symmetric matrices, coordinates (11, 22, 12)
+    x11, x22, x12, y11, y22, y12 = ((0,) * i + (1,) + (0,) * (5 - i) for i in range(6))
+
+    def mono(*factors):
+        return tuple(map(sum, zip(*factors)))
+
+    assert _pencil_tables(get_algebra("sym2")) == [
+        {mono(x11, x22): 1, mono(x12, x12): -1},
+        {mono(x11, y22): 1, mono(x22, y11): 1, mono(x12, y12): -2},
+        {mono(y11, y22): 1, mono(y12, y12): -1},
+    ]
 
 
-def test_diff_sym2_det_gradient_is_adjugate():
-    # d/dx (det x)^{s+1}: gradient components (x22, x11, -x12) in the
-    # trace-form convention, which halves the plain partial in x12
-    alg = get_algebra("sym2")
-    e = SymExpr.det_power_seed(alg, 1, 0)
-    d11 = _derivation(e.terms, alg, 0)
-    assert d11[((0, 1, 0, 0, 0, 0), 0, 0)] == {(1, 0): 1, (0, 0): 1}
-    d12 = _derivation(e.terms, alg, 2)
-    assert alg.gram[2] == 2
-    assert d12[((0, 0, 1, 0, 0, 0), 0, 0)] == {(1, 0): -2, (0, 0): -2}
+def test_rank1_operator_is_the_difference():
+    assert operator(get_algebra("rank1")) == {(1, 0): {(0, 0): 1}, (0, 1): {(0, 0): -1}}
 
 
-def test_diff_constant_term_vanishes():
-    alg = get_algebra("rank1")
-    e = {((0, 0), 0, 0): {(0, 0): 3}}
-    # det-power offset 0 with s-degree 0 still differentiates to s * ...,
-    # which vanishes only at s = 0; a true constant has empty det exponent
-    d = _derivation(e, alg, 1)      # d/dy
-    assert d == {((0, 0), 0, -1): {(0, 1): 3}}
-    assert not _derivation({}, alg, 0)
+@pytest.mark.parametrize("name", ["sym2", "spin3", "spin4", "spin5", "spin6",
+                                  "spin7", "spin8"])
+def test_rank2_operator_closed_form(name):
+    # (n/2)(d0 - 2 d1 + d2) + D0 d0^2 + D2 d2^2 + (D0 - D1 + D2) d1^2
+    #   + (D1 - 2 D0) d0 d1 + (D1 - 2 D2) d1 d2 - D1 d0 d2
+    alg = get_algebra(name)
+    half = Fraction(alg.n, 2)
+    D0, D1, D2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    assert operator(alg) == {
+        (1, 0, 0): {(0, 0, 0): half}, (0, 1, 0): {(0, 0, 0): -2 * half},
+        (0, 0, 1): {(0, 0, 0): half},
+        (2, 0, 0): {D0: 1}, (0, 0, 2): {D2: 1}, (0, 2, 0): {D0: 1, D1: -1, D2: 1},
+        (1, 1, 0): {D1: 1, D0: -2}, (0, 1, 1): {D1: 1, D2: -2}, (1, 0, 1): {D1: -1},
+    }
+
+
+def test_spin3_is_sym2_in_the_pencil_coordinates():
+    # the algebras are isomorphic, so L and every c(k) agree as polynomials in Delta
+    sym2, spin3 = get_algebra("sym2"), get_algebra("spin3")
+    assert operator(spin3) == operator(sym2)
+    a, b = SymExpr.det_power_seed(sym2, 0, 0), SymExpr.det_power_seed(spin3, 0, 0)
+    for _ in range(3):
+        a = apply_D_power(SymExpr.shifted_weight(a), 1)
+        b = apply_D_power(SymExpr.shifted_weight(b), 1)
+        assert a.terms == b.terms
+
+
+@pytest.mark.parametrize("call,message", [(0, "a fit point disagrees"),
+                                          (-1, "the certificate fails")])
+@pytest.mark.parametrize("make", [rank_one, lambda: sym(2), lambda: sym(3)],
+                         ids=["rank1", "sym2", "sym3"])
+def test_a_wrong_jet_fails_the_derivation(make, call, message, monkeypatch):
+    # one coefficient of one jet off by one, at the first fit point or at the
+    # last certificate point: the derivation of L must raise.  The jet of
+    # order r is the constant coefficient of a monomial of det, and it alone
+    # makes the constant T_beta, |beta| = 1, at that point
+    jets, seen = S._jets, []
+
+    def record(algebra, point):
+        seen.append(point)
+        return jets(algebra, point)
+
+    monkeypatch.setattr(S, "_jets", record)
+    _pencil_operator(make())
+    target = seen[call]
+
+    def wrong(algebra, point):
+        out = jets(algebra, point)
+        if point == target:
+            gamma = next(g for g in sorted(out) if sum(g) == algebra.r)
+            out[gamma] = [out[gamma][0] + 1] + out[gamma][1:]
+        return out
+
+    monkeypatch.setattr(S, "_jets", wrong)
+    with pytest.raises(NonzeroRemainder, match=message):
+        _pencil_operator(make())
 
 
 def test_apply_D_zero_is_identity():
@@ -67,13 +117,40 @@ def test_apply_D_zero_is_identity():
     assert apply_D_power(e, 0) == e
 
 
+def test_diff_rank1_power_rule():
+    # D x^(s+1) y^t = (s+1) x^s y^t - t x^(s+1) y^(t-1)
+    alg = get_algebra("rank1")
+    e = apply_D_power(SymExpr.det_power_seed(alg, 1, 0), 1)
+    assert e.terms == {(0, 0): {(1, 0): 1, (0, 0): 1}, (1, -1): {(0, 1): -1}}
+
+
+def test_diff_constant_term_vanishes():
+    # 3 x^s y^t differentiates to 3s x^(s-1) y^t - 3t x^s y^(t-1), which
+    # vanishes only at s = t = 0; the empty sum stays empty
+    alg = get_algebra("rank1")
+    e = apply_D_power(SymExpr(alg, {(0, 0): {(0, 0): 3}}), 1)
+    assert e.terms == {(-1, 0): {(1, 0): 3}, (0, -1): {(0, 1): -3}}
+    assert apply_D_power(SymExpr(alg, {}), 1).terms == {}
+
+
 def test_apply_D_rank1_k1():
     alg = get_algebra("rank1")
     e = apply_D_power(SymExpr.det_power_seed(alg, 1, 1), 1)
     # (s+1) x^s y^{t+1} - (t+1) x^{s+1} y^t
-    assert coefficient(e, (0, 0), 0, 1) == {(1, 0): 1, (0, 0): 1}
-    assert coefficient(e, (0, 0), 1, 0) == {(0, 1): -1, (0, 0): -1}
+    assert coefficient(e, (0, 1)) == {(1, 0): 1, (0, 0): 1}
+    assert coefficient(e, (1, 0)) == {(0, 1): -1, (0, 0): -1}
     assert e.num_terms() == 2
+
+
+def test_apply_D_sym2_seed():
+    # the part of D (det x)^(s+1) (det y)^t without Delta_1 and t is
+    # det(d/dx) (det x)^(s+1) = (s+1)(s+3/2) (det x)^s
+    alg = get_algebra("sym2")
+    e = apply_D_power(SymExpr.det_power_seed(alg, 1, 0), 1)
+    assert {ij: v for ij, v in coefficient(e, (0, 0, 0)).items() if ij[1] == 0} == {
+        (2, 0): 1, (1, 0): Fraction(5, 2), (0, 0): Fraction(3, 2)}
+    assert coefficient(SymExpr.shifted_weight(SymExpr.det_power_seed(alg, 0, 0)),
+                       (1, 0, 1)) == {(0, 0): 1}
 
 
 # ---------------------------------------------------------------------------
@@ -135,26 +212,15 @@ def test_exchange_antisymmetry_small():
                                  for m, p in coefs(c).items()}
 
 
-def test_exact_divide_raises_on_remainder():
-    alg = get_algebra("sym2")
-    detx = _det_power_poly(alg, 1, "x")     # the engine's integer divisor
-    assert all(type(c) is int for c in detx.values())
-    num = {(1, 0, 0, 0, 0, 0): {(0, 0): 1}}   # x11: not divisible
-    with pytest.raises(NonzeroRemainder):
-        _exact_divide(num, detx, "unit test")
-    # det x * x11 + 1 divides up to the remainder 1
-    num = {(2, 1, 0, 0, 0, 0): {(0, 0): 1}, (1, 0, 2, 0, 0, 0): {(0, 0): -1},
-           (0, 0, 0, 0, 0, 0): {(0, 0): 1}}
-    with pytest.raises(NonzeroRemainder):
-        _exact_divide(num, detx, "unit test")
-
-
 def test_extract_raises_on_a_non_polynomial():
-    # (det x)^(s-1) (det y)^t is no polynomial times (det x)^s (det y)^t
+    # Delta_0^(s-1) Delta_r^t is no polynomial times Delta_0^s Delta_r^t
     alg = get_algebra("sym2")
-    expr = SymExpr(alg, {((0,) * 6, -1, 0): {(0, 0): 1}})
-    with pytest.raises(NonzeroRemainder):
-        extract_bracket_polynomial(expr, 0)
+    for e in ((-1, 0, 0), (2, 1, -1)):
+        expr = SymExpr(alg, {e: {(0, 0): 1}, (0, 0, 0): {(0, 0): 1}})
+        with pytest.raises(NonzeroRemainder):
+            extract_bracket_polynomial(expr, 0)
+        with pytest.raises(NonzeroRemainder):
+            SymExpr.shifted_weight(expr)
 
 
 def test_specialize_and_evaluate_examples():
