@@ -77,8 +77,12 @@ class NotInCone(AlgebraError):
     """Argument is not in the open cone of squares."""
 
 
-def _frac(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _over_common_den(values):
+    """Integers X and q > 0 with values == [v / q for v in X], q the least
+    common denominator of the rationals ``values``."""
+    values = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
+    q = math.lcm(1, *(v.denominator for v in values))
+    return [v.numerator * (q // v.denominator) for v in values], q
 
 
 @dataclass(frozen=True)
@@ -87,7 +91,10 @@ class JordanAlgebra:
 
     ``table[i][j]`` holds the coordinates of b_i . b_j as Fractions.
     ``gram`` is the (diagonal) Gram vector of the trace form, so the
-    inner product is (x, y) = sum_i gram[i] * x_i * y_i.
+    inner product is (x, y) = sum_i gram[i] * x_i * y_i.  The exact
+    samplers read the nonzero constants over one integer denominator:
+    ``_int_table`` holds (i, j, k, c * _table_den) for each (i, j, k, c) of
+    ``_sparse``.
     """
 
     name: str
@@ -102,6 +109,8 @@ class JordanAlgebra:
     trace_vec: tuple          # tr(x) = sum_i trace_vec[i] x_i
     det_poly: Poly = field(hash=False, compare=False)
     _sparse: tuple = field(hash=False, repr=False)
+    _int_table: tuple = field(hash=False, repr=False, compare=False)
+    _table_den: int = field(hash=False, repr=False, compare=False)
     _mult_tensor: np.ndarray = field(hash=False, repr=False, compare=False)
 
     # -- basic constructors -------------------------------------------------
@@ -216,12 +225,14 @@ def _build(name, family, n, r, d, labels, table, e_coords, gram, trace_vec, det_
     tensor = np.zeros((n, n, n))
     for i, j, k, c in sparse:
         tensor[i, j, k] = float(c)
+    t = math.lcm(*(c.denominator for *_, c in sparse))
     return JordanAlgebra(
         name=name, family=family, n=n, r=r, d=d,
         basis_labels=tuple(labels), table=table, e_coords=tuple(e_coords),
         gram=tuple(gram), trace_vec=tuple(trace_vec),
         det_poly=Poly.from_terms(det_poly, n),
-        _sparse=tuple(sparse), _mult_tensor=tensor,
+        _sparse=tuple(sparse), _mult_tensor=tensor, _table_den=t,
+        _int_table=tuple((i, j, k, int(c * t)) for i, j, k, c in sparse),
     )
 
 
@@ -403,19 +414,15 @@ def quad_rep_matrix(x: Element):
     and structure constants C/t, t L(v) for an integer vector v is an
     integer matrix, and both terms of P(x) lie over (q t)^2.
     """
-    alg, n = x.algebra, x.algebra.n
-    coords = [_frac(c) for c in x.coords]
-    q = math.lcm(*(c.denominator for c in coords))
-    t = math.lcm(*(c.denominator for *_, c in alg._sparse))
-    table = [(i, j, k, int(c * t)) for i, j, k, c in alg._sparse]
+    alg, n, t = x.algebra, x.algebra.n, x.algebra._table_den
+    X, q = _over_common_den(x.coords)
 
     def left(v):
         out = [[0] * n for _ in range(n)]
-        for i, j, k, c in table:
+        for i, j, k, c in alg._int_table:
             out[k][j] += c * v[i]
         return out
 
-    X = [int(c * q) for c in coords]
     L = left(X)                                                  # q t L(x)
     L2 = left([sum(a * b for a, b in zip(row, X)) for row in L])  # (q t)^2 L(x.x)
     den = (q * t) ** 2
@@ -531,27 +538,32 @@ class StructureMap:
     """Element of G(Omega), generated by quadratic maps P(a), a in Omega.
 
     Built from a quadratic map P(a), so membership in the structure group
-    holds by construction.  The coordinate matrix is materialized for
-    application.
+    holds by construction.  The rational coordinate matrix is kept over one
+    common denominator, and a map applies to a rational point over the
+    integers.
     """
 
-    def __init__(self, algebra: JordanAlgebra, matrix, chi_value, label="P-map"):
+    def __init__(self, algebra: JordanAlgebra, matrix, chi_value):
         self.algebra = algebra
         self.matrix = matrix          # list of rows
         self.chi_value = chi_value
-        self.label = label
+        flat, self._den = _over_common_den([c for row in matrix for c in row])
+        n = algebra.n
+        self._rows = [flat[i * n:(i + 1) * n] for i in range(n)]
 
     @classmethod
     def quadratic(cls, a: Element):
         """P(a) for a in the cone; chi(P(a)) = (det a)^2."""
-        return cls(a.algebra, quad_rep_matrix(a), det(a) ** 2, f"P({list(a.coords)})")
+        return cls(a.algebra, quad_rep_matrix(a), det(a) ** 2)
 
     def __call__(self, x: Element) -> Element:
+        """The image of a point with rational coordinates, exactly."""
         if x.algebra is not self.algebra:
             raise AlgebraMismatch("structure map applied across algebras")
-        n = self.algebra.n
-        out = [sum(self.matrix[i][j] * x.coords[j] for j in range(n)) for i in range(n)]
-        return Element(self.algebra, out)
+        X, q = _over_common_den(x.coords)
+        den = self._den * q
+        return Element(self.algebra, tuple(
+            Fraction(sum(m * v for m, v in zip(row, X)), den) for row in self._rows))
 
 
 # ---------------------------------------------------------------------------
@@ -568,9 +580,18 @@ def random_rational_element(rng: random.Random, algebra: JordanAlgebra,
 
 
 def random_cone_point(rng: random.Random, algebra: JordanAlgebra) -> Element:
-    """u.u + e is strictly inside the cone, with exact coordinates."""
-    u = random_rational_element(rng, algebra, 3, 3)
-    return jordan_mul(u, u) + algebra.identity
+    """u.u + e is strictly inside the cone, with exact coordinates.
+
+    With u = U/q and structure constants C/t, u.u + e =
+    (C(U, U) + q^2 t e) / (q^2 t) is summed over the integers (e has
+    integer coordinates).
+    """
+    U, q = _over_common_den(random_rational_element(rng, algebra, 3, 3).coords)
+    den = q * q * algebra._table_den
+    out = [den * int(e) for e in algebra.e_coords]
+    for i, j, k, c in algebra._int_table:
+        out[k] += c * U[i] * U[j]
+    return Element(algebra, tuple(Fraction(v, den) for v in out))
 
 
 def random_interval_point(rng: random.Random, algebra: JordanAlgebra) -> Element:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import report, worst
 from .algebra import (
-    JordanAlgebra, Element, StructureMap, get_algebra, det, iota,
+    JordanAlgebra, Element, StructureMap, get_algebra, iota,
     random_rational_element, random_cone_point, random_interval_point,
     random_chart_points,
 )
@@ -232,51 +232,72 @@ def jacobi_proportionality(k: int, lam, mu, cache_dir=None):
 # Identity checks (report dicts)
 
 
-def check_chi_covariance(algebra: JordanAlgebra, k: int, samples: int = 50,
-                         seed: int = 2024, cache_dir=None) -> dict:
-    """Exact test of c(k)(l x, l y) = chi(l)^k c(k)(x, y) for l = P(a)."""
-    c = compute_c(algebra, k, cache_dir)
+def check_chi_covariance(algebra: JordanAlgebra, kmax: int, samples: int = 50,
+                         seed: int = 2024, cache_dir=None) -> list:
+    """Exact test of c(k)(l x, l y) = chi(l)^k c(k)(x, y) for l = P(a), one
+    report per k = 0..kmax.
+
+    The samples are drawn once per algebra and shared by every k: each is a
+    cone point a, two rational points x, y and weights (s0, t0), with the
+    map l = P(a), chi(l) and the images l x, l y computed once.
+    """
+    cs = [compute_c(algebra, k, cache_dir) for k in range(kmax + 1)]
     rng = random.Random(seed)
-    violations = []
-    for idx in range(samples):
-        a = random_cone_point(rng, algebra)
-        ell = StructureMap.quadratic(a)
-        chi_val = det(a) ** 2
+    draws = []
+    for _ in range(samples):
+        ell = StructureMap.quadratic(random_cone_point(rng, algebra))
         x = random_rational_element(rng, algebra)
         y = random_rational_element(rng, algebra)
         s0 = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         t0 = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        spec = c.specialize(s0, t0)
-        lhs = c.evaluate_specialized(spec, ell(x), ell(y))
-        rhs = chi_val**k * c.evaluate_specialized(spec, x, y)
-        if lhs != rhs:
-            violations.append({"sample": idx, "s": str(s0), "t": str(t0)})
-    return report("chi-covariance", algebra.name, ok=not violations, k=k,
-                  samples=samples, exact=True, violations=violations)
+        draws.append((ell.chi_value, x, y, s0, t0, ell(x), ell(y)))
+    reports = []
+    for k, c in enumerate(cs):
+        violations = []
+        for idx, (chi_val, x, y, s0, t0, lx, ly) in enumerate(draws):
+            spec = c.specialize(s0, t0)
+            lhs = c.evaluate_specialized(spec, lx, ly)
+            rhs = chi_val**k * c.evaluate_specialized(spec, x, y)
+            if lhs != rhs:
+                violations.append({"sample": idx, "s": str(s0), "t": str(t0)})
+        reports.append(report("chi-covariance", algebra.name, ok=not violations, k=k,
+                              samples=samples, exact=True, violations=violations))
+    return reports
 
 
-def check_iota_factorization(algebra: JordanAlgebra, k: int, samples: int = 20,
+def check_iota_factorization(algebra: JordanAlgebra, kmax: int, samples: int = 20,
                              params=((2, 3), (Fraction(7, 2), Fraction(5, 2))),
                              seed: int = 99, tol: float = 1e-10,
-                             cache_dir=None) -> dict:
-    """Numeric test of c(k)_{lam,mu}(iota(eta, v)) = det(eta)^k C(k)_{lam,mu}(v)."""
-    c = compute_c(algebra, k, cache_dir)
+                             cache_dir=None) -> list:
+    """Numeric test of c(k)_{lam,mu}(iota(eta, v)) = det(eta)^k C(k)_{lam,mu}(v),
+    one report per k = 1..kmax (at k = 0 both sides are 1).
+
+    The chart points, ``samples`` per (lam, mu), are drawn and mapped by
+    iota once and shared by every k.
+    """
     rng = random.Random(seed)
-    rows = []
+    charts = []
     for lam, mu in params:
-        spec = c.specialize(Fraction(lam), Fraction(mu))
-        C = compute_C(algebra, k, lam, mu, cache_dir)
         etas, vs = random_chart_points(rng, algebra, samples)
         xs, ys = iota(algebra, etas, vs)
-        lhss = spec.numeric(np.hstack([xs, ys]))
-        rhss = algebra.det_poly.numeric(etas) ** k * C.poly.numeric(vs)
-        for lhs, rhs in zip(lhss.tolist(), rhss.tolist()):
-            scale = max(abs(lhs), abs(rhs), 1e-30)
-            rows.append({"lam": str(lam), "mu": str(mu),
-                         "residual": abs(lhs - rhs) / scale})
-    return report("interval-chart-factorization", algebra.name, k=k,
-                  tolerance=tol, max_residual=worst(r["residual"] for r in rows),
-                  samples=rows)
+        charts.append((lam, mu, np.hstack([xs, ys]), algebra.det_poly.numeric(etas), vs))
+    reports = []
+    for k in range(1, kmax + 1):
+        c = compute_c(algebra, k, cache_dir)
+        rows = []
+        for lam, mu, xys, dets, vs in charts:
+            spec = c.specialize(Fraction(lam), Fraction(mu))
+            C = compute_C(algebra, k, lam, mu, cache_dir)
+            lhss = spec.numeric(xys)
+            rhss = dets ** k * C.poly.numeric(vs)
+            for lhs, rhs in zip(lhss.tolist(), rhss.tolist()):
+                scale = max(abs(lhs), abs(rhs), 1e-30)
+                rows.append({"lam": str(lam), "mu": str(mu),
+                             "residual": abs(lhs - rhs) / scale})
+        reports.append(report("interval-chart-factorization", algebra.name, k=k,
+                              tolerance=tol, max_residual=worst(r["residual"] for r in rows),
+                              samples=rows))
+    return reports
 
 
 def _random_automorphism(algebra, rng):

@@ -300,9 +300,8 @@ def _suite_exchange(algebra, cache_dir, tols):
 
 
 def _suite_chi(algebra, cache_dir, tols):
-    return [brackets.check_chi_covariance(algebra, k, samples=50,
-                                          cache_dir=cache_dir)
-            for k in range(_check_k(algebra) + 1)]
+    return brackets.check_chi_covariance(algebra, _check_k(algebra), samples=50,
+                                         cache_dir=cache_dir)
 
 
 def _suite_cayley(algebra, cache_dir, tols):
@@ -339,9 +338,8 @@ def _suite_jacobi(algebra, cache_dir, tols):
 
 def _suite_iota_fact(algebra, cache_dir, tols):
     tol = tols.get("iota-fact", 1e-10)
-    return [brackets.check_iota_factorization(algebra, k, samples=10, tol=tol,
-                                              cache_dir=cache_dir)
-            for k in range(1, min(_check_k(algebra), 2) + 1)]
+    return brackets.check_iota_factorization(algebra, min(_check_k(algebra), 2),
+                                             samples=10, tol=tol, cache_dir=cache_dir)
 
 
 def _suite_jordan_numerics(algebra, cache_dir, tols):

@@ -45,12 +45,10 @@ def test_criterion_01_polynomiality(cache_dir):
 def test_criterion_02_chi_covariance(cache_dir):
     worst = None
     for name, kmax in RANGE:
-        alg = get_algebra(name)
-        for k in range(kmax + 1):
-            rep = brackets.check_chi_covariance(alg, k, samples=50,
-                                                cache_dir=cache_dir)
+        for rep in brackets.check_chi_covariance(get_algebra(name), kmax, samples=50,
+                                                 cache_dir=cache_dir):
             if not rep["pass"]:
-                worst = (name, k, rep["violations"][:3])
+                worst = (name, rep["k"], rep["violations"][:3])
     _line(2, "chi-covariance-exact", worst is None,
           "" if worst is None else str(worst))
 

@@ -10,7 +10,7 @@ import pytest
 
 from rclab.cli import _fd_jacobian
 from rclab.algebra import (
-    get_algebra, StructureMap,
+    ALGEBRA_NAMES, get_algebra, StructureMap,
     jordan_mul, trace, det, quad_rep, spectral, cone_sqrt, quad_rep_matrices,
     iota, iota_inv, iota_jacobian,
     random_rational_element, random_cone_point, random_interval_point,
@@ -346,7 +346,7 @@ def character(ell, samples=5):
     c = det(ell(alg.identity))
     for _ in range(samples):
         x = random_rational_element(rng, alg)
-        assert det(ell(x)) == c * det(x), f"{ell.label}: not in the structure group"
+        assert det(ell(x)) == c * det(x), f"{ell.matrix}: not in the structure group"
     expected = float(c) ** (alg.n / alg.r)
     assert abs(float(linear_det(ell.matrix)) - expected) <= 1e-8 * max(1.0, abs(expected))
     return c
@@ -355,18 +355,18 @@ def character(ell, samples=5):
 def test_chi_examples():
     alg = get_algebra("sym2")
     identity = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
-    assert character(StructureMap(alg, identity, Fraction(1), "id")) == 1
+    assert character(StructureMap(alg, identity, Fraction(1))) == 1
     a = exact(alg, [2, 3, 0])
     ell = StructureMap.quadratic(a)
     assert character(ell) == 36 == ell.chi_value
     assert linear_det(ell.matrix) == 216  # 36^{3/2}
     twice = [[Fraction(2 * (i == j)) for j in range(3)] for i in range(3)]
-    assert character(StructureMap(alg, twice, Fraction(4), "2*id")) == 4  # c^r
+    assert character(StructureMap(alg, twice, Fraction(4))) == 4  # c^r
 
 
 def test_chi_rejects_non_structure_map():
     alg = get_algebra("sym2")
-    bad = StructureMap(alg, [[1, 1, 0], [0, 1, 0], [0, 0, 1]], 1, "shear")
+    bad = StructureMap(alg, [[1, 1, 0], [0, 1, 0], [0, 0, 1]], 1)
     with pytest.raises(AssertionError):
         character(bad)
 
@@ -379,8 +379,27 @@ def test_structure_map_composition():
     pa, pb = StructureMap.quadratic(a), StructureMap.quadratic(b)
     rows = [[sum(pa.matrix[i][m] * pb.matrix[m][j] for m in range(3)) for j in range(3)]
             for i in range(3)]
-    comp = StructureMap(alg, rows, pa.chi_value * pb.chi_value, "P(a)P(b)")
+    comp = StructureMap(alg, rows, pa.chi_value * pb.chi_value)
     assert character(comp) == det(a) ** 2 * det(b) ** 2
+
+
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_integer_samplers_match_the_fraction_reference(name):
+    # random_cone_point and StructureMap run over the integers; the
+    # reference is the Fraction arithmetic, from the same rng state
+    alg = get_algebra(name)
+    rng, ref = random.Random(31), random.Random(31)
+    for _ in range(10):
+        a = random_cone_point(rng, alg)
+        u = random_rational_element(ref, alg, 3, 3)
+        assert a == jordan_mul(u, u) + alg.identity
+        ell = StructureMap.quadratic(a)
+        x = random_rational_element(rng, alg)
+        assert x == random_rational_element(ref, alg)
+        want = [sum(ell.matrix[i][j] * x.coords[j] for j in range(alg.n))
+                for i in range(alg.n)]
+        assert list(ell(x).coords) == want
+    assert rng.random() == ref.random()
 
 
 def test_algebra_mismatch_raises():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rclab.algebra import get_algebra, det, iota, spectral
+from rclab.algebra import get_algebra, det, iota, random_cone_point, spectral
 from rclab.brackets import (
     compute_c, compute_C,
     jacobi_classical, jacobi_proportionality,
@@ -192,10 +192,54 @@ def test_jacobi_proportionality_exact(params):
 def test_chi_covariance_reports_clean():
     # every Delta_j has weight chi, so the pencil engine is covariant by
     # construction; this tests the expansion to x, y and StructureMap
-    for name, k in (("rank1", 2), ("sym2", 1), ("spin4", 1)):
-        rep = check_chi_covariance(get_algebra(name), k, samples=15)
-        assert rep["pass"] and rep["violations"] == []
-        assert rep["exact"] is True
+    for name, kmax in (("rank1", 2), ("sym2", 1), ("spin4", 1)):
+        reps = check_chi_covariance(get_algebra(name), kmax, samples=15)
+        assert [rep["k"] for rep in reps] == list(range(kmax + 1))
+        for rep in reps:
+            assert rep["pass"] and rep["violations"] == []
+            assert rep["exact"] is True
+
+
+def test_chi_covariance_draws_each_sample_once(monkeypatch, tmp_path):
+    from rclab import brackets
+    from rclab.cli import main
+
+    calls = []
+
+    def counted(rng, algebra):
+        calls.append(algebra.name)
+        return random_cone_point(rng, algebra)
+
+    monkeypatch.setattr(brackets, "random_cone_point", counted)
+    code = main(["check", "chi-covariance", "--algebra", "spin4",
+                 "--cache-dir", str(tmp_path), "--output", str(tmp_path / "chi.json")])
+    assert code == 0
+    # 50 samples shared by k = 0, 1, 2, not 50 per k
+    assert calls == ["spin4"] * 50
+
+
+def test_chi_covariance_catches_a_wrong_coefficient(monkeypatch, tmp_path):
+    from rclab import brackets
+    from rclab.cli import main
+    from rclab.poly import Poly
+    from rclab.sympoly import BracketPolynomial
+
+    alg = get_algebra("spin4")
+    good = compute_c(alg, 1).poly
+    coef = good.coef.copy()
+    coef[0, 0, 0] += good.den
+    bad = BracketPolynomial(alg, 1, Poly(good.exps, coef, good.den))
+    monkeypatch.setitem(brackets._memory_cache, ("spin4", 1), bad)
+    reps = check_chi_covariance(alg, 2)
+    assert [(rep["k"], rep["pass"]) for rep in reps] == [(0, True), (1, False), (2, True)]
+    assert reps[1]["violations"] and not reps[0]["violations"] and not reps[2]["violations"]
+    out = tmp_path / "chi.json"
+    code = main(["check", "chi-covariance", "--algebra", "spin4",
+                 "--cache-dir", str(tmp_path / "cache"), "--output", str(out)])
+    assert code == 1
+    data = json.loads(out.read_text())
+    assert data["pass"] is False
+    assert [rep["pass"] for rep in data["reports"]] == [True, False, True]
 
 
 def test_iota_factorization_rank1_v0():
@@ -210,17 +254,19 @@ def test_iota_factorization_rank1_v0():
 
 
 def test_iota_factorization_reports():
-    for name, k in (("rank1", 2), ("sym2", 2), ("spin4", 2)):
-        rep = check_iota_factorization(get_algebra(name), k, samples=8)
-        assert rep["pass"], rep
-        assert rep["max_residual"] < 1e-10
+    for name, kmax in (("rank1", 2), ("sym2", 2), ("spin4", 2)):
+        reps = check_iota_factorization(get_algebra(name), kmax, samples=8)
+        assert [rep["k"] for rep in reps] == list(range(1, kmax + 1))
+        for rep in reps:
+            assert rep["pass"], rep
+            assert rep["max_residual"] < 1e-10
 
 
 def test_iota_factorization_fails_on_nan(monkeypatch):
     from rclab.poly import Poly
 
     monkeypatch.setattr(Poly, "numeric", lambda self, points: np.full(len(points), np.nan))
-    rep = check_iota_factorization(get_algebra("rank1"), 1)
+    [rep] = check_iota_factorization(get_algebra("rank1"), 1)
     assert rep["pass"] is False
 
 
