@@ -9,13 +9,13 @@ with a positive-definite trace form:
 * ``spin(m)`` -- the spin factor R + R^{m-1} with
   (x0, xb).(y0, yb) = (x0*y0 + <xb, yb>, x0*yb + y0*xb).
 
-``Element`` arithmetic, ``det``, ``quad_rep`` and ``quad_rep_matrix`` are
-exact over ``fractions.Fraction``/int coordinates (``Element`` and ``det``
-also take float or complex ones).  The numerics of the cone run on (m, n)
-float arrays, one point per row:
-``spectral`` (eigenvalues), ``cone_sqrt``, the P(x) stack
-``quad_rep_matrices`` (complex rows too) and the polar chart ``iota``, its
-inverse and its Jacobian.  The trace inner product is
+An exact point is an ``Element``, with ``fractions.Fraction``/int
+coordinates; its arithmetic, ``det``, ``quad_rep`` and ``quad_rep_matrix``
+are exact.  A float or complex point is a numpy row, and the numerics of
+the cone run on (m, n) float arrays, one point per row: ``spectral``
+(eigenvalues), ``cone_sqrt``, the P(x) stack ``quad_rep_matrices`` (complex
+rows too), the polar chart ``iota``, its inverse and its Jacobian, and
+``det_poly.numeric`` for determinants.  The trace inner product is
 (x, y) = tr(x.y); its Gram matrix is diagonal in the chosen bases and the
 Lebesgue measure used throughout the package is the Euclidean measure of
 that form (orthonormal coordinates x_ii, sqrt(2) x_ij for sym(r)).
@@ -121,24 +121,24 @@ class JordanAlgebra:
             raise AlgebraError(
                 f"{self.name}: expected {self.n} coordinates, got {len(coords)}"
             )
+        if not all(isinstance(c, (int, Fraction)) for c in coords):
+            raise AlgebraError(f"{self.name}: an Element has int or Fraction "
+                               "coordinates; a float or complex point is a numpy row")
         return Element(self, coords)
 
     @property
     def identity(self) -> "Element":
         return Element(self, self.e_coords)
 
-    def zero(self) -> "Element":
-        return Element(self, (Fraction(0),) * self.n)
-
     def __repr__(self):
         return f"JordanAlgebra({self.name}, n={self.n}, r={self.r}, d={self.d})"
 
 
 class Element:
-    """A point of the algebra (or of its complexification).
+    """A point of the algebra with exact rational coordinates.
 
-    Thin immutable wrapper over a coordinate tuple; arithmetic keeps
-    Fractions exact and silently degrades to float/complex otherwise.
+    Thin immutable wrapper over a tuple of Fraction/int coordinates, with
+    exact arithmetic; ``as_array`` gives its float row.
     """
 
     __slots__ = ("algebra", "coords")
@@ -149,10 +149,6 @@ class Element:
 
     def __setattr__(self, *a):
         raise AttributeError("Element is immutable")
-
-    @property
-    def is_complex(self) -> bool:
-        return any(isinstance(c, complex) for c in self.coords)
 
     def _check(self, other):
         if self.algebra is not other.algebra:
@@ -194,18 +190,8 @@ class Element:
     def __hash__(self):
         return hash((self.algebra.name, self.coords))
 
-    def as_float(self) -> "Element":
-        return Element(self.algebra, tuple(float(c) for c in self.coords))
-
     def as_array(self) -> np.ndarray:
-        dtype = complex if self.is_complex else float
-        return np.array([dtype(c) for c in self.coords])
-
-    def real(self) -> "Element":
-        return Element(self.algebra, tuple(c.real if isinstance(c, complex) else c for c in self.coords))
-
-    def imag(self) -> "Element":
-        return Element(self.algebra, tuple(c.imag if isinstance(c, complex) else 0.0 for c in self.coords))
+        return np.array([float(c) for c in self.coords])
 
     def __repr__(self):
         return f"Element({self.algebra.name}, {list(self.coords)})"
@@ -398,8 +384,8 @@ def trace(x: Element):
     return sum(t * c for t, c in zip(x.algebra.trace_vec, x.coords))
 
 
-def det(x: Element):
-    return x.algebra.det_poly(x.coords)
+def det(x: Element) -> Fraction:
+    return x.algebra.det_poly.exact(x.coords)
 
 
 def quad_rep(x: Element, y: Element) -> Element:

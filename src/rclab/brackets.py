@@ -25,7 +25,7 @@ import numpy as np
 
 from . import report, worst
 from .algebra import (
-    JordanAlgebra, Element, StructureMap, get_algebra, iota,
+    JordanAlgebra, StructureMap, get_algebra, iota, _sym_pairs,
     random_rational_element, random_cone_point, random_interval_point,
     random_chart_points,
 )
@@ -130,8 +130,9 @@ class OrthoPoly:
     def __init__(self, poly: Poly):
         self.poly = poly
 
-    def evaluate(self, v: Element):
-        return self.poly(v.coords)
+    def evaluate(self, points) -> np.ndarray:
+        """Values at the rows of an (m, n) float array."""
+        return self.poly.numeric(points)
 
 
 def _restrict_1d(e, a, b):
@@ -301,35 +302,23 @@ def check_iota_factorization(algebra: JordanAlgebra, kmax: int, samples: int = 2
 
 
 def _random_automorphism(algebra, rng):
-    """A sampled automorphism acting on coordinates (float matrix action)."""
-    import numpy as np
-
+    """A sampled automorphism acting on float coordinate rows."""
     if algebra.family == "rank1":
         return lambda v: v
     if algebra.family == "spin":
         m = algebra.n - 1
         g = np.linalg.qr(np.array([[rng.gauss(0, 1) for _ in range(m)]
                                    for _ in range(m)]))[0]
-
-        def act(v):
-            coords = np.array([float(c) for c in v.coords])
-            out = np.concatenate([[coords[0]], g @ coords[1:]])
-            return v.algebra.element(tuple(out))
-
-        return act
+        return lambda v: np.concatenate([v[:1], g @ v[1:]])
     r = algebra.r
-    from .algebra import _sym_pairs
-
-    pairs = _sym_pairs(r)
+    i, j = np.array(_sym_pairs(r)).T
     g = np.linalg.qr(np.array([[rng.gauss(0, 1) for _ in range(r)]
                                for _ in range(r)]))[0]
 
     def act(v):
         mat = np.zeros((r, r))
-        for idx, (i, j) in enumerate(pairs):
-            mat[i, j] = mat[j, i] = float(v.coords[idx])
-        out = g @ mat @ g.T
-        return v.algebra.element(tuple(out[i, j] for (i, j) in pairs))
+        mat[i, j] = mat[j, i] = v
+        return (g @ mat @ g.T)[i, j]
 
     return act
 
@@ -343,9 +332,9 @@ def check_aut_invariance(algebra: JordanAlgebra, k: int, lam, mu,
     residuals = []
     for _ in range(samples):
         act = _random_automorphism(algebra, rng)
-        v = random_interval_point(rng, algebra).as_float()
-        a = float(C.evaluate(v))
-        b = float(C.evaluate(act(v)))
+        v = random_interval_point(rng, algebra).as_array()
+        a = float(C.evaluate(v[None])[0])
+        b = float(C.evaluate(act(v)[None])[0])
         residuals.append(abs(a - b) / max(1.0, abs(a)))
     return report("automorphism-invariance", algebra.name, k=k,
                   max_residual=worst(residuals), tolerance=tol)

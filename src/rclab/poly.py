@@ -22,7 +22,6 @@ A Poly without parameters evaluates
 from __future__ import annotations
 
 import math
-import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -123,14 +122,6 @@ class Poly:
             self._fcoef = np.array([int(c) / self.den for c in self._constant()],
                                    dtype=float)
         return self._fcoef
-
-    def __call__(self, point):
-        """Value at one point: a Fraction at rational coordinates, else a
-        float or complex."""
-        if all(isinstance(x, numbers.Rational) for x in point):
-            return self.exact(point)
-        dtype = complex if any(isinstance(x, complex) for x in point) else float
-        return self.numeric(np.array([point], dtype=dtype))[0].item()
 
     def exact(self, point) -> Fraction:
         """Value at a point with rational coordinates, over the integers."""

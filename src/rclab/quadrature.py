@@ -35,13 +35,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import SCHEMA, report, worst
 from .algebra import (
-    JordanAlgebra, Element, get_algebra, spectral, cone_sqrt, quad_rep_matrices,
+    JordanAlgebra, get_algebra, spectral, cone_sqrt, quad_rep_matrices,
     iota_jacobian,
 )
 from .brackets import compute_C
@@ -69,12 +69,10 @@ __all__ = [
 # Gauss rules from three-term recurrences
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    kind: str
-    nodes: np.ndarray = field(compare=False)
-    weights: np.ndarray = field(compare=False)
-    params: dict = field(compare=False, default_factory=dict)
+    nodes: np.ndarray
+    weights: np.ndarray
 
 
 def _orthonormal_eval(x, a, b, m0, n):
@@ -108,7 +106,7 @@ def _orthonormal_eval(x, a, b, m0, n):
     return p, dp, s, e
 
 
-def _gauss_from_recurrence(n, a, b, m0, kind, params):
+def _gauss_from_recurrence(n, a, b, m0):
     """Golub-Welsch initial nodes, Newton-polished on the recurrence until
     the largest step relative to max(1, |x|) is below 1e-14 or stops
     shrinking (the rounding floor)."""
@@ -133,7 +131,7 @@ def _gauss_from_recurrence(n, a, b, m0, kind, params):
     w = np.ldexp(1.0 / s, -2 * e)
     x.flags.writeable = False
     w.flags.writeable = False
-    return QuadratureRule(kind, x, w, params)
+    return QuadratureRule(x, w)
 
 
 def gauss_jacobi(n: int, alpha: float, beta: float) -> QuadratureRule:
@@ -165,13 +163,11 @@ def _jacobi_rule(n, alpha, beta):
         num = 4.0 * k * (k + alpha) * (k + beta) * (k + ab)
         den = (2 * k + ab) ** 2 * (2 * k + ab + 1) * (2 * k + ab - 1)
         b[k] = num / den
-    return _gauss_from_recurrence(n, a, b, m0, "gauss-jacobi",
-                                  {"alpha": alpha, "beta": beta, "N": n})
+    return _gauss_from_recurrence(n, a, b, m0)
 
 
 def gauss_legendre(n: int) -> QuadratureRule:
-    rule = gauss_jacobi(n, 0.0, 0.0)
-    return QuadratureRule("gauss-legendre", rule.nodes, rule.weights, {"N": n})
+    return gauss_jacobi(n, 0.0, 0.0)
 
 
 def gauss_laguerre(n: int, alpha: float = 0.0) -> QuadratureRule:
@@ -194,8 +190,7 @@ def _laguerre_rule(n, alpha):
     b[0] = m0
     for k in range(1, n + 1):
         b[k] = k * (k + alpha)
-    return _gauss_from_recurrence(n, a, b, m0, "gauss-laguerre",
-                                  {"alpha": alpha, "N": n})
+    return _gauss_from_recurrence(n, a, b, m0)
 
 
 def scaled_interval_rule(rule: QuadratureRule, lo: float, hi: float):
@@ -248,40 +243,38 @@ def _integral(weights, vals):
     return out[()]
 
 
-def cone_integrate_invariant(algebra: JordanAlgebra, h_eig, kappa: float = 1.0,
-                             n_radial: int = 80, n_u: int = 60,
+def cone_integrate_invariant(algebra: JordanAlgebra, h_eig, n: int = 80,
                              det_power: float = 0.0):
-    """integral over Omega of e^{-kappa tr x} det(x)^p h(eigenvalues(x)) dx.
+    """integral over Omega of e^{-tr x} det(x)^p h(eigenvalues(x)) dx.
 
     ``h_eig`` maps an (m, r) array of eigenvalue rows to m values.  Rank 1
     uses Gauss-Laguerre with alpha = p directly.  Rank 2 uses the factorized
     chamber coordinates lam = (s(1-u)/2, s(1+u)/2): trace and spread
     separate, and the rules carry det^p = s^{2p} (1-u)^p (1+u)^p / 4^p with
     the density s^{d+1} u^d / 2, Laguerre with alpha = 2p + d + 1 in s and
-    Gauss-Jacobi with alpha = p on t = 2u - 1.  In both a fractional power
-    costs no accuracy.  r > 2 uses a tensor Laguerre grid in gap coordinates.
+    Gauss-Jacobi with alpha = p on t = 2u - 1, each with ``n`` nodes.  In
+    both a fractional power costs no accuracy.  r > 2 uses a tensor Laguerre
+    grid in gap coordinates, min(n, 40) nodes per axis.
     """
     c0 = mehta_cone_constant(algebra)
     r, d, p = algebra.r, algebra.d, float(det_power)
     if r == 1:
-        rule = gauss_laguerre(n_radial, p)
-        x = rule.nodes / kappa
-        return _integral(rule.weights * c0 / kappa ** (p + 1), h_eig(x[:, None]))
+        rule = gauss_laguerre(n, p)
+        return _integral(rule.weights * c0, h_eig(rule.nodes[:, None]))
     if r == 2:
-        rs = gauss_laguerre(n_radial, 2 * p + d + 1)
-        ru = gauss_jacobi(n_u, p, 0.0)
-        s = rs.nodes[:, None] / kappa
+        rs = gauss_laguerre(n, 2 * p + d + 1)
+        ru = gauss_jacobi(n, p, 0.0)
+        s = rs.nodes[:, None]
         u = (1 + ru.nodes) / 2
-        # int_0^1 (1-u)^p g(u) du = 2^{-p-1} sum_j w_j g(u_j), and the s rule
-        # of e^{-kappa s} s^alpha picks up kappa^{-alpha-1}
+        # int_0^1 (1-u)^p g(u) du = 2^{-p-1} sum_j w_j g(u_j)
         wu = ru.weights * 2.0 ** (-p - 1) * ((1 + u) / 4) ** p * u**d / 2
-        w = c0 * kappa ** (-2 * p - d - 2) * rs.weights[:, None] * wu
+        w = c0 * rs.weights[:, None] * wu
         lam = np.stack([(s * (1 - u) / 2).ravel(), (s * (1 + u) / 2).ravel()], axis=1)
         return _integral(w.ravel(), h_eig(lam))
     # r >= 3: gap coordinates lam_i = g_1 + ... + g_i keep the Vandermonde
     # polynomial (no absolute values) and the chamber constraint implicit
-    rl = gauss_laguerre(min(n_radial, 40))
-    rates = [kappa * (r - i) for i in range(r)]   # coefficient of g_{i+1} in tr
+    rl = gauss_laguerre(min(n, 40))
+    rates = [r - i for i in range(r)]   # coefficient of g_{i+1} in tr
     g, w = _tensor_rule([rl.nodes / rate for rate in rates],
                         [rl.weights / rate for rate in rates])
     lam = np.cumsum(g, axis=1)
@@ -301,8 +294,7 @@ def gamma_omega_numeric(algebra: JordanAlgebra, nu, method: str = "quadrature",
             f"integral diverges: need nu > (r-1)d/2 = {(algebra.r-1)*algebra.d/2}"
         )
     if method == "quadrature":
-        return cone_integrate_invariant(algebra, lambda eigs: np.ones(len(eigs)), 1.0,
-                                        n_radial=n, n_u=n,
+        return cone_integrate_invariant(algebra, lambda eigs: np.ones(len(eigs)), n=n,
                                         det_power=nu - algebra.n / algebra.r)
     if method == "mc":
         return _gamma_mc(algebra, nu, mc_samples, seed)
@@ -481,25 +473,27 @@ def _sym2_coords(s, u, theta):
     return np.stack([x11, x22, x12], axis=1)
 
 
-def tube_laplace(algebra: JordanAlgebra, integrands, z: Element, kappa: float = 1.0,
-                 det_power: float = 0.0, n_s: int = 128, n_u: int = 48,
-                 n_theta: int = 48) -> np.ndarray:
-    """integral over Omega of det(xi)^p g(xi) e^{-kappa tr xi} e^{i(z, xi)} d xi
-    for each g of the sequence ``integrands``, as a complex array.
+def tube_laplace(algebra: JordanAlgebra, integrands, z,
+                 det_power: float = 0.0) -> np.ndarray:
+    """integral over Omega of det(xi)^p g(xi) e^{-tr xi} e^{i(z, xi)} d xi
+    at the tube point ``z``, for each g of the sequence ``integrands``, as a
+    complex array.
 
     Each g maps an (m, n) coordinate array to an (m,) array and must grow at
     most polynomially.  The rule is built once per call and every g is
     evaluated on its nodes in turn.  The (possibly fractional) det power p
     is absorbed into a generalized-Laguerre radial rule, so endpoint
     behavior costs no accuracy.  The radial direction is rescaled per ray so
-    the built-in exponential matches the full decay kappa*tr - (Im z, .);
-    the leftover bounded oscillation is handled by the rule itself.
-    Supports rank1 and sym2 (the two families the analytic checks drive).
+    the built-in exponential matches the full decay tr - (Im z, .); the
+    leftover bounded oscillation is handled by the rule itself.  The integral
+    converges when Im z + e lies in the cone.  Supports rank1 and sym2 (the
+    two families the analytic checks drive).
     """
-    zc = z.as_array()
     p = float(det_power)
+    # radial Laguerre nodes; for sym2 the spread u and angle theta nodes
+    n_s, n_u, n_theta = 128, 48, 48
     if algebra.family == "rank1":
-        wcplx = kappa - 1j * complex(zc[0])  # e^{-w xi}
+        wcplx = 1.0 - 1j * complex(z[0])  # e^{-w xi}
         q = wcplx.real
         if q <= 0:
             raise ValueError("integral does not converge")
@@ -522,10 +516,8 @@ def tube_laplace(algebra: JordanAlgebra, integrands, z: Element, kappa: float = 
     wray = (WU * WT).ravel() * c_polar * (u_ / 2) * ((1 - u_**2) / 4) ** p
     unit = _sym2_coords(np.ones_like(u_), u_, t_)
     gram = np.array([1.0, 1.0, 2.0])
-    y = np.array([float(c) for c in z.imag().coords])
-    x = np.array([float(c) for c in z.real().coords])
-    q = kappa * (unit[:, 0] + unit[:, 1]) + unit @ (gram * y)
-    posc = unit @ (gram * x)
+    q = unit[:, 0] + unit[:, 1] + unit @ (gram * z.imag)
+    posc = unit @ (gram * z.real)
     if np.any(q <= 0):
         raise ValueError("integral does not converge")
     # radial sum per ray: s = tau/q, picking up q^{-(2p+3)}
@@ -575,10 +567,10 @@ def box_rule(bounds, n: int):
     return _tensor_rule(*zip(*(scaled_interval_rule(gl, lo, hi) for lo, hi in bounds)))
 
 
-def check_change_of_variables(algebra: JordanAlgebra, n: int = 160) -> dict:
+def check_change_of_variables(algebra: JordanAlgebra) -> dict:
     """Both sides of the polar-chart integration formula on a smooth bump.
 
-    rank1: Gauss-Legendre with ``n`` nodes per axis at 1e-6.  sym2: the
+    rank1: Gauss-Legendre with 160 nodes per axis at 1e-6.  sym2: the
     tensor midpoint rules of SYM2_CHART_NODES at 1e-4.
     """
     center, radius = 2.0, 0.9
@@ -590,6 +582,7 @@ def check_change_of_variables(algebra: JordanAlgebra, n: int = 160) -> dict:
                       tolerance=1e-4)
     if algebra.family != "rank1":
         raise ValueError("check implemented for rank1 and sym2")
+    n = 160
     f1 = trace_ball_bump(algebra, center, radius)
     lo, hi = center - radius, center + radius
     nodes, w = box_rule([(lo, hi), (lo, hi)], n)

@@ -429,10 +429,10 @@ class BracketPolynomial:
         return self.poly.at(s0, t0)
 
     def evaluate(self, x: Element, y: Element, s0, t0):
-        return self.poly.at(s0, t0)(x.coords + y.coords)
+        return self.poly.at(s0, t0).exact(x.coords + y.coords)
 
     def evaluate_specialized(self, spec: Poly, x: Element, y: Element):
-        return spec(x.coords + y.coords)
+        return spec.exact(x.coords + y.coords)
 
     def swap_slots_and_params(self) -> "BracketPolynomial":
         """c(k)_{t,s}(y, x) as a BracketPolynomial (for the exchange test)."""

@@ -13,8 +13,9 @@ keeping every argument increment below pi/4.  The cocycle data psi_g of a
 lifted generator always derives psi_{g^{-1}} = -psi_g o g^{-1}, so both
 sides of any covariance identity use the same group lift.
 
-Function evaluators are vectorized: they take an (m, n) complex coordinate
-array and return (m,) complex values.  All aggregation is deterministic.
+A tube point is an (n,) complex numpy row, and function evaluators are
+vectorized: they take an (m, n) complex coordinate array and return (m,)
+complex values.  All aggregation is deterministic.
 """
 
 from __future__ import annotations
@@ -25,9 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import report, worst
-from .algebra import (
-    JordanAlgebra, Element, det, spectral, cone_sqrt, quad_rep_matrices,
-)
+from .algebra import JordanAlgebra, spectral, cone_sqrt, quad_rep_matrices
 from .brackets import compute_c, compute_C
 from .poly import Poly
 from .quadrature import (
@@ -58,8 +57,11 @@ __all__ = [
 # Branch-tracked determinant powers
 
 
-def logdet_tube(algebra: JordanAlgebra, coords, waypoints=None,
-                max_refine: int = 14) -> np.ndarray:
+# Dyadic refinements of a branch-tracking segment before logdet_tube gives up
+MAX_REFINE = 14
+
+
+def logdet_tube(algebra: JordanAlgebra, coords, waypoints=None) -> np.ndarray:
     """Continuous branch of log det(z/i) on the tube, 0 at z = i e.
 
     ``coords``: (m, n) complex array of tube points.  The branch is tracked
@@ -80,7 +82,7 @@ def logdet_tube(algebra: JordanAlgebra, coords, waypoints=None,
     minus_i = complex(0.0, -1.0)
     for a, b in zip(pts[:-1], pts[1:]):
         nsteps = 8
-        for _ in range(max_refine):
+        for _ in range(MAX_REFINE):
             taus = np.linspace(0.0, 1.0, nsteps + 1)[:, None, None]
             segs = minus_i * (a + taus * (b - a))       # every step in one call
             vals = algebra.det_poly.numeric(segs.reshape(-1, algebra.n)).reshape(-1, m)
@@ -103,9 +105,10 @@ def logdet_tube(algebra: JordanAlgebra, coords, waypoints=None,
 # Holomorphic functions
 
 
-def coherent_state(algebra: JordanAlgebra, nu, w: Element):
-    """k_nu^w(z) = det((z - conj w)/i)^(-nu), branch-tracked."""
-    wbar = np.conj(w.as_array())
+def coherent_state(algebra: JordanAlgebra, nu, w):
+    """k_nu^w(z) = det((z - conj w)/i)^(-nu), branch-tracked, for the tube
+    point ``w``."""
+    wbar = np.conj(w)
 
     def k(coords):
         return np.exp(complex(-nu) * logdet_tube(algebra, coords - wbar))
@@ -187,6 +190,7 @@ class GroupGenerator:
     kind    'translation' (z -> z + u, u real),
             'dilation'    (z -> P(a^{1/2}) z, a in the cone),
             'inversion'   (z -> -z^{-1}).
+    parameter  the float row u or a; the inversion takes none.
     psi     the chosen continuous logarithm of j(g, .) = Det_C(Dg);
             psi_{g^{-1}} is always derived as -psi_g o g^{-1}.
     """
@@ -194,16 +198,14 @@ class GroupGenerator:
     def __init__(self, algebra: JordanAlgebra, kind: str, parameter=None):
         self.algebra = algebra
         self.kind = kind
-        self.parameter = parameter
-        n, r = algebra.n, algebra.r
         if kind == "translation":
-            self._u = parameter.as_array().astype(complex)
+            self._u = np.asarray(parameter, dtype=complex)
         elif kind == "dilation":
             # cone_sqrt raises NotInCone for a parameter outside the cone
-            root = cone_sqrt(algebra, parameter.as_array())
+            root = cone_sqrt(algebra, parameter)
             self._mat = quad_rep_matrices(algebra, root)[0]
             self._mat_inv = np.linalg.inv(self._mat)
-            self._chi = float(det(parameter.as_float()))
+            self._chi = float(algebra.det_poly.numeric(np.atleast_2d(parameter))[0])
         elif kind == "inversion":
             pass
         else:
@@ -267,9 +269,10 @@ def pi_action(gen: GroupGenerator, nu, F):
 # The bracket as a bi-differential operator
 
 
-def apply_B(algebra: JordanAlgebra, k: int, lam, mu, F, G, z: Element,
-            n_nodes: int = 32, cache_dir=None) -> complex:
-    """The k-th bracket applied to F(z) G(w), restricted to the diagonal w = z.
+def apply_B(algebra: JordanAlgebra, k: int, lam, mu, F, G, z,
+            cache_dir=None) -> complex:
+    """The k-th bracket applied to F(z) G(w), restricted to the diagonal w = z,
+    at the tube point ``z``.
 
     F and G are vectorized evaluators on (m, n) arrays.  The operator is the
     bracket polynomial specialized at (lam - n/r, mu - n/r), read as mixed
@@ -286,9 +289,8 @@ def apply_B(algebra: JordanAlgebra, k: int, lam, mu, F, G, z: Element,
     n = algebra.n
     alphas = [tuple(m) for m in spec.exps[:, :n].tolist()]
     betas = [tuple(m) for m in spec.exps[:, n:].tolist()]
-    point = z.as_array()
-    dF = holo_mixed_derivatives(algebra, F, point, alphas, n_nodes=n_nodes)
-    dG = holo_mixed_derivatives(algebra, G, point, betas, n_nodes=n_nodes)
+    dF = holo_mixed_derivatives(algebra, F, z, alphas)
+    dG = holo_mixed_derivatives(algebra, G, z, betas)
     total = 0.0 + 0.0j
     for alpha, beta, coef in zip(alphas, betas, coefs):
         total += coef * dF[alpha] * dG[beta]
@@ -316,13 +318,12 @@ def _default_tube_points(algebra):
     return pts
 
 
-def default_generators(algebra, rng_scale: float = 1.0):
-    u = algebra.element(tuple(
-        0.4 * ((-1) ** i) * rng_scale for i in range(algebra.n)
-    ))
-    a = algebra.identity.as_float() + algebra.element(
-        tuple(0.3 * rng_scale / (i + 1) for i in range(algebra.n))
-    )
+def default_generators(algebra):
+    """A translation by u_i = 0.4 (-1)^i, the dilation by a = e + 0.3/(i + 1)
+    and the inversion."""
+    i = np.arange(algebra.n)
+    u = 0.4 * (-1.0) ** i
+    a = algebra.identity.as_array() + 0.3 / (i + 1)
     return [
         GroupGenerator(algebra, "translation", u),
         GroupGenerator(algebra, "dilation", a),
@@ -331,44 +332,36 @@ def default_generators(algebra, rng_scale: float = 1.0):
 
 
 def check_covariance_B(algebra: JordanAlgebra, k: int, lam, mu,
-                       gen: GroupGenerator, points=None, witnesses=None,
-                       n_nodes: int = 32, tol: float = 1e-6,
+                       gen: GroupGenerator, tol: float = 1e-6,
                        cache_dir=None) -> dict:
     """Both routes of the bracket covariance on a coherent-state product F G.
 
     LHS: transform the slots, pi_lam(g) F and pi_mu(g) G, then apply the
     bracket.  RHS: apply the bracket to F and G, then transform by
-    pi_{lam+mu+2k}(g).  apply_B differentiates each slot on its own.
-    For the inversion the sample points keep g^{-1}(z) well inside the
-    tube (minimal eigenvalue of the imaginary part > 0.1), where polydisc
-    contours retain their accuracy.
+    pi_{lam+mu+2k}(g).  apply_B differentiates each slot on its own.  The
+    witnesses of F and G and the sample points are fixed.  For the inversion
+    the sample points keep g^{-1}(z) well inside the tube (minimal
+    eigenvalue of the imaginary part > 0.1), where polydisc contours retain
+    their accuracy.
     """
     nu = lam + mu + 2 * k
     n = algebra.n
-    e = np.array([float(c) for c in algebra.e_coords])
-    if witnesses is None:
-        w1 = algebra.element(tuple((0.2 + 1.1j) * e + 0.05j * np.arange(n)))
-        w2 = algebra.element(tuple((-0.3 + 0.9j) * e + 0.04j * np.arange(n)[::-1]))
-        witnesses = (w1, w2)
-    F = coherent_state(algebra, lam, witnesses[0])
-    G = coherent_state(algebra, mu, witnesses[1])
-    if points is None:
-        points = [algebra.element(tuple(c)) for c in _default_tube_points(algebra)]
+    e = algebra.identity.as_array()
+    F = coherent_state(algebra, lam, (0.2 + 1.1j) * e + 0.05j * np.arange(n))
+    G = coherent_state(algebra, mu, (-0.3 + 0.9j) * e + 0.04j * np.arange(n)[::-1])
     scale_psi = algebra.r / (2.0 * algebra.n)
     F_g, G_g = pi_action(gen, lam, F), pi_action(gen, mu, G)
     rows = []
-    for z in points:
-        zc = z.as_array()
-        ginv_z = gen.apply_inv(zc.reshape(1, -1))[0]
+    for z in _default_tube_points(algebra):
+        ginv_z = gen.apply_inv(z.reshape(1, -1))[0]
         if spectral(algebra, ginv_z.imag)[0, 0] < 0.1:
             continue
-        lhs = apply_B(algebra, k, lam, mu, F_g, G_g, z, n_nodes, cache_dir)
-        inner_B = apply_B(algebra, k, lam, mu, F, G,
-                          algebra.element(tuple(ginv_z)), n_nodes, cache_dir)
-        fac = np.exp(complex(nu) * scale_psi * gen.psi_inv(zc.reshape(1, -1))[0])
+        lhs = apply_B(algebra, k, lam, mu, F_g, G_g, z, cache_dir)
+        inner_B = apply_B(algebra, k, lam, mu, F, G, ginv_z, cache_dir)
+        fac = np.exp(complex(nu) * scale_psi * gen.psi_inv(z.reshape(1, -1))[0])
         rhs = fac * inner_B
         scale = max(abs(lhs), abs(rhs), 1e-30)
-        rows.append({"z": [repr(c) for c in z.coords],
+        rows.append({"z": [[c.real, c.imag] for c in z.tolist()],
                      "residual": abs(lhs - rhs) / scale})
     return report("bracket-group-covariance", algebra.name, ok=bool(rows), k=k,
                   **{"lambda": float(lam)}, mu=float(mu), generator=gen.kind,
@@ -376,10 +369,10 @@ def check_covariance_B(algebra: JordanAlgebra, k: int, lam, mu,
                   samples=rows)
 
 
-def check_adjoint_image(algebra: JordanAlgebra, k: int, lam, mu,
-                        z1: Element, z2: Element, tol: float = 1e-6,
-                        n_s: int = 128, cache_dir=None) -> dict:
-    """Laplace transform of the adjoint-image integrand vs the closed form.
+def check_adjoint_image(algebra: JordanAlgebra, k: int, lam, mu, z1, z2,
+                        tol: float = 1e-6, cache_dir=None) -> dict:
+    """Laplace transform of the adjoint-image integrand vs the closed form,
+    at the tube points ``z1`` and ``z2``.
 
     Numeric side: expand the bracket polynomial monomially, so the double
     cone integral factorizes into products of single-cone transforms with
@@ -396,19 +389,18 @@ def check_adjoint_image(algebra: JordanAlgebra, k: int, lam, mu,
     for cut, z, weight in ((slice(0, n), z1, lam), (slice(n, 2 * n), z2, mu)):
         monos = list(dict.fromkeys(tuple(m) for m in spec.exps[:, cut].tolist()))
         vals = tube_laplace(algebra, [Poly.from_terms({m: 1}, n).numeric for m in monos],
-                            z, kappa=1.0, det_power=float(weight) - float(shift), n_s=n_s)
+                            z, det_power=float(weight) - float(shift))
         slots.append(dict(zip(monos, vals.tolist())))
     num = 0.0 + 0.0j
     for mono, coef in zip(spec.exps.tolist(), spec.fcoef):
         num += coef * slots[0][tuple(mono[:n])] * slots[1][tuple(mono[n:])]
     num *= 1j ** (r * k)
-    diff = z1 - z2
-    det_diff = complex(det(diff)) ** k
-    ie = 1j * np.array([float(c0) for c0 in algebra.e_coords])
+    det_diff = complex(algebra.det_poly.numeric((z1 - z2)[None])[0]) ** k
+    ie = 1j * algebra.identity.as_array()
     p1 = np.exp(complex(-(float(lam) + k))
-                * logdet_tube(algebra, (z1.as_array() + ie).reshape(1, -1))[0])
+                * logdet_tube(algebra, (z1 + ie).reshape(1, -1))[0])
     p2 = np.exp(complex(-(float(mu) + k))
-                * logdet_tube(algebra, (z2.as_array() + ie).reshape(1, -1))[0])
+                * logdet_tube(algebra, (z2 + ie).reshape(1, -1))[0])
     closed = gamma_omega_closed(algebra, float(lam) + k) \
         * gamma_omega_closed(algebra, float(mu) + k) * det_diff * p1 * p2
     if abs(closed) < 1e-280:
@@ -425,23 +417,20 @@ def check_adjoint_image(algebra: JordanAlgebra, k: int, lam, mu,
                   tolerance=tol, residual=resid)
 
 
-def check_J_factorization(algebra: JordanAlgebra, z: Element | None = None,
-                          n: int = 120, tol: float | None = None) -> dict:
-    """res o (two-slot Laplace) against (one-slot Laplace) o averaging map.
+def check_J_factorization(algebra: JordanAlgebra) -> dict:
+    """res o (two-slot Laplace) against (one-slot Laplace) o averaging map,
+    at a fixed tube point z.
 
-    rank1: nested Gauss-Legendre with ``n`` nodes at 1e-6.  sym2: the tensor
+    rank1: nested Gauss-Legendre with 120 nodes at 1e-6.  sym2: the tensor
     midpoint rules of SYM2_CHART_NODES in the polar chart at 1e-4.
     """
     if algebra.family == "rank1":
-        if z is None:
-            z = algebra.element((0.4 + 1.3j,))
-        tol = 1e-6 if tol is None else tol
+        zz, n, tol = 0.4 + 1.3j, 120, 1e-6
         lo, hi = 1.0, 3.0
 
         def f1(x):          # the bump on (lo, hi)
             return bump((x - 2.0) ** 2)
 
-        zz = complex(z.coords[0])
         nodes, w = box_rule([(lo, hi), (lo, hi)], n)
         lhs = complex(np.sum(
             w * f1(nodes[:, 0]) * f1(nodes[:, 1])
@@ -463,10 +452,8 @@ def check_J_factorization(algebra: JordanAlgebra, z: Element | None = None,
                       lhs=[lhs.real, lhs.imag], rhs=[rhs.real, rhs.imag])
     if algebra.name != "sym2":
         raise ValueError("check implemented for rank1 and sym2")
-    tol = 1e-4 if tol is None else tol
-    if z is None:
-        z = algebra.element((0.2 + 0.9j, -0.1 + 1.1j, 0.05 + 0.1j))
-    zc = z.as_array()
+    tol = 1e-4
+    zc = np.array([0.2 + 0.9j, -0.1 + 1.1j, 0.05 + 0.1j])
     gram = np.array([1.0, 1.0, 2.0])
 
     def phase(coords):
@@ -481,16 +468,16 @@ def check_J_factorization(algebra: JordanAlgebra, z: Element | None = None,
 
 
 def check_partial_isometry(algebra: JordanAlgebra, k: int, lam, mu,
-                           n: int = 220, tol: float = 1e-6,
-                           cache_dir=None) -> dict:
+                           tol: float = 1e-6, cache_dir=None) -> dict:
     """Norm ratio constancy of the adjoint embedding, rank 1.
 
     ||Phi h||^2 / ||h||^2 must match the interval integral
     2^{-r lam - r mu + n} int |C(k)|^2 det(e-v)^{lam-n/r} det(e+v)^{mu-n/r} dv
-    and be flat across test bumps.
+    and be flat across test bumps; every rule has 220 nodes per axis.
     """
     if algebra.family != "rank1":
         raise ValueError("partial isometry check implemented for rank1")
+    n = 220
     lam_f, mu_f = float(lam), float(mu)
     nu = lam_f + mu_f + 2 * k
     shift = 1.0  # n/r
@@ -529,21 +516,20 @@ def check_partial_isometry(algebra: JordanAlgebra, k: int, lam, mu,
 
 
 def check_bracket_transform_equivalence(algebra: JordanAlgebra, k: int,
-                                        lam, mu, z: Element | None = None,
-                                        n: int = 120, tol: float = 1e-6,
+                                        lam, mu, tol: float = 1e-6,
                                         cache_dir=None) -> dict:
     """The bracket on transforms equals the transform of the averaged form.
 
     Left route: apply the bi-differential bracket to the two-slot transform
     of a product bump, the one-slot transform in each slot (contour
-    derivatives at z).  Right route:
+    derivatives at z = 0.3 + 1.2i).  Right route:
     i^{rk} 2^{-n} (det eta)^{k + n/r} int C(k)_{lam-n/r, mu-n/r}(v)
-    f(iota(eta, v)) dv, then the one-slot transform.  Rank 1.
+    f(iota(eta, v)) dv, then the one-slot transform.  Rank 1, with 120-node
+    Gauss-Legendre rules.
     """
     if algebra.family != "rank1":
         raise ValueError("operator-equivalence check implemented for rank1")
-    if z is None:
-        z = algebra.element((0.3 + 1.2j,))
+    zz, n = 0.3 + 1.2j, 120
     lo, hi = 1.0, 3.0
 
     def f1(x):              # the bump on (lo, hi)
@@ -556,7 +542,8 @@ def check_bracket_transform_equivalence(algebra: JordanAlgebra, k: int,
     def transform(coords):
         return np.exp(1j * np.outer(coords[:, 0], xi)) @ fw
 
-    lhs = apply_B(algebra, k, lam, mu, transform, transform, z, cache_dir=cache_dir)
+    lhs = apply_B(algebra, k, lam, mu, transform, transform, np.array([zz]),
+                  cache_dir=cache_dir)
     shift = Fraction(algebra.n, algebra.r)
     C = compute_C(algebra, k, Fraction(lam) - shift, Fraction(mu) - shift,
                   cache_dir)
@@ -569,7 +556,7 @@ def check_bracket_transform_equivalence(algebra: JordanAlgebra, k: int,
     ])
     rk = algebra.r * k
     bhat = (1j ** rk) * 2.0 ** (-algebra.n) * eg ** (k + 1) * inner
-    rhs = complex(np.sum(we * bhat * np.exp(1j * complex(z.coords[0]) * eg)))
+    rhs = complex(np.sum(we * bhat * np.exp(1j * zz * eg)))
     return report("bracket-transform-equivalence", algebra.name, k=k,
                   **{"lambda": float(lam)}, mu=float(mu),
                   lhs=[lhs.real, lhs.imag], rhs=[rhs.real, rhs.imag],
@@ -577,18 +564,18 @@ def check_bracket_transform_equivalence(algebra: JordanAlgebra, k: int,
                   tolerance=tol)
 
 
-def check_bergman_isometry(algebra: JordanAlgebra, nu: float = 2.5,
-                           n: int = 140, tol: float = 1e-6) -> dict:
-    """Weighted-norm isometry of the cone transform, rank 1.
+def check_bergman_isometry(algebra: JordanAlgebra, tol: float = 1e-6) -> dict:
+    """Weighted-norm isometry of the cone transform, rank 1, at nu = 2.5.
 
     ||L f||^2 against det(y)^{nu-2n/r} dx dy over the tube equals a
     constant times ||f||^2 in L^2(det^{-nu+n/r}); the constant for the
     e^{i(z,xi)} convention is (2 pi)^n 2^{n/r-nu} Gamma_Omega(nu - n/r),
     an independent Parseval computation.  Constancy across test functions
-    is asserted as well.
+    is asserted as well.  The rules have n = 140 nodes (4n along x).
     """
     if algebra.family != "rank1":
         raise ValueError("isometry check implemented for rank1")
+    nu, n = 2.5, 140
     gl = gauss_legendre(n)
     xi, wxi = scaled_interval_rule(gl, 0.5, 3.5)
     X, Y = 90.0, 20.0
@@ -618,12 +605,13 @@ def check_bergman_isometry(algebra: JordanAlgebra, nu: float = 2.5,
                   tolerance=tol)
 
 
-def check_hua_cocycle(algebra: JordanAlgebra, gen: GroupGenerator,
-                      z: Element, w: Element, tol: float = 1e-8) -> dict:
-    """det(g z - conj(g w)) = e^{(r/2n) psi_g(z)} det(z - conj w) conj(e^{(r/2n) psi_g(w)})."""
+def check_hua_cocycle(algebra: JordanAlgebra, gen: GroupGenerator, z, w,
+                      tol: float = 1e-8) -> dict:
+    """det(g z - conj(g w)) = e^{(r/2n) psi_g(z)} det(z - conj w) conj(e^{(r/2n) psi_g(w)})
+    at the tube points ``z`` and ``w``."""
     r, n = algebra.r, algebra.n
-    zc = z.as_array().reshape(1, -1)
-    wc = w.as_array().reshape(1, -1)
+    zc = z.reshape(1, -1)
+    wc = w.reshape(1, -1)
     gz = gen.apply(zc)[0]
     gw = gen.apply(wc)[0]
     lhs = algebra.det_poly.numeric((gz - np.conj(gw)).reshape(1, -1))[0]
@@ -637,19 +625,18 @@ def check_hua_cocycle(algebra: JordanAlgebra, gen: GroupGenerator,
 
 
 def check_coherent_transform(algebra: JordanAlgebra, nu, gen: GroupGenerator,
-                             w: Element, points=None, tol: float = 1e-8) -> dict:
-    """pi_nu(g) k_nu^w = e^{(r nu / 2n) conj(psi_g(w))} k_nu^{g(w)} pointwise."""
-    if points is None:
-        points = [algebra.element(tuple(c)) for c in _default_tube_points(algebra)]
+                             w, tol: float = 1e-8) -> dict:
+    """pi_nu(g) k_nu^w = e^{(r nu / 2n) conj(psi_g(w))} k_nu^{g(w)} at the
+    default tube points, for the tube point ``w``."""
     K = coherent_state(algebra, nu, w)
     KT = pi_action(gen, nu, K)
-    gw = gen.apply(w.as_array().reshape(1, -1))[0]
-    K2 = coherent_state(algebra, nu, algebra.element(tuple(gw)))
+    gw = gen.apply(w.reshape(1, -1))[0]
+    K2 = coherent_state(algebra, nu, gw)
     fac = np.exp((algebra.r * complex(nu) / (2.0 * algebra.n))
-                 * np.conj(gen.psi(w.as_array().reshape(1, -1))[0]))
+                 * np.conj(gen.psi(w.reshape(1, -1))[0]))
     residuals = []
-    for z in points:
-        point = z.as_array()[None]
+    for z in _default_tube_points(algebra):
+        point = z[None]
         a = complex(KT(point)[0])
         b = fac * complex(K2(point)[0])
         residuals.append(abs(a - b) / max(abs(a), abs(b), 1e-300))

@@ -29,6 +29,18 @@ def algebra(request):
     return get_algebra(request.param)
 
 
+def test_element_takes_exact_coordinates_only():
+    # a float or complex point is a numpy row; an Element stays rational
+    alg = get_algebra("sym2")
+    for coords in ((0.5, 1.0, 0.0), (1j, 1, 0), (Fraction(1), np.float64(1.0), 0)):
+        with pytest.raises(AlgebraError):
+            alg.element(coords)
+    x = alg.element((Fraction(1, 2), 1, 0))
+    assert det(x) == Fraction(1, 2)
+    assert jordan_mul(x, x) == alg.element((Fraction(1, 4), Fraction(1), Fraction(0)))
+    assert (x + x) / 2 == x and x.as_array().tolist() == [0.5, 1.0, 0.0]
+
+
 def test_descriptor_dimension_relation(algebra):
     r, d = algebra.r, algebra.d
     assert algebra.n == r + r * (r - 1) * d // 2
@@ -121,20 +133,21 @@ def rows(*points):
     return np.array(points, dtype=float)
 
 
-def elements(algebra, X):
-    return [algebra.element(tuple(x)) for x in X.tolist()]
+def jordan_products(algebra, X, Y):
+    """The rows x.y = sum_ij x_i y_j (b_i.b_j), by the float product table."""
+    return np.einsum("bi,bj,ijk->bk", X, Y, algebra._mult_tensor)
 
 
 def test_spectral_reconstruction(algebra):
     # the eigenvalues give back tr x and det x, and each is a root of
     # det(x - lam e)
     rng = random.Random(6)
-    X = np.array([random_rational_element(rng, algebra).as_array() for _ in range(5)])
-    lams = spectral(algebra, X)
+    xs = [random_rational_element(rng, algebra) for _ in range(5)]
+    lams = spectral(algebra, np.array([x.as_array() for x in xs]))
     assert lams.shape == (5, algebra.r)
     assert np.all(np.diff(lams, axis=1) >= 0)
     e = np.array(algebra.e_coords, dtype=float)
-    for x, lam in zip(elements(algebra, X), lams):
+    for x, lam in zip(xs, lams):
         scale = max(1.0, *np.abs(lam))
         assert abs(sum(lam) - trace(x)) < 1e-12 * scale
         assert abs(np.prod(lam) - det(x)) < 1e-12 * scale ** algebra.r
@@ -172,8 +185,8 @@ def test_sqrt_roundtrip(algebra):
     rng = random.Random(7)
     Z = np.array([random_cone_point(rng, algebra).as_array() for _ in range(10)])
     S = cone_sqrt(algebra, Z)
-    for s, z in zip(elements(algebra, S), Z):
-        assert np.max(np.abs(np.array(jordan_mul(s, s).coords) - z)) < 1e-12
+    for s2, z in zip(jordan_products(algebra, S, S), Z):
+        assert np.max(np.abs(s2 - z)) < 1e-12
     assert np.all(spectral(algebra, S) > 0)
 
 
@@ -217,8 +230,7 @@ def test_inverse_exact(algebra):
     rng = random.Random(8)
     points = [random_cone_point(rng, algebra) for _ in range(5)]
     X = np.array([x.as_array() for x in points])
-    for x, xi in zip(points, elements(algebra, inverses(algebra, X))):
-        got = np.array(jordan_mul(x.as_float(), xi).coords)
+    for got in jordan_products(algebra, X, inverses(algebra, X)):
         assert np.max(np.abs(got - algebra.identity.as_array())) < 1e-12
 
 
@@ -233,11 +245,13 @@ def test_sqrt_not_in_cone():
 
 def test_quad_rep_matrices_apply_P(algebra):
     rng = random.Random(16)
-    X = np.array([random_rational_element(rng, algebra).as_array() for _ in range(4)])
-    Y = np.array([random_rational_element(rng, algebra).as_array() for _ in range(4)])
+    xs = [random_rational_element(rng, algebra) for _ in range(4)]
+    ys = [random_rational_element(rng, algebra) for _ in range(4)]
+    X = np.array([x.as_array() for x in xs])
+    Y = np.array([y.as_array() for y in ys])
     got = np.einsum("bij,bj->bi", quad_rep_matrices(algebra, X), Y)
-    for g, x, y in zip(got, elements(algebra, X), elements(algebra, Y)):
-        assert np.max(np.abs(g - np.array(quad_rep(x, y).coords))) < 1e-12
+    for g, x, y in zip(got, xs, ys):
+        assert np.max(np.abs(g - quad_rep(x, y).as_array())) < 1e-12
 
 
 def test_cone_membership_examples(algebra):

@@ -357,6 +357,20 @@ def test_check_all_rank1_exit_zero(tmp_path):
             "adjoint-partial-isometry"} <= names
 
 
+@pytest.mark.parametrize("name", ["rank1", "sym2"])
+def test_check_all_reports_spell_no_numpy_scalar(name, cache_dir):
+    # a sample point z is a list of [re, im] pairs, like every complex field,
+    # so the report bytes do not depend on how numpy prints its scalars
+    code, out, _ = run_cli(["check", "all", "--algebra", name, "--cache-dir", cache_dir])
+    assert code == 0
+    assert "np." not in out
+    zs = [sample["z"] for rep in json.loads(out)["reports"]
+          if isinstance(rep.get("samples"), list) for sample in rep["samples"]
+          if "z" in sample]
+    assert zs and all(len(c) == 2 and all(isinstance(v, float) for v in c)
+                      for z in zs for c in z)
+
+
 def test_entry_point_runs():
     import os
 

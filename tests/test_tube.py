@@ -18,27 +18,27 @@ from rclab.tube import (
 )
 
 
-def tube_el(alg, *coords):
-    return alg.element(tuple(complex(c) for c in coords))
+def tube_el(*coords):
+    """The tube point with these coordinates, a complex row."""
+    return np.array(coords, dtype=complex)
 
 
 def at(F, z):
     """F at the single tube point z."""
-    return complex(F(z.as_array()[None])[0])
+    return complex(F(z[None])[0])
 
 
-def derivative(F, z, alpha, n_nodes=32):
+def derivative(alg, F, z, alpha, n_nodes=32):
     """One coordinate mixed partial of F at the tube point z."""
     alpha = tuple(alpha)
-    return holo_mixed_derivatives(z.algebra, F, z.as_array(), [alpha],
-                                  n_nodes=n_nodes)[alpha]
+    return holo_mixed_derivatives(alg, F, z, [alpha], n_nodes=n_nodes)[alpha]
 
 
 def test_tube_point_validation():
     # a point is in the tube when its imaginary part is in the open cone
     alg = get_algebra("sym2")
-    assert np.all(spectral(alg, tube_el(alg, 1j, 2j, 0).as_array().imag) > 0)
-    assert not np.all(spectral(alg, tube_el(alg, 1j, -1j, 0).as_array().imag) > 0)
+    assert np.all(spectral(alg, tube_el(1j, 2j, 0).imag) > 0)
+    assert not np.all(spectral(alg, tube_el(1j, -1j, 0).imag) > 0)
 
 
 def test_logdet_matches_principal_rank1():
@@ -67,11 +67,11 @@ def test_branched_power_consistency_and_paths():
 
 def test_coherent_state_values():
     alg1 = get_algebra("rank1")
-    K = coherent_state(alg1, 2.0, tube_el(alg1, 1j))
-    assert abs(at(K, tube_el(alg1, 1j)) - 0.25) < 1e-14
+    K = coherent_state(alg1, 2.0, tube_el(1j))
+    assert abs(at(K, tube_el(1j)) - 0.25) < 1e-14
     for name in ("rank1", "sym2", "spin4"):
         alg = get_algebra(name)
-        ie = tube_el(alg, *(1j * np.array([float(c) for c in alg.e_coords])))
+        ie = 1j * alg.identity.as_array()
         nu = 1.7
         K = coherent_state(alg, nu, ie)
         assert abs(at(K, ie) - 2.0 ** (-alg.r * nu)) < 1e-13
@@ -79,7 +79,7 @@ def test_coherent_state_values():
 
 def test_coherent_state_is_holomorphic():
     alg = get_algebra("sym2")
-    K = coherent_state(alg, 2.2, tube_el(alg, 0.2 + 1j, -0.1 + 1.3j, 0.05))
+    K = coherent_state(alg, 2.2, tube_el(0.2 + 1j, -0.1 + 1.3j, 0.05))
     z0 = np.array([0.3 + 1.2j, -0.1 + 0.9j, 0.05 + 0.02j])
     scale = abs(K(z0.reshape(1, -1))[0])
     h = 1e-5
@@ -96,8 +96,8 @@ def test_laplace_of_weight_reproduces_coherent_state():
     # transform of the weight function reproduces Gamma_Omega(nu) k_nu^{ie}
     alg = get_algebra("rank1")
     nu = 2.0
-    z = tube_el(alg, 2 + 3j)
-    K = coherent_state(alg, nu, tube_el(alg, 1j))
+    z = tube_el(2 + 3j)
+    K = coherent_state(alg, nu, tube_el(1j))
     got = tube_laplace(alg, [lambda c: np.ones(len(c))], z, det_power=nu - 1.0)[0]
     want = gamma_omega_closed(alg, nu) * at(K, z)
     assert abs(got - want) / abs(want) < 1e-8
@@ -108,18 +108,18 @@ def test_holo_derivative_polynomial():
     def F(c):
         return c[:, 0] ** 2
 
-    z = alg.element((1j,))
-    assert abs(derivative(F, z, (2,)) - 2.0) < 1e-12
-    assert abs(derivative(F, z, (1,)) - 2j) < 1e-12
+    z = tube_el(1j)
+    assert abs(derivative(alg, F, z, (2,)) - 2.0) < 1e-12
+    assert abs(derivative(alg, F, z, (1,)) - 2j) < 1e-12
 
 
 def test_holo_derivative_coherent_vs_symbolic():
     # d/dz (z+i)^{-2} = -2 (z+i)^{-3}; at z = i the branch factor i^2 drops
     # out of the ratio
     alg = get_algebra("rank1")
-    K = coherent_state(alg, 2.0, tube_el(alg, 1j))
-    z = alg.element((1j,))
-    got = derivative(K, z, (1,))
+    K = coherent_state(alg, 2.0, tube_el(1j))
+    z = tube_el(1j)
+    got = derivative(alg, K, z, (1,))
     want = -2.0 * ((2j) / 1j) ** (-3.0) / 1j
     assert abs(got - want) / abs(want) < 1e-10
 
@@ -138,10 +138,10 @@ def test_mixed_derivative_of_product_factorizes():
 
 def test_cauchy_node_doubling():
     alg = get_algebra("sym2")
-    K = coherent_state(alg, 2.3, tube_el(alg, (0.1 + 1.0j), (0.2 + 1.1j), 0.05j))
-    z = alg.element((0.3 + 1.4j, -0.2 + 1.6j, 0.1 + 0.05j))
-    a = derivative(K, z, (2, 0, 0), n_nodes=32)
-    b = derivative(K, z, (2, 0, 0), n_nodes=64)
+    K = coherent_state(alg, 2.3, tube_el((0.1 + 1.0j), (0.2 + 1.1j), 0.05j))
+    z = tube_el(0.3 + 1.4j, -0.2 + 1.6j, 0.1 + 0.05j)
+    a = derivative(alg, K, z, (2, 0, 0), n_nodes=32)
+    b = derivative(alg, K, z, (2, 0, 0), n_nodes=64)
     assert abs(a - b) / abs(b) < 1e-9
 
 
@@ -149,9 +149,7 @@ def test_cauchy_node_doubling():
 def test_generator_cocycles_match_numeric_jacobian(name):
     alg = get_algebra(name)
     e = np.array([float(c) for c in alg.e_coords])
-    z = alg.element(tuple(0.3 * np.arange(alg.n) + 1.2j * e
-                          + 0.1j * np.arange(alg.n)))
-    z0 = z.as_array()
+    z0 = 0.3 * np.arange(alg.n) + 1.2j * e + 0.1j * np.arange(alg.n)
     h = 1e-6
     for gen in default_generators(alg):
         # Det_C(Dg(z)) by central differences against exp(psi_g(z))
@@ -174,21 +172,21 @@ def test_translation_cocycle_is_one():
 
 def test_pi_action_translation_identity():
     alg = get_algebra("rank1")
-    gen = GroupGenerator(alg, "translation", alg.element((0.0,)))
-    K = coherent_state(alg, 2.0, tube_el(alg, 1j))
+    gen = GroupGenerator(alg, "translation", np.array([0.0]))
+    K = coherent_state(alg, 2.0, tube_el(1j))
     KT = pi_action(gen, 2.0, K)
-    z = alg.element((0.4 + 1.7j,))
+    z = tube_el(0.4 + 1.7j)
     assert abs(at(K, z) - at(KT, z)) < 1e-14
 
 
 def test_pi_action_rank1_dilation_by_four():
     # P(2) scales by 4; pi_nu(l)F(z) = 4^{-nu/2} F(z/4)
     alg = get_algebra("rank1")
-    gen = GroupGenerator(alg, "dilation", alg.element((4.0,)))
+    gen = GroupGenerator(alg, "dilation", np.array([4.0]))
     nu = 3.0
     FT = pi_action(gen, nu, lambda c: c[:, 0] ** 2)
-    z = alg.element((0.8 + 2.0j,))
-    want = 4.0 ** (-nu / 2) * (complex(z.coords[0]) / 4.0) ** 2
+    z = tube_el(0.8 + 2.0j)
+    want = 4.0 ** (-nu / 2) * (complex(z[0]) / 4.0) ** 2
     assert abs(at(FT, z) - want) / abs(want) < 1e-12
 
 
@@ -196,7 +194,7 @@ def test_pi_action_inversion_modulus():
     alg = get_algebra("rank1")
     gen = GroupGenerator(alg, "inversion")
     FT = pi_action(gen, 2.0, lambda c: np.ones(len(c)))
-    val = at(FT, alg.element((1j,)))
+    val = at(FT, tube_el(1j))
     assert abs(abs(val) - 1.0) < 1e-12
 
 
@@ -206,16 +204,16 @@ def _z(c):
 
 def test_apply_B_k0_is_restriction():
     alg = get_algebra("rank1")
-    z = alg.element((0.7 + 1.1j,))
+    z = tube_el(0.7 + 1.1j)
     got = apply_B(alg, 0, 4.0, 2.5, _z, _z, z)
-    assert abs(got - complex(z.coords[0]) ** 2) < 1e-12
+    assert abs(got - complex(z[0]) ** 2) < 1e-12
 
 
 def test_apply_B_rank1_k1_oracle():
     alg = get_algebra("rank1")
-    z = alg.element((0.7 + 1.1j,))
+    z = tube_el(0.7 + 1.1j)
     got = apply_B(alg, 1, 4.0, 2.5, _z, _z, z)
-    want = (4.0 - 2.5) * complex(z.coords[0])
+    want = (4.0 - 2.5) * complex(z[0])
     assert abs(got - want) / abs(want) < 1e-11
 
 
@@ -235,7 +233,7 @@ def test_apply_B_bilinear():
     def G(c):
         return c[:, 0] ** 3 - 2.0 * c[:, 0]
 
-    z = alg.element((0.4 + 1.3j,))
+    z = tube_el(0.4 + 1.3j)
     for k in (1, 2):
         a = apply_B(alg, k, 3.0, 3.5, F1, G, z)
         b = apply_B(alg, k, 3.0, 3.5, F2, G, z)
@@ -260,7 +258,7 @@ def test_apply_B_degree_drop():
 
     vals = []
     for t in (1.0, 2.0):
-        z = alg.element((t * (0.5 + 1.0j),))
+        z = tube_el(t * (0.5 + 1.0j))
         vals.append(apply_B(alg, k, 3.0, 3.0, F, G, z))
     # homogeneous of degree 5 - rk = 3: scaling by 2 scales value by 8
     assert abs(vals[1] / vals[0] - 2.0 ** 3) < 1e-9
@@ -278,8 +276,8 @@ def test_apply_B_rank1_coherent_states_closed_form(k):
     alg = get_algebra("rank1")
     lam, mu = 2.6, 3.2
     w1, w2 = 0.2 + 1.1j, -0.3 + 0.9j
-    F = coherent_state(alg, lam, alg.element((w1,)))
-    G = coherent_state(alg, mu, alg.element((w2,)))
+    F = coherent_state(alg, lam, tube_el(w1))
+    G = coherent_state(alg, mu, tube_el(w2))
     z = 0.3 + 1.4j
 
     def deriv(nu, w, a):
@@ -288,7 +286,7 @@ def test_apply_B_rank1_coherent_states_closed_form(k):
 
     want = sum((-1) ** a * math.comb(k, a) * _rising(lam + a, k - a) * _rising(mu + k - a, a)
                * deriv(lam, w1, a) * deriv(mu, w2, k - a) for a in range(k + 1))
-    got = apply_B(alg, k, lam, mu, F, G, alg.element((z,)))
+    got = apply_B(alg, k, lam, mu, F, G, tube_el(z))
     assert abs(got - want) / abs(want) < 1e-10, (got, want)
 
 
@@ -304,7 +302,7 @@ def _pair_route(alg, k, lam, mu, F, G, z):
     def pair(c):
         return F(c[:, :n]) * G(c[:, n:])
 
-    point = np.concatenate([z.as_array(), z.as_array()])
+    point = np.concatenate([z, z])
     derivs = holo_mixed_derivatives(alg, pair, point, alphas)
     return sum(coef * derivs[alpha] for alpha, coef in zip(alphas, coefs))
 
@@ -314,9 +312,9 @@ def test_apply_B_sym2_matches_the_pair_route(k):
     alg = get_algebra("sym2")
     lam, mu = 2.6, 3.2
     e = np.array([float(c) for c in alg.e_coords])
-    F = coherent_state(alg, lam, alg.element(tuple((0.2 + 1.1j) * e + 0.05j * np.arange(3))))
-    G = coherent_state(alg, mu, alg.element(tuple((-0.3 + 0.9j) * e + 0.04j * np.arange(3)[::-1])))
-    z = alg.element((0.3 + 1.4j, -0.2 + 1.2j, 0.1 + 0.05j))
+    F = coherent_state(alg, lam, (0.2 + 1.1j) * e + 0.05j * np.arange(3))
+    G = coherent_state(alg, mu, (-0.3 + 0.9j) * e + 0.04j * np.arange(3)[::-1])
+    z = tube_el(0.3 + 1.4j, -0.2 + 1.2j, 0.1 + 0.05j)
     got = apply_B(alg, k, lam, mu, F, G, z)
     want = _pair_route(alg, k, lam, mu, F, G, z)
     assert abs(got - want) / abs(want) < 1e-9, abs(got - want) / abs(want)
@@ -368,17 +366,14 @@ def test_covariance_sym2_inversion():
 def test_covariance_sym2_k2():
     alg = get_algebra("sym2")
     gens = {g.kind: g for g in default_generators(alg)}
-    e = np.array([float(c) for c in alg.e_coords])
-    pts = [alg.element(tuple((0.2 + 1.3j) * e)),
-           alg.element(tuple((-0.3 + 1.1j) * e + 0.1j * np.arange(alg.n)))]
-    rep = check_covariance_B(alg, 2, 2.6, 3.2, gens["dilation"], points=pts)
+    rep = check_covariance_B(alg, 2, 2.6, 3.2, gens["dilation"])
     assert rep["pass"] and rep["max_residual"] < 1e-6
 
 
 def test_adjoint_image_sym2_k2():
     alg = get_algebra("sym2")
-    z1 = alg.element((0.2 + 1.1j, -0.1 + 1.3j, 0.05 + 0.1j))
-    z2 = alg.element((-0.3 + 1.8j, 0.2 + 1.5j, -0.02 + 0.05j))
+    z1 = tube_el(0.2 + 1.1j, -0.1 + 1.3j, 0.05 + 0.1j)
+    z2 = tube_el(-0.3 + 1.8j, 0.2 + 1.5j, -0.02 + 0.05j)
     rep = check_adjoint_image(alg, 2, 4, 4, z1, z2, tol=1e-3)
     assert rep["pass"] and rep["residual"] < 1e-3
 
@@ -386,7 +381,7 @@ def test_adjoint_image_sym2_k2():
 def test_polydisc_radius_violation():
     alg = get_algebra("rank1")
     with pytest.raises((ValueError, NotInCone)):
-        derivative(lambda c: c[:, 0], alg.element((0.5 - 1.0j,)), (1,))
+        derivative(alg, lambda c: c[:, 0], tube_el(0.5 - 1.0j), (1,))
 
 
 def test_averaging_map_prefactor_bound():
@@ -408,8 +403,8 @@ def test_averaging_map_prefactor_bound():
 def test_hua_cocycle_all_generators(name):
     alg = get_algebra(name)
     e = np.array([float(c) for c in alg.e_coords])
-    z = alg.element(tuple(0.4 * np.arange(alg.n) / alg.n + 1.3j * e))
-    w = alg.element(tuple(-0.2 * e + 0.9j * e))
+    z = 0.4 * np.arange(alg.n) / alg.n + 1.3j * e
+    w = -0.2 * e + 0.9j * e
     for gen in default_generators(alg):
         rep = check_hua_cocycle(alg, gen, z, w)
         assert rep["pass"] and rep["residual"] < 1e-8, gen.kind
@@ -419,7 +414,7 @@ def test_hua_cocycle_all_generators(name):
 def test_coherent_transform_all_generators(name):
     alg = get_algebra(name)
     e = np.array([float(c) for c in alg.e_coords])
-    w = alg.element(tuple(0.1 * e + 1.1j * e))
+    w = 0.1 * e + 1.1j * e
     for gen in default_generators(alg):
         rep = check_coherent_transform(alg, 2.7, gen, w)
         assert rep["pass"] and rep["max_residual"] < 1e-8, gen.kind
@@ -429,25 +424,23 @@ def test_coherent_transform_dilation_from_identity_witness():
     # transporting the base coherent state along P(v^{1/2}) reaches the
     # witness iv with the (det v)^{nu/2} factor
     alg = get_algebra("sym2")
-    v = alg.element((2.0, 1.5, 0.3))
+    v = np.array([2.0, 1.5, 0.3])
     gen = GroupGenerator(alg, "dilation", v)
     nu = 3.0
-    ie = tube_el(alg, 1j, 1j, 0)
+    ie = tube_el(1j, 1j, 0)
     K = coherent_state(alg, nu, ie)
     KT = pi_action(gen, nu, K)
-    from rclab.algebra import det
-
-    gw = gen.apply(ie.as_array().reshape(1, -1))[0]
-    K2 = coherent_state(alg, nu, alg.element(tuple(gw)))
-    z = alg.element((0.2 + 1.4j, -0.1 + 1.2j, 0.05 + 0.1j))
-    fac = float(det(v)) ** (nu / 2)
+    gw = gen.apply(ie.reshape(1, -1))[0]
+    K2 = coherent_state(alg, nu, gw)
+    z = tube_el(0.2 + 1.4j, -0.1 + 1.2j, 0.05 + 0.1j)
+    fac = float(alg.det_poly.numeric(v[None])[0]) ** (nu / 2)
     assert abs(at(KT, z) - fac * at(K2, z)) / abs(at(KT, z)) < 1e-12
 
 
 def test_adjoint_image_rank1():
     alg = get_algebra("rank1")
-    z1 = alg.element((0.3 + 1.0j,))
-    z2 = alg.element((-0.2 + 2.0j,))
+    z1 = tube_el(0.3 + 1.0j)
+    z2 = tube_el(-0.2 + 2.0j)
     for k in (0, 1, 2):
         rep = check_adjoint_image(alg, k, 3, 3, z1, z2)
         assert rep["pass"], rep
@@ -457,7 +450,7 @@ def test_adjoint_image_rank1():
 
 def test_adjoint_image_vanishes_on_diagonal():
     alg = get_algebra("rank1")
-    z = alg.element((1j,))
+    z = tube_el(1j)
     rep = check_adjoint_image(alg, 1, 3, 3, z, z)
     assert rep["pass"]
     assert abs(complex(*rep["numeric"])) < 1e-12
@@ -466,8 +459,8 @@ def test_adjoint_image_vanishes_on_diagonal():
 def test_adjoint_image_k0_factorizes():
     # k = 0 reduces to the single-slot transform identity on each factor
     alg = get_algebra("rank1")
-    z1 = alg.element((0.1 + 1.2j,))
-    z2 = alg.element((0.4 + 1.6j,))
+    z1 = tube_el(0.1 + 1.2j)
+    z2 = tube_el(0.4 + 1.6j)
     rep = check_adjoint_image(alg, 0, 3, 4, z1, z2)
     assert rep["pass"] and rep["residual"] < 1e-10
 
