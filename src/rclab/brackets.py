@@ -49,6 +49,14 @@ __all__ = [
 ]
 
 CACHE_FORMAT = 1
+# fixed draws of the numeric and exact checks, so their reports repeat bit
+# for bit: the seeds, the (lam, mu) weights of the iota factorization and
+# the sample count of the automorphism check
+CHI_SEED = 2024
+IOTA_SEED = 99
+IOTA_WEIGHTS = ((2, 3), (Fraction(7, 2), Fraction(5, 2)))
+AUT_SAMPLES = 10
+AUT_SEED = 5
 _memory_cache: dict = {}
 # algebra name -> [c(0), c(1), ...] times (det x)^s (det y)^t, in the pencil
 # coordinates: the in-process chain each build extends
@@ -234,7 +242,7 @@ def jacobi_proportionality(k: int, lam, mu, cache_dir=None):
 
 
 def check_chi_covariance(algebra: JordanAlgebra, kmax: int, samples: int = 50,
-                         seed: int = 2024, cache_dir=None) -> list:
+                         cache_dir=None) -> list:
     """Exact test of c(k)(l x, l y) = chi(l)^k c(k)(x, y) for l = P(a), one
     report per k = 0..kmax.
 
@@ -243,7 +251,7 @@ def check_chi_covariance(algebra: JordanAlgebra, kmax: int, samples: int = 50,
     map l = P(a), chi(l) and the images l x, l y computed once.
     """
     cs = [compute_c(algebra, k, cache_dir) for k in range(kmax + 1)]
-    rng = random.Random(seed)
+    rng = random.Random(CHI_SEED)
     draws = []
     for _ in range(samples):
         ell = StructureMap.quadratic(random_cone_point(rng, algebra))
@@ -267,18 +275,16 @@ def check_chi_covariance(algebra: JordanAlgebra, kmax: int, samples: int = 50,
 
 
 def check_iota_factorization(algebra: JordanAlgebra, kmax: int, samples: int = 20,
-                             params=((2, 3), (Fraction(7, 2), Fraction(5, 2))),
-                             seed: int = 99, tol: float = 1e-10,
-                             cache_dir=None) -> list:
+                             tol: float = 1e-10, cache_dir=None) -> list:
     """Numeric test of c(k)_{lam,mu}(iota(eta, v)) = det(eta)^k C(k)_{lam,mu}(v),
     one report per k = 1..kmax (at k = 0 both sides are 1).
 
-    The chart points, ``samples`` per (lam, mu), are drawn and mapped by
-    iota once and shared by every k.
+    The chart points, ``samples`` per (lam, mu) of IOTA_WEIGHTS, are drawn
+    and mapped by iota once and shared by every k.
     """
-    rng = random.Random(seed)
+    rng = random.Random(IOTA_SEED)
     charts = []
-    for lam, mu in params:
+    for lam, mu in IOTA_WEIGHTS:
         etas, vs = random_chart_points(rng, algebra, samples)
         xs, ys = iota(algebra, etas, vs)
         charts.append((lam, mu, np.hstack([xs, ys]), algebra.det_poly.numeric(etas), vs))
@@ -324,13 +330,12 @@ def _random_automorphism(algebra, rng):
 
 
 def check_aut_invariance(algebra: JordanAlgebra, k: int, lam, mu,
-                         samples: int = 10, seed: int = 5, tol: float = 1e-10,
-                         cache_dir=None) -> dict:
-    """C(k) composed with a sampled automorphism equals C(k)."""
-    rng = random.Random(seed)
+                         tol: float = 1e-10, cache_dir=None) -> dict:
+    """C(k) composed with AUT_SAMPLES sampled automorphisms equals C(k)."""
+    rng = random.Random(AUT_SEED)
     C = compute_C(algebra, k, lam, mu, cache_dir)
     residuals = []
-    for _ in range(samples):
+    for _ in range(AUT_SAMPLES):
         act = _random_automorphism(algebra, rng)
         v = random_interval_point(rng, algebra).as_array()
         a = float(C.evaluate(v[None])[0])
@@ -365,7 +370,21 @@ def _coef_label(coef) -> str:
 
 
 def bracket_table_json(poly: BracketPolynomial) -> str:
-    return json.dumps(poly.to_jsonable(), indent=2, sort_keys=True) + "\n"
+    """``poly.to_jsonable()`` in the bytes of ``json.dumps(..., indent=2,
+    sort_keys=True)``, written line by line in its fixed layout: with an
+    indent, json drops its C encoder and runs several times slower."""
+    data = poly.to_jsonable()
+    terms = data.pop("terms")   # the last key in sorted order
+    lines = ["{", *(f"  {json.dumps(key)}: {json.dumps(data[key])}," for key in sorted(data)),
+             '  "terms": [']
+    rows = []
+    for term in terms:
+        coef = ",\n".join(f"        [\n          {i},\n          {j},\n"
+                          f"          {json.dumps(v)}\n        ]" for i, j, v in term["coef"])
+        mono = ",\n".join(f"        {e}" for e in term["mono"])
+        rows.append(f'    {{\n      "coef": [\n{coef}\n      ],\n'
+                    f'      "mono": [\n{mono}\n      ]\n    }}')
+    return "\n".join([*lines, ",\n".join(rows), "  ]", "}"]) + "\n"
 
 
 def bracket_table_csv(poly: BracketPolynomial) -> str:

@@ -40,7 +40,7 @@ K_CAPS = {
 CHECK_K = {"rank1": 6, "sym2": 3}
 
 # documented caps on the costly numeric options.  The sym2 Monte Carlo
-# sampler holds about ten float arrays of --samples values; a Gauss rule of
+# sampler holds at most two float arrays of --samples values; a Gauss rule of
 # n nodes takes time growing faster than n^2 (4,000 nodes take about 20 s);
 # gram integrates on (n + 8)^r points, n = --nodes, for rank r.
 MAX_SAMPLES = 2_000_000

@@ -302,13 +302,18 @@ def gamma_omega_numeric(algebra: JordanAlgebra, nu, method: str = "quadrature",
 
 
 def _gamma_mc(algebra, nu, samples, seed):
-    """Importance-sampled Monte Carlo for Gamma_Omega (rank1 and sym2)."""
+    """Importance-sampled Monte Carlo for Gamma_Omega (rank1 and sym2).
+
+    The arithmetic runs in place on the drawn arrays, so sym2 holds at most
+    two arrays of ``samples`` floats at a time and rank1 one.
+    """
     rng = np.random.default_rng(seed)
     if algebra.family == "rank1":
         # proposal Gamma(shape), shape matched to halve the power tail
         shape = max(nu / 2, 0.5)
-        x = rng.gamma(shape, size=samples)
-        ratio = x ** (nu - shape) * math.gamma(shape)
+        ratio = rng.gamma(shape, size=samples)
+        ratio **= nu - shape
+        ratio *= math.gamma(shape)
         return float(np.mean(ratio))
     if algebra.name != "sym2":
         raise ValueError("Monte Carlo Gamma integral implemented for rank1/sym2")
@@ -316,12 +321,20 @@ def _gamma_mc(algebra, nu, samples, seed):
     # Proposal: diagonals ~ Gamma(nu - 1/2), x12 uniform on the cone slice;
     # the det/(x11 x22) ratio is then bounded by 1, taming the variance.
     shape = nu - 0.5
-    x11 = rng.gamma(shape, size=samples)
-    x22 = rng.gamma(shape, size=samples)
-    m = np.sqrt(x11 * x22)
-    x12 = (2 * rng.random(samples) - 1.0) * m
-    ratio = (1.0 - (x12 / m) ** 2) ** (nu - 1.5)
-    vals = math.sqrt(2.0) * math.gamma(shape) ** 2 * ratio * (2 * m)
+    m = rng.gamma(shape, size=samples)              # x11
+    m *= rng.gamma(shape, size=samples)             # x11 x22
+    np.sqrt(m, out=m)
+    vals = rng.random(samples)
+    vals *= 2
+    vals -= 1.0
+    vals *= m                                       # x12
+    vals /= m
+    vals **= 2
+    np.subtract(1.0, vals, out=vals)
+    vals **= nu - 1.5                               # the ratio
+    vals *= math.sqrt(2.0) * math.gamma(shape) ** 2
+    m *= 2
+    vals *= m
     return float(np.mean(vals))
 
 
@@ -463,14 +476,45 @@ def gram_matrix(algebra: JordanAlgebra, lam, mu, k_max: int, n: int | None = Non
 # Full-dimensional cone quadrature for sym2 (non-invariant integrands)
 
 
-def _sym2_coords(s, u, theta):
-    lam1 = s * (1 - u) / 2
-    lam2 = s * (1 + u) / 2
-    c, sn = np.cos(theta), np.sin(theta)
-    x11 = c**2 * lam1 + sn**2 * lam2
-    x22 = sn**2 * lam1 + c**2 * lam2
-    x12 = c * sn * (lam2 - lam1)
-    return np.stack([x11, x22, x12], axis=1)
+def _sym2_coords(lam1, lam2, c2, s2, cs):
+    """Coordinates (..., 3) of k diag(lam1, lam2) k^T, k the rotation by
+    theta, from cos^2, sin^2 and cos sin of theta."""
+    x11 = c2 * lam1 + s2 * lam2
+    x22 = s2 * lam1 + c2 * lam2
+    x12 = cs * (lam2 - lam1)
+    return np.stack([x11, x22, x12], axis=-1)
+
+
+# rays of the sym2 Laplace rule summed together: a block of (rays x radial
+# nodes) coordinates and phases takes a few MB
+_RAY_BLOCK = 256
+
+
+@functools.cache
+def _sym2_rays():
+    """The rays (u, theta) of the sym2 Laplace rule, which depend on neither
+    z nor p: u, the ray weights without the det power, the unit coordinates,
+    cos^2, sin^2, cos sin of theta and (1 -+ u)/2, one entry per ray.  Built
+    once per process and returned read-only."""
+    n_u, n_theta = 48, 48
+    gl = gauss_legendre(n_u)
+    u, wu = scaled_interval_rule(gl, 0.0, 1.0)
+    theta = (np.arange(n_theta) + 0.5) * math.pi / n_theta
+    wt = np.full(n_theta, math.pi / n_theta)
+    U, T = np.meshgrid(u, theta, indexing="ij")
+    WU, WT = np.meshgrid(wu, wt, indexing="ij")
+    u, t = U.ravel(), T.ravel()
+    c_polar = mehta_cone_constant(get_algebra("sym2")) / math.pi
+    weights = (WU * WT).ravel() * c_polar * (u / 2)
+    c, sn = np.cos(t), np.sin(t)
+    c2, s2, cs = c**2, sn**2, c * sn
+    # s (1 -+ u)/2 is s (1 -+ u) halved: halving is exact, so the radial
+    # coordinates keep their bits
+    h1, h2 = (1 - u) / 2, (1 + u) / 2
+    rays = (u, weights, _sym2_coords(h1, h2, c2, s2, cs), c2, s2, cs, h1, h2)
+    for arr in rays:
+        arr.flags.writeable = False
+    return rays
 
 
 def tube_laplace(algebra: JordanAlgebra, integrands, z,
@@ -480,18 +524,20 @@ def tube_laplace(algebra: JordanAlgebra, integrands, z,
     complex array.
 
     Each g maps an (m, n) coordinate array to an (m,) array and must grow at
-    most polynomially.  The rule is built once per call and every g is
-    evaluated on its nodes in turn.  The (possibly fractional) det power p
-    is absorbed into a generalized-Laguerre radial rule, so endpoint
-    behavior costs no accuracy.  The radial direction is rescaled per ray so
-    the built-in exponential matches the full decay tr - (Im z, .); the
-    leftover bounded oscillation is handled by the rule itself.  The integral
-    converges when Im z + e lies in the cone.  Supports rank1 and sym2 (the
-    two families the analytic checks drive).
+    most polynomially.  Every g is evaluated on the rule's nodes in turn.
+    The (possibly fractional) det power p is absorbed into a
+    generalized-Laguerre radial rule, so endpoint behavior costs no
+    accuracy.  The radial direction is rescaled per ray so the built-in
+    exponential matches the full decay tr - (Im z, .); the leftover bounded
+    oscillation is handled by the rule itself.  The integral converges when
+    Im z + e lies in the cone.  Supports rank1 and sym2 (the two families
+    the analytic checks drive).  The sym2 ray geometry (spread u and angle
+    theta) is built once per process and cached read-only; the rays are
+    summed in blocks of ``_RAY_BLOCK``, keeping one (integrands x rays) array
+    of per-ray sums, so the full (rays x radial nodes) grid never exists.
     """
     p = float(det_power)
-    # radial Laguerre nodes; for sym2 the spread u and angle theta nodes
-    n_s, n_u, n_theta = 128, 48, 48
+    n_s = 128   # radial Laguerre nodes
     if algebra.family == "rank1":
         wcplx = 1.0 - 1j * complex(z[0])  # e^{-w xi}
         q = wcplx.real
@@ -504,34 +550,26 @@ def tube_laplace(algebra: JordanAlgebra, integrands, z,
                          / q ** (1.0 + p) for g in integrands], dtype=complex)
     if algebra.name != "sym2":
         raise ValueError("tube_laplace supports rank1 and sym2")
-    c_polar = mehta_cone_constant(get_algebra("sym2")) / math.pi
     rs = gauss_laguerre(n_s, alpha=2 * p + 2)   # det^p -> s^{2p}, density s^2
-    gl = gauss_legendre(n_u)
-    u, wu = scaled_interval_rule(gl, 0.0, 1.0)
-    theta = (np.arange(n_theta) + 0.5) * math.pi / n_theta
-    wt = np.full(n_theta, math.pi / n_theta)
-    U, T = np.meshgrid(u, theta, indexing="ij")
-    WU, WT = np.meshgrid(wu, wt, indexing="ij")
-    u_, t_ = U.ravel(), T.ravel()
-    wray = (WU * WT).ravel() * c_polar * (u_ / 2) * ((1 - u_**2) / 4) ** p
-    unit = _sym2_coords(np.ones_like(u_), u_, t_)
+    u, weights, unit, c2, s2, cs, h1, h2 = _sym2_rays()
+    wray = weights * ((1 - u**2) / 4) ** p
     gram = np.array([1.0, 1.0, 2.0])
     q = unit[:, 0] + unit[:, 1] + unit @ (gram * z.imag)
     posc = unit @ (gram * z.real)
     if np.any(q <= 0):
         raise ValueError("integral does not converge")
-    # radial sum per ray: s = tau/q, picking up q^{-(2p+3)}
-    nrays = len(u_)
-    tau = rs.nodes
-    s_scaled = tau[None, :] / q[:, None]          # (nrays, n_s)
-    coords = _sym2_coords(s_scaled.ravel(),
-                          np.repeat(u_, n_s), np.repeat(t_, n_s))
-    phase = np.exp(1j * posc[:, None] * s_scaled)
     qpow = q ** (2 * p + 3)
-    # one integrand at a time: an (integrands x nodes) array would multiply
-    # the memory of the rule
-    return np.array([np.sum(wray * ((g(coords).reshape(nrays, n_s) * phase) @ rs.weights)
-                            / qpow) for g in integrands], dtype=complex)
+    sums = np.empty((len(integrands), len(u)), dtype=complex)
+    for lo in range(0, len(u), _RAY_BLOCK):
+        rays = slice(lo, lo + _RAY_BLOCK)
+        # radial sum per ray: s = tau/q, picking up q^{-(2p+3)}
+        s = rs.nodes[None, :] / q[rays, None]
+        coords = _sym2_coords(s * h1[rays, None], s * h2[rays, None], c2[rays, None],
+                              s2[rays, None], cs[rays, None]).reshape(-1, 3)
+        phase = np.exp(1j * posc[rays, None] * s)
+        for i, g in enumerate(integrands):
+            sums[i, rays] = (g(coords).reshape(-1, n_s) * phase) @ rs.weights
+    return np.array([np.sum(wray * ray_sums / qpow) for ray_sums in sums], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +648,8 @@ def _midpoint_grid(bounds, n: int):
 
 
 # Midpoint nodes per axis of the sym2 chart rules: x for the lhs, z and v for
-# the rhs (z over the box of the trace ball, v over a box per z)
+# the rhs (z over the box of the trace ball, v over the box of a ball per z,
+# of whose v nodes only those inside the ball are summed)
 SYM2_CHART_NODES = {"x": 48, "z": 16, "v": 10}
 
 
@@ -649,8 +688,9 @@ def _ball_box(c, r):
 @functools.cache
 def _sym2_chart_rule(center, radius):
     """The z nodes of the rhs rule of ``_sym2_nested_quadrature``, the chart
-    term at each (everything but the weight, the v integral done) and the z
-    cell volume.  Built once per (center, radius) and returned read-only."""
+    term at each (everything but the weight, the v integral over the ball of
+    radius rho(z) done) and the z cell volume.  Built once per (center,
+    radius) and returned read-only."""
     sym2 = get_algebra("sym2")
     f1 = trace_ball_bump(sym2, center, radius)
     # z = x + y lies in the trace ball of radius 2R about 2 center e.  Given
@@ -663,9 +703,12 @@ def _sym2_chart_rule(center, radius):
     zs, d2 = zs[inside], d2[inside]
     rho = np.sqrt(4 * radius**2 - d2) / spectral(sym2, zs)[:, 0]
     unit, ucell = _midpoint_grid(_ball_box(0.0, 1.0), SYM2_CHART_NODES["v"])
-    # v = rho(z) u and w = P(z^{1/2}) v, with one matrix per z node.  Some
-    # v nodes of the box lie outside )-e, e(, where f1(x) f1(y) = 0 and
-    # iota would raise, so the chart is applied here.
+    # v = rho(z) u and w = P(z^{1/2}) v, with one matrix per z node.  Only
+    # the u nodes inside the open unit trace-form ball count: outside it
+    # |w|^2 >= |u|^2 (4R^2 - |z - 2ce|^2), so by the parallelogram law x or
+    # y leaves its ball and f1(x) f1(y) is exactly 0.  Outside the ball the
+    # grid's |u|^2 is at least 1.07, far above rounding.
+    unit = unit[(unit * unit) @ np.array([1.0, 1.0, 2.0]) < 1.0]
     Pz = rho[:, None, None] * quad_rep_matrices(sym2, cone_sqrt(sym2, zs))
     inner = np.zeros(len(zs))
     # one v node at a time: a (z nodes x v nodes) broadcast would take

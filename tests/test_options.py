@@ -1,16 +1,19 @@
-"""Every option of the tube and quadrature layers is set by some caller."""
+"""Every option of the package is set by some caller."""
 
 import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "rclab"
-MODULES = ("tube", "quadrature")
+MODULES = tuple(sorted(path.stem for path in SRC.glob("*.py")))
 
 # Defaulted parameters that no call in src/rclab passes, each with its reason.
 NO_CALLER_NEEDED = {
     "quadrature.weyl_integral.method":
         "test_weyl_tensor_fallback_even_power runs the tensor path on spin4, "
         "where d = 2 makes that path exact",
+    "cli.main.argv":
+        "the entry point: the console script calls main() bare, so argparse "
+        "reads sys.argv; tests and perfbench pass the argument list",
 }
 
 

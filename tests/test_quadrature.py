@@ -2,21 +2,25 @@
 
 import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from rclab import quadrature
-from rclab.algebra import get_algebra
+from rclab.algebra import (
+    get_algebra, spectral, cone_sqrt, quad_rep_matrices, iota_jacobian,
+)
 from rclab.brackets import jacobi_classical
+from rclab.poly import Poly
 from rclab.quadrature import (
     gauss_jacobi, gauss_legendre, gauss_laguerre,
     gamma_omega_closed, gamma_omega_numeric,
     cone_integrate_invariant, weyl_integral, gram_matrix,
     tube_laplace, box_rule, check_change_of_variables,
 )
-from rclab.tube import check_J_factorization
+from rclab.tube import check_J_factorization, _default_tube_points
 
 
 def test_gauss_rule_invariants():
@@ -192,6 +196,51 @@ def test_gamma_numeric_sym2_mc():
     assert abs(num - closed) / closed < 1e-2
 
 
+def _gamma_mc_reference(algebra, nu, samples, seed):
+    """The Monte Carlo Gamma integral with a new array for every step."""
+    rng = np.random.default_rng(seed)
+    if algebra.family == "rank1":
+        shape = max(nu / 2, 0.5)
+        x = rng.gamma(shape, size=samples)
+        return float(np.mean(x ** (nu - shape) * math.gamma(shape)))
+    shape = nu - 0.5
+    x11 = rng.gamma(shape, size=samples)
+    x22 = rng.gamma(shape, size=samples)
+    m = np.sqrt(x11 * x22)
+    x12 = (2 * rng.random(samples) - 1.0) * m
+    ratio = (1.0 - (x12 / m) ** 2) ** (nu - 1.5)
+    vals = math.sqrt(2.0) * math.gamma(shape) ** 2 * ratio * (2 * m)
+    return float(np.mean(vals))
+
+
+@pytest.mark.parametrize("name", ["rank1", "sym2"])
+def test_gamma_mc_in_place_keeps_the_bits(name):
+    alg = get_algebra(name)
+    for nu in (2.5, 3.0):
+        for samples in (1_000, 100_001):
+            got = quadrature._gamma_mc(alg, nu, samples, 20240)
+            assert got == _gamma_mc_reference(alg, nu, samples, 20240), (nu, samples)
+
+
+def _peak_bytes(fn, *args):
+    """The peak of the memory that tracemalloc sees (numpy buffers
+    included) during fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gamma_mc_sym2_holds_two_arrays_of_samples():
+    # in place the sampler holds 16 bytes per sample; with a new array for
+    # every step it held 56
+    samples = 200_000
+    peak = _peak_bytes(quadrature._gamma_mc, get_algebra("sym2"), 3.0, samples, 20240)
+    assert peak <= 24 * samples, peak / samples
+
+
 def test_gamma_numeric_gap_coordinates():
     for name in ("sym3", "sym4", "spin5"):
         alg = get_algebra(name)
@@ -314,6 +363,59 @@ def test_tube_laplace_many_integrands_match_single_calls():
         assert got.tobytes() == np.concatenate(one).tobytes(), name
 
 
+def _tube_laplace_sym2_reference(integrands, z, p):
+    """The sym2 Laplace rule on the whole (rays x radial nodes) grid at
+    once, with the cos and sin of the angle taken per node."""
+    n_s, n_u, n_theta = 128, 48, 48
+    c_polar = quadrature.mehta_cone_constant(get_algebra("sym2")) / math.pi
+    rs = gauss_laguerre(n_s, alpha=2 * p + 2)
+    u, wu = quadrature.scaled_interval_rule(gauss_legendre(n_u), 0.0, 1.0)
+    theta = (np.arange(n_theta) + 0.5) * math.pi / n_theta
+    wt = np.full(n_theta, math.pi / n_theta)
+    U, T = np.meshgrid(u, theta, indexing="ij")
+    WU, WT = np.meshgrid(wu, wt, indexing="ij")
+    u_, t_ = U.ravel(), T.ravel()
+    wray = (WU * WT).ravel() * c_polar * (u_ / 2) * ((1 - u_**2) / 4) ** p
+
+    def coords_of(s, u, theta):
+        lam1, lam2 = s * (1 - u) / 2, s * (1 + u) / 2
+        c, sn = np.cos(theta), np.sin(theta)
+        return np.stack([c**2 * lam1 + sn**2 * lam2, sn**2 * lam1 + c**2 * lam2,
+                         c * sn * (lam2 - lam1)], axis=1)
+
+    unit = coords_of(np.ones_like(u_), u_, t_)
+    gram = np.array([1.0, 1.0, 2.0])
+    q = unit[:, 0] + unit[:, 1] + unit @ (gram * z.imag)
+    posc = unit @ (gram * z.real)
+    s_scaled = rs.nodes[None, :] / q[:, None]
+    coords = coords_of(s_scaled.ravel(), np.repeat(u_, n_s), np.repeat(t_, n_s))
+    phase = np.exp(1j * posc[:, None] * s_scaled)
+    qpow = q ** (2 * p + 3)
+    return np.array([np.sum(wray * ((g(coords).reshape(len(u_), n_s) * phase) @ rs.weights)
+                            / qpow) for g in integrands], dtype=complex)
+
+
+def test_tube_laplace_sym2_blocks_keep_the_bits():
+    # cached rays and ray blocks change no bit of the whole-grid rule
+    monos = [(1, 0, 0), (0, 1, 1), (2, 0, 1), (1, 2, 3)]
+    integrands = [lambda c: np.ones(len(c))] + [Poly.from_terms({m: 1}, 3).numeric
+                                                 for m in monos]
+    alg = get_algebra("sym2")
+    for z in _default_tube_points(alg):
+        for p in (0.3, 1.5):
+            got = tube_laplace(alg, integrands, z, det_power=p)
+            assert np.array_equal(got, _tube_laplace_sym2_reference(integrands, z, p)), (z, p)
+
+
+def test_tube_laplace_sym2_peak_memory():
+    # ray blocks keep the peak at a few MB; the whole grid took 30.9 MB
+    alg = get_algebra("sym2")
+    args = (alg, [lambda c: np.ones(len(c))], _default_tube_points(alg)[1], 1.3)
+    tube_laplace(*args)     # the Gauss rules and the rays are built once
+    peak = _peak_bytes(tube_laplace, *args)
+    assert peak < 8e6, peak
+
+
 def test_tube_laplace_divergence_guard():
     alg = get_algebra("rank1")
     z = np.array([0.5 - 2j])     # Im z + e = -1 is outside the cone
@@ -384,6 +486,37 @@ def test_sym2_chart_checks_fail_on_nan(check, monkeypatch, fresh_chart_rule):
     monkeypatch.setattr(quadrature, "bump", lambda q2: bump(q2) * np.nan)
     rep = check(get_algebra("sym2"))
     assert not rep["pass"], rep
+
+
+def _sym2_chart_rule_reference(center, radius):
+    """The sym2 chart rule summed over every v node of the box."""
+    sym2 = get_algebra("sym2")
+    f1 = quadrature.trace_ball_bump(sym2, center, radius)
+    zs, zcell = quadrature._midpoint_grid(quadrature._ball_box(2 * center, 2 * radius),
+                                          quadrature.SYM2_CHART_NODES["z"])
+    d2 = (zs[:, 0] - 2 * center) ** 2 + (zs[:, 1] - 2 * center) ** 2 + 2 * zs[:, 2] ** 2
+    inside = d2 < 4 * radius**2
+    zs, d2 = zs[inside], d2[inside]
+    rho = np.sqrt(4 * radius**2 - d2) / spectral(sym2, zs)[:, 0]
+    unit, ucell = quadrature._midpoint_grid(quadrature._ball_box(0.0, 1.0),
+                                            quadrature.SYM2_CHART_NODES["v"])
+    assert len(unit) == 1_000
+    Pz = rho[:, None, None] * quad_rep_matrices(sym2, cone_sqrt(sym2, zs))
+    inner = np.zeros(len(zs))
+    for u in unit:
+        w = Pz @ u
+        inner += f1((zs - w) / 2) * f1((zs + w) / 2)
+    return zs, inner * ucell * rho**3 * iota_jacobian(sym2, zs), zcell
+
+
+def test_sym2_chart_rule_over_the_v_ball_keeps_the_bits(fresh_chart_rule):
+    # outside the unit trace-form ball f1(x) f1(y) is exactly 0, so the
+    # loop over the ball's 552 v nodes matches the loop over all 1,000
+    zs, terms, zcell = quadrature._sym2_chart_rule(2.0, 0.9)
+    want_zs, want_terms, want_zcell = _sym2_chart_rule_reference(2.0, 0.9)
+    assert np.array_equal(zs, want_zs) and zcell == want_zcell
+    assert np.array_equal(terms, want_terms)
+    assert np.count_nonzero(want_terms) > 0
 
 
 def test_check_all_sym2_runs_the_chart_inner_loop_once(tmp_path, monkeypatch,
