@@ -553,50 +553,72 @@ class StructureMap:
 
 
 # ---------------------------------------------------------------------------
-# Random sampling helpers (exact rational constructions)
+# Random sampling helpers
+#
+# The draws run over the integers, one point at a time in a fixed rng order:
+# an exact sampler returns an Element, a float one divides once, and int /
+# int rounds correctly, as float(Fraction) does.
 
 
-def random_rational_element(rng: random.Random, algebra: JordanAlgebra,
-                            num_bound: int = 6, den_bound: int = 4) -> Element:
-    coords = tuple(
-        Fraction(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
-        for _ in range(algebra.n)
-    )
-    return Element(algebra, coords)
+def _random_ints(rng: random.Random, n: int, num_bound: int = 6, den_bound: int = 4):
+    """n rationals num/den, each drawn numerator first, as integers X over
+    one common denominator q."""
+    draws = [(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
+             for _ in range(n)]
+    q = math.lcm(*(den for _, den in draws))
+    return [num * (q // den) for num, den in draws], q
+
+
+def _int_mul(algebra: JordanAlgebra, U, V):
+    """C(U, V) = t u.v for integer coordinate lists U, V, with structure
+    constants C/t (t = algebra._table_den)."""
+    out = [0] * algebra.n
+    for i, j, k, c in algebra._int_table:
+        out[k] += c * U[i] * V[j]
+    return out
+
+
+def _cone_ints(rng: random.Random, algebra: JordanAlgebra):
+    """u.u + e, with u drawn by _random_ints(rng, n, 3, 3), as integers W
+    over one denominator D: with u = U/q, u.u + e = (C(U, U) + q^2 t e) /
+    (q^2 t)."""
+    U, q = _random_ints(rng, algebra.n, 3, 3)
+    den = q * q * algebra._table_den
+    return [w + den * int(e) for w, e in zip(_int_mul(algebra, U, U), algebra.e_coords)], den
+
+
+def random_rational_element(rng: random.Random, algebra: JordanAlgebra) -> Element:
+    X, q = _random_ints(rng, algebra.n)
+    return Element(algebra, tuple(Fraction(x, q) for x in X))
 
 
 def random_cone_point(rng: random.Random, algebra: JordanAlgebra) -> Element:
-    """u.u + e is strictly inside the cone, with exact coordinates.
+    """u.u + e, strictly inside the cone, with exact coordinates."""
+    W, den = _cone_ints(rng, algebra)
+    return Element(algebra, tuple(Fraction(w, den) for w in W))
 
-    With u = U/q and structure constants C/t, u.u + e =
-    (C(U, U) + q^2 t e) / (q^2 t) is summed over the integers (e has
-    integer coordinates).
+
+def random_interval_point(rng: random.Random, algebra: JordanAlgebra) -> np.ndarray:
+    """A point of )-e, e( as a float row.
+
+    w = u.u + e has eigenvalues in (0, tr w]; alpha (w - (tr w / 2) e) then
+    has eigenvalues inside (-1, 1) for alpha = (a / 10) 2 / tr w, a = 1..9.
+    With w = W/D and tr w = T/D that point is a (2W - T e) / (10 T).
     """
-    U, q = _over_common_den(random_rational_element(rng, algebra, 3, 3).coords)
-    den = q * q * algebra._table_den
-    out = [den * int(e) for e in algebra.e_coords]
-    for i, j, k, c in algebra._int_table:
-        out[k] += c * U[i] * U[j]
-    return Element(algebra, tuple(Fraction(v, den) for v in out))
-
-
-def random_interval_point(rng: random.Random, algebra: JordanAlgebra) -> Element:
-    """Exact rational point of )-e, e(.
-
-    w = u.u + e has eigenvalues in (0, tr w]; alpha*(w - (tr w / 2) e) then
-    has eigenvalues inside (-1, 1) for alpha < 2 / tr w.
-    """
-    w = random_cone_point(rng, algebra)
-    t = trace(w)
-    alpha = Fraction(rng.randint(1, 9), 10) * 2 / t
-    return alpha * (w - (t / 2) * w.algebra.identity)
+    W, _ = _cone_ints(rng, algebra)
+    T = sum(int(t) * w for t, w in zip(algebra.trace_vec, W))
+    a = rng.randint(1, 9)
+    return np.array([a * (2 * w - T * int(e)) / (10 * T)
+                     for w, e in zip(W, algebra.e_coords)])
 
 
 def random_chart_points(rng: random.Random, algebra: JordanAlgebra, count: int):
     """``count`` pairs (z, v), z in the cone and v in )-e, e(, drawn in turn
-    by random_cone_point and random_interval_point, as two (count, n) float
-    arrays."""
-    pairs = [(random_cone_point(rng, algebra).as_array(),
-              random_interval_point(rng, algebra).as_array()) for _ in range(count)]
-    Z, V = zip(*pairs)
+    as by random_cone_point and random_interval_point, as two (count, n)
+    float arrays."""
+    Z, V = [], []
+    for _ in range(count):
+        W, den = _cone_ints(rng, algebra)
+        Z.append([w / den for w in W])
+        V.append(random_interval_point(rng, algebra))
     return np.array(Z), np.array(V)

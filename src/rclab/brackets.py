@@ -19,15 +19,14 @@ import os
 import random
 import tempfile
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 
 from . import report, worst
 from .algebra import (
-    JordanAlgebra, StructureMap, get_algebra, iota, _sym_pairs,
-    random_rational_element, random_cone_point, random_interval_point,
-    random_chart_points,
+    JordanAlgebra, get_algebra, iota, _sym_pairs, _random_ints, _cone_ints, _int_mul,
+    random_interval_point, random_chart_points,
 )
 from .poly import Poly
 from .sympoly import (
@@ -57,6 +56,9 @@ IOTA_SEED = 99
 IOTA_WEIGHTS = ((2, 3), (Fraction(7, 2), Fraction(5, 2)))
 AUT_SAMPLES = 10
 AUT_SEED = 5
+# samples per integer monomial table of the chi-covariance check: a table of
+# all 2 x 50 points at spin8 k = 2 holds about 1 MB of big integers
+CHI_BLOCK = 10
 _memory_cache: dict = {}
 # algebra name -> [c(0), c(1), ...] times (det x)^s (det y)^t, in the pencil
 # coordinates: the in-process chain each build extends
@@ -154,14 +156,22 @@ def compute_C(algebra: JordanAlgebra, k: int, lam=None, mu=None,
               cache_dir: str | None = None) -> OrthoPoly:
     """Substitute x <- (e - v)/2, y <- (e + v)/2 (and s <- lam, t <- mu).
 
-    The substitution runs over the integers: every monomial of c(k) has
-    degree rk, so each takes the factor 2^-(rk) into the denominator.
+    The substitution runs once per c(k), in Q[s, t], and is kept on the
+    c(k) object; the weights are set afterwards, so a replaced c(k) never
+    serves a stale C(k).
     """
     if (lam is None) != (mu is None):
         raise ValueError("give both weights lam and mu, or neither")
-    c = compute_c(algebra, k, cache_dir).poly
-    if lam is not None:
-        c = c.at(lam, mu)
+    c = compute_c(algebra, k, cache_dir)
+    if c.interval is None:
+        c.interval = _restrict(algebra, c.poly, k)
+    return OrthoPoly(c.interval if lam is None else c.interval.at(lam, mu))
+
+
+def _restrict(algebra, c: Poly, k: int) -> Poly:
+    """c(k)(e - v, e + v) / 2^(rk) over the integers: every monomial of
+    c(k) has degree rk, so each takes the factor 2^-(rk) into the
+    denominator."""
     n = algebra.n
     e = [int(x) for x in algebra.e_coords]
     exps, rows, weights = [], [], []
@@ -177,8 +187,8 @@ def compute_C(algebra: JordanAlgebra, k: int, lam=None, mu=None,
         rows.extend([row] * len(acc))
         weights.extend(acc.values())
     coef = np.array(weights, dtype=object).reshape(-1, 1, 1) * c.coef[rows]
-    return OrthoPoly(Poly.collect(np.array(exps, dtype=np.int64).reshape(-1, n), coef,
-                                  c.den * 2 ** (algebra.r * k)))
+    return Poly.collect(np.array(exps, dtype=np.int64).reshape(-1, n), coef,
+                        c.den * 2 ** (algebra.r * k))
 
 
 # ---------------------------------------------------------------------------
@@ -246,29 +256,60 @@ def check_chi_covariance(algebra: JordanAlgebra, kmax: int, samples: int = 50,
     """Exact test of c(k)(l x, l y) = chi(l)^k c(k)(x, y) for l = P(a), one
     report per k = 0..kmax.
 
-    The samples are drawn once per algebra and shared by every k: each is a
-    cone point a, two rational points x, y and weights (s0, t0), with the
-    map l = P(a), chi(l) and the images l x, l y computed once.
+    The samples are drawn once per algebra and shared by every k, all as
+    integers: a cone point a = A/D, two rational points x, y over one
+    denominator q, and weights (s0, t0).  With structure constants C/t,
+    l x = (2 C(A, C(A, X)) - C(C(A, A), X)) / (t^2 D^2 q), and chi(l) =
+    det(a)^2 = (N / (m D^r))^2, N / m the value of det_poly at A.  c(k) is
+    homogeneous of degree rk, so with v the integer value of c(k) at
+    integer numerators, the identity reads
+    v(l X, l Y) m^2k = N^2k t^2rk v(X, Y).  Per k, each sample's
+    coefficients of c(k) at (s0, t0) meet the integer monomial table of its
+    two points, built for CHI_BLOCK samples at a time; no Fraction is made
+    per sample.
     """
     cs = [compute_c(algebra, k, cache_dir) for k in range(kmax + 1)]
+    n, t, det_poly = algebra.n, algebra._table_den, algebra.det_poly
     rng = random.Random(CHI_SEED)
-    draws = []
+    cones, points, weights = [], [], []
     for _ in range(samples):
-        ell = StructureMap.quadratic(random_cone_point(rng, algebra))
-        x = random_rational_element(rng, algebra)
-        y = random_rational_element(rng, algebra)
-        s0 = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        t0 = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        draws.append((ell.chi_value, x, y, s0, t0, ell(x), ell(y)))
+        A, _ = _cone_ints(rng, algebra)
+        X, qx = _random_ints(rng, n)
+        Y, qy = _random_ints(rng, n)
+        q = lcm(qx, qy)
+        AA = _int_mul(algebra, A, A)
+        XY = [v * (q // qx) for v in X] + [v * (q // qy) for v in Y]
+        for Z in (XY[:n], XY[n:]):
+            # (t D)^2 q P(a) z = 2 C(A, C(A, Z)) - C(C(A, A), Z)
+            AAZ = _int_mul(algebra, A, _int_mul(algebra, A, Z))
+            points.extend(2 * u - v for u, v in zip(AAZ, _int_mul(algebra, AA, Z)))
+        points.extend(XY)
+        cones.append(A)
+        weights.append([rng.randint(-4, 4), rng.randint(1, 3),
+                        rng.randint(-4, 4), rng.randint(1, 3)])
+    points = np.array(points, dtype=object).reshape(samples, 2, 2 * n)
+    sn, sd, tn, td = np.array(weights, dtype=object).reshape(-1, 4).T
+    dets = det_poly.monomials(cones).dot(det_poly.coef[:, 0, 0])
     reports = []
     for k, c in enumerate(cs):
-        violations = []
-        for idx, (chi_val, x, y, s0, t0, lx, ly) in enumerate(draws):
-            spec = c.specialize(s0, t0)
-            lhs = c.evaluate_specialized(spec, lx, ly)
-            rhs = chi_val**k * c.evaluate_specialized(spec, x, y)
-            if lhs != rhs:
-                violations.append({"sample": idx, "s": str(s0), "t": str(t0)})
+        coef = c.poly.coef
+        flat = coef.reshape(len(coef), -1)
+        # per sample: c(k)'s coefficients at (s0, t0) = (sn/sd, tn/td), times
+        # den sd^ds td^dt, contracted with the monomials at l(x, y) and (x, y)
+        sp = [sn**a * sd**(coef.shape[1] - 1 - a) for a in range(coef.shape[1])]
+        tp = [tn**b * td**(coef.shape[2] - 1 - b) for b in range(coef.shape[2])]
+        st = np.stack([u * v for u in sp for v in tp], axis=1)
+        lhs, rhs = np.empty((2, samples), dtype=object)
+        for lo in range(0, samples, CHI_BLOCK):
+            table = c.poly.monomials(points[lo:lo + CHI_BLOCK].reshape(-1, 2 * n))
+            for i, row in enumerate(st[lo:lo + CHI_BLOCK]):
+                spec = flat.dot(row)
+                lhs[lo + i], rhs[lo + i] = table[2 * i].dot(spec), table[2 * i + 1].dot(spec)
+        lhs *= det_poly.den ** (2 * k)
+        rhs *= dets ** (2 * k) * t ** (2 * algebra.r * k)
+        violations = [{"sample": idx, "s": str(Fraction(weights[idx][0], weights[idx][1])),
+                       "t": str(Fraction(weights[idx][2], weights[idx][3]))}
+                      for idx in np.flatnonzero(lhs != rhs).tolist()]
         reports.append(report("chi-covariance", algebra.name, ok=not violations, k=k,
                               samples=samples, exact=True, violations=violations))
     return reports
@@ -337,7 +378,7 @@ def check_aut_invariance(algebra: JordanAlgebra, k: int, lam, mu,
     residuals = []
     for _ in range(AUT_SAMPLES):
         act = _random_automorphism(algebra, rng)
-        v = random_interval_point(rng, algebra).as_array()
+        v = random_interval_point(rng, algebra)
         a = float(C.evaluate(v[None])[0])
         b = float(C.evaluate(act(v)[None])[0])
         residuals.append(abs(a - b) / max(1.0, abs(a)))

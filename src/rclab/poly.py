@@ -10,10 +10,11 @@ wherever the polynomial came from (built in the process or read from disk).
 ``at(s, t)`` sets the parameters to rationals and stays over the integers.
 A Poly without parameters evaluates
 
-* exactly at a rational point (``exact``): the coordinates go over one
-  common denominator q, every row is homogenised to the top degree D by a
-  power of q, integer power tables feed the products, and the sum is
-  divided once, by den q^D;
+* exactly over the integers (``monomials``): for a batch of integer
+  points, every row homogenised to the top degree D by a power of a
+  common denominator q, one power table per coordinate feeds the integer
+  table of the monomial values; ``exact`` at one rational point is its
+  one-row case, its sum divided once, by den q^D;
 * over an (m, N) float or complex array (``numeric``): per-coordinate power
   tables are multiplied into the monomial columns of a block of points,
   and the block's columns are summed against the float coefficients.
@@ -76,7 +77,8 @@ class Poly:
         return cls(exps[keep], summed // g, den // g)
 
     def at(self, s, t) -> "Poly":
-        """This polynomial at rational s, t; rows that vanish are dropped."""
+        """This polynomial at rational s, t, in the canonical form of
+        ``collect``: rows that vanish are dropped, the denominator reduced."""
         s, t = Fraction(s), Fraction(t)
         ds, dt = self.coef.shape[1] - 1, self.coef.shape[2] - 1
         # homogenised powers: s^i = s_num^i s_den^(ds - i) / s_den^ds
@@ -86,8 +88,10 @@ class Poly:
                       dtype=object)
         coef = self.coef.dot(tp).dot(sp)
         keep = coef != 0
-        return Poly(self.exps[keep], coef[keep].reshape(-1, 1, 1),
-                    self.den * s.denominator**ds * t.denominator**dt)
+        coef = coef[keep]
+        den = self.den * s.denominator**ds * t.denominator**dt
+        g = math.gcd(den, *coef.tolist())
+        return Poly(self.exps[keep], (coef // g).reshape(-1, 1, 1), den // g)
 
     def _constant(self):
         if self.coef.shape[1:] != (1, 1):
@@ -123,19 +127,30 @@ class Poly:
                                    dtype=float)
         return self._fcoef
 
+    def monomials(self, ints, q=1) -> np.ndarray:
+        """The (m, rows) integer table of the monomials at the rows of an (m, N)
+        integer array, every row homogenised to the top degree D by q^(D - deg):
+        at the points ints / q the polynomial is ``table @ coef / (den q^D)``.
+        ``q`` is one positive integer or one per point; one power table per
+        coordinate feeds the products."""
+        ints = np.asarray(ints, dtype=object).reshape(-1, self.exps.shape[1])
+        deg = self.exps.sum(axis=1)
+        top = int(deg.max(initial=0))
+        q = np.broadcast_to(np.asarray(q, dtype=object), (len(ints),))
+        acc = _powers(q, top)[:, top - deg]
+        for i, e in self._columns:
+            rows = np.flatnonzero(e)
+            acc[:, rows] *= _powers(ints[:, i], int(e.max()))[:, e[rows]]
+        return acc
+
     def exact(self, point) -> Fraction:
         """Value at a point with rational coordinates, over the integers."""
         coef = self._constant()
         point = [Fraction(x) for x in point]
         q = math.lcm(1, *(x.denominator for x in point))
         ints = [x.numerator * (q // x.denominator) for x in point]
-        deg = self.exps.sum(axis=1)
-        top = int(deg.max(initial=0))
-        acc = coef * np.array([q**e for e in range(top + 1)], dtype=object)[top - deg]
-        for i, e in self._columns:
-            table = np.array([ints[i]**p for p in range(int(e.max()) + 1)], dtype=object)
-            acc = acc * table[e]
-        return Fraction(int(acc.sum()), self.den * q**top)
+        top = int(self.exps.sum(axis=1).max(initial=0))
+        return Fraction(int(self.monomials([ints], q)[0].dot(coef)), self.den * q**top)
 
     def numeric(self, points) -> np.ndarray:
         """Values at the rows of an (m, N) float or complex array."""
@@ -155,3 +170,12 @@ class Poly:
                 acc *= table[:, e]
             out[lo:lo + step] = acc @ fcoef
         return out
+
+
+def _powers(col, top) -> np.ndarray:
+    """The (m, top + 1) object table of col[i]**p."""
+    out = np.empty((len(col), top + 1), dtype=object)
+    out[:, 0] = 1
+    for p in range(1, top + 1):
+        out[:, p] = out[:, p - 1] * col
+    return out

@@ -389,7 +389,6 @@ class GramReport:
     max_off_diagonal_ratio: float
     node_count: int
     estimated_error: float
-    seed: int | None = None
 
     def to_jsonable(self):
         return {
@@ -404,7 +403,6 @@ class GramReport:
             "max_off_diagonal_ratio": self.max_off_diagonal_ratio,
             "node_count": self.node_count,
             "estimated_error": self.estimated_error,
-            "seed": self.seed,
         }
 
     def to_csv(self) -> str:
@@ -635,8 +633,7 @@ def check_change_of_variables(algebra: JordanAlgebra) -> dict:
     ))
     return report("polar-chart-change-of-variables", algebra.name,
                   method="quadrature", lhs=lhs, rhs=rhs,
-                  residual=abs(lhs - rhs) / max(abs(lhs), 1e-300), tolerance=1e-6,
-                  seed=None)   # a null seed keeps rank1 reports byte-stable
+                  residual=abs(lhs - rhs) / max(abs(lhs), 1e-300), tolerance=1e-6)
 
 
 def _midpoint_grid(bounds, n: int):

@@ -415,6 +415,9 @@ class BracketPolynomial:
         self.algebra = algebra
         self.k = int(k)
         self.poly = poly
+        # the restriction to the interval chart in Q[s, t], set by
+        # brackets.compute_C on first use
+        self.interval = None
         bad = poly.exps.sum(axis=1) != algebra.r * self.k
         if bad.any():
             m = tuple(poly.exps[bad][0].tolist())

@@ -397,6 +397,24 @@ def test_structure_map_composition():
     assert character(comp) == det(a) ** 2 * det(b) ** 2
 
 
+def fraction_element(rng, alg, num_bound=6, den_bound=4):
+    """The Fraction reference of the exact samplers' rational draws."""
+    return alg.element([Fraction(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
+                        for _ in range(alg.n)])
+
+
+def fraction_cone_point(rng, alg):
+    u = fraction_element(rng, alg, 3, 3)
+    return jordan_mul(u, u) + alg.identity
+
+
+def fraction_interval_point(rng, alg):
+    w = fraction_cone_point(rng, alg)
+    t = trace(w)
+    alpha = Fraction(rng.randint(1, 9), 10) * 2 / t
+    return (alpha * (w - (t / 2) * alg.identity)).as_array()
+
+
 @pytest.mark.parametrize("name", ALGEBRA_NAMES)
 def test_integer_samplers_match_the_fraction_reference(name):
     # random_cone_point and StructureMap run over the integers; the
@@ -405,15 +423,35 @@ def test_integer_samplers_match_the_fraction_reference(name):
     rng, ref = random.Random(31), random.Random(31)
     for _ in range(10):
         a = random_cone_point(rng, alg)
-        u = random_rational_element(ref, alg, 3, 3)
-        assert a == jordan_mul(u, u) + alg.identity
+        assert a == fraction_cone_point(ref, alg)
         ell = StructureMap.quadratic(a)
         x = random_rational_element(rng, alg)
-        assert x == random_rational_element(ref, alg)
+        assert x == fraction_element(ref, alg)
         want = [sum(ell.matrix[i][j] * x.coords[j] for j in range(alg.n))
                 for i in range(alg.n)]
         assert list(ell(x).coords) == want
     assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_float_samplers_keep_the_bits_of_the_fraction_reference(name):
+    # random_interval_point and random_chart_points divide integers once;
+    # int / int rounds correctly, as float(Fraction) does, so every bit and
+    # the rng state match the Fraction draws
+    alg = get_algebra(name)
+    rng, ref = random.Random(37), random.Random(37)
+    def same_bits(got, want):
+        want = np.array(want)
+        return (got.dtype == want.dtype and got.shape == want.shape
+                and got.tobytes() == want.tobytes())
+
+    for _ in range(5):
+        assert same_bits(random_interval_point(rng, alg), fraction_interval_point(ref, alg))
+    Z, V = random_chart_points(rng, alg, 12)
+    pairs = [(fraction_cone_point(ref, alg).as_array(), fraction_interval_point(ref, alg))
+             for _ in range(12)]
+    assert same_bits(Z, [z for z, _ in pairs]) and same_bits(V, [v for _, v in pairs])
+    assert rng.getstate() == ref.getstate()
 
 
 def test_algebra_mismatch_raises():
@@ -425,4 +463,4 @@ def test_random_interval_points_are_in_interval(algebra):
     rng = random.Random(14)
     for _ in range(20):
         v = random_interval_point(rng, algebra)
-        assert np.all(np.abs(spectral(algebra, v.as_array())) < 1)
+        assert np.all(np.abs(spectral(algebra, v)) < 1)

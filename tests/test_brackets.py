@@ -205,12 +205,13 @@ def test_chi_covariance_draws_each_sample_once(monkeypatch, tmp_path):
     from rclab.cli import main
 
     calls = []
+    draw = brackets._cone_ints
 
     def counted(rng, algebra):
         calls.append(algebra.name)
-        return random_cone_point(rng, algebra)
+        return draw(rng, algebra)
 
-    monkeypatch.setattr(brackets, "random_cone_point", counted)
+    monkeypatch.setattr(brackets, "_cone_ints", counted)
     code = main(["check", "chi-covariance", "--algebra", "spin4",
                  "--cache-dir", str(tmp_path), "--output", str(tmp_path / "chi.json")])
     assert code == 0
@@ -218,21 +219,70 @@ def test_chi_covariance_draws_each_sample_once(monkeypatch, tmp_path):
     assert calls == ["spin4"] * 50
 
 
-def test_chi_covariance_catches_a_wrong_coefficient(monkeypatch, tmp_path):
-    from rclab import brackets
-    from rclab.cli import main
+def chi_covariance_reference(algebra, kmax, samples=50):
+    """check_chi_covariance as written over Fractions: the same draws, a
+    StructureMap per sample, and c.specialize plus two evaluate_specialized
+    calls per sample and k."""
+    import random
+
+    from rclab import brackets, report
+    from rclab.algebra import StructureMap, random_rational_element
+
+    rng = random.Random(brackets.CHI_SEED)
+    draws = []
+    for _ in range(samples):
+        ell = StructureMap.quadratic(random_cone_point(rng, algebra))
+        x = random_rational_element(rng, algebra)
+        y = random_rational_element(rng, algebra)
+        s0 = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        t0 = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        draws.append((ell.chi_value, x, y, s0, t0, ell(x), ell(y)))
+    reports = []
+    for k in range(kmax + 1):
+        c = compute_c(algebra, k)
+        violations = []
+        for idx, (chi_val, x, y, s0, t0, lx, ly) in enumerate(draws):
+            spec = c.specialize(s0, t0)
+            lhs = c.evaluate_specialized(spec, lx, ly)
+            rhs = chi_val**k * c.evaluate_specialized(spec, x, y)
+            if lhs != rhs:
+                violations.append({"sample": idx, "s": str(s0), "t": str(t0)})
+        reports.append(report("chi-covariance", algebra.name, ok=not violations, k=k,
+                              samples=samples, exact=True, violations=violations))
+    return reports
+
+
+@pytest.mark.parametrize("name", ["rank1", "sym2", "sym3", "sym4", "spin3", "spin4",
+                                  "spin5", "spin6", "spin7", "spin8"])
+def test_chi_covariance_matches_the_fraction_reference(name):
+    from rclab.cli import _check_k
+
+    alg = get_algebra(name)
+    kmax = _check_k(alg)
+    assert check_chi_covariance(alg, kmax) == chi_covariance_reference(alg, kmax)
+
+
+def wrong_c1(alg):
+    """c(1) of ``alg`` with its first coefficient off by one."""
     from rclab.poly import Poly
     from rclab.sympoly import BracketPolynomial
 
-    alg = get_algebra("spin4")
     good = compute_c(alg, 1).poly
     coef = good.coef.copy()
     coef[0, 0, 0] += good.den
-    bad = BracketPolynomial(alg, 1, Poly(good.exps, coef, good.den))
-    monkeypatch.setitem(brackets._memory_cache, ("spin4", 1), bad)
+    return BracketPolynomial(alg, 1, Poly(good.exps, coef, good.den))
+
+
+def test_chi_covariance_catches_a_wrong_coefficient(monkeypatch, tmp_path):
+    from rclab import brackets
+    from rclab.cli import main
+
+    alg = get_algebra("spin4")
+    monkeypatch.setitem(brackets._memory_cache, ("spin4", 1), wrong_c1(alg))
     reps = check_chi_covariance(alg, 2)
     assert [(rep["k"], rep["pass"]) for rep in reps] == [(0, True), (1, False), (2, True)]
     assert reps[1]["violations"] and not reps[0]["violations"] and not reps[2]["violations"]
+    assert reps == chi_covariance_reference(alg, 2)
     out = tmp_path / "chi.json"
     code = main(["check", "chi-covariance", "--algebra", "spin4",
                  "--cache-dir", str(tmp_path / "cache"), "--output", str(out)])
@@ -316,3 +366,53 @@ def test_tables_match_the_golden_files(name):
 def test_restriction_needs_both_weights_or_neither():
     with pytest.raises(ValueError):
         compute_C(get_algebra("rank1"), 1, 3)
+
+
+def restriction_reference(c, n, lam, mu):
+    """C(k)_{lam,mu} from c(k)_{lam,mu} term by term over Fractions:
+    x <- (e - v)/2, y <- (e + v)/2, one coordinate at a time."""
+    import itertools
+    from math import comb
+
+    from rclab.poly import Poly
+
+    e = [int(x) for x in c.algebra.e_coords]
+    terms = {}
+    for mono, value in c.poly.at(lam, mu).items():
+        lines = []
+        for i in range(n):
+            a, b = mono[i], mono[n + i]
+            # (e - v)^a (e + v)^b / 2^(a + b) as coefficients of v^j
+            lines.append([Fraction(sum((-1) ** p * comb(a, p) * comb(b, j - p)
+                                       for p in range(max(0, j - b), min(a, j) + 1))
+                                   * e[i] ** (a + b - j), 2 ** (a + b))
+                          for j in range(a + b + 1)])
+        for js in itertools.product(*(range(len(line)) for line in lines)):
+            w = value
+            for line, j in zip(lines, js):
+                w *= line[j]
+            terms[js] = terms.get(js, 0) + w
+    return Poly.from_terms(terms, n)
+
+
+@pytest.mark.parametrize("name, k", [("rank1", 3), ("sym2", 2), ("spin4", 2), ("sym3", 1)])
+def test_compute_C_is_the_restriction_of_the_specialized_c(name, k):
+    alg = get_algebra(name)
+    c = compute_c(alg, k)
+    for lam, mu in ((3, 3), (Fraction(7, 2), Fraction(5, 2)), (Fraction(-1, 3), 4), (0, 0)):
+        assert compute_C(alg, k, lam, mu).poly == restriction_reference(c, alg.n, lam, mu)
+
+
+def test_compute_C_follows_a_replaced_c(monkeypatch):
+    from rclab import brackets
+
+    alg = get_algebra("spin4")
+    good = compute_c(alg, 1)
+    before = compute_C(alg, 1, 3, 2).poly
+    assert before == restriction_reference(good, alg.n, 3, 2)
+    bad = wrong_c1(alg)
+    monkeypatch.setitem(brackets._memory_cache, ("spin4", 1), bad)
+    after = compute_C(alg, 1, 3, 2).poly
+    assert after == restriction_reference(bad, alg.n, 3, 2) and after != before
+    monkeypatch.undo()
+    assert compute_C(alg, 1, 3, 2).poly == before

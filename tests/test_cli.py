@@ -415,7 +415,8 @@ def test_gamma_suite_passes_for_every_algebra():
 def test_benchmark_tracer_still_wraps_rclab(tmp_path):
     # perfbench/tracing.py wraps BracketPolynomial.evaluate, evaluate_specialized
     # and specialize, OrthoPoly.evaluate, the f_eig/h_eig integrands and
-    # SymExpr.num_terms by name; a rename breaks `perfbench/run.py --trace 1`
+    # SymExpr.num_terms by name; a rename breaks `perfbench/run.py --trace 1`.
+    # The iota factorization specializes c(k) (chi-covariance no longer does)
     import os
     import textwrap
 
@@ -436,11 +437,13 @@ def test_benchmark_tracer_still_wraps_rclab(tmp_path):
         codes = [
             rclab.cli.main(["check", "chi-covariance", "--algebra", "spin4",
                             "--output", out + "/chi.json"]),
+            rclab.cli.main(["check", "iota-factorization", "--algebra", "spin4",
+                            "--output", out + "/iota.json"]),
             rclab.cli.main(["gram", "--algebra", "spin4", "--kmax", "1", "--lambda", "4",
                             "--mu", "4", "--output", out + "/gram.json"]),
         ]
         metrics = tracer.layer_metrics()
-        assert codes == [0, 0], codes
+        assert codes == [0, 0, 0], codes
         assert metrics["sympoly.evaluate.calls"] > 0, metrics
         assert metrics["quadrature.weyl_integral.calls"] > 0, metrics
         assert metrics["quadrature.integrand_evals"] > 0, metrics
@@ -449,3 +452,23 @@ def test_benchmark_tracer_still_wraps_rclab(tmp_path):
     proc = subprocess.run([sys.executable, "-c", child, src, perfbench, str(tmp_path)],
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_method_the_tracer_wraps_exists():
+    # perfbench/tracing.py METHODS names rclab methods it wraps by getattr;
+    # one that is gone crashes `perfbench/run.py --trace 1` with an
+    # AttributeError, so methods that lose their callers in rclab stay
+    import importlib
+    import importlib.util
+    import os
+
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    wrapped = [(module, cls, method) for module, classes in tracing.METHODS.items()
+               for cls, methods in classes.items() for method in methods]
+    assert wrapped
+    for module, cls, method in wrapped:
+        owner = getattr(importlib.import_module(f"rclab.{module}"), cls)
+        assert callable(getattr(owner, method, None)), f"{module}.{cls}.{method}"

@@ -17,12 +17,33 @@ NO_CALLER_NEEDED = {
 }
 
 
+def is_dataclass(node):
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def has_default(value):
+    """Whether a dataclass field's value gives it a default: any value but
+    a field(...) call without default or default_factory."""
+    if value is None:
+        return False
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+        return any(kw.arg in ("default", "default_factory") for kw in value.keywords)
+    return True
+
+
 def signatures(tree):
     """{public function or class: (positional parameters, defaulted ones)};
-    a class is read through its __init__, without self."""
+    a class is read through its __init__, without self, and a dataclass
+    through its fields."""
     out = {}
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        if isinstance(node, ast.ClassDef) and is_dataclass(node):
+            fields = [item for item in node.body if isinstance(item, ast.AnnAssign)]
+            out[node.name] = ([f.target.id for f in fields],
+                              [f.target.id for f in fields if has_default(f.value)])
             continue
         fn = node if isinstance(node, ast.FunctionDef) else next(
             (item for item in node.body
@@ -71,12 +92,16 @@ def test_every_option_has_a_caller():
 
 def test_the_scan_sees_an_option_no_call_sets(tmp_path):
     # positional and keyword arguments both set an option; a class is read
-    # through its __init__
+    # through its __init__, a dataclass through its fields
     (tmp_path / "tube.py").write_text(
+        "from dataclasses import dataclass, field\n"
         "def f(a, b=1, c=2, *, d=3):\n    return a\n"
         "class G:\n    def __init__(self, x, y=0):\n        self.x = x\n"
+        "@dataclass\nclass R:\n    u: int\n    v: int = field(repr=False)\n"
+        "    w: int = 0\n    z: list = field(default_factory=list)\n"
+        "@dataclass(frozen=True)\nclass S:\n    u: int\n    seed: int = None\n"
         "def _private(e=1):\n    return e\n")
     (tmp_path / "cli.py").write_text(
         "from . import tube\n"
-        "def main():\n    return tube.f(1, 2, d=4), tube.G(0)\n")
-    assert unset_options(tmp_path) == ["tube.G.y", "tube.f.c"]
+        "def main():\n    return tube.f(1, 2, d=4), tube.G(0), tube.R(1, 2, z=[]), tube.S(0)\n")
+    assert unset_options(tmp_path) == ["tube.G.y", "tube.R.w", "tube.S.seed", "tube.f.c"]

@@ -8,6 +8,14 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "rclab"
 # Public names that need no caller in src/rclab, each with its reason.
 NO_CALLER_NEEDED = {
     "algebra.quad_rep": "the reference P(x)y that the tests check quad_rep_matrix against",
+    "algebra.StructureMap": "the Fraction map P(a) that the tests check the integer "
+                            "chi-covariance check against",
+    "algebra.random_cone_point": "the exact sampler that the tests draw Fraction "
+                                 "cone points and P(a) with",
+    "algebra.random_rational_element": "the exact sampler that the tests draw Fraction "
+                                       "points with",
+    "algebra.trace": "part of the exact Element API that the tests check the float "
+                     "spectra against",
     "__init__.get_algebra": "re-exported as the package's entry point",
     "__init__.ALGEBRA_NAMES": "re-exported as the package's entry point",
     "__init__.__version__": "the package version",
