@@ -91,7 +91,8 @@ class JordanAlgebra:
 
     ``table[i][j]`` holds the coordinates of b_i . b_j as Fractions.
     ``gram`` is the (diagonal) Gram vector of the trace form, so the
-    inner product is (x, y) = sum_i gram[i] * x_i * y_i.  The exact
+    inner product is (x, y) = sum_i gram[i] * x_i * y_i.  ``e`` is the
+    identity as a read-only float row.  The exact
     samplers read the nonzero constants over one integer denominator:
     ``_int_table`` holds (i, j, k, c * _table_den) for each (i, j, k, c) of
     ``_sparse``.
@@ -105,6 +106,7 @@ class JordanAlgebra:
     basis_labels: tuple
     table: tuple              # n x n tuple of coordinate tuples (Fractions)
     e_coords: tuple           # identity element coordinates
+    e: np.ndarray = field(hash=False, repr=False, compare=False)
     gram: tuple               # diagonal trace-form Gram entries
     trace_vec: tuple          # tr(x) = sum_i trace_vec[i] x_i
     det_poly: Poly = field(hash=False, compare=False)
@@ -212,9 +214,11 @@ def _build(name, family, n, r, d, labels, table, e_coords, gram, trace_vec, det_
     for i, j, k, c in sparse:
         tensor[i, j, k] = float(c)
     t = math.lcm(*(c.denominator for *_, c in sparse))
+    e = np.array(e_coords, dtype=float)
+    e.setflags(write=False)
     return JordanAlgebra(
         name=name, family=family, n=n, r=r, d=d,
-        basis_labels=tuple(labels), table=table, e_coords=tuple(e_coords),
+        basis_labels=tuple(labels), table=table, e_coords=tuple(e_coords), e=e,
         gram=tuple(gram), trace_vec=tuple(trace_vec),
         det_poly=Poly.from_terms(det_poly, n),
         _sparse=tuple(sparse), _mult_tensor=tensor, _table_den=t,
@@ -445,7 +449,7 @@ def spectral(algebra: JordanAlgebra, X) -> np.ndarray:
         return X
     if algebra.r == 2:
         half = X @ np.array(algebra.trace_vec, dtype=float) / 2
-        T = X - half[:, None] * np.array(algebra.e_coords, dtype=float)
+        T = X - half[:, None] * algebra.e
         delta = np.sqrt((T * T) @ np.array(algebra.gram, dtype=float) / 2)
         return np.stack([half - delta, half + delta], axis=1)
     return np.linalg.eigvalsh(_sym_matrices(algebra, X))
@@ -470,7 +474,7 @@ def cone_sqrt(algebra: JordanAlgebra, Z) -> np.ndarray:
     if algebra.r == 1:
         return roots
     if algebra.r == 2:
-        e = np.array(algebra.e_coords, dtype=float)
+        e = algebra.e
         return (Z + np.prod(roots, axis=1)[:, None] * e) / np.sum(roots, axis=1)[:, None]
     S = (vecs * roots[:, None, :]) @ np.swapaxes(vecs, 1, 2)
     i, j = np.array(_sym_pairs(algebra.r)).T

@@ -428,7 +428,7 @@ def _suite_laplace(algebra, cache_dir, tols):
     nu = 2.8
     tol = tols.get("laplace", 1e-8 if algebra.family == "rank1" else 1e-4)
     closed_gamma = quadrature.gamma_omega_closed(algebra, nu)
-    ie = 1j * algebra.identity.as_array()
+    ie = 1j * algebra.e
     rows = []
     for z in tube._default_tube_points(algebra):
         num = quadrature.tube_laplace(
@@ -505,7 +505,7 @@ def _suite_hua(algebra, cache_dir, tols):
     if algebra.name not in ("rank1", "sym2"):
         return []
     tol = tols.get("hua", 1e-8)
-    e = algebra.identity.as_array()
+    e = algebra.e
     n = algebra.n
     z = 0.4 * np.arange(n) / n + 1.3j * e + 0.05j * np.arange(n)
     w = -0.2 * e + 0.9j * e
@@ -530,7 +530,7 @@ def _suite_aut(algebra, cache_dir, tols):
 def _suite_branch(algebra, cache_dir, tols):
     if algebra.name not in ("rank1", "sym2"):
         return []
-    e = np.array([float(c) for c in algebra.e_coords])
+    e = algebra.e
     n = algebra.n
     target = (0.7 * np.arange(1, n + 1) / n + 1j * (1.5 * e + 0.2 * np.arange(n)))
     wp = [np.asarray(-0.5 * e + 2.1j * e, dtype=complex)]
@@ -543,10 +543,11 @@ def _suite_branch(algebra, cache_dir, tols):
 def _suite_cauchy(algebra, cache_dir, tols):
     if algebra.name not in ("rank1", "sym2"):
         return []
-    e = algebra.identity.as_array()
+    e = algebra.e
     K = tube.coherent_state(algebra, 2.3, (0.1 + 1.0j) * e)
     z = (0.3 + 1.4j) * e
-    alpha = tuple([2] + [0] * (algebra.n - 1))
+    # a mixed index wherever there are two coordinates: it takes several rings
+    alpha = (2,) if algebra.n == 1 else (2, 1) + (0,) * (algebra.n - 2)
     d32, d64 = (tube.holo_mixed_derivatives(algebra, K, z, [alpha], n_nodes=nodes)[alpha]
                 for nodes in (32, 64))
     return [report("contour-derivative-stability", algebra.name,

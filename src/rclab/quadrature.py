@@ -586,7 +586,7 @@ def bump(q2):
 def trace_ball_bump(algebra: JordanAlgebra, center: float, radius: float):
     """C^infty bump supported on the trace-form ball around center*e."""
     gram = np.array([float(g) for g in algebra.gram])
-    e = np.array([float(c) for c in algebra.e_coords])
+    e = algebra.e
 
     def f(coords):
         coords = np.atleast_2d(np.asarray(coords, dtype=float))

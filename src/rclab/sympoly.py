@@ -466,10 +466,15 @@ class BracketPolynomial:
     @classmethod
     def from_jsonable(cls, data) -> "BracketPolynomial":
         algebra = get_algebra(data["algebra"])
-        terms = {tuple(row["mono"]): {(int(i), int(j)): Fraction(v)
+        # each "p/q" as the integers (p, q), then p over the common den
+        terms = {tuple(row["mono"]): {(int(i), int(j)): tuple(map(int, v.split("/")))
                                       for i, j, v in row["coef"]}
                  for row in data["terms"]}
-        return cls(algebra, data["k"], Poly.from_terms(terms, 2 * algebra.n))
+        den = math.lcm(1, *(q for coef in terms.values() for _, q in coef.values()))
+        for coef in terms.values():
+            for ij, (p, q) in coef.items():
+                coef[ij] = p * (den // q)
+        return cls(algebra, data["k"], Poly.from_terms(terms, 2 * algebra.n, den))
 
     def __repr__(self):
         return (f"BracketPolynomial({self.algebra.name}, k={self.k}, "

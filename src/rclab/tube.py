@@ -1,10 +1,11 @@
 """Numerical holomorphic calculus on the tube domain V + i Omega.
 
 Everything here is float/complex: branch-tracked determinant powers,
-coherent states, Cauchy-integral derivatives on polydiscs, the lifted
-action of the tube automorphism generators (translations, cone dilations,
-the inversion z -> -z^{-1}), the bracket as a bi-differential operator,
-and the checks that tie them together.
+coherent states, mixed derivatives from 1-D Cauchy rings along the
+directions of a polarisation, the lifted action of the tube automorphism
+generators (translations, cone dilations, the inversion z -> -z^{-1}), the
+bracket as a bi-differential operator, and the checks that tie them
+together.
 
 Branch convention: log det(z/i) is the unique continuous determination on
 the (simply connected, convex) tube that vanishes at z = i e; it is
@@ -20,6 +21,8 @@ complex values.  All aggregation is deterministic.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -71,7 +74,7 @@ def logdet_tube(algebra: JordanAlgebra, coords, waypoints=None) -> np.ndarray:
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=complex))
     m = len(coords)
-    base = 1j * np.array([float(c) for c in algebra.e_coords], dtype=complex)
+    base = 1j * algebra.e
     pts = [np.broadcast_to(base, coords.shape)]
     if waypoints is not None:
         for wp in waypoints:
@@ -117,12 +120,43 @@ def coherent_state(algebra: JordanAlgebra, nu, w):
 
 
 # ---------------------------------------------------------------------------
-# Cauchy-integral derivatives on polydiscs
+# Mixed derivatives from Cauchy rings
 
 
-# Polydisc radius as a fraction of the least eigenvalue of Im z: the
-# functions built here stay holomorphic that far from the point.
+# Contour radius, as a fraction of the least eigenvalue of Im z, in the l1
+# norm of the displacement: the functions built here stay holomorphic that
+# far from the point.
 CONTOUR_RADIUS = 0.4
+
+
+@functools.cache
+def _polarisation(alpha):
+    """d^alpha as {primitive direction p: w}, with d^alpha F equal to
+    sum_p w c_m(p) for m = |alpha| and c_m(p) the m-th Taylor coefficient
+    of tau -> F(z + tau p).
+
+    Centred polarisation: d^alpha F = 2^-m / m! sum_beta w_beta D_beta^m F
+    over beta_i in {-alpha_i, -alpha_i + 2, ..., alpha_i}, beta != 0, with
+    w_beta = prod_i C(alpha_i, (alpha_i + beta_i)/2) (-1)^((alpha_i - beta_i)/2).
+    Each beta = s p with p primitive (first nonzero entry positive), so
+    D_beta^m = s^m D_p^m and D_p^m F = m! c_m(p).  The weights are exact
+    until the one division by 2^m.
+    """
+    m = sum(alpha)
+    axes = [i for i, a in enumerate(alpha) if a]      # beta is 0 elsewhere
+    ints = {}
+    for beta in itertools.product(*(range(-alpha[i], alpha[i] + 1, 2) for i in axes)):
+        if not any(beta):
+            continue
+        w = math.prod(math.comb(alpha[i], (alpha[i] + b) // 2) * (-1) ** ((alpha[i] - b) // 2)
+                      for i, b in zip(axes, beta))
+        s = math.gcd(*beta) * (1 if next(b for b in beta if b) > 0 else -1)
+        p = [0] * len(alpha)
+        for i, b in zip(axes, beta):
+            p[i] = b // s
+        p = tuple(p)
+        ints[p] = ints.get(p, 0) + w * s**m
+    return {p: w / 2**m for p, w in ints.items() if w}
 
 
 def holo_mixed_derivatives(algebra: JordanAlgebra, F, point, alphas,
@@ -130,53 +164,56 @@ def holo_mixed_derivatives(algebra: JordanAlgebra, F, point, alphas,
     """Coordinate mixed partials of F at ``point`` for several multi-indices.
 
     ``F`` is a vectorized evaluator on (m, d) arrays, d = len(point); the
-    point may pack several tube points (e.g. a pair slot).  Multi-indices
-    sharing the same support are served from one tensor Cauchy grid via an
-    FFT, which also makes the node count the only accuracy knob.
+    point may pack several tube points (e.g. a pair slot).  Each multi-index
+    is a combination of m-th derivatives along a few primitive directions p
+    (centred polarisation, ``_polarisation``), and each direction is one 1-D
+    Cauchy ring tau -> F(z + tau p) read by an FFT (Lyness-Moler 1967,
+    Fornberg 1981).  All multi-indices of a call share the rings, and the
+    rings and the centre point go to ``F`` in one call.  A ring has radius
+    rho / |p|_1, so every node stays in the l1 ball of radius rho about the
+    point, and max(n_nodes, 2 m + 2) nodes for the highest order m it
+    serves; the node count is the only accuracy knob.
     Returns {alpha: complex}.
     """
     point = np.asarray(point, dtype=complex)
     d = len(point)
     n = algebra.n
-    out = {}
-    by_axes = {}
-    for alpha in alphas:
-        axes = tuple(i for i, e in enumerate(alpha) if e)
-        by_axes.setdefault(axes, []).append(tuple(alpha))
-    # safe polydisc radius: all slots perturb their own imaginary part
+    # safe radius: all slots perturb their own imaginary part
     slots = d // n
     rho_bound = spectral(algebra, point.imag.reshape(slots, n)).min() * CONTOUR_RADIUS
     if rho_bound <= 0:
-        raise ValueError("polydisc radius violation: point too close to the "
+        raise ValueError("contour radius violation: point too close to the "
                          "tube boundary")
-    for axes, group in by_axes.items():
-        if not axes:
-            val = complex(F(point.reshape(1, -1))[0])
-            for alpha in group:
-                out[alpha] = val
-            continue
-        q = len(axes)
-        rho = rho_bound / q
-        max_order = max(max(alpha[ax] for ax in axes) for alpha in group)
-        # grids over >2 axes get fewer nodes per circle; aliasing decays
-        # like rho^nodes, which stays far below every stated tolerance
-        nodes = n_nodes if q <= 2 else (16 if q == 3 else 12)
-        nodes = max(nodes, 2 * max_order + 2)
-        theta = 2 * math.pi * np.arange(nodes) / nodes
-        ring = rho * np.exp(1j * theta)
-        grids = np.meshgrid(*([ring] * q), indexing="ij")
-        pts = np.tile(point, (nodes**q, 1))
-        for ax_i, ax in enumerate(axes):
-            pts[:, ax] += grids[ax_i].ravel()
-        vals = F(pts).reshape((nodes,) * q)
-        coeffs = np.fft.fftn(vals) / (nodes**q)
-        for alpha in group:
-            orders = [alpha[ax] for ax in axes]
-            c = coeffs[tuple(orders)]
-            fact = 1.0
-            for o in orders:
-                fact *= math.factorial(o)
-            out[alpha] = complex(c * fact / rho ** sum(orders))
+    combos = {alpha: _polarisation(alpha) for alpha in map(tuple, alphas)}
+    orders = {}                     # direction -> the highest order it serves
+    for alpha, combo in combos.items():
+        for p in combo:
+            orders[p] = max(orders.get(p, 0), sum(alpha))
+    # rings of equal node count form one (rings, nodes) block for one FFT
+    blocks = {}
+    for p, m in orders.items():
+        blocks.setdefault(max(n_nodes, 2 * m + 2), []).append(p)
+    radii = {nodes: rho_bound / np.abs(np.array(dirs)).sum(axis=1)
+             for nodes, dirs in blocks.items()}
+    pts = [point[None]]
+    for nodes, dirs in blocks.items():
+        ring = radii[nodes][:, None] * np.exp(2j * math.pi * np.arange(nodes) / nodes)
+        pts.append((point + ring[:, :, None] * np.array(dirs)[:, None, :]).reshape(-1, d))
+    vals = F(np.concatenate(pts))
+    coeffs = {}                     # direction -> (FFT coefficients, radius)
+    start = 1
+    for nodes, dirs in blocks.items():
+        block = vals[start:start + len(dirs) * nodes].reshape(len(dirs), nodes)
+        start += block.size
+        coeffs.update(zip(dirs, zip(np.fft.fft(block, axis=1) / nodes, radii[nodes])))
+    out = {}
+    for alpha, combo in combos.items():
+        m = sum(alpha)
+        total = complex(vals[0]) if not m else 0.0
+        for p, w in combo.items():
+            row, rho = coeffs[p]
+            total += row[m] * w / rho ** m
+        out[alpha] = complex(total)
     return out
 
 
@@ -304,7 +341,7 @@ def apply_B(algebra: JordanAlgebra, k: int, lam, mu, F, G, z,
 def _default_tube_points(algebra):
     """A deterministic spread of well-interior tube points."""
     n = algebra.n
-    e = np.array([float(c) for c in algebra.e_coords])
+    e = algebra.e
     pts = []
     shifts = [
         (0.0, 1.0), (0.3, 1.4), (-0.4, 0.9), (0.6, 2.0), (-0.2, 1.1),
@@ -323,7 +360,7 @@ def default_generators(algebra):
     and the inversion."""
     i = np.arange(algebra.n)
     u = 0.4 * (-1.0) ** i
-    a = algebra.identity.as_array() + 0.3 / (i + 1)
+    a = algebra.e + 0.3 / (i + 1)
     return [
         GroupGenerator(algebra, "translation", u),
         GroupGenerator(algebra, "dilation", a),
@@ -341,12 +378,12 @@ def check_covariance_B(algebra: JordanAlgebra, k: int, lam, mu,
     pi_{lam+mu+2k}(g).  apply_B differentiates each slot on its own.  The
     witnesses of F and G and the sample points are fixed.  For the inversion
     the sample points keep g^{-1}(z) well inside the tube (minimal
-    eigenvalue of the imaginary part > 0.1), where polydisc contours retain
+    eigenvalue of the imaginary part > 0.1), where the contour rings retain
     their accuracy.
     """
     nu = lam + mu + 2 * k
     n = algebra.n
-    e = algebra.identity.as_array()
+    e = algebra.e
     F = coherent_state(algebra, lam, (0.2 + 1.1j) * e + 0.05j * np.arange(n))
     G = coherent_state(algebra, mu, (-0.3 + 0.9j) * e + 0.04j * np.arange(n)[::-1])
     scale_psi = algebra.r / (2.0 * algebra.n)
@@ -396,7 +433,7 @@ def check_adjoint_image(algebra: JordanAlgebra, k: int, lam, mu, z1, z2,
         num += coef * slots[0][tuple(mono[:n])] * slots[1][tuple(mono[n:])]
     num *= 1j ** (r * k)
     det_diff = complex(algebra.det_poly.numeric((z1 - z2)[None])[0]) ** k
-    ie = 1j * algebra.identity.as_array()
+    ie = 1j * algebra.e
     p1 = np.exp(complex(-(float(lam) + k))
                 * logdet_tube(algebra, (z1 + ie).reshape(1, -1))[0])
     p2 = np.exp(complex(-(float(mu) + k))

@@ -4,3 +4,19 @@ import pytest
 @pytest.fixture(scope="session")
 def cache_dir(tmp_path_factory):
     return str(tmp_path_factory.mktemp("poly-cache"))
+
+
+@pytest.fixture
+def wrong_c1():
+    """alg -> c(1) of ``alg`` with its first coefficient off by one."""
+    from rclab.brackets import compute_c
+    from rclab.poly import Poly
+    from rclab.sympoly import BracketPolynomial
+
+    def build(alg):
+        good = compute_c(alg, 1).poly
+        coef = good.coef.copy()
+        coef[0, 0, 0] += good.den
+        return BracketPolynomial(alg, 1, Poly(good.exps, coef, good.den))
+
+    return build

@@ -262,18 +262,7 @@ def test_chi_covariance_matches_the_fraction_reference(name):
     assert check_chi_covariance(alg, kmax) == chi_covariance_reference(alg, kmax)
 
 
-def wrong_c1(alg):
-    """c(1) of ``alg`` with its first coefficient off by one."""
-    from rclab.poly import Poly
-    from rclab.sympoly import BracketPolynomial
-
-    good = compute_c(alg, 1).poly
-    coef = good.coef.copy()
-    coef[0, 0, 0] += good.den
-    return BracketPolynomial(alg, 1, Poly(good.exps, coef, good.den))
-
-
-def test_chi_covariance_catches_a_wrong_coefficient(monkeypatch, tmp_path):
+def test_chi_covariance_catches_a_wrong_coefficient(monkeypatch, tmp_path, wrong_c1):
     from rclab import brackets
     from rclab.cli import main
 
@@ -403,7 +392,7 @@ def test_compute_C_is_the_restriction_of_the_specialized_c(name, k):
         assert compute_C(alg, k, lam, mu).poly == restriction_reference(c, alg.n, lam, mu)
 
 
-def test_compute_C_follows_a_replaced_c(monkeypatch):
+def test_compute_C_follows_a_replaced_c(monkeypatch, wrong_c1):
     from rclab import brackets
 
     alg = get_algebra("spin4")

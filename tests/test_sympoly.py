@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import rclab.sympoly as S
-from rclab.algebra import get_algebra, rank_one, sym
+from rclab.algebra import ALGEBRA_NAMES, get_algebra, rank_one, sym
 from rclab.poly import Poly
 from rclab.sympoly import (
     SymExpr, BracketPolynomial, NonzeroRemainder,
@@ -275,6 +275,20 @@ def test_bracket_json_roundtrip():
     assert back == c
     data = c.to_jsonable()
     assert data["schema"] == "rc-lab/1"
+
+
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_every_table_survives_the_wire_format(name):
+    # from_jsonable reads each "p/q" as two integers over their lcm and
+    # gives back the polynomial, its denominator included
+    from rclab.brackets import compute_c
+    from rclab.cli import K_CAPS
+
+    alg = get_algebra(name)
+    for k in range(K_CAPS[name] + 1):
+        c = compute_c(alg, k)
+        back = BracketPolynomial.from_jsonable(json.loads(json.dumps(c.to_jsonable())))
+        assert back == c and back.poly.den == c.poly.den, k
 
 
 @pytest.mark.parametrize("name,k", [("rank1", 2), ("sym2", 1)])

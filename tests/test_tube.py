@@ -1,6 +1,7 @@
 """Holomorphic calculus on the tube: branches, derivatives, group action."""
 
 import cmath
+import json
 import math
 from fractions import Fraction
 
@@ -143,6 +144,47 @@ def test_cauchy_node_doubling():
     a = derivative(alg, K, z, (2, 0, 0), n_nodes=32)
     b = derivative(alg, K, z, (2, 0, 0), n_nodes=64)
     assert abs(a - b) / abs(b) < 1e-9
+
+
+def orders_upto(d, m):
+    """Every multi-index over d coordinates of order at most m."""
+    if d == 0:
+        return [()]
+    return [(a,) + rest for a in range(m + 1) for rest in orders_upto(d - 1, m - a)]
+
+
+@pytest.mark.parametrize("name", ["sym2", "spin8"])
+@pytest.mark.parametrize("slots", [1, 2])
+def test_polarised_derivatives_of_an_exponential(name, slots):
+    # d^alpha exp(a.z) = a^alpha exp(a.z) for every alpha of order <= 4, on
+    # one slot and on a packed pair slot; one call per first-slot part keeps
+    # the rings of a pair call few
+    from rclab.tube import _polarisation
+
+    alg = get_algebra(name)
+    n = alg.n
+    rng = np.random.default_rng(3)
+    a = 0.7 * (rng.normal(size=slots * n) + 1j * rng.normal(size=slots * n))
+    z = np.concatenate([(0.3 + 1.2j) * alg.e + 0.05 * (1 + 1j) * np.arange(n) / n,
+                        (-0.2 + 0.9j) * alg.e][:slots])
+    sizes = []
+
+    def F(c):
+        sizes.append(len(c))
+        return np.exp(c @ a)
+
+    groups = {}
+    for alpha in orders_upto(slots * n, 4):
+        groups.setdefault(alpha[:-n], []).append(alpha)
+    f0 = np.exp(z @ a)
+    for group in groups.values():
+        sizes.clear()
+        got = holo_mixed_derivatives(alg, F, z, group)
+        rings = {p for alpha in group for p in _polarisation(alpha)}
+        assert sizes == [1 + 32 * len(rings)]
+        for alpha in group:
+            want = np.prod(a ** np.array(alpha)) * f0
+            assert abs(got[alpha] - want) <= 1e-10 * abs(want), alpha
 
 
 @pytest.mark.parametrize("name", ["rank1", "sym2"])
@@ -338,6 +380,48 @@ def test_covariance_differentiates_each_slot_on_its_own(monkeypatch):
     rep = check_covariance_B(alg, 3, 2.6, 3.2, gens["translation"])
     assert rep["pass"], rep
     assert 0 < sum(points) <= 2000, sum(points)
+
+
+def test_covariance_sym2_differentiates_along_few_directions(monkeypatch):
+    # sym2 k=1 under a translation: one 1-D ring per direction of a
+    # polarisation, not a tensor grid over each multi-index's support
+    # (22,420 points that way)
+    from rclab import tube
+
+    alg = get_algebra("sym2")
+    gens = {g.kind: g for g in default_generators(alg)}
+    logdet = tube.logdet_tube
+    points = []
+
+    def counted(algebra, coords, *args, **kwargs):
+        points.append(len(np.atleast_2d(coords)))
+        return logdet(algebra, coords, *args, **kwargs)
+
+    monkeypatch.setattr(tube, "logdet_tube", counted)
+    rep = check_covariance_B(alg, 1, 2.6, 3.2, gens["translation"])
+    assert rep["pass"], rep
+    assert 0 < sum(points) <= 5000, sum(points)
+
+
+@pytest.mark.parametrize("name", ["rank1", "sym2"])
+def test_covariance_catches_a_wrong_coefficient(name, monkeypatch, tmp_path, wrong_c1):
+    # a constant-coefficient operator commutes with every translation, so
+    # only the other generators can see the mutated c(1); the inversion does
+    from rclab import brackets
+    from rclab.cli import main
+
+    alg = get_algebra(name)
+    monkeypatch.setitem(brackets._memory_cache, (name, 1), wrong_c1(alg))
+    reps = {g.kind: check_covariance_B(alg, 1, 2.6, 3.2, g) for g in default_generators(alg)}
+    assert reps["translation"]["pass"] and not reps["inversion"]["pass"]
+    out = tmp_path / "covariance.json"
+    code = main(["check", "covariance", "--algebra", name,
+                 "--cache-dir", str(tmp_path / "cache"), "--output", str(out)])
+    assert code == 1
+    data = json.loads(out.read_text())
+    assert data["pass"] is False
+    assert not all(rep["pass"] for rep in data["reports"] if rep["k"] == 1)
+    assert all(rep["pass"] for rep in data["reports"] if rep["k"] != 1)
 
 
 @pytest.mark.parametrize("kind", ["translation", "dilation", "inversion"])
