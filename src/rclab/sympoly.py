@@ -12,9 +12,13 @@ L is derived once per algebra from exact jets.  At p = (x0, y0),
 (d/dx - d/dy)^gamma f(p) = d_u^gamma f(x0 + u, y0 - u) at u = 0, so
 sum_beta T_beta(p) w^beta = det(grad_u) exp(sum_j w_j (Delta_j(p + (u, -u))
 - Delta_j(p))) at u = 0, which Faa di Bruno's formula expands over the set
-partitions of the r derivatives of each monomial of det.  Each T_beta is
-fitted in the Delta-monomials of degree |beta| - 1 at seeded integer points
-of a Jordan frame, by exact integer elimination; a fit point that disagrees
+partitions of the r derivatives of each monomial of det.  The jets and the
+symbols scale * T_beta(p) of every fit and certificate point come from one
+int64 pass: each jet is a polynomial of degree r in the pencil variable
+tau, evaluated at tau = 0..r and interpolated exactly, and each entry is
+bounded before it is formed, so nothing wraps.  Each T_beta is fitted in
+the Delta-monomials of degree |beta| - 1 at seeded integer points of a
+Jordan frame, by exact integer elimination; a fit point that disagrees
 raises, and so does a generic point off the frame where L misses the jets,
 which certifies the invariance the fit assumes.
 
@@ -222,14 +226,17 @@ def _set_partitions(items):
 
 def _faa_di_bruno(algebra):
     """det(grad_u) exp(g(u)) at u = 0, for any g with g(0) = 0, as
-    ([(gammas, weight)], scale, plan): the sum over the entries of
-    weight/scale * prod_gamma [u^gamma] g, with integer weights.
+    (keys, scale, plan): the sum over the keys (blocks, weight) of
+    weight/scale * prod_{gamma in blocks} [u^gamma] g, with integer weights.
 
     grad_u is the trace-form gradient d/du_i / gram_i.  For each monomial of
     det and each set partition of its r derivatives, a block of multi-index
-    gamma takes gamma! [u^gamma] g.  ``plan`` lists, for gamma = 0 and each
-    block, the terms c_m prod_i C(m_i, gamma_i) and exponents m - gamma of
-    the monomials m of det that ``_jets`` differentiates to order gamma.
+    gamma takes gamma! [u^gamma] g.  ``plan`` = (gammas, rests, coefs): the
+    multi-indices gamma = 0 and every block (the blocks of a key index this
+    list), the distinct exponents m - gamma over the monomials m of det, and
+    the int64 matrix whose [t, g] entry sums c_m prod_i C(m_i, gamma_i) over
+    the m with m - gamma_g = rests[t], so that [u^gamma_g] det(a + v) =
+    sum_t coefs[t, g] a^rests[t].
     """
     def build():
         n, det = algebra.n, _det_terms(algebra)
@@ -243,59 +250,100 @@ def _faa_di_bruno(algebra):
                 weight = w * math.prod(math.factorial(x) for gamma in key for x in gamma)
                 table[key] = table.get(key, 0) + weight
         scale = math.lcm(1, *(w.denominator for w in table.values()))
-        plan = [(gamma, [(c * math.prod(map(comb, mono, gamma)), tuple(map(sub, mono, gamma)))
-                         for mono, c in det if all(map(int.__ge__, mono, gamma))])
-                for gamma in sorted({(0,) * n} | {g for key in table for g in key})]
-        return [(key, int(w * scale)) for key, w in table.items() if w], scale, plan
+        gammas = sorted({(0,) * n} | {g for key in table for g in key})
+        rests = {}
+        for g, gamma in enumerate(gammas):
+            for mono, c in det:
+                if all(map(int.__ge__, mono, gamma)):
+                    row = rests.setdefault(tuple(map(sub, mono, gamma)), [0] * len(gammas))
+                    row[g] += c * math.prod(map(comb, mono, gamma))
+        index = {gamma: g for g, gamma in enumerate(gammas)}
+        keys = [(tuple(index[gamma] for gamma in key), int(w * scale))
+                for key, w in table.items() if w]
+        return keys, scale, (gammas, np.array(list(rests), dtype=np.int64),
+                             np.array(list(rests.values()), dtype=np.int64))
 
     return _memo(algebra, "_faa_di_bruno", build)
 
 
-def _jets(algebra, point):
-    """{gamma: [u^gamma] Delta_j(x0 + u, y0 - u) for j = 0..r} at the integer
-    point (x0, y0), for gamma = 0 (the values Delta_j(p)) and every block of
-    ``_faa_di_bruno``.
+def _check_int64(bound, context):
+    """numpy's int64 products wrap silently: raise unless ``bound``, a bound
+    on every product and sum about to be formed, stays below 2^62."""
+    if bound >= 2 ** 62:
+        raise OverflowError(f"{context}: int64 entries could reach {float(bound):.3g}")
 
-    Delta_j(x0 + u, y0 - u) is the tau^j coefficient of
-    det(a + (1 - tau) u), a = x0 + tau y0, and [u^gamma] det(a + v) is
-    sum_m c_m prod_i C(m_i, gamma_i) a_i^(m_i - gamma_i).
+
+def _interpolate(values, context):
+    """The tau^j coefficients, j = 0..r, of integer polynomials of degree at
+    most r in tau from their values at tau = 0..r (axis -2), exactly.
+
+    With V the Vandermonde matrix at tau = 0..r and D the least common
+    denominator of V^-1, the coefficients are (D V^-1) values / D; a nonzero
+    remainder of the division by D raises ``NonzeroRemainder``.
+    """
+    r = values.shape[-2] - 1
+    basis = []   # the Lagrange polynomial of each node, lowest coefficient first
+    for k in range(r + 1):
+        p = [Fraction(1)]
+        for m in range(r + 1):
+            if m != k:
+                p = [(b - m * a) / (k - m) for a, b in zip(p + [0], [0] + p)]
+        basis.append(p)
+    den = math.lcm(1, *(v.denominator for p in basis for v in p))
+    matrix = np.array([[int(p[j] * den) for p in basis] for j in range(r + 1)], dtype=np.int64)
+    _check_int64(int(np.abs(matrix).sum(axis=1).max()) * int(np.abs(values).max(initial=0)),
+                 f"{context} interpolation")
+    jets, rem = np.divmod(matrix @ values, den)
+    if rem.any():
+        raise NonzeroRemainder(f"{context}: a jet is not divisible by D = {den}")
+    return jets
+
+
+def _pencil_samples(algebra, points):
+    """(delta, symbols) at the integer points (x0, y0), in one int64 pass:
+    delta[p, j] = Delta_j(p), and symbols[q][p, b] = scale * T_beta(p) for the
+    b-th beta of degree q in ``_exponents`` order (see ``_faa_di_bruno``).
+
+    The jet [u^gamma] Delta_j(x0 + u, y0 - u) is the tau^j coefficient of
+    det(a + (1 - tau) u), a = x0 + tau y0: of (1 - tau)^|gamma| sum_t
+    coefs[t, gamma] a^rests[t], a polynomial of degree r in tau.  It is
+    evaluated at tau = 0..r for every point and interpolated exactly.  A key
+    of q blocks contributes weight * prod_l sum_j jet_l[j] Delta_j: the
+    outer product of its q jet rows, summed per q over the keys, one key at
+    a time, and projected onto the beta of degree q by a 0/1 matrix.  Each
+    int64 stage is bounded before it runs and raises OverflowError instead
+    of wrapping.
     """
     n, r = algebra.n, algebra.r
-    powers = [[np.array([1], dtype=object)] for _ in range(n)]
-    for i, _ in itertools.product(range(n), range(r)):
-        powers[i].append(np.convolve(powers[i][-1], [point[i], point[n + i]]))
-    out = {}
-    for gamma, terms in _faa_di_bruno(algebra)[2]:
-        acc = np.zeros(r + 1, dtype=object)
-        for c, rest in terms:
-            term = np.array([c], dtype=object)
-            for i, e in enumerate(rest):
-                if e:
-                    term = np.convolve(term, powers[i][e])
-            acc[:len(term)] += term
-        for _ in range(sum(gamma)):
-            acc = np.convolve(acc, [1, -1])
-        out[gamma] = acc[:r + 1].tolist()
-    return out
-
-
-def _symbol(algebra, jets):
-    """{beta: scale * T_beta(p)} from the jets at p (see ``_faa_di_bruno``)."""
-    zero = (0,) * (algebra.r + 1)
-    out = {}
-    for key, weight in _faa_di_bruno(algebra)[0]:
-        poly = {zero: weight}
-        for gamma in key:
-            form = [(j, v) for j, v in enumerate(jets[gamma]) if v]
-            nxt = {}
-            for beta, c in poly.items():
-                for j, v in form:
-                    b = beta[:j] + (beta[j] + 1,) + beta[j + 1:]
-                    nxt[b] = nxt.get(b, 0) + c * v
-            poly = nxt
-        for beta, c in poly.items():
-            out[beta] = out.get(beta, 0) + c
-    return out
+    keys, _, (gammas, rests, coefs) = _faa_di_bruno(algebra)
+    context = f"{algebra.name} jets"
+    pts = np.array(points, dtype=np.int64)
+    # |a_i| and |1 - tau| are at most (r + 1) max |coordinate|
+    _check_int64(int(np.abs(coefs).sum(axis=0).max())
+                 * ((r + 1) * max(1, int(np.abs(pts).max()))) ** r, f"{context} evaluation")
+    tau = np.arange(r + 1)
+    a = pts[:, None, :n] + tau[:, None] * pts[:, None, n:]
+    mono = np.ones((len(pts), r + 1, len(rests)), dtype=np.int64)
+    for i in range(n):
+        mono *= a[:, :, i, None] ** rests[:, i]
+    orders = np.array([sum(gamma) for gamma in gammas])
+    rows = _interpolate((mono @ coefs) * (1 - tau)[:, None] ** orders, context).transpose(2, 0, 1)
+    _check_int64(sum(abs(w) for _, w in keys) * ((r + 1) * int(np.abs(rows).max())) ** r,
+                 f"{algebra.name} symbols")
+    tables = {q: np.zeros((len(pts), (r + 1) ** q), dtype=np.int64) for q in range(1, r + 1)}
+    for blocks, weight in keys:
+        outer = weight * rows[blocks[0]]
+        for g in blocks[1:]:
+            outer = (outer[:, :, None] * rows[g][:, None, :]).reshape(len(pts), -1)
+        tables[len(blocks)] += outer
+    symbols = {}
+    for q, table in tables.items():
+        index = {beta: b for b, beta in enumerate(_exponents(r + 1, q))}
+        project = np.zeros((table.shape[1], len(index)), dtype=np.int64)
+        for row, js in enumerate(itertools.product(range(r + 1), repeat=q)):
+            project[row, index[tuple(map(js.count, range(r + 1)))]] = 1
+        symbols[q] = table @ project
+    return rows[0], symbols
 
 
 def _exponents(count, degree):
@@ -347,21 +395,19 @@ def _pencil_operator(algebra):
 
         fit = [frame() + frame() for _ in range(comb(2 * r - 1, r) + r)]
         generic = [tuple(rng.randint(-3, 3) for _ in range(2 * n)) for _ in range(2)]
-        samples = []
-        for point in fit + generic:
-            jets = _jets(algebra, point)
-            samples.append((jets[(0,) * n], _symbol(algebra, jets)))
-        fit, generic = samples[:len(fit)], samples[len(fit):]
+        delta, symbols = _pencil_samples(algebra, fit + generic)
+        delta, count = delta.tolist(), len(fit)
         operator = []
         for q in range(1, r + 1):
             alphas, betas = _exponents(r + 1, q - 1), _exponents(r + 1, q)
             context = f"{algebra.name} operator, order {q}"
-            x = _solve([[math.prod(map(pow, delta, al)) for al in alphas] for delta, _ in fit],
-                       [[sym.get(be, 0) for be in betas] for _, sym in fit], context)
+            sym = symbols[q].tolist()
+            x = _solve([[math.prod(map(pow, d, al)) for al in alphas] for d in delta[:count]],
+                       sym[:count], context)
             for col, beta in enumerate(betas):
                 coefs = [(al, x[row][col]) for row, al in enumerate(alphas) if x[row][col]]
-                for delta, sym in generic:
-                    if sum(v * math.prod(map(pow, delta, al)) for al, v in coefs) != sym.get(beta, 0):
+                for d, values in zip(delta[count:], sym[count:]):
+                    if sum(v * math.prod(map(pow, d, al)) for al, v in coefs) != values[col]:
                         raise NonzeroRemainder(f"{context}: the certificate fails at {beta}")
                 if coefs:
                     operator.append((beta, [(al, v / scale) for al, v in coefs]))

@@ -1,8 +1,12 @@
 """The exact symbolic engine: the pencil operator L, its powers, extraction."""
 
 import json
+import os
+import random
 from fractions import Fraction
+from math import comb
 
+import numpy as np
 import pytest
 
 import rclab.sympoly as S
@@ -80,35 +84,85 @@ def test_spin3_is_sym2_in_the_pencil_coordinates():
         assert a.terms == b.terms
 
 
-@pytest.mark.parametrize("call,message", [(0, "a fit point disagrees"),
-                                          (-1, "the certificate fails")])
-@pytest.mark.parametrize("make", [rank_one, lambda: sym(2), lambda: sym(3)],
-                         ids=["rank1", "sym2", "sym3"])
-def test_a_wrong_jet_fails_the_derivation(make, call, message, monkeypatch):
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_every_operator_matches_the_pinned_one(name):
+    # L of every algebra as the per-point derivation gave it: most of sym4's
+    # 125 beta never act on Delta_0^a Delta_r^b, so no table pins them
+    path = os.path.join(os.path.dirname(__file__), "fixtures", "pencil_operators.json")
+    with open(path) as fh:
+        pinned = json.load(fh)[name]
+    assert _pencil_operator(get_algebra(name)) == [
+        (tuple(beta), [(tuple(alpha), Fraction(v)) for alpha, v in t_beta])
+        for beta, t_beta in pinned]
+
+
+@pytest.mark.parametrize("row,message", [(0, "a fit point disagrees"),
+                                         (-1, "the certificate fails")])
+@pytest.mark.parametrize("make", [rank_one, lambda: sym(2), lambda: sym(3), lambda: sym(4)],
+                         ids=["rank1", "sym2", "sym3", "sym4"])
+def test_a_wrong_jet_fails_the_derivation(make, row, message, monkeypatch):
     # one coefficient of one jet off by one, at the first fit point or at the
     # last certificate point: the derivation of L must raise.  The jet of
     # order r is the constant coefficient of a monomial of det, and it alone
     # makes the constant T_beta, |beta| = 1, at that point
-    jets, seen = S._jets, []
+    samples, interpolate, calls = S._pencil_samples, S._interpolate, []
 
-    def record(algebra, point):
-        seen.append(point)
-        return jets(algebra, point)
+    def record(algebra, points):
+        calls.append(points)
+        return samples(algebra, points)
 
-    monkeypatch.setattr(S, "_jets", record)
-    _pencil_operator(make())
-    target = seen[call]
+    monkeypatch.setattr(S, "_pencil_samples", record)
+    alg = make()
+    _pencil_operator(alg)
+    # one batched pass over every fit and certificate point
+    assert [len(points) for points in calls] == [comb(2 * alg.r - 1, alg.r) + alg.r + 2]
+    gammas = S._faa_di_bruno(alg)[2][0]
+    g = next(g for g, gamma in enumerate(gammas) if sum(gamma) == alg.r)
 
-    def wrong(algebra, point):
-        out = jets(algebra, point)
-        if point == target:
-            gamma = next(g for g in sorted(out) if sum(g) == algebra.r)
-            out[gamma] = [out[gamma][0] + 1] + out[gamma][1:]
-        return out
+    def wrong(values, context):
+        jets = interpolate(values, context)   # [point, j, gamma]
+        jets[row, 0, g] += 1
+        return jets
 
-    monkeypatch.setattr(S, "_jets", wrong)
+    monkeypatch.setattr(S, "_interpolate", wrong)
     with pytest.raises(NonzeroRemainder, match=message):
         _pencil_operator(make())
+
+
+@pytest.mark.parametrize("make", [lambda: sym(3), lambda: sym(4)], ids=["sym3", "sym4"])
+def test_interpolation_is_exact_or_raises(make, monkeypatch):
+    # tau^2 (tau - 1) from its values at tau = 0..4; tau (tau - 1) / 2 takes
+    # integer values there but has no integer coefficients
+    tau = np.arange(5)[:, None]
+    assert S._interpolate(tau ** 2 * (tau - 1), "test").ravel().tolist() == [0, 0, -1, 1, 0]
+    with pytest.raises(NonzeroRemainder, match="not divisible"):
+        S._interpolate(tau * (tau - 1) // 2, "test")
+    # one value of one jet off by one, at tau = 1: for r >= 3 the Lagrange
+    # polynomial of that node has a coefficient that D V^-1 / D leaves fractional
+    interpolate = S._interpolate
+
+    def wrong(values, context):
+        values = values.copy()
+        values[0, 1, 0] += 1
+        return interpolate(values, context)
+
+    monkeypatch.setattr(S, "_interpolate", wrong)
+    with pytest.raises(NonzeroRemainder, match="sym[34] jets: a jet is not divisible"):
+        _pencil_operator(make())
+
+
+@pytest.mark.parametrize("bound,stage", [(10 ** 5, "evaluation"), (3000, "interpolation"),
+                                         (100, "symbols")])
+def test_int64_overflow_raises_instead_of_wrapping(bound, stage):
+    # numpy's int64 products wrap silently, and no RuntimeWarning says so:
+    # each int64 stage bounds its entries first.  Near 10^5 the powers of
+    # the coordinates, and near 100 the exact symbols (1.3e27), pass 2^63;
+    # the fit and certificate points of sym4 reach a jet of 456 and a
+    # symbol of 9.7e9
+    alg, rng = sym(4), random.Random(1)
+    points = [tuple(rng.randint(-bound, bound) for _ in range(2 * alg.n)) for _ in range(3)]
+    with pytest.raises(OverflowError, match=f"sym4 .*{stage}: int64 entries could reach"):
+        S._pencil_samples(alg, points)
 
 
 def test_apply_D_zero_is_identity():
@@ -293,9 +347,6 @@ def test_every_table_survives_the_wire_format(name):
 
 @pytest.mark.parametrize("name,k", [("rank1", 2), ("sym2", 1)])
 def test_bracket_golden_files(name, k):
-    import json
-    import os
-
     alg = get_algebra(name)
     c = extract_bracket_polynomial(
         apply_D_power(SymExpr.det_power_seed(alg, k, k), k), k)
