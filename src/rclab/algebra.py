@@ -1,4 +1,4 @@
-"""Euclidean Jordan algebras: exact structure maps and the array polar chart.
+"""Euclidean Jordan algebras: product tables and the array polar chart.
 
 Three families are implemented, each as a table-driven commutative algebra
 with a positive-definite trace form:
@@ -9,16 +9,17 @@ with a positive-definite trace form:
 * ``spin(m)`` -- the spin factor R + R^{m-1} with
   (x0, xb).(y0, yb) = (x0*y0 + <xb, yb>, x0*yb + y0*xb).
 
-An exact point is an ``Element``, with ``fractions.Fraction``/int
-coordinates; its arithmetic, ``det``, ``quad_rep`` and ``quad_rep_matrix``
-are exact.  A float or complex point is a numpy row, and the numerics of
-the cone run on (m, n) float arrays, one point per row: ``spectral``
-(eigenvalues), ``cone_sqrt``, the P(x) stack ``quad_rep_matrices`` (complex
-rows too), the polar chart ``iota``, its inverse and its Jacobian, and
-``det_poly.numeric`` for determinants.  The trace inner product is
-(x, y) = tr(x.y); its Gram matrix is diagonal in the chosen bases and the
-Lebesgue measure used throughout the package is the Euclidean measure of
-that form (orthonormal coordinates x_ii, sqrt(2) x_ij for sym(r)).
+A point is a row of coordinates.  The exact checks draw integer rows over
+one denominator (``_random_ints``, ``_cone_ints``) and multiply them with
+the integer structure table (``_int_mul``).  A float or complex point is a
+numpy row, and the numerics of the cone run on (m, n) float arrays, one
+point per row: ``spectral`` (eigenvalues), ``cone_sqrt``, the P(x) stack
+``quad_rep_matrices`` (complex rows too), the polar chart ``iota``, its
+inverse and its Jacobian, and ``det_poly.numeric`` for determinants.  The
+trace inner product is (x, y) = tr(x.y); its Gram matrix is diagonal in the
+chosen bases and the Lebesgue measure used throughout the package is the
+Euclidean measure of that form (orthonormal coordinates x_ii, sqrt(2) x_ij
+for sym(r)).
 
 All values are immutable after construction and all operations are pure,
 so everything here is safe to share between threads.
@@ -38,29 +39,19 @@ from .poly import Poly
 
 __all__ = [
     "AlgebraError",
-    "AlgebraMismatch",
     "NotInCone",
     "JordanAlgebra",
-    "Element",
-    "StructureMap",
     "rank_one",
     "sym",
     "spin",
     "get_algebra",
     "ALGEBRA_NAMES",
-    "jordan_mul",
-    "trace",
-    "det",
-    "quad_rep",
-    "quad_rep_matrix",
     "spectral",
     "cone_sqrt",
     "quad_rep_matrices",
     "iota",
     "iota_inv",
     "iota_jacobian",
-    "random_rational_element",
-    "random_cone_point",
     "random_interval_point",
     "random_chart_points",
 ]
@@ -69,20 +60,8 @@ class AlgebraError(ValueError):
     pass
 
 
-class AlgebraMismatch(AlgebraError):
-    """Operands live in different algebras."""
-
-
 class NotInCone(AlgebraError):
     """Argument is not in the open cone of squares."""
-
-
-def _over_common_den(values):
-    """Integers X and q > 0 with values == [v / q for v in X], q the least
-    common denominator of the rationals ``values``."""
-    values = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
-    q = math.lcm(1, *(v.denominator for v in values))
-    return [v.numerator * (q // v.denominator) for v in values], q
 
 
 @dataclass(frozen=True)
@@ -92,10 +71,10 @@ class JordanAlgebra:
     ``table[i][j]`` holds the coordinates of b_i . b_j as Fractions.
     ``gram`` is the (diagonal) Gram vector of the trace form, so the
     inner product is (x, y) = sum_i gram[i] * x_i * y_i.  ``e`` is the
-    identity as a read-only float row.  The exact
-    samplers read the nonzero constants over one integer denominator:
-    ``_int_table`` holds (i, j, k, c * _table_den) for each (i, j, k, c) of
-    ``_sparse``.
+    identity as a read-only float row.  The integer samplers and the exact
+    checks read the nonzero constants over one integer denominator:
+    ``_int_table`` holds (i, j, k, c * _table_den) for each nonzero
+    c = table[i][j][k], and ``_mult_tensor`` holds the constants as floats.
     """
 
     name: str
@@ -110,93 +89,12 @@ class JordanAlgebra:
     gram: tuple               # diagonal trace-form Gram entries
     trace_vec: tuple          # tr(x) = sum_i trace_vec[i] x_i
     det_poly: Poly = field(hash=False, compare=False)
-    _sparse: tuple = field(hash=False, repr=False)
     _int_table: tuple = field(hash=False, repr=False, compare=False)
     _table_den: int = field(hash=False, repr=False, compare=False)
     _mult_tensor: np.ndarray = field(hash=False, repr=False, compare=False)
 
-    # -- basic constructors -------------------------------------------------
-
-    def element(self, coords) -> "Element":
-        coords = tuple(coords)
-        if len(coords) != self.n:
-            raise AlgebraError(
-                f"{self.name}: expected {self.n} coordinates, got {len(coords)}"
-            )
-        if not all(isinstance(c, (int, Fraction)) for c in coords):
-            raise AlgebraError(f"{self.name}: an Element has int or Fraction "
-                               "coordinates; a float or complex point is a numpy row")
-        return Element(self, coords)
-
-    @property
-    def identity(self) -> "Element":
-        return Element(self, self.e_coords)
-
     def __repr__(self):
         return f"JordanAlgebra({self.name}, n={self.n}, r={self.r}, d={self.d})"
-
-
-class Element:
-    """A point of the algebra with exact rational coordinates.
-
-    Thin immutable wrapper over a tuple of Fraction/int coordinates, with
-    exact arithmetic; ``as_array`` gives its float row.
-    """
-
-    __slots__ = ("algebra", "coords")
-
-    def __init__(self, algebra: JordanAlgebra, coords):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "coords", tuple(coords))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Element is immutable")
-
-    def _check(self, other):
-        if self.algebra is not other.algebra:
-            raise AlgebraMismatch(
-                f"{self.algebra.name} vs {other.algebra.name}"
-            )
-
-    def __add__(self, other):
-        self._check(other)
-        return Element(self.algebra, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return Element(self.algebra, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        return Element(self.algebra, tuple(-a for a in self.coords))
-
-    def __mul__(self, other):
-        if isinstance(other, Element):
-            return jordan_mul(self, other)
-        return Element(self.algebra, tuple(c * other for c in self.coords))
-
-    def __rmul__(self, scalar):
-        return Element(self.algebra, tuple(scalar * c for c in self.coords))
-
-    def __truediv__(self, scalar):
-        if isinstance(scalar, int):
-            scalar = Fraction(scalar)
-        return Element(self.algebra, tuple(c / scalar for c in self.coords))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Element)
-            and self.algebra is other.algebra
-            and self.coords == other.coords
-        )
-
-    def __hash__(self):
-        return hash((self.algebra.name, self.coords))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([float(c) for c in self.coords])
-
-    def __repr__(self):
-        return f"Element({self.algebra.name}, {list(self.coords)})"
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +119,7 @@ def _build(name, family, n, r, d, labels, table, e_coords, gram, trace_vec, det_
         basis_labels=tuple(labels), table=table, e_coords=tuple(e_coords), e=e,
         gram=tuple(gram), trace_vec=tuple(trace_vec),
         det_poly=Poly.from_terms(det_poly, n),
-        _sparse=tuple(sparse), _mult_tensor=tensor, _table_den=t,
+        _mult_tensor=tensor, _table_den=t,
         _int_table=tuple((i, j, k, int(c * t)) for i, j, k, c in sparse),
     )
 
@@ -371,56 +269,6 @@ ALGEBRA_NAMES = ("rank1", "sym2", "sym3", "sym4",
 
 
 # ---------------------------------------------------------------------------
-# Core operations
-
-
-def jordan_mul(a: Element, b: Element) -> Element:
-    a._check(b)
-    alg = a.algebra
-    x, y = a.coords, b.coords
-    out = [0] * alg.n
-    for i, j, k, c in alg._sparse:
-        out[k] = out[k] + c * x[i] * y[j]
-    return Element(alg, out)
-
-
-def trace(x: Element):
-    return sum(t * c for t, c in zip(x.algebra.trace_vec, x.coords))
-
-
-def det(x: Element) -> Fraction:
-    return x.algebra.det_poly.exact(x.coords)
-
-
-def quad_rep(x: Element, y: Element) -> Element:
-    """P(x)y = 2 x.(x.y) - (x.x).y."""
-    x._check(y)
-    return 2 * jordan_mul(x, jordan_mul(x, y)) - jordan_mul(jordan_mul(x, x), y)
-
-
-def quad_rep_matrix(x: Element):
-    """Coordinate matrix of P(x) = 2 L(x)^2 - L(x.x), L(x)y = x.y, for
-    rational x: rows of Fractions, built over the integers.  With x = X/q
-    and structure constants C/t, t L(v) for an integer vector v is an
-    integer matrix, and both terms of P(x) lie over (q t)^2.
-    """
-    alg, n, t = x.algebra, x.algebra.n, x.algebra._table_den
-    X, q = _over_common_den(x.coords)
-
-    def left(v):
-        out = [[0] * n for _ in range(n)]
-        for i, j, k, c in alg._int_table:
-            out[k][j] += c * v[i]
-        return out
-
-    L = left(X)                                                  # q t L(x)
-    L2 = left([sum(a * b for a, b in zip(row, X)) for row in L])  # (q t)^2 L(x.x)
-    den = (q * t) ** 2
-    return [[Fraction(2 * sum(L[i][m] * L[m][j] for m in range(n)) - L2[i][j], den)
-             for j in range(n)] for i in range(n)]
-
-
-# ---------------------------------------------------------------------------
 # Spectral data and the polar chart on point arrays
 #
 # Each function takes the rows of an (m, n) array as m points.  Rank 2
@@ -521,47 +369,11 @@ def iota_jacobian(algebra: JordanAlgebra, Z) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Structure group
-
-
-class StructureMap:
-    """Element of G(Omega), generated by quadratic maps P(a), a in Omega.
-
-    Built from a quadratic map P(a), so membership in the structure group
-    holds by construction.  The rational coordinate matrix is kept over one
-    common denominator, and a map applies to a rational point over the
-    integers.
-    """
-
-    def __init__(self, algebra: JordanAlgebra, matrix, chi_value):
-        self.algebra = algebra
-        self.matrix = matrix          # list of rows
-        self.chi_value = chi_value
-        flat, self._den = _over_common_den([c for row in matrix for c in row])
-        n = algebra.n
-        self._rows = [flat[i * n:(i + 1) * n] for i in range(n)]
-
-    @classmethod
-    def quadratic(cls, a: Element):
-        """P(a) for a in the cone; chi(P(a)) = (det a)^2."""
-        return cls(a.algebra, quad_rep_matrix(a), det(a) ** 2)
-
-    def __call__(self, x: Element) -> Element:
-        """The image of a point with rational coordinates, exactly."""
-        if x.algebra is not self.algebra:
-            raise AlgebraMismatch("structure map applied across algebras")
-        X, q = _over_common_den(x.coords)
-        den = self._den * q
-        return Element(self.algebra, tuple(
-            Fraction(sum(m * v for m, v in zip(row, X)), den) for row in self._rows))
-
-
-# ---------------------------------------------------------------------------
 # Random sampling helpers
 #
 # The draws run over the integers, one point at a time in a fixed rng order:
-# an exact sampler returns an Element, a float one divides once, and int /
-# int rounds correctly, as float(Fraction) does.
+# an exact draw stays an integer row over one denominator, a float one
+# divides once, and int / int rounds correctly, as float(Fraction) does.
 
 
 def _random_ints(rng: random.Random, n: int, num_bound: int = 6, den_bound: int = 4):
@@ -591,17 +403,6 @@ def _cone_ints(rng: random.Random, algebra: JordanAlgebra):
     return [w + den * int(e) for w, e in zip(_int_mul(algebra, U, U), algebra.e_coords)], den
 
 
-def random_rational_element(rng: random.Random, algebra: JordanAlgebra) -> Element:
-    X, q = _random_ints(rng, algebra.n)
-    return Element(algebra, tuple(Fraction(x, q) for x in X))
-
-
-def random_cone_point(rng: random.Random, algebra: JordanAlgebra) -> Element:
-    """u.u + e, strictly inside the cone, with exact coordinates."""
-    W, den = _cone_ints(rng, algebra)
-    return Element(algebra, tuple(Fraction(w, den) for w in W))
-
-
 def random_interval_point(rng: random.Random, algebra: JordanAlgebra) -> np.ndarray:
     """A point of )-e, e( as a float row.
 
@@ -618,8 +419,8 @@ def random_interval_point(rng: random.Random, algebra: JordanAlgebra) -> np.ndar
 
 def random_chart_points(rng: random.Random, algebra: JordanAlgebra, count: int):
     """``count`` pairs (z, v), z in the cone and v in )-e, e(, drawn in turn
-    as by random_cone_point and random_interval_point, as two (count, n)
-    float arrays."""
+    as by _cone_ints and random_interval_point, as two (count, n) float
+    arrays."""
     Z, V = [], []
     for _ in range(count):
         W, den = _cone_ints(rng, algebra)

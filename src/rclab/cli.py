@@ -47,6 +47,9 @@ MAX_SAMPLES = 2_000_000
 MAX_NODES = 1_000
 MAX_GRAM_POINTS = 250_000
 
+# `polys --format` values per `--kind`; latex is for the two-slot family only
+POLYS_FORMATS = {"two-slot": ("json", "csv", "latex"), "restricted": ("json", "csv")}
+
 
 class ConfigError(Exception):
     pass
@@ -148,16 +151,19 @@ def cmd_polys(args) -> int:
     fmt = merged(args, "format", "json")
     cache_dir = merged(args, "cache_dir")
     which = merged(args, "family_kind", "two-slot")
+    if which not in POLYS_FORMATS:
+        raise ConfigError(f"unknown kind {which!r}")
+    if fmt not in POLYS_FORMATS[which]:
+        raise ConfigError(f"format {fmt!r} is not one of "
+                          f"{', '.join(POLYS_FORMATS[which])} for the {which} family")
     if which == "two-slot":
         poly = brackets.compute_c(algebra, k, cache_dir)
         if fmt == "json":
             text = brackets.bracket_table_json(poly)
         elif fmt == "csv":
             text = brackets.bracket_table_csv(poly)
-        elif fmt == "latex":
-            text = brackets.bracket_table_latex(poly)
         else:
-            raise ConfigError(f"unknown format {fmt!r}")
+            text = brackets.bracket_table_latex(poly)
     else:
         lam = merged(args, "lam", None, Fraction)
         mu = merged(args, "mu", None, Fraction)
@@ -172,13 +178,11 @@ def cmd_polys(args) -> int:
                    "mu": None if mu is None else str(mu), "terms": rows}
         if fmt == "json":
             text = dump_report(payload)
-        elif fmt == "csv":
+        else:
             lines = ["mono,coefficient"]
             for r in rows:
                 lines.append("\"%s\",\"%s\"" % ("*".join(map(str, r["mono"])), r["coef"]))
             text = "\n".join(lines) + "\n"
-        else:
-            raise ConfigError("latex output is for the two-slot family")
     _write_out(args, text)
     return 0
 
@@ -225,7 +229,12 @@ def cmd_gamma(args) -> int:
     nu = merged(args, "nu", None, float)
     if nu is None:
         raise ConfigError("gamma requires --nu")
-    closed = quadrature.gamma_omega_closed(algebra, nu)
+    try:
+        closed = quadrature.gamma_omega_closed(algebra, nu)
+    except OverflowError:
+        closed = math.inf
+    if not math.isfinite(closed):
+        raise ConfigError(f"--nu {nu}: the cone Gamma product is not a finite float")
     out = {"schema": SCHEMA, "kind": "cone-gamma", "algebra": algebra.name,
            "nu": nu, "closed": closed}
     kind = merged(args, "rule", None)
@@ -655,9 +664,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("polys", help="emit bracket polynomial tables")
     common(sp)
     sp.add_argument("--k", type=int)
-    sp.add_argument("--format", choices=("json", "csv", "latex"))
-    sp.add_argument("--kind", dest="family_kind",
-                    choices=("two-slot", "restricted"))
+    sp.add_argument("--format", choices=POLYS_FORMATS["two-slot"])
+    sp.add_argument("--kind", dest="family_kind", choices=tuple(POLYS_FORMATS))
     sp.add_argument("--lambda", dest="lam")
     sp.add_argument("--mu", dest="mu")
     sp.set_defaults(func=cmd_polys)

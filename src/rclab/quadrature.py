@@ -342,8 +342,7 @@ def _gamma_mc(algebra, nu, samples, seed):
 # Interval (Weyl-reduced) integration; normalization constant fixed to 1
 
 
-def weyl_integral(algebra: JordanAlgebra, f_eig, lam, mu, n: int = 60,
-                  method: str = "auto"):
+def weyl_integral(algebra: JordanAlgebra, f_eig, lam, mu, n: int = 60):
     """Chamber integral of f against prod (1-a_i)^lam (1+a_i)^mu |Vandermonde|^d.
 
     ``f_eig`` maps an (m, r) array of eigenvalue rows to an (m, ...) array;
@@ -356,16 +355,22 @@ def weyl_integral(algebra: JordanAlgebra, f_eig, lam, mu, n: int = 60,
     if r == 1:
         rule = gauss_jacobi(n, lam, mu)
         return _integral(rule.weights, f_eig(rule.nodes[:, None]))
-    if r == 2 and method in ("auto", "triangle"):
-        gl = gauss_legendre(n)
-        h, wh = scaled_interval_rule(gl, 0.0, 1.0)
-        h, wh = h[:, None], wh[:, None]
-        c = (1.0 - h) * gl.nodes
-        w = wh * gl.weights * ((1 - c) ** 2 - h**2) ** lam * ((1 + c) ** 2 - h**2) ** mu \
-            * (2 * h) ** d * 2 * (1 - h)
-        nodes = np.stack([(c - h).ravel(), (c + h).ravel()], axis=1)
-        return _integral(w.ravel(), f_eig(nodes))
-    # symmetrized tensor Gauss-Jacobi over the cube
+    if r >= 3:
+        return _weyl_tensor(algebra, f_eig, lam, mu, n)
+    gl = gauss_legendre(n)
+    h, wh = scaled_interval_rule(gl, 0.0, 1.0)
+    h, wh = h[:, None], wh[:, None]
+    c = (1.0 - h) * gl.nodes
+    w = wh * gl.weights * ((1 - c) ** 2 - h**2) ** lam * ((1 + c) ** 2 - h**2) ** mu \
+        * (2 * h) ** d * 2 * (1 - h)
+    nodes = np.stack([(c - h).ravel(), (c + h).ravel()], axis=1)
+    return _integral(w.ravel(), f_eig(nodes))
+
+
+def _weyl_tensor(algebra: JordanAlgebra, f_eig, lam, mu, n: int):
+    """weyl_integral by the symmetrized tensor Gauss-Jacobi rule over the
+    cube, which is polynomial-exact only for even d."""
+    r, d = algebra.r, algebra.d
     rule = gauss_jacobi(n, lam, mu)
     nodes, w = _tensor_rule([rule.nodes] * r, [rule.weights] * r)
     for i in range(r):

@@ -41,7 +41,7 @@ from operator import add, sub
 import numpy as np
 
 from . import SCHEMA
-from .algebra import JordanAlgebra, Element, get_algebra
+from .algebra import JordanAlgebra, get_algebra
 from .poly import Poly
 
 __all__ = [
@@ -477,11 +477,13 @@ class BracketPolynomial:
         """The polynomial at rational (s0, t0), for evaluate_specialized."""
         return self.poly.at(s0, t0)
 
-    def evaluate(self, x: Element, y: Element, s0, t0):
-        return self.poly.at(s0, t0).exact(x.coords + y.coords)
+    def evaluate(self, x, y, s0, t0):
+        """The exact value at rational coordinate sequences x, y and (s0, t0)."""
+        return self.poly.at(s0, t0).exact(tuple(x) + tuple(y))
 
-    def evaluate_specialized(self, spec: Poly, x: Element, y: Element):
-        return spec.exact(x.coords + y.coords)
+    def evaluate_specialized(self, spec: Poly, x, y):
+        """``evaluate`` with the parameters already set by ``specialize``."""
+        return spec.exact(tuple(x) + tuple(y))
 
     def swap_slots_and_params(self) -> "BracketPolynomial":
         """c(k)_{t,s}(y, x) as a BracketPolynomial (for the exchange test)."""

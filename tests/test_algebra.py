@@ -8,37 +8,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fraction_ref import (
+    apply, cone_point, det, mul, quad_rep, quadratic_map, rational_point, trace,
+)
 from rclab.cli import _fd_jacobian
 from rclab.algebra import (
-    ALGEBRA_NAMES, get_algebra, StructureMap,
-    jordan_mul, trace, det, quad_rep, spectral, cone_sqrt, quad_rep_matrices,
-    iota, iota_inv, iota_jacobian,
-    random_rational_element, random_cone_point, random_interval_point,
-    random_chart_points, AlgebraError, AlgebraMismatch, NotInCone,
+    ALGEBRA_NAMES, get_algebra, spectral, cone_sqrt, quad_rep_matrices,
+    iota, iota_inv, iota_jacobian, random_interval_point, random_chart_points,
+    _cone_ints, _int_mul, _random_ints, AlgebraError, NotInCone,
 )
 
 ALGEBRAS = ["rank1", "sym2", "sym3", "spin4", "spin5"]
 
 
-def exact(alg, coords):
-    return alg.element(tuple(Fraction(c) for c in coords))
-
-
 @pytest.fixture(params=ALGEBRAS)
 def algebra(request):
     return get_algebra(request.param)
-
-
-def test_element_takes_exact_coordinates_only():
-    # a float or complex point is a numpy row; an Element stays rational
-    alg = get_algebra("sym2")
-    for coords in ((0.5, 1.0, 0.0), (1j, 1, 0), (Fraction(1), np.float64(1.0), 0)):
-        with pytest.raises(AlgebraError):
-            alg.element(coords)
-    x = alg.element((Fraction(1, 2), 1, 0))
-    assert det(x) == Fraction(1, 2)
-    assert jordan_mul(x, x) == alg.element((Fraction(1, 4), Fraction(1), Fraction(0)))
-    assert (x + x) / 2 == x and x.as_array().tolist() == [0.5, 1.0, 0.0]
 
 
 def test_descriptor_dimension_relation(algebra):
@@ -47,17 +32,17 @@ def test_descriptor_dimension_relation(algebra):
 
 
 def test_identity_trace_det(algebra):
-    e = algebra.identity
-    assert trace(e) == algebra.r
-    assert det(e) == 1
+    e = algebra.e_coords
+    assert trace(algebra, e) == algebra.r
+    assert det(algebra, e) == 1
 
 
 def test_product_table_commutative(algebra):
     rng = random.Random(0)
     for _ in range(10):
-        x = random_rational_element(rng, algebra)
-        y = random_rational_element(rng, algebra)
-        assert jordan_mul(x, y) == jordan_mul(y, x)
+        x = rational_point(rng, algebra)
+        y = rational_point(rng, algebra)
+        assert mul(algebra, x, y) == mul(algebra, y, x)
 
 
 def test_jordan_identity_exact(algebra):
@@ -65,68 +50,65 @@ def test_jordan_identity_exact(algebra):
     rng = random.Random(1)
     n_samples = 100 if algebra.family == "spin" else 25
     for _ in range(n_samples):
-        x = random_rational_element(rng, algebra)
-        y = random_rational_element(rng, algebra)
-        x2 = jordan_mul(x, x)
-        assert jordan_mul(x, jordan_mul(x2, y)) == jordan_mul(x2, jordan_mul(x, y))
+        x = rational_point(rng, algebra)
+        y = rational_point(rng, algebra)
+        x2 = mul(algebra, x, x)
+        assert mul(algebra, x, mul(algebra, x2, y)) == mul(algebra, x2, mul(algebra, x, y))
 
 
 def test_trace_form_positive_definite(algebra):
     rng = random.Random(2)
     for _ in range(20):
-        x = random_rational_element(rng, algebra)
-        if any(c != 0 for c in x.coords):
-            assert trace(jordan_mul(x, x)) > 0
+        x = rational_point(rng, algebra)
+        if any(c != 0 for c in x):
+            assert trace(algebra, mul(algebra, x, x)) > 0
 
 
 def test_sym2_identity_acts_trivially():
     alg = get_algebra("sym2")
     rng = random.Random(3)
-    x = random_rational_element(rng, alg)
-    assert jordan_mul(alg.identity, x) == x
+    x = rational_point(rng, alg)
+    assert mul(alg, alg.e_coords, x) == x
 
 
 def test_sym2_diagonal_product():
     alg = get_algebra("sym2")
-    a = exact(alg, [1, 2, 0])
-    b = exact(alg, [3, 4, 0])
-    assert jordan_mul(a, b) == exact(alg, [3, 8, 0])
+    assert mul(alg, (1, 2, 0), (3, 4, 0)) == (3, 8, 0)
 
 
 def test_spin_product_formula():
     alg = get_algebra("spin4")
-    x = exact(alg, [2, 1, 0, -1])
-    y = exact(alg, [3, 0, 2, 1])
+    x = (2, 1, 0, -1)
+    y = (3, 0, 2, 1)
     # (x0 y0 + <xb, yb>, x0 yb + y0 xb)
-    expected = exact(alg, [2 * 3 + (0 + 0 - 1), 2 * 0 + 3 * 1,
-                                   2 * 2 + 0, 2 * 1 - 3])
-    assert jordan_mul(x, y) == expected
+    expected = (2 * 3 + (0 + 0 - 1), 2 * 0 + 3 * 1, 2 * 2 + 0, 2 * 1 - 3)
+    assert mul(alg, x, y) == expected
 
 
 def test_det_trace_examples():
     alg = get_algebra("sym2")
-    x = exact(alg, [2, 3, 0])
-    assert det(x) == 6 and trace(x) == 5
+    x = (2, 3, 0)
+    assert det(alg, x) == 6 and trace(alg, x) == 5
     sp = get_algebra("spin5")
-    y = exact(sp, [3, 1, 2, 0, 1])
-    assert det(y) == 9 - (1 + 4 + 0 + 1)
-    assert trace(y) == 6
+    y = (3, 1, 2, 0, 1)
+    assert det(sp, y) == 9 - (1 + 4 + 0 + 1)
+    assert trace(sp, y) == 6
     r1 = get_algebra("rank1")
-    assert det(exact(r1, [7])) == 7 == trace(exact(r1, [7]))
+    assert det(r1, (7,)) == 7 == trace(r1, (7,))
 
 
 def test_quad_rep_identity_element(algebra):
     rng = random.Random(4)
-    y = random_rational_element(rng, algebra)
-    assert quad_rep(algebra.identity, y) == y
+    y = rational_point(rng, algebra)
+    assert quad_rep(algebra, algebra.e_coords, y) == y
 
 
 def test_quad_rep_det_identity_exact(algebra):
     rng = random.Random(5)
     for _ in range(10):
-        x = random_rational_element(rng, algebra)
-        y = random_rational_element(rng, algebra)
-        assert det(quad_rep(x, y)) == det(x) ** 2 * det(y)
+        x = rational_point(rng, algebra)
+        y = rational_point(rng, algebra)
+        assert det(algebra, quad_rep(algebra, x, y)) == det(algebra, x) ** 2 * det(algebra, y)
 
 
 def rows(*points):
@@ -142,21 +124,20 @@ def test_spectral_reconstruction(algebra):
     # the eigenvalues give back tr x and det x, and each is a root of
     # det(x - lam e)
     rng = random.Random(6)
-    xs = [random_rational_element(rng, algebra) for _ in range(5)]
-    lams = spectral(algebra, np.array([x.as_array() for x in xs]))
+    xs = [rational_point(rng, algebra) for _ in range(5)]
+    lams = spectral(algebra, rows(*xs))
     assert lams.shape == (5, algebra.r)
     assert np.all(np.diff(lams, axis=1) >= 0)
-    e = np.array(algebra.e_coords, dtype=float)
     for x, lam in zip(xs, lams):
         scale = max(1.0, *np.abs(lam))
-        assert abs(sum(lam) - trace(x)) < 1e-12 * scale
-        assert abs(np.prod(lam) - det(x)) < 1e-12 * scale ** algebra.r
-        shifted = algebra.det_poly.numeric(x.as_array() - lam[:, None] * e)
+        assert abs(sum(lam) - trace(algebra, x)) < 1e-12 * scale
+        assert abs(np.prod(lam) - det(algebra, x)) < 1e-12 * scale ** algebra.r
+        shifted = algebra.det_poly.numeric(rows(x) - lam[:, None] * algebra.e)
         assert np.all(np.abs(shifted) < 1e-11 * scale ** algebra.r)
 
 
 def test_spectral_identity_eigenvalues(algebra):
-    lams = spectral(algebra, algebra.identity.as_array())
+    lams = spectral(algebra, algebra.e)
     assert np.all(np.abs(lams - 1) < 1e-14)
 
 
@@ -177,13 +158,13 @@ def test_rank2_spectral_keeps_a_small_gap():
 
 
 def test_sqrt_examples(algebra):
-    e = algebra.identity.as_array()
+    e = algebra.e
     assert np.max(np.abs(cone_sqrt(algebra, e) - e)) < 1e-14
 
 
 def test_sqrt_roundtrip(algebra):
     rng = random.Random(7)
-    Z = np.array([random_cone_point(rng, algebra).as_array() for _ in range(10)])
+    Z = rows(*(cone_point(rng, algebra) for _ in range(10)))
     S = cone_sqrt(algebra, Z)
     for s2, z in zip(jordan_products(algebra, S, S), Z):
         assert np.max(np.abs(s2 - z)) < 1e-12
@@ -198,7 +179,7 @@ def test_sym_sqrt_matches_the_matrix_square_root():
     for name in ("sym2", "sym3"):
         alg = get_algebra(name)
         rng = random.Random(15)
-        Z = np.array([random_cone_point(rng, alg).as_array() for _ in range(10)])
+        Z = rows(*(cone_point(rng, alg) for _ in range(10)))
 
         def matrix(c):
             m = np.zeros((alg.r, alg.r))
@@ -228,10 +209,9 @@ def test_rank1_sqrt_inverse():
 def test_inverse_exact(algebra):
     # at exact rational cone points, x.x^{-1} = e up to rounding
     rng = random.Random(8)
-    points = [random_cone_point(rng, algebra) for _ in range(5)]
-    X = np.array([x.as_array() for x in points])
+    X = rows(*(cone_point(rng, algebra) for _ in range(5)))
     for got in jordan_products(algebra, X, inverses(algebra, X)):
-        assert np.max(np.abs(got - algebra.identity.as_array())) < 1e-12
+        assert np.max(np.abs(got - algebra.e)) < 1e-12
 
 
 def test_sqrt_not_in_cone():
@@ -245,17 +225,15 @@ def test_sqrt_not_in_cone():
 
 def test_quad_rep_matrices_apply_P(algebra):
     rng = random.Random(16)
-    xs = [random_rational_element(rng, algebra) for _ in range(4)]
-    ys = [random_rational_element(rng, algebra) for _ in range(4)]
-    X = np.array([x.as_array() for x in xs])
-    Y = np.array([y.as_array() for y in ys])
-    got = np.einsum("bij,bj->bi", quad_rep_matrices(algebra, X), Y)
+    xs = [rational_point(rng, algebra) for _ in range(4)]
+    ys = [rational_point(rng, algebra) for _ in range(4)]
+    got = np.einsum("bij,bj->bi", quad_rep_matrices(algebra, rows(*xs)), rows(*ys))
     for g, x, y in zip(got, xs, ys):
-        assert np.max(np.abs(g - quad_rep(x, y).as_array())) < 1e-12
+        assert np.max(np.abs(g - rows(quad_rep(algebra, x, y))[0])) < 1e-12
 
 
 def test_cone_membership_examples(algebra):
-    e = algebra.identity.as_array()
+    e = algebra.e
     assert np.all(spectral(algebra, e) > 0)
     assert np.all(np.abs(spectral(algebra, 0.5 * e)) < 1)
     assert not np.all(np.abs(spectral(algebra, 2 * e)) < 1)
@@ -268,7 +246,7 @@ def test_in_interval_sym2_example():
     alg = get_algebra("sym2")
     v = rows((0.5, -0.9, 0.0))
     assert np.all(np.abs(spectral(alg, v)) < 1)
-    iota(alg, alg.identity.as_array(), v)
+    iota(alg, alg.e, v)
 
 
 def test_iota_rank1_examples():
@@ -279,7 +257,7 @@ def test_iota_rank1_examples():
 
 def test_iota_zero_v_splits_evenly(algebra):
     rng = random.Random(9)
-    z = random_cone_point(rng, algebra).as_array()[None]
+    z = rows(cone_point(rng, algebra))
     x, y = iota(algebra, z, np.zeros_like(z))
     assert np.max(np.abs(x - z / 2)) < 1e-13 and np.max(np.abs(y - z / 2)) < 1e-13
 
@@ -287,7 +265,7 @@ def test_iota_zero_v_splits_evenly(algebra):
 def test_iota_sym2_example():
     alg = get_algebra("sym2")
     z = rows((1.0, 4.0, 0.0))
-    v = 0.3 * alg.identity.as_array()[None]
+    v = 0.3 * alg.e[None]
     x, y = iota(alg, z, v)
     np.testing.assert_allclose(x[0], [0.35, 1.4, 0.0], atol=1e-12)
     np.testing.assert_allclose(y[0], [0.65, 2.6, 0.0], atol=1e-12)
@@ -329,7 +307,7 @@ def test_jacobian_closed_form_examples():
     assert abs(iota_jacobian(r1, z)[0] - 1.0) < 1e-14
     assert abs(_fd_jacobian(r1, z, v)[0] - 1.0) < 1e-6
     s2 = get_algebra("sym2")
-    assert abs(iota_jacobian(s2, s2.identity.as_array()[None])[0] - 0.125) < 1e-15
+    assert abs(iota_jacobian(s2, s2.e[None])[0] - 0.125) < 1e-15
     assert abs(iota_jacobian(s2, rows((1.0, 4.0, 0.0)))[0] - 1.0) < 1e-13
 
 
@@ -352,84 +330,76 @@ def linear_det(rows):
     return total
 
 
-def character(ell, samples=5):
-    """chi(ell) = det(ell e), once det(ell x) = chi(ell) det(x) holds on
-    random rational samples and Det(ell) = chi(ell)^(n/r)."""
-    alg = ell.algebra
+def character(alg, matrix, samples=5):
+    """chi(ell) = det(ell e) of the linear map ell with coordinate matrix
+    ``matrix``, once det(ell x) = chi(ell) det(x) holds on random rational
+    samples and Det(ell) = chi(ell)^(n/r)."""
     rng = random.Random(7)
-    c = det(ell(alg.identity))
+    c = det(alg, apply(matrix, alg.e_coords))
     for _ in range(samples):
-        x = random_rational_element(rng, alg)
-        assert det(ell(x)) == c * det(x), f"{ell.matrix}: not in the structure group"
+        x = rational_point(rng, alg)
+        assert det(alg, apply(matrix, x)) == c * det(alg, x), f"{matrix}: not in the structure group"
     expected = float(c) ** (alg.n / alg.r)
-    assert abs(float(linear_det(ell.matrix)) - expected) <= 1e-8 * max(1.0, abs(expected))
+    assert abs(float(linear_det(matrix)) - expected) <= 1e-8 * max(1.0, abs(expected))
     return c
 
 
 def test_chi_examples():
     alg = get_algebra("sym2")
     identity = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
-    assert character(StructureMap(alg, identity, Fraction(1))) == 1
-    a = exact(alg, [2, 3, 0])
-    ell = StructureMap.quadratic(a)
-    assert character(ell) == 36 == ell.chi_value
-    assert linear_det(ell.matrix) == 216  # 36^{3/2}
+    assert character(alg, identity) == 1
+    matrix, chi = quadratic_map(alg, (2, 3, 0))
+    assert character(alg, matrix) == 36 == chi
+    assert linear_det(matrix) == 216  # 36^{3/2}
     twice = [[Fraction(2 * (i == j)) for j in range(3)] for i in range(3)]
-    assert character(StructureMap(alg, twice, Fraction(4))) == 4  # c^r
+    assert character(alg, twice) == 4  # c^r
 
 
 def test_chi_rejects_non_structure_map():
     alg = get_algebra("sym2")
-    bad = StructureMap(alg, [[1, 1, 0], [0, 1, 0], [0, 0, 1]], 1)
     with pytest.raises(AssertionError):
-        character(bad)
+        character(alg, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def test_structure_map_composition():
     alg = get_algebra("sym2")
     rng = random.Random(12)
-    a = random_cone_point(rng, alg)
-    b = random_cone_point(rng, alg)
-    pa, pb = StructureMap.quadratic(a), StructureMap.quadratic(b)
-    rows = [[sum(pa.matrix[i][m] * pb.matrix[m][j] for m in range(3)) for j in range(3)]
-            for i in range(3)]
-    comp = StructureMap(alg, rows, pa.chi_value * pb.chi_value)
-    assert character(comp) == det(a) ** 2 * det(b) ** 2
+    a = cone_point(rng, alg)
+    b = cone_point(rng, alg)
+    (pa, _), (pb, _) = quadratic_map(alg, a), quadratic_map(alg, b)
+    comp = [[sum(pa[i][m] * pb[m][j] for m in range(3)) for j in range(3)] for i in range(3)]
+    assert character(alg, comp) == det(alg, a) ** 2 * det(alg, b) ** 2
 
 
-def fraction_element(rng, alg, num_bound=6, den_bound=4):
-    """The Fraction reference of the exact samplers' rational draws."""
-    return alg.element([Fraction(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
-                        for _ in range(alg.n)])
-
-
-def fraction_cone_point(rng, alg):
-    u = fraction_element(rng, alg, 3, 3)
-    return jordan_mul(u, u) + alg.identity
-
-
-def fraction_interval_point(rng, alg):
-    w = fraction_cone_point(rng, alg)
-    t = trace(w)
+def interval_point(rng, alg):
+    """The Fraction reference of random_interval_point, as a float row."""
+    w = cone_point(rng, alg)
+    t = trace(alg, w)
     alpha = Fraction(rng.randint(1, 9), 10) * 2 / t
-    return (alpha * (w - (t / 2) * alg.identity)).as_array()
+    return rows([alpha * (c - t / 2 * e) for c, e in zip(w, alg.e_coords)])[0]
 
 
 @pytest.mark.parametrize("name", ALGEBRA_NAMES)
 def test_integer_samplers_match_the_fraction_reference(name):
-    # random_cone_point and StructureMap run over the integers; the
-    # reference is the Fraction arithmetic, from the same rng state
+    # _cone_ints, _random_ints, _int_mul and the integer P(a)x of the
+    # chi-covariance check run over the integers; the reference is the
+    # Fraction arithmetic, from the same rng state
     alg = get_algebra(name)
+    t = alg._table_den
     rng, ref = random.Random(31), random.Random(31)
     for _ in range(10):
-        a = random_cone_point(rng, alg)
-        assert a == fraction_cone_point(ref, alg)
-        ell = StructureMap.quadratic(a)
-        x = random_rational_element(rng, alg)
-        assert x == fraction_element(ref, alg)
-        want = [sum(ell.matrix[i][j] * x.coords[j] for j in range(alg.n))
-                for i in range(alg.n)]
-        assert list(ell(x).coords) == want
+        A, D = _cone_ints(rng, alg)
+        a = cone_point(ref, alg)
+        assert tuple(Fraction(v, D) for v in A) == a
+        X, q = _random_ints(rng, alg.n)
+        x = rational_point(ref, alg)
+        assert tuple(Fraction(v, q) for v in X) == x
+        assert tuple(Fraction(v, t * D * q) for v in _int_mul(alg, A, X)) == mul(alg, a, x)
+        # (t D)^2 q P(a)x = 2 C(A, C(A, X)) - C(C(A, A), X)
+        AAX = _int_mul(alg, A, _int_mul(alg, A, X))
+        AA_X = _int_mul(alg, _int_mul(alg, A, A), X)
+        got = tuple(Fraction(2 * u - v, (t * D) ** 2 * q) for u, v in zip(AAX, AA_X))
+        assert got == quad_rep(alg, a, x)
     assert rng.random() == ref.random()
 
 
@@ -446,17 +416,11 @@ def test_float_samplers_keep_the_bits_of_the_fraction_reference(name):
                 and got.tobytes() == want.tobytes())
 
     for _ in range(5):
-        assert same_bits(random_interval_point(rng, alg), fraction_interval_point(ref, alg))
+        assert same_bits(random_interval_point(rng, alg), interval_point(ref, alg))
     Z, V = random_chart_points(rng, alg, 12)
-    pairs = [(fraction_cone_point(ref, alg).as_array(), fraction_interval_point(ref, alg))
-             for _ in range(12)]
+    pairs = [(rows(cone_point(ref, alg))[0], interval_point(ref, alg)) for _ in range(12)]
     assert same_bits(Z, [z for z, _ in pairs]) and same_bits(V, [v for _, v in pairs])
     assert rng.getstate() == ref.getstate()
-
-
-def test_algebra_mismatch_raises():
-    with pytest.raises(AlgebraMismatch):
-        jordan_mul(get_algebra("sym2").identity, get_algebra("spin4").identity)
 
 
 def test_random_interval_points_are_in_interval(algebra):

@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rclab.algebra import get_algebra, det, iota, random_cone_point, spectral
+from fraction_ref import cone_point, det, mul, quad_rep, rational_point
+from rclab.algebra import get_algebra, iota, spectral
 from rclab.brackets import (
     compute_c, compute_C,
     jacobi_classical, jacobi_proportionality,
@@ -45,22 +46,20 @@ def test_diagonal_restriction_at_equal_parameters():
     # diagonal restriction at s = t vanishes exactly when r*k is odd
     import random
 
-    from rclab.algebra import random_rational_element
-
     rng = random.Random(0)
     r1 = get_algebra("rank1")
     c1 = compute_c(r1, 3)   # rk = 3, odd
     for _ in range(10):
-        x = random_rational_element(rng, r1)
+        x = rational_point(rng, r1)
         s = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
         assert c1.evaluate(x, x, s, s) == 0
     # sym2, k = 1 has rk = 2: the diagonal value is (s+1) det x, not zero
     alg = get_algebra("sym2")
     c = compute_c(alg, 1)
     for _ in range(10):
-        x = random_rational_element(rng, alg)
+        x = rational_point(rng, alg)
         s = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        assert c.evaluate(x, x, s, s) == (s + 1) * det(x)
+        assert c.evaluate(x, x, s, s) == (s + 1) * det(alg, x)
 
 
 def test_disk_cache_roundtrip(tmp_path):
@@ -191,7 +190,7 @@ def test_jacobi_proportionality_exact(params):
 
 def test_chi_covariance_reports_clean():
     # every Delta_j has weight chi, so the pencil engine is covariant by
-    # construction; this tests the expansion to x, y and StructureMap
+    # construction; this tests the expansion to x, y and the integer P(a)
     for name, kmax in (("rank1", 2), ("sym2", 1), ("spin4", 1)):
         reps = check_chi_covariance(get_algebra(name), kmax, samples=15)
         assert [rep["k"] for rep in reps] == list(range(kmax + 1))
@@ -220,23 +219,23 @@ def test_chi_covariance_draws_each_sample_once(monkeypatch, tmp_path):
 
 
 def chi_covariance_reference(algebra, kmax, samples=50):
-    """check_chi_covariance as written over Fractions: the same draws, a
-    StructureMap per sample, and c.specialize plus two evaluate_specialized
-    calls per sample and k."""
+    """check_chi_covariance as written over Fractions: the same draws, P(a)x
+    and P(a)y from the Fraction product per sample, and c.specialize plus
+    two evaluate_specialized calls per sample and k."""
     import random
 
     from rclab import brackets, report
-    from rclab.algebra import StructureMap, random_rational_element
 
     rng = random.Random(brackets.CHI_SEED)
     draws = []
     for _ in range(samples):
-        ell = StructureMap.quadratic(random_cone_point(rng, algebra))
-        x = random_rational_element(rng, algebra)
-        y = random_rational_element(rng, algebra)
+        a = cone_point(rng, algebra)
+        x = rational_point(rng, algebra)
+        y = rational_point(rng, algebra)
         s0 = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         t0 = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        draws.append((ell.chi_value, x, y, s0, t0, ell(x), ell(y)))
+        draws.append((det(algebra, a) ** 2, x, y, s0, t0,
+                      quad_rep(algebra, a, x), quad_rep(algebra, a, y)))
     reports = []
     for k in range(kmax + 1):
         c = compute_c(algebra, k)
@@ -279,6 +278,27 @@ def test_chi_covariance_catches_a_wrong_coefficient(monkeypatch, tmp_path, wrong
     data = json.loads(out.read_text())
     assert data["pass"] is False
     assert [rep["pass"] for rep in data["reports"]] == [True, False, True]
+
+
+def test_a_wrong_integer_constant_fails_against_the_fraction_reference(monkeypatch):
+    # the reference reads the Fraction table, so one corrupted constant of the
+    # integer table shows in _int_mul and in check_chi_covariance
+    from rclab.algebra import _int_mul
+
+    alg = get_algebra("spin4")
+    for k in range(2):
+        compute_c(alg, k)   # built, and cached, before the table is corrupted
+    want = chi_covariance_reference(alg, 1)
+    assert check_chi_covariance(alg, 1) == want
+    X, Y = [1, 2, -1, 3], [2, -1, 1, 1]
+    t = alg._table_den
+    assert [Fraction(v, t) for v in _int_mul(alg, X, Y)] == list(mul(alg, X, Y))
+    (i, j, m, c), *rest = alg._int_table
+    monkeypatch.setitem(vars(alg), "_int_table", ((i, j, m, 2 * c), *rest))
+    assert [Fraction(v, t) for v in _int_mul(alg, X, Y)] != list(mul(alg, X, Y))
+    assert chi_covariance_reference(alg, 1) == want
+    reps = check_chi_covariance(alg, 1)
+    assert reps != want and [rep["pass"] for rep in reps] == [True, False]
 
 
 def test_iota_factorization_rank1_v0():

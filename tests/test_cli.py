@@ -153,6 +153,37 @@ def test_gram_weights_obey_the_rule_caps(args, monkeypatch):
     assert err.startswith("error: --lambda and --mu"), err
 
 
+@pytest.mark.parametrize("nu", ["nan", "inf", "171", "200"])
+def test_gamma_rejects_a_nu_without_a_finite_gamma_product(nu):
+    # nan and inf wrote NaN and Infinity into the JSON with exit 0; at 171 the
+    # product overflows to inf, and at 200 Gamma(nu) raised OverflowError
+    code, out, err = run_cli(["gamma", "--algebra", "sym2", "--nu", nu])
+    assert code == 2 and out == ""
+    assert err.startswith("error: --nu") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("config, bad", [
+    ("format = xml\nfamily_kind = restricted\n", "format 'xml'"),
+    ("format = latex\nfamily_kind = restricted\n", "format 'latex'"),
+    ("format = xml\n", "format 'xml'"),
+    ("family_kind = pencil\n", "kind 'pencil'"),
+])
+def test_polys_checks_the_format_before_building(config, bad, tmp_path, monkeypatch):
+    # a config-file format = xml built C(k), then blamed latex
+    from rclab import brackets
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a rejected configuration built a polynomial")
+
+    monkeypatch.setattr(brackets, "compute_c", no_build)
+    monkeypatch.setattr(brackets, "compute_C", no_build)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    code, out, err = run_cli(["--config", str(cfg), "polys", "--algebra", "rank1"])
+    assert code == 2 and out == ""
+    assert bad in err and err.count("\n") == 1, err
+
+
 def test_jacobi_rule_past_the_gamma_overflow():
     # Gamma(alpha + 1) overflows from alpha = 171; the total weight
     # 2^(alpha+beta+1) B(alpha+1, beta+1) is still a float

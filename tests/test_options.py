@@ -8,9 +8,6 @@ MODULES = tuple(sorted(path.stem for path in SRC.glob("*.py")))
 
 # Defaulted parameters that no call in src/rclab passes, each with its reason.
 NO_CALLER_NEEDED = {
-    "quadrature.weyl_integral.method":
-        "test_weyl_tensor_fallback_even_power runs the tensor path on spin4, "
-        "where d = 2 makes that path exact",
     "cli.main.argv":
         "the entry point: the console script calls main() bare, so argparse "
         "reads sys.argv; tests and perfbench pass the argument list",
@@ -86,8 +83,9 @@ def unset_options(src):
 
 
 def test_every_option_has_a_caller():
-    unset = [name for name in unset_options(SRC) if name not in NO_CALLER_NEEDED]
-    assert unset == []
+    # the allowlist is exact: an entry that is no longer an option, or that a
+    # call now sets, fails as much as an unset option missing from it
+    assert unset_options(SRC) == sorted(NO_CALLER_NEEDED)
 
 
 def test_the_scan_sees_an_option_no_call_sets(tmp_path):

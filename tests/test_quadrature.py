@@ -18,7 +18,7 @@ from rclab.quadrature import (
     gauss_jacobi, gauss_legendre, gauss_laguerre,
     gamma_omega_closed, gamma_omega_numeric,
     cone_integrate_invariant, weyl_integral, gram_matrix,
-    tube_laplace, box_rule, check_change_of_variables,
+    tube_laplace, box_rule, check_change_of_variables, _weyl_tensor,
 )
 from rclab.tube import check_J_factorization, _default_tube_points
 
@@ -300,8 +300,8 @@ def test_weyl_node_doubling_stability():
 def test_weyl_tensor_fallback_even_power():
     # spin4 has d = 2: symmetrized tensor path is polynomial-exact
     alg = get_algebra("spin4")
-    a = weyl_integral(alg, lambda e: np.ones(len(e)), 1, 1, n=24, method="tensor")
-    b = weyl_integral(alg, lambda e: np.ones(len(e)), 1, 1, n=48, method="tensor")
+    a = _weyl_tensor(alg, lambda e: np.ones(len(e)), 1, 1, 24)
+    b = _weyl_tensor(alg, lambda e: np.ones(len(e)), 1, 1, 48)
     assert abs(a - b) < 1e-12 * max(1.0, abs(b))
 
 

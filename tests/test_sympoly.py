@@ -281,10 +281,8 @@ def test_specialize_and_evaluate_examples():
     alg = get_algebra("rank1")
     c1 = extract_bracket_polynomial(
         apply_D_power(SymExpr.det_power_seed(alg, 1, 1), 1), 1)
-    one = alg.element((Fraction(1),))
-    two = alg.element((Fraction(2),))
-    assert c1.evaluate(one, one, Fraction(0), Fraction(0)) == 0
-    assert c1.evaluate(one, two, Fraction(2), Fraction(3)) == 2
+    assert c1.evaluate((1,), (1,), Fraction(0), Fraction(0)) == 0
+    assert c1.evaluate((1,), (2,), Fraction(2), Fraction(3)) == 2
     spec = dict(c1.specialize(Fraction(2), Fraction(3)).items())
     assert spec[(0, 1)] == 3 and spec[(1, 0)] == -4
 

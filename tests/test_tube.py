@@ -72,7 +72,7 @@ def test_coherent_state_values():
     assert abs(at(K, tube_el(1j)) - 0.25) < 1e-14
     for name in ("rank1", "sym2", "spin4"):
         alg = get_algebra(name)
-        ie = 1j * alg.identity.as_array()
+        ie = 1j * alg.e
         nu = 1.7
         K = coherent_state(alg, nu, ie)
         assert abs(at(K, ie) - 2.0 ** (-alg.r * nu)) < 1e-13
