@@ -8,7 +8,9 @@ Subcommands
     cache   inspect or clear the on-disk polynomial cache
 
 Configuration precedence: command-line flags > config file (simple
-``key = value`` lines, '#' comments) > built-in defaults.  All artifacts
+``key = value`` lines, '#' comments) > built-in defaults.  A config key is
+one of the subcommand's flag names without its dashes ('-' and '_' alike);
+any other key is a configuration error.  All artifacts
 are deterministic: identical configuration (including seeds) produces
 byte-identical output.  Exit codes: 0 success, 1 check failure, 2 bad
 configuration.
@@ -85,32 +87,44 @@ def dump_report(data) -> str:
     return json.dumps(_sanitize(data), indent=2, sort_keys=True) + "\n"
 
 
-def read_config_file(path: str) -> dict:
+def read_config_file(path: str, keys) -> dict:
+    """The ``key = value`` lines of ``path`` by argparse dest.  ``keys`` are
+    the dests of the subcommand's flags, each its flag name without the
+    dashes and with '_' for '-'; any other key is a ConfigError."""
     out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, val = (s.strip() for s in line.split("=", 1))
-            out[key.replace("-", "_")] = val
+    try:
+        with open(path) as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+                key, val = (s.strip() for s in line.split("=", 1))
+                dest = key.replace("-", "_")
+                if dest not in keys:
+                    names = ", ".join(k.replace("_", "-") for k in sorted(keys))
+                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}; "
+                                      f"choose from {names}")
+                out[dest] = val
+    except OSError as exc:
+        raise ConfigError(f"--config {path}: {exc.strerror}") from exc
     return out
 
 
 def merged(args, key, default=None, cast=str):
-    """flags > config file > default."""
+    """flags > config file > default.  A text value, from the file or from a
+    flag without an argparse type, goes through ``cast``; a value it rejects
+    is a ConfigError naming the flag."""
     val = getattr(args, key, None)
-    if val is not None:
-        return val
-    cfg = getattr(args, "_config", {})
-    if key in cfg:
-        try:
-            return cast(cfg[key])
-        except ValueError as exc:
-            raise ConfigError(f"config key {key}: {exc}") from exc
-    return default
+    if val is None:
+        val = getattr(args, "_config", {}).get(key)
+    if not isinstance(val, str):
+        return default if val is None else val
+    try:
+        return cast(val)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"--{key.replace('_', '-')}: bad value {val!r}") from exc
 
 
 def _int_option(args, key, default, lo, hi):
@@ -129,13 +143,28 @@ def _algebra_from(args):
         raise ConfigError(str(exc)) from exc
 
 
+def _cache_dir(args):
+    """--cache-dir, created up front: a path that cannot be a directory is a
+    configuration error, not a failed build."""
+    path = merged(args, "cache_dir")
+    if path:
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--cache-dir {path}: {exc.strerror}") from exc
+    return path
+
+
 def _write_out(args, text: str):
     path = merged(args, "output")
-    if path:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigError(f"--output {path}: {exc.strerror}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +178,13 @@ def cmd_polys(args) -> int:
     if not 0 <= k <= cap:
         raise ConfigError(f"k={k} outside the feasibility cap 0..{cap} for {algebra.name}")
     fmt = merged(args, "format", "json")
-    cache_dir = merged(args, "cache_dir")
-    which = merged(args, "family_kind", "two-slot")
+    which = merged(args, "kind", "two-slot")
     if which not in POLYS_FORMATS:
         raise ConfigError(f"unknown kind {which!r}")
     if fmt not in POLYS_FORMATS[which]:
         raise ConfigError(f"format {fmt!r} is not one of "
                           f"{', '.join(POLYS_FORMATS[which])} for the {which} family")
+    cache_dir = _cache_dir(args)
     if which == "two-slot":
         poly = brackets.compute_c(algebra, k, cache_dir)
         if fmt == "json":
@@ -165,7 +194,7 @@ def cmd_polys(args) -> int:
         else:
             text = brackets.bracket_table_latex(poly)
     else:
-        lam = merged(args, "lam", None, Fraction)
+        lam = merged(args, "lambda", None, Fraction)
         mu = merged(args, "mu", None, Fraction)
         if (lam is None) != (mu is None):
             raise ConfigError("give both --lambda and --mu, or neither")
@@ -190,7 +219,7 @@ def cmd_polys(args) -> int:
 def cmd_gram(args) -> int:
     algebra = _algebra_from(args)
     kmax = _int_option(args, "kmax", 2, 0, K_CAPS[algebra.name])
-    lam = merged(args, "lam", 1.0, float)
+    lam = merged(args, "lambda", 1.0, float)
     mu = merged(args, "mu", 1.0, float)
     threshold = 1 + (algebra.r - 1) * algebra.d - algebra.n / algebra.r
     if lam <= threshold or mu <= threshold:
@@ -211,8 +240,7 @@ def cmd_gram(args) -> int:
     n = merged(args, "nodes", None, int)
     if n is not None and not rule_fits(n):
         raise ConfigError(f"--nodes must be >= 1 with {caps}, got {n}")
-    rep = quadrature.gram_matrix(algebra, lam, mu, kmax, n,
-                                 merged(args, "cache_dir"))
+    rep = quadrature.gram_matrix(algebra, lam, mu, kmax, n, _cache_dir(args))
     fmt = merged(args, "format", "json")
     if fmt == "json":
         text = dump_report(rep.to_jsonable())
@@ -388,7 +416,7 @@ def _fd_jacobian(algebra, Z, V, eps=1e-5):
 
 
 def _suite_varchange(algebra, cache_dir, tols):
-    if algebra.name not in ("rank1", "sym2"):
+    if algebra.name not in quadrature.CHART_NODES:
         return []
     return [quadrature.check_change_of_variables(algebra)]
 
@@ -457,7 +485,7 @@ def _suite_laplace(algebra, cache_dir, tols):
 
 
 def _suite_jfact(algebra, cache_dir, tols):
-    if algebra.name not in ("rank1", "sym2"):
+    if algebra.name not in quadrature.CHART_NODES:
         return []
     return [tube.check_J_factorization(algebra)]
 
@@ -631,7 +659,7 @@ def cmd_check(args) -> int:
             raise ConfigError(f"unknown tolerance {name!r}; choose from "
                               f"{', '.join(sorted(TOL_NAMES))}")
         tols[name] = float(val)
-    cache_dir = merged(args, "cache_dir")
+    cache_dir = _cache_dir(args)
     reports, ok = run_suites(algebra, selector, cache_dir, tols)
     payload = {
         "schema": SCHEMA,
@@ -659,22 +687,22 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--algebra", choices=ALGEBRA_NAMES)
         sp.add_argument("--output", help="write to this path instead of stdout")
-        sp.add_argument("--cache-dir", dest="cache_dir")
+        sp.add_argument("--cache-dir")
 
     sp = sub.add_parser("polys", help="emit bracket polynomial tables")
     common(sp)
     sp.add_argument("--k", type=int)
     sp.add_argument("--format", choices=POLYS_FORMATS["two-slot"])
-    sp.add_argument("--kind", dest="family_kind", choices=tuple(POLYS_FORMATS))
-    sp.add_argument("--lambda", dest="lam")
-    sp.add_argument("--mu", dest="mu")
+    sp.add_argument("--kind", choices=tuple(POLYS_FORMATS))
+    sp.add_argument("--lambda")
+    sp.add_argument("--mu")
     sp.set_defaults(func=cmd_polys)
 
     sp = sub.add_parser("gram", help="interval Gram matrix of the family")
     common(sp)
     sp.add_argument("--kmax", type=int)
-    sp.add_argument("--lambda", dest="lam", type=float)
-    sp.add_argument("--mu", dest="mu", type=float)
+    sp.add_argument("--lambda", type=float)
+    sp.add_argument("--mu", type=float)
     sp.add_argument("--nodes", type=int)
     sp.add_argument("--format", choices=("json", "csv"))
     sp.set_defaults(func=cmd_gram)
@@ -699,6 +727,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("cache_action", choices=("inspect", "clear"))
     sp.set_defaults(func=cmd_cache)
+    # a config-file key is the dest of one of the subcommand's flags
+    for sp in sub.choices.values():
+        sp.set_defaults(config_keys=frozenset(
+            a.dest for a in sp._actions if a.option_strings and a.dest != "help"))
     return p
 
 
@@ -706,12 +738,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args._config = read_config_file(args.config) if args.config else {}
+        args._config = (read_config_file(args.config, args.config_keys)
+                        if args.config else {})
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (AlgebraError, ValueError) as exc:
+    except (ConfigError, AlgebraError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

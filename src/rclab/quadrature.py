@@ -24,8 +24,9 @@ formula in absolute terms, not just up to ratios.
 
 Interval (Weyl-reduced) integrals use the chamber normalization constant 1:
 only ratios and zero tests of those integrals are consumed downstream.
-The sym2 polar-chart checks use tensor midpoint rules over boxes that hold
-the compact supports of their smooth integrands.  The one Monte Carlo path
+The polar-chart checks use one rule for every algebra of CHART_NODES: tensor
+midpoint rules over boxes that hold the compact supports of their smooth
+integrands, memoised per ball.  The one Monte Carlo path
 left, for the Gamma integral, takes an explicit seed and its report records
 it; summation is numpy's pairwise reduction, so results are reproducible bit
 for bit.
@@ -61,6 +62,9 @@ __all__ = [
     "tube_laplace",
     "bump",
     "box_rule",
+    "CHART_NODES",
+    "CHART_TOLERANCE",
+    "chart_integrals",
     "check_change_of_variables",
 ]
 
@@ -576,7 +580,7 @@ def tube_laplace(algebra: JordanAlgebra, integrands, z,
 
 
 # ---------------------------------------------------------------------------
-# Bump functions, box rules, change-of-variables check
+# Bump functions, box rules, the polar-chart rule
 
 
 def bump(q2):
@@ -608,37 +612,25 @@ def box_rule(bounds, n: int):
     return _tensor_rule(*zip(*(scaled_interval_rule(gl, lo, hi) for lo, hi in bounds)))
 
 
-def check_change_of_variables(algebra: JordanAlgebra) -> dict:
-    """Both sides of the polar-chart integration formula on a smooth bump.
+# Midpoint nodes per axis of the chart rules, per algebra: x for the lhs, z
+# and v for the rhs (z over the box of the trace ball, v over the box of a
+# ball per z, of whose v nodes only those inside the ball are summed).  An
+# algebra without an entry has no chart rule.
+CHART_NODES = {"rank1": {"x": 160, "z": 160, "v": 100},
+               "sym2": {"x": 48, "z": 16, "v": 10}}
 
-    rank1: Gauss-Legendre with 160 nodes per axis at 1e-6.  sym2: the
-    tensor midpoint rules of SYM2_CHART_NODES at 1e-4.
-    """
-    center, radius = 2.0, 0.9
-    if algebra.name == "sym2":
-        lhs, rhs = _sym2_nested_quadrature(algebra, center, radius)
-        return report("polar-chart-change-of-variables", algebra.name,
-                      method="quadrature", nodes=dict(SYM2_CHART_NODES), lhs=lhs,
-                      rhs=rhs, residual=abs(lhs - rhs) / max(abs(lhs), 1e-300),
-                      tolerance=1e-4)
-    if algebra.family != "rank1":
-        raise ValueError("check implemented for rank1 and sym2")
-    n = 160
-    f1 = trace_ball_bump(algebra, center, radius)
-    lo, hi = center - radius, center + radius
-    nodes, w = box_rule([(lo, hi), (lo, hi)], n)
-    lhs = float(np.sum(w * f1(nodes[:, :1]) * f1(nodes[:, 1:])))
-    # rhs: z in (2 lo, 2 hi), v in (-1, 1)
-    nodes2, w2 = box_rule([(2 * lo, 2 * hi), (-1.0, 1.0)], n)
-    zs, vs = nodes2[:, 0], nodes2[:, 1]
-    xs = zs * (1 - vs) / 2
-    ys = zs * (1 + vs) / 2
-    rhs = float(np.sum(
-        w2 * 0.5 * f1(xs.reshape(-1, 1)) * f1(ys.reshape(-1, 1)) * zs
-    ))
+# the tolerance of both chart checks, per algebra of CHART_NODES
+CHART_TOLERANCE = {"rank1": 1e-6, "sym2": 1e-4}
+
+
+def check_change_of_variables(algebra: JordanAlgebra) -> dict:
+    """Both sides of the polar-chart integration formula on a smooth bump
+    (``chart_integrals`` with weight 1), at CHART_TOLERANCE."""
+    lhs, rhs = chart_integrals(algebra, 2.0, 0.9)
     return report("polar-chart-change-of-variables", algebra.name,
-                  method="quadrature", lhs=lhs, rhs=rhs,
-                  residual=abs(lhs - rhs) / max(abs(lhs), 1e-300), tolerance=1e-6)
+                  method="quadrature", nodes=dict(CHART_NODES[algebra.name]), lhs=lhs,
+                  rhs=rhs, residual=abs(lhs - rhs) / max(abs(lhs), 1e-300),
+                  tolerance=CHART_TOLERANCE[algebra.name])
 
 
 def _midpoint_grid(bounds, n: int):
@@ -649,76 +641,76 @@ def _midpoint_grid(bounds, n: int):
     return np.stack([g.ravel() for g in grids], axis=1), cell
 
 
-# Midpoint nodes per axis of the sym2 chart rules: x for the lhs, z and v for
-# the rhs (z over the box of the trace ball, v over the box of a ball per z,
-# of whose v nodes only those inside the ball are summed)
-SYM2_CHART_NODES = {"x": 48, "z": 16, "v": 10}
+def chart_integrals(algebra: JordanAlgebra, center, radius, z=None):
+    """Both sides of the polar-chart formula by tensor midpoint rules.
 
-
-def _sym2_nested_quadrature(algebra, center, radius, weight=None):
-    """Both sides of the sym2 polar-chart formula by tensor midpoint rules.
-
-    With f1 the trace_ball_bump of ``radius`` around ``center`` e,
+    With f1 the trace_ball_bump of ``radius`` around ``center`` e and the
+    weight w(x) = e^{i(z, x)} at the tube point ``z`` (w = 1 for None; not
+    the chart's z = x + y below),
     lhs = int int f1(x) f1(y) w(x) w(y) dx dy and rhs is the same integral
     in the chart coordinates, 2^{-n} int int f1(x) f1(y) w(z) (det z)^{n/r}
-    dv dz with (x, y) = iota(z, v) and z = x + y.  ``weight`` w maps (m, 3)
-    coordinates to (m,) values and must satisfy w(x) w(y) = w(x + y), as a
-    Fourier phase does (complex results); None means w = 1, the change of
-    variables itself (float results).  The ball must lie inside the cone
+    dv dz with (x, y) = iota(z, v) and z = x + y.  w = 1 is the change of
+    variables itself (float results); a character gives the Laplace-averaging
+    factorization (complex results).  The ball must lie inside the cone
     (radius < center).  Each integrand is C^infty with compact support
     inside its box, where the midpoint rule converges faster than any power
-    of the node count.
+    of the node count.  Raises ValueError for an algebra without a
+    CHART_NODES entry.
     """
-    if algebra.name != "sym2":
-        raise ValueError("nested quadrature implemented for sym2")
+    if algebra.name not in CHART_NODES:
+        raise ValueError(f"chart rules implemented for {', '.join(CHART_NODES)}")
     f1 = trace_ball_bump(algebra, center, radius)
-    # lhs factors because w(x) w(y) = w(x + y): the square of one 3-D integral
-    xs, cell = _midpoint_grid(_ball_box(center, radius), SYM2_CHART_NODES["x"])
-    vals = f1(xs) if weight is None else f1(xs) * weight(xs)
-    lhs = (cell * np.sum(vals)) ** 2
-    zs, terms, zcell = _sym2_chart_rule(center, radius)
-    if weight is None:
-        return float(lhs), float(zcell * np.sum(terms))
-    return complex(lhs), complex(zcell * np.sum(terms * weight(zs)))
+    # lhs factors because w(x) w(y) = w(x + y): the square of one n-D integral
+    xs, cell = _midpoint_grid(_ball_box(algebra, center, radius),
+                              CHART_NODES[algebra.name]["x"])
+    zs, terms, zcell = _chart_rule(algebra.name, center, radius)
+    if z is None:
+        return float((cell * np.sum(f1(xs))) ** 2), float(zcell * np.sum(terms))
+    gz = np.array(algebra.gram, dtype=float) * z    # w(x) = e^{i x . gz}
+    lhs = (cell * np.sum(f1(xs) * np.exp(1j * (xs @ gz)))) ** 2
+    return complex(lhs), complex(zcell * np.sum(terms * np.exp(1j * (zs @ gz))))
 
 
-def _ball_box(c, r):
-    """The box around the sym2 trace ball of radius r about c e."""
-    return [(c - r, c + r), (c - r, c + r), (-r / math.sqrt(2.0), r / math.sqrt(2.0))]
+def _ball_box(algebra, c, r):
+    """The box around the trace-form ball of radius r about c e."""
+    return [(c * e - r / math.sqrt(g), c * e + r / math.sqrt(g))
+            for e, g in zip(algebra.e, map(float, algebra.gram))]
 
 
 @functools.cache
-def _sym2_chart_rule(center, radius):
-    """The z nodes of the rhs rule of ``_sym2_nested_quadrature``, the chart
-    term at each (everything but the weight, the v integral over the ball of
-    radius rho(z) done) and the z cell volume.  Built once per (center,
-    radius) and returned read-only."""
-    sym2 = get_algebra("sym2")
-    f1 = trace_ball_bump(sym2, center, radius)
+def _chart_rule(name, center, radius):
+    """The z nodes of the rhs rule of ``chart_integrals``, the chart term at
+    each (everything but the weight, the v integral over the ball of radius
+    rho(z) done) and the z cell volume.  Built once per (algebra name,
+    center, radius) and returned read-only."""
+    algebra = get_algebra(name)
+    nodes = CHART_NODES[name]
+    gram = np.array(algebra.gram, dtype=float)
+    f1 = trace_ball_bump(algebra, center, radius)
     # z = x + y lies in the trace ball of radius 2R about 2 center e.  Given
     # z, w = P(z^{1/2}) v lies in the two balls |w -+ (z - 2ce)| < 2R, so
     # |w| < sqrt(4R^2 - |z - 2ce|^2); pulled back by the least eigenvalue of
     # P(z^{1/2}), v lies in the ball of radius rho(z) about 0.
-    zs, zcell = _midpoint_grid(_ball_box(2 * center, 2 * radius), SYM2_CHART_NODES["z"])
-    d2 = (zs[:, 0] - 2 * center) ** 2 + (zs[:, 1] - 2 * center) ** 2 + 2 * zs[:, 2] ** 2
+    zs, zcell = _midpoint_grid(_ball_box(algebra, 2 * center, 2 * radius), nodes["z"])
+    d2 = ((zs - 2 * center * algebra.e) ** 2 * gram).sum(axis=1)
     inside = d2 < 4 * radius**2
     zs, d2 = zs[inside], d2[inside]
-    rho = np.sqrt(4 * radius**2 - d2) / spectral(sym2, zs)[:, 0]
-    unit, ucell = _midpoint_grid(_ball_box(0.0, 1.0), SYM2_CHART_NODES["v"])
+    rho = np.sqrt(4 * radius**2 - d2) / spectral(algebra, zs)[:, 0]
+    unit, ucell = _midpoint_grid(_ball_box(algebra, 0.0, 1.0), nodes["v"])
     # v = rho(z) u and w = P(z^{1/2}) v, with one matrix per z node.  Only
     # the u nodes inside the open unit trace-form ball count: outside it
     # |w|^2 >= |u|^2 (4R^2 - |z - 2ce|^2), so by the parallelogram law x or
-    # y leaves its ball and f1(x) f1(y) is exactly 0.  Outside the ball the
-    # grid's |u|^2 is at least 1.07, far above rounding.
-    unit = unit[(unit * unit) @ np.array([1.0, 1.0, 2.0]) < 1.0]
-    Pz = rho[:, None, None] * quad_rep_matrices(sym2, cone_sqrt(sym2, zs))
+    # y leaves its ball and f1(x) f1(y) is exactly 0.  No node of the grids
+    # of CHART_NODES lies within rounding of the unit sphere.
+    unit = unit[(unit * unit) @ gram < 1.0]
+    Pz = rho[:, None, None] * quad_rep_matrices(algebra, cone_sqrt(algebra, zs))
     inner = np.zeros(len(zs))
     # one v node at a time: a (z nodes x v nodes) broadcast would take
     # several arrays of tens of MB and run no faster
     for u in unit:
         w = Pz @ u
         inner += f1((zs - w) / 2) * f1((zs + w) / 2)
-    terms = inner * ucell * rho**3 * iota_jacobian(sym2, zs)
+    terms = inner * ucell * rho**algebra.n * iota_jacobian(algebra, zs)
     zs.flags.writeable = False
     terms.flags.writeable = False
     return zs, terms, zcell

@@ -34,8 +34,8 @@ from .brackets import compute_c, compute_C
 from .poly import Poly
 from .quadrature import (
     gamma_omega_closed, tube_laplace, gauss_legendre, gauss_jacobi,
-    scaled_interval_rule, box_rule, weyl_integral, bump, _sym2_nested_quadrature,
-    SYM2_CHART_NODES,
+    scaled_interval_rule, box_rule, weyl_integral, bump, chart_integrals,
+    CHART_NODES, CHART_TOLERANCE,
 )
 
 __all__ = [
@@ -454,53 +454,25 @@ def check_adjoint_image(algebra: JordanAlgebra, k: int, lam, mu, z1, z2,
                   tolerance=tol, residual=resid)
 
 
+# the tube point z of check_J_factorization, per algebra of CHART_NODES
+CHART_TUBE_POINTS = {"rank1": (0.4 + 1.3j,),
+                     "sym2": (0.2 + 0.9j, -0.1 + 1.1j, 0.05 + 0.1j)}
+
+
 def check_J_factorization(algebra: JordanAlgebra) -> dict:
     """res o (two-slot Laplace) against (one-slot Laplace) o averaging map,
-    at a fixed tube point z.
+    at the tube point z of CHART_TUBE_POINTS.
 
-    rank1: nested Gauss-Legendre with 120 nodes at 1e-6.  sym2: the tensor
-    midpoint rules of SYM2_CHART_NODES in the polar chart at 1e-4.
+    Both sides are the polar-chart integrals of a smooth bump about 2e of
+    radius 0.9 against the character e^{i(z, .)}, by the tensor midpoint
+    rules of CHART_NODES (``chart_integrals``), at CHART_TOLERANCE.
     """
-    if algebra.family == "rank1":
-        zz, n, tol = 0.4 + 1.3j, 120, 1e-6
-        lo, hi = 1.0, 3.0
-
-        def f1(x):          # the bump on (lo, hi)
-            return bump((x - 2.0) ** 2)
-
-        nodes, w = box_rule([(lo, hi), (lo, hi)], n)
-        lhs = complex(np.sum(
-            w * f1(nodes[:, 0]) * f1(nodes[:, 1])
-            * np.exp(1j * zz * (nodes[:, 0] + nodes[:, 1]))
-        ))
-        # rhs: averaging map then one-slot transform
-        gl = gauss_legendre(n)
-        vg, wv = scaled_interval_rule(gl, -1.0, 1.0)
-        eg, we = scaled_interval_rule(gl, 2 * lo, 2 * hi)
-
-        inner = np.zeros(len(eg))
-        for i, eta in enumerate(eg):
-            inner[i] = np.sum(wv * f1(eta * (1 - vg) / 2) * f1(eta * (1 + vg) / 2))
-        jf = 0.5 * eg * inner
-        rhs = complex(np.sum(we * jf * np.exp(1j * zz * eg)))
-        resid = abs(lhs - rhs) / max(abs(lhs), 1e-300)
-        return report("laplace-averaging-factorization", algebra.name,
-                      method="quadrature", tolerance=tol, residual=resid,
-                      lhs=[lhs.real, lhs.imag], rhs=[rhs.real, rhs.imag])
-    if algebra.name != "sym2":
-        raise ValueError("check implemented for rank1 and sym2")
-    tol = 1e-4
-    zc = np.array([0.2 + 0.9j, -0.1 + 1.1j, 0.05 + 0.1j])
-    gram = np.array([1.0, 1.0, 2.0])
-
-    def phase(coords):
-        return np.exp(1j * (coords @ (gram * zc)))
-
-    lhs, rhs = _sym2_nested_quadrature(algebra, 2.0, 0.9, weight=phase)
+    # z is None only off CHART_NODES, where chart_integrals raises
+    lhs, rhs = chart_integrals(algebra, 2.0, 0.9, z=CHART_TUBE_POINTS.get(algebra.name))
     resid = abs(lhs - rhs) / max(abs(lhs), 1e-300)
     return report("laplace-averaging-factorization", algebra.name,
-                  method="quadrature", nodes=dict(SYM2_CHART_NODES),
-                  tolerance=tol, residual=resid,
+                  method="quadrature", nodes=dict(CHART_NODES[algebra.name]),
+                  tolerance=CHART_TOLERANCE[algebra.name], residual=resid,
                   lhs=[lhs.real, lhs.imag], rhs=[rhs.real, rhs.imag])
 
 

@@ -20,3 +20,14 @@ def wrong_c1():
         return BracketPolynomial(alg, 1, Poly(good.exps, coef, good.den))
 
     return build
+
+
+@pytest.fixture
+def fresh_chart_rule():
+    """The polar-chart rule is memoised per ball: a test that breaks a piece
+    of it must rebuild it, and must not leave the broken rule to later tests."""
+    from rclab import quadrature
+
+    quadrature._chart_rule.cache_clear()
+    yield
+    quadrature._chart_rule.cache_clear()

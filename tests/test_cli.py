@@ -163,10 +163,10 @@ def test_gamma_rejects_a_nu_without_a_finite_gamma_product(nu):
 
 
 @pytest.mark.parametrize("config, bad", [
-    ("format = xml\nfamily_kind = restricted\n", "format 'xml'"),
-    ("format = latex\nfamily_kind = restricted\n", "format 'latex'"),
+    ("format = xml\nkind = restricted\n", "format 'xml'"),
+    ("format = latex\nkind = restricted\n", "format 'latex'"),
     ("format = xml\n", "format 'xml'"),
-    ("family_kind = pencil\n", "kind 'pencil'"),
+    ("kind = pencil\n", "kind 'pencil'"),
 ])
 def test_polys_checks_the_format_before_building(config, bad, tmp_path, monkeypatch):
     # a config-file format = xml built C(k), then blamed latex
@@ -230,6 +230,106 @@ def test_config_file_parse_error(tmp_path):
     cfg.write_text("algebra rank1\n")
     code, _, err = run_cli(["--config", str(cfg), "gamma", "--nu", "2"])
     assert code == 2
+
+
+def test_config_keys_are_the_flag_names(tmp_path):
+    # the keys were the argparse dests, family_kind and lam: `kind` and
+    # `lambda` were ignored without a word and the two-slot table came out
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kind = restricted\nlambda = 3\nmu = 5\n")
+    code, out, err = run_cli(["--config", str(cfg), "polys", "--algebra", "rank1",
+                              "--k", "1"])
+    assert code == 0, err
+    want = run_cli(["polys", "--algebra", "rank1", "--k", "1", "--kind", "restricted",
+                    "--lambda", "3", "--mu", "5"])[1]
+    assert json.loads(out)["kind"] == "restricted-polynomial" and out == want
+
+
+@pytest.mark.parametrize("key", ["cache-dir", "cache_dir"])
+def test_config_keys_take_dashes_or_underscores(key, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {tmp_path / 'cache'}\n")
+    code, _, err = run_cli(["--config", str(cfg), "polys", "--algebra", "rank1",
+                            "--k", "1"])
+    assert code == 0, err
+    assert (tmp_path / "cache" / "c_rank1_k1.json").exists()
+
+
+@pytest.mark.parametrize("command, text, key", [
+    (["gram", "--algebra", "rank1", "--kmax", "1"], "lamda = 3\n", "lamda"),
+    (["polys", "--algebra", "rank1"], "family_kind = restricted\n", "family_kind"),
+    (["polys", "--algebra", "rank1"], "lam = 3\n", "lam"),
+    # a flag of another subcommand
+    (["polys", "--algebra", "rank1"], "nu = 3\n", "nu"),
+    (["check", "branch", "--algebra", "rank1"], "suite = all\n", "suite"),
+])
+def test_config_rejects_a_key_that_is_no_flag(command, text, key, tmp_path):
+    # `lamda = 3` in a gram config was ignored, with exit 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code, out, err = run_cli(["--config", str(cfg), *command])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and f"unknown key {key!r}" in err, err
+    assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("value", ["1/0", "x", "nan", "1/"])
+@pytest.mark.parametrize("weight", ["--lambda", "--mu"])
+def test_polys_rejects_a_weight_that_is_no_rational(weight, value, tmp_path):
+    # --lambda 1/0 ended in a ZeroDivisionError traceback with exit 1
+    args = {"--lambda": "2", "--mu": "2", weight: value}
+    code, out, err = run_cli(["polys", "--algebra", "rank1", "--k", "1",
+                              "--kind", "restricted", *(x for kv in args.items() for x in kv)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {weight}") and err.count("\n") == 1, err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"kind = restricted\nlambda = 2\nmu = 2\n{weight[2:]} = {value}\n")
+    code, out, err = run_cli(["--config", str(cfg), "polys", "--algebra", "rank1",
+                              "--k", "1"])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {weight}") and err.count("\n") == 1, err
+
+
+def test_polys_weights_read_the_same_from_a_flag_and_a_file(tmp_path):
+    # a flag value reached compute_C as text, so --lambda 2.5 wrote "2.5"
+    # while lambda = 2.5 in a config file wrote "5/2"
+    code, flag, _ = run_cli(["polys", "--algebra", "rank1", "--k", "2",
+                             "--kind", "restricted", "--lambda", "2.5", "--mu", "0.75"])
+    assert code == 0
+    data = json.loads(flag)
+    assert data["lambda"] == "5/2" and data["mu"] == "3/4"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kind = restricted\nlambda = 2.5\nmu = 0.75\n")
+    code, file, _ = run_cli(["--config", str(cfg), "polys", "--algebra", "rank1",
+                             "--k", "2"])
+    assert code == 0 and file == flag
+
+
+PATH_COMMANDS = [["polys", "--algebra", "rank1", "--k", "1"],
+                 ["gram", "--algebra", "rank1", "--kmax", "1"]]
+
+
+@pytest.mark.parametrize("command", PATH_COMMANDS)
+def test_a_missing_config_file_is_a_configuration_error(command, tmp_path):
+    code, out, err = run_cli(["--config", str(tmp_path / "none.cfg"), *command])
+    assert code == 2 and out == ""
+    assert err.startswith("error: --config") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", PATH_COMMANDS + [["check", "branch"]])
+def test_an_output_in_a_missing_directory_is_a_configuration_error(command, tmp_path):
+    code, out, err = run_cli([*command, "--output", str(tmp_path / "none" / "out.json")])
+    assert code == 2 and out == ""
+    assert err.startswith("error: --output") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", PATH_COMMANDS + [["check", "polynomiality"]])
+def test_a_cache_dir_that_cannot_be_made_is_a_configuration_error(command, tmp_path):
+    # a check wrote a suite-error report per suite and exited 1
+    (tmp_path / "file").write_text("")
+    code, out, err = run_cli([*command, "--cache-dir", str(tmp_path / "file" / "cache")])
+    assert code == 2 and out == ""
+    assert err.startswith("error: --cache-dir") and err.count("\n") == 1, err
 
 
 def test_cache_inspect_and_clear(tmp_path):

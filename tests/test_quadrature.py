@@ -445,85 +445,149 @@ def test_change_of_variables_sym2_quadrature():
     assert rep == check_change_of_variables(get_algebra("sym2"))
 
 
-SYM2_CHART_CHECKS = [check_change_of_variables, check_J_factorization]
+CHART_CHECKS = [check_change_of_variables, check_J_factorization]
+
+
+@pytest.mark.parametrize("check", CHART_CHECKS)
+def test_rank1_chart_checks_read_below_1e_10(check):
+    # the shared midpoint rule reads about 1.5e-12 and 1.2e-12 in rank 1; the
+    # Gauss-Legendre boxes it replaced read 2.3e-8 and 1.5e-8
+    rep = check(get_algebra("rank1"))
+    assert rep["pass"] and rep["tolerance"] == 1e-6, rep
+    assert rep["residual"] < 1e-10, rep
+    assert rep["nodes"] == quadrature.CHART_NODES["rank1"]
+
+
+@pytest.mark.parametrize("check", CHART_CHECKS)
+def test_chart_checks_raise_off_the_chart_table(check):
+    assert "spin4" not in quadrature.CHART_NODES
+    with pytest.raises(ValueError):
+        check(get_algebra("spin4"))
+
+
+def test_every_chart_algebra_has_a_tolerance_and_a_tube_point():
+    from rclab.tube import CHART_TUBE_POINTS
+
+    assert quadrature.CHART_TOLERANCE.keys() == quadrature.CHART_NODES.keys()
+    assert CHART_TUBE_POINTS.keys() == quadrature.CHART_NODES.keys()
+
+
+def _fails(check, name):
+    rep = check(get_algebra(name))
+    assert not rep["pass"] and rep["residual"] > rep["tolerance"], rep
 
 
 @pytest.fixture
-def fresh_chart_rule():
-    """The sym2 chart rule is memoised: a test that breaks a piece of it must
-    rebuild it, and must not leave the broken rule to later tests."""
-    quadrature._sym2_chart_rule.cache_clear()
-    yield
-    quadrature._sym2_chart_rule.cache_clear()
-
-
-@pytest.mark.parametrize("check", SYM2_CHART_CHECKS)
-def test_sym2_chart_checks_fail_on_a_scaled_chart(check, monkeypatch, fresh_chart_rule):
+def scaled_chart(monkeypatch, fresh_chart_rule):
     # a 1e-3 scale error in P(z^{1/2}), w = P(z^{1/2}) v, changes the chart's
-    # volume by about 3e-3 and moves both sides apart by as much
+    # volume by about n 1e-3 and moves both sides apart by as much
     quad_rep_matrices = quadrature.quad_rep_matrices
 
     def scaled(algebra, X):
         return 1.001 * quad_rep_matrices(algebra, X)
 
     monkeypatch.setattr(quadrature, "quad_rep_matrices", scaled)
-    rep = check(get_algebra("sym2"))
-    assert not rep["pass"] and rep["residual"] > rep["tolerance"], rep
 
 
-@pytest.mark.parametrize("check", SYM2_CHART_CHECKS)
-def test_sym2_chart_checks_fail_without_the_det_factor(check, monkeypatch,
-                                                      fresh_chart_rule):
+@pytest.fixture
+def no_det_factor(monkeypatch, fresh_chart_rule):
     monkeypatch.setattr(quadrature, "iota_jacobian",
-                        lambda algebra, zc: np.full(len(zc), 2.0 ** -3))
-    rep = check(get_algebra("sym2"))
-    assert not rep["pass"] and rep["residual"] > rep["tolerance"], rep
+                        lambda algebra, zc: np.full(len(zc), 2.0 ** -algebra.n))
 
 
-@pytest.mark.parametrize("check", SYM2_CHART_CHECKS)
-def test_sym2_chart_checks_fail_on_nan(check, monkeypatch, fresh_chart_rule):
+@pytest.mark.parametrize("check", CHART_CHECKS)
+def test_sym2_chart_checks_fail_on_a_scaled_chart(check, scaled_chart):
+    _fails(check, "sym2")
+
+
+@pytest.mark.parametrize("check", CHART_CHECKS)
+def test_rank1_chart_checks_fail_on_a_scaled_chart(check, scaled_chart):
+    _fails(check, "rank1")
+
+
+@pytest.mark.parametrize("check", CHART_CHECKS)
+def test_sym2_chart_checks_fail_without_the_det_factor(check, no_det_factor):
+    _fails(check, "sym2")
+
+
+@pytest.mark.parametrize("check", CHART_CHECKS)
+def test_rank1_chart_checks_fail_without_the_det_factor(check, no_det_factor):
+    _fails(check, "rank1")
+
+
+@pytest.fixture
+def nan_bump(monkeypatch, fresh_chart_rule):
     bump = quadrature.bump
     monkeypatch.setattr(quadrature, "bump", lambda q2: bump(q2) * np.nan)
+
+
+@pytest.mark.parametrize("check", CHART_CHECKS)
+def test_sym2_chart_checks_fail_on_nan(check, nan_bump):
     rep = check(get_algebra("sym2"))
     assert not rep["pass"], rep
 
 
-def _sym2_chart_rule_reference(center, radius):
-    """The sym2 chart rule summed over every v node of the box."""
-    sym2 = get_algebra("sym2")
-    f1 = quadrature.trace_ball_bump(sym2, center, radius)
-    zs, zcell = quadrature._midpoint_grid(quadrature._ball_box(2 * center, 2 * radius),
-                                          quadrature.SYM2_CHART_NODES["z"])
-    d2 = (zs[:, 0] - 2 * center) ** 2 + (zs[:, 1] - 2 * center) ** 2 + 2 * zs[:, 2] ** 2
+@pytest.mark.parametrize("check", CHART_CHECKS)
+def test_rank1_chart_checks_fail_on_nan(check, nan_bump):
+    rep = check(get_algebra("rank1"))
+    assert not rep["pass"], rep
+
+
+def _chart_rule_reference(name, center, radius):
+    """The chart rule of ``name`` summed over every v node of the box."""
+    alg = get_algebra(name)
+    nodes = quadrature.CHART_NODES[name]
+    f1 = quadrature.trace_ball_bump(alg, center, radius)
+    zs, zcell = quadrature._midpoint_grid(quadrature._ball_box(alg, 2 * center, 2 * radius),
+                                          nodes["z"])
+    d2 = sum(float(g) * (zs[:, i] - 2 * center * e) ** 2
+             for i, (g, e) in enumerate(zip(alg.gram, alg.e)))
     inside = d2 < 4 * radius**2
     zs, d2 = zs[inside], d2[inside]
-    rho = np.sqrt(4 * radius**2 - d2) / spectral(sym2, zs)[:, 0]
-    unit, ucell = quadrature._midpoint_grid(quadrature._ball_box(0.0, 1.0),
-                                            quadrature.SYM2_CHART_NODES["v"])
-    assert len(unit) == 1_000
-    Pz = rho[:, None, None] * quad_rep_matrices(sym2, cone_sqrt(sym2, zs))
+    rho = np.sqrt(4 * radius**2 - d2) / spectral(alg, zs)[:, 0]
+    unit, ucell = quadrature._midpoint_grid(quadrature._ball_box(alg, 0.0, 1.0), nodes["v"])
+    assert len(unit) == {"rank1": 100, "sym2": 1_000}[name]
+    Pz = rho[:, None, None] * quad_rep_matrices(alg, cone_sqrt(alg, zs))
     inner = np.zeros(len(zs))
     for u in unit:
         w = Pz @ u
         inner += f1((zs - w) / 2) * f1((zs + w) / 2)
-    return zs, inner * ucell * rho**3 * iota_jacobian(sym2, zs), zcell
+    return zs, inner * ucell * rho**alg.n * iota_jacobian(alg, zs), zcell
 
 
 def test_sym2_chart_rule_over_the_v_ball_keeps_the_bits(fresh_chart_rule):
     # outside the unit trace-form ball f1(x) f1(y) is exactly 0, so the
     # loop over the ball's 552 v nodes matches the loop over all 1,000
-    zs, terms, zcell = quadrature._sym2_chart_rule(2.0, 0.9)
-    want_zs, want_terms, want_zcell = _sym2_chart_rule_reference(2.0, 0.9)
+    zs, terms, zcell = quadrature._chart_rule("sym2", 2.0, 0.9)
+    want_zs, want_terms, want_zcell = _chart_rule_reference("sym2", 2.0, 0.9)
     assert np.array_equal(zs, want_zs) and zcell == want_zcell
     assert np.array_equal(terms, want_terms)
     assert np.count_nonzero(want_terms) > 0
 
 
-def test_check_all_sym2_runs_the_chart_inner_loop_once(tmp_path, monkeypatch,
-                                                       fresh_chart_rule):
-    # both sym2 chart checks integrate over the same ball, so they share one
-    # rhs rule: its chart matrices, and with them its 1,000-node v loop, are
-    # built once per process, not once per check
+def test_rank1_chart_rule_keeps_the_bits_of_the_reference(fresh_chart_rule):
+    # in rank 1 the ball holds every v node of the box
+    zs, terms, zcell = quadrature._chart_rule("rank1", 2.0, 0.9)
+    want_zs, want_terms, want_zcell = _chart_rule_reference("rank1", 2.0, 0.9)
+    assert np.array_equal(zs, want_zs) and zcell == want_zcell
+    assert np.array_equal(terms, want_terms)
+    assert np.count_nonzero(want_terms) > 0
+
+
+@pytest.mark.parametrize("name", list(quadrature.CHART_NODES))
+def test_no_v_node_lies_within_rounding_of_the_unit_sphere(name):
+    # the v-ball filter drops only nodes where f1(x) f1(y) is exactly 0, as
+    # long as no node's |u|^2 is within rounding of 1
+    alg = get_algebra(name)
+    unit, _ = quadrature._midpoint_grid(quadrature._ball_box(alg, 0.0, 1.0),
+                                        quadrature.CHART_NODES[name]["v"])
+    norm2 = (unit * unit) @ np.array(alg.gram, dtype=float)
+    assert np.min(np.abs(norm2 - 1.0)) > 1e-3
+
+
+def _chart_loop_runs(name, tmp_path, monkeypatch):
+    """How often `check all` builds chart matrices in quadrature, and for
+    how many z nodes each time."""
     from rclab.cli import main
 
     quad_rep_matrices = quadrature.quad_rep_matrices
@@ -534,7 +598,23 @@ def test_check_all_sym2_runs_the_chart_inner_loop_once(tmp_path, monkeypatch,
         return quad_rep_matrices(algebra, X)
 
     monkeypatch.setattr(quadrature, "quad_rep_matrices", counted)
-    code = main(["check", "all", "--algebra", "sym2", "--cache-dir", str(tmp_path),
+    code = main(["check", "all", "--algebra", name, "--cache-dir", str(tmp_path),
                  "--output", str(tmp_path / "all.json")])
     assert code == 0
+    return calls
+
+
+def test_check_all_sym2_runs_the_chart_inner_loop_once(tmp_path, monkeypatch,
+                                                       fresh_chart_rule):
+    # both sym2 chart checks integrate over the same ball, so they share one
+    # rhs rule: its chart matrices, and with them its 1,000-node v loop, are
+    # built once per process, not once per check
+    calls = _chart_loop_runs("sym2", tmp_path, monkeypatch)
+    assert len(calls) == 1 and calls[0] > 0, calls
+
+
+def test_check_all_rank1_runs_the_chart_inner_loop_once(tmp_path, monkeypatch,
+                                                        fresh_chart_rule):
+    # rank 1 shares the same rule between its two chart checks
+    calls = _chart_loop_runs("rank1", tmp_path, monkeypatch)
     assert len(calls) == 1 and calls[0] > 0, calls
