@@ -62,29 +62,20 @@ def _check_k(algebra) -> int:
     return min(CHECK_K.get(algebra.name, 2), K_CAPS[algebra.name])
 
 
-def _sanitize(obj):
-    """Convert numpy scalars/arrays so reports serialize deterministically."""
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
+def _jsonable(obj):
+    """What json cannot write itself: numpy values, complex numbers as
+    [re, im] and Fractions as "p/q"."""
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
-    return obj
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def dump_report(data) -> str:
-    return json.dumps(_sanitize(data), indent=2, sort_keys=True) + "\n"
+    return json.dumps(data, default=_jsonable, indent=2, sort_keys=True) + "\n"
 
 
 def read_config_file(path: str, keys) -> dict:
@@ -153,6 +144,16 @@ def _cache_dir(args):
         except OSError as exc:
             raise ConfigError(f"--cache-dir {path}: {exc.strerror}") from exc
     return path
+
+
+def _check_output(args):
+    """Refuse, before any work, an --output in a missing or read-only directory."""
+    path = merged(args, "output")
+    if not path:
+        return
+    folder = os.path.dirname(path) or "."
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise ConfigError(f"--output {path}: no writable directory {folder}")
 
 
 def _write_out(args, text: str):
@@ -312,6 +313,16 @@ def cmd_cache(args) -> int:
 # Verification suites
 
 
+def _tol(tols, name, default):
+    """The tolerance ``name``: ``default`` or a --tol value that tightens it.
+    A looser or non-positive one is a ConfigError: a check must be able to fail."""
+    val = tols.get(name, default)
+    if not 0 < val <= default:
+        raise ConfigError(f"--tol {name}={val!r}: a tolerance may only tighten, "
+                          f"to a value in (0, {default!r}]")
+    return val
+
+
 def _suite_polynomiality(algebra, cache_dir, tols):
     # compute_c certifies each row: a nonzero remainder or a monomial of the
     # wrong degree raises, and run_suites turns that into a failed report
@@ -374,7 +385,7 @@ def _suite_jacobi(algebra, cache_dir, tols):
 
 
 def _suite_iota_fact(algebra, cache_dir, tols):
-    tol = tols.get("iota-fact", 1e-10)
+    tol = _tol(tols, "iota-fact", 1e-10)
     return brackets.check_iota_factorization(algebra, min(_check_k(algebra), 2),
                                              samples=10, tol=tol, cache_dir=cache_dir)
 
@@ -394,10 +405,10 @@ def _suite_jordan_numerics(algebra, cache_dir, tols):
     return [
         report("polar-chart-roundtrip", algebra.name, samples=100,
                max_residual=worst(roundtrip.tolist()),
-               tolerance=tols.get("iota-roundtrip", 1e-12)),
+               tolerance=_tol(tols, "iota-roundtrip", 1e-12)),
         report("polar-chart-jacobian", algebra.name, samples=20,
                max_residual=worst(jacobian.tolist()),
-               tolerance=tols.get("jacobian", 1e-6)),
+               tolerance=_tol(tols, "jacobian", 1e-6)),
     ]
 
 
@@ -431,27 +442,27 @@ def _suite_gamma(algebra, cache_dir, tols):
     if algebra.family == "rank1":
         return [gamma_report(3.0, "gauss-laguerre",
                              quadrature.gamma_omega_numeric(algebra, 3.0, n=60),
-                             tols.get("gamma", 1e-10))]
+                             _tol(tols, "gamma", 1e-10))]
     if algebra.name == "sym2":
         quad = quadrature.gamma_omega_numeric(algebra, 3.0, n=80)
         mc = quadrature.gamma_omega_numeric(algebra, 3.0, method="mc",
                                             mc_samples=1_000_000, seed=20240)
         return [gamma_report(3.0, "eigenvalue-quadrature", quad,
-                             tols.get("gamma", 1e-6)),
-                gamma_report(3.0, "monte-carlo", mc, tols.get("gamma-mc", 1e-2),
+                             _tol(tols, "gamma", 1e-6)),
+                gamma_report(3.0, "monte-carlo", mc, _tol(tols, "gamma-mc", 1e-2),
                              seed=20240, samples=1_000_000)]
     return [gamma_report(4.0, "eigenvalue-quadrature",
                          quadrature.gamma_omega_numeric(algebra, 4.0, n=48),
-                         tols.get("gamma", 1e-5))]
+                         _tol(tols, "gamma", 1e-5))]
 
 
 def _suite_orthogonality(algebra, cache_dir, tols):
     if algebra.family == "rank1":
         rep = quadrature.gram_matrix(algebra, 1.0, 1.0, 4, cache_dir=cache_dir)
-        tol = tols.get("orthogonality", 1e-12)
+        tol = _tol(tols, "orthogonality", 1e-12)
     elif algebra.name == "sym2":
         rep = quadrature.gram_matrix(algebra, 3.0, 3.0, 3, cache_dir=cache_dir)
-        tol = tols.get("orthogonality", 1e-8)
+        tol = _tol(tols, "orthogonality", 1e-8)
     else:
         return []
     data = rep.to_jsonable()
@@ -463,7 +474,7 @@ def _suite_laplace(algebra, cache_dir, tols):
     if algebra.name not in ("rank1", "sym2"):
         return []
     nu = 2.8
-    tol = tols.get("laplace", 1e-8 if algebra.family == "rank1" else 1e-4)
+    tol = _tol(tols, "laplace", 1e-8 if algebra.family == "rank1" else 1e-4)
     closed_gamma = quadrature.gamma_omega_closed(algebra, nu)
     ie = 1j * algebra.e
     rows = []
@@ -480,7 +491,7 @@ def _suite_laplace(algebra, cache_dir, tols):
                   tolerance=tol, samples=rows)]
     if algebra.family == "rank1":
         out.append(tube.check_bergman_isometry(
-            algebra, tol=tols.get("isometry-norm", 1e-6)))
+            algebra, tol=_tol(tols, "isometry-norm", 1e-6)))
     return out
 
 
@@ -494,7 +505,7 @@ def _suite_operator_equivalence(algebra, cache_dir, tols):
     if algebra.family != "rank1":
         return []
     return [tube.check_bracket_transform_equivalence(
-        algebra, k, 3, 4, tol=tols.get("operator-equivalence", 1e-6),
+        algebra, k, 3, 4, tol=_tol(tols, "operator-equivalence", 1e-6),
         cache_dir=cache_dir) for k in (0, 1, 2, 3)]
 
 
@@ -505,13 +516,13 @@ def _suite_adjoint(algebra, cache_dir, tols):
         z2 = np.array([-0.2 + 2.0j])
         for k in (0, 1, 2):
             reports.append(tube.check_adjoint_image(
-                algebra, k, 3, 3, z1, z2, tol=tols.get("adjoint", 1e-6),
+                algebra, k, 3, 3, z1, z2, tol=_tol(tols, "adjoint", 1e-6),
                 cache_dir=cache_dir))
     elif algebra.name == "sym2":
         z1 = np.array([0.2 + 1.1j, -0.1 + 1.3j, 0.05 + 0.1j])
         z2 = np.array([-0.3 + 1.8j, 0.2 + 1.5j, -0.02 + 0.05j])
         reports.append(tube.check_adjoint_image(
-            algebra, 1, 3, 3, z1, z2, tol=tols.get("adjoint", 1e-3),
+            algebra, 1, 3, 3, z1, z2, tol=_tol(tols, "adjoint", 1e-3),
             cache_dir=cache_dir))
     return reports
 
@@ -520,7 +531,7 @@ def _suite_isometry(algebra, cache_dir, tols):
     if algebra.family != "rank1":
         return []
     return [tube.check_partial_isometry(algebra, k, 3, 3,
-                                        tol=tols.get("isometry", 1e-6),
+                                        tol=_tol(tols, "isometry", 1e-6),
                                         cache_dir=cache_dir)
             for k in (0, 1, 2)]
 
@@ -528,7 +539,7 @@ def _suite_isometry(algebra, cache_dir, tols):
 def _suite_covariance(algebra, cache_dir, tols):
     if algebra.name not in ("rank1", "sym2"):
         return []
-    tol = tols.get("covariance", 1e-6)
+    tol = _tol(tols, "covariance", 1e-6)
     ks = (0, 1, 2, 3) if algebra.family == "rank1" else (1,)
     reports = []
     for k in ks:
@@ -541,7 +552,7 @@ def _suite_covariance(algebra, cache_dir, tols):
 def _suite_hua(algebra, cache_dir, tols):
     if algebra.name not in ("rank1", "sym2"):
         return []
-    tol = tols.get("hua", 1e-8)
+    tol = _tol(tols, "hua", 1e-8)
     e = algebra.e
     n = algebra.n
     z = 0.4 * np.arange(n) / n + 1.3j * e + 0.05j * np.arange(n)
@@ -550,7 +561,7 @@ def _suite_hua(algebra, cache_dir, tols):
     for gen in tube.default_generators(algebra):
         out.append(tube.check_hua_cocycle(algebra, gen, z, w, tol=tol))
         out.append(tube.check_coherent_transform(algebra, 2.7, gen, w,
-                                                 tol=tols.get("coherent", 1e-8)))
+                                                 tol=_tol(tols, "coherent", 1e-8)))
     return out
 
 
@@ -559,7 +570,7 @@ def _suite_aut(algebra, cache_dir, tols):
         return []
     kmax = min(_check_k(algebra), 2)
     return [brackets.check_aut_invariance(algebra, k, 3, 3,
-                                          tol=tols.get("aut", 1e-10),
+                                          tol=_tol(tols, "aut", 1e-10),
                                           cache_dir=cache_dir)
             for k in range(1, kmax + 1)]
 
@@ -570,11 +581,22 @@ def _suite_branch(algebra, cache_dir, tols):
     e = algebra.e
     n = algebra.n
     target = (0.7 * np.arange(1, n + 1) / n + 1j * (1.5 * e + 0.2 * np.arange(n)))
-    wp = [np.asarray(-0.5 * e + 2.1j * e, dtype=complex)]
     direct = tube.logdet_tube(algebra, target.reshape(1, -1))[0]
-    via = tube.logdet_tube(algebra, target.reshape(1, -1), waypoints=wp)[0]
+    via = _path_logdet(algebra, np.array([-0.5 * e + 2.1j * e, target]))
     return [report("branch-path-independence", algebra.name,
-                   residual=abs(direct - via), tolerance=tols.get("branch", 1e-10))]
+                   residual=abs(direct - via), tolerance=_tol(tols, "branch", 1e-10))]
+
+
+def _path_logdet(algebra, corners, steps=64):
+    """log det(z/i) at the last of ``corners``: the sum of the principal
+    logs of det ratios along the polyline from i e through ``corners``, in
+    ``steps`` equal steps a segment."""
+    corners = np.concatenate([[1j * algebra.e], corners])
+    t = np.linspace(0.0, 1.0, steps + 1)[1:, None]
+    pts = np.concatenate([corners[:1]] + [a + t * (b - a)
+                                          for a, b in zip(corners[:-1], corners[1:])])
+    dets = algebra.det_poly.numeric(-1j * pts)
+    return complex(np.log(dets[1:] / dets[:-1]).sum())
 
 
 def _suite_cauchy(algebra, cache_dir, tols):
@@ -589,7 +611,7 @@ def _suite_cauchy(algebra, cache_dir, tols):
                 for nodes in (32, 64))
     return [report("contour-derivative-stability", algebra.name,
                    residual=abs(d32 - d64) / max(abs(d64), 1e-300),
-                   tolerance=tols.get("cauchy", 1e-9))]
+                   tolerance=_tol(tols, "cauchy", 1e-9))]
 
 
 SUITES = {
@@ -638,6 +660,8 @@ def run_suites(algebra, selector: str, cache_dir=None, tols=None):
     for name in names:
         try:
             reports.extend(SUITES[name](algebra, cache_dir, tols))
+        except ConfigError:
+            raise
         except Exception as exc:
             # an error inside a suite is a failed check, not an aborted run
             reports.append(report("suite-error", algebra.name, ok=False,
@@ -659,6 +683,8 @@ def cmd_check(args) -> int:
             raise ConfigError(f"unknown tolerance {name!r}; choose from "
                               f"{', '.join(sorted(TOL_NAMES))}")
         tols[name] = float(val)
+        if not 0 < tols[name] < math.inf:
+            raise ConfigError(f"--tol {item}: a tolerance must be positive and finite")
     cache_dir = _cache_dir(args)
     reports, ok = run_suites(algebra, selector, cache_dir, tols)
     payload = {
@@ -740,6 +766,7 @@ def main(argv=None) -> int:
     try:
         args._config = (read_config_file(args.config, args.config_keys)
                         if args.config else {})
+        _check_output(args)
         return args.func(args)
     except (ConfigError, AlgebraError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,6 +1,6 @@
 """Numerical holomorphic calculus on the tube domain V + i Omega.
 
-Everything here is float/complex: branch-tracked determinant powers,
+Everything here is float/complex: determinant powers on one branch,
 coherent states, mixed derivatives from 1-D Cauchy rings along the
 directions of a polarisation, the lifted action of the tube automorphism
 generators (translations, cone dilations, the inversion z -> -z^{-1}), the
@@ -8,11 +8,11 @@ bracket as a bi-differential operator, and the checks that tie them
 together.
 
 Branch convention: log det(z/i) is the unique continuous determination on
-the (simply connected, convex) tube that vanishes at z = i e; it is
-computed by straight-line homotopy from i e with adaptive subdivision
-keeping every argument increment below pi/4.  The cocycle data psi_g of a
-lifted generator always derives psi_{g^{-1}} = -psi_g o g^{-1}, so both
-sides of any covariance identity use the same group lift.
+the (simply connected, convex) tube that vanishes at z = i e; it has a
+closed form, log det y + sum_j log(1 - i mu_j) over the eigenvalues mu_j
+of P(y^{-1/2}) x for z = x + i y (``logdet_tube``).  The cocycle data
+psi_g of a lifted generator always derives psi_{g^{-1}} = -psi_g o g^{-1},
+so both sides of any covariance identity use the same group lift.
 
 A tube point is an (n,) complex numpy row, and function evaluators are
 vectorized: they take an (m, n) complex coordinate array and return (m,)
@@ -57,51 +57,25 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Branch-tracked determinant powers
+# The branch of log det(z/i)
 
 
-# Dyadic refinements of a branch-tracking segment before logdet_tube gives up
-MAX_REFINE = 14
-
-
-def logdet_tube(algebra: JordanAlgebra, coords, waypoints=None) -> np.ndarray:
+def logdet_tube(algebra: JordanAlgebra, coords) -> np.ndarray:
     """Continuous branch of log det(z/i) on the tube, 0 at z = i e.
 
-    ``coords``: (m, n) complex array of tube points.  The branch is tracked
-    along the straight segment from i e (through optional ``waypoints``,
-    each an (n,) coordinate array) with adaptive dyadic refinement until
-    every step turns the argument by less than pi/4.
+    ``coords``: (m, n) complex array of tube points z = x + i y.  With
+    w = P(y^{-1/2}) x, z = P(y^{1/2})(w + i e), so
+    det(z/i) = det(y) prod_j (1 - i mu_j) over the real eigenvalues mu_j
+    of w (Faraut-Koranyi, Analysis on Symmetric Cones, 1994).  Every factor
+    has real part 1, so the principal logs sum to the continuous branch.
+    Raises NotInCone for a point whose imaginary part is outside the cone.
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=complex))
-    m = len(coords)
-    base = 1j * algebra.e
-    pts = [np.broadcast_to(base, coords.shape)]
-    if waypoints is not None:
-        for wp in waypoints:
-            pts.append(np.broadcast_to(np.asarray(wp, dtype=complex), coords.shape))
-    pts.append(coords)
-
-    total = np.zeros(m, dtype=complex)
-    minus_i = complex(0.0, -1.0)
-    for a, b in zip(pts[:-1], pts[1:]):
-        nsteps = 8
-        for _ in range(MAX_REFINE):
-            taus = np.linspace(0.0, 1.0, nsteps + 1)[:, None, None]
-            segs = minus_i * (a + taus * (b - a))       # every step in one call
-            vals = algebra.det_poly.numeric(segs.reshape(-1, algebra.n)).reshape(-1, m)
-            if np.any(np.abs(vals) < 1e-300):
-                nsteps *= 2
-                continue
-            ratios = vals[1:] / vals[:-1]
-            dargs = np.angle(ratios)
-            if np.max(np.abs(dargs)) < math.pi / 4:
-                break
-            nsteps *= 2
-        else:
-            raise ArithmeticError("branch tracking failed to refine")
-        total = total + np.sum(np.log(np.abs(ratios)), axis=0) \
-            + 1j * np.sum(dargs, axis=0)
-    return total
+    y = coords.imag
+    P = quad_rep_matrices(algebra, cone_sqrt(algebra, y))
+    w = np.linalg.solve(P, coords.real[..., None])[..., 0]
+    return (np.log(spectral(algebra, y)).sum(axis=1)
+            + np.log(1 - 1j * spectral(algebra, w)).sum(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +83,8 @@ def logdet_tube(algebra: JordanAlgebra, coords, waypoints=None) -> np.ndarray:
 
 
 def coherent_state(algebra: JordanAlgebra, nu, w):
-    """k_nu^w(z) = det((z - conj w)/i)^(-nu), branch-tracked, for the tube
-    point ``w``."""
+    """k_nu^w(z) = det((z - conj w)/i)^(-nu), on the branch of
+    ``logdet_tube``, for the tube point ``w``."""
     wbar = np.conj(w)
 
     def k(coords):
@@ -414,8 +388,8 @@ def check_adjoint_image(algebra: JordanAlgebra, k: int, lam, mu, z1, z2,
     Numeric side: expand the bracket polynomial monomially, so the double
     cone integral factorizes into products of single-cone transforms with
     polynomial insertions; each factor is honest quadrature.  Closed side:
-    product of cone Gamma values, det(z1-z2)^k, and branch-tracked inverse
-    det powers.  The measured global phase is recorded.
+    product of cone Gamma values, det(z1-z2)^k, and inverse det powers on
+    the branch of ``logdet_tube``.  The measured global phase is recorded.
     """
     n, r = algebra.n, algebra.r
     shift = Fraction(n, r)
@@ -433,13 +407,10 @@ def check_adjoint_image(algebra: JordanAlgebra, k: int, lam, mu, z1, z2,
         num += coef * slots[0][tuple(mono[:n])] * slots[1][tuple(mono[n:])]
     num *= 1j ** (r * k)
     det_diff = complex(algebra.det_poly.numeric((z1 - z2)[None])[0]) ** k
-    ie = 1j * algebra.e
-    p1 = np.exp(complex(-(float(lam) + k))
-                * logdet_tube(algebra, (z1 + ie).reshape(1, -1))[0])
-    p2 = np.exp(complex(-(float(mu) + k))
-                * logdet_tube(algebra, (z2 + ie).reshape(1, -1))[0])
+    powers = np.exp(-np.array([float(lam) + k, float(mu) + k])
+                    * logdet_tube(algebra, np.array([z1, z2]) + 1j * algebra.e))
     closed = gamma_omega_closed(algebra, float(lam) + k) \
-        * gamma_omega_closed(algebra, float(mu) + k) * det_diff * p1 * p2
+        * gamma_omega_closed(algebra, float(mu) + k) * det_diff * powers[0] * powers[1]
     if abs(closed) < 1e-280:
         measured_phase = None
         resid = abs(num)

@@ -323,6 +323,23 @@ def test_an_output_in_a_missing_directory_is_a_configuration_error(command, tmp_
     assert err.startswith("error: --output") and err.count("\n") == 1, err
 
 
+def test_an_output_in_a_missing_directory_stops_the_check_before_any_suite(
+        tmp_path, monkeypatch):
+    # the directory was found missing only after every suite had run
+    import rclab.cli as cli
+
+    calls = []
+    monkeypatch.setitem(cli.SUITES, "cayley",
+                        lambda algebra, cache_dir, tols: calls.append(algebra.name) or [])
+    code, out, err = run_cli(["check", "cayley", "--algebra", "rank1",
+                              "--output", str(tmp_path / "none" / "out.json")])
+    assert code == 2 and out == "" and err.startswith("error: --output"), err
+    assert calls == []
+    code, _, err = run_cli(["check", "cayley", "--algebra", "rank1",
+                            "--output", str(tmp_path / "out.json")])
+    assert code == 0 and calls == ["rank1"], err
+
+
 @pytest.mark.parametrize("command", PATH_COMMANDS + [["check", "polynomiality"]])
 def test_a_cache_dir_that_cannot_be_made_is_a_configuration_error(command, tmp_path):
     # a check wrote a suite-error report per suite and exited 1
@@ -439,11 +456,35 @@ def test_check_tolerance_override_can_fail(tmp_path):
 
 def test_config_file_tolerances_are_name_value_pairs(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("tol = branch=1e-9, cauchy=1e-8\n")
+    cfg.write_text("tol = branch=1e-11, cauchy=1e-10\n")
     code, out, err = run_cli(["--config", str(cfg), "check", "branch",
                               "--algebra", "rank1"])
     assert code == 0, err
-    assert json.loads(out)["reports"][0]["tolerance"] == 1e-9
+    assert json.loads(out)["reports"][0]["tolerance"] == 1e-11
+
+
+@pytest.mark.parametrize("value", ["inf", "1e300", "1e-9", "0", "-1e-12", "nan"])
+def test_check_tolerance_may_only_tighten(value, tmp_path):
+    # a check at tolerance inf (or any looser value) cannot fail; each of
+    # these exited 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"tol = branch={value}\n")
+    for argv in (["check", "branch", "--algebra", "rank1", "--tol", f"branch={value}"],
+                 ["--config", str(cfg), "check", "branch", "--algebra", "rank1"]):
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == "", (argv, out)
+        assert err.startswith("error: --tol branch=") and err.count("\n") == 1, err
+
+
+def test_run_suites_lets_a_loose_tolerance_through():
+    # not a suite-error report: a loose tolerance is the caller's error
+    from rclab.algebra import get_algebra
+    from rclab.cli import ConfigError, run_suites
+
+    with pytest.raises(ConfigError, match="branch"):
+        run_suites(get_algebra("rank1"), "branch", tols={"branch": 1e-9})
+    reports, ok = run_suites(get_algebra("rank1"), "branch", tols={"branch": 1e-11})
+    assert ok and reports[0]["tolerance"] == 1e-11
 
 
 def test_check_rejects_an_unknown_tolerance_name(tmp_path):
@@ -458,12 +499,26 @@ def test_check_rejects_an_unknown_tolerance_name(tmp_path):
 
 
 def test_every_tolerance_a_suite_reads_is_named():
+    # every read of ``tols`` goes through _tol, whose second argument is
+    # the literal name
+    import ast
     import inspect
-    import re
 
     import rclab.cli as cli
 
-    read = set(re.findall(r'tols\.get\("([\w-]+)"', inspect.getsource(cli)))
+    tree = ast.parse(inspect.getsource(cli))
+    read = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef) or fn.name == "_tol":
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_tol":
+                assert isinstance(node.args[1], ast.Constant), ast.unparse(node)
+                read.add(node.args[1].value)
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "tols":
+                raise AssertionError(f"{fn.name} reads tols.{node.attr} past _tol")
+            elif isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "tols":
+                assert fn.name == "cmd_check", f"{fn.name} reads tols[...] past _tol"
     assert read == cli.TOL_NAMES
 
 

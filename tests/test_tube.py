@@ -10,6 +10,7 @@ import pytest
 
 from rclab.algebra import get_algebra, spectral, NotInCone
 from rclab.brackets import compute_c
+from rclab.cli import _path_logdet
 from rclab.quadrature import gamma_omega_closed, tube_laplace
 from rclab.tube import (
     logdet_tube, coherent_state, holo_mixed_derivatives, GroupGenerator, pi_action, apply_B,
@@ -56,14 +57,51 @@ def test_logdet_on_imaginary_axis():
 
 
 def test_branched_power_consistency_and_paths():
+    # exp of the branch is det(z/i), and the branch is the one the path sum
+    # reaches along a polyline from i e (which is not the straight segment)
     alg = get_algebra("sym2")
     target = np.array([[0.8 + 1.2j, -0.5 + 2.0j, 0.3 + 0.1j]])
     log = logdet_tube(alg, target)[0]
     d = alg.det_poly.numeric(-1j * target)[0]
     assert abs(cmath.exp(log) - d) / abs(d) < 1e-12
-    via = logdet_tube(alg, target,
-                      waypoints=[np.array([0.1j + 3j, 2.5j, 0.0])])[0]
+    via = _path_logdet(alg, np.array([[0.1j + 3j, 2.5j, 0.0], target[0]]))
     assert abs(log - via) < 1e-10
+
+
+def test_logdet_leaves_the_principal_branch_in_rank_three():
+    # at z = (5 + i) e in sym3, Im log det(z/i) = 3 arg(1 - 5i) < -pi: the
+    # principal log of det(z/i) is off by 2 pi i, the eigenvalue sum is not
+    alg = get_algebra("sym3")
+    z = (5 + 1j) * alg.e
+    log = logdet_tube(alg, z[None])[0]
+    assert log.imag < -math.pi
+    assert abs(log - 3 * cmath.log(1 - 5j)) < 1e-13
+    assert abs(log - _path_logdet(alg, z[None])) < 1e-12
+    principal = cmath.log(alg.det_poly.numeric(-1j * z[None])[0])
+    assert abs(principal - log - 2j * math.pi) < 1e-12
+
+
+def test_logdet_raises_off_the_tube():
+    # the branch suite's target for spin8: its imaginary part
+    # 1.5 e + 0.2 (0, ..., 7) has an eigenvalue below 0
+    alg = get_algebra("spin8")
+    n = alg.n
+    z = 0.7 * np.arange(1, n + 1) / n + 1j * (1.5 * alg.e + 0.2 * np.arange(n))
+    assert spectral(alg, z.imag).min() < 0
+    with pytest.raises(NotInCone):
+        logdet_tube(alg, z[None])
+
+
+@pytest.mark.parametrize("name", ["rank1", "sym2"])
+def test_branch_suite_fails_on_a_branch_off_by_2_pi_i(name, monkeypatch):
+    from rclab import cli, tube
+
+    logdet = tube.logdet_tube
+    monkeypatch.setattr(tube, "logdet_tube",
+                        lambda algebra, coords: logdet(algebra, coords) + 2j * math.pi)
+    (rep,), ok = cli.run_suites(get_algebra(name), "branch")
+    assert not ok and not rep["pass"], rep
+    assert abs(rep["residual"] - 2 * math.pi) < 1e-9
 
 
 def test_coherent_state_values():
