@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -310,17 +311,9 @@ def cmd_cache(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Verification suites
-
-
-def _tol(tols, name, default):
-    """The tolerance ``name``: ``default`` or a --tol value that tightens it.
-    A looser or non-positive one is a ConfigError: a check must be able to fail."""
-    val = tols.get(name, default)
-    if not 0 < val <= default:
-        raise ConfigError(f"--tol {name}={val!r}: a tolerance may only tighten, "
-                          f"to a value in (0, {default!r}]")
-    return val
+# Verification suites: each takes (algebra, cache_dir, tols), where ``tols``
+# holds exactly the tolerances its SUITE_TABLE row lists for the algebra,
+# built-in or tightened by --tol, and returns a list of reports
 
 
 def _suite_polynomiality(algebra, cache_dir, tols):
@@ -371,8 +364,6 @@ def _suite_cayley(algebra, cache_dir, tols):
 
 
 def _suite_jacobi(algebra, cache_dir, tols):
-    if algebra.family != "rank1":
-        return []
     rows = []
     for lam, mu in ((0, 0), (1, 2), (3, 3)):
         for k in range(7):
@@ -385,9 +376,9 @@ def _suite_jacobi(algebra, cache_dir, tols):
 
 
 def _suite_iota_fact(algebra, cache_dir, tols):
-    tol = _tol(tols, "iota-fact", 1e-10)
     return brackets.check_iota_factorization(algebra, min(_check_k(algebra), 2),
-                                             samples=10, tol=tol, cache_dir=cache_dir)
+                                             samples=10, tol=tols["iota-fact"],
+                                             cache_dir=cache_dir)
 
 
 def _suite_jordan_numerics(algebra, cache_dir, tols):
@@ -405,10 +396,9 @@ def _suite_jordan_numerics(algebra, cache_dir, tols):
     return [
         report("polar-chart-roundtrip", algebra.name, samples=100,
                max_residual=worst(roundtrip.tolist()),
-               tolerance=_tol(tols, "iota-roundtrip", 1e-12)),
+               tolerance=tols["iota-roundtrip"]),
         report("polar-chart-jacobian", algebra.name, samples=20,
-               max_residual=worst(jacobian.tolist()),
-               tolerance=_tol(tols, "jacobian", 1e-6)),
+               max_residual=worst(jacobian.tolist()), tolerance=tols["jacobian"]),
     ]
 
 
@@ -427,8 +417,6 @@ def _fd_jacobian(algebra, Z, V, eps=1e-5):
 
 
 def _suite_varchange(algebra, cache_dir, tols):
-    if algebra.name not in quadrature.CHART_NODES:
-        return []
     return [quadrature.check_change_of_variables(algebra)]
 
 
@@ -442,39 +430,30 @@ def _suite_gamma(algebra, cache_dir, tols):
     if algebra.family == "rank1":
         return [gamma_report(3.0, "gauss-laguerre",
                              quadrature.gamma_omega_numeric(algebra, 3.0, n=60),
-                             _tol(tols, "gamma", 1e-10))]
+                             tols["gamma"])]
     if algebra.name == "sym2":
         quad = quadrature.gamma_omega_numeric(algebra, 3.0, n=80)
         mc = quadrature.gamma_omega_numeric(algebra, 3.0, method="mc",
                                             mc_samples=1_000_000, seed=20240)
-        return [gamma_report(3.0, "eigenvalue-quadrature", quad,
-                             _tol(tols, "gamma", 1e-6)),
-                gamma_report(3.0, "monte-carlo", mc, _tol(tols, "gamma-mc", 1e-2),
+        return [gamma_report(3.0, "eigenvalue-quadrature", quad, tols["gamma"]),
+                gamma_report(3.0, "monte-carlo", mc, tols["gamma-mc"],
                              seed=20240, samples=1_000_000)]
     return [gamma_report(4.0, "eigenvalue-quadrature",
                          quadrature.gamma_omega_numeric(algebra, 4.0, n=48),
-                         _tol(tols, "gamma", 1e-5))]
+                         tols["gamma"])]
 
 
 def _suite_orthogonality(algebra, cache_dir, tols):
-    if algebra.family == "rank1":
-        rep = quadrature.gram_matrix(algebra, 1.0, 1.0, 4, cache_dir=cache_dir)
-        tol = _tol(tols, "orthogonality", 1e-12)
-    elif algebra.name == "sym2":
-        rep = quadrature.gram_matrix(algebra, 3.0, 3.0, 3, cache_dir=cache_dir)
-        tol = _tol(tols, "orthogonality", 1e-8)
-    else:
-        return []
-    data = rep.to_jsonable()
+    weight, kmax = (1.0, 4) if algebra.family == "rank1" else (3.0, 3)
+    data = quadrature.gram_matrix(algebra, weight, weight, kmax,
+                                  cache_dir=cache_dir).to_jsonable()
     del data["schema"], data["algebra"]
-    return [report("interval-orthogonality", algebra.name, tolerance=tol, **data)]
+    return [report("interval-orthogonality", algebra.name,
+                   tolerance=tols["orthogonality"], **data)]
 
 
 def _suite_laplace(algebra, cache_dir, tols):
-    if algebra.name not in ("rank1", "sym2"):
-        return []
     nu = 2.8
-    tol = _tol(tols, "laplace", 1e-8 if algebra.family == "rank1" else 1e-4)
     closed_gamma = quadrature.gamma_omega_closed(algebra, nu)
     ie = 1j * algebra.e
     rows = []
@@ -488,25 +467,20 @@ def _suite_laplace(algebra, cache_dir, tols):
                      "residual": abs(num - want) / abs(want)})
     out = [report("laplace-transform-of-weight", algebra.name, nu=nu,
                   points=len(rows), max_residual=worst(r["residual"] for r in rows),
-                  tolerance=tol, samples=rows)]
+                  tolerance=tols["laplace"], samples=rows)]
     if algebra.family == "rank1":
-        out.append(tube.check_bergman_isometry(
-            algebra, tol=_tol(tols, "isometry-norm", 1e-6)))
+        out.append(tube.check_bergman_isometry(algebra, tol=tols["isometry-norm"]))
     return out
 
 
 def _suite_jfact(algebra, cache_dir, tols):
-    if algebra.name not in quadrature.CHART_NODES:
-        return []
     return [tube.check_J_factorization(algebra)]
 
 
 def _suite_operator_equivalence(algebra, cache_dir, tols):
-    if algebra.family != "rank1":
-        return []
     return [tube.check_bracket_transform_equivalence(
-        algebra, k, 3, 4, tol=_tol(tols, "operator-equivalence", 1e-6),
-        cache_dir=cache_dir) for k in (0, 1, 2, 3)]
+        algebra, k, 3, 4, tol=tols["operator-equivalence"], cache_dir=cache_dir)
+        for k in (0, 1, 2, 3)]
 
 
 def _suite_adjoint(algebra, cache_dir, tols):
@@ -516,75 +490,59 @@ def _suite_adjoint(algebra, cache_dir, tols):
         z2 = np.array([-0.2 + 2.0j])
         for k in (0, 1, 2):
             reports.append(tube.check_adjoint_image(
-                algebra, k, 3, 3, z1, z2, tol=_tol(tols, "adjoint", 1e-6),
-                cache_dir=cache_dir))
-    elif algebra.name == "sym2":
+                algebra, k, 3, 3, z1, z2, tol=tols["adjoint"], cache_dir=cache_dir))
+    else:
         z1 = np.array([0.2 + 1.1j, -0.1 + 1.3j, 0.05 + 0.1j])
         z2 = np.array([-0.3 + 1.8j, 0.2 + 1.5j, -0.02 + 0.05j])
         reports.append(tube.check_adjoint_image(
-            algebra, 1, 3, 3, z1, z2, tol=_tol(tols, "adjoint", 1e-3),
-            cache_dir=cache_dir))
+            algebra, 1, 3, 3, z1, z2, tol=tols["adjoint"], cache_dir=cache_dir))
     return reports
 
 
 def _suite_isometry(algebra, cache_dir, tols):
-    if algebra.family != "rank1":
-        return []
-    return [tube.check_partial_isometry(algebra, k, 3, 3,
-                                        tol=_tol(tols, "isometry", 1e-6),
+    return [tube.check_partial_isometry(algebra, k, 3, 3, tol=tols["isometry"],
                                         cache_dir=cache_dir)
             for k in (0, 1, 2)]
 
 
 def _suite_covariance(algebra, cache_dir, tols):
-    if algebra.name not in ("rank1", "sym2"):
-        return []
-    tol = _tol(tols, "covariance", 1e-6)
     ks = (0, 1, 2, 3) if algebra.family == "rank1" else (1,)
     reports = []
     for k in ks:
         for gen in tube.default_generators(algebra):
             reports.append(tube.check_covariance_B(
-                algebra, k, 2.6, 3.2, gen, tol=tol, cache_dir=cache_dir))
+                algebra, k, 2.6, 3.2, gen, tol=tols["covariance"], cache_dir=cache_dir))
     return reports
 
 
 def _suite_hua(algebra, cache_dir, tols):
-    if algebra.name not in ("rank1", "sym2"):
-        return []
-    tol = _tol(tols, "hua", 1e-8)
     e = algebra.e
     n = algebra.n
     z = 0.4 * np.arange(n) / n + 1.3j * e + 0.05j * np.arange(n)
     w = -0.2 * e + 0.9j * e
     out = []
     for gen in tube.default_generators(algebra):
-        out.append(tube.check_hua_cocycle(algebra, gen, z, w, tol=tol))
+        out.append(tube.check_hua_cocycle(algebra, gen, z, w, tol=tols["hua"]))
         out.append(tube.check_coherent_transform(algebra, 2.7, gen, w,
-                                                 tol=_tol(tols, "coherent", 1e-8)))
+                                                 tol=tols["coherent"]))
     return out
 
 
 def _suite_aut(algebra, cache_dir, tols):
-    if algebra.family == "rank1":
-        return []
     kmax = min(_check_k(algebra), 2)
-    return [brackets.check_aut_invariance(algebra, k, 3, 3,
-                                          tol=_tol(tols, "aut", 1e-10),
+    return [brackets.check_aut_invariance(algebra, k, 3, 3, tol=tols["aut"],
                                           cache_dir=cache_dir)
             for k in range(1, kmax + 1)]
 
 
 def _suite_branch(algebra, cache_dir, tols):
-    if algebra.name not in ("rank1", "sym2"):
-        return []
     e = algebra.e
     n = algebra.n
     target = (0.7 * np.arange(1, n + 1) / n + 1j * (1.5 * e + 0.2 * np.arange(n)))
     direct = tube.logdet_tube(algebra, target.reshape(1, -1))[0]
     via = _path_logdet(algebra, np.array([-0.5 * e + 2.1j * e, target]))
     return [report("branch-path-independence", algebra.name,
-                   residual=abs(direct - via), tolerance=_tol(tols, "branch", 1e-10))]
+                   residual=abs(direct - via), tolerance=tols["branch"])]
 
 
 def _path_logdet(algebra, corners, steps=64):
@@ -600,8 +558,6 @@ def _path_logdet(algebra, corners, steps=64):
 
 
 def _suite_cauchy(algebra, cache_dir, tols):
-    if algebra.name not in ("rank1", "sym2"):
-        return []
     e = algebra.e
     K = tube.coherent_state(algebra, 2.3, (0.1 + 1.0j) * e)
     z = (0.3 + 1.4j) * e
@@ -611,63 +567,107 @@ def _suite_cauchy(algebra, cache_dir, tols):
                 for nodes in (32, 64))
     return [report("contour-derivative-stability", algebra.name,
                    residual=abs(d32 - d64) / max(abs(d64), 1e-300),
-                   tolerance=_tol(tols, "cauchy", 1e-9))]
+                   tolerance=tols["cauchy"])]
 
 
-SUITES = {
-    "polynomiality": _suite_polynomiality,
-    "exchange": _suite_exchange,
-    "chi-covariance": _suite_chi,
-    "cayley": _suite_cayley,
-    "jacobi": _suite_jacobi,
-    "iota-factorization": _suite_iota_fact,
-    "jordan-numerics": _suite_jordan_numerics,
-    "change-of-variables": _suite_varchange,
-    "gamma": _suite_gamma,
-    "orthogonality": _suite_orthogonality,
-    "laplace": _suite_laplace,
-    "laplace-factorization": _suite_jfact,
-    "operator-equivalence": _suite_operator_equivalence,
-    "adjoint-image": _suite_adjoint,
-    "partial-isometry": _suite_isometry,
-    "covariance": _suite_covariance,
-    "cocycles": _suite_hua,
-    "aut-invariance": _suite_aut,
-    "branch": _suite_branch,
-    "cauchy-stability": _suite_cauchy,
+@dataclass(frozen=True)
+class Suite:
+    """A row of SUITE_TABLE: the run function, the algebras it runs for and
+    the tolerances it reads, each a built-in value or ``{algebra: value,
+    "*": value}`` where it differs by algebra (no entry: not read there)."""
+    run: object
+    algebras: tuple = ALGEBRA_NAMES
+    tols: dict = field(default_factory=dict)
+
+    def tolerances(self, algebra_name) -> dict:
+        """The built-in tolerances the suite reads for the algebra."""
+        own = {name: val.get(algebra_name, val.get("*")) if isinstance(val, dict) else val
+               for name, val in self.tols.items()}
+        return {name: val for name, val in own.items() if val is not None}
+
+
+_RANK1 = ("rank1",)
+_RANK1_SYM2 = ("rank1", "sym2")
+
+# where each suite runs and what it reads, in report order
+SUITE_TABLE = {
+    "polynomiality": Suite(_suite_polynomiality),
+    "exchange": Suite(_suite_exchange),
+    "chi-covariance": Suite(_suite_chi),
+    "cayley": Suite(_suite_cayley),
+    "jacobi": Suite(_suite_jacobi, _RANK1),
+    "iota-factorization": Suite(_suite_iota_fact, tols={"iota-fact": 1e-10}),
+    "jordan-numerics": Suite(_suite_jordan_numerics,
+                             tols={"iota-roundtrip": 1e-12, "jacobian": 1e-6}),
+    "change-of-variables": Suite(_suite_varchange, tuple(quadrature.CHART_NODES)),
+    "gamma": Suite(_suite_gamma, tols={
+        "gamma": {"rank1": 1e-10, "sym2": 1e-6, "*": 1e-5}, "gamma-mc": {"sym2": 1e-2}}),
+    "orthogonality": Suite(_suite_orthogonality, _RANK1_SYM2,
+                           {"orthogonality": {"rank1": 1e-12, "sym2": 1e-8}}),
+    "laplace": Suite(_suite_laplace, _RANK1_SYM2, {
+        "laplace": {"rank1": 1e-8, "sym2": 1e-4}, "isometry-norm": {"rank1": 1e-6}}),
+    "laplace-factorization": Suite(_suite_jfact, tuple(quadrature.CHART_NODES)),
+    "operator-equivalence": Suite(_suite_operator_equivalence, _RANK1,
+                                  {"operator-equivalence": 1e-6}),
+    "adjoint-image": Suite(_suite_adjoint, _RANK1_SYM2,
+                           {"adjoint": {"rank1": 1e-6, "sym2": 1e-3}}),
+    "partial-isometry": Suite(_suite_isometry, _RANK1, {"isometry": 1e-6}),
+    "covariance": Suite(_suite_covariance, _RANK1_SYM2, {"covariance": 1e-6}),
+    "cocycles": Suite(_suite_hua, _RANK1_SYM2, {"hua": 1e-8, "coherent": 1e-8}),
+    "aut-invariance": Suite(_suite_aut, tuple(a for a in ALGEBRA_NAMES if a != "rank1"),
+                            {"aut": 1e-10}),
+    "branch": Suite(_suite_branch, _RANK1_SYM2, {"branch": 1e-10}),
+    "cauchy-stability": Suite(_suite_cauchy, _RANK1_SYM2, {"cauchy": 1e-9}),
 }
 
+# run_suites looks these up at call time: a caller may wrap an entry
+SUITES = {name: row.run for name, row in SUITE_TABLE.items()}
 
-# every name a suite reads from ``tols``; `check --tol` accepts no other
-TOL_NAMES = frozenset((
-    "adjoint", "aut", "branch", "cauchy", "coherent", "covariance", "gamma",
-    "gamma-mc", "hua", "iota-fact", "iota-roundtrip", "isometry",
-    "isometry-norm", "jacobian", "laplace", "operator-equivalence",
-    "orthogonality",
-))
+
+def _plan(algebra, selector, tols):
+    """Each suite ``selector`` names for ``algebra`` with the built-in
+    tolerances it reads (each name belongs to one suite).  Anything the
+    table refuses, a ``tols`` entry that does not tighten one of those
+    included, is a ConfigError: it stops the run before any suite."""
+    if selector == "all":
+        names = [n for n, row in SUITE_TABLE.items() if algebra.name in row.algebras]
+    elif selector not in SUITE_TABLE:
+        raise ConfigError(
+            f"unknown suite {selector!r}; choose from all, {', '.join(SUITE_TABLE)}")
+    elif algebra.name not in SUITE_TABLE[selector].algebras:
+        raise ConfigError(f"suite {selector!r} does not run for {algebra.name}; it "
+                          f"runs for {', '.join(SUITE_TABLE[selector].algebras)}")
+    else:
+        names = [selector]
+    plan = {name: SUITE_TABLE[name].tolerances(algebra.name) for name in names}
+    read = {t: v for own in plan.values() for t, v in own.items()}
+    for tol, val in tols.items():
+        if tol not in read:
+            raise ConfigError(f"--tol {tol}: no selected suite reads it for {algebra.name};"
+                              f" they read {', '.join(sorted(read)) or 'no tolerance'}")
+        # a check at a looser tolerance might be unable to fail
+        if not 0 < val <= read[tol]:
+            raise ConfigError(f"--tol {tol}={val!r}: a tolerance may only tighten, "
+                              f"to a value in (0, {read[tol]!r}]")
+    return plan
 
 
 def run_suites(algebra, selector: str, cache_dir=None, tols=None):
+    """The reports of the suites ``selector`` names and whether all pass."""
     tols = tols or {}
-    if selector == "all":
-        names = list(SUITES)
-    elif selector in SUITES:
-        names = [selector]
-    else:
-        raise ConfigError(
-            f"unknown suite {selector!r}; choose from all, {', '.join(SUITES)}")
     reports = []
-    for name in names:
+    for name, builtin in _plan(algebra, selector, tols).items():
         try:
-            reports.extend(SUITES[name](algebra, cache_dir, tols))
-        except ConfigError:
-            raise
+            got = SUITES[name](algebra, cache_dir,
+                               {t: tols.get(t, v) for t, v in builtin.items()})
+            if not got:
+                raise ValueError("the suite wrote no report")
+            reports.extend(got)
         except Exception as exc:
             # an error inside a suite is a failed check, not an aborted run
             reports.append(report("suite-error", algebra.name, ok=False,
                                   suite=name, error=f"{type(exc).__name__}: {exc}"))
-    ok = all(r["pass"] for r in reports)
-    return reports, ok
+    return reports, all(r["pass"] for r in reports)
 
 
 def cmd_check(args) -> int:
@@ -676,15 +676,13 @@ def cmd_check(args) -> int:
     tols = {}
     # flags give a list; a config file gives ``tol = name=value, name=value``
     for item in merged(args, "tol", [], lambda v: v.replace(",", " ").split()):
-        if "=" not in item:
+        name, sep, val = item.partition("=")
+        if not sep:
             raise ConfigError(f"--tol expects name=value, got {item!r}")
-        name, val = item.split("=", 1)
-        if name not in TOL_NAMES:
-            raise ConfigError(f"unknown tolerance {name!r}; choose from "
-                              f"{', '.join(sorted(TOL_NAMES))}")
-        tols[name] = float(val)
-        if not 0 < tols[name] < math.inf:
-            raise ConfigError(f"--tol {item}: a tolerance must be positive and finite")
+        try:
+            tols[name] = float(val)
+        except ValueError:
+            raise ConfigError(f"--tol {item}: {val!r} is not a number") from None
     cache_dir = _cache_dir(args)
     reports, ok = run_suites(algebra, selector, cache_dir, tols)
     payload = {

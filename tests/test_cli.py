@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from rclab import quadrature
+from rclab import quadrature, report
 from rclab.cli import MAX_NODES, MAX_SAMPLES, main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -329,8 +329,12 @@ def test_an_output_in_a_missing_directory_stops_the_check_before_any_suite(
     import rclab.cli as cli
 
     calls = []
-    monkeypatch.setitem(cli.SUITES, "cayley",
-                        lambda algebra, cache_dir, tols: calls.append(algebra.name) or [])
+
+    def stub(algebra, cache_dir, tols):
+        calls.append(algebra.name)
+        return [report("stub", algebra.name, ok=True)]
+
+    monkeypatch.setitem(cli.SUITES, "cayley", stub)
     code, out, err = run_cli(["check", "cayley", "--algebra", "rank1",
                               "--output", str(tmp_path / "none" / "out.json")])
     assert code == 2 and out == "" and err.startswith("error: --output"), err
@@ -454,19 +458,21 @@ def test_check_tolerance_override_can_fail(tmp_path):
     assert data["pass"] is False
 
 
-def test_config_file_tolerances_are_name_value_pairs(tmp_path):
+def test_config_file_tolerances_are_name_value_pairs(tmp_path, cache_dir):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("tol = branch=1e-11, cauchy=1e-10\n")
-    code, out, err = run_cli(["--config", str(cfg), "check", "branch",
-                              "--algebra", "rank1"])
+    code, out, err = run_cli(["--config", str(cfg), "check", "all",
+                              "--algebra", "rank1", "--cache-dir", cache_dir])
     assert code == 0, err
-    assert json.loads(out)["reports"][0]["tolerance"] == 1e-11
+    tolerance = {r["check"]: r.get("tolerance") for r in json.loads(out)["reports"]}
+    assert tolerance["branch-path-independence"] == 1e-11
+    assert tolerance["contour-derivative-stability"] == 1e-10
 
 
-@pytest.mark.parametrize("value", ["inf", "1e300", "1e-9", "0", "-1e-12", "nan"])
+@pytest.mark.parametrize("value", ["inf", "1e300", "1e-9", "0", "-1e-12", "nan", "abc"])
 def test_check_tolerance_may_only_tighten(value, tmp_path):
     # a check at tolerance inf (or any looser value) cannot fail; each of
-    # these exited 0
+    # these exited 0.  abc said only: could not convert string to float
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"tol = branch={value}\n")
     for argv in (["check", "branch", "--algebra", "rank1", "--tol", f"branch={value}"],
@@ -499,27 +505,132 @@ def test_check_rejects_an_unknown_tolerance_name(tmp_path):
 
 
 def test_every_tolerance_a_suite_reads_is_named():
-    # every read of ``tols`` goes through _tol, whose second argument is
-    # the literal name
+    # a suite reads ``tols`` only as tols["literal"], and exactly the names
+    # its SUITE_TABLE row lists
     import ast
     import inspect
+    import textwrap
 
     import rclab.cli as cli
 
-    tree = ast.parse(inspect.getsource(cli))
-    read = set()
-    for fn in ast.walk(tree):
-        if not isinstance(fn, ast.FunctionDef) or fn.name == "_tol":
-            continue
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_tol":
-                assert isinstance(node.args[1], ast.Constant), ast.unparse(node)
-                read.add(node.args[1].value)
-            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "tols":
-                raise AssertionError(f"{fn.name} reads tols.{node.attr} past _tol")
-            elif isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "tols":
-                assert fn.name == "cmd_check", f"{fn.name} reads tols[...] past _tol"
-    assert read == cli.TOL_NAMES
+    for name, row in cli.SUITE_TABLE.items():
+        tree = ast.parse(textwrap.dedent(inspect.getsource(row.run)))
+        uses = [node for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id == "tols"]
+        reads = [node.slice for node in ast.walk(tree) if isinstance(node, ast.Subscript)
+                 and getattr(node.value, "id", None) == "tols"]
+        assert len(reads) == len(uses), f"{name} reads tols other than by tols[...]"
+        assert all(isinstance(key, ast.Constant) for key in reads), name
+        assert {key.value for key in reads} == set(row.tols), name
+
+
+def test_the_built_in_tolerances_per_algebra():
+    # 17 names, each read by one suite, at the values the suites had as literals
+    from rclab.algebra import ALGEBRA_NAMES
+    import rclab.cli as cli
+
+    names = [t for row in cli.SUITE_TABLE.values() for t in row.tols]
+    assert len(names) == len(set(names)) == 17
+    for alg in ALGEBRA_NAMES:
+        want = {"iota-fact": 1e-10, "iota-roundtrip": 1e-12, "jacobian": 1e-6,
+                "gamma": {"rank1": 1e-10, "sym2": 1e-6}.get(alg, 1e-5)}
+        if alg == "rank1":
+            want.update({"orthogonality": 1e-12, "laplace": 1e-8, "adjoint": 1e-6,
+                         "isometry-norm": 1e-6, "operator-equivalence": 1e-6,
+                         "isometry": 1e-6})
+        else:
+            want["aut"] = 1e-10
+        if alg == "sym2":
+            want.update({"orthogonality": 1e-8, "laplace": 1e-4, "adjoint": 1e-3,
+                         "gamma-mc": 1e-2})
+        if alg in ("rank1", "sym2"):
+            want.update({"covariance": 1e-6, "hua": 1e-8, "coherent": 1e-8,
+                         "branch": 1e-10, "cauchy": 1e-9})
+        got = {}
+        for row in cli.SUITE_TABLE.values():
+            if alg in row.algebras:
+                got.update(row.tolerances(alg))
+        assert got == want, alg
+
+
+@pytest.mark.parametrize("args", [
+    ["covariance", "--algebra", "spin4"],
+    ["jacobi", "--algebra", "sym2", "--tol", "gamma=1e-30"],
+    ["all", "--algebra", "rank1", "--tol", "gamma-mc=1e-1"],
+    ["branch", "--algebra", "rank1", "--tol", "cauchy=1e-3"],
+    ["all", "--algebra", "sym2", "--tol", "cauchy=1e-3"],
+])
+def test_check_refuses_a_run_that_tests_nothing_before_any_suite(args, monkeypatch):
+    # each exited 0, or 2 only after the suites before the reader had run
+    import rclab.cli as cli
+
+    calls = []
+    for name in cli.SUITES:
+        def stub(algebra, cache_dir, tols, name=name):
+            calls.append(name)
+            return [report("stub", algebra.name, ok=True)]
+        monkeypatch.setitem(cli.SUITES, name, stub)
+    code, out, err = run_cli(["check", *args])
+    assert code == 2 and out == "" and calls == [], (out, calls)
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_a_suite_that_reports_nothing_fails_the_check(monkeypatch):
+    import rclab.cli as cli
+
+    monkeypatch.setitem(cli.SUITES, "covariance", lambda algebra, cache_dir, tols: [])
+    code, out, _ = run_cli(["check", "covariance", "--algebra", "rank1"])
+    assert code == 1
+    (rep,) = json.loads(out)["reports"]
+    assert rep["check"] == "suite-error" and rep["suite"] == "covariance"
+    assert rep["pass"] is False
+
+
+def test_every_suite_the_table_lists_reports_and_reads_its_tolerances(
+        cache_dir, monkeypatch):
+    # rank1 runs 19 suites, sym2 17 and the other algebras 8
+    from rclab.algebra import ALGEBRA_NAMES
+    import rclab.cli as cli
+
+    read, ran = set(), {}
+
+    class Reads(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+    for name, run in cli.SUITES.items():
+        def counted(algebra, cache_dir, tols, name=name, run=run):
+            read.clear()
+            reports = run(algebra, cache_dir, Reads(tols))
+            ran[name] = (len(reports), set(read))
+            return reports
+        monkeypatch.setitem(cli.SUITES, name, counted)
+    for alg in ALGEBRA_NAMES:
+        ran.clear()
+        code, out, err = run_cli(["check", "all", "--algebra", alg, "--cache-dir", cache_dir])
+        assert code == 0, (alg, err)
+        want = [n for n, row in cli.SUITE_TABLE.items() if alg in row.algebras]
+        assert list(ran) == want and len(want) == {"rank1": 19, "sym2": 17}.get(alg, 8)
+        for name, (count, names) in ran.items():
+            assert count > 0, (alg, name)
+            assert names == set(cli.SUITE_TABLE[name].tolerances(alg)), (alg, name)
+
+
+def test_the_benchmark_tracer_names_only_suites_that_exist():
+    # perfbench/tracing.py reports cli.suite.<name>.s for each name of its
+    # SUITES tuple and wraps the cli.SUITES entries in place
+    import importlib.util
+
+    import rclab.cli as cli
+
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.SUITES
+    for name in tracing.SUITES:
+        assert callable(cli.SUITES.get(name)), name
 
 
 def test_check_report_names_each_identity(tmp_path):
