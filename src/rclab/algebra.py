@@ -13,13 +13,13 @@ A point is a row of coordinates.  The exact checks draw integer rows over
 one denominator (``_random_ints``, ``_cone_ints``) and multiply them with
 the integer structure table (``_int_mul``).  A float or complex point is a
 numpy row, and the numerics of the cone run on (m, n) float arrays, one
-point per row: ``spectral`` (eigenvalues), ``cone_sqrt``, the P(x) stack
-``quad_rep_matrices`` (complex rows too), the polar chart ``iota``, its
-inverse and its Jacobian, and ``det_poly.numeric`` for determinants.  The
-trace inner product is (x, y) = tr(x.y); its Gram matrix is diagonal in the
-chosen bases and the Lebesgue measure used throughout the package is the
-Euclidean measure of that form (orthonormal coordinates x_ii, sqrt(2) x_ij
-for sym(r)).
+point per row: ``spectral`` (eigenvalues), ``cone_sqrt``, ``quad_rep``
+(P(a)b) and ``inverse`` (x^{-1}), both in each family's closed form and on
+complex rows too, the polar chart ``iota``, its inverse and its Jacobian,
+and ``det_poly.numeric`` for determinants.  The trace inner product is
+(x, y) = tr(x.y); its Gram matrix is diagonal in the chosen bases and the
+Lebesgue measure used throughout the package is the Euclidean measure of
+that form (orthonormal coordinates x_ii, sqrt(2) x_ij for sym(r)).
 
 All values are immutable after construction and all operations are pure,
 so everything here is safe to share between threads.
@@ -48,7 +48,8 @@ __all__ = [
     "ALGEBRA_NAMES",
     "spectral",
     "cone_sqrt",
-    "quad_rep_matrices",
+    "quad_rep",
+    "inverse",
     "iota",
     "iota_inv",
     "iota_jacobian",
@@ -74,7 +75,8 @@ class JordanAlgebra:
     identity as a read-only float row.  The integer samplers and the exact
     checks read the nonzero constants over one integer denominator:
     ``_int_table`` holds (i, j, k, c * _table_den) for each nonzero
-    c = table[i][j][k], and ``_mult_tensor`` holds the constants as floats.
+    c = table[i][j][k].  The float numerics never read the table: each
+    family has its own closed forms (``quad_rep``, ``inverse``).
     """
 
     name: str
@@ -91,7 +93,6 @@ class JordanAlgebra:
     det_poly: Poly = field(hash=False, compare=False)
     _int_table: tuple = field(hash=False, repr=False, compare=False)
     _table_den: int = field(hash=False, repr=False, compare=False)
-    _mult_tensor: np.ndarray = field(hash=False, repr=False, compare=False)
 
     def __repr__(self):
         return f"JordanAlgebra({self.name}, n={self.n}, r={self.r}, d={self.d})"
@@ -108,9 +109,6 @@ def _build(name, family, n, r, d, labels, table, e_coords, gram, trace_vec, det_
             for k, c in enumerate(table[i][j]):
                 if c:
                     sparse.append((i, j, k, c))
-    tensor = np.zeros((n, n, n))
-    for i, j, k, c in sparse:
-        tensor[i, j, k] = float(c)
     t = math.lcm(*(c.denominator for *_, c in sparse))
     e = np.array(e_coords, dtype=float)
     e.setflags(write=False)
@@ -119,7 +117,7 @@ def _build(name, family, n, r, d, labels, table, e_coords, gram, trace_vec, det_
         basis_labels=tuple(labels), table=table, e_coords=tuple(e_coords), e=e,
         gram=tuple(gram), trace_vec=tuple(trace_vec),
         det_poly=Poly.from_terms(det_poly, n),
-        _mult_tensor=tensor, _table_den=t,
+        _table_den=t,
         _int_table=tuple((i, j, k, int(c * t)) for i, j, k, c in sparse),
     )
 
@@ -137,39 +135,24 @@ def _sym_pairs(r):
     return [(i, i) for i in range(r)] + [(i, j) for i in range(r) for j in range(i + 1, r)]
 
 
-def _sym_det_poly(r, pairs):
-    # Leibniz expansion of det of the symmetric matrix with entries x_ij.
-    index = {p: k for k, p in enumerate(pairs)}
+def _sym_index(r):
+    """The coordinate index of each entry (i, j) of an r x r symmetric matrix."""
+    index = {p: k for k, p in enumerate(_sym_pairs(r))}
+    return [[index[min(i, j), max(i, j)] for j in range(r)] for i in range(r)]
 
-    def coord(i, j):
-        return index[(i, j) if i <= j else (j, i)]
 
-    poly = {}
+def _sym_det_poly(r):
+    # Leibniz expansion of det of the symmetric matrix with entries x_ij; the
+    # sign of a permutation is (-1)^(its number of inversions)
+    index, poly = _sym_index(r), {}
     for perm in itertools.permutations(range(r)):
-        sign = Fraction(_perm_sign(perm))
-        expo = [0] * len(pairs)
+        sign = Fraction((-1) ** sum(p > q for p, q in itertools.combinations(perm, 2)))
+        expo = [0] * (r * (r + 1) // 2)
         for i in range(r):
-            expo[coord(i, perm[i])] += 1
+            expo[index[i][perm[i]]] += 1
         e = tuple(expo)
         poly[e] = poly.get(e, Fraction(0)) + sign
     return {e: c for e, c in poly.items() if c}
-
-
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def sym(r: int) -> JordanAlgebra:
@@ -178,7 +161,6 @@ def sym(r: int) -> JordanAlgebra:
         raise AlgebraError("sym(r) needs r >= 1")
     pairs = _sym_pairs(r)
     n = len(pairs)
-    index = {p: k for k, p in enumerate(pairs)}
 
     def basis_matrix(k):
         i, j = pairs[k]
@@ -211,7 +193,7 @@ def sym(r: int) -> JordanAlgebra:
     trace_vec = tuple(Fraction(1) if i == j else Fraction(0) for (i, j) in pairs)
     labels = [f"x{i+1}{j+1}" for (i, j) in pairs]
     return _build(f"sym{r}", "sym", n, r, 1, labels, table, e_coords, gram,
-                  trace_vec, _sym_det_poly(r, pairs))
+                  trace_vec, _sym_det_poly(r))
 
 
 def spin(m: int) -> JordanAlgebra:
@@ -273,16 +255,19 @@ ALGEBRA_NAMES = ("rank1", "sym2", "sym3", "sym4",
 #
 # Each function takes the rows of an (m, n) array as m points.  Rank 2
 # (sym2 and every spin factor) needs no eigensolver: x^2 - tr(x) x +
-# det(x) e = 0 gives the eigenvalues and the square root in closed form.
+# det(x) e = 0 gives the eigenvalues, the square root, P(a)b and x^{-1} in
+# closed form; sym(r >= 3) works on the r x r matrices.
 
 
 def _sym_matrices(algebra: JordanAlgebra, X) -> np.ndarray:
-    """The (m, r, r) symmetric matrices of sym(r) coordinate rows."""
+    """The (..., r, r) symmetric matrices of sym(r) coordinate rows."""
+    return np.asarray(X)[..., _sym_index(algebra.r)]
+
+
+def _sym_coords(algebra: JordanAlgebra, M) -> np.ndarray:
+    """The coordinate rows of (..., r, r) symmetric matrices."""
     i, j = np.array(_sym_pairs(algebra.r)).T
-    M = np.empty((len(X), algebra.r, algebra.r), X.dtype)
-    M[:, i, j] = X
-    M[:, j, i] = X
-    return M
+    return M[..., i, j]
 
 
 def spectral(algebra: JordanAlgebra, X) -> np.ndarray:
@@ -324,21 +309,41 @@ def cone_sqrt(algebra: JordanAlgebra, Z) -> np.ndarray:
     if algebra.r == 2:
         e = algebra.e
         return (Z + np.prod(roots, axis=1)[:, None] * e) / np.sum(roots, axis=1)[:, None]
-    S = (vecs * roots[:, None, :]) @ np.swapaxes(vecs, 1, 2)
-    i, j = np.array(_sym_pairs(algebra.r)).T
-    return S[:, i, j]
+    return _sym_coords(algebra, (vecs * roots[:, None, :]) @ np.swapaxes(vecs, 1, 2))
 
 
-def quad_rep_matrices(algebra: JordanAlgebra, X) -> np.ndarray:
-    """The (m, n, n) coordinate matrices P(x) = 2 L(x)^2 - L(x.x) of float
-    or complex rows x."""
+def _star(algebra: JordanAlgebra, X) -> np.ndarray:
+    """x* = tr(x) e - x on rows of a rank-2 algebra."""
+    return (X @ np.array(algebra.trace_vec, dtype=float))[..., None] * algebra.e - X
+
+
+def quad_rep(algebra: JordanAlgebra, A, B) -> np.ndarray:
+    """P(a)b on float or complex rows a, b that broadcast against each other.
+
+    Rank <= 2: (a|b) a - det(a) b*, with (a|b) the trace form and b* 0 in
+    rank 1 (Faraut-Koranyi, Analysis on Symmetric Cones, 1994, ch. II).
+    sym(r >= 3): the r x r product a b a.
+    """
+    A, B = np.asarray(A), np.asarray(B)
+    if algebra.r >= 3:
+        a = _sym_matrices(algebra, A)
+        return _sym_coords(algebra, a @ _sym_matrices(algebra, B) @ a)
+    out = ((A * B) @ np.array(algebra.gram, dtype=float))[..., None] * A
+    if algebra.r == 2:
+        det = algebra.det_poly.numeric(A.reshape(-1, algebra.n))
+        out = out - det.reshape(A.shape[:-1] + (1,)) * _star(algebra, B)
+    return out
+
+
+def inverse(algebra: JordanAlgebra, X) -> np.ndarray:
+    """x^{-1} of float or complex rows: 1/x in rank 1, x*/det x in rank 2,
+    the r x r inverse in sym(r >= 3)."""
     X = np.atleast_2d(X)
-    T = algebra._mult_tensor
-    L = np.einsum("bi,ijk->bkj", X, T)
-    P = L @ L               # built in place: each (m, n, n) temporary is large
-    P *= 2
-    P -= np.einsum("bi,ijk->bkj", np.einsum("bij,bj->bi", L, X), T)
-    return P
+    if algebra.r == 1:
+        return 1 / X
+    if algebra.r == 2:
+        return _star(algebra, X) / algebra.det_poly.numeric(X)[:, None]
+    return _sym_coords(algebra, np.linalg.inv(_sym_matrices(algebra, X)))
 
 
 def iota(algebra: JordanAlgebra, Z, V):
@@ -351,16 +356,15 @@ def iota(algebra: JordanAlgebra, Z, V):
     root = cone_sqrt(algebra, Z)
     if not np.all(np.abs(spectral(algebra, V)) < 1):
         raise AlgebraError("iota: v not in the open interval )-e, e(")
-    W = np.einsum("bij,bj->bi", quad_rep_matrices(algebra, root), V)
+    W = quad_rep(algebra, root, V)
     return (Z - W) / 2, (Z + W) / 2
 
 
 def iota_inv(algebra: JordanAlgebra, X, Y):
-    """Inverse chart on rows: z = x + y, v = P(z^{1/2})^{-1} (y - x)."""
+    """Inverse chart on rows: z = x + y, v = P(z^{-1/2}) (y - x)."""
     X, Y = np.atleast_2d(X), np.atleast_2d(Y)
     Z = X + Y
-    P = quad_rep_matrices(algebra, cone_sqrt(algebra, Z))
-    return Z, np.linalg.solve(P, (Y - X)[..., None])[..., 0]
+    return Z, quad_rep(algebra, inverse(algebra, cone_sqrt(algebra, Z)), Y - X)
 
 
 def iota_jacobian(algebra: JordanAlgebra, Z) -> np.ndarray:

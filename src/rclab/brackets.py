@@ -25,8 +25,8 @@ import numpy as np
 
 from . import report, worst
 from .algebra import (
-    JordanAlgebra, get_algebra, iota, _sym_pairs, _random_ints, _cone_ints, _int_mul,
-    random_interval_point, random_chart_points,
+    JordanAlgebra, get_algebra, iota, _sym_matrices, _sym_coords, _random_ints,
+    _cone_ints, _int_mul, random_interval_point, random_chart_points,
 )
 from .poly import Poly
 from .sympoly import (
@@ -358,16 +358,9 @@ def _random_automorphism(algebra, rng):
                                    for _ in range(m)]))[0]
         return lambda v: np.concatenate([v[:1], g @ v[1:]])
     r = algebra.r
-    i, j = np.array(_sym_pairs(r)).T
     g = np.linalg.qr(np.array([[rng.gauss(0, 1) for _ in range(r)]
                                for _ in range(r)]))[0]
-
-    def act(v):
-        mat = np.zeros((r, r))
-        mat[i, j] = mat[j, i] = v
-        return (g @ mat @ g.T)[i, j]
-
-    return act
+    return lambda v: _sym_coords(algebra, g @ _sym_matrices(algebra, v) @ g.T)
 
 
 def check_aut_invariance(algebra: JordanAlgebra, k: int, lam, mu,

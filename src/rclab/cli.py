@@ -80,9 +80,10 @@ def dump_report(data) -> str:
 
 
 def read_config_file(path: str, keys) -> dict:
-    """The ``key = value`` lines of ``path`` by argparse dest.  ``keys`` are
+    """The ``key = value`` lines of ``path`` by argparse dest.  ``keys`` maps
     the dests of the subcommand's flags, each its flag name without the
-    dashes and with '_' for '-'; any other key is a ConfigError."""
+    dashes and with '_' for '-', to the flag's choices or None; any other
+    key, or a value outside the choices, is a ConfigError."""
     out = {}
     try:
         with open(path) as fh:
@@ -98,6 +99,9 @@ def read_config_file(path: str, keys) -> dict:
                     names = ", ".join(k.replace("_", "-") for k in sorted(keys))
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}; "
                                       f"choose from {names}")
+                if keys[dest] is not None and val not in keys[dest]:
+                    raise ConfigError(f"{path}:{lineno}: invalid {key} {val!r}; "
+                                      f"choose from {', '.join(keys[dest])}")
                 out[dest] = val
     except OSError as exc:
         raise ConfigError(f"--config {path}: {exc.strerror}") from exc
@@ -683,8 +687,8 @@ def cmd_check(args) -> int:
             tols[name] = float(val)
         except ValueError:
             raise ConfigError(f"--tol {item}: {val!r} is not a number") from None
-    cache_dir = _cache_dir(args)
-    reports, ok = run_suites(algebra, selector, cache_dir, tols)
+    _plan(algebra, selector, tols)      # a refused run makes no --cache-dir
+    reports, ok = run_suites(algebra, selector, _cache_dir(args), tols)
     payload = {
         "schema": SCHEMA,
         "kind": "check-report",
@@ -751,10 +755,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("cache_action", choices=("inspect", "clear"))
     sp.set_defaults(func=cmd_cache)
-    # a config-file key is the dest of one of the subcommand's flags
+    # a config-file key is the dest of one of the subcommand's flags, and
+    # its value one of the flag's choices
     for sp in sub.choices.values():
-        sp.set_defaults(config_keys=frozenset(
-            a.dest for a in sp._actions if a.option_strings and a.dest != "help"))
+        sp.set_defaults(config_keys={
+            a.dest: a.choices for a in sp._actions if a.option_strings and a.dest != "help"})
     return p
 
 

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import SCHEMA, report, worst
 from .algebra import (
-    JordanAlgebra, get_algebra, spectral, cone_sqrt, quad_rep_matrices,
+    JordanAlgebra, get_algebra, spectral, cone_sqrt, quad_rep,
     iota_jacobian,
 )
 from .brackets import compute_C
@@ -703,7 +703,9 @@ def _chart_rule(name, center, radius):
     # y leaves its ball and f1(x) f1(y) is exactly 0.  No node of the grids
     # of CHART_NODES lies within rounding of the unit sphere.
     unit = unit[(unit * unit) @ gram < 1.0]
-    Pz = rho[:, None, None] * quad_rep_matrices(algebra, cone_sqrt(algebra, zs))
+    roots = cone_sqrt(algebra, zs)
+    Pz = rho[:, None, None] * np.stack([quad_rep(algebra, roots, b)
+                                        for b in np.eye(algebra.n)], axis=2)
     inner = np.zeros(len(zs))
     # one v node at a time: a (z nodes x v nodes) broadcast would take
     # several arrays of tens of MB and run no faster

@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import report, worst
-from .algebra import JordanAlgebra, spectral, cone_sqrt, quad_rep_matrices
+from .algebra import JordanAlgebra, spectral, cone_sqrt, quad_rep, inverse
 from .brackets import compute_c, compute_C
 from .poly import Poly
 from .quadrature import (
@@ -72,9 +72,8 @@ def logdet_tube(algebra: JordanAlgebra, coords) -> np.ndarray:
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=complex))
     y = coords.imag
-    P = quad_rep_matrices(algebra, cone_sqrt(algebra, y))
-    w = np.linalg.solve(P, coords.real[..., None])[..., 0]
-    return (np.log(spectral(algebra, y)).sum(axis=1)
+    w = quad_rep(algebra, inverse(algebra, cone_sqrt(algebra, y)), coords.real)
+    return (np.log(algebra.det_poly.numeric(y))
             + np.log(1 - 1j * spectral(algebra, w)).sum(axis=1))
 
 
@@ -213,9 +212,8 @@ class GroupGenerator:
             self._u = np.asarray(parameter, dtype=complex)
         elif kind == "dilation":
             # cone_sqrt raises NotInCone for a parameter outside the cone
-            root = cone_sqrt(algebra, parameter)
-            self._mat = quad_rep_matrices(algebra, root)[0]
-            self._mat_inv = np.linalg.inv(self._mat)
+            self._root = cone_sqrt(algebra, parameter)
+            self._root_inv = inverse(algebra, self._root)
             self._chi = float(algebra.det_poly.numeric(np.atleast_2d(parameter))[0])
         elif kind == "inversion":
             pass
@@ -229,17 +227,15 @@ class GroupGenerator:
         if self.kind == "translation":
             return coords + self._u
         if self.kind == "dilation":
-            return coords @ self._mat.T
-        # z -> -z^{-1}, with z^{-1} = P(z)^{-1} z
-        P = quad_rep_matrices(self.algebra, coords)
-        return -np.linalg.solve(P, coords[..., None])[..., 0]
+            return quad_rep(self.algebra, self._root, coords)
+        return -inverse(self.algebra, coords)
 
     def apply_inv(self, coords: np.ndarray) -> np.ndarray:
         coords = np.atleast_2d(np.asarray(coords, dtype=complex))
         if self.kind == "translation":
             return coords - self._u
         if self.kind == "dilation":
-            return coords @ self._mat_inv.T
+            return quad_rep(self.algebra, self._root_inv, coords)
         return self.apply(coords)       # the inversion is an involution
 
     # -- cocycle -------------------------------------------------------------

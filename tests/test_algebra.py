@@ -13,7 +13,7 @@ from fraction_ref import (
 )
 from rclab.cli import _fd_jacobian
 from rclab.algebra import (
-    ALGEBRA_NAMES, get_algebra, spectral, cone_sqrt, quad_rep_matrices,
+    ALGEBRA_NAMES, get_algebra, spectral, cone_sqrt, inverse, quad_rep as float_quad_rep,
     iota, iota_inv, iota_jacobian, random_interval_point, random_chart_points,
     _cone_ints, _int_mul, _random_ints, AlgebraError, NotInCone,
 )
@@ -116,8 +116,9 @@ def rows(*points):
 
 
 def jordan_products(algebra, X, Y):
-    """The rows x.y = sum_ij x_i y_j (b_i.b_j), by the float product table."""
-    return np.einsum("bi,bj,ijk->bk", X, Y, algebra._mult_tensor)
+    """The rows x.y = sum_ij x_i y_j (b_i.b_j), by the Fraction product table
+    taken to floats."""
+    return np.einsum("bi,bj,ijk->bk", X, Y, np.array(algebra.table, dtype=float))
 
 
 def test_spectral_reconstruction(algebra):
@@ -193,25 +194,20 @@ def test_sym_sqrt_matches_the_matrix_square_root():
             assert np.max(np.abs(matrix(s) - want)) < 1e-12, name
 
 
-def inverses(algebra, X):
-    """x^{-1} = P(x)^{-1} x, through the tube's inversion z -> -z^{-1}."""
-    from rclab.tube import GroupGenerator
-
-    return -GroupGenerator(algebra, "inversion").apply(X).real
-
-
 def test_rank1_sqrt_inverse():
     alg = get_algebra("rank1")
     assert abs(cone_sqrt(alg, rows((4.0,)))[0, 0] - 2.0) < 1e-14
-    assert inverses(alg, rows((4.0,)))[0, 0] == 0.25
+    assert inverse(alg, rows((4.0,)))[0, 0] == 0.25
 
 
 def test_inverse_exact(algebra):
-    # at exact rational cone points, x.x^{-1} = e up to rounding
+    # at exact rational cone points x, and at the complex tube points x + i y
+    # of two of them, x.x^{-1} = e up to rounding
     rng = random.Random(8)
-    X = rows(*(cone_point(rng, algebra) for _ in range(5)))
-    for got in jordan_products(algebra, X, inverses(algebra, X)):
-        assert np.max(np.abs(got - algebra.e)) < 1e-12
+    X = rows(*(cone_point(rng, algebra) for _ in range(6)))
+    for P in (X, X[:3] + 1j * X[3:]):
+        for got in jordan_products(algebra, P, inverse(algebra, P)):
+            assert np.max(np.abs(got - algebra.e)) < 1e-12
 
 
 def test_sqrt_not_in_cone():
@@ -223,13 +219,36 @@ def test_sqrt_not_in_cone():
         cone_sqrt(alg, rows((1.0, 1.0, 0.0), (1.0, 1.0, 1.0)))
 
 
-def test_quad_rep_matrices_apply_P(algebra):
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_quad_rep_matches_the_fraction_reference(name):
+    # P(a)b in each family's closed form, on float rows row by row, one a
+    # against every b and every a against one b, against the Fraction
+    # 2 a.(a.b) - (a.a).b
+    alg = get_algebra(name)
     rng = random.Random(16)
-    xs = [rational_point(rng, algebra) for _ in range(4)]
-    ys = [rational_point(rng, algebra) for _ in range(4)]
-    got = np.einsum("bij,bj->bi", quad_rep_matrices(algebra, rows(*xs)), rows(*ys))
-    for g, x, y in zip(got, xs, ys):
-        assert np.max(np.abs(g - rows(quad_rep(algebra, x, y))[0])) < 1e-12
+    xs = [rational_point(rng, alg) for _ in range(4)]
+    ys = [rational_point(rng, alg) for _ in range(4)]
+    A, B = rows(*xs), rows(*ys)
+
+    def close(got, pairs):
+        want = rows(*(quad_rep(alg, x, y) for x, y in pairs))
+        return got.shape == want.shape and np.allclose(got, want, rtol=1e-13, atol=1e-12)
+
+    assert close(float_quad_rep(alg, A, B), zip(xs, ys))
+    assert close(float_quad_rep(alg, A[0], B), ((xs[0], y) for y in ys))
+    assert close(float_quad_rep(alg, A, B[0]), ((x, ys[0]) for x in xs))
+
+
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_quad_rep_on_complex_rows(name):
+    # the closed forms hold over C: P(a)b = 2 a.(a.b) - (a.a).b on complex
+    # rows, with the float product table
+    alg = get_algebra(name)
+    rng = np.random.default_rng(17)
+    A, B = (rng.normal(size=(5, alg.n)) + 1j * rng.normal(size=(5, alg.n)) for _ in "ab")
+    want = (2 * jordan_products(alg, A, jordan_products(alg, A, B))
+            - jordan_products(alg, jordan_products(alg, A, A), B))
+    assert np.allclose(float_quad_rep(alg, A, B), want, rtol=1e-13, atol=1e-13)
 
 
 def test_cone_membership_examples(algebra):

@@ -575,6 +575,35 @@ def test_check_refuses_a_run_that_tests_nothing_before_any_suite(args, monkeypat
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("args", [
+    ["covariance", "--algebra", "spin4"],
+    ["all", "--algebra", "rank1", "--tol", "gamma-mc=1e-3"],
+], ids=["covariance-spin4", "all-rank1-gamma-mc"])
+def test_a_refused_check_makes_no_cache_dir(args, tmp_path):
+    # the refusal came after --cache-dir was created, so the directory stayed
+    cache = tmp_path / "D"
+    code, out, err = run_cli(["check", *args, "--cache-dir", str(cache)])
+    assert code == 2 and out == "" and err.count("\n") == 1, err
+    assert not cache.exists()
+
+
+@pytest.mark.parametrize("command, text", [
+    # exited 0 and reported the eigenvalue quadrature
+    (["gamma", "--algebra", "sym2", "--nu", "3"], "rule = bogus\n"),
+    # built c(0..3) into the cache and integrated before it exited 2
+    (["gram", "--algebra", "sym2", "--kmax", "3"], "format = xml\n"),
+], ids=["gamma-rule", "gram-format"])
+def test_config_values_must_be_among_the_flag_choices(command, text, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    cache = tmp_path / "cache"
+    code, out, err = run_cli(["--config", str(cfg), *command, "--cache-dir", str(cache)])
+    assert code == 2 and out == "" and not cache.exists()
+    key, _, val = text.strip().partition(" = ")
+    assert err.startswith("error: ") and f"invalid {key} {val!r}" in err, err
+    assert err.count("\n") == 1, err
+
+
 def test_a_suite_that_reports_nothing_fails_the_check(monkeypatch):
     import rclab.cli as cli
 

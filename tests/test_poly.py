@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fraction_ref import quad_rep
-from rclab.algebra import ALGEBRA_NAMES, get_algebra, quad_rep_matrices
+from rclab.algebra import ALGEBRA_NAMES, get_algebra, quad_rep as float_quad_rep
 from rclab.brackets import compute_c, compute_C
 from rclab.cli import K_CAPS
 from rclab.poly import Poly
@@ -103,13 +103,12 @@ def test_restriction_against_the_loop(case, lam, mu, data):
 
 @settings(max_examples=40, deadline=None)
 @given(name=st.sampled_from(ALGEBRA_NAMES), data=st.data())
-def test_quad_rep_matrix_is_the_column_by_column_matrix(name, data):
+def test_quad_rep_against_the_fraction_reference(name, data):
     alg = get_algebra(name)
-    x = data.draw(points(alg.n))
-    columns = [quad_rep(alg, x, [int(i == j) for i in range(alg.n)]) for j in range(alg.n)]
-    want = np.array(columns, dtype=float).T
-    got = quad_rep_matrices(alg, np.array(x, dtype=float))[0]
-    assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+    x, y = data.draw(points(alg.n)), data.draw(points(alg.n))
+    want = np.array(quad_rep(alg, x, y), dtype=float)
+    got = float_quad_rep(alg, np.array(x, dtype=float), np.array(y, dtype=float))
+    assert got.shape == want.shape and np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_rows_are_canonical_whatever_the_insertion_order():

@@ -10,7 +10,7 @@ import pytest
 
 from rclab import quadrature
 from rclab.algebra import (
-    get_algebra, spectral, cone_sqrt, quad_rep_matrices, iota_jacobian,
+    get_algebra, spectral, cone_sqrt, quad_rep, iota_jacobian,
 )
 from rclab.brackets import jacobi_classical
 from rclab.poly import Poly
@@ -481,12 +481,12 @@ def _fails(check, name):
 def scaled_chart(monkeypatch, fresh_chart_rule):
     # a 1e-3 scale error in P(z^{1/2}), w = P(z^{1/2}) v, changes the chart's
     # volume by about n 1e-3 and moves both sides apart by as much
-    quad_rep_matrices = quadrature.quad_rep_matrices
+    exact = quadrature.quad_rep
 
-    def scaled(algebra, X):
-        return 1.001 * quad_rep_matrices(algebra, X)
+    def scaled(algebra, A, B):
+        return 1.001 * exact(algebra, A, B)
 
-    monkeypatch.setattr(quadrature, "quad_rep_matrices", scaled)
+    monkeypatch.setattr(quadrature, "quad_rep", scaled)
 
 
 @pytest.fixture
@@ -547,7 +547,9 @@ def _chart_rule_reference(name, center, radius):
     rho = np.sqrt(4 * radius**2 - d2) / spectral(alg, zs)[:, 0]
     unit, ucell = quadrature._midpoint_grid(quadrature._ball_box(alg, 0.0, 1.0), nodes["v"])
     assert len(unit) == {"rank1": 100, "sym2": 1_000}[name]
-    Pz = rho[:, None, None] * quad_rep_matrices(alg, cone_sqrt(alg, zs))
+    roots = cone_sqrt(alg, zs)
+    Pz = rho[:, None, None] * np.stack([quad_rep(alg, roots, b) for b in np.eye(alg.n)],
+                                       axis=2)
     inner = np.zeros(len(zs))
     for u in unit:
         w = Pz @ u
@@ -586,18 +588,18 @@ def test_no_v_node_lies_within_rounding_of_the_unit_sphere(name):
 
 
 def _chart_loop_runs(name, tmp_path, monkeypatch):
-    """How often `check all` builds chart matrices in quadrature, and for
-    how many z nodes each time."""
+    """The z node counts of the P(a)b calls `check all` makes in quadrature:
+    one call per basis column each time the chart matrices are built."""
     from rclab.cli import main
 
-    quad_rep_matrices = quadrature.quad_rep_matrices
+    exact = quadrature.quad_rep
     calls = []
 
-    def counted(algebra, X):
-        calls.append(len(X))
-        return quad_rep_matrices(algebra, X)
+    def counted(algebra, A, B):
+        calls.append(len(A))
+        return exact(algebra, A, B)
 
-    monkeypatch.setattr(quadrature, "quad_rep_matrices", counted)
+    monkeypatch.setattr(quadrature, "quad_rep", counted)
     code = main(["check", "all", "--algebra", name, "--cache-dir", str(tmp_path),
                  "--output", str(tmp_path / "all.json")])
     assert code == 0
@@ -608,9 +610,10 @@ def test_check_all_sym2_runs_the_chart_inner_loop_once(tmp_path, monkeypatch,
                                                        fresh_chart_rule):
     # both sym2 chart checks integrate over the same ball, so they share one
     # rhs rule: its chart matrices, and with them its 1,000-node v loop, are
-    # built once per process, not once per check
+    # built once per process, not once per check: one P(a)b call for each
+    # of the n = 3 columns, all over the same z nodes
     calls = _chart_loop_runs("sym2", tmp_path, monkeypatch)
-    assert len(calls) == 1 and calls[0] > 0, calls
+    assert len(calls) == 3 and len(set(calls)) == 1 and calls[0] > 0, calls
 
 
 def test_check_all_rank1_runs_the_chart_inner_loop_once(tmp_path, monkeypatch,

@@ -462,6 +462,48 @@ def test_covariance_catches_a_wrong_coefficient(name, monkeypatch, tmp_path, wro
     assert all(rep["pass"] for rep in data["reports"] if rep["k"] != 1)
 
 
+def _flip_det_term(algebra, A, B, P):
+    """(a|b) a + det(a) b* from P(a)b = (a|b) a - det(a) b* in rank 2."""
+    det = algebra.det_poly.numeric(np.atleast_2d(A))[:, None]
+    return P + 2 * det * ((B @ np.array(algebra.trace_vec, dtype=float))[..., None]
+                          * algebra.e - B)
+
+
+@pytest.mark.parametrize("name, wrong", [
+    ("rank1", lambda alg, A, B, P: 1.001 * P), ("sym2", _flip_det_term),
+    ("spin5", _flip_det_term), ("sym3", lambda alg, A, B, P: 1.001 * P)],
+    ids=["rank1-scaled", "sym2-flipped", "spin5-flipped", "sym3-scaled"])
+def test_a_wrong_quadratic_representation_fails_the_cocycle_checks(name, wrong,
+                                                                   monkeypatch):
+    # a wrong P(a) in one family breaks the lift of the dilation: both the
+    # kernel cocycle and the coherent-state transport see it, at the points
+    # of the cocycles suite
+    from rclab import tube
+
+    alg = get_algebra(name)
+    n = alg.n
+    z = 0.4 * np.arange(n) / n + 1.3j * alg.e + 0.05j * np.arange(n)
+    w = -0.2 * alg.e + 0.9j * alg.e
+
+    def dilation_checks():
+        gen = default_generators(alg)[1]
+        assert gen.kind == "dilation"
+        return check_hua_cocycle(alg, gen, z, w), check_coherent_transform(alg, 2.7, gen, w)
+
+    assert all(rep["pass"] for rep in dilation_checks())
+    exact = tube.quad_rep
+
+    def mutated(algebra, A, B):
+        P = exact(algebra, A, B)
+        return wrong(algebra, A, B, P) if algebra is alg else P
+
+    monkeypatch.setattr(tube, "quad_rep", mutated)
+    assert not any(rep["pass"] for rep in dilation_checks())
+    other = get_algebra("spin4" if name != "spin5" else "sym2")
+    gen = default_generators(other)[1]
+    assert check_hua_cocycle(other, gen, other.e * 0.1 + 1j * other.e, 1j * other.e)["pass"]
+
+
 @pytest.mark.parametrize("kind", ["translation", "dilation", "inversion"])
 def test_covariance_rank1(kind):
     alg = get_algebra("rank1")
