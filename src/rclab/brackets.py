@@ -315,8 +315,8 @@ def check_chi_covariance(algebra: JordanAlgebra, kmax: int, samples: int = 50,
     return reports
 
 
-def check_iota_factorization(algebra: JordanAlgebra, kmax: int, samples: int = 20,
-                             tol: float = 1e-10, cache_dir=None) -> list:
+def check_iota_factorization(algebra: JordanAlgebra, kmax: int, samples: int = 20, *,
+                             tol: float, cache_dir=None) -> list:
     """Numeric test of c(k)_{lam,mu}(iota(eta, v)) = det(eta)^k C(k)_{lam,mu}(v),
     one report per k = 1..kmax (at k = 0 both sides are 1).
 
@@ -364,7 +364,7 @@ def _random_automorphism(algebra, rng):
 
 
 def check_aut_invariance(algebra: JordanAlgebra, k: int, lam, mu,
-                         tol: float = 1e-10, cache_dir=None) -> dict:
+                         tol: float, cache_dir=None) -> dict:
     """C(k) composed with AUT_SAMPLES sampled automorphisms equals C(k)."""
     rng = random.Random(AUT_SEED)
     C = compute_C(algebra, k, lam, mu, cache_dir)

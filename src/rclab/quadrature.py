@@ -13,14 +13,17 @@ Each rule is built once per (n, alpha, beta) and cached for the life of the
 process; its nodes and weights are read-only arrays that every caller
 shares, so nobody can corrupt a rule in place.
 
-Cone integrals of invariant functions reduce to eigenvalue integrals against
-a Vandermonde-power density; the absolute normalization constant
+The cone Gamma integral reduces to an eigenvalue integral against a
+Vandermonde-power density; the absolute normalization constant
 
     c_Omega = r! (2 pi)^((n-r)/2) / prod_{j=1..r} Gamma(1 + j d/2)/Gamma(1 + d/2)
 
 is fixed by calibrating the Gaussian integral of the trace form against
 Mehta's integral, so numeric values of Gamma_Omega match the closed product
-formula in absolute terms, not just up to ratios.
+formula in absolute terms, not just up to ratios.  The tube Laplace
+transform sweeps the cone along rays xi = s omega, a table of unit rays per
+algebra (rank 1 is the one ray omega = 1), with a Laguerre rule in s that
+absorbs the det power.
 
 Interval (Weyl-reduced) integrals use the chamber normalization constant 1:
 only ratios and zero tests of those integrals are consumed downstream.
@@ -55,7 +58,6 @@ __all__ = [
     "gamma_omega_closed",
     "gamma_omega_numeric",
     "mehta_cone_constant",
-    "cone_integrate_invariant",
     "weyl_integral",
     "GramReport",
     "gram_matrix",
@@ -63,7 +65,6 @@ __all__ = [
     "bump",
     "box_rule",
     "CHART_NODES",
-    "CHART_TOLERANCE",
     "chart_integrals",
     "check_change_of_variables",
 ]
@@ -247,62 +248,55 @@ def _integral(weights, vals):
     return out[()]
 
 
-def cone_integrate_invariant(algebra: JordanAlgebra, h_eig, n: int = 80,
-                             det_power: float = 0.0):
-    """integral over Omega of e^{-tr x} det(x)^p h(eigenvalues(x)) dx.
-
-    ``h_eig`` maps an (m, r) array of eigenvalue rows to m values.  Rank 1
-    uses Gauss-Laguerre with alpha = p directly.  Rank 2 uses the factorized
-    chamber coordinates lam = (s(1-u)/2, s(1+u)/2): trace and spread
-    separate, and the rules carry det^p = s^{2p} (1-u)^p (1+u)^p / 4^p with
-    the density s^{d+1} u^d / 2, Laguerre with alpha = 2p + d + 1 in s and
-    Gauss-Jacobi with alpha = p on t = 2u - 1, each with ``n`` nodes.  In
-    both a fractional power costs no accuracy.  r > 2 uses a tensor Laguerre
-    grid in gap coordinates, min(n, 40) nodes per axis.
-    """
-    c0 = mehta_cone_constant(algebra)
-    r, d, p = algebra.r, algebra.d, float(det_power)
-    if r == 1:
-        rule = gauss_laguerre(n, p)
-        return _integral(rule.weights * c0, h_eig(rule.nodes[:, None]))
-    if r == 2:
-        rs = gauss_laguerre(n, 2 * p + d + 1)
-        ru = gauss_jacobi(n, p, 0.0)
-        s = rs.nodes[:, None]
-        u = (1 + ru.nodes) / 2
-        # int_0^1 (1-u)^p g(u) du = 2^{-p-1} sum_j w_j g(u_j)
-        wu = ru.weights * 2.0 ** (-p - 1) * ((1 + u) / 4) ** p * u**d / 2
-        w = c0 * rs.weights[:, None] * wu
-        lam = np.stack([(s * (1 - u) / 2).ravel(), (s * (1 + u) / 2).ravel()], axis=1)
-        return _integral(w.ravel(), h_eig(lam))
-    # r >= 3: gap coordinates lam_i = g_1 + ... + g_i keep the Vandermonde
-    # polynomial (no absolute values) and the chamber constraint implicit
-    rl = gauss_laguerre(min(n, 40))
-    rates = [r - i for i in range(r)]   # coefficient of g_{i+1} in tr
-    g, w = _tensor_rule([rl.nodes / rate for rate in rates],
-                        [rl.weights / rate for rate in rates])
-    lam = np.cumsum(g, axis=1)
-    for i in range(r):
-        for j in range(i + 1, r):
-            w = w * (lam[:, j] - lam[:, i]) ** d
-    return _integral(c0 * w * np.prod(lam, axis=1) ** p, h_eig(lam))
-
-
 def gamma_omega_numeric(algebra: JordanAlgebra, nu, method: str = "quadrature",
                         n: int = 80, mc_samples: int = 1_000_000,
                         seed: int = 20240) -> float:
-    """Gamma_Omega(nu) as an honest integral over the cone."""
+    """Gamma_Omega(nu) = int_Omega e^{-tr x} det(x)^p dx, p = nu - n/r, by
+    Monte Carlo ("mc") or over the eigenvalues against the Vandermonde-power
+    density ("quadrature").  Rank 1: Gauss-Laguerre with alpha = p.  Rank 2:
+    lam = (s(1-u)/2, s(1+u)/2) separates trace and spread, and the rules
+    carry det^p with the density s^{d+1} u^d / 2: Laguerre with alpha =
+    2p + d + 1 in s, Gauss-Jacobi with alpha = p on t = 2u - 1, ``n`` nodes
+    each.  r > 2: gaps lam_i = g_1 + ... + g_i, min(n, 40) Laguerre nodes
+    per axis; the g_1 rule carries lam_1^p (alpha = p), the Vandermonde
+    factor does not depend on g_1, and the grid is summed one g_1 at a time.
+    """
     nu = float(nu)
     if nu <= (algebra.r - 1) * algebra.d / 2:
         raise ValueError(
             f"integral diverges: need nu > (r-1)d/2 = {(algebra.r-1)*algebra.d/2}"
         )
-    if method == "quadrature":
-        return cone_integrate_invariant(algebra, lambda eigs: np.ones(len(eigs)), n=n,
-                                        det_power=nu - algebra.n / algebra.r)
     if method == "mc":
         return _gamma_mc(algebra, nu, mc_samples, seed)
-    raise ValueError(f"unknown method {method!r}")
+    if method != "quadrature":
+        raise ValueError(f"unknown method {method!r}")
+    c0 = mehta_cone_constant(algebra)
+    r, d, p = algebra.r, algebra.d, nu - algebra.n / algebra.r
+    if r == 1:
+        return float(c0 * np.sum(gauss_laguerre(n, p).weights))
+    if r == 2:
+        rs = gauss_laguerre(n, 2 * p + d + 1)
+        ru = gauss_jacobi(n, p, 0.0)
+        u = (1 + ru.nodes) / 2
+        # int_0^1 (1-u)^p g(u) du = 2^{-p-1} sum_j w_j g(u_j)
+        wu = ru.weights * 2.0 ** (-p - 1) * ((1 + u) / 4) ** p * u**d / 2
+        return float(c0 * np.sum(rs.weights) * np.sum(wu))
+    # r >= 3: the gaps keep the Vandermonde polynomial (no absolute values)
+    # and the chamber constraint implicit; g_i enters the trace with rate
+    # r - i + 1
+    m = min(n, 40)
+    first, rest = gauss_laguerre(m, p), gauss_laguerre(m)
+    g, w = _tensor_rule([rest.nodes / (r - i) for i in range(1, r)],
+                        [rest.weights / (r - i) for i in range(1, r)])
+    lam = np.cumsum(g, axis=1)          # lam_i - lam_1, i = 2..r
+    for i in range(r - 1):
+        w = w * lam[:, i] ** d
+        for j in range(i + 1, r - 1):
+            w = w * (lam[:, j] - lam[:, i]) ** d
+    total = 0.0
+    for g1, w1 in zip(first.nodes / r, first.weights / r ** (p + 1)):
+        total += w1 * np.sum(w * np.prod(g1 + lam, axis=1) ** p)
+    return float(c0 * total)
 
 
 def _gamma_mc(algebra, nu, samples, seed):
@@ -480,45 +474,38 @@ def gram_matrix(algebra: JordanAlgebra, lam, mu, k_max: int, n: int | None = Non
 
 
 # ---------------------------------------------------------------------------
-# Full-dimensional cone quadrature for sym2 (non-invariant integrands)
+# The tube Laplace transform along rays of the cone
 
 
-def _sym2_coords(lam1, lam2, c2, s2, cs):
-    """Coordinates (..., 3) of k diag(lam1, lam2) k^T, k the rotation by
-    theta, from cos^2, sin^2 and cos sin of theta."""
-    x11 = c2 * lam1 + s2 * lam2
-    x22 = s2 * lam1 + c2 * lam2
-    x12 = cs * (lam2 - lam1)
-    return np.stack([x11, x22, x12], axis=-1)
-
-
-# rays of the sym2 Laplace rule summed together: a block of (rays x radial
+# rays of the Laplace rule summed together: a block of (rays x radial
 # nodes) coordinates and phases takes a few MB
 _RAY_BLOCK = 256
 
 
 @functools.cache
-def _sym2_rays():
-    """The rays (u, theta) of the sym2 Laplace rule, which depend on neither
-    z nor p: u, the ray weights without the det power, the unit coordinates,
-    cos^2, sin^2, cos sin of theta and (1 -+ u)/2, one entry per ray.  Built
-    once per process and returned read-only."""
-    n_u, n_theta = 48, 48
-    gl = gauss_legendre(n_u)
-    u, wu = scaled_interval_rule(gl, 0.0, 1.0)
-    theta = (np.arange(n_theta) + 0.5) * math.pi / n_theta
-    wt = np.full(n_theta, math.pi / n_theta)
-    U, T = np.meshgrid(u, theta, indexing="ij")
-    WU, WT = np.meshgrid(wu, wt, indexing="ij")
-    u, t = U.ravel(), T.ravel()
-    c_polar = mehta_cone_constant(get_algebra("sym2")) / math.pi
-    weights = (WU * WT).ravel() * c_polar * (u / 2)
-    c, sn = np.cos(t), np.sin(t)
-    c2, s2, cs = c**2, sn**2, c * sn
-    # s (1 -+ u)/2 is s (1 -+ u) halved: halving is exact, so the radial
-    # coordinates keep their bits
-    h1, h2 = (1 - u) / 2, (1 + u) / 2
-    rays = (u, weights, _sym2_coords(h1, h2, c2, s2, cs), c2, s2, cs, h1, h2)
+def _rays(name):
+    """The rays of the Laplace rule of the algebra ``name``, which depend on
+    neither z nor p: unit rows omega (tr omega = 1), their weights and det
+    omega.  Rank 1 is the single ray omega = 1.  sym2 takes omega = k
+    diag((1-u)/2, (1+u)/2) k^T, k the rotation by theta, on 48 Gauss-Legendre
+    nodes of the spread u in [0, 1] and 48 midpoint angles in [0, pi).
+    Built once per process and returned read-only."""
+    if name == "rank1":
+        rays = (np.ones((1, 1)), np.ones(1), np.ones(1))
+    elif name == "sym2":
+        n_u, n_theta = 48, 48
+        u, wu = scaled_interval_rule(gauss_legendre(n_u), 0.0, 1.0)
+        theta = (np.arange(n_theta) + 0.5) * math.pi / n_theta
+        U, T = np.meshgrid(u, theta, indexing="ij")
+        u, t = U.ravel(), T.ravel()
+        c_polar = mehta_cone_constant(get_algebra("sym2")) / math.pi
+        weights = np.repeat(wu, n_theta) * (math.pi / n_theta) * c_polar * (u / 2)
+        c2, s2, cs = np.cos(t) ** 2, np.sin(t) ** 2, np.cos(t) * np.sin(t)
+        h1, h2 = (1 - u) / 2, (1 + u) / 2
+        unit = np.stack([c2 * h1 + s2 * h2, s2 * h1 + c2 * h2, cs * (h2 - h1)], axis=1)
+        rays = (unit, weights, h1 * h2)
+    else:
+        raise ValueError("tube_laplace supports rank1 and sym2")
     for arr in rays:
         arr.flags.writeable = False
     return rays
@@ -530,53 +517,36 @@ def tube_laplace(algebra: JordanAlgebra, integrands, z,
     at the tube point ``z``, for each g of the sequence ``integrands``, as a
     complex array.
 
-    Each g maps an (m, n) coordinate array to an (m,) array and must grow at
-    most polynomially.  Every g is evaluated on the rule's nodes in turn.
-    The (possibly fractional) det power p is absorbed into a
-    generalized-Laguerre radial rule, so endpoint behavior costs no
-    accuracy.  The radial direction is rescaled per ray so the built-in
-    exponential matches the full decay tr - (Im z, .); the leftover bounded
-    oscillation is handled by the rule itself.  The integral converges when
-    Im z + e lies in the cone.  Supports rank1 and sym2 (the two families
-    the analytic checks drive).  The sym2 ray geometry (spread u and angle
-    theta) is built once per process and cached read-only; the rays are
-    summed in blocks of ``_RAY_BLOCK``, keeping one (integrands x rays) array
-    of per-ray sums, so the full (rays x radial nodes) grid never exists.
+    Each g maps an (m, n) coordinate array to an (m,) array, grows at most
+    polynomially, and is evaluated on the rule's nodes in turn.  Along a ray
+    xi = s omega of ``_rays``, det(xi)^p = s^{rp} det(omega)^p and the
+    density is s^{n-1}, so one Laguerre rule in s with alpha = n - 1 + rp
+    absorbs the (possibly fractional) power.  Its nodes are rescaled per ray
+    by q = (e + Im z | omega), so e^{-s} is the integrand's full decay; the
+    bounded phase e^{i s (Re z | omega)} is left to the rule, and each ray
+    weighs w_omega det(omega)^p / q^{alpha+1}.  The integral converges when
+    Im z + e lies in the cone.  Rays are summed in blocks of ``_RAY_BLOCK``
+    into one (integrands x rays) array, so the (rays x radial nodes) grid
+    never exists.
     """
     p = float(det_power)
-    n_s = 128   # radial Laguerre nodes
-    if algebra.family == "rank1":
-        wcplx = 1.0 - 1j * complex(z[0])  # e^{-w xi}
-        q = wcplx.real
-        if q <= 0:
-            raise ValueError("integral does not converge")
-        rs = gauss_laguerre(n_s, alpha=p)
-        xi = rs.nodes / q
-        phase = np.exp(-1j * wcplx.imag * xi)
-        return np.array([np.sum(rs.weights * g(xi.reshape(-1, 1)) * phase)
-                         / q ** (1.0 + p) for g in integrands], dtype=complex)
-    if algebra.name != "sym2":
-        raise ValueError("tube_laplace supports rank1 and sym2")
-    rs = gauss_laguerre(n_s, alpha=2 * p + 2)   # det^p -> s^{2p}, density s^2
-    u, weights, unit, c2, s2, cs, h1, h2 = _sym2_rays()
-    wray = weights * ((1 - u**2) / 4) ** p
-    gram = np.array([1.0, 1.0, 2.0])
-    q = unit[:, 0] + unit[:, 1] + unit @ (gram * z.imag)
+    unit, weights, det = _rays(algebra.name)
+    alpha = algebra.n - 1 + algebra.r * p
+    rs = gauss_laguerre(128, alpha)
+    gram = np.array(algebra.gram, dtype=float)
+    q = unit @ (gram * (algebra.e + z.imag))
     posc = unit @ (gram * z.real)
     if np.any(q <= 0):
         raise ValueError("integral does not converge")
-    qpow = q ** (2 * p + 3)
-    sums = np.empty((len(integrands), len(u)), dtype=complex)
-    for lo in range(0, len(u), _RAY_BLOCK):
+    sums = np.empty((len(integrands), len(q)), dtype=complex)
+    for lo in range(0, len(q), _RAY_BLOCK):
         rays = slice(lo, lo + _RAY_BLOCK)
-        # radial sum per ray: s = tau/q, picking up q^{-(2p+3)}
         s = rs.nodes[None, :] / q[rays, None]
-        coords = _sym2_coords(s * h1[rays, None], s * h2[rays, None], c2[rays, None],
-                              s2[rays, None], cs[rays, None]).reshape(-1, 3)
+        coords = (s[:, :, None] * unit[rays, None, :]).reshape(-1, algebra.n)
         phase = np.exp(1j * posc[rays, None] * s)
         for i, g in enumerate(integrands):
-            sums[i, rays] = (g(coords).reshape(-1, n_s) * phase) @ rs.weights
-    return np.array([np.sum(wray * ray_sums / qpow) for ray_sums in sums], dtype=complex)
+            sums[i, rays] = (g(coords).reshape(s.shape) * phase) @ rs.weights
+    return np.sum(sums * (weights * det**p / q ** (alpha + 1)), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -619,18 +589,15 @@ def box_rule(bounds, n: int):
 CHART_NODES = {"rank1": {"x": 160, "z": 160, "v": 100},
                "sym2": {"x": 48, "z": 16, "v": 10}}
 
-# the tolerance of both chart checks, per algebra of CHART_NODES
-CHART_TOLERANCE = {"rank1": 1e-6, "sym2": 1e-4}
 
-
-def check_change_of_variables(algebra: JordanAlgebra) -> dict:
+def check_change_of_variables(algebra: JordanAlgebra, tol: float) -> dict:
     """Both sides of the polar-chart integration formula on a smooth bump
-    (``chart_integrals`` with weight 1), at CHART_TOLERANCE."""
+    (``chart_integrals`` with weight 1), at the tolerance ``tol``."""
     lhs, rhs = chart_integrals(algebra, 2.0, 0.9)
     return report("polar-chart-change-of-variables", algebra.name,
                   method="quadrature", nodes=dict(CHART_NODES[algebra.name]), lhs=lhs,
                   rhs=rhs, residual=abs(lhs - rhs) / max(abs(lhs), 1e-300),
-                  tolerance=CHART_TOLERANCE[algebra.name])
+                  tolerance=tol)
 
 
 def _midpoint_grid(bounds, n: int):

@@ -35,7 +35,7 @@ from .poly import Poly
 from .quadrature import (
     gamma_omega_closed, tube_laplace, gauss_legendre, gauss_jacobi,
     scaled_interval_rule, box_rule, weyl_integral, bump, chart_integrals,
-    CHART_NODES, CHART_TOLERANCE,
+    CHART_NODES,
 )
 
 __all__ = [
@@ -339,8 +339,7 @@ def default_generators(algebra):
 
 
 def check_covariance_B(algebra: JordanAlgebra, k: int, lam, mu,
-                       gen: GroupGenerator, tol: float = 1e-6,
-                       cache_dir=None) -> dict:
+                       gen: GroupGenerator, tol: float, cache_dir=None) -> dict:
     """Both routes of the bracket covariance on a coherent-state product F G.
 
     LHS: transform the slots, pi_lam(g) F and pi_mu(g) G, then apply the
@@ -377,7 +376,7 @@ def check_covariance_B(algebra: JordanAlgebra, k: int, lam, mu,
 
 
 def check_adjoint_image(algebra: JordanAlgebra, k: int, lam, mu, z1, z2,
-                        tol: float = 1e-6, cache_dir=None) -> dict:
+                        tol: float, cache_dir=None) -> dict:
     """Laplace transform of the adjoint-image integrand vs the closed form,
     at the tube points ``z1`` and ``z2``.
 
@@ -426,25 +425,25 @@ CHART_TUBE_POINTS = {"rank1": (0.4 + 1.3j,),
                      "sym2": (0.2 + 0.9j, -0.1 + 1.1j, 0.05 + 0.1j)}
 
 
-def check_J_factorization(algebra: JordanAlgebra) -> dict:
+def check_J_factorization(algebra: JordanAlgebra, tol: float) -> dict:
     """res o (two-slot Laplace) against (one-slot Laplace) o averaging map,
     at the tube point z of CHART_TUBE_POINTS.
 
     Both sides are the polar-chart integrals of a smooth bump about 2e of
     radius 0.9 against the character e^{i(z, .)}, by the tensor midpoint
-    rules of CHART_NODES (``chart_integrals``), at CHART_TOLERANCE.
+    rules of CHART_NODES (``chart_integrals``), at the tolerance ``tol``.
     """
     # z is None only off CHART_NODES, where chart_integrals raises
     lhs, rhs = chart_integrals(algebra, 2.0, 0.9, z=CHART_TUBE_POINTS.get(algebra.name))
     resid = abs(lhs - rhs) / max(abs(lhs), 1e-300)
     return report("laplace-averaging-factorization", algebra.name,
                   method="quadrature", nodes=dict(CHART_NODES[algebra.name]),
-                  tolerance=CHART_TOLERANCE[algebra.name], residual=resid,
+                  tolerance=tol, residual=resid,
                   lhs=[lhs.real, lhs.imag], rhs=[rhs.real, rhs.imag])
 
 
 def check_partial_isometry(algebra: JordanAlgebra, k: int, lam, mu,
-                           tol: float = 1e-6, cache_dir=None) -> dict:
+                           tol: float, cache_dir=None) -> dict:
     """Norm ratio constancy of the adjoint embedding, rank 1.
 
     ||Phi h||^2 / ||h||^2 must match the interval integral
@@ -492,8 +491,7 @@ def check_partial_isometry(algebra: JordanAlgebra, k: int, lam, mu,
 
 
 def check_bracket_transform_equivalence(algebra: JordanAlgebra, k: int,
-                                        lam, mu, tol: float = 1e-6,
-                                        cache_dir=None) -> dict:
+                                        lam, mu, tol: float, cache_dir=None) -> dict:
     """The bracket on transforms equals the transform of the averaged form.
 
     Left route: apply the bi-differential bracket to the two-slot transform
@@ -540,7 +538,7 @@ def check_bracket_transform_equivalence(algebra: JordanAlgebra, k: int,
                   tolerance=tol)
 
 
-def check_bergman_isometry(algebra: JordanAlgebra, tol: float = 1e-6) -> dict:
+def check_bergman_isometry(algebra: JordanAlgebra, tol: float) -> dict:
     """Weighted-norm isometry of the cone transform, rank 1, at nu = 2.5.
 
     ||L f||^2 against det(y)^{nu-2n/r} dx dy over the tube equals a
@@ -582,7 +580,7 @@ def check_bergman_isometry(algebra: JordanAlgebra, tol: float = 1e-6) -> dict:
 
 
 def check_hua_cocycle(algebra: JordanAlgebra, gen: GroupGenerator, z, w,
-                      tol: float = 1e-8) -> dict:
+                      tol: float) -> dict:
     """det(g z - conj(g w)) = e^{(r/2n) psi_g(z)} det(z - conj w) conj(e^{(r/2n) psi_g(w)})
     at the tube points ``z`` and ``w``."""
     r, n = algebra.r, algebra.n
@@ -601,7 +599,7 @@ def check_hua_cocycle(algebra: JordanAlgebra, gen: GroupGenerator, z, w,
 
 
 def check_coherent_transform(algebra: JordanAlgebra, nu, gen: GroupGenerator,
-                             w, tol: float = 1e-8) -> dict:
+                             w, tol: float) -> dict:
     """pi_nu(g) k_nu^w = e^{(r nu / 2n) conj(psi_g(w))} k_nu^{g(w)} at the
     default tube points, for the tube point ``w``."""
     K = coherent_state(algebra, nu, w)

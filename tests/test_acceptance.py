@@ -101,8 +101,8 @@ def test_criterion_06_jacobian_and_change_of_variables():
         Z, V = random_chart_points(random.Random(23), alg, 20)
         an = iota_jacobian(alg, Z)
         worst = max(worst, *(np.abs(_fd_jacobian(alg, Z, V) - an) / np.abs(an)))
-    rep1 = quadrature.check_change_of_variables(get_algebra("rank1"))
-    rep2 = quadrature.check_change_of_variables(get_algebra("sym2"))
+    rep1 = quadrature.check_change_of_variables(get_algebra("rank1"), 1e-6)
+    rep2 = quadrature.check_change_of_variables(get_algebra("sym2"), 1e-4)
     ok = worst < 1e-6 and rep1["residual"] < 1e-6 and rep2["residual"] < 1e-4
     _line(6, "polar-chart-jacobian+varchange", ok,
           f"(fd {worst:.2e} < 1e-6, rank1 {rep1['residual']:.2e} < 1e-6, "
@@ -148,8 +148,8 @@ def test_criterion_08_laplace_identity():
 
 
 def test_criterion_09_L2_factorization():
-    rep1 = tube.check_J_factorization(get_algebra("rank1"))
-    rep2 = tube.check_J_factorization(get_algebra("sym2"))
+    rep1 = tube.check_J_factorization(get_algebra("rank1"), 1e-6)
+    rep2 = tube.check_J_factorization(get_algebra("sym2"), 1e-4)
     ok = rep1["residual"] < 1e-6 and rep2["residual"] < 1e-4
     _line(9, "restriction-transform-factorization", ok,
           f"(rank1 {rep1['residual']:.2e} < 1e-6, "
@@ -183,7 +183,7 @@ def test_criterion_11_partial_isometry(cache_dir):
     worst_spread = 0.0
     worst_const = 0.0
     for k in (0, 1, 2):
-        rep = tube.check_partial_isometry(get_algebra("rank1"), k, 3, 3,
+        rep = tube.check_partial_isometry(get_algebra("rank1"), k, 3, 3, tol=1e-6,
                                           cache_dir=cache_dir)
         worst_spread = max(worst_spread, rep["ratio_spread"])
         worst_const = max(worst_const, rep["constant_residual"])
@@ -210,9 +210,9 @@ def test_criterion_12_covariance(cache_dir):
         w = -0.2 * e + 0.9j * e
         for gen in tube.default_generators(alg):
             worst_aux = max(worst_aux,
-                            tube.check_hua_cocycle(alg, gen, z, w)["residual"])
+                            tube.check_hua_cocycle(alg, gen, z, w, 1e-8)["residual"])
             worst_aux = max(worst_aux, tube.check_coherent_transform(
-                alg, 2.7, gen, w)["max_residual"])
+                alg, 2.7, gen, w, 1e-8)["max_residual"])
     ok = worst_cov < 1e-6 and worst_aux < 1e-8
     _line(12, "bracket-group-covariance", ok,
           f"(covariance {worst_cov:.2e} < 1e-6, cocycles {worst_aux:.2e} < 1e-8)")

@@ -314,7 +314,7 @@ def test_iota_factorization_rank1_v0():
 
 def test_iota_factorization_reports():
     for name, kmax in (("rank1", 2), ("sym2", 2), ("spin4", 2)):
-        reps = check_iota_factorization(get_algebra(name), kmax, samples=8)
+        reps = check_iota_factorization(get_algebra(name), kmax, samples=8, tol=1e-10)
         assert [rep["k"] for rep in reps] == list(range(1, kmax + 1))
         for rep in reps:
             assert rep["pass"], rep
@@ -325,13 +325,13 @@ def test_iota_factorization_fails_on_nan(monkeypatch):
     from rclab.poly import Poly
 
     monkeypatch.setattr(Poly, "numeric", lambda self, points: np.full(len(points), np.nan))
-    [rep] = check_iota_factorization(get_algebra("rank1"), 1)
+    [rep] = check_iota_factorization(get_algebra("rank1"), 1, tol=1e-10)
     assert rep["pass"] is False
 
 
 def test_aut_invariance():
     for name in ("sym2", "sym3", "spin4", "spin5"):
-        rep = check_aut_invariance(get_algebra(name), 1, 2, 3)
+        rep = check_aut_invariance(get_algebra(name), 1, 2, 3, 1e-10)
         assert rep["pass"], rep
 
 

@@ -493,6 +493,24 @@ def test_run_suites_lets_a_loose_tolerance_through():
     assert ok and reports[0]["tolerance"] == 1e-11
 
 
+@pytest.mark.parametrize("suite, algebra, tighter, looser", [
+    ("change-of-variables", "rank1", 1e-7, 1e-5),
+    ("change-of-variables", "sym2", 5e-5, 1e-3),
+    ("laplace-factorization", "rank1", 1e-7, 1e-5),
+    ("laplace-factorization", "sym2", 1e-5, 1e-3),
+])
+def test_chart_suites_read_their_tolerance_from_the_table(suite, algebra, tighter, looser,
+                                                          cache_dir):
+    # both chart checks read a module constant, so --tol could not name them
+    argv = ["check", suite, "--algebra", algebra, "--cache-dir", cache_dir, "--tol"]
+    code, out, err = run_cli(argv + [f"{suite}={tighter}"])
+    assert code == 0, err
+    (rep,) = json.loads(out)["reports"]
+    assert rep["pass"] and rep["tolerance"] == tighter, rep
+    code, out, err = run_cli(argv + [f"{suite}={looser}"])
+    assert code == 2 and out == "" and err.startswith(f"error: --tol {suite}="), err
+
+
 def test_check_rejects_an_unknown_tolerance_name(tmp_path):
     code, _, err = run_cli(["check", "branch", "--algebra", "rank1",
                             "--tol", "brnch=1e-300"])
@@ -525,12 +543,13 @@ def test_every_tolerance_a_suite_reads_is_named():
 
 
 def test_the_built_in_tolerances_per_algebra():
-    # 17 names, each read by one suite, at the values the suites had as literals
+    # 19 names, each read by one suite, at the values the checks held before
+    # the table
     from rclab.algebra import ALGEBRA_NAMES
     import rclab.cli as cli
 
     names = [t for row in cli.SUITE_TABLE.values() for t in row.tols]
-    assert len(names) == len(set(names)) == 17
+    assert len(names) == len(set(names)) == 19
     for alg in ALGEBRA_NAMES:
         want = {"iota-fact": 1e-10, "iota-roundtrip": 1e-12, "jacobian": 1e-6,
                 "gamma": {"rank1": 1e-10, "sym2": 1e-6}.get(alg, 1e-5)}
@@ -544,8 +563,10 @@ def test_the_built_in_tolerances_per_algebra():
             want.update({"orthogonality": 1e-8, "laplace": 1e-4, "adjoint": 1e-3,
                          "gamma-mc": 1e-2})
         if alg in ("rank1", "sym2"):
+            chart = {"rank1": 1e-6, "sym2": 1e-4}[alg]
             want.update({"covariance": 1e-6, "hua": 1e-8, "coherent": 1e-8,
-                         "branch": 1e-10, "cauchy": 1e-9})
+                         "branch": 1e-10, "cauchy": 1e-9, "change-of-variables": chart,
+                         "laplace-factorization": chart})
         got = {}
         for row in cli.SUITE_TABLE.values():
             if alg in row.algebras:
@@ -646,6 +667,21 @@ def test_every_suite_the_table_lists_reports_and_reads_its_tolerances(
             assert names == set(cli.SUITE_TABLE[name].tolerances(alg)), (alg, name)
 
 
+@pytest.mark.parametrize("name", ["spin3", "spin4", "spin5", "spin6", "spin7", "spin8"])
+def test_cauchy_and_branch_suites_pass_for_the_spin_factors(name):
+    # still gated to rank1 and sym2; called directly.  On the line through e
+    # the alpha = (2, 1, 0, ...) derivative of a spin factor vanishes and
+    # cauchy-stability read 1.40; branch's target left the cone for spin7
+    # and spin8 and raised NotInCone
+    from rclab.algebra import get_algebra
+    import rclab.cli as cli
+
+    alg = get_algebra(name)
+    for suite, tols in (("cauchy-stability", {"cauchy": 1e-9}), ("branch", {"branch": 1e-10})):
+        (rep,) = cli.SUITES[suite](alg, None, tols)
+        assert rep["pass"], (suite, rep)
+
+
 def test_the_benchmark_tracer_names_only_suites_that_exist():
     # perfbench/tracing.py reports cli.suite.<name>.s for each name of its
     # SUITES tuple and wraps the cli.SUITES entries in place
@@ -740,9 +776,11 @@ def test_gamma_suite_passes_for_every_algebra():
 
 def test_benchmark_tracer_still_wraps_rclab(tmp_path):
     # perfbench/tracing.py wraps BracketPolynomial.evaluate, evaluate_specialized
-    # and specialize, OrthoPoly.evaluate, the f_eig/h_eig integrands and
-    # SymExpr.num_terms by name; a rename breaks `perfbench/run.py --trace 1`.
-    # The iota factorization specializes c(k) (chi-covariance no longer does)
+    # and specialize, OrthoPoly.evaluate, the f_eig/h_eig integrands, the
+    # coordinates of logdet_tube and SymExpr.num_terms by name; a rename or a
+    # new signature of a hooked function breaks `perfbench/run.py --trace 1`.
+    # The iota factorization specializes c(k) (chi-covariance no longer does);
+    # gamma and laplace run check-numeric's quadrature and tube hooks
     import os
     import textwrap
 
@@ -767,13 +805,20 @@ def test_benchmark_tracer_still_wraps_rclab(tmp_path):
                             "--output", out + "/iota.json"]),
             rclab.cli.main(["gram", "--algebra", "spin4", "--kmax", "1", "--lambda", "4",
                             "--mu", "4", "--output", out + "/gram.json"]),
+            rclab.cli.main(["check", "gamma", "--algebra", "sym2",
+                            "--output", out + "/gamma.json"]),
+            rclab.cli.main(["check", "laplace", "--algebra", "rank1",
+                            "--output", out + "/laplace.json"]),
         ]
         metrics = tracer.layer_metrics()
-        assert codes == [0, 0, 0], codes
+        assert codes == [0, 0, 0, 0, 0], codes
         assert metrics["sympoly.evaluate.calls"] > 0, metrics
         assert metrics["quadrature.weyl_integral.calls"] > 0, metrics
         assert metrics["quadrature.integrand_evals"] > 0, metrics
         assert metrics["sympoly.peak_terms"] > 0, metrics
+        assert metrics["tube.logdet_tube.points"] > 0, metrics
+        assert metrics["quadrature.gamma_numeric.s"] > 0, metrics
+        assert metrics["quadrature.tube_laplace.s"] > 0, metrics
     """)
     proc = subprocess.run([sys.executable, "-c", child, src, perfbench, str(tmp_path)],
                           capture_output=True, text=True, timeout=600)

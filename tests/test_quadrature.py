@@ -13,11 +13,12 @@ from rclab.algebra import (
     get_algebra, spectral, cone_sqrt, quad_rep, iota_jacobian,
 )
 from rclab.brackets import jacobi_classical
+from rclab.cli import SUITE_TABLE
 from rclab.poly import Poly
 from rclab.quadrature import (
     gauss_jacobi, gauss_legendre, gauss_laguerre,
     gamma_omega_closed, gamma_omega_numeric,
-    cone_integrate_invariant, weyl_integral, gram_matrix,
+    weyl_integral, gram_matrix,
     tube_laplace, box_rule, check_change_of_variables, _weyl_tensor,
 )
 from rclab.tube import check_J_factorization, _default_tube_points
@@ -249,6 +250,24 @@ def test_gamma_numeric_gap_coordinates():
         assert abs(num - closed) / closed < 1e-5, name
 
 
+def test_gamma_numeric_fractional_power_in_gap_coordinates():
+    # the first gap axis carries lam_1^p in its Laguerre rule; with det^p in
+    # the integrand sym3 at nu = 3.5 read 2.4e-6 and sym4 at nu = 4 2.0e-6
+    for name, nu in (("sym3", 3.5), ("sym4", 4.0)):
+        alg = get_algebra(name)
+        closed = gamma_omega_closed(alg, nu)
+        assert abs(gamma_omega_numeric(alg, nu, n=48) - closed) / closed < 1e-10, name
+
+
+def test_gamma_numeric_sym4_is_summed_slice_by_slice():
+    # one node of g_1 at a time holds 40^3 points, not the 40^4 grid, whose
+    # arrays took 246 MB
+    alg = get_algebra("sym4")
+    gamma_omega_numeric(alg, 4.0, n=48)     # the Gauss rules are built once
+    peak = _peak_bytes(gamma_omega_numeric, alg, 4.0, "quadrature", 48)
+    assert peak < 16e6, peak
+
+
 def test_gamma_divergent_rejection():
     with pytest.raises(ValueError):
         gamma_omega_numeric(get_algebra("sym2"), 0.3)
@@ -258,7 +277,7 @@ def test_cone_constant_against_gamma_identity():
     # integral over the cone of e^{-tr} equals Gamma_Omega(n/r)
     for name in ("sym2", "spin4", "sym3"):
         alg = get_algebra(name)
-        got = cone_integrate_invariant(alg, lambda eigs: np.ones(len(eigs)), n=60)
+        got = gamma_omega_numeric(alg, alg.n / alg.r, n=60)
         want = gamma_omega_closed(alg, alg.n / alg.r)
         assert abs(got - want) / want < 1e-8, name
 
@@ -363,36 +382,37 @@ def test_tube_laplace_many_integrands_match_single_calls():
         assert got.tobytes() == np.concatenate(one).tobytes(), name
 
 
-def _tube_laplace_sym2_reference(integrands, z, p):
-    """The sym2 Laplace rule on the whole (rays x radial nodes) grid at
-    once, with the cos and sin of the angle taken per node."""
-    n_s, n_u, n_theta = 128, 48, 48
+def _sym2_ray_grid():
+    """The (u, theta) grid of the sym2 Laplace rays, one entry per ray: u,
+    theta and the weight without the det power."""
+    n_u, n_theta = 48, 48
     c_polar = quadrature.mehta_cone_constant(get_algebra("sym2")) / math.pi
-    rs = gauss_laguerre(n_s, alpha=2 * p + 2)
     u, wu = quadrature.scaled_interval_rule(gauss_legendre(n_u), 0.0, 1.0)
     theta = (np.arange(n_theta) + 0.5) * math.pi / n_theta
     wt = np.full(n_theta, math.pi / n_theta)
     U, T = np.meshgrid(u, theta, indexing="ij")
     WU, WT = np.meshgrid(wu, wt, indexing="ij")
     u_, t_ = U.ravel(), T.ravel()
-    wray = (WU * WT).ravel() * c_polar * (u_ / 2) * ((1 - u_**2) / 4) ** p
+    return u_, t_, (WU * WT).ravel() * c_polar * (u_ / 2)
 
-    def coords_of(s, u, theta):
-        lam1, lam2 = s * (1 - u) / 2, s * (1 + u) / 2
-        c, sn = np.cos(theta), np.sin(theta)
-        return np.stack([c**2 * lam1 + sn**2 * lam2, sn**2 * lam1 + c**2 * lam2,
-                         c * sn * (lam2 - lam1)], axis=1)
 
-    unit = coords_of(np.ones_like(u_), u_, t_)
+def _tube_laplace_sym2_reference(integrands, z, p):
+    """The sym2 Laplace rule xi = s omega on the whole (rays x radial nodes)
+    grid at once, with the rays built from (u, theta) here."""
+    u, t, w = _sym2_ray_grid()
+    h1, h2 = (1 - u) / 2, (1 + u) / 2
+    c2, s2, cs = np.cos(t) ** 2, np.sin(t) ** 2, np.cos(t) * np.sin(t)
+    unit = np.stack([c2 * h1 + s2 * h2, s2 * h1 + c2 * h2, cs * (h2 - h1)], axis=1)
+    alpha = 2 + 2 * p
+    rs = gauss_laguerre(128, alpha)
     gram = np.array([1.0, 1.0, 2.0])
-    q = unit[:, 0] + unit[:, 1] + unit @ (gram * z.imag)
+    q = unit @ (gram * (np.array([1.0, 1.0, 0.0]) + z.imag))
     posc = unit @ (gram * z.real)
-    s_scaled = rs.nodes[None, :] / q[:, None]
-    coords = coords_of(s_scaled.ravel(), np.repeat(u_, n_s), np.repeat(t_, n_s))
-    phase = np.exp(1j * posc[:, None] * s_scaled)
-    qpow = q ** (2 * p + 3)
-    return np.array([np.sum(wray * ((g(coords).reshape(len(u_), n_s) * phase) @ rs.weights)
-                            / qpow) for g in integrands], dtype=complex)
+    s = rs.nodes[None, :] / q[:, None]
+    coords = (s[:, :, None] * unit[:, None, :]).reshape(-1, 3)
+    phase = np.exp(1j * posc[:, None] * s)
+    sums = np.array([(g(coords).reshape(s.shape) * phase) @ rs.weights for g in integrands])
+    return np.sum(sums * (w * (h1 * h2) ** p / q ** (alpha + 1)), axis=1)
 
 
 def test_tube_laplace_sym2_blocks_keep_the_bits():
@@ -405,6 +425,89 @@ def test_tube_laplace_sym2_blocks_keep_the_bits():
         for p in (0.3, 1.5):
             got = tube_laplace(alg, integrands, z, det_power=p)
             assert np.array_equal(got, _tube_laplace_sym2_reference(integrands, z, p)), (z, p)
+
+
+def _tube_laplace_per_branch(alg, integrands, z, p):
+    """The Laplace rule as it was written per algebra before the ray table:
+    rank 1 on its own Laguerre nodes, sym2 with the coordinates of
+    k diag(s(1-u)/2, s(1+u)/2) k^T taken per node from cos and sin of theta."""
+    if alg.name == "rank1":
+        wcplx = 1.0 - 1j * complex(z[0])
+        rs = gauss_laguerre(128, p)
+        xi = rs.nodes / wcplx.real
+        phase = np.exp(-1j * wcplx.imag * xi)
+        return np.array([np.sum(rs.weights * g(xi[:, None]) * phase) / wcplx.real ** (1 + p)
+                         for g in integrands])
+    u, t, w = _sym2_ray_grid()
+    rs = gauss_laguerre(128, 2 * p + 2)
+
+    def coords_of(s, u, theta):
+        lam1, lam2 = s * (1 - u) / 2, s * (1 + u) / 2
+        c, sn = np.cos(theta), np.sin(theta)
+        return np.stack([c**2 * lam1 + sn**2 * lam2, sn**2 * lam1 + c**2 * lam2,
+                         c * sn * (lam2 - lam1)], axis=1)
+
+    unit = coords_of(np.ones_like(u), u, t)
+    gram = np.array([1.0, 1.0, 2.0])
+    q = unit[:, 0] + unit[:, 1] + unit @ (gram * z.imag)
+    posc = unit @ (gram * z.real)
+    s_scaled = rs.nodes[None, :] / q[:, None]
+    coords = coords_of(s_scaled.ravel(), np.repeat(u, 128), np.repeat(t, 128))
+    phase = np.exp(1j * posc[:, None] * s_scaled)
+    wray = w * ((1 - u**2) / 4) ** p / q ** (2 * p + 3)
+    return np.array([np.sum(wray * ((g(coords).reshape(len(u), 128) * phase) @ rs.weights))
+                     for g in integrands])
+
+
+@pytest.mark.parametrize("name", ["rank1", "sym2"])
+def test_tube_laplace_rays_match_the_per_branch_rule(name):
+    # the one ray rule moves each value by rounding only, measured against
+    # the largest value of its row: some monomial integrals are about 1e-18
+    alg = get_algebra(name)
+    monos = [(0,) * alg.n, *np.eye(alg.n, dtype=int).tolist(), [2] + [1] * (alg.n - 1)]
+    integrands = [Poly.from_terms({tuple(m): 1}, alg.n).numeric for m in monos]
+    for z in _default_tube_points(alg):
+        for p in (0.3, 1.8):
+            got = tube_laplace(alg, integrands, z, det_power=p)
+            want = _tube_laplace_per_branch(alg, integrands, z, p)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (z, p)
+
+
+def _laplace_suite_fails(name):
+    from rclab.cli import run_suites
+
+    reports, ok = run_suites(get_algebra(name), "laplace")
+    rep = reports[0]
+    assert rep["check"] == "laplace-transform-of-weight", rep
+    assert not ok and not rep["pass"] and rep["max_residual"] > rep["tolerance"], rep
+
+
+@pytest.mark.parametrize("name", ["rank1", "sym2"])
+def test_laplace_fails_on_one_scaled_ray_weight(name, monkeypatch):
+    unit, weights, det = quadrature._rays(name)
+    weights = weights.copy()
+    weights[len(weights) // 2] *= 2.0
+    monkeypatch.setattr(quadrature, "_rays", lambda n: (unit, weights, det))
+    _laplace_suite_fails(name)
+
+
+def test_laplace_fails_without_det_omega_to_the_p(monkeypatch):
+    # in rank 1 det omega = 1 on the one ray, so only sym2 can lose it
+    unit, weights, det = quadrature._rays("sym2")
+    monkeypatch.setattr(quadrature, "_rays", lambda n: (unit, weights, np.ones_like(det)))
+    _laplace_suite_fails("sym2")
+
+
+@pytest.mark.parametrize("name", ["rank1", "sym2"])
+def test_laplace_fails_on_a_radial_rule_without_the_det_power(name, monkeypatch):
+    # the laplace suite integrates det^p at p = 2.8 - n/r; a radial rule
+    # with alpha = n - 1 drops the s^{rp} of det(s omega)^p
+    alg = get_algebra(name)
+    p = 2.8 - alg.n / alg.r
+    laguerre = quadrature.gauss_laguerre
+    monkeypatch.setattr(quadrature, "gauss_laguerre",
+                        lambda n, alpha=0.0: laguerre(n, alpha - alg.r * p))
+    _laplace_suite_fails(name)
 
 
 def test_tube_laplace_sym2_peak_memory():
@@ -431,28 +534,37 @@ def test_box_rule_volume():
 
 
 def test_change_of_variables_rank1():
-    rep = check_change_of_variables(get_algebra("rank1"))
+    rep = check_change_of_variables(get_algebra("rank1"), 1e-6)
     assert rep["pass"], rep
     assert rep["residual"] < 1e-6
 
 
 def test_change_of_variables_sym2_quadrature():
-    rep = check_change_of_variables(get_algebra("sym2"))
+    rep = check_change_of_variables(get_algebra("sym2"), 1e-4)
     assert rep["pass"], rep
     assert rep["residual"] < 1e-4
     assert rep["method"] == "quadrature"
     assert "seed" not in rep
-    assert rep == check_change_of_variables(get_algebra("sym2"))
+    assert rep == check_change_of_variables(get_algebra("sym2"), 1e-4)
 
 
 CHART_CHECKS = [check_change_of_variables, check_J_factorization]
+CHART_SUITES = {check_change_of_variables: "change-of-variables",
+                check_J_factorization: "laplace-factorization"}
+
+
+def _at_table_tol(check, name):
+    """``check`` for the algebra ``name`` at the tolerance its suite's row of
+    SUITE_TABLE gives it."""
+    suite = CHART_SUITES[check]
+    return check(get_algebra(name), SUITE_TABLE[suite].tolerances(name)[suite])
 
 
 @pytest.mark.parametrize("check", CHART_CHECKS)
 def test_rank1_chart_checks_read_below_1e_10(check):
     # the shared midpoint rule reads about 1.5e-12 and 1.2e-12 in rank 1; the
     # Gauss-Legendre boxes it replaced read 2.3e-8 and 1.5e-8
-    rep = check(get_algebra("rank1"))
+    rep = _at_table_tol(check, "rank1")
     assert rep["pass"] and rep["tolerance"] == 1e-6, rep
     assert rep["residual"] < 1e-10, rep
     assert rep["nodes"] == quadrature.CHART_NODES["rank1"]
@@ -462,18 +574,21 @@ def test_rank1_chart_checks_read_below_1e_10(check):
 def test_chart_checks_raise_off_the_chart_table(check):
     assert "spin4" not in quadrature.CHART_NODES
     with pytest.raises(ValueError):
-        check(get_algebra("spin4"))
+        check(get_algebra("spin4"), 1e-6)
 
 
 def test_every_chart_algebra_has_a_tolerance_and_a_tube_point():
     from rclab.tube import CHART_TUBE_POINTS
 
-    assert quadrature.CHART_TOLERANCE.keys() == quadrature.CHART_NODES.keys()
+    for suite in CHART_SUITES.values():
+        row = SUITE_TABLE[suite]
+        assert row.algebras == tuple(quadrature.CHART_NODES), suite
+        assert all(suite in row.tolerances(name) for name in row.algebras), suite
     assert CHART_TUBE_POINTS.keys() == quadrature.CHART_NODES.keys()
 
 
 def _fails(check, name):
-    rep = check(get_algebra(name))
+    rep = _at_table_tol(check, name)
     assert not rep["pass"] and rep["residual"] > rep["tolerance"], rep
 
 
@@ -523,13 +638,13 @@ def nan_bump(monkeypatch, fresh_chart_rule):
 
 @pytest.mark.parametrize("check", CHART_CHECKS)
 def test_sym2_chart_checks_fail_on_nan(check, nan_bump):
-    rep = check(get_algebra("sym2"))
+    rep = _at_table_tol(check, "sym2")
     assert not rep["pass"], rep
 
 
 @pytest.mark.parametrize("check", CHART_CHECKS)
 def test_rank1_chart_checks_fail_on_nan(check, nan_bump):
-    rep = check(get_algebra("rank1"))
+    rep = _at_table_tol(check, "rank1")
     assert not rep["pass"], rep
 
 
