@@ -3,10 +3,10 @@
 ``compute_c`` runs the Rodrigues pipeline (determinant operator applied to
 det-power weights, then exact extraction), one power of the operator per
 step from c(k-1) to c(k) in the pencil coordinates of ``rclab.sympoly``,
-and caches the c(k) it returns on disk;
-``compute_C`` restricts the two-slot polynomial to the interval chart
-x -> (e - x)/2, y -> (e + x)/2, producing the one-variable-slot family that
-generalizes the Jacobi polynomials (and reduces to them exactly in rank 1).
+and caches the c(k) it returns on disk.  ``compute_C`` expands the same
+pencil form on the interval chart x = (e - v)/2, y = (e + v)/2, producing
+the one-variable-slot family that generalizes the Jacobi polynomials (and
+reduces to them exactly in rank 1); it reads no c(k) and writes no file.
 
 The check_* functions return JSON-serializable reports made by
 ``rclab.report``; exact checks use rational arithmetic end to end.
@@ -19,7 +19,7 @@ import os
 import random
 import tempfile
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .algebra import (
 from .poly import Poly
 from .sympoly import (
     SymExpr, BracketPolynomial, apply_D_power, extract_bracket_polynomial,
+    extract_interval_polynomial,
 )
 
 __all__ = [
@@ -83,15 +84,24 @@ def _load_cached(path, algebra, k):
         return None
 
 
+def _pencil(algebra, k):
+    """c(k) (det x)^s (det y)^t in the pencil coordinates: the in-process
+    chain from c(0) = 1, extended by one application of the determinant
+    operator D per step,
+    c(k) = det(x)^-s det(y)^-t D[det(x)^(s+1) det(y)^(t+1) c(k-1)_{s+1,t+1}]."""
+    chain = _pencils.setdefault(algebra.name, [SymExpr.det_power_seed(algebra, 0, 0)])
+    while len(chain) <= k:
+        chain.append(apply_D_power(SymExpr.shifted_weight(chain[-1]), 1))
+    return chain[k]
+
+
 def compute_c(algebra: JordanAlgebra, k: int,
               cache_dir: str | None = None) -> BracketPolynomial:
     """The k-th bracket polynomial c(k)_{s,t} for the given algebra.
 
     c(k) comes from memory, else from ``cache_dir``, else from a build.  A
-    build extends the in-process chain of pencil forms from c(0) = 1, one
-    application of the determinant operator D per step,
-    c(k) = det(x)^-s det(y)^-t D[det(x)^(s+1) det(y)^(t+1) c(k-1)_{s+1,t+1}],
-    and expands only c(k) to x, y monomials.  Results are memoized
+    build extends the in-process chain of pencil forms (``_pencil``) and
+    expands only c(k) to x, y monomials.  Results are memoized
     in-process and, when ``cache_dir`` is given, persisted as versioned JSON
     (written atomically so concurrent readers never see a torn file).  A
     cache file that does not hold this algebra's c(k) in the current format
@@ -106,10 +116,7 @@ def compute_c(algebra: JordanAlgebra, k: int,
         poly = _load_cached(path, algebra, k)
     computed = poly is None
     if computed:
-        chain = _pencils.setdefault(algebra.name, [SymExpr.det_power_seed(algebra, 0, 0)])
-        while len(chain) <= k:
-            chain.append(apply_D_power(SymExpr.shifted_weight(chain[-1]), 1))
-        poly = extract_bracket_polynomial(chain[k], k)
+        poly = extract_bracket_polynomial(_pencil(algebra, k), k)
     _memory_cache[mem_key] = poly
     if path and (computed or not os.path.exists(path)):
         os.makedirs(cache_dir, exist_ok=True)
@@ -145,50 +152,18 @@ class OrthoPoly:
         return self.poly.numeric(points)
 
 
-def _restrict_1d(e, a, b):
-    """Integer coefficients of v^j in (e - v)^a (e + v)^b, j = 0..a+b."""
-    return [sum((-1) ** p * comb(a, p) * comb(b, j - p)
-                for p in range(max(0, j - b), min(a, j) + 1)) * e ** (a + b - j)
-            for j in range(a + b + 1)]
+def compute_C(algebra: JordanAlgebra, k: int, lam=None, mu=None) -> OrthoPoly:
+    """C(k)(v) = c(k)((e - v)/2, (e + v)/2), in Q[s, t] or at s = lam, t = mu.
 
-
-def compute_C(algebra: JordanAlgebra, k: int, lam=None, mu=None,
-              cache_dir: str | None = None) -> OrthoPoly:
-    """Substitute x <- (e - v)/2, y <- (e + v)/2 (and s <- lam, t <- mu).
-
-    The substitution runs once per c(k), in Q[s, t], and is kept on the
-    c(k) object; the weights are set afterwards, so a replaced c(k) never
-    serves a stale C(k).
+    C(k) is expanded from the pencil form of the in-process chain over the
+    one-slot tables of the interval chart (``extract_interval_polynomial``),
+    never from a c(k) in memory or on disk: the checks that compare C(k)
+    with c(k) compare two independent routes.
     """
     if (lam is None) != (mu is None):
         raise ValueError("give both weights lam and mu, or neither")
-    c = compute_c(algebra, k, cache_dir)
-    if c.interval is None:
-        c.interval = _restrict(algebra, c.poly, k)
-    return OrthoPoly(c.interval if lam is None else c.interval.at(lam, mu))
-
-
-def _restrict(algebra, c: Poly, k: int) -> Poly:
-    """c(k)(e - v, e + v) / 2^(rk) over the integers: every monomial of
-    c(k) has degree rk, so each takes the factor 2^-(rk) into the
-    denominator."""
-    n = algebra.n
-    e = [int(x) for x in algebra.e_coords]
-    exps, rows, weights = [], [], []
-    for row, mono in enumerate(c.exps.tolist()):
-        # expand prod_i (e_i - v_i)^alpha_i (e_i + v_i)^beta_i one
-        # coordinate at a time
-        acc = {(): 1}
-        for i in range(n):
-            line = _restrict_1d(e[i], mono[i], mono[n + i])
-            acc = {m + (j,): w * lw for m, w in acc.items()
-                   for j, lw in enumerate(line) if lw}
-        exps.extend(acc)
-        rows.extend([row] * len(acc))
-        weights.extend(acc.values())
-    coef = np.array(weights, dtype=object).reshape(-1, 1, 1) * c.coef[rows]
-    return Poly.collect(np.array(exps, dtype=np.int64).reshape(-1, n), coef,
-                        c.den * 2 ** (algebra.r * k))
+    C = extract_interval_polynomial(_pencil(algebra, k), k)
+    return OrthoPoly(C if lam is None else C.at(lam, mu))
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +195,14 @@ def jacobi_classical(k: int, alpha, beta):
     return p1
 
 
-def jacobi_proportionality(k: int, lam, mu, cache_dir=None):
+def jacobi_proportionality(k: int, lam, mu):
     """Exact ratio C(k)_{lam,mu} / P_k^(lam,mu) in rank 1.
 
     The families are proportional with a nonzero rational constant; the
     constant is measured, not assumed.  Raises if proportionality fails.
     """
     alg = get_algebra("rank1")
-    C = compute_C(alg, k, lam, mu, cache_dir)
+    C = compute_C(alg, k, lam, mu)
     ref = jacobi_classical(k, lam, mu)
     coef = dict(C.poly.items())
     ours = [coef.get((j,), Fraction(0)) for j in range(len(ref))]
@@ -335,7 +310,7 @@ def check_iota_factorization(algebra: JordanAlgebra, kmax: int, samples: int = 2
         rows = []
         for lam, mu, xys, dets, vs in charts:
             spec = c.specialize(Fraction(lam), Fraction(mu))
-            C = compute_C(algebra, k, lam, mu, cache_dir)
+            C = compute_C(algebra, k, lam, mu)
             lhss = spec.numeric(xys)
             rhss = dets ** k * C.poly.numeric(vs)
             for lhs, rhs in zip(lhss.tolist(), rhss.tolist()):
@@ -364,10 +339,10 @@ def _random_automorphism(algebra, rng):
 
 
 def check_aut_invariance(algebra: JordanAlgebra, k: int, lam, mu,
-                         tol: float, cache_dir=None) -> dict:
+                         tol: float) -> dict:
     """C(k) composed with AUT_SAMPLES sampled automorphisms equals C(k)."""
     rng = random.Random(AUT_SEED)
-    C = compute_C(algebra, k, lam, mu, cache_dir)
+    C = compute_C(algebra, k, lam, mu)
     residuals = []
     for _ in range(AUT_SAMPLES):
         act = _random_automorphism(algebra, rng)

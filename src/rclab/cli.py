@@ -185,39 +185,31 @@ def cmd_polys(args) -> int:
         raise ConfigError(f"k={k} outside the feasibility cap 0..{cap} for {algebra.name}")
     fmt = merged(args, "format", "json")
     which = merged(args, "kind", "two-slot")
-    if which not in POLYS_FORMATS:
-        raise ConfigError(f"unknown kind {which!r}")
     if fmt not in POLYS_FORMATS[which]:
         raise ConfigError(f"format {fmt!r} is not one of "
                           f"{', '.join(POLYS_FORMATS[which])} for the {which} family")
+    lam = merged(args, "lambda", None, Fraction)
+    mu = merged(args, "mu", None, Fraction)
+    if which == "two-slot" and (lam, mu) != (None, None):
+        raise ConfigError("--lambda and --mu weight the restricted family only")
+    if (lam is None) != (mu is None):
+        raise ConfigError("give both --lambda and --mu, or neither")
+    # made and checked for either kind, though the restricted family reads no file
     cache_dir = _cache_dir(args)
     if which == "two-slot":
-        poly = brackets.compute_c(algebra, k, cache_dir)
-        if fmt == "json":
-            text = brackets.bracket_table_json(poly)
-        elif fmt == "csv":
-            text = brackets.bracket_table_csv(poly)
-        else:
-            text = brackets.bracket_table_latex(poly)
+        emit = {"json": brackets.bracket_table_json, "csv": brackets.bracket_table_csv,
+                "latex": brackets.bracket_table_latex}[fmt]
+        text = emit(brackets.compute_c(algebra, k, cache_dir))
     else:
-        lam = merged(args, "lambda", None, Fraction)
-        mu = merged(args, "mu", None, Fraction)
-        if (lam is None) != (mu is None):
-            raise ConfigError("give both --lambda and --mu, or neither")
-        C = brackets.compute_C(algebra, k, lam, mu, cache_dir)
+        C = brackets.compute_C(algebra, k, lam, mu)
         rows = [{"mono": list(m), "coef": brackets._coef_label(coef)}
                 for m, coef in C.poly.rows()]
         payload = {"schema": SCHEMA, "kind": "restricted-polynomial",
                    "algebra": algebra.name, "k": k,
                    "lambda": None if lam is None else str(lam),
                    "mu": None if mu is None else str(mu), "terms": rows}
-        if fmt == "json":
-            text = dump_report(payload)
-        else:
-            lines = ["mono,coefficient"]
-            for r in rows:
-                lines.append("\"%s\",\"%s\"" % ("*".join(map(str, r["mono"])), r["coef"]))
-            text = "\n".join(lines) + "\n"
+        text = dump_report(payload) if fmt == "json" else "mono,coefficient\n" + "".join(
+            f"\"{'*'.join(map(str, r['mono']))}\",\"{r['coef']}\"\n" for r in rows)
     _write_out(args, text)
     return 0
 
@@ -246,15 +238,10 @@ def cmd_gram(args) -> int:
     n = merged(args, "nodes", None, int)
     if n is not None and not rule_fits(n):
         raise ConfigError(f"--nodes must be >= 1 with {caps}, got {n}")
-    rep = quadrature.gram_matrix(algebra, lam, mu, kmax, n, _cache_dir(args))
-    fmt = merged(args, "format", "json")
-    if fmt == "json":
-        text = dump_report(rep.to_jsonable())
-    elif fmt == "csv":
-        text = rep.to_csv()
-    else:
-        raise ConfigError(f"unknown format {fmt!r}")
-    _write_out(args, text)
+    _cache_dir(args)    # made and checked, though gram reads no c(k) file
+    rep = quadrature.gram_matrix(algebra, lam, mu, kmax, n)
+    _write_out(args, dump_report(rep.to_jsonable())
+               if merged(args, "format", "json") == "json" else rep.to_csv())
     return 0
 
 
@@ -263,6 +250,14 @@ def cmd_gamma(args) -> int:
     nu = merged(args, "nu", None, float)
     if nu is None:
         raise ConfigError("gamma requires --nu")
+    kind = merged(args, "rule", None)
+    # an option the rule does not read is refused, not ignored
+    reads = {"eigenvalue-quadrature": ("nodes",), "monte-carlo": ("samples", "seed")}
+    unread = [f"--{key}" for key in ("nodes", "samples", "seed")
+              if key not in reads.get(kind, ()) and merged(args, key) is not None]
+    if unread:
+        raise ConfigError(f"{', '.join(unread)}: not read "
+                          f"{f'by --rule {kind}' if kind else 'without --rule'}")
     try:
         closed = quadrature.gamma_omega_closed(algebra, nu)
     except OverflowError:
@@ -271,26 +266,23 @@ def cmd_gamma(args) -> int:
         raise ConfigError(f"--nu {nu}: the cone Gamma product is not a finite float")
     out = {"schema": SCHEMA, "kind": "cone-gamma", "algebra": algebra.name,
            "nu": nu, "closed": closed}
-    kind = merged(args, "rule", None)
-    if kind:
-        n = _int_option(args, "nodes", 80, 1, MAX_NODES)
+    if kind == "monte-carlo":
+        samples = _int_option(args, "samples", 1_000_000, 1, MAX_SAMPLES)
         seed = merged(args, "seed", 20240, int)
-        if kind == "monte-carlo":
-            samples = _int_option(args, "samples", 1_000_000, 1, MAX_SAMPLES)
-            out["numeric"] = quadrature.gamma_omega_numeric(
-                algebra, nu, "mc", mc_samples=samples, seed=seed)
-            out["rule"] = {"kind": kind, "samples": samples, "seed": seed}
-        else:
-            out["numeric"] = quadrature.gamma_omega_numeric(algebra, nu, "quadrature", n=n)
-            out["rule"] = {"kind": "eigenvalue-quadrature", "nodes": n}
+        out["numeric"] = quadrature.gamma_omega_numeric(
+            algebra, nu, "mc", mc_samples=samples, seed=seed)
+        out["rule"] = {"kind": kind, "samples": samples, "seed": seed}
+    elif kind:
+        n = _int_option(args, "nodes", 80, 1, MAX_NODES)
+        out["numeric"] = quadrature.gamma_omega_numeric(algebra, nu, "quadrature", n=n)
+        out["rule"] = {"kind": kind, "nodes": n}
     _write_out(args, dump_report(out))
     return 0
 
 
 def cmd_cache(args) -> int:
     cache_dir = merged(args, "cache_dir") or ".rclab-cache"
-    action = args.cache_action
-    if action == "inspect":
+    if args.cache_action == "inspect":
         entries = []
         if os.path.isdir(cache_dir):
             for name in sorted(os.listdir(cache_dir)):
@@ -300,18 +292,16 @@ def cmd_cache(args) -> int:
             {"schema": SCHEMA, "kind": "cache-listing", "dir": cache_dir,
              "entries": entries}))
         return 0
-    if action == "clear":
-        removed = []
-        if os.path.isdir(cache_dir):
-            for name in sorted(os.listdir(cache_dir)):
-                if name.startswith("c_") and name.endswith(".json"):
-                    os.unlink(os.path.join(cache_dir, name))
-                    removed.append(name)
-        _write_out(args, dump_report(
-            {"schema": SCHEMA, "kind": "cache-clear", "dir": cache_dir,
-             "removed": removed}))
-        return 0
-    raise ConfigError(f"unknown cache action {action!r}")
+    removed = []    # the one other action argparse lets through: clear
+    if os.path.isdir(cache_dir):
+        for name in sorted(os.listdir(cache_dir)):
+            if name.startswith("c_") and name.endswith(".json"):
+                os.unlink(os.path.join(cache_dir, name))
+                removed.append(name)
+    _write_out(args, dump_report(
+        {"schema": SCHEMA, "kind": "cache-clear", "dir": cache_dir,
+         "removed": removed}))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +361,7 @@ def _suite_jacobi(algebra, cache_dir, tols):
     rows = []
     for lam, mu in ((0, 0), (1, 2), (3, 3)):
         for k in range(7):
-            ratio = brackets.jacobi_proportionality(k, lam, mu, cache_dir)
+            ratio = brackets.jacobi_proportionality(k, lam, mu)
             rows.append({"k": k, "lambda": lam, "mu": mu,
                          "ratio": f"{ratio.numerator}/{ratio.denominator}"})
     # jacobi_proportionality raises unless C(k) is a nonzero multiple of P_k
@@ -449,8 +439,7 @@ def _suite_gamma(algebra, cache_dir, tols):
 
 def _suite_orthogonality(algebra, cache_dir, tols):
     weight, kmax = (1.0, 4) if algebra.family == "rank1" else (3.0, 3)
-    data = quadrature.gram_matrix(algebra, weight, weight, kmax,
-                                  cache_dir=cache_dir).to_jsonable()
+    data = quadrature.gram_matrix(algebra, weight, weight, kmax).to_jsonable()
     del data["schema"], data["algebra"]
     return [report("interval-orthogonality", algebra.name,
                    tolerance=tols["orthogonality"], **data)]
@@ -534,8 +523,7 @@ def _suite_hua(algebra, cache_dir, tols):
 
 def _suite_aut(algebra, cache_dir, tols):
     kmax = min(_check_k(algebra), 2)
-    return [brackets.check_aut_invariance(algebra, k, 3, 3, tol=tols["aut"],
-                                          cache_dir=cache_dir)
+    return [brackets.check_aut_invariance(algebra, k, 3, 3, tol=tols["aut"])
             for k in range(1, kmax + 1)]
 
 

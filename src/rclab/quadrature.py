@@ -443,14 +443,14 @@ def gram_nodes(algebra: JordanAlgebra, lam, mu, k_max: int) -> int:
     return 2 * algebra.r * k_max + int(float(lam) + float(mu)) + algebra.d + 12
 
 
-def gram_matrix(algebra: JordanAlgebra, lam, mu, k_max: int, n: int | None = None,
-                cache_dir=None) -> GramReport:
+def gram_matrix(algebra: JordanAlgebra, lam, mu, k_max: int,
+                n: int | None = None) -> GramReport:
     """Pairwise interval inner products of C(0..k_max) at weight (lam, mu).
 
     Precondition: lam, mu > 1 + (r-1)d - n/r (documented threshold for the
     orthogonality statement; not asserted sharp).
     """
-    polys = [compute_C(algebra, k, lam, mu, cache_dir) for k in range(k_max + 1)]
+    polys = [compute_C(algebra, k, lam, mu) for k in range(k_max + 1)]
     if n is None:
         n = gram_nodes(algebra, lam, mu, k_max)
     G = _gram_once(algebra, polys, lam, mu, n)

@@ -25,8 +25,11 @@ which certifies the invariance the fit assumes.
 Extraction strips Delta_0^s Delta_r^t.  The Delta_j are algebraically
 independent, so a term left with a negative power of Delta_0 or Delta_r is
 no polynomial and raises ``NonzeroRemainder``, the analogue of a remainder
-in division by det.  Only the polynomial asked for is expanded back to x, y
-monomials.  No floating point enters anywhere.
+in division by det.  Only the polynomial asked for is expanded, by one loop
+over a set of integer Delta_j tables: the tables over x, y give c(k), and
+the one-slot tables delta_j(v) = Delta_j((e - v)/2, (e + v)/2) of the
+interval chart give C(k) with no x, y monomial in between.  No floating
+point enters anywhere.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ __all__ = [
     "BracketPolynomial",
     "apply_D_power",
     "extract_bracket_polynomial",
+    "extract_interval_polynomial",
     "cayley_check",
 ]
 
@@ -179,9 +183,28 @@ def _mul(a, b):
     return {m: c for m, c in out.items() if c}
 
 
+class _TableSet:
+    """Integer polynomials ``rows`` (dicts over ``nvars`` coordinates), each
+    over the denominator ``den``, and the memo of their products."""
+
+    __slots__ = ("rows", "nvars", "den", "_products")
+
+    def __init__(self, rows, nvars, den=1):
+        self.rows, self.nvars, self.den = rows, nvars, den
+        self._products = {}
+
+    def monomial(self, e):
+        """prod_j rows[j]^e_j, that is den^|e| Delta_0^e_0 ... Delta_r^e_r, cached."""
+        if e not in self._products:
+            j = next((j for j, ej in enumerate(e) if ej), None)
+            self._products[e] = ({(0,) * self.nvars: 1} if j is None else _mul(
+                self.monomial(e[:j] + (e[j] - 1,) + e[j + 1:]), self.rows[j]))
+        return self._products[e]
+
+
 def _pencil_tables(algebra):
-    """Delta_0..Delta_r as integer dicts over the 2n coordinates (x-slot
-    first): substitute z = x + tau y in det and split by the power of tau."""
+    """Delta_0..Delta_r over the 2n coordinates (x-slot first): substitute
+    z = x + tau y in det and split by the power of tau."""
     def build():
         tables = [{} for _ in range(algebra.r + 1)]
         for mono, c in _det_terms(algebra):
@@ -191,22 +214,29 @@ def _pencil_tables(algebra):
                 key = tuple(map(sub, mono, a)) + a
                 table = tables[sum(a)]
                 table[key] = table.get(key, 0) + w
-        return [{m: c for m, c in t.items() if c} for t in tables]
+        return _TableSet([{m: c for m, c in t.items() if c} for t in tables], 2 * algebra.n)
 
     return _memo(algebra, "_pencil_tables", build)
 
 
-def _pencil_monomial(algebra, e):
-    """Delta_0^e_0 ... Delta_r^e_r over the 2n coordinates, cached."""
-    cache = _memo(algebra, "_pencil_products", dict)
-    if e not in cache:
-        j = next((j for j, ej in enumerate(e) if ej), None)
-        if j is None:
-            cache[e] = {(0,) * (2 * algebra.n): 1}
-        else:
-            lower = e[:j] + (e[j] - 1,) + e[j + 1:]
-            cache[e] = _mul(_pencil_monomial(algebra, lower), _pencil_tables(algebra)[j])
-    return cache[e]
+def _interval_tables(algebra):
+    """delta_j(v) = Delta_j((e - v)/2, (e + v)/2) over the n coordinates, each
+    over 2^r: each monomial of ``_pencil_tables`` expanded as a product of
+    the linear forms x_i = e_i - v_i, y_i = e_i + v_i."""
+    def build():
+        n, zero = algebra.n, (0,) * algebra.n
+        forms = _TableSet([{zero: int(ei), tuple(int(j == i % n) for j in range(n)): sign}
+                           for sign in (-1, 1) for i, ei in enumerate(algebra.e_coords)], n)
+        rows = []
+        for table in _pencil_tables(algebra).rows:
+            out = {}
+            for mono, c in table.items():
+                for m, w in forms.monomial(mono).items():
+                    out[m] = out.get(m, 0) + c * w
+            rows.append({m: w for m, w in out.items() if w})
+        return _TableSet(rows, n, 2 ** algebra.r)
+
+    return _memo(algebra, "_interval_tables", build)
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +491,6 @@ class BracketPolynomial:
         self.algebra = algebra
         self.k = int(k)
         self.poly = poly
-        # the restriction to the interval chart in Q[s, t], set by
-        # brackets.compute_C on first use
-        self.interval = None
         bad = poly.exps.sum(axis=1) != algebra.r * self.k
         if bad.any():
             m = tuple(poly.exps[bad][0].tolist())
@@ -529,25 +556,34 @@ class BracketPolynomial:
                 f"{self.num_monomials()} monomials)")
 
 
-def extract_bracket_polynomial(expr: SymExpr, k: int) -> BracketPolynomial:
-    """Strip (det x)^s (det y)^t and expand the rest in x, y monomials.
-
-    The input is D applied to a det-power weight, such as D^k applied to
-    the seed with offsets a = b = k.  A term left with a negative power of
-    det x or det y means the operator (not the construction) is wrong, so
-    it raises.
-    """
-    algebra = expr.algebra
-    terms = _polynomial_terms(expr, f"{algebra.name} k={k}")
+def _expand(expr: SymExpr, k: int, tables: _TableSet) -> Poly:
+    """Strip (det x)^s (det y)^t and expand the rest in the monomials of
+    ``tables``, over den^k times the common denominator of the terms.  A
+    term left with a negative power of det x or det y means the operator
+    (not the construction) is wrong, so it raises."""
+    terms = _polynomial_terms(expr, f"{expr.algebra.name} k={k}")
     den = math.lcm(1, *(Fraction(v).denominator for c in terms.values() for v in c.values()))
     out = {}
     for e, coef in terms.items():
         coef = {ij: int(v * den) for ij, v in coef.items()}
-        for mono, c in _pencil_monomial(algebra, e).items():
+        for mono, c in tables.monomial(e).items():
             acc = out.setdefault(mono, {})
             for ij, v in coef.items():
                 acc[ij] = acc.get(ij, 0) + v * c
-    return BracketPolynomial(algebra, k, Poly.from_terms(out, 2 * algebra.n, den))
+    return Poly.from_terms(out, tables.nvars, den * tables.den ** k)
+
+
+def extract_bracket_polynomial(expr: SymExpr, k: int) -> BracketPolynomial:
+    """c(k) in x, y monomials from D applied to a det-power weight, such as
+    D^k applied to the seed with offsets a = b = k."""
+    return BracketPolynomial(expr.algebra, k, _expand(expr, k, _pencil_tables(expr.algebra)))
+
+
+def extract_interval_polynomial(expr: SymExpr, k: int) -> Poly:
+    """C(k)(v) = c(k)((e - v)/2, (e + v)/2) in Q[s, t] from the same pencil
+    form: the expansion of ``extract_bracket_polynomial`` over the one-slot
+    tables delta_j(v) of the interval chart."""
+    return _expand(expr, k, _interval_tables(expr.algebra))
 
 
 # ---------------------------------------------------------------------------

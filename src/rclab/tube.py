@@ -479,7 +479,7 @@ def check_partial_isometry(algebra: JordanAlgebra, k: int, lam, mu,
         den = float(np.sum(we * bump(((eta - mid) / half) ** 2) ** 2 * eta ** (-nu + 1)))
         ratios.append(num / den)
     spread = (worst(ratios) - min(ratios)) / worst(map(abs, ratios))
-    C = compute_C(algebra, k, Fraction(lam) - 1, Fraction(mu) - 1, cache_dir)
+    C = compute_C(algebra, k, Fraction(lam) - 1, Fraction(mu) - 1)
     interval = weyl_integral(algebra, lambda eigs: C.poly.numeric(eigs) ** 2,
                              lam_f - 1, mu_f - 1, n=max(n, 2 * k + 8))
     expected = 2.0 ** (-algebra.r * lam_f - algebra.r * mu_f + algebra.n) * interval
@@ -519,8 +519,7 @@ def check_bracket_transform_equivalence(algebra: JordanAlgebra, k: int,
     lhs = apply_B(algebra, k, lam, mu, transform, transform, np.array([zz]),
                   cache_dir=cache_dir)
     shift = Fraction(algebra.n, algebra.r)
-    C = compute_C(algebra, k, Fraction(lam) - shift, Fraction(mu) - shift,
-                  cache_dir)
+    C = compute_C(algebra, k, Fraction(lam) - shift, Fraction(mu) - shift)
     vg, wv = scaled_interval_rule(gl, -1.0, 1.0)
     cvals = C.poly.numeric(vg[:, None])
     eg, we = scaled_interval_rule(gl, 2 * lo, 2 * hi)

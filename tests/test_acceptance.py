@@ -64,13 +64,13 @@ def test_criterion_03_homogeneity(cache_dir):
     _line(3, "homogeneity-degree-rk", ok)
 
 
-def test_criterion_04_jacobi_reduction(cache_dir):
+def test_criterion_04_jacobi_reduction():
     ok = True
     detail = []
     for lam, mu in ((0, 0), (1, 2), (3, 3)):
         for k in range(7):
             try:
-                ratio = brackets.jacobi_proportionality(k, lam, mu, cache_dir)
+                ratio = brackets.jacobi_proportionality(k, lam, mu)
                 detail.append(f"k={k}:{ratio}")
             except AssertionError as exc:
                 ok = False
@@ -78,11 +78,9 @@ def test_criterion_04_jacobi_reduction(cache_dir):
     _line(4, "rank1-jacobi-reduction", ok, f"(ratios {detail[:7]})")
 
 
-def test_criterion_05_orthogonality(cache_dir):
-    rep1 = quadrature.gram_matrix(get_algebra("rank1"), 1.0, 1.0, 4,
-                                  cache_dir=cache_dir)
-    rep2 = quadrature.gram_matrix(get_algebra("sym2"), 3.0, 3.0, 3,
-                                  cache_dir=cache_dir)
+def test_criterion_05_orthogonality():
+    rep1 = quadrature.gram_matrix(get_algebra("rank1"), 1.0, 1.0, 4)
+    rep2 = quadrature.gram_matrix(get_algebra("sym2"), 3.0, 3.0, 3)
     ok = rep1.max_off_diagonal_ratio < 1e-12 and rep2.max_off_diagonal_ratio < 1e-8
     _line(5, "interval-orthogonality", ok,
           f"(rank1 {rep1.max_off_diagonal_ratio:.2e} < 1e-12, "

@@ -412,16 +412,85 @@ def test_compute_C_is_the_restriction_of_the_specialized_c(name, k):
         assert compute_C(alg, k, lam, mu).poly == restriction_reference(c, alg.n, lam, mu)
 
 
-def test_compute_C_follows_a_replaced_c(monkeypatch, wrong_c1):
-    from rclab import brackets
+def restriction_over_Q_s_t(algebra, c):
+    """C(k) from the x, y monomials of c(k), over Q[s,t]: c(k)(e - v, e + v)
+    / 2^(rk), each monomial of c(k) expanded one coordinate at a time (every
+    monomial has degree rk, so each takes 2^-(rk) into the denominator)."""
+    from math import comb
 
-    alg = get_algebra("spin4")
-    good = compute_c(alg, 1)
-    before = compute_C(alg, 1, 3, 2).poly
-    assert before == restriction_reference(good, alg.n, 3, 2)
-    bad = wrong_c1(alg)
-    monkeypatch.setitem(brackets._memory_cache, ("spin4", 1), bad)
-    after = compute_C(alg, 1, 3, 2).poly
-    assert after == restriction_reference(bad, alg.n, 3, 2) and after != before
-    monkeypatch.undo()
-    assert compute_C(alg, 1, 3, 2).poly == before
+    from rclab.poly import Poly
+
+    def line(e, a, b):
+        # integer coefficients of v^j in (e - v)^a (e + v)^b, j = 0..a+b
+        return [sum((-1) ** p * comb(a, p) * comb(b, j - p)
+                    for p in range(max(0, j - b), min(a, j) + 1)) * e ** (a + b - j)
+                for j in range(a + b + 1)]
+
+    n, poly = algebra.n, c.poly
+    e = [int(x) for x in algebra.e_coords]
+    exps, rows, weights = [], [], []
+    for row, mono in enumerate(poly.exps.tolist()):
+        acc = {(): 1}
+        for i in range(n):
+            coefs_i = line(e[i], mono[i], mono[n + i])
+            acc = {m + (j,): w * lw for m, w in acc.items()
+                   for j, lw in enumerate(coefs_i) if lw}
+        exps.extend(acc)
+        rows.extend([row] * len(acc))
+        weights.extend(acc.values())
+    coef = np.array(weights, dtype=object).reshape(-1, 1, 1) * poly.coef[rows]
+    return Poly.collect(np.array(exps, dtype=np.int64).reshape(-1, n), coef,
+                        poly.den * 2 ** (algebra.r * c.k))
+
+
+def _capped_cases():
+    from rclab.cli import K_CAPS
+
+    return [(name, k) for name, cap in K_CAPS.items() for k in range(cap + 1)]
+
+
+@pytest.mark.parametrize("name, k", _capped_cases())
+def test_compute_C_is_the_restriction_of_c_over_Q_s_t(name, k):
+    # C(k) comes from the pencil form over the one-slot tables, the oracle
+    # from the x, y monomials of c(k)
+    alg = get_algebra(name)
+    assert compute_C(alg, k).poly == restriction_over_Q_s_t(alg, compute_c(alg, k))
+
+
+def test_compute_C_ignores_a_replaced_c(monkeypatch, tmp_path, wrong_c1):
+    # C(k) reads no c(k), so a wrong c(1) leaves C(1) as it was, and the
+    # factorization that compares the two routes fails
+    from rclab import brackets
+    from rclab.cli import main
+
+    for name in ("rank1", "spin4"):
+        alg = get_algebra(name)
+        before = compute_C(alg, 1).poly
+        with monkeypatch.context() as m:
+            m.setitem(brackets._memory_cache, (name, 1), wrong_c1(alg))
+            assert compute_C(alg, 1).poly == before
+            out = tmp_path / f"iota_{name}.json"
+            code = main(["check", "iota-factorization", "--algebra", name,
+                         "--output", str(out)])
+        assert code == 1
+        reps = json.loads(out.read_text())["reports"]
+        assert [(rep["k"], rep["pass"]) for rep in reps] == [(1, False), (2, True)]
+
+
+def test_a_wrong_interval_table_fails_aut_invariance(monkeypatch, tmp_path):
+    # one entry of delta_0(v) = Delta_0(e - v, e + v) off by one: C(k) is no
+    # longer a function of the eigenvalues of v
+    from rclab import sympoly
+    from rclab.cli import main
+
+    alg = get_algebra("sym2")
+    tables = sympoly._interval_tables(alg)
+    rows = [dict(row) for row in tables.rows]
+    key = min(m for m in rows[0] if sum(m) == 1)
+    rows[0][key] += 1
+    monkeypatch.setitem(vars(alg), "_interval_tables",
+                        sympoly._TableSet(rows, tables.nvars, tables.den))
+    assert not check_aut_invariance(alg, 1, 3, 3, 1e-10)["pass"]
+    out = tmp_path / "aut.json"
+    assert main(["check", "aut-invariance", "--algebra", "sym2", "--output", str(out)]) == 1
+    assert [rep["pass"] for rep in json.loads(out.read_text())["reports"]] == [False, False]

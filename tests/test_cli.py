@@ -109,6 +109,96 @@ def test_polys_restricted_needs_both_weights(weight):
     assert "--lambda and --mu" in err
 
 
+@pytest.mark.parametrize("weights, config", [
+    (["--lambda", "3", "--mu", "5"], ""),
+    (["--lambda", "3"], ""),
+    (["--mu", "5"], ""),
+    ([], "lambda = 3\nmu = 5\n"),
+])
+def test_polys_refuses_weights_for_the_two_slot_family(weights, config, tmp_path, monkeypatch):
+    # the weights were ignored and the Q[s,t] table written, with exit 0
+    from rclab import brackets
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a rejected configuration built a polynomial")
+
+    monkeypatch.setattr(brackets, "compute_c", no_build)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    code, out, err = run_cli(["--config", str(cfg), "polys", "--algebra", "rank1",
+                              "--k", "1", *weights])
+    assert code == 2 and out == ""
+    assert err.startswith("error: --lambda and --mu") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("args, unread", [
+    (["--nodes", "5", "--samples", "7", "--seed", "3"], "--nodes, --samples, --seed"),
+    (["--nodes", "5"], "--nodes"),
+    (["--samples", "7"], "--samples"),
+    (["--seed", "3"], "--seed"),
+    (["--rule", "monte-carlo", "--nodes", "5"], "--nodes"),
+    (["--rule", "eigenvalue-quadrature", "--samples", "7"], "--samples"),
+    (["--rule", "eigenvalue-quadrature", "--seed", "3"], "--seed"),
+])
+def test_gamma_refuses_an_option_its_rule_does_not_read(args, unread, monkeypatch):
+    # each was ignored without a word, with exit 0
+    def no_work(*args, **kwargs):
+        raise AssertionError("a rejected configuration computed a Gamma value")
+
+    monkeypatch.setattr(quadrature, "gamma_omega_closed", no_work)
+    monkeypatch.setattr(quadrature, "gamma_omega_numeric", no_work)
+    code, out, err = run_cli(["gamma", "--algebra", "sym2", "--nu", "3", *args])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {unread}: not read") and err.count("\n") == 1, err
+
+
+def test_gamma_reads_the_options_of_its_rule_from_a_config_file(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("nodes = 5\n")
+    code, out, err = run_cli(["--config", str(cfg), "gamma", "--algebra", "rank1",
+                              "--nu", "3"])
+    assert code == 2 and err.startswith("error: --nodes: not read without --rule"), err
+    code, out, err = run_cli(["--config", str(cfg), "gamma", "--algebra", "rank1",
+                              "--nu", "3", "--rule", "eigenvalue-quadrature"])
+    assert code == 0, err
+    assert json.loads(out)["rule"] == {"kind": "eigenvalue-quadrature", "nodes": 5}
+
+
+@pytest.mark.parametrize("args", [
+    ["polys", "--kind", "pencil"],
+    ["polys", "--format", "xml"],
+    ["gram", "--format", "xml"],
+    ["cache", "bogus"],
+])
+def test_a_flag_value_outside_its_choices_exits_2(args):
+    # argparse refuses it; a config file value is refused by read_config_file
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args)
+    assert exc.value.code == 2
+
+
+def test_gram_builds_no_x_y_table(tmp_path, monkeypatch):
+    # C(k) comes from the pencil chain over the one-slot tables: gram runs,
+    # with the same bytes, when every x, y expansion raises
+    from rclab import brackets, sympoly
+
+    args = ["gram", "--algebra", "spin8", "--kmax", "2", "--lambda", "4", "--mu", "4",
+            "--cache-dir", str(tmp_path / "cache")]
+    code, want, _ = run_cli(args)
+    assert code == 0
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("gram expanded c(k) to x, y monomials")
+
+    monkeypatch.setattr(brackets, "_pencils", {})
+    for module in (brackets, sympoly):
+        monkeypatch.setattr(module, "extract_bracket_polynomial", no_table)
+    monkeypatch.setattr(brackets, "compute_c", no_table)
+    code, out, err = run_cli(args)
+    assert code == 0 and out == want, err
+    assert os.listdir(tmp_path / "cache") == []
+
+
 @pytest.mark.parametrize("args", [
     ["gamma", "--nu", "3", "--rule", "monte-carlo", "--samples", "0"],
     ["gamma", "--nu", "3", "--rule", "monte-carlo", "--samples", str(MAX_SAMPLES + 1)],

@@ -15,7 +15,7 @@ from rclab.poly import Poly
 from rclab.sympoly import (
     SymExpr, BracketPolynomial, NonzeroRemainder,
     apply_D_power, extract_bracket_polynomial, cayley_check,
-    _pencil_operator, _pencil_tables,
+    _pencil_operator, _pencil_tables, _interval_tables,
 )
 
 
@@ -46,10 +46,29 @@ def test_sym2_pencil_tables():
     def mono(*factors):
         return tuple(map(sum, zip(*factors)))
 
-    assert _pencil_tables(get_algebra("sym2")) == [
+    tables = _pencil_tables(get_algebra("sym2"))
+    assert (tables.nvars, tables.den) == (6, 1)
+    assert tables.rows == [
         {mono(x11, x22): 1, mono(x12, x12): -1},
         {mono(x11, y22): 1, mono(x22, y11): 1, mono(x12, y12): -2},
         {mono(y11, y22): 1, mono(y12, y12): -1},
+    ]
+
+
+def test_sym2_interval_tables():
+    # Delta_j(e - v, e + v) for e = (1, 1, 0): det(e - v), the cross term, det(e + v)
+    v11, v22, v12 = ((0,) * i + (1,) + (0,) * (2 - i) for i in range(3))
+    one = (0, 0, 0)
+
+    def mono(*factors):
+        return tuple(map(sum, zip(*factors)))
+
+    tables = _interval_tables(get_algebra("sym2"))
+    assert (tables.nvars, tables.den) == (3, 4)
+    assert tables.rows == [
+        {one: 1, v11: -1, v22: -1, mono(v11, v22): 1, mono(v12, v12): -1},
+        {one: 2, mono(v11, v22): -2, mono(v12, v12): 2},
+        {one: 1, v11: 1, v22: 1, mono(v11, v22): 1, mono(v12, v12): -1},
     ]
 
 
