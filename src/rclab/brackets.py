@@ -1,12 +1,14 @@
 """Construction of the named polynomial families and their exact identities.
 
-``compute_c`` runs the Rodrigues pipeline (determinant operator applied to
-det-power weights, then exact extraction), one power of the operator per
-step from c(k-1) to c(k) in the pencil coordinates of ``rclab.sympoly``,
-and caches the c(k) it returns on disk.  ``compute_C`` expands the same
-pencil form on the interval chart x = (e - v)/2, y = (e + v)/2, producing
-the one-variable-slot family that generalizes the Jacobi polynomials (and
-reduces to them exactly in rank 1); it reads no c(k) and writes no file.
+Both families are expansions of one pencil chain: the Rodrigues pipeline
+(the determinant operator applied to det-power weights) runs one power of
+the operator per step from c(k-1) to c(k) in the pencil coordinates of
+``rclab.sympoly``.  ``compute_c`` expands c(k) to x, y monomials;
+``compute_C`` expands the same pencil form on the interval chart
+x = (e - v)/2, y = (e + v)/2, producing the one-variable-slot family that
+generalizes the Jacobi polynomials (and reduces to them exactly in rank 1).
+Only the chain goes to disk, one file per algebra, read and written by
+``pencil_cache`` around the work of a command.
 
 The check_* functions return JSON-serializable reports made by
 ``rclab.report``; exact checks use rational arithmetic end to end.
@@ -14,6 +16,7 @@ The check_* functions return JSON-serializable reports made by
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import random
@@ -35,6 +38,7 @@ from .sympoly import (
 )
 
 __all__ = [
+    "pencil_cache",
     "compute_c",
     "OrthoPoly",
     "compute_C",
@@ -48,7 +52,7 @@ __all__ = [
     "bracket_table_latex",
 ]
 
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 # fixed draws of the numeric and exact checks, so their reports repeat bit
 # for bit: the seeds, the (lam, mu) weights of the iota factorization and
 # the sample count of the automorphism check
@@ -60,28 +64,70 @@ AUT_SEED = 5
 # samples per integer monomial table of the chi-covariance check: a table of
 # all 2 x 50 points at spin8 k = 2 holds about 1 MB of big integers
 CHI_BLOCK = 10
+# (algebra name, k) -> c(k) in x, y monomials
 _memory_cache: dict = {}
 # algebra name -> [c(0), c(1), ...] times (det x)^s (det y)^t, in the pencil
 # coordinates: the in-process chain each build extends
 _pencils: dict = {}
 
 
-def _cache_path(cache_dir, algebra, k):
-    return os.path.join(cache_dir, f"c_{algebra.name}_k{k}.json")
-
-
-def _load_cached(path, algebra, k):
-    """c(k) from a cache file, or None unless the file holds exactly that
-    polynomial in the current format (missing, torn, stale or misnamed)."""
+def _load_chain(path, algebra):
+    """The pencil chain of a cache file, or None unless it is this algebra's
+    chain in the current format: a missing, torn or stale file, another
+    algebra's chain, a row of other than r + 1 exponents and a term of
+    entry k whose Delta-degree is not k are all misses."""
     try:
         with open(path) as fh:
             data = json.load(fh)
-        if (data["format"], data["algebra"], data["k"]) != (
-                CACHE_FORMAT, algebra.name, k):
+        if (data["format"], data["algebra"]) != (CACHE_FORMAT, algebra.name):
             return None
-        return BracketPolynomial.from_jsonable(data)
-    except (OSError, ValueError, KeyError, TypeError, AssertionError):
+        chain = []
+        for k, entry in enumerate(data["chain"]):
+            terms = {}
+            for exps, coef in entry:
+                if len(exps) != algebra.r + 1 or sum(exps) != k:
+                    return None
+                terms[tuple(exps)] = {(i, j): Fraction(v) for i, j, v in coef}
+            chain.append(SymExpr(algebra, terms))
+        return chain
+    except (OSError, ValueError, KeyError, TypeError):
         return None
+
+
+@contextlib.contextmanager
+def pencil_cache(algebra: JordanAlgebra, cache_dir: str | None):
+    """Run the work inside on the pencil chain ``cache_dir`` holds for
+    ``algebra``, and keep there what the work adds.
+
+    On entry, a process that holds no chain for the algebra takes the one
+    of ``c_<algebra>.json``, unless that file is a miss (``_load_chain``).
+    On exit the chain is written back, atomically, when the work extended
+    it or no file is there; the temporary file of a write killed before its
+    rename is a c_* file, so ``cache clear`` removes it.
+    """
+    if not cache_dir:
+        yield
+        return
+    path = os.path.join(cache_dir, f"c_{algebra.name}.json")
+    if algebra.name not in _pencils and (chain := _load_chain(path, algebra)):
+        _pencils[algebra.name] = chain
+    held = len(_pencils.get(algebra.name, ()))
+    yield
+    chain = _pencils.get(algebra.name)
+    if not chain or (len(chain) == held and os.path.exists(path)):
+        return
+    entries = [[[e, [[i, j, f"{v.numerator}/{v.denominator}"] for (i, j), v in c.items()]]
+                for e, c in expr.terms.items()] for expr in chain]
+    payload = json.dumps({"format": CACHE_FORMAT, "algebra": algebra.name, "chain": entries},
+                         separators=(",", ":"))
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix="c_", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _pencil(algebra, k):
@@ -95,41 +141,16 @@ def _pencil(algebra, k):
     return chain[k]
 
 
-def compute_c(algebra: JordanAlgebra, k: int,
-              cache_dir: str | None = None) -> BracketPolynomial:
-    """The k-th bracket polynomial c(k)_{s,t} for the given algebra.
-
-    c(k) comes from memory, else from ``cache_dir``, else from a build.  A
-    build extends the in-process chain of pencil forms (``_pencil``) and
-    expands only c(k) to x, y monomials.  Results are memoized
-    in-process and, when ``cache_dir`` is given, persisted as versioned JSON
-    (written atomically so concurrent readers never see a torn file).  A
-    cache file that does not hold this algebra's c(k) in the current format
-    is a miss and is rewritten.
-    """
+def compute_c(algebra: JordanAlgebra, k: int) -> BracketPolynomial:
+    """The k-th bracket polynomial c(k)_{s,t} for the given algebra: the
+    x, y expansion of the pencil form ``_pencil(algebra, k)``, memoized
+    in-process.  Only the pencil chain goes to disk (``pencil_cache``)."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    mem_key = (algebra.name, k)
-    poly = _memory_cache.get(mem_key)
-    path = _cache_path(cache_dir, algebra, k) if cache_dir else None
-    if poly is None and path:
-        poly = _load_cached(path, algebra, k)
-    computed = poly is None
-    if computed:
-        poly = extract_bracket_polynomial(_pencil(algebra, k), k)
-    _memory_cache[mem_key] = poly
-    if path and (computed or not os.path.exists(path)):
-        os.makedirs(cache_dir, exist_ok=True)
-        payload = json.dumps(poly.to_jsonable(), separators=(",", ":"))
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    return poly
+    key = (algebra.name, k)
+    if key not in _memory_cache:
+        _memory_cache[key] = extract_bracket_polynomial(_pencil(algebra, k), k)
+    return _memory_cache[key]
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +247,7 @@ def jacobi_proportionality(k: int, lam, mu):
 # Identity checks (report dicts)
 
 
-def check_chi_covariance(algebra: JordanAlgebra, kmax: int, samples: int = 50,
-                         cache_dir=None) -> list:
+def check_chi_covariance(algebra: JordanAlgebra, kmax: int, samples: int = 50) -> list:
     """Exact test of c(k)(l x, l y) = chi(l)^k c(k)(x, y) for l = P(a), one
     report per k = 0..kmax.
 
@@ -243,7 +263,7 @@ def check_chi_covariance(algebra: JordanAlgebra, kmax: int, samples: int = 50,
     two points, built for CHI_BLOCK samples at a time; no Fraction is made
     per sample.
     """
-    cs = [compute_c(algebra, k, cache_dir) for k in range(kmax + 1)]
+    cs = [compute_c(algebra, k) for k in range(kmax + 1)]
     n, t, det_poly = algebra.n, algebra._table_den, algebra.det_poly
     rng = random.Random(CHI_SEED)
     cones, points, weights = [], [], []
@@ -291,7 +311,7 @@ def check_chi_covariance(algebra: JordanAlgebra, kmax: int, samples: int = 50,
 
 
 def check_iota_factorization(algebra: JordanAlgebra, kmax: int, samples: int = 20, *,
-                             tol: float, cache_dir=None) -> list:
+                             tol: float) -> list:
     """Numeric test of c(k)_{lam,mu}(iota(eta, v)) = det(eta)^k C(k)_{lam,mu}(v),
     one report per k = 1..kmax (at k = 0 both sides are 1).
 
@@ -306,7 +326,7 @@ def check_iota_factorization(algebra: JordanAlgebra, kmax: int, samples: int = 2
         charts.append((lam, mu, np.hstack([xs, ys]), algebra.det_poly.numeric(etas), vs))
     reports = []
     for k in range(1, kmax + 1):
-        c = compute_c(algebra, k, cache_dir)
+        c = compute_c(algebra, k)
         rows = []
         for lam, mu, xys, dets, vs in charts:
             spec = c.specialize(Fraction(lam), Fraction(mu))

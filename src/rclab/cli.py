@@ -5,7 +5,7 @@ Subcommands
     gram    interval Gram matrices of the restricted family
     gamma   cone Gamma function (closed form, optionally numeric)
     check   run verification suites; exit 0 iff everything passes
-    cache   inspect or clear the on-disk polynomial cache
+    cache   inspect or clear the on-disk cache of pencil chains
 
 Configuration precedence: command-line flags > config file (simple
 ``key = value`` lines, '#' comments) > built-in defaults.  A config key is
@@ -194,22 +194,21 @@ def cmd_polys(args) -> int:
         raise ConfigError("--lambda and --mu weight the restricted family only")
     if (lam is None) != (mu is None):
         raise ConfigError("give both --lambda and --mu, or neither")
-    # made and checked for either kind, though the restricted family reads no file
-    cache_dir = _cache_dir(args)
-    if which == "two-slot":
-        emit = {"json": brackets.bracket_table_json, "csv": brackets.bracket_table_csv,
-                "latex": brackets.bracket_table_latex}[fmt]
-        text = emit(brackets.compute_c(algebra, k, cache_dir))
-    else:
-        C = brackets.compute_C(algebra, k, lam, mu)
-        rows = [{"mono": list(m), "coef": brackets._coef_label(coef)}
-                for m, coef in C.poly.rows()]
-        payload = {"schema": SCHEMA, "kind": "restricted-polynomial",
-                   "algebra": algebra.name, "k": k,
-                   "lambda": None if lam is None else str(lam),
-                   "mu": None if mu is None else str(mu), "terms": rows}
-        text = dump_report(payload) if fmt == "json" else "mono,coefficient\n" + "".join(
-            f"\"{'*'.join(map(str, r['mono']))}\",\"{r['coef']}\"\n" for r in rows)
+    with brackets.pencil_cache(algebra, _cache_dir(args)):
+        if which == "two-slot":
+            emit = {"json": brackets.bracket_table_json, "csv": brackets.bracket_table_csv,
+                    "latex": brackets.bracket_table_latex}[fmt]
+            text = emit(brackets.compute_c(algebra, k))
+        else:
+            C = brackets.compute_C(algebra, k, lam, mu)
+            rows = [{"mono": list(m), "coef": brackets._coef_label(coef)}
+                    for m, coef in C.poly.rows()]
+            payload = {"schema": SCHEMA, "kind": "restricted-polynomial",
+                       "algebra": algebra.name, "k": k,
+                       "lambda": None if lam is None else str(lam),
+                       "mu": None if mu is None else str(mu), "terms": rows}
+            text = dump_report(payload) if fmt == "json" else "mono,coefficient\n" + "".join(
+                f"\"{'*'.join(map(str, r['mono']))}\",\"{r['coef']}\"\n" for r in rows)
     _write_out(args, text)
     return 0
 
@@ -238,8 +237,8 @@ def cmd_gram(args) -> int:
     n = merged(args, "nodes", None, int)
     if n is not None and not rule_fits(n):
         raise ConfigError(f"--nodes must be >= 1 with {caps}, got {n}")
-    _cache_dir(args)    # made and checked, though gram reads no c(k) file
-    rep = quadrature.gram_matrix(algebra, lam, mu, kmax, n)
+    with brackets.pencil_cache(algebra, _cache_dir(args)):
+        rep = quadrature.gram_matrix(algebra, lam, mu, kmax, n)
     _write_out(args, dump_report(rep.to_jsonable())
                if merged(args, "format", "json") == "json" else rep.to_csv())
     return 0
@@ -295,7 +294,8 @@ def cmd_cache(args) -> int:
     removed = []    # the one other action argparse lets through: clear
     if os.path.isdir(cache_dir):
         for name in sorted(os.listdir(cache_dir)):
-            if name.startswith("c_") and name.endswith(".json"):
+            # a cache file, or what a write killed before its rename left
+            if name.startswith("c_") and name.endswith((".json", ".tmp")):
                 os.unlink(os.path.join(cache_dir, name))
                 removed.append(name)
     _write_out(args, dump_report(
@@ -305,27 +305,27 @@ def cmd_cache(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Verification suites: each takes (algebra, cache_dir, tols), where ``tols``
+# Verification suites: each takes (algebra, tols), where ``tols``
 # holds exactly the tolerances its SUITE_TABLE row lists for the algebra,
 # built-in or tightened by --tol, and returns a list of reports
 
 
-def _suite_polynomiality(algebra, cache_dir, tols):
+def _suite_polynomiality(algebra, tols):
     # compute_c certifies each row: a nonzero remainder or a monomial of the
     # wrong degree raises, and run_suites turns that into a failed report
     rows = []
     for k in range(_check_k(algebra) + 1):
-        poly = brackets.compute_c(algebra, k, cache_dir)
+        poly = brackets.compute_c(algebra, k)
         rows.append({"k": k, "monomials": poly.num_monomials(),
                      "degree": algebra.r * k, "zero_remainder": True,
                      "homogeneous": True})
     return [report("rodrigues-polynomiality", algebra.name, ok=True, rows=rows)]
 
 
-def _suite_exchange(algebra, cache_dir, tols):
+def _suite_exchange(algebra, tols):
     reports = []
     for k in range(_check_k(algebra) + 1):
-        c = brackets.compute_c(algebra, k, cache_dir)
+        c = brackets.compute_c(algebra, k)
         sw = c.swap_slots_and_params()
         p = c.poly
         ok = sw.poly == Poly(p.exps, (-1) ** (algebra.r * k) * p.coef, p.den)
@@ -334,12 +334,11 @@ def _suite_exchange(algebra, cache_dir, tols):
     return reports
 
 
-def _suite_chi(algebra, cache_dir, tols):
-    return brackets.check_chi_covariance(algebra, _check_k(algebra), samples=50,
-                                         cache_dir=cache_dir)
+def _suite_chi(algebra, tols):
+    return brackets.check_chi_covariance(algebra, _check_k(algebra), samples=50)
 
 
-def _suite_cayley(algebra, cache_dir, tols):
+def _suite_cayley(algebra, tols):
     from .sympoly import cayley_check
 
     # the Cayley identity: det(d/dx) det(x)^m = prod_{j<r} (m + j d/2) det(x)^(m-1)
@@ -357,7 +356,7 @@ def _suite_cayley(algebra, cache_dir, tols):
                    rows=rows)]
 
 
-def _suite_jacobi(algebra, cache_dir, tols):
+def _suite_jacobi(algebra, tols):
     rows = []
     for lam, mu in ((0, 0), (1, 2), (3, 3)):
         for k in range(7):
@@ -369,13 +368,12 @@ def _suite_jacobi(algebra, cache_dir, tols):
                    rows=rows)]
 
 
-def _suite_iota_fact(algebra, cache_dir, tols):
+def _suite_iota_fact(algebra, tols):
     return brackets.check_iota_factorization(algebra, min(_check_k(algebra), 2),
-                                             samples=10, tol=tols["iota-fact"],
-                                             cache_dir=cache_dir)
+                                             samples=10, tol=tols["iota-fact"])
 
 
-def _suite_jordan_numerics(algebra, cache_dir, tols):
+def _suite_jordan_numerics(algebra, tols):
     import random as _random
 
     from .algebra import random_chart_points, iota, iota_inv, iota_jacobian
@@ -410,11 +408,11 @@ def _fd_jacobian(algebra, Z, V, eps=1e-5):
     return np.linalg.det(J)
 
 
-def _suite_varchange(algebra, cache_dir, tols):
+def _suite_varchange(algebra, tols):
     return [quadrature.check_change_of_variables(algebra, tols["change-of-variables"])]
 
 
-def _suite_gamma(algebra, cache_dir, tols):
+def _suite_gamma(algebra, tols):
     def gamma_report(nu, method, numeric, tol, **fields):
         closed = quadrature.gamma_omega_closed(algebra, nu)
         return report("cone-gamma-integral", algebra.name, nu=nu, method=method,
@@ -437,7 +435,7 @@ def _suite_gamma(algebra, cache_dir, tols):
                          tols["gamma"])]
 
 
-def _suite_orthogonality(algebra, cache_dir, tols):
+def _suite_orthogonality(algebra, tols):
     weight, kmax = (1.0, 4) if algebra.family == "rank1" else (3.0, 3)
     data = quadrature.gram_matrix(algebra, weight, weight, kmax).to_jsonable()
     del data["schema"], data["algebra"]
@@ -445,7 +443,7 @@ def _suite_orthogonality(algebra, cache_dir, tols):
                    tolerance=tols["orthogonality"], **data)]
 
 
-def _suite_laplace(algebra, cache_dir, tols):
+def _suite_laplace(algebra, tols):
     nu = 2.8
     closed_gamma = quadrature.gamma_omega_closed(algebra, nu)
     ie = 1j * algebra.e
@@ -466,49 +464,48 @@ def _suite_laplace(algebra, cache_dir, tols):
     return out
 
 
-def _suite_jfact(algebra, cache_dir, tols):
+def _suite_jfact(algebra, tols):
     return [tube.check_J_factorization(algebra, tols["laplace-factorization"])]
 
 
-def _suite_operator_equivalence(algebra, cache_dir, tols):
+def _suite_operator_equivalence(algebra, tols):
     return [tube.check_bracket_transform_equivalence(
-        algebra, k, 3, 4, tol=tols["operator-equivalence"], cache_dir=cache_dir)
+        algebra, k, 3, 4, tol=tols["operator-equivalence"])
         for k in (0, 1, 2, 3)]
 
 
-def _suite_adjoint(algebra, cache_dir, tols):
+def _suite_adjoint(algebra, tols):
     reports = []
     if algebra.family == "rank1":
         z1 = np.array([0.3 + 1.0j])
         z2 = np.array([-0.2 + 2.0j])
         for k in (0, 1, 2):
             reports.append(tube.check_adjoint_image(
-                algebra, k, 3, 3, z1, z2, tol=tols["adjoint"], cache_dir=cache_dir))
+                algebra, k, 3, 3, z1, z2, tol=tols["adjoint"]))
     else:
         z1 = np.array([0.2 + 1.1j, -0.1 + 1.3j, 0.05 + 0.1j])
         z2 = np.array([-0.3 + 1.8j, 0.2 + 1.5j, -0.02 + 0.05j])
         reports.append(tube.check_adjoint_image(
-            algebra, 1, 3, 3, z1, z2, tol=tols["adjoint"], cache_dir=cache_dir))
+            algebra, 1, 3, 3, z1, z2, tol=tols["adjoint"]))
     return reports
 
 
-def _suite_isometry(algebra, cache_dir, tols):
-    return [tube.check_partial_isometry(algebra, k, 3, 3, tol=tols["isometry"],
-                                        cache_dir=cache_dir)
+def _suite_isometry(algebra, tols):
+    return [tube.check_partial_isometry(algebra, k, 3, 3, tol=tols["isometry"])
             for k in (0, 1, 2)]
 
 
-def _suite_covariance(algebra, cache_dir, tols):
+def _suite_covariance(algebra, tols):
     ks = (0, 1, 2, 3) if algebra.family == "rank1" else (1,)
     reports = []
     for k in ks:
         for gen in tube.default_generators(algebra):
             reports.append(tube.check_covariance_B(
-                algebra, k, 2.6, 3.2, gen, tol=tols["covariance"], cache_dir=cache_dir))
+                algebra, k, 2.6, 3.2, gen, tol=tols["covariance"]))
     return reports
 
 
-def _suite_hua(algebra, cache_dir, tols):
+def _suite_hua(algebra, tols):
     e = algebra.e
     n = algebra.n
     z = 0.4 * np.arange(n) / n + 1.3j * e + 0.05j * np.arange(n)
@@ -521,13 +518,13 @@ def _suite_hua(algebra, cache_dir, tols):
     return out
 
 
-def _suite_aut(algebra, cache_dir, tols):
+def _suite_aut(algebra, tols):
     kmax = min(_check_k(algebra), 2)
     return [brackets.check_aut_invariance(algebra, k, 3, 3, tol=tols["aut"])
             for k in range(1, kmax + 1)]
 
 
-def _suite_branch(algebra, cache_dir, tols):
+def _suite_branch(algebra, tols):
     e = algebra.e
     n = algebra.n
     # Im target = 1.5 e + 0.6 (0..n-1)/n stays in the cone for every algebra
@@ -550,7 +547,7 @@ def _path_logdet(algebra, corners, steps=64):
     return complex(np.log(dets[1:] / dets[:-1]).sum())
 
 
-def _suite_cauchy(algebra, cache_dir, tols):
+def _suite_cauchy(algebra, tols):
     e = algebra.e
     # off the line through e, where the spin factors' alpha = (2, 1, 0, ...)
     # derivative vanishes; the offset is 0 in rank 1
@@ -652,14 +649,13 @@ def _plan(algebra, selector, tols):
     return plan
 
 
-def run_suites(algebra, selector: str, cache_dir=None, tols=None):
+def run_suites(algebra, selector: str, tols=None):
     """The reports of the suites ``selector`` names and whether all pass."""
     tols = tols or {}
     reports = []
     for name, builtin in _plan(algebra, selector, tols).items():
         try:
-            got = SUITES[name](algebra, cache_dir,
-                               {t: tols.get(t, v) for t, v in builtin.items()})
+            got = SUITES[name](algebra, {t: tols.get(t, v) for t, v in builtin.items()})
             if not got:
                 raise ValueError("the suite wrote no report")
             reports.extend(got)
@@ -684,7 +680,8 @@ def cmd_check(args) -> int:
         except ValueError:
             raise ConfigError(f"--tol {item}: {val!r} is not a number") from None
     _plan(algebra, selector, tols)      # a refused run makes no --cache-dir
-    reports, ok = run_suites(algebra, selector, _cache_dir(args), tols)
+    with brackets.pencil_cache(algebra, _cache_dir(args)):
+        reports, ok = run_suites(algebra, selector, tols)
     payload = {
         "schema": SCHEMA,
         "kind": "check-report",

@@ -44,7 +44,7 @@ from operator import add, sub
 import numpy as np
 
 from . import SCHEMA
-from .algebra import JordanAlgebra, get_algebra
+from .algebra import JordanAlgebra
 from .poly import Poly
 
 __all__ = [
@@ -537,19 +537,6 @@ class BracketPolynomial:
             "k": self.k,
             "terms": rows,
         }
-
-    @classmethod
-    def from_jsonable(cls, data) -> "BracketPolynomial":
-        algebra = get_algebra(data["algebra"])
-        # each "p/q" as the integers (p, q), then p over the common den
-        terms = {tuple(row["mono"]): {(int(i), int(j)): tuple(map(int, v.split("/")))
-                                      for i, j, v in row["coef"]}
-                 for row in data["terms"]}
-        den = math.lcm(1, *(q for coef in terms.values() for _, q in coef.values()))
-        for coef in terms.values():
-            for ij, (p, q) in coef.items():
-                coef[ij] = p * (den // q)
-        return cls(algebra, data["k"], Poly.from_terms(terms, 2 * algebra.n, den))
 
     def __repr__(self):
         return (f"BracketPolynomial({self.algebra.name}, k={self.k}, "

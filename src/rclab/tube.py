@@ -276,8 +276,7 @@ def pi_action(gen: GroupGenerator, nu, F):
 # The bracket as a bi-differential operator
 
 
-def apply_B(algebra: JordanAlgebra, k: int, lam, mu, F, G, z,
-            cache_dir=None) -> complex:
+def apply_B(algebra: JordanAlgebra, k: int, lam, mu, F, G, z) -> complex:
     """The k-th bracket applied to F(z) G(w), restricted to the diagonal w = z,
     at the tube point ``z``.
 
@@ -288,8 +287,7 @@ def apply_B(algebra: JordanAlgebra, k: int, lam, mu, F, G, z,
     slot gets its own contour grids over its own n coordinates.
     """
     shift = Fraction(algebra.n, algebra.r)
-    spec = compute_c(algebra, k, cache_dir).specialize(Fraction(lam) - shift,
-                                                      Fraction(mu) - shift)
+    spec = compute_c(algebra, k).specialize(Fraction(lam) - shift, Fraction(mu) - shift)
     # a trace-form derivative in coordinate i is d/dz_i / gram_i
     inv_gram = 1.0 / np.array([float(g) for g in algebra.gram * 2])
     coefs = spec.fcoef * np.prod(inv_gram ** spec.exps, axis=1)
@@ -339,7 +337,7 @@ def default_generators(algebra):
 
 
 def check_covariance_B(algebra: JordanAlgebra, k: int, lam, mu,
-                       gen: GroupGenerator, tol: float, cache_dir=None) -> dict:
+                       gen: GroupGenerator, tol: float) -> dict:
     """Both routes of the bracket covariance on a coherent-state product F G.
 
     LHS: transform the slots, pi_lam(g) F and pi_mu(g) G, then apply the
@@ -362,8 +360,8 @@ def check_covariance_B(algebra: JordanAlgebra, k: int, lam, mu,
         ginv_z = gen.apply_inv(z.reshape(1, -1))[0]
         if spectral(algebra, ginv_z.imag)[0, 0] < 0.1:
             continue
-        lhs = apply_B(algebra, k, lam, mu, F_g, G_g, z, cache_dir)
-        inner_B = apply_B(algebra, k, lam, mu, F, G, ginv_z, cache_dir)
+        lhs = apply_B(algebra, k, lam, mu, F_g, G_g, z)
+        inner_B = apply_B(algebra, k, lam, mu, F, G, ginv_z)
         fac = np.exp(complex(nu) * scale_psi * gen.psi_inv(z.reshape(1, -1))[0])
         rhs = fac * inner_B
         scale = max(abs(lhs), abs(rhs), 1e-30)
@@ -376,7 +374,7 @@ def check_covariance_B(algebra: JordanAlgebra, k: int, lam, mu,
 
 
 def check_adjoint_image(algebra: JordanAlgebra, k: int, lam, mu, z1, z2,
-                        tol: float, cache_dir=None) -> dict:
+                        tol: float) -> dict:
     """Laplace transform of the adjoint-image integrand vs the closed form,
     at the tube points ``z1`` and ``z2``.
 
@@ -388,8 +386,7 @@ def check_adjoint_image(algebra: JordanAlgebra, k: int, lam, mu, z1, z2,
     """
     n, r = algebra.n, algebra.r
     shift = Fraction(n, r)
-    spec = compute_c(algebra, k, cache_dir).specialize(Fraction(lam) - shift,
-                                                      Fraction(mu) - shift)
+    spec = compute_c(algebra, k).specialize(Fraction(lam) - shift, Fraction(mu) - shift)
     # one Laplace rule per slot transforms every monomial of that slot
     slots = []
     for cut, z, weight in ((slice(0, n), z1, lam), (slice(n, 2 * n), z2, mu)):
@@ -443,7 +440,7 @@ def check_J_factorization(algebra: JordanAlgebra, tol: float) -> dict:
 
 
 def check_partial_isometry(algebra: JordanAlgebra, k: int, lam, mu,
-                           tol: float, cache_dir=None) -> dict:
+                           tol: float) -> dict:
     """Norm ratio constancy of the adjoint embedding, rank 1.
 
     ||Phi h||^2 / ||h||^2 must match the interval integral
@@ -456,8 +453,7 @@ def check_partial_isometry(algebra: JordanAlgebra, k: int, lam, mu,
     lam_f, mu_f = float(lam), float(mu)
     nu = lam_f + mu_f + 2 * k
     shift = 1.0  # n/r
-    spec = compute_c(algebra, k, cache_dir).specialize(Fraction(lam) - 1,
-                                                      Fraction(mu) - 1)
+    spec = compute_c(algebra, k).specialize(Fraction(lam) - 1, Fraction(mu) - 1)
     ratios = []
     for lo, hi in ((1.0, 2.2), (1.6, 3.0), (0.8, 2.8)):      # bumps h on (lo, hi)
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -491,7 +487,7 @@ def check_partial_isometry(algebra: JordanAlgebra, k: int, lam, mu,
 
 
 def check_bracket_transform_equivalence(algebra: JordanAlgebra, k: int,
-                                        lam, mu, tol: float, cache_dir=None) -> dict:
+                                        lam, mu, tol: float) -> dict:
     """The bracket on transforms equals the transform of the averaged form.
 
     Left route: apply the bi-differential bracket to the two-slot transform
@@ -516,8 +512,7 @@ def check_bracket_transform_equivalence(algebra: JordanAlgebra, k: int,
     def transform(coords):
         return np.exp(1j * np.outer(coords[:, 0], xi)) @ fw
 
-    lhs = apply_B(algebra, k, lam, mu, transform, transform, np.array([zz]),
-                  cache_dir=cache_dir)
+    lhs = apply_B(algebra, k, lam, mu, transform, transform, np.array([zz]))
     shift = Fraction(algebra.n, algebra.r)
     C = compute_C(algebra, k, Fraction(lam) - shift, Fraction(mu) - shift)
     vg, wv = scaled_interval_rule(gl, -1.0, 1.0)

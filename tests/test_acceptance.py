@@ -23,7 +23,7 @@ def _line(num, name, ok, detail=""):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_01_polynomiality(cache_dir):
+def test_criterion_01_polynomiality():
     import rclab.brackets as B
 
     for name, kmax in RANGE:
@@ -34,7 +34,7 @@ def test_criterion_01_polynomiality(cache_dir):
     for name, kmax in RANGE:
         alg = get_algebra(name)
         for k in range(kmax + 1):
-            poly = brackets.compute_c(alg, k, cache_dir)
+            poly = brackets.compute_c(alg, k)
             counts[(name, k)] = poly.num_monomials()
     elapsed = time.time() - t0
     ok = elapsed < 600 and all(v > 0 for v in counts.values())
@@ -42,23 +42,22 @@ def test_criterion_01_polynomiality(cache_dir):
           f"({elapsed:.1f}s for {len(counts)} polynomials, cap 600s)")
 
 
-def test_criterion_02_chi_covariance(cache_dir):
+def test_criterion_02_chi_covariance():
     worst = None
     for name, kmax in RANGE:
-        for rep in brackets.check_chi_covariance(get_algebra(name), kmax, samples=50,
-                                                 cache_dir=cache_dir):
+        for rep in brackets.check_chi_covariance(get_algebra(name), kmax, samples=50):
             if not rep["pass"]:
                 worst = (name, rep["k"], rep["violations"][:3])
     _line(2, "chi-covariance-exact", worst is None,
           "" if worst is None else str(worst))
 
 
-def test_criterion_03_homogeneity(cache_dir):
+def test_criterion_03_homogeneity():
     ok = True
     for name, kmax in RANGE:
         alg = get_algebra(name)
         for k in range(kmax + 1):
-            poly = brackets.compute_c(alg, k, cache_dir)
+            poly = brackets.compute_c(alg, k)
             if not (poly.poly.exps.sum(axis=1) == alg.r * k).all():
                 ok = False
     _line(3, "homogeneity-degree-rk", ok)
@@ -154,22 +153,20 @@ def test_criterion_09_L2_factorization():
           f"sym2 {rep2['residual']:.2e} < 1e-4)")
 
 
-def test_criterion_10_adjoint_image(cache_dir):
+def test_criterion_10_adjoint_image():
     r1 = get_algebra("rank1")
     z1 = np.array([0.3 + 1.0j])
     z2 = np.array([-0.2 + 2.0j])
     phases = []
     worst1 = 0.0
     for k in (0, 1, 2):
-        rep = tube.check_adjoint_image(r1, k, 3, 3, z1, z2, tol=1e-6,
-                                       cache_dir=cache_dir)
+        rep = tube.check_adjoint_image(r1, k, 3, 3, z1, z2, tol=1e-6)
         worst1 = max(worst1, rep["residual"])
         phases.append(complex(*rep["measured_phase"]))
     s2 = get_algebra("sym2")
     w1 = np.array([0.2 + 1.1j, -0.1 + 1.3j, 0.05 + 0.1j])
     w2 = np.array([-0.3 + 1.8j, 0.2 + 1.5j, -0.02 + 0.05j])
-    rep2 = tube.check_adjoint_image(s2, 1, 3, 3, w1, w2, tol=1e-3,
-                                    cache_dir=cache_dir)
+    rep2 = tube.check_adjoint_image(s2, 1, 3, 3, w1, w2, tol=1e-3)
     phases.append(complex(*rep2["measured_phase"]))
     ok = worst1 < 1e-6 and rep2["residual"] < 1e-3
     _line(10, "adjoint-image-closed-form", ok,
@@ -177,12 +174,11 @@ def test_criterion_10_adjoint_image(cache_dir):
           f"measured phases ~ {phases[0]:.6f})")
 
 
-def test_criterion_11_partial_isometry(cache_dir):
+def test_criterion_11_partial_isometry():
     worst_spread = 0.0
     worst_const = 0.0
     for k in (0, 1, 2):
-        rep = tube.check_partial_isometry(get_algebra("rank1"), k, 3, 3, tol=1e-6,
-                                          cache_dir=cache_dir)
+        rep = tube.check_partial_isometry(get_algebra("rank1"), k, 3, 3, tol=1e-6)
         worst_spread = max(worst_spread, rep["ratio_spread"])
         worst_const = max(worst_const, rep["constant_residual"])
     ok = worst_spread < 1e-6 and worst_const < 1e-6
@@ -190,14 +186,13 @@ def test_criterion_11_partial_isometry(cache_dir):
           f"(spread {worst_spread:.2e}, constant {worst_const:.2e}, both < 1e-6)")
 
 
-def test_criterion_12_covariance(cache_dir):
+def test_criterion_12_covariance():
     worst_cov = 0.0
     for name, ks in (("rank1", (0, 1, 2, 3)), ("sym2", (1,))):
         alg = get_algebra(name)
         for k in ks:
             for gen in tube.default_generators(alg):
-                rep = tube.check_covariance_B(alg, k, 2.6, 3.2, gen,
-                                              tol=1e-6, cache_dir=cache_dir)
+                rep = tube.check_covariance_B(alg, k, 2.6, 3.2, gen, tol=1e-6)
                 assert rep["samples"], (name, k, gen.kind)
                 worst_cov = max(worst_cov, rep["max_residual"])
     worst_aux = 0.0

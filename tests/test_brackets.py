@@ -10,7 +10,7 @@ import pytest
 from fraction_ref import cone_point, det, mul, quad_rep, rational_point
 from rclab.algebra import get_algebra, iota, spectral
 from rclab.brackets import (
-    compute_c, compute_C,
+    pencil_cache, compute_c, compute_C,
     jacobi_classical, jacobi_proportionality,
     check_chi_covariance, check_iota_factorization, check_aut_invariance,
     bracket_table_csv, bracket_table_latex, bracket_table_json,
@@ -62,47 +62,109 @@ def test_diagonal_restriction_at_equal_parameters():
         assert c.evaluate(x, x, s, s) == (s + 1) * det(alg, x)
 
 
-def test_disk_cache_roundtrip(tmp_path):
-    alg = get_algebra("sym2")
+def cold(monkeypatch):
+    """Forget every c(k) and pencil chain the process holds."""
     import rclab.brackets as B
 
-    B._memory_cache.pop((alg.name, 1), None)
-    c1 = compute_c(alg, 1, str(tmp_path))
-    path = tmp_path / "c_sym2_k1.json"
-    assert path.exists()
+    monkeypatch.setattr(B, "_memory_cache", {})
+    monkeypatch.setattr(B, "_pencils", {})
+
+
+def cached_c(alg, k, cache_dir):
+    with pencil_cache(alg, cache_dir):
+        return compute_c(alg, k)
+
+
+def test_disk_cache_roundtrip(tmp_path, monkeypatch):
+    import rclab.brackets as B
+
+    alg = get_algebra("sym2")
+    cold(monkeypatch)
+    c2 = cached_c(alg, 2, str(tmp_path))
+    path = tmp_path / "c_sym2.json"
     data = json.loads(path.read_text())
-    assert data["schema"] == "rc-lab/1" and data["format"] == 1
-    B._memory_cache.pop((alg.name, 1), None)
-    c2 = compute_c(alg, 1, str(tmp_path))
-    assert c1 == c2
-    assert not any(name.endswith(".tmp") for name in os.listdir(tmp_path))
+    assert data["format"] == B.CACHE_FORMAT == 2
+    assert data["algebra"] == "sym2" and len(data["chain"]) == 3
+    chain = B._pencils["sym2"]
+    cold(monkeypatch)
+    monkeypatch.setattr(B, "apply_D_power", None)   # a build would raise
+    assert cached_c(alg, 2, str(tmp_path)) == c2
+    assert B._pencils["sym2"] == chain
+    assert os.listdir(tmp_path) == ["c_sym2.json"]
 
 
 def test_disk_cache_rejects_a_misnamed_payload(tmp_path, monkeypatch):
-    import rclab.brackets as B
-
+    # another algebra's chain under this algebra's name is a miss, rewritten
+    cold(monkeypatch)
+    cached_c(get_algebra("sym2"), 3, str(tmp_path))
+    (tmp_path / "c_sym2.json").rename(tmp_path / "c_rank1.json")
     want = compute_c(get_algebra("rank1"), 3)
-    payload = json.dumps(compute_c(get_algebra("sym2"), 1).to_jsonable())
-    path = tmp_path / "c_rank1_k3.json"
-    path.write_text(payload)
-    monkeypatch.setattr(B, "_memory_cache", {})
-    got = compute_c(get_algebra("rank1"), 3, str(tmp_path))
-    assert got == want
-    data = json.loads(path.read_text())
-    assert (data["algebra"], data["k"]) == ("rank1", 3)
+    cold(monkeypatch)
+    assert cached_c(get_algebra("rank1"), 3, str(tmp_path)) == want
+    data = json.loads((tmp_path / "c_rank1.json").read_text())
+    assert data["algebra"] == "rank1" and len(data["chain"]) == 4
 
 
 def test_disk_cache_rewrites_an_old_format(tmp_path, monkeypatch):
+    # a format-1 file, one c(k) in x, y monomials, is a miss, rewritten
     import rclab.brackets as B
 
     alg = get_algebra("sym2")
-    data = compute_c(alg, 1).to_jsonable()
-    data["format"] = 0
-    path = tmp_path / "c_sym2_k1.json"
-    path.write_text(json.dumps(data))
-    monkeypatch.setattr(B, "_memory_cache", {})
-    compute_c(alg, 1, str(tmp_path))
+    path = tmp_path / "c_sym2.json"
+    path.write_text(json.dumps(compute_c(alg, 1).to_jsonable()))
+    cold(monkeypatch)
+    cached_c(alg, 1, str(tmp_path))
     assert json.loads(path.read_text())["format"] == B.CACHE_FORMAT
+
+
+def test_disk_cache_extends_a_shorter_chain(tmp_path, monkeypatch):
+    # c(2) from a file that holds c(0), c(1): one step, and the file rewritten
+    import rclab.brackets as B
+
+    alg = get_algebra("sym2")
+    cold(monkeypatch)
+    cached_c(alg, 1, str(tmp_path))
+    path = tmp_path / "c_sym2.json"
+    want = compute_c(alg, 2)
+    cold(monkeypatch)
+    steps = []
+    monkeypatch.setattr(B, "apply_D_power",
+                        lambda expr, k: steps.append(k) or apply_D_power(expr, k))
+    assert cached_c(alg, 2, str(tmp_path)) == want
+    assert steps == [1] and len(json.loads(path.read_text())["chain"]) == 3
+
+
+def mangled_chain_file(tmp_path, monkeypatch, mangle):
+    """c_sym2.json holding c(0..2) after ``mangle`` has changed its chain,
+    and the bytes the intact file has."""
+    cold(monkeypatch)
+    cached_c(get_algebra("sym2"), 2, str(tmp_path))
+    path = tmp_path / "c_sym2.json"
+    text = path.read_text()
+    data = json.loads(text)
+    mangle(data["chain"])
+    path.write_text(json.dumps(data))
+    return path, text
+
+
+def drop_an_exponent(chain):
+    # the Delta-degree stays k; only the exponent count gives it away
+    exps = chain[1][0][0]
+    exps.remove(0)
+
+
+def swap_entries(chain):
+    chain[1], chain[2] = chain[2], chain[1]
+
+
+@pytest.mark.parametrize("mangle", [drop_an_exponent, swap_entries])
+def test_a_mangled_chain_file_is_a_miss(mangle, tmp_path, monkeypatch):
+    alg = get_algebra("sym2")
+    want = [compute_c(alg, k) for k in range(3)]
+    path, text = mangled_chain_file(tmp_path, monkeypatch, mangle)
+    cold(monkeypatch)
+    assert [cached_c(alg, k, str(tmp_path)) for k in range(3)] == want
+    assert path.read_text() == text
 
 
 @pytest.mark.parametrize("name,kmax", [
@@ -121,30 +183,29 @@ def test_compute_c_recurrence_matches_the_definition(name, kmax, monkeypatch):
 
 
 def test_a_cold_compute_c_writes_its_own_file(tmp_path, monkeypatch):
+    # one file per algebra, whatever k is asked for, and no .tmp left
     import rclab.brackets as B
 
     alg = get_algebra("sym2")
-    monkeypatch.setattr(B, "_memory_cache", {})
-    c3 = compute_c(alg, 3, str(tmp_path))
-    assert os.listdir(tmp_path) == ["c_sym2_k3.json"]
-    assert B._load_cached(str(tmp_path / "c_sym2_k3.json"), alg, 3) == c3
+    cold(monkeypatch)
+    c3 = cached_c(alg, 3, str(tmp_path))
+    assert os.listdir(tmp_path) == ["c_sym2.json"]
+    assert B._load_chain(str(tmp_path / "c_sym2.json"), alg) == B._pencils["sym2"]
+    cold(monkeypatch)
+    assert cached_c(alg, 3, str(tmp_path)) == c3
 
 
 def test_a_build_reads_no_lower_file(tmp_path, monkeypatch):
-    # c(2) is built from the pencil chain in memory: a misnamed c(1) file is
-    # neither read nor rewritten, and it stays a miss when c(1) is asked for
-    import rclab.brackets as B
-
+    # a per-k file of the old layout is neither read nor rewritten
     alg = get_algebra("sym2")
     want = compute_c(alg, 2)
     path = tmp_path / "c_sym2_k1.json"
     misnamed = json.dumps(compute_c(get_algebra("spin3"), 1).to_jsonable())
     path.write_text(misnamed)
-    monkeypatch.setattr(B, "_memory_cache", {})
-    monkeypatch.setattr(B, "_pencils", {})
-    assert compute_c(alg, 2, str(tmp_path)) == want
+    cold(monkeypatch)
+    assert cached_c(alg, 2, str(tmp_path)) == want
     assert path.read_text() == misnamed
-    assert compute_c(alg, 1, str(tmp_path)) == B._load_cached(str(path), alg, 1)
+    assert sorted(os.listdir(tmp_path)) == ["c_sym2.json", "c_sym2_k1.json"]
 
 
 def test_compute_C_k0_is_one():

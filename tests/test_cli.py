@@ -196,7 +196,7 @@ def test_gram_builds_no_x_y_table(tmp_path, monkeypatch):
     monkeypatch.setattr(brackets, "compute_c", no_table)
     code, out, err = run_cli(args)
     assert code == 0 and out == want, err
-    assert os.listdir(tmp_path / "cache") == []
+    assert os.listdir(tmp_path / "cache") == ["c_spin8.json"]
 
 
 @pytest.mark.parametrize("args", [
@@ -342,7 +342,7 @@ def test_config_keys_take_dashes_or_underscores(key, tmp_path):
     code, _, err = run_cli(["--config", str(cfg), "polys", "--algebra", "rank1",
                             "--k", "1"])
     assert code == 0, err
-    assert (tmp_path / "cache" / "c_rank1_k1.json").exists()
+    assert os.listdir(tmp_path / "cache") == ["c_rank1.json"]
 
 
 @pytest.mark.parametrize("command, text, key", [
@@ -420,7 +420,7 @@ def test_an_output_in_a_missing_directory_stops_the_check_before_any_suite(
 
     calls = []
 
-    def stub(algebra, cache_dir, tols):
+    def stub(algebra, tols):
         calls.append(algebra.name)
         return [report("stub", algebra.name, ok=True)]
 
@@ -449,10 +449,10 @@ def test_cache_inspect_and_clear(tmp_path):
              "--cache-dir", str(cache), "--output", str(tmp_path / "x.json")])
     code, out, _ = run_cli(["cache", "inspect", "--cache-dir", str(cache)])
     data = json.loads(out)
-    assert any(e["file"] == "c_rank1_k3.json" for e in data["entries"])
+    assert [e["file"] for e in data["entries"]] == ["c_rank1.json"]
     code, out, _ = run_cli(["cache", "clear", "--cache-dir", str(cache)])
     data = json.loads(out)
-    assert "c_rank1_k3.json" in data["removed"]
+    assert data["removed"] == ["c_rank1.json"]
     code, out, _ = run_cli(["cache", "inspect", "--cache-dir", str(cache)])
     assert json.loads(out)["entries"] == []
 
@@ -470,12 +470,15 @@ def test_polys_recomputes_a_truncated_cache_file(tmp_path, monkeypatch):
 
     cache = tmp_path / "cache"
     args = ["polys", "--algebra", "rank1", "--k", "2", "--cache-dir", str(cache)]
+    monkeypatch.setattr(B, "_memory_cache", {})
+    monkeypatch.setattr(B, "_pencils", {})
     code, want, _ = run_cli(args)
     assert code == 0
-    path = cache / "c_rank1_k2.json"
+    path = cache / "c_rank1.json"
     text = path.read_text()
     path.write_text(text[: len(text) // 2])
     monkeypatch.setattr(B, "_memory_cache", {})
+    monkeypatch.setattr(B, "_pencils", {})
     code, out, _ = run_cli(args)
     assert code == 0 and out == want
     assert path.read_text() == text
@@ -495,7 +498,7 @@ def test_check_cayley_fails_on_a_wrong_constant(monkeypatch):
 def test_check_all_reports_a_crashing_suite_and_goes_on(tmp_path, monkeypatch):
     import rclab.cli as cli
 
-    def boom(algebra, cache_dir, tols):
+    def boom(algebra, tols):
         raise ValueError("polydisc radius violation")
 
     monkeypatch.setitem(cli.SUITES, "branch", boom)
@@ -525,7 +528,7 @@ def test_check_k_stays_within_the_caps(monkeypatch):
 
     seen = []
 
-    def record(algebra, k, cache_dir=None):
+    def record(algebra, k):
         seen.append(k)
         return Stub()
 
@@ -677,7 +680,7 @@ def test_check_refuses_a_run_that_tests_nothing_before_any_suite(args, monkeypat
 
     calls = []
     for name in cli.SUITES:
-        def stub(algebra, cache_dir, tols, name=name):
+        def stub(algebra, tols, name=name):
             calls.append(name)
             return [report("stub", algebra.name, ok=True)]
         monkeypatch.setitem(cli.SUITES, name, stub)
@@ -718,7 +721,7 @@ def test_config_values_must_be_among_the_flag_choices(command, text, tmp_path):
 def test_a_suite_that_reports_nothing_fails_the_check(monkeypatch):
     import rclab.cli as cli
 
-    monkeypatch.setitem(cli.SUITES, "covariance", lambda algebra, cache_dir, tols: [])
+    monkeypatch.setitem(cli.SUITES, "covariance", lambda algebra, tols: [])
     code, out, _ = run_cli(["check", "covariance", "--algebra", "rank1"])
     assert code == 1
     (rep,) = json.loads(out)["reports"]
@@ -740,9 +743,9 @@ def test_every_suite_the_table_lists_reports_and_reads_its_tolerances(
             return super().__getitem__(key)
 
     for name, run in cli.SUITES.items():
-        def counted(algebra, cache_dir, tols, name=name, run=run):
+        def counted(algebra, tols, name=name, run=run):
             read.clear()
-            reports = run(algebra, cache_dir, Reads(tols))
+            reports = run(algebra, Reads(tols))
             ran[name] = (len(reports), set(read))
             return reports
         monkeypatch.setitem(cli.SUITES, name, counted)
@@ -768,7 +771,7 @@ def test_cauchy_and_branch_suites_pass_for_the_spin_factors(name):
 
     alg = get_algebra(name)
     for suite, tols in (("cauchy-stability", {"cauchy": 1e-9}), ("branch", {"branch": 1e-10})):
-        (rep,) = cli.SUITES[suite](alg, None, tols)
+        (rep,) = cli.SUITES[suite](alg, tols)
         assert rep["pass"], (suite, rep)
 
 
@@ -839,20 +842,62 @@ def test_entry_point_runs():
     assert json.loads(proc.stdout)["closed"] == 6.0
 
 
-def test_check_all_sym2_same_bytes_from_a_cold_and_a_warm_cache(tmp_path, monkeypatch):
-    # the second run reads every c(k) from the cache files the first wrote
+def same_bytes_from_a_cold_and_a_warm_cache(command, tmp_path, monkeypatch):
+    # the warm run takes the whole pencil chain from the file the cold run
+    # wrote: it applies D not once (sympoly's own cayley_check excepted)
+    # and leaves the file as it is
     from rclab import brackets
 
     cache = tmp_path / "cache"
     reports = []
     for run in ("cold", "warm"):
         monkeypatch.setattr(brackets, "_memory_cache", {})
+        monkeypatch.setattr(brackets, "_pencils", {})
+        if run == "warm":
+            (chain_file,) = cache.iterdir()
+            written = chain_file.read_bytes()
+            monkeypatch.setattr(brackets, "apply_D_power", None)
         out = tmp_path / f"{run}.json"
-        code, _, _ = run_cli(["check", "all", "--algebra", "sym2", "--cache-dir",
-                              str(cache), "--output", str(out)])
-        assert code == 0
+        code, _, err = run_cli([*command, "--cache-dir", str(cache), "--output", str(out)])
+        assert code == 0, err
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
+    assert chain_file.read_bytes() == written
+
+
+def test_check_all_sym2_same_bytes_from_a_cold_and_a_warm_cache(tmp_path, monkeypatch):
+    same_bytes_from_a_cold_and_a_warm_cache(["check", "all", "--algebra", "sym2"],
+                                            tmp_path, monkeypatch)
+
+
+def test_gram_spin8_same_bytes_from_a_cold_and_a_warm_cache(tmp_path, monkeypatch):
+    same_bytes_from_a_cold_and_a_warm_cache(
+        ["gram", "--algebra", "spin8", "--kmax", "2", "--lambda", "4", "--mu", "4"],
+        tmp_path, monkeypatch)
+
+
+def test_cache_clear_removes_what_a_killed_write_left(tmp_path):
+    # a worker killed between mkstemp and os.replace left its temporary
+    # file, which `cache clear` kept and `cache inspect` listed for good
+    cache = tmp_path / "cache"
+    child = (
+        "import os, sys\n"
+        "import rclab.cli\n"
+        "os.replace = lambda *args: os._exit(9)\n"
+        "rclab.cli.main(['polys', '--algebra', 'rank1', '--k', '1', '--output', os.devnull,"
+        " '--cache-dir', sys.argv[1]])\n")
+    import rclab
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        os.path.dirname(os.path.dirname(rclab.__file__)), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", child, str(cache)], env=env, timeout=120)
+    assert proc.returncode == 9
+    (left,) = os.listdir(cache)
+    assert left.endswith(".tmp")
+    code, out, _ = run_cli(["cache", "clear", "--cache-dir", str(cache)])
+    assert code == 0 and json.loads(out)["removed"] == [left]
+    code, out, _ = run_cli(["cache", "inspect", "--cache-dir", str(cache)])
+    assert json.loads(out)["entries"] == []
 
 
 def test_gamma_suite_passes_for_every_algebra():
