@@ -5,8 +5,10 @@ Both families are expansions of one pencil chain: the Rodrigues pipeline
 the operator per step from c(k-1) to c(k) in the pencil coordinates of
 ``rclab.sympoly``.  ``compute_c`` expands c(k) to x, y monomials;
 ``compute_C`` expands the same pencil form on the interval chart
-x = (e - v)/2, y = (e + v)/2, producing the one-variable-slot family that
-generalizes the Jacobi polynomials (and reduces to them exactly in rank 1).
+x = (e - v)/2, y = (e + v)/2, in the r eigenvalues of v, producing the
+one-slot family that generalizes the Jacobi polynomials (and reduces to
+them exactly in rank 1).  Both expansions read the one chain, so the
+checks that compare them test the two expansions, not the chain.
 Only the chain goes to disk, one file per algebra, read and written by
 ``pencil_cache`` around the work of a command.
 
@@ -28,8 +30,8 @@ import numpy as np
 
 from . import report, worst
 from .algebra import (
-    JordanAlgebra, get_algebra, iota, _sym_matrices, _sym_coords, _random_ints,
-    _cone_ints, _int_mul, random_interval_point, random_chart_points,
+    JordanAlgebra, get_algebra, iota, spectral, _random_ints, _cone_ints, _int_mul,
+    random_chart_points,
 )
 from .poly import Poly
 from .sympoly import (
@@ -46,7 +48,6 @@ __all__ = [
     "jacobi_proportionality",
     "check_chi_covariance",
     "check_iota_factorization",
-    "check_aut_invariance",
     "bracket_table_json",
     "bracket_table_csv",
     "bracket_table_latex",
@@ -54,13 +55,10 @@ __all__ = [
 
 CACHE_FORMAT = 2
 # fixed draws of the numeric and exact checks, so their reports repeat bit
-# for bit: the seeds, the (lam, mu) weights of the iota factorization and
-# the sample count of the automorphism check
+# for bit: the seeds and the (lam, mu) weights of the iota factorization
 CHI_SEED = 2024
 IOTA_SEED = 99
 IOTA_WEIGHTS = ((2, 3), (Fraction(7, 2), Fraction(5, 2)))
-AUT_SAMPLES = 10
-AUT_SEED = 5
 # samples per integer monomial table of the chi-covariance check: a table of
 # all 2 x 50 points at spin8 k = 2 holds about 1 MB of big integers
 CHI_BLOCK = 10
@@ -160,31 +158,36 @@ def compute_c(algebra: JordanAlgebra, k: int) -> BracketPolynomial:
 class OrthoPoly:
     """C(k)_{lam,mu} on V: the bracket restricted to the interval chart.
 
-    ``poly`` has coefficients in Q when (lam, mu) are specialized, else in
-    Q[s, t].  The polynomial is invariant under the automorphism group of
-    the algebra, so it only depends on eigenvalues.
+    C(k) is invariant under the automorphism group of the algebra, so
+    ``poly`` holds it as a symmetric polynomial in the r eigenvalues of v,
+    with coefficients in Q when (lam, mu) are specialized, else in Q[s, t].
     """
 
-    def __init__(self, poly: Poly):
+    def __init__(self, algebra: JordanAlgebra, poly: Poly):
+        self.algebra = algebra
         self.poly = poly
 
     def evaluate(self, points) -> np.ndarray:
-        """Values at the rows of an (m, n) float array."""
-        return self.poly.numeric(points)
+        """Values at the rows v of an (m, n) float array, through the
+        eigenvalues of each row."""
+        return self.poly.numeric(spectral(self.algebra, points))
 
 
 def compute_C(algebra: JordanAlgebra, k: int, lam=None, mu=None) -> OrthoPoly:
-    """C(k)(v) = c(k)((e - v)/2, (e + v)/2), in Q[s, t] or at s = lam, t = mu.
+    """C(k)(v) = c(k)((e - v)/2, (e + v)/2), in Q[s, t] or at s = lam, t = mu,
+    as a polynomial in the eigenvalues a_1..a_r of v.
 
     C(k) is expanded from the pencil form of the in-process chain over the
-    one-slot tables of the interval chart (``extract_interval_polynomial``),
-    never from a c(k) in memory or on disk: the checks that compare C(k)
-    with c(k) compare two independent routes.
+    closed eigenvalue tables delta_j(a) (``extract_interval_polynomial``),
+    never from a c(k) in memory or on disk.  ``check_iota_factorization``
+    compares the x, y expansion of the chain through det's pencil tables
+    and iota with this expansion through ``spectral``: both read the one
+    chain, so it tests the two expansions and a wrong chain passes it.
     """
     if (lam is None) != (mu is None):
         raise ValueError("give both weights lam and mu, or neither")
     C = extract_interval_polynomial(_pencil(algebra, k), k)
-    return OrthoPoly(C if lam is None else C.at(lam, mu))
+    return OrthoPoly(algebra, C if lam is None else C.at(lam, mu))
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +318,11 @@ def check_iota_factorization(algebra: JordanAlgebra, kmax: int, samples: int = 2
     """Numeric test of c(k)_{lam,mu}(iota(eta, v)) = det(eta)^k C(k)_{lam,mu}(v),
     one report per k = 1..kmax (at k = 0 both sides are 1).
 
+    The left side is the x, y expansion of the chain through det's pencil
+    tables, at iota(eta, v); the right side is its expansion over the closed
+    eigenvalue tables, at the eigenvalues of v.  Both read the one chain, so
+    a wrong table on either side fails the test and a wrong chain passes it.
+
     The chart points, ``samples`` per (lam, mu) of IOTA_WEIGHTS, are drawn
     and mapped by iota once and shared by every k.
     """
@@ -330,9 +338,8 @@ def check_iota_factorization(algebra: JordanAlgebra, kmax: int, samples: int = 2
         rows = []
         for lam, mu, xys, dets, vs in charts:
             spec = c.specialize(Fraction(lam), Fraction(mu))
-            C = compute_C(algebra, k, lam, mu)
             lhss = spec.numeric(xys)
-            rhss = dets ** k * C.poly.numeric(vs)
+            rhss = dets ** k * compute_C(algebra, k, lam, mu).evaluate(vs)
             for lhs, rhs in zip(lhss.tolist(), rhss.tolist()):
                 scale = max(abs(lhs), abs(rhs), 1e-30)
                 rows.append({"lam": str(lam), "mu": str(mu),
@@ -341,37 +348,6 @@ def check_iota_factorization(algebra: JordanAlgebra, kmax: int, samples: int = 2
                               tolerance=tol, max_residual=worst(r["residual"] for r in rows),
                               samples=rows))
     return reports
-
-
-def _random_automorphism(algebra, rng):
-    """A sampled automorphism acting on float coordinate rows."""
-    if algebra.family == "rank1":
-        return lambda v: v
-    if algebra.family == "spin":
-        m = algebra.n - 1
-        g = np.linalg.qr(np.array([[rng.gauss(0, 1) for _ in range(m)]
-                                   for _ in range(m)]))[0]
-        return lambda v: np.concatenate([v[:1], g @ v[1:]])
-    r = algebra.r
-    g = np.linalg.qr(np.array([[rng.gauss(0, 1) for _ in range(r)]
-                               for _ in range(r)]))[0]
-    return lambda v: _sym_coords(algebra, g @ _sym_matrices(algebra, v) @ g.T)
-
-
-def check_aut_invariance(algebra: JordanAlgebra, k: int, lam, mu,
-                         tol: float) -> dict:
-    """C(k) composed with AUT_SAMPLES sampled automorphisms equals C(k)."""
-    rng = random.Random(AUT_SEED)
-    C = compute_C(algebra, k, lam, mu)
-    residuals = []
-    for _ in range(AUT_SAMPLES):
-        act = _random_automorphism(algebra, rng)
-        v = random_interval_point(rng, algebra)
-        a = float(C.evaluate(v[None])[0])
-        b = float(C.evaluate(act(v)[None])[0])
-        residuals.append(abs(a - b) / max(1.0, abs(a)))
-    return report("automorphism-invariance", algebra.name, k=k,
-                  max_residual=worst(residuals), tolerance=tol)
 
 
 # ---------------------------------------------------------------------------

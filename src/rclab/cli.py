@@ -518,12 +518,6 @@ def _suite_hua(algebra, tols):
     return out
 
 
-def _suite_aut(algebra, tols):
-    kmax = min(_check_k(algebra), 2)
-    return [brackets.check_aut_invariance(algebra, k, 3, 3, tol=tols["aut"])
-            for k in range(1, kmax + 1)]
-
-
 def _suite_branch(algebra, tols):
     e = algebra.e
     n = algebra.n
@@ -611,8 +605,6 @@ SUITE_TABLE = {
     "partial-isometry": Suite(_suite_isometry, _RANK1, {"isometry": 1e-6}),
     "covariance": Suite(_suite_covariance, _RANK1_SYM2, {"covariance": 1e-6}),
     "cocycles": Suite(_suite_hua, _RANK1_SYM2, {"hua": 1e-8, "coherent": 1e-8}),
-    "aut-invariance": Suite(_suite_aut, tuple(a for a in ALGEBRA_NAMES if a != "rank1"),
-                            {"aut": 1e-10}),
     "branch": Suite(_suite_branch, _RANK1_SYM2, {"branch": 1e-10}),
     "cauchy-stability": Suite(_suite_cauchy, _RANK1_SYM2, {"cauchy": 1e-9}),
 }

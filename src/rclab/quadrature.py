@@ -416,20 +416,11 @@ class GramReport:
         return "\n".join(lines) + "\n"
 
 
-def _diag_coords(algebra, eigs):
-    """Coordinates (m, n) of the elements with eigenvalue rows ``eigs``
-    (m, r) on a fixed Jordan frame (in sym(r) the diagonal comes first)."""
-    eigs = np.asarray(eigs, dtype=float)
-    if algebra.family == "spin":    # lo c_- + hi c_+
-        eigs = np.stack([eigs.sum(axis=1) / 2, (eigs[:, 1] - eigs[:, 0]) / 2], axis=1)
-    return np.pad(eigs, ((0, 0), (0, algebra.n - eigs.shape[1])))
-
-
 def _gram_once(algebra, polys, lam, mu, n):
-    """All products C(k) C(l) in one rule: each C(k) is evaluated once."""
+    """All products C(k) C(l) in one rule: each C(k) is evaluated once, on
+    the eigenvalue rows of the rule."""
     def products(eigs):
-        coords = _diag_coords(algebra, eigs)
-        vals = np.stack([C.poly.numeric(coords) for C in polys], axis=1)
+        vals = np.stack([C.poly.numeric(eigs) for C in polys], axis=1)
         return vals[:, :, None] * vals[:, None, :]
 
     return weyl_integral(algebra, products, lam, mu, n=n).tolist()

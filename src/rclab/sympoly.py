@@ -27,9 +27,9 @@ independent, so a term left with a negative power of Delta_0 or Delta_r is
 no polynomial and raises ``NonzeroRemainder``, the analogue of a remainder
 in division by det.  Only the polynomial asked for is expanded, by one loop
 over a set of integer Delta_j tables: the tables over x, y give c(k), and
-the one-slot tables delta_j(v) = Delta_j((e - v)/2, (e + v)/2) of the
-interval chart give C(k) with no x, y monomial in between.  No floating
-point enters anywhere.
+the tables delta_j(a) = Delta_j((e - v)/2, (e + v)/2) over the r
+eigenvalues a_i of v give C(k) with no x, y monomial in between.  No
+floating point enters anywhere.
 """
 
 from __future__ import annotations
@@ -219,24 +219,25 @@ def _pencil_tables(algebra):
     return _memo(algebra, "_pencil_tables", build)
 
 
-def _interval_tables(algebra):
-    """delta_j(v) = Delta_j((e - v)/2, (e + v)/2) over the n coordinates, each
-    over 2^r: each monomial of ``_pencil_tables`` expanded as a product of
-    the linear forms x_i = e_i - v_i, y_i = e_i + v_i."""
+def _eigen_tables(algebra):
+    """delta_j(a) = 2^-r [tau^j] prod_i ((1 - a_i) + tau (1 + a_i)) over the r
+    eigenvalues a_i of v, each over 2^r: Delta_j((e - v)/2, (e + v)/2) at
+    v = sum_i a_i c_i on a Jordan frame c_1..c_r, where det is the product
+    of the eigenvalues."""
     def build():
-        n, zero = algebra.n, (0,) * algebra.n
-        forms = _TableSet([{zero: int(ei), tuple(int(j == i % n) for j in range(n)): sign}
-                           for sign in (-1, 1) for i, ei in enumerate(algebra.e_coords)], n)
-        rows = []
-        for table in _pencil_tables(algebra).rows:
-            out = {}
-            for mono, c in table.items():
-                for m, w in forms.monomial(mono).items():
-                    out[m] = out.get(m, 0) + c * w
-            rows.append({m: w for m, w in out.items() if w})
-        return _TableSet(rows, n, 2 ** algebra.r)
+        r = algebra.r
+        one, product = (0,) * r, {(0,) * (r + 1): 1}
+        for i in range(r):
+            a_i = tuple(int(j == i) for j in range(r))
+            # times (1 - a_i) + tau (1 + a_i), the last exponent that of tau
+            product = _mul(product, {one + (0,): 1, a_i + (0,): -1,
+                                     one + (1,): 1, a_i + (1,): 1})
+        rows = [{} for _ in range(r + 1)]
+        for m, c in product.items():
+            rows[m[-1]][m[:-1]] = c
+        return _TableSet(rows, r, 2 ** r)
 
-    return _memo(algebra, "_interval_tables", build)
+    return _memo(algebra, "_eigen_tables", build)
 
 
 # ---------------------------------------------------------------------------
@@ -568,9 +569,10 @@ def extract_bracket_polynomial(expr: SymExpr, k: int) -> BracketPolynomial:
 
 def extract_interval_polynomial(expr: SymExpr, k: int) -> Poly:
     """C(k)(v) = c(k)((e - v)/2, (e + v)/2) in Q[s, t] from the same pencil
-    form: the expansion of ``extract_bracket_polynomial`` over the one-slot
-    tables delta_j(v) of the interval chart."""
-    return _expand(expr, k, _interval_tables(expr.algebra))
+    form, as a symmetric polynomial in the eigenvalues a_1..a_r of v: the
+    expansion of ``extract_bracket_polynomial`` over the eigenvalue tables
+    delta_j(a)."""
+    return _expand(expr, k, _eigen_tables(expr.algebra))
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,22 @@ def apply(matrix, x):
     return tuple(sum(m * v for m, v in zip(row, x)) for row in matrix)
 
 
+def frame_matrix(alg):
+    """The n x r matrix F (Fractions) whose product with a is the coordinate
+    row of sum_i a_i c_i on a fixed Jordan frame c_1..c_r: the diagonal
+    comes first in sym(r), and spin(m) takes c_-+ = (e -+ u)/2 with u the
+    first unit vector past e."""
+    F = [[Fraction(int(i == j)) for j in range(alg.r)] for i in range(alg.n)]
+    if alg.family == "spin":
+        F[:2] = [[Fraction(1, 2)] * 2, [Fraction(-1, 2), Fraction(1, 2)]]
+    return F
+
+
+def frame(alg, a):
+    """The coordinate row of sum_i a_i c_i (``frame_matrix``)."""
+    return tuple(sum(f * x for f, x in zip(row, a)) for row in frame_matrix(alg))
+
+
 def rational_point(rng, alg, num_bound=6, den_bound=4):
     """n rationals num/den, each drawn numerator first, as the integer
     samplers draw them."""

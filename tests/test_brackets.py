@@ -3,18 +3,24 @@
 import json
 import os
 from fractions import Fraction
+from math import prod
+from operator import add
 
 import numpy as np
 import pytest
 
-from fraction_ref import cone_point, det, mul, quad_rep, rational_point
-from rclab.algebra import get_algebra, iota, spectral
+from fraction_ref import (
+    cone_point, det, frame, frame_matrix, mul, quad_rep, rational_point,
+)
+from rclab.algebra import ALGEBRA_NAMES, get_algebra, iota, spectral
 from rclab.brackets import (
     pencil_cache, compute_c, compute_C,
     jacobi_classical, jacobi_proportionality,
-    check_chi_covariance, check_iota_factorization, check_aut_invariance,
+    check_chi_covariance, check_iota_factorization,
     bracket_table_csv, bracket_table_latex, bracket_table_json,
 )
+from rclab.poly import Poly
+from rclab.quadrature import weyl_integral
 from rclab.sympoly import SymExpr, apply_D_power, extract_bracket_polynomial
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -211,7 +217,7 @@ def test_a_build_reads_no_lower_file(tmp_path, monkeypatch):
 def test_compute_C_k0_is_one():
     alg = get_algebra("sym2")
     C = compute_C(alg, 0, 2, 2)
-    assert C.poly.items() == [((0, 0, 0), Fraction(1))]
+    assert C.poly.items() == [((0, 0), Fraction(1))]
 
 
 def test_compute_C_rank1_k1_formula():
@@ -390,20 +396,17 @@ def test_iota_factorization_fails_on_nan(monkeypatch):
     assert rep["pass"] is False
 
 
-def test_aut_invariance():
-    for name in ("sym2", "sym3", "spin4", "spin5"):
-        rep = check_aut_invariance(get_algebra(name), 1, 2, 3, 1e-10)
-        assert rep["pass"], rep
-
-
-def test_diag_element():
-    from rclab.quadrature import _diag_coords
-
-    s2 = get_algebra("sym2")
-    assert _diag_coords(s2, [[1.5, -0.5]]).tolist() == [[1.5, -0.5, 0.0]]
-    sp = get_algebra("spin4")
-    lams = spectral(sp, _diag_coords(sp, [[1.0, 3.0]]))[0]
-    assert abs(lams[0] - 1.0) < 1e-14 and abs(lams[1] - 3.0) < 1e-14
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_the_frame_of_the_oracles(name):
+    # sum a_i c_i has the eigenvalues a and the determinant prod a_i, and the
+    # frame sums to e
+    alg = get_algebra(name)
+    a = [Fraction(3, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-5, 4)][:alg.r]
+    v = frame(alg, a)
+    got = spectral(alg, np.array(v, dtype=float))[0]
+    assert np.allclose(got, sorted(map(float, a)), rtol=0, atol=1e-14)
+    assert det(alg, v) == prod(a)
+    assert frame(alg, [1] * alg.r) == alg.e_coords
 
 
 def test_emitters_deterministic():
@@ -438,70 +441,65 @@ def test_restriction_needs_both_weights_or_neither():
         compute_C(get_algebra("rank1"), 1, 3)
 
 
-def restriction_reference(c, n, lam, mu):
-    """C(k)_{lam,mu} from c(k)_{lam,mu} term by term over Fractions:
-    x <- (e - v)/2, y <- (e + v)/2, one coordinate at a time."""
-    import itertools
-    from math import comb
+def frame_forms(alg):
+    """x = F(1 - a)/2 and y = F(1 + a)/2 on the frame F of ``frame_matrix``, as
+    2n linear forms {exponent tuple of a_1..a_r: Fraction} in the eigenvalues."""
+    one = (0,) * alg.r
+    forms = []
+    for sign in (-1, 1):
+        for row in frame_matrix(alg):
+            form = {one: sum(row) / 2}
+            form.update({tuple(int(j == i) for j in range(alg.r)): sign * f / 2
+                         for i, f in enumerate(row)})
+            forms.append({m: v for m, v in form.items() if v})
+    return forms
 
-    from rclab.poly import Poly
 
-    e = [int(x) for x in c.algebra.e_coords]
+def times(p, q):
+    """The product of two {exponent tuple: coefficient} polynomials."""
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = tuple(map(add, m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
+
+
+def on_the_frame(forms, mono, r, weight):
+    """weight times the x, y monomial ``mono`` at the frame ``forms``, a
+    polynomial in a_1..a_r."""
+    acc = {(0,) * r: weight}
+    for form, e in zip(forms, mono):
+        for _ in range(e):
+            acc = times(acc, form)
+    return acc
+
+
+def restriction_reference(c, lam, mu):
+    """C(k)_{lam,mu} from c(k)_{lam,mu} term by term over Fractions: each
+    monomial at x = F(1 - a)/2, y = F(1 + a)/2, one coordinate at a time."""
+    forms = frame_forms(c.algebra)
     terms = {}
     for mono, value in c.poly.at(lam, mu).items():
-        lines = []
-        for i in range(n):
-            a, b = mono[i], mono[n + i]
-            # (e - v)^a (e + v)^b / 2^(a + b) as coefficients of v^j
-            lines.append([Fraction(sum((-1) ** p * comb(a, p) * comb(b, j - p)
-                                       for p in range(max(0, j - b), min(a, j) + 1))
-                                   * e[i] ** (a + b - j), 2 ** (a + b))
-                          for j in range(a + b + 1)])
-        for js in itertools.product(*(range(len(line)) for line in lines)):
-            w = value
-            for line, j in zip(lines, js):
-                w *= line[j]
-            terms[js] = terms.get(js, 0) + w
-    return Poly.from_terms(terms, n)
-
-
-@pytest.mark.parametrize("name, k", [("rank1", 3), ("sym2", 2), ("spin4", 2), ("sym3", 1)])
-def test_compute_C_is_the_restriction_of_the_specialized_c(name, k):
-    alg = get_algebra(name)
-    c = compute_c(alg, k)
-    for lam, mu in ((3, 3), (Fraction(7, 2), Fraction(5, 2)), (Fraction(-1, 3), 4), (0, 0)):
-        assert compute_C(alg, k, lam, mu).poly == restriction_reference(c, alg.n, lam, mu)
+        for m, w in on_the_frame(forms, mono, c.algebra.r, value).items():
+            terms[m] = terms.get(m, 0) + w
+    return Poly.from_terms(terms, c.algebra.r)
 
 
 def restriction_over_Q_s_t(algebra, c):
-    """C(k) from the x, y monomials of c(k), over Q[s,t]: c(k)(e - v, e + v)
-    / 2^(rk), each monomial of c(k) expanded one coordinate at a time (every
-    monomial has degree rk, so each takes 2^-(rk) into the denominator)."""
-    from math import comb
-
-    from rclab.poly import Poly
-
-    def line(e, a, b):
-        # integer coefficients of v^j in (e - v)^a (e + v)^b, j = 0..a+b
-        return [sum((-1) ** p * comb(a, p) * comb(b, j - p)
-                    for p in range(max(0, j - b), min(a, j) + 1)) * e ** (a + b - j)
-                for j in range(a + b + 1)]
-
-    n, poly = algebra.n, c.poly
-    e = [int(x) for x in algebra.e_coords]
-    exps, rows, weights = [], [], []
+    """C(k) from the x, y monomials of c(k), over Q[s,t]: each monomial at the
+    integer forms 4x, 4y of the frame (every monomial has degree rk, so each
+    takes 4^-(rk) into the denominator)."""
+    forms = [{m: int(4 * v) for m, v in form.items()} for form in frame_forms(algebra)]
+    poly, exps, rows, weights = c.poly, [], [], []
     for row, mono in enumerate(poly.exps.tolist()):
-        acc = {(): 1}
-        for i in range(n):
-            coefs_i = line(e[i], mono[i], mono[n + i])
-            acc = {m + (j,): w * lw for m, w in acc.items()
-                   for j, lw in enumerate(coefs_i) if lw}
+        acc = on_the_frame(forms, mono, algebra.r, 1)
         exps.extend(acc)
         rows.extend([row] * len(acc))
         weights.extend(acc.values())
     coef = np.array(weights, dtype=object).reshape(-1, 1, 1) * poly.coef[rows]
-    return Poly.collect(np.array(exps, dtype=np.int64).reshape(-1, n), coef,
-                        poly.den * 2 ** (algebra.r * c.k))
+    return Poly.collect(np.array(exps, dtype=np.int64).reshape(-1, algebra.r), coef,
+                        poly.den * 4 ** (algebra.r * c.k))
 
 
 def _capped_cases():
@@ -511,9 +509,17 @@ def _capped_cases():
 
 
 @pytest.mark.parametrize("name, k", _capped_cases())
+def test_compute_C_is_the_restriction_of_the_specialized_c(name, k):
+    alg = get_algebra(name)
+    c = compute_c(alg, k)
+    for lam, mu in ((3, 3), (Fraction(7, 2), Fraction(5, 2)), (Fraction(-1, 3), 4), (0, 0)):
+        assert compute_C(alg, k, lam, mu).poly == restriction_reference(c, lam, mu)
+
+
+@pytest.mark.parametrize("name, k", _capped_cases())
 def test_compute_C_is_the_restriction_of_c_over_Q_s_t(name, k):
-    # C(k) comes from the pencil form over the one-slot tables, the oracle
-    # from the x, y monomials of c(k)
+    # C(k) comes from the pencil form over the eigenvalue tables, the oracle
+    # from the x, y monomials of c(k) on a Jordan frame
     alg = get_algebra(name)
     assert compute_C(alg, k).poly == restriction_over_Q_s_t(alg, compute_c(alg, k))
 
@@ -538,20 +544,84 @@ def test_compute_C_ignores_a_replaced_c(monkeypatch, tmp_path, wrong_c1):
         assert [(rep["k"], rep["pass"]) for rep in reps] == [(1, False), (2, True)]
 
 
-def test_a_wrong_interval_table_fails_aut_invariance(monkeypatch, tmp_path):
-    # one entry of delta_0(v) = Delta_0(e - v, e + v) off by one: C(k) is no
-    # longer a function of the eigenvalues of v
+@pytest.mark.parametrize("name", ["sym2", "spin6", "sym3"])
+def test_a_wrong_eigen_table_fails_iota_factorization(monkeypatch, tmp_path, name):
+    # the constant of delta_0(a) = prod (1 - a_i) / 2^r off by one: C(k) is no
+    # longer c(k) on the chart, and check all, like the suite alone, says so
     from rclab import sympoly
     from rclab.cli import main
 
-    alg = get_algebra("sym2")
-    tables = sympoly._interval_tables(alg)
+    alg = get_algebra(name)
+    tables = sympoly._eigen_tables(alg)
     rows = [dict(row) for row in tables.rows]
-    key = min(m for m in rows[0] if sum(m) == 1)
-    rows[0][key] += 1
-    monkeypatch.setitem(vars(alg), "_interval_tables",
+    rows[0][(0,) * alg.r] += 1
+    monkeypatch.setitem(vars(alg), "_eigen_tables",
                         sympoly._TableSet(rows, tables.nvars, tables.den))
-    assert not check_aut_invariance(alg, 1, 3, 3, 1e-10)["pass"]
-    out = tmp_path / "aut.json"
-    assert main(["check", "aut-invariance", "--algebra", "sym2", "--output", str(out)]) == 1
-    assert [rep["pass"] for rep in json.loads(out.read_text())["reports"]] == [False, False]
+    for suite in ("iota-factorization", "all"):
+        out = tmp_path / f"{suite}.json"
+        assert main(["check", suite, "--algebra", name, "--output", str(out)]) == 1
+        reports = json.loads(out.read_text())["reports"]
+        iota_reports = [rep for rep in reports if rep["check"] == "interval-chart-factorization"]
+        assert [rep["pass"] for rep in iota_reports] == [False, False]
+
+
+# the rank-2 algebras, whose interval rule is exact for polynomial integrands
+RANK2 = ("sym2", "spin3", "spin4", "spin5", "spin6", "spin7", "spin8")
+
+
+def box_ratios(alg, k, lam=3, mu=2):
+    """|<C(k), m_kappa>| / (|C(k)| |m_kappa|) under the interval weight at
+    (lam, mu), for every partition kappa in the 2 x k box but (k, k), with
+    m_kappa the monomial symmetric polynomial of the two eigenvalues.
+
+    C(k) is the BC_2 Jacobi polynomial of the rectangle (k, k) (Heckman and
+    Opdam, Compositio Math. 64, 1987; Koornwinder, Contemp. Math. 138, 1992):
+    orthogonal to every m_kappa but its own, which with its support in the
+    box fixes it up to a scalar, with no use of the operator or the chain.
+    """
+    C = compute_C(alg, k, lam, mu)
+    kappas = [(i, j) for i in range(k + 1) for j in range(i + 1) if (i, j) != (k, k)]
+
+    def integrands(a):
+        c = C.poly.numeric(a)
+        ms = [a[:, 0] ** i * a[:, 1] ** j + (a[:, 0] ** j * a[:, 1] ** i if i != j else 0)
+              for i, j in kappas]
+        return np.stack([c * c] + [c * m for m in ms] + [m * m for m in ms], axis=1)
+
+    vals = weyl_integral(alg, integrands, lam, mu, n=24)
+    cross, norms = vals[1:len(kappas) + 1], vals[len(kappas) + 1:]
+    return np.abs(cross) / np.sqrt(vals[0] * norms)
+
+
+def _rank2_capped_cases():
+    from rclab.cli import K_CAPS
+
+    return [(name, k) for name in RANK2 for k in range(1, K_CAPS[name] + 1)]
+
+
+@pytest.mark.parametrize("name, k", _rank2_capped_cases())
+def test_C_is_orthogonal_to_the_rest_of_its_box(name, k):
+    ratios = box_ratios(get_algebra(name), k)
+    assert len(ratios) == (k + 1) * (k + 2) // 2 - 1
+    assert ratios.max() < 1e-12, ratios.max()
+
+
+def test_the_box_oracle_catches_a_chain_that_keeps_slot_exchange(monkeypatch):
+    # a change of c(1) in the chain that keeps slot exchange: 1 more in the
+    # s^0 t^0 coefficient of Delta_r and (-1)^r more in that of Delta_0.  Both
+    # expansions read the chain, so iota-factorization passes it
+    from rclab import brackets
+    from rclab.cli import run_suites
+
+    for name in RANK2:
+        alg = get_algebra(name)
+        terms = {e: dict(c) for e, c in brackets._pencil(alg, 1).terms.items()}
+        for e, step in (((0,) * alg.r + (1,), 1), ((1,) + (0,) * alg.r, (-1) ** alg.r)):
+            coef = terms.setdefault(e, {})
+            coef[0, 0] = coef.get((0, 0), 0) + step
+        with monkeypatch.context() as m:
+            m.setitem(brackets._pencils, name,
+                      [brackets._pencil(alg, 0), SymExpr(alg, terms)])
+            m.setattr(brackets, "_memory_cache", {})
+            assert box_ratios(alg, 1).max() > 1e-3, name
+            assert run_suites(alg, "iota-factorization")[1], name

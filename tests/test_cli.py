@@ -615,6 +615,18 @@ def test_check_rejects_an_unknown_tolerance_name(tmp_path):
     assert code == 2 and "brnch" in err
 
 
+def test_the_automorphism_suite_and_its_tolerance_are_gone(tmp_path):
+    # C(k) is a polynomial in the eigenvalues, so an automorphism check could
+    # not fail: its suite and --tol aut are refused like any unknown name
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol = aut=1e-11\n")
+    for argv in (["check", "aut-invariance", "--algebra", "sym2"],
+                 ["check", "all", "--algebra", "sym2", "--tol", "aut=1e-11"],
+                 ["--config", str(cfg), "check", "all", "--algebra", "sym2"]):
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == "" and "aut" in err and err.count("\n") == 1, (argv, err)
+
+
 def test_every_tolerance_a_suite_reads_is_named():
     # a suite reads ``tols`` only as tols["literal"], and exactly the names
     # its SUITE_TABLE row lists
@@ -636,13 +648,13 @@ def test_every_tolerance_a_suite_reads_is_named():
 
 
 def test_the_built_in_tolerances_per_algebra():
-    # 19 names, each read by one suite, at the values the checks held before
+    # 18 names, each read by one suite, at the values the checks held before
     # the table
     from rclab.algebra import ALGEBRA_NAMES
     import rclab.cli as cli
 
     names = [t for row in cli.SUITE_TABLE.values() for t in row.tols]
-    assert len(names) == len(set(names)) == 19
+    assert len(names) == len(set(names)) == 18
     for alg in ALGEBRA_NAMES:
         want = {"iota-fact": 1e-10, "iota-roundtrip": 1e-12, "jacobian": 1e-6,
                 "gamma": {"rank1": 1e-10, "sym2": 1e-6}.get(alg, 1e-5)}
@@ -650,8 +662,6 @@ def test_the_built_in_tolerances_per_algebra():
             want.update({"orthogonality": 1e-12, "laplace": 1e-8, "adjoint": 1e-6,
                          "isometry-norm": 1e-6, "operator-equivalence": 1e-6,
                          "isometry": 1e-6})
-        else:
-            want["aut"] = 1e-10
         if alg == "sym2":
             want.update({"orthogonality": 1e-8, "laplace": 1e-4, "adjoint": 1e-3,
                          "gamma-mc": 1e-2})
@@ -731,7 +741,7 @@ def test_a_suite_that_reports_nothing_fails_the_check(monkeypatch):
 
 def test_every_suite_the_table_lists_reports_and_reads_its_tolerances(
         cache_dir, monkeypatch):
-    # rank1 runs 19 suites, sym2 17 and the other algebras 8
+    # rank1 runs 19 suites, sym2 16 and the other algebras 7
     from rclab.algebra import ALGEBRA_NAMES
     import rclab.cli as cli
 
@@ -754,7 +764,7 @@ def test_every_suite_the_table_lists_reports_and_reads_its_tolerances(
         code, out, err = run_cli(["check", "all", "--algebra", alg, "--cache-dir", cache_dir])
         assert code == 0, (alg, err)
         want = [n for n, row in cli.SUITE_TABLE.items() if alg in row.algebras]
-        assert list(ran) == want and len(want) == {"rank1": 19, "sym2": 17}.get(alg, 8)
+        assert list(ran) == want and len(want) == {"rank1": 19, "sym2": 16}.get(alg, 7)
         for name, (count, names) in ran.items():
             assert count > 0, (alg, name)
             assert names == set(cli.SUITE_TABLE[name].tolerances(alg)), (alg, name)
@@ -775,9 +785,15 @@ def test_cauchy_and_branch_suites_pass_for_the_spin_factors(name):
         assert rep["pass"], (suite, rep)
 
 
+# suites that left rclab while the benchmark's tracer still names them: the
+# tracer reports 0 s for each until the benchmark's own next change drops it
+GONE_FROM_RCLAB = {"aut-invariance"}
+
+
 def test_the_benchmark_tracer_names_only_suites_that_exist():
     # perfbench/tracing.py reports cli.suite.<name>.s for each name of its
-    # SUITES tuple and wraps the cli.SUITES entries in place
+    # SUITES tuple and wraps the cli.SUITES entries in place; the list of
+    # names gone from rclab is exact
     import importlib.util
 
     import rclab.cli as cli
@@ -787,7 +803,8 @@ def test_the_benchmark_tracer_names_only_suites_that_exist():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     assert tracing.SUITES
-    for name in tracing.SUITES:
+    assert set(tracing.SUITES) - set(cli.SUITES) == GONE_FROM_RCLAB
+    for name in set(tracing.SUITES) - GONE_FROM_RCLAB:
         assert callable(cli.SUITES.get(name)), name
 
 

@@ -95,7 +95,7 @@ def test_restriction_against_the_loop(case, lam, mu, data):
     name, k = case
     alg = get_algebra(name)
     C = compute_C(alg, k, lam, mu)
-    v = data.draw(points(alg.n))
+    v = data.draw(points(alg.r))   # the eigenvalues of a point
     terms = C.poly.items()
     assert C.poly.exact(v) == reference(terms, v)
     assert_numeric_agrees(C.poly, terms, v)
@@ -136,7 +136,7 @@ def test_numeric_blocks_match_one_point_at_a_time():
     # more points than one block holds, complex coordinates
     C = compute_C(get_algebra("spin8"), 2, 4, 4)
     rng = np.random.default_rng(1)
-    pts = rng.normal(size=(3000, 8)) + 1j * rng.normal(size=(3000, 8))
+    pts = rng.normal(size=(3000, 2)) + 1j * rng.normal(size=(3000, 2))
     whole = C.poly.numeric(pts)
     assert whole.dtype == complex
     one_by_one = np.concatenate([C.poly.numeric(pts[[i]]) for i in (0, 1500, 2999)])

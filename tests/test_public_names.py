@@ -21,53 +21,59 @@ def public_names(tree):
     return []
 
 
-def reads(tree, skip=None):
-    """(bare names, (module alias, attribute) pairs) read in ``tree``,
-    outside the top-level definition named ``skip``."""
+def reads(node):
+    """(bare names, (module alias, attribute) pairs) read in ``node``."""
     names, attrs = set(), set()
-    stack = [node for node in tree.body
-             if not (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == skip)]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-            attrs.add((node.value.id, node.attr))
-        stack.extend(ast.iter_child_nodes(node))
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+            attrs.add((sub.value.id, sub.attr))
     return names, attrs
 
 
-def bindings(tree, module, name):
-    """Local names under which ``tree`` imports ``module`` itself and its
-    ``name``: (module aliases, name aliases)."""
-    package = module == "__init__"
-    mods, objs = set(), set()
+def imports(tree):
+    """(source module, imported name, local name) for each name a ``from``
+    import in ``tree`` binds; the package itself is the source ''."""
+    out = []
     for node in ast.walk(tree):
-        if not isinstance(node, ast.ImportFrom):
-            continue
-        source = node.module if node.level == 0 else (node.module or "")
-        source = source.removeprefix("rclab").lstrip(".")
-        for alias in node.names:
-            local = alias.asname or alias.name
-            if source == ("" if package else module) and alias.name == name:
-                objs.add(local)
-            elif source == "" and alias.name == module:
-                mods.add(local)
+        if isinstance(node, ast.ImportFrom):
+            source = node.module if node.level == 0 else (node.module or "")
+            source = source.removeprefix("rclab").lstrip(".")
+            out.extend((source, alias.name, alias.asname or alias.name) for alias in node.names)
+    return out
+
+
+def bindings(imported, module, name):
+    """Local names under which a module with the ``imports`` list
+    ``imported`` binds ``module`` itself and its ``name``: (module aliases,
+    name aliases)."""
+    home = "" if module == "__init__" else module
+    mods = {local for source, alias, local in imported if source == "" and alias == module}
+    objs = {local for source, alias, local in imported if source == home and alias == name}
     return mods, objs
 
 
 def unused_public_names(src):
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    # one walk per top-level statement of each module: the reads of each,
+    # with the name it defines, their union, and the module's imports
+    modules = {}
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parts = [(node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None,
+                  *reads(node)) for node in tree.body]
+        names = set().union(*(p[1] for p in parts))
+        attrs = set().union(*(p[2] for p in parts))
+        modules[path.stem] = (public_names(tree), parts, names, attrs, imports(tree))
     unused = []
-    for module, tree in trees.items():
-        for name in public_names(tree):
-            names, _ = reads(tree, skip=name)
-            used = name in names
-            for other_name, other in trees.items():
-                if used or other is tree:
+    for module, (public, parts, *_) in modules.items():
+        for name in public:
+            # a read outside the name's own definition
+            used = any(name in names for defined, names, _ in parts if defined != name)
+            for other, (_, _, names, attrs, imported) in modules.items():
+                if used or other == module:
                     continue
-                mods, objs = bindings(other, module, name)
-                names, attrs = reads(other)
+                mods, objs = bindings(imported, module, name)
                 used = bool(objs & names) or any((m, name) in attrs for m in mods)
             if not used:
                 unused.append(f"{module}.{name}")

@@ -4,18 +4,19 @@ import json
 import os
 import random
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, lcm, prod
 
 import numpy as np
 import pytest
 
 import rclab.sympoly as S
+from fraction_ref import frame
 from rclab.algebra import ALGEBRA_NAMES, get_algebra, rank_one, sym
 from rclab.poly import Poly
 from rclab.sympoly import (
     SymExpr, BracketPolynomial, NonzeroRemainder,
     apply_D_power, extract_bracket_polynomial, cayley_check,
-    _pencil_operator, _pencil_tables, _interval_tables,
+    _pencil_operator, _pencil_tables, _eigen_tables,
 )
 
 
@@ -55,21 +56,24 @@ def test_sym2_pencil_tables():
     ]
 
 
-def test_sym2_interval_tables():
-    # Delta_j(e - v, e + v) for e = (1, 1, 0): det(e - v), the cross term, det(e + v)
-    v11, v22, v12 = ((0,) * i + (1,) + (0,) * (2 - i) for i in range(3))
-    one = (0, 0, 0)
+def polynomial_value(table, point):
+    """An {exponent tuple: int} polynomial at a point, over Fractions."""
+    return sum(c * prod(Fraction(x) ** e for x, e in zip(point, mono))
+               for mono, c in table.items())
 
-    def mono(*factors):
-        return tuple(map(sum, zip(*factors)))
 
-    tables = _interval_tables(get_algebra("sym2"))
-    assert (tables.nvars, tables.den) == (3, 4)
-    assert tables.rows == [
-        {one: 1, v11: -1, v22: -1, mono(v11, v22): 1, mono(v12, v12): -1},
-        {one: 2, mono(v11, v22): -2, mono(v12, v12): 2},
-        {one: 1, v11: 1, v22: 1, mono(v11, v22): 1, mono(v12, v12): -1},
-    ]
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_eigen_tables_are_the_pencil_tables_on_a_frame(name):
+    # 2^r delta_j(a) = Delta_j(x, y) at x = sum (1 - a_i) c_i, y = sum (1 + a_i) c_i
+    alg = get_algebra(name)
+    tables, pencil = _eigen_tables(alg), _pencil_tables(alg)
+    assert (tables.nvars, tables.den, len(tables.rows)) == (alg.r, 2 ** alg.r, alg.r + 1)
+    rng = random.Random(11)
+    for _ in range(5):
+        a = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(alg.r)]
+        xy = frame(alg, [1 - x for x in a]) + frame(alg, [1 + x for x in a])
+        assert ([polynomial_value(row, a) for row in tables.rows]
+                == [polynomial_value(row, xy) for row in pencil.rows])
 
 
 def test_rank1_operator_is_the_difference():
