@@ -29,7 +29,10 @@ Interval (Weyl-reduced) integrals use the chamber normalization constant 1:
 only ratios and zero tests of those integrals are consumed downstream.
 The polar-chart checks use one rule for every algebra of CHART_NODES: tensor
 midpoint rules over boxes that hold the compact supports of their smooth
-integrands, memoised per ball.  The one Monte Carlo path
+integrands, memoised per ball.  The chart side sums its v ball in blocks:
+through the quadratic form of P(z^{1/2}) in the trace form, the two bump
+arguments of a block of v nodes at every z node come from two matrix
+products.  The one Monte Carlo path
 left, for the Gamma integral, takes an explicit seed and its report records
 it; summation is numpy's pairwise reduction, so results are reproducible bit
 for bit.
@@ -209,15 +212,25 @@ def scaled_interval_rule(rule: QuadratureRule, lo: float, hi: float):
 # Gamma function of the cone
 
 
-def gamma_omega_closed(algebra: JordanAlgebra, nu) -> float:
-    """(2 pi)^((n-r)/2) * prod_{j=0}^{r-1} Gamma(nu - j d/2)."""
+def _convergent(algebra: JordanAlgebra, nu) -> float:
+    """nu as a float; ValueError unless the cone Gamma integral converges,
+    nu > (r-1)d/2, which makes every argument nu - j d/2 of the closed
+    product positive."""
     nu = float(nu)
+    bound = (algebra.r - 1) * algebra.d / 2
+    if nu <= bound:
+        raise ValueError(f"integral diverges: need nu > (r-1)d/2 = {bound}")
+    return nu
+
+
+def gamma_omega_closed(algebra: JordanAlgebra, nu) -> float:
+    """(2 pi)^((n-r)/2) * prod_{j=0}^{r-1} Gamma(nu - j d/2), for nu >
+    (r-1)d/2 only: below it the integral diverges, and the product of
+    Gamma values at negative arguments is no value of it."""
+    nu = _convergent(algebra, nu)
     out = (2 * math.pi) ** ((algebra.n - algebra.r) / 2)
     for j in range(algebra.r):
-        arg = nu - j * algebra.d / 2
-        if arg <= 0 and abs(arg - round(arg)) < 1e-12:
-            raise ValueError(f"Gamma pole at nu - {j}d/2 = {arg}")
-        out *= math.gamma(arg)
+        out *= math.gamma(nu - j * algebra.d / 2)
     return out
 
 
@@ -261,11 +274,7 @@ def gamma_omega_numeric(algebra: JordanAlgebra, nu, method: str = "quadrature",
     per axis; the g_1 rule carries lam_1^p (alpha = p), the Vandermonde
     factor does not depend on g_1, and the grid is summed one g_1 at a time.
     """
-    nu = float(nu)
-    if nu <= (algebra.r - 1) * algebra.d / 2:
-        raise ValueError(
-            f"integral diverges: need nu > (r-1)d/2 = {(algebra.r-1)*algebra.d/2}"
-        )
+    nu = _convergent(algebra, nu)
     if method == "mc":
         return _gamma_mc(algebra, nu, mc_samples, seed)
     if method != "quadrature":
@@ -573,6 +582,10 @@ def box_rule(bounds, n: int):
     return _tensor_rule(*zip(*(scaled_interval_rule(gl, lo, hi) for lo, hi in bounds)))
 
 
+# (u nodes x z nodes) entries of one block of the chart rule's v sum: a
+# block's few arrays take a few MB
+_CHART_BLOCK = 2 ** 16
+
 # Midpoint nodes per axis of the chart rules, per algebra: x for the lhs, z
 # and v for the rhs (z over the box of the trace ball, v over the box of a
 # ball per z, of whose v nodes only those inside the ball are summed).  An
@@ -639,12 +652,11 @@ def _ball_box(algebra, c, r):
 def _chart_rule(name, center, radius):
     """The z nodes of the rhs rule of ``chart_integrals``, the chart term at
     each (everything but the weight, the v integral over the ball of radius
-    rho(z) done) and the z cell volume.  Built once per (algebra name,
-    center, radius) and returned read-only."""
+    rho(z) done, by ``_v_ball_sum``) and the z cell volume.  Built once per
+    (algebra name, center, radius) and returned read-only."""
     algebra = get_algebra(name)
     nodes = CHART_NODES[name]
     gram = np.array(algebra.gram, dtype=float)
-    f1 = trace_ball_bump(algebra, center, radius)
     # z = x + y lies in the trace ball of radius 2R about 2 center e.  Given
     # z, w = P(z^{1/2}) v lies in the two balls |w -+ (z - 2ce)| < 2R, so
     # |w| < sqrt(4R^2 - |z - 2ce|^2); pulled back by the least eigenvalue of
@@ -664,13 +676,36 @@ def _chart_rule(name, center, radius):
     roots = cone_sqrt(algebra, zs)
     Pz = rho[:, None, None] * np.stack([quad_rep(algebra, roots, b)
                                         for b in np.eye(algebra.n)], axis=2)
-    inner = np.zeros(len(zs))
-    # one v node at a time: a (z nodes x v nodes) broadcast would take
-    # several arrays of tens of MB and run no faster
-    for u in unit:
-        w = Pz @ u
-        inner += f1((zs - w) / 2) * f1((zs + w) / 2)
+    inner = _v_ball_sum(Pz, zs - 2 * center * algebra.e, gram, radius, unit)
     terms = inner * ucell * rho**algebra.n * iota_jacobian(algebra, zs)
     zs.flags.writeable = False
     terms.flags.writeable = False
     return zs, terms, zcell
+
+
+def _v_ball_sum(Pz, dev, gram, radius, unit):
+    """The sum over the u rows of ``unit`` of f1(x) f1(y) at each z node,
+    with (x, y) = ((z - w)/2, (z + w)/2), w = Pz u, f1 the bump of
+    ``radius`` about ce in the trace form G = diag(``gram``), and one row
+    dev = z - 2ce of ``dev`` per z node.
+
+    With M = Pz^T G Pz and b = 2 Pz^T G dev, 4|x - ce|^2 and 4|y - ce|^2
+    are |dev|^2 + u^T M u -+ b.u, so a block of u nodes takes two matrix
+    products, not one Python step per node.  Blocks hold at most
+    ``_CHART_BLOCK`` (u nodes x z nodes) entries; their rows are added to
+    the sum in u order, one node at a time, as a loop over the nodes would.
+    """
+    n = Pz.shape[1]
+    M = np.einsum("zia,i,zib->zab", Pz, gram, Pz).reshape(len(dev), n * n)
+    b = 2 * np.einsum("zia,i,zi->za", Pz, gram, dev)
+    d2 = (dev * dev) @ gram
+    scale = 4 * radius**2
+    inner = np.zeros(len(dev))
+    step = max(1, _CHART_BLOCK // len(dev))
+    for lo in range(0, len(unit), step):
+        u = unit[lo:lo + step]
+        even = d2 + (u[:, :, None] * u[:, None, :]).reshape(len(u), n * n) @ M.T
+        odd = u @ b.T
+        for row in bump((even - odd) / scale) * bump((even + odd) / scale):
+            inner += row
+    return inner

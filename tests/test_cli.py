@@ -252,6 +252,18 @@ def test_gamma_rejects_a_nu_without_a_finite_gamma_product(nu):
     assert err.startswith("error: --nu") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("name, nu", [("sym4", "1.4"), ("sym2", "0.3"), ("sym2", "0.5"),
+                                      ("rank1", "-0.5")])
+def test_gamma_refuses_a_nu_where_the_integral_diverges(name, nu, tmp_path):
+    # below (r-1)d/2 the closed product printed a negative "cone Gamma" with
+    # exit 0: -5574.92 for sym4 at 1.4 and -43.65 for sym2 at 0.3
+    path = tmp_path / "gamma.json"
+    code, out, err = run_cli(["gamma", "--algebra", name, "--nu", nu,
+                              "--output", str(path)])
+    assert code == 2 and out == "" and not path.exists()
+    assert err.startswith("error: integral diverges") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("config, bad", [
     ("format = xml\nkind = restricted\n", "format 'xml'"),
     ("format = latex\nkind = restricted\n", "format 'latex'"),
