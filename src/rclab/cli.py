@@ -19,6 +19,7 @@ configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -257,6 +258,8 @@ def cmd_gamma(args) -> int:
     if unread:
         raise ConfigError(f"{', '.join(unread)}: not read "
                           f"{f'by --rule {kind}' if kind else 'without --rule'}")
+    if not math.isfinite(nu):
+        raise ConfigError(f"--nu {nu}: not a finite number")
     try:
         closed = quadrature.gamma_omega_closed(algebra, nu)
     except OverflowError:
@@ -689,7 +692,10 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it as it was, and
+    the ``config_keys`` dicts it hands to each namespace are only read."""
     p = argparse.ArgumentParser(
         prog="rclab",
         description="Bracket polynomial families on symmetric cones: "

@@ -215,10 +215,10 @@ def scaled_interval_rule(rule: QuadratureRule, lo: float, hi: float):
 def _convergent(algebra: JordanAlgebra, nu) -> float:
     """nu as a float; ValueError unless the cone Gamma integral converges,
     nu > (r-1)d/2, which makes every argument nu - j d/2 of the closed
-    product positive."""
+    product positive; a NaN nu fails the test too."""
     nu = float(nu)
     bound = (algebra.r - 1) * algebra.d / 2
-    if nu <= bound:
+    if not nu > bound:
         raise ValueError(f"integral diverges: need nu > (r-1)d/2 = {bound}")
     return nu
 

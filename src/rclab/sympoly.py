@@ -7,6 +7,9 @@ on functions of Delta_0..Delta_r, D acts as the order-r operator
 L = sum_{1 <= |beta| <= r} T_beta(Delta) d_Delta^beta, each T_beta of
 Delta-degree |beta| - 1.  The recursion runs on sums of terms
 coef(s, t) Delta_0^(s+e_0) Delta_1^e_1 ... Delta_r^(t+e_r), coef in Q[s, t].
+Each step runs on Python ints: L is held over one integer denominator per
+algebra, the terms are put over the lcm of theirs, and a Fraction is made
+only for each coefficient of the step's result.
 
 L is derived once per algebra from exact jets.  At p = (x0, y0),
 (d/dx - d/dy)^gamma f(p) = d_u^gamma f(x0 + u, y0 - u) at u = 0, so
@@ -67,7 +70,8 @@ class NonzeroRemainder(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# Coefficient ring: plain dicts {(deg_s, deg_t): rational} of Q[s, t]
+# Coefficient ring: plain dicts {(deg_s, deg_t): coefficient} of Q[s, t],
+# with int coefficients over one denominator inside a chain step
 
 
 def _c_mul(a, ps, pt):
@@ -127,10 +131,12 @@ class SymExpr:
 
         ``expr`` is c(k) (det x)^s (det y)^t, as ``apply_D_power`` returns
         it; D applied to the weight and stripped of (det x)^s (det y)^t is
-        c(k+1).
+        c(k+1).  The shift runs on integer coefficients over one denominator.
         """
-        terms = _polynomial_terms(expr, f"{expr.algebra.name} weight")
-        return cls(expr.algebra, {(e[0] + 1,) + e[1:-1] + (e[-1] + 1,): _c_shift(coef)
+        terms, den = _over_one_denominator(
+            _polynomial_terms(expr, f"{expr.algebra.name} weight"))
+        return cls(expr.algebra, {(e[0] + 1,) + e[1:-1] + (e[-1] + 1,):
+                                  {ij: Fraction(w, den) for ij, w in _c_shift(coef).items()}
                                   for e, coef in terms.items()})
 
     def num_terms(self):
@@ -139,6 +145,14 @@ class SymExpr:
     def __eq__(self, other):
         return (isinstance(other, SymExpr) and self.algebra is other.algebra
                 and self.terms == other.terms)
+
+
+def _over_one_denominator(terms):
+    """{exponents: {(i, j): rational}} as ({exponents: {(i, j): int}}, den),
+    the coefficients times den, the lcm of their denominators."""
+    den = math.lcm(1, *(v.denominator for c in terms.values() for v in c.values()))
+    return {e: {ij: v.numerator * (den // v.denominator) for ij, v in c.items()}
+            for e, c in terms.items()}, den
 
 
 def _polynomial_terms(expr, context):
@@ -447,9 +461,26 @@ def _pencil_operator(algebra):
     return _memo(algebra, "_pencil_operator", build)
 
 
+def _integer_operator(algebra):
+    """L over one denominator: (operator, den), ``_pencil_operator`` with every
+    coefficient times den, the lcm of their denominators, an int."""
+    def build():
+        operator, den = _over_one_denominator(
+            {beta: dict(t_beta) for beta, t_beta in _pencil_operator(algebra)})
+        return [(beta, list(t_beta.items())) for beta, t_beta in operator.items()], den
+
+    return _memo(algebra, "_integer_operator", build)
+
+
 def _apply_pencil_operator(terms, algebra):
-    """L applied to {exponents: coefdict}: d_Delta^beta of each term, times T_beta."""
-    r, operator = algebra.r, _pencil_operator(algebra)
+    """L applied to {exponents: coefdict}: d_Delta^beta of each term, times T_beta.
+
+    The step runs on ints: the terms over their one denominator, L over its
+    own (``_integer_operator``); a Fraction is formed only for each output
+    coefficient.
+    """
+    r, (operator, op_den) = algebra.r, _integer_operator(algebra)
+    terms, den = _over_one_denominator(terms)
     out = {}
     for e, coef in terms.items():
         for beta, t_beta in operator:
@@ -460,9 +491,11 @@ def _apply_pencil_operator(terms, algebra):
             base = tuple(map(sub, e, beta))
             for alpha, v in t_beta:
                 acc = out.setdefault(tuple(map(add, base, alpha)), {})
+                vm = v * mid
                 for ij, w in c.items():
-                    acc[ij] = acc.get(ij, 0) + w * v * mid
-    out = {e: {ij: w for ij, w in c.items() if w} for e, c in out.items()}
+                    acc[ij] = acc.get(ij, 0) + w * vm
+    den *= op_den
+    out = {e: {ij: Fraction(w, den) for ij, w in c.items() if w} for e, c in out.items()}
     return {e: c for e, c in out.items() if c}
 
 
@@ -549,11 +582,9 @@ def _expand(expr: SymExpr, k: int, tables: _TableSet) -> Poly:
     ``tables``, over den^k times the common denominator of the terms.  A
     term left with a negative power of det x or det y means the operator
     (not the construction) is wrong, so it raises."""
-    terms = _polynomial_terms(expr, f"{expr.algebra.name} k={k}")
-    den = math.lcm(1, *(Fraction(v).denominator for c in terms.values() for v in c.values()))
+    terms, den = _over_one_denominator(_polynomial_terms(expr, f"{expr.algebra.name} k={k}"))
     out = {}
     for e, coef in terms.items():
-        coef = {ij: int(v * den) for ij, v in coef.items()}
         for mono, c in tables.monomial(e).items():
             acc = out.setdefault(mono, {})
             for ij, v in coef.items():

@@ -2,10 +2,14 @@
 
 A point is a tuple of Fractions.  Products read the Fraction structure
 table ``JordanAlgebra.table``, never the integer ``_int_table``, so the
-reference stays independent of the integer paths it checks.
+reference stays independent of the integer paths it checks.  The pencil
+chain is stepped here with one Fraction product per term, the loop the
+integer step of ``rclab.sympoly`` replaces.
 """
 
 from fractions import Fraction
+from math import comb, perm, prod
+from operator import add, sub
 
 
 def mul(alg, x, y):
@@ -71,3 +75,65 @@ def cone_point(rng, alg):
     """u.u + e, strictly inside the cone."""
     u = rational_point(rng, alg, 3, 3)
     return tuple(w + e for w, e in zip(mul(alg, u, u), alg.e_coords))
+
+
+# ---------------------------------------------------------------------------
+# The pencil chain over Fractions
+
+
+def _falling(e, q):
+    """Coefficients of (x + e)(x + e - 1)...(x + e - q + 1), lowest first."""
+    p = [1]
+    for m in range(q):
+        p = [a * (e - m) + b for a, b in zip(p + [0], [0] + p)]
+    return p
+
+
+def _c_mul(a, ps, pt):
+    """a(s, t) ps(s) pt(t) over Q[s, t]."""
+    out = {}
+    for (i, j), v in a.items():
+        for p, x in enumerate(ps):
+            for q, y in enumerate(pt):
+                out[i + p, j + q] = out.get((i + p, j + q), 0) + v * x * y
+    return out
+
+
+def c_shift(a):
+    """a(s + 1, t + 1) over Q[s, t]."""
+    out = {}
+    for (i, j), v in a.items():
+        for p in range(i + 1):
+            for q in range(j + 1):
+                out[(p, q)] = out.get((p, q), 0) + v * comb(i, p) * comb(j, q)
+    return {k: v for k, v in out.items() if v}
+
+
+def apply_pencil_operator(terms, r, operator):
+    """L = [(beta, [(alpha, Fraction)])] applied to {exponents: coefdict}."""
+    out = {}
+    for e, coef in terms.items():
+        for beta, t_beta in operator:
+            mid = prod(perm(e[j], beta[j]) for j in range(1, r))
+            if not mid:
+                continue
+            c = _c_mul(coef, _falling(e[0], beta[0]), _falling(e[r], beta[r]))
+            base = tuple(map(sub, e, beta))
+            for alpha, v in t_beta:
+                acc = out.setdefault(tuple(map(add, base, alpha)), {})
+                for ij, w in c.items():
+                    acc[ij] = acc.get(ij, 0) + w * v * mid
+    out = {e: {ij: w for ij, w in c.items() if w} for e, c in out.items()}
+    return {e: c for e, c in out.items() if c}
+
+
+def pencil_chain(alg, kmax, operator):
+    """The terms of c(0)..c(kmax) times (det x)^s (det y)^t: c(k + 1) is L
+    applied to (det x)^(s+1) (det y)^(t+1) c(k)_{s+1,t+1}."""
+    r = alg.r
+    chain = [{(0,) * (r + 1): {(0, 0): 1}}]
+    for _ in range(kmax):
+        weight = {(e[0] + 1,) + e[1:-1] + (e[-1] + 1,): c_shift(coef)
+                  for e, coef in chain[-1].items()}
+        chain.append(apply_pencil_operator(weight, r, operator))
+    return chain

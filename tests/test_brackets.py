@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fraction_ref import (
-    cone_point, det, frame, frame_matrix, mul, quad_rep, rational_point,
+    cone_point, det, frame, frame_matrix, mul, pencil_chain, quad_rep, rational_point,
 )
 from rclab.algebra import ALGEBRA_NAMES, get_algebra, iota, spectral
 from rclab.brackets import (
@@ -21,7 +21,8 @@ from rclab.brackets import (
 )
 from rclab.poly import Poly
 from rclab.quadrature import weyl_integral
-from rclab.sympoly import SymExpr, apply_D_power, extract_bracket_polynomial
+from rclab.cli import K_CAPS
+from rclab.sympoly import SymExpr, apply_D_power, extract_bracket_polynomial, _pencil_operator
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -138,6 +139,20 @@ def test_disk_cache_extends_a_shorter_chain(tmp_path, monkeypatch):
                         lambda expr, k: steps.append(k) or apply_D_power(expr, k))
     assert cached_c(alg, 2, str(tmp_path)) == want
     assert steps == [1] and len(json.loads(path.read_text())["chain"]) == 3
+
+
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_a_chain_file_keeps_the_bytes_of_the_fraction_chain(name, tmp_path, monkeypatch):
+    # the file of a chain built to the cap holds the Fraction chain's terms,
+    # in its order, byte for byte
+    alg, kmax = get_algebra(name), K_CAPS[name]
+    cold(monkeypatch)
+    cached_c(alg, kmax, str(tmp_path))
+    chain = [[[list(e), [[i, j, f"{v.numerator}/{v.denominator}"] for (i, j), v in coef.items()]]
+              for e, coef in terms.items()]
+             for terms in pencil_chain(alg, kmax, _pencil_operator(alg))]
+    want = json.dumps({"format": 2, "algebra": name, "chain": chain}, separators=(",", ":"))
+    assert (tmp_path / f"c_{name}.json").read_text() == want
 
 
 def mangled_chain_file(tmp_path, monkeypatch, mangle):

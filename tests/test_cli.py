@@ -264,6 +264,28 @@ def test_gamma_refuses_a_nu_where_the_integral_diverges(name, nu, tmp_path):
     assert err.startswith("error: integral diverges") and err.count("\n") == 1, err
 
 
+def test_the_parser_is_built_once_and_keeps_no_call_state(tmp_path, monkeypatch):
+    # main reuses one parser per process: a --tol and a --config of one call
+    # must not reach the next
+    from rclab import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+
+    def record(algebra, selector, tols):
+        seen.append((algebra.name, selector, tols))
+        return [], True
+
+    monkeypatch.setattr(cli, "run_suites", record)
+    config = tmp_path / "rclab.conf"
+    config.write_text("algebra = sym2\n")
+    assert run_cli(["--config", str(config), "check", "iota-factorization",
+                    "--tol", "iota-fact=1e-11"])[0] == 0
+    assert run_cli(["check", "iota-factorization"])[0] == 0
+    assert seen == [("sym2", "iota-factorization", {"iota-fact": 1e-11}),
+                    ("rank1", "iota-factorization", {})]
+
+
 @pytest.mark.parametrize("config, bad", [
     ("format = xml\nkind = restricted\n", "format 'xml'"),
     ("format = latex\nkind = restricted\n", "format 'latex'"),

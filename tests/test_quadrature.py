@@ -171,6 +171,18 @@ def test_gamma_closed_pole():
         gamma_omega_closed(get_algebra("sym2"), 0.5)  # Gamma(0) pole
 
 
+@pytest.mark.parametrize("name", ["rank1", "sym2", "sym3"])
+def test_a_nan_nu_is_refused(name):
+    # nan <= bound is false, so a NaN nu passed the convergence test: the
+    # closed product came out NaN and the eigenvalue rule ended in LinAlgError
+    alg = get_algebra(name)
+    with pytest.raises(ValueError, match="integral diverges"):
+        gamma_omega_closed(alg, math.nan)
+    for method in ("quadrature", "mc"):
+        with pytest.raises(ValueError, match="integral diverges"):
+            gamma_omega_numeric(alg, math.nan, method)
+
+
 def test_gamma_numeric_rank1():
     alg = get_algebra("rank1")
     assert abs(gamma_omega_numeric(alg, 3.0, n=60) - 2.0) < 1e-10

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import rclab.sympoly as S
-from fraction_ref import frame
+from fraction_ref import frame, pencil_chain
 from rclab.algebra import ALGEBRA_NAMES, get_algebra, rank_one, sym
+from rclab.cli import K_CAPS
 from rclab.poly import Poly
 from rclab.sympoly import (
     SymExpr, BracketPolynomial, NonzeroRemainder,
@@ -186,6 +187,29 @@ def test_int64_overflow_raises_instead_of_wrapping(bound, stage):
     points = [tuple(rng.randint(-bound, bound) for _ in range(2 * alg.n)) for _ in range(3)]
     with pytest.raises(OverflowError, match=f"sym4 .*{stage}: int64 entries could reach"):
         S._pencil_samples(alg, points)
+
+
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_the_integer_operator_over_its_denominator_is_L(name):
+    alg = get_algebra(name)
+    operator, den = S._integer_operator(alg)
+    assert all(type(v) is int for _, t_beta in operator for _, v in t_beta)
+    assert [(beta, [(alpha, Fraction(v, den)) for alpha, v in t_beta])
+            for beta, t_beta in operator] == _pencil_operator(alg)
+
+
+@pytest.mark.parametrize("name,kmax", [(name, K_CAPS[name]) for name in ALGEBRA_NAMES]
+                         + [("sym4", 2), ("sym3", 3)])
+def test_the_integer_chain_is_the_fraction_chain(name, kmax):
+    # the chain steps over ints; the Fraction loop it replaced must give the
+    # same terms, in the same order and of the same types, at every k
+    alg = get_algebra(name)
+    expr, chain = SymExpr.det_power_seed(alg, 0, 0), []
+    for _ in range(kmax):
+        chain.append(expr.terms)
+        expr = apply_D_power(SymExpr.shifted_weight(expr), 1)
+    chain.append(expr.terms)
+    assert repr(chain) == repr(pencil_chain(alg, kmax, _pencil_operator(alg)))
 
 
 def test_apply_D_zero_is_identity():
