@@ -67,6 +67,9 @@ _memory_cache: dict = {}
 # algebra name -> [c(0), c(1), ...] times (det x)^s (det y)^t, in the pencil
 # coordinates: the in-process chain each build extends
 _pencils: dict = {}
+# cache file path -> length of the chain it holds, as this process last read
+# (0 for a miss or a chain that disagrees with the held one) or wrote it
+_on_disk: dict = {}
 
 
 def _load_chain(path, algebra):
@@ -97,22 +100,29 @@ def pencil_cache(algebra: JordanAlgebra, cache_dir: str | None):
     """Run the work inside on the pencil chain ``cache_dir`` holds for
     ``algebra``, and keep there what the work adds.
 
-    On entry, a process that holds no chain for the algebra takes the one
-    of ``c_<algebra>.json``, unless that file is a miss (``_load_chain``).
-    On exit the chain is written back, atomically, when the work extended
-    it or no file is there; the temporary file of a write killed before its
-    rename is a c_* file, so ``cache clear`` removes it.
+    The first use of ``c_<algebra>.json`` in a process reads it, even when a
+    chain is held: a longer file chain that equals every held entry is
+    taken, and a file that disagrees or is a miss (``_load_chain``) counts
+    as empty.  On exit the chain is written back, atomically, when it is
+    longer than the file's or no file is there; the temporary file of a
+    write killed before its rename is a c_* file, so ``cache clear``
+    removes it.
     """
     if not cache_dir:
         yield
         return
     path = os.path.join(cache_dir, f"c_{algebra.name}.json")
-    if algebra.name not in _pencils and (chain := _load_chain(path, algebra)):
-        _pencils[algebra.name] = chain
-    held = len(_pencils.get(algebra.name, ()))
+    if path not in _on_disk:
+        held = _pencils.get(algebra.name, [])
+        chain = _load_chain(path, algebra) or []
+        if chain[:len(held)] != held[:len(chain)]:
+            chain = []
+        if len(chain) > len(held):
+            _pencils[algebra.name] = chain
+        _on_disk[path] = len(chain)
     yield
     chain = _pencils.get(algebra.name)
-    if not chain or (len(chain) == held and os.path.exists(path)):
+    if not chain or (len(chain) <= _on_disk[path] and os.path.exists(path)):
         return
     entries = [[[e, [[i, j, f"{v.numerator}/{v.denominator}"] for (i, j), v in c.items()]]
                 for e, c in expr.terms.items()] for expr in chain]
@@ -123,6 +133,7 @@ def pencil_cache(algebra: JordanAlgebra, cache_dir: str | None):
         with os.fdopen(fd, "w") as fh:
             fh.write(payload)
         os.replace(tmp, path)
+        _on_disk[path] = len(chain)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)

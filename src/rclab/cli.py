@@ -595,8 +595,8 @@ SUITE_TABLE = {
                                  {"change-of-variables": _CHART_TOL}),
     "gamma": Suite(_suite_gamma, tols={
         "gamma": {"rank1": 1e-10, "sym2": 1e-6, "*": 1e-5}, "gamma-mc": {"sym2": 1e-2}}),
-    "orthogonality": Suite(_suite_orthogonality, _RANK1_SYM2,
-                           {"orthogonality": {"rank1": 1e-12, "sym2": 1e-8}}),
+    "orthogonality": Suite(_suite_orthogonality, ("rank1", "sym2", "sym3"),
+                           {"orthogonality": {"rank1": 1e-12, "sym2": 1e-8, "sym3": 1e-8}}),
     "laplace": Suite(_suite_laplace, _RANK1_SYM2, {
         "laplace": {"rank1": 1e-8, "sym2": 1e-4}, "isometry-norm": {"rank1": 1e-6}}),
     "laplace-factorization": Suite(_suite_jfact, tuple(quadrature.CHART_NODES),

@@ -25,8 +25,8 @@ transform sweeps the cone along rays xi = s omega, a table of unit rays per
 algebra (rank 1 is the one ray omega = 1), with a Laguerre rule in s that
 absorbs the det power.
 
-Interval (Weyl-reduced) integrals use the chamber normalization constant 1:
-only ratios and zero tests of those integrals are consumed downstream.
+Interval (Weyl-reduced) integrals, one cube-to-chamber rule in every rank,
+use the chamber normalization 1: only their ratios and zero tests are used.
 The polar-chart checks use one rule for every algebra of CHART_NODES: tensor
 midpoint rules over boxes that hold the compact supports of their smooth
 integrands, memoised per ball.  The chart side sums its v ball in blocks:
@@ -350,40 +350,27 @@ def _gamma_mc(algebra, nu, samples, seed):
 
 
 def weyl_integral(algebra: JordanAlgebra, f_eig, lam, mu, n: int = 60):
-    """Chamber integral of f against prod (1-a_i)^lam (1+a_i)^mu |Vandermonde|^d.
+    """Integral of f against prod (1-a_i)^lam (1+a_i)^mu (a_j-a_i)^d (i < j)
+    over the chamber -1 < a_1 < ... < a_r < 1; ``f_eig`` maps (m, r) rows of
+    ascending eigenvalues to (m, ...) values, each entry integrated.
 
-    ``f_eig`` maps an (m, r) array of eigenvalue rows to an (m, ...) array;
-    each entry is integrated.  For r = 2 the exact chamber map
-    a = (c - h, c + h), c = (1-h)*chat removes the |a1 - a2| kink, so the
-    rule is exact (to rounding) for polynomial integrands with integer
-    weights; the symmetrized tensor-Jacobi fallback covers r >= 3.
+    x_i = u_i ... u_r (Duffy) maps the cube onto the chamber of a = 2x - 1.
+    Axis j has ``n`` Gauss-Jacobi nodes in t_j = 2u_j - 1; beta_j = j mu + j - 1
+    carries the Jacobian u_j^(j-1) and the u_j^(j mu) of prod (1+a_i)^mu, and
+    alpha_r = lam (else 0) carries (1-a_r)^lam, a_r = t_r.  Exact to rounding
+    for polynomial f at integer weights; rank 1 is Gauss-Jacobi (lam, mu).
     """
     lam, mu, r, d = float(lam), float(mu), algebra.r, algebra.d
-    if r == 1:
-        rule = gauss_jacobi(n, lam, mu)
-        return _integral(rule.weights, f_eig(rule.nodes[:, None]))
-    if r >= 3:
-        return _weyl_tensor(algebra, f_eig, lam, mu, n)
-    gl = gauss_legendre(n)
-    h, wh = scaled_interval_rule(gl, 0.0, 1.0)
-    h, wh = h[:, None], wh[:, None]
-    c = (1.0 - h) * gl.nodes
-    w = wh * gl.weights * ((1 - c) ** 2 - h**2) ** lam * ((1 + c) ** 2 - h**2) ** mu \
-        * (2 * h) ** d * 2 * (1 - h)
-    nodes = np.stack([(c - h).ravel(), (c + h).ravel()], axis=1)
-    return _integral(w.ravel(), f_eig(nodes))
-
-
-def _weyl_tensor(algebra: JordanAlgebra, f_eig, lam, mu, n: int):
-    """weyl_integral by the symmetrized tensor Gauss-Jacobi rule over the
-    cube, which is polynomial-exact only for even d."""
-    r, d = algebra.r, algebra.d
-    rule = gauss_jacobi(n, lam, mu)
-    nodes, w = _tensor_rule([rule.nodes] * r, [rule.weights] * r)
-    for i in range(r):
+    betas = [j * mu + j - 1 for j in range(1, r + 1)]
+    rules = [gauss_jacobi(n, lam if j == r - 1 else 0.0, b) for j, b in enumerate(betas)]
+    t, w = _tensor_rule([g.nodes for g in rules], [g.weights for g in rules])
+    x = np.cumprod((1 + t[:, ::-1]) / 2, axis=1)[:, ::-1]    # x_i = u_i ... u_r
+    w = w * 2.0 ** (r * mu - sum(betas))
+    for i in range(r - 1):
+        w = w * (2 * (1 - x[:, i])) ** lam
         for j in range(i + 1, r):
-            w = w * np.abs(nodes[:, i] - nodes[:, j]) ** d
-    return _integral(w / math.factorial(r), f_eig(nodes))
+            w = w * (2 * (x[:, j] - x[:, i])) ** d
+    return _integral(w, f_eig(np.concatenate([2 * x[:, :-1] - 1, t[:, -1:]], axis=1)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 import json
 import os
 from fractions import Fraction
-from math import prod
+from itertools import combinations_with_replacement, permutations
+from math import comb, prod
 from operator import add
 
 import numpy as np
@@ -70,11 +71,13 @@ def test_diagonal_restriction_at_equal_parameters():
 
 
 def cold(monkeypatch):
-    """Forget every c(k) and pencil chain the process holds."""
+    """Forget every c(k), pencil chain and cache file read the process
+    holds, as a new process would."""
     import rclab.brackets as B
 
     monkeypatch.setattr(B, "_memory_cache", {})
     monkeypatch.setattr(B, "_pencils", {})
+    monkeypatch.setattr(B, "_on_disk", {})
 
 
 def cached_c(alg, k, cache_dir):
@@ -227,6 +230,60 @@ def test_a_build_reads_no_lower_file(tmp_path, monkeypatch):
     assert cached_c(alg, 2, str(tmp_path)) == want
     assert path.read_text() == misnamed
     assert sorted(os.listdir(tmp_path)) == ["c_sym2.json", "c_sym2_k1.json"]
+
+
+def chain_length(path):
+    return len(json.loads(path.read_text())["chain"])
+
+
+def test_a_shorter_held_chain_leaves_a_longer_file(tmp_path, monkeypatch):
+    # a process that already read the file and then holds a shorter chain
+    # (it forgot its own, or a library caller built one) extends that chain
+    # without writing it over the longer file
+    import rclab.brackets as B
+
+    alg = get_algebra("rank1")
+    path = tmp_path / "c_rank1.json"
+    cold(monkeypatch)
+    cached_c(alg, 8, str(tmp_path))
+    assert chain_length(path) == 9
+    monkeypatch.setattr(B, "_memory_cache", {})
+    monkeypatch.setattr(B, "_pencils", {})
+    compute_c(alg, 1)
+    cached_c(alg, 3, str(tmp_path))
+    assert chain_length(path) == 9
+
+
+def test_a_held_chain_takes_a_longer_file_that_agrees(tmp_path, monkeypatch):
+    import rclab.brackets as B
+
+    alg = get_algebra("rank1")
+    cold(monkeypatch)
+    c8 = cached_c(alg, 8, str(tmp_path))
+    cold(monkeypatch)
+    compute_c(alg, 1)
+    monkeypatch.setattr(B, "apply_D_power", None)   # a build would raise
+    assert cached_c(alg, 8, str(tmp_path)) == c8
+    assert len(B._pencils["rank1"]) == 9
+
+
+def test_a_file_that_disagrees_with_the_held_chain_is_overwritten(tmp_path, monkeypatch):
+    # a longer file whose c(1) is off in one coefficient is not taken, and
+    # the held chain replaces it
+    import rclab.brackets as B
+
+    alg = get_algebra("rank1")
+    path = tmp_path / "c_rank1.json"
+    cold(monkeypatch)
+    cached_c(alg, 4, str(tmp_path))
+    data = json.loads(path.read_text())
+    data["chain"][1][0][1][0][2] = "7/1"
+    path.write_text(json.dumps(data))
+    cold(monkeypatch)
+    c2 = compute_c(alg, 2)
+    assert cached_c(alg, 2, str(tmp_path)) == c2
+    assert chain_length(path) == 3
+    assert B._load_chain(str(path), alg) == B._pencils["rank1"]
 
 
 def test_compute_C_k0_is_one():
@@ -580,27 +637,30 @@ def test_a_wrong_eigen_table_fails_iota_factorization(monkeypatch, tmp_path, nam
         assert [rep["pass"] for rep in iota_reports] == [False, False]
 
 
-# the rank-2 algebras, whose interval rule is exact for polynomial integrands
-RANK2 = ("sym2", "spin3", "spin4", "spin5", "spin6", "spin7", "spin8")
+def monomial_symmetric(a, kappa):
+    """m_kappa at the eigenvalue rows of a: the sum of a^p over the distinct
+    permutations p of kappa."""
+    return sum(np.prod(a ** np.array(p), axis=1) for p in sorted(set(permutations(kappa))))
 
 
 def box_ratios(alg, k, lam=3, mu=2):
     """|<C(k), m_kappa>| / (|C(k)| |m_kappa|) under the interval weight at
-    (lam, mu), for every partition kappa in the 2 x k box but (k, k), with
-    m_kappa the monomial symmetric polynomial of the two eigenvalues.
+    (lam, mu), for every partition kappa in the r x k box but (k^r), with
+    m_kappa the monomial symmetric polynomial of the r eigenvalues.
 
-    C(k) is the BC_2 Jacobi polynomial of the rectangle (k, k) (Heckman and
+    C(k) is the BC_r Jacobi polynomial of the rectangle (k^r) (Heckman and
     Opdam, Compositio Math. 64, 1987; Koornwinder, Contemp. Math. 138, 1992):
     orthogonal to every m_kappa but its own, which with its support in the
     box fixes it up to a scalar, with no use of the operator or the chain.
+    The chamber rule is exact for these polynomial integrands.
     """
     C = compute_C(alg, k, lam, mu)
-    kappas = [(i, j) for i in range(k + 1) for j in range(i + 1) if (i, j) != (k, k)]
+    kappas = [kappa for kappa in combinations_with_replacement(range(k, -1, -1), alg.r)
+              if kappa != (k,) * alg.r]
 
     def integrands(a):
         c = C.poly.numeric(a)
-        ms = [a[:, 0] ** i * a[:, 1] ** j + (a[:, 0] ** j * a[:, 1] ** i if i != j else 0)
-              for i, j in kappas]
+        ms = [monomial_symmetric(a, kappa) for kappa in kappas]
         return np.stack([c * c] + [c * m for m in ms] + [m * m for m in ms], axis=1)
 
     vals = weyl_integral(alg, integrands, lam, mu, n=24)
@@ -608,16 +668,15 @@ def box_ratios(alg, k, lam=3, mu=2):
     return np.abs(cross) / np.sqrt(vals[0] * norms)
 
 
-def _rank2_capped_cases():
-    from rclab.cli import K_CAPS
-
-    return [(name, k) for name in RANK2 for k in range(1, K_CAPS[name] + 1)]
+def _capped_cases():
+    return [(name, k) for name in ALGEBRA_NAMES for k in range(1, K_CAPS[name] + 1)]
 
 
-@pytest.mark.parametrize("name, k", _rank2_capped_cases())
+@pytest.mark.parametrize("name, k", _capped_cases())
 def test_C_is_orthogonal_to_the_rest_of_its_box(name, k):
-    ratios = box_ratios(get_algebra(name), k)
-    assert len(ratios) == (k + 1) * (k + 2) // 2 - 1
+    alg = get_algebra(name)
+    ratios = box_ratios(alg, k)
+    assert len(ratios) == comb(k + alg.r, alg.r) - 1
     assert ratios.max() < 1e-12, ratios.max()
 
 
@@ -628,7 +687,7 @@ def test_the_box_oracle_catches_a_chain_that_keeps_slot_exchange(monkeypatch):
     from rclab import brackets
     from rclab.cli import run_suites
 
-    for name in RANK2:
+    for name in ("sym2", "sym3", "spin3", "spin4", "spin5", "spin6", "spin7", "spin8"):
         alg = get_algebra(name)
         terms = {e: dict(c) for e, c in brackets._pencil(alg, 1).terms.items()}
         for e, step in (((0,) * alg.r + (1,), 1), ((1,) + (0,) * alg.r, (-1) ** alg.r)):

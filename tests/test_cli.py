@@ -191,6 +191,7 @@ def test_gram_builds_no_x_y_table(tmp_path, monkeypatch):
         raise AssertionError("gram expanded c(k) to x, y monomials")
 
     monkeypatch.setattr(brackets, "_pencils", {})
+    monkeypatch.setattr(brackets, "_on_disk", {})
     for module in (brackets, sympoly):
         monkeypatch.setattr(module, "extract_bracket_polynomial", no_table)
     monkeypatch.setattr(brackets, "compute_c", no_table)
@@ -499,6 +500,17 @@ def test_check_suite_exit_zero(tmp_path):
     assert data["pass"] is True and data["schema"] == "rc-lab/1"
 
 
+def test_gram_sym3_is_exact_on_the_chamber():
+    # the tensor rule across the |Vandermonde| kink read an estimated error
+    # of 0.118 and off-diagonal ratios up to 1.1e-3 here
+    code, out, err = run_cli(["gram", "--algebra", "sym3", "--kmax", "2",
+                              "--lambda", "3", "--mu", "3"])
+    assert code == 0, err
+    rep = json.loads(out)
+    assert rep["estimated_error"] <= 1e-10
+    assert rep["max_off_diagonal_ratio"] <= 1e-12
+
+
 def test_polys_recomputes_a_truncated_cache_file(tmp_path, monkeypatch):
     import rclab.brackets as B
 
@@ -506,6 +518,7 @@ def test_polys_recomputes_a_truncated_cache_file(tmp_path, monkeypatch):
     args = ["polys", "--algebra", "rank1", "--k", "2", "--cache-dir", str(cache)]
     monkeypatch.setattr(B, "_memory_cache", {})
     monkeypatch.setattr(B, "_pencils", {})
+    monkeypatch.setattr(B, "_on_disk", {})
     code, want, _ = run_cli(args)
     assert code == 0
     path = cache / "c_rank1.json"
@@ -513,6 +526,7 @@ def test_polys_recomputes_a_truncated_cache_file(tmp_path, monkeypatch):
     path.write_text(text[: len(text) // 2])
     monkeypatch.setattr(B, "_memory_cache", {})
     monkeypatch.setattr(B, "_pencils", {})
+    monkeypatch.setattr(B, "_on_disk", {})
     code, out, _ = run_cli(args)
     assert code == 0 and out == want
     assert path.read_text() == text
@@ -699,6 +713,8 @@ def test_the_built_in_tolerances_per_algebra():
         if alg == "sym2":
             want.update({"orthogonality": 1e-8, "laplace": 1e-4, "adjoint": 1e-3,
                          "gamma-mc": 1e-2})
+        if alg == "sym3":
+            want["orthogonality"] = 1e-8
         if alg in ("rank1", "sym2"):
             chart = {"rank1": 1e-6, "sym2": 1e-4}[alg]
             want.update({"covariance": 1e-6, "hua": 1e-8, "coherent": 1e-8,
@@ -775,7 +791,7 @@ def test_a_suite_that_reports_nothing_fails_the_check(monkeypatch):
 
 def test_every_suite_the_table_lists_reports_and_reads_its_tolerances(
         cache_dir, monkeypatch):
-    # rank1 runs 19 suites, sym2 16 and the other algebras 7
+    # rank1 runs 19 suites, sym2 16, sym3 8 and the other algebras 7
     from rclab.algebra import ALGEBRA_NAMES
     import rclab.cli as cli
 
@@ -798,7 +814,7 @@ def test_every_suite_the_table_lists_reports_and_reads_its_tolerances(
         code, out, err = run_cli(["check", "all", "--algebra", alg, "--cache-dir", cache_dir])
         assert code == 0, (alg, err)
         want = [n for n, row in cli.SUITE_TABLE.items() if alg in row.algebras]
-        assert list(ran) == want and len(want) == {"rank1": 19, "sym2": 16}.get(alg, 7)
+        assert list(ran) == want and len(want) == {"rank1": 19, "sym2": 16, "sym3": 8}.get(alg, 7)
         for name, (count, names) in ran.items():
             assert count > 0, (alg, name)
             assert names == set(cli.SUITE_TABLE[name].tolerances(alg)), (alg, name)
@@ -904,6 +920,7 @@ def same_bytes_from_a_cold_and_a_warm_cache(command, tmp_path, monkeypatch):
     for run in ("cold", "warm"):
         monkeypatch.setattr(brackets, "_memory_cache", {})
         monkeypatch.setattr(brackets, "_pencils", {})
+        monkeypatch.setattr(brackets, "_on_disk", {})
         if run == "warm":
             (chain_file,) = cache.iterdir()
             written = chain_file.read_bytes()

@@ -10,7 +10,7 @@ import pytest
 
 from rclab import quadrature
 from rclab.algebra import (
-    get_algebra, spectral, cone_sqrt, quad_rep, iota_jacobian,
+    ALGEBRA_NAMES, get_algebra, spectral, cone_sqrt, quad_rep, iota_jacobian,
 )
 from rclab.brackets import jacobi_classical
 from rclab.cli import SUITE_TABLE
@@ -19,7 +19,7 @@ from rclab.quadrature import (
     gauss_jacobi, gauss_legendre, gauss_laguerre,
     gamma_omega_closed, gamma_omega_numeric,
     weyl_integral, gram_matrix,
-    tube_laplace, box_rule, check_change_of_variables, _weyl_tensor,
+    tube_laplace, box_rule, check_change_of_variables,
 )
 from rclab.tube import check_J_factorization, _default_tube_points
 
@@ -294,15 +294,62 @@ def test_cone_constant_against_gamma_identity():
         assert abs(got - want) / want < 1e-8, name
 
 
-def test_weyl_rank1_length():
-    alg = get_algebra("rank1")
-    assert abs(weyl_integral(alg, lambda e: np.ones(len(e)), 0, 0) - 2.0) < 1e-13
+def selberg(alg, lam, mu):
+    """The chamber integral of 1 against prod (1-a_i)^lam (1+a_i)^mu
+    |Vandermonde|^d in closed form: with t = (1 + a)/2 it is
+    2^(r(lam+mu+1) + d r(r-1)/2) S_r(mu+1, lam+1, d/2) / r!, S_r the Selberg
+    integral (Selberg 1944; Forrester and Warnaar, Bull. AMS 45, 2008)."""
+    r, g = alg.r, alg.d / 2
+    S = 1.0
+    for j in range(r):
+        S *= (math.gamma(mu + 1 + j * g) * math.gamma(lam + 1 + j * g)
+              * math.gamma(1 + (j + 1) * g)
+              / (math.gamma(lam + mu + 2 + (r + j - 1) * g) * math.gamma(1 + g)))
+    return 2.0 ** (r * (lam + mu + 1) + alg.d * r * (r - 1) / 2) * S / math.factorial(r)
 
 
-def test_weyl_sym2_vandermonde_volume():
-    alg = get_algebra("sym2")
-    got = weyl_integral(alg, lambda e: np.ones(len(e)), 0, 0)
-    assert abs(got - 4.0 / 3.0) < 1e-12
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_weyl_integral_matches_selberg(name):
+    # one chamber rule for every rank; (0, 0) is the chamber's volume (2 in
+    # rank 1, 4/3 for sym2), and the fractional weights are not carried by
+    # every factor of the rule.  The worst case, sym4 at (2.5, 3.25), reads
+    # 1.4e-14
+    alg = get_algebra(name)
+    for lam, mu in ((0, 0), (3, 2), (4, 4), (2, 3), (3.5, 2), (2.5, 3.25)):
+        got = weyl_integral(alg, lambda e: np.ones(len(e)), lam, mu, n=20)
+        want = selberg(alg, lam, mu)
+        assert abs(got - want) < 5e-14 * want, (lam, mu, got, want)
+
+
+def test_weyl_rank1_is_the_gauss_jacobi_rule():
+    # the one-axis chamber map: the nodes and weights of gauss_jacobi, bit
+    # for bit, so every rank-1 result keeps its bytes
+    rows = []
+
+    def identity(eigs):
+        rows.append(eigs)
+        return np.eye(len(eigs))
+
+    for lam, mu, n in ((0, 0, 7), (3.5, 2, 20), (1, 4.25, 33)):
+        rows.clear()
+        weights = weyl_integral(get_algebra("rank1"), identity, lam, mu, n=n)
+        rule = gauss_jacobi(n, lam, mu)
+        assert rows[0].shape == (n, 1)
+        assert np.array_equal(rows[0][:, 0], rule.nodes)
+        assert np.array_equal(weights, rule.weights)
+
+
+def test_weyl_rows_are_ascending_inside_the_chamber():
+    rows = []
+
+    def ones(eigs):
+        rows.append(eigs)
+        return np.ones(len(eigs))
+
+    weyl_integral(get_algebra("sym4"), ones, 2.5, 1, n=6)
+    (a,) = rows
+    assert a.shape == (6 ** 4, 4)
+    assert np.all(a > -1) and np.all(a < 1) and np.all(np.diff(a, axis=1) > 0)
 
 
 def test_weyl_rank1_jacobi_norm():
@@ -325,14 +372,6 @@ def test_weyl_node_doubling_stability():
 
     a = weyl_integral(alg, f, 2, 3, n=40)
     b = weyl_integral(alg, f, 2, 3, n=80)
-    assert abs(a - b) < 1e-12 * max(1.0, abs(b))
-
-
-def test_weyl_tensor_fallback_even_power():
-    # spin4 has d = 2: symmetrized tensor path is polynomial-exact
-    alg = get_algebra("spin4")
-    a = _weyl_tensor(alg, lambda e: np.ones(len(e)), 1, 1, 24)
-    b = _weyl_tensor(alg, lambda e: np.ones(len(e)), 1, 1, 48)
     assert abs(a - b) < 1e-12 * max(1.0, abs(b))
 
 
