@@ -20,7 +20,8 @@ Vandermonde-power density; the absolute normalization constant
 
 is fixed by calibrating the Gaussian integral of the trace form against
 Mehta's integral, so numeric values of Gamma_Omega match the closed product
-formula in absolute terms, not just up to ratios.  The tube Laplace
+formula in absolute terms, not just up to ratios.  For rank r >= 2 that
+integral is one sum of the chamber rule of rank r - 1.  The tube Laplace
 transform sweeps the cone along rays xi = s omega, a table of unit rays per
 algebra (rank 1 is the one ray omega = 1), with a Laguerre rule in s that
 absorbs the det power.
@@ -157,6 +158,8 @@ def _jacobi_rule(n, alpha, beta):
         m0 = 2.0 ** (alpha + beta + 1) * math.gamma(alpha + 1) * math.gamma(beta + 1) \
             / math.gamma(alpha + beta + 2)
     except OverflowError:   # Gamma overflows from 171.7; the Beta value need not
+        m0 = math.inf
+    if not math.isfinite(m0):   # from ~151 the product overflows without raising
         m0 = math.exp((alpha + beta + 1) * math.log(2.0) + math.lgamma(alpha + 1)
                       + math.lgamma(beta + 1) - math.lgamma(alpha + beta + 2))
     a = np.zeros(n)
@@ -266,13 +269,11 @@ def gamma_omega_numeric(algebra: JordanAlgebra, nu, method: str = "quadrature",
                         seed: int = 20240) -> float:
     """Gamma_Omega(nu) = int_Omega e^{-tr x} det(x)^p dx, p = nu - n/r, by
     Monte Carlo ("mc") or over the eigenvalues against the Vandermonde-power
-    density ("quadrature").  Rank 1: Gauss-Laguerre with alpha = p.  Rank 2:
-    lam = (s(1-u)/2, s(1+u)/2) separates trace and spread, and the rules
-    carry det^p with the density s^{d+1} u^d / 2: Laguerre with alpha =
-    2p + d + 1 in s, Gauss-Jacobi with alpha = p on t = 2u - 1, ``n`` nodes
-    each.  r > 2: gaps lam_i = g_1 + ... + g_i, min(n, 40) Laguerre nodes
-    per axis; the g_1 rule carries lam_1^p (alpha = p), the Vandermonde
-    factor does not depend on g_1, and the grid is summed one g_1 at a time.
+    density ("quadrature").  Rank 1: Gauss-Laguerre with alpha = p.  Rank
+    r >= 2: with s = lam_r and lam_i = s x_i the s integral is Gamma(r nu)
+    (1 + sum x_i)^(-r nu), Gamma(r nu) through lgamma (it overflows long
+    before Gamma_Omega), and the x integral is the chamber rule of rank r - 1
+    at (lam, mu) = (d, p), a = 2x - 1, whose ``n`` nodes per axis carry x^p.
     """
     nu = _convergent(algebra, nu)
     if method == "mc":
@@ -283,29 +284,12 @@ def gamma_omega_numeric(algebra: JordanAlgebra, nu, method: str = "quadrature",
     r, d, p = algebra.r, algebra.d, nu - algebra.n / algebra.r
     if r == 1:
         return float(c0 * np.sum(gauss_laguerre(n, p).weights))
-    if r == 2:
-        rs = gauss_laguerre(n, 2 * p + d + 1)
-        ru = gauss_jacobi(n, p, 0.0)
-        u = (1 + ru.nodes) / 2
-        # int_0^1 (1-u)^p g(u) du = 2^{-p-1} sum_j w_j g(u_j)
-        wu = ru.weights * 2.0 ** (-p - 1) * ((1 + u) / 4) ** p * u**d / 2
-        return float(c0 * np.sum(rs.weights) * np.sum(wu))
-    # r >= 3: the gaps keep the Vandermonde polynomial (no absolute values)
-    # and the chamber constraint implicit; g_i enters the trace with rate
-    # r - i + 1
-    m = min(n, 40)
-    first, rest = gauss_laguerre(m, p), gauss_laguerre(m)
-    g, w = _tensor_rule([rest.nodes / (r - i) for i in range(1, r)],
-                        [rest.weights / (r - i) for i in range(1, r)])
-    lam = np.cumsum(g, axis=1)          # lam_i - lam_1, i = 2..r
-    for i in range(r - 1):
-        w = w * lam[:, i] ** d
-        for j in range(i + 1, r - 1):
-            w = w * (lam[:, j] - lam[:, i]) ** d
-    total = 0.0
-    for g1, w1 in zip(first.nodes / r, first.weights / r ** (p + 1)):
-        total += w1 * np.sum(w * np.prod(g1 + lam, axis=1) ** p)
-    return float(c0 * total)
+    m = r - 1
+    a, w = _chamber_rule(m, d, d, p, n)
+    total = w @ ((m + 2 + a.sum(axis=1)) / 2) ** (-r * nu)
+    # da = 2^m dx, (1-a)^d (1+a)^p = 2^(d+p) (1-x)^d x^p, a_j - a_i = 2(x_j - x_i)
+    log2 = (m * (d + p + 1) + d * m * (m - 1) / 2) * math.log(2.0)
+    return float(c0 * math.exp(math.lgamma(r * nu) + math.log(total) - log2))
 
 
 def _gamma_mc(algebra, nu, samples, seed):
@@ -349,18 +333,17 @@ def _gamma_mc(algebra, nu, samples, seed):
 # Interval (Weyl-reduced) integration; normalization constant fixed to 1
 
 
-def weyl_integral(algebra: JordanAlgebra, f_eig, lam, mu, n: int = 60):
-    """Integral of f against prod (1-a_i)^lam (1+a_i)^mu (a_j-a_i)^d (i < j)
-    over the chamber -1 < a_1 < ... < a_r < 1; ``f_eig`` maps (m, r) rows of
-    ascending eigenvalues to (m, ...) values, each entry integrated.
+def _chamber_rule(r, d, lam, mu, n):
+    """Rows a (m, r) and weights (m,) of the rule for the weight of
+    ``weyl_integral`` over its chamber, ``n`` nodes per axis.
 
     x_i = u_i ... u_r (Duffy) maps the cube onto the chamber of a = 2x - 1.
     Axis j has ``n`` Gauss-Jacobi nodes in t_j = 2u_j - 1; beta_j = j mu + j - 1
     carries the Jacobian u_j^(j-1) and the u_j^(j mu) of prod (1+a_i)^mu, and
     alpha_r = lam (else 0) carries (1-a_r)^lam, a_r = t_r.  Exact to rounding
-    for polynomial f at integer weights; rank 1 is Gauss-Jacobi (lam, mu).
+    for polynomials at integer weights; rank 1 is Gauss-Jacobi (lam, mu).
     """
-    lam, mu, r, d = float(lam), float(mu), algebra.r, algebra.d
+    lam, mu = float(lam), float(mu)
     betas = [j * mu + j - 1 for j in range(1, r + 1)]
     rules = [gauss_jacobi(n, lam if j == r - 1 else 0.0, b) for j, b in enumerate(betas)]
     t, w = _tensor_rule([g.nodes for g in rules], [g.weights for g in rules])
@@ -370,7 +353,16 @@ def weyl_integral(algebra: JordanAlgebra, f_eig, lam, mu, n: int = 60):
         w = w * (2 * (1 - x[:, i])) ** lam
         for j in range(i + 1, r):
             w = w * (2 * (x[:, j] - x[:, i])) ** d
-    return _integral(w, f_eig(np.concatenate([2 * x[:, :-1] - 1, t[:, -1:]], axis=1)))
+    return np.concatenate([2 * x[:, :-1] - 1, t[:, -1:]], axis=1), w
+
+
+def weyl_integral(algebra: JordanAlgebra, f_eig, lam, mu, n: int = 60):
+    """Integral of f against prod (1-a_i)^lam (1+a_i)^mu (a_j-a_i)^d (i < j)
+    over the chamber -1 < a_1 < ... < a_r < 1 by ``_chamber_rule``; ``f_eig``
+    maps (m, r) rows of ascending eigenvalues to (m, ...) values, each entry
+    integrated."""
+    a, w = _chamber_rule(algebra.r, algebra.d, lam, mu, n)
+    return _integral(w, f_eig(a))
 
 
 # ---------------------------------------------------------------------------

@@ -265,6 +265,55 @@ def test_gamma_refuses_a_nu_where_the_integral_diverges(name, nu, tmp_path):
     assert err.startswith("error: integral diverges") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("name, nu", [
+    ("sym4", "3"), ("sym2", "98"), ("spin5", "90"), ("sym3", "72"), ("sym4", "58"),
+], ids=["sym4-fractional-p", "sym2-98", "spin5-90", "sym3-72", "sym4-58"])
+def test_gamma_eigenvalue_quadrature_matches_the_closed_form(name, nu):
+    # sym4 at 3 (p = 1/2) read 1.09e-8; every rank-2 algebra from nu ~ 86
+    # ended in an OverflowError traceback, and sym3 at 72 and sym4 at 58 wrote
+    # "numeric": Infinity with exit 0
+    code, out, err = run_cli(["gamma", "--algebra", name, "--nu", nu,
+                              "--rule", "eigenvalue-quadrature"])
+    assert code == 0, err
+    data = json.loads(out, parse_constant=_no_constant)
+    assert abs(data["numeric"] - data["closed"]) <= 1e-12 * data["closed"], data
+
+
+def _no_constant(name):
+    raise AssertionError(f"{name} in the JSON output")
+
+
+def test_gamma_refuses_a_numeric_value_that_is_not_finite(monkeypatch):
+    monkeypatch.setattr(quadrature, "gamma_omega_numeric", lambda *a, **k: float("inf"))
+    code, out, err = run_cli(["gamma", "--algebra", "sym3", "--nu", "4",
+                              "--rule", "eigenvalue-quadrature"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: --nu 4.0:") and err.count("\n") == 1, err
+
+
+def test_gamma_caps_the_points_of_the_chamber_rule(monkeypatch):
+    # sym4's rule takes n^3 points; 80^3 is the cap, 81^3 is refused at once
+    def no_work(*args, **kwargs):
+        raise AssertionError("a rejected configuration computed a Gamma value")
+
+    monkeypatch.setattr(quadrature, "gamma_omega_closed", no_work)
+    monkeypatch.setattr(quadrature, "gamma_omega_numeric", no_work)
+    code, out, err = run_cli(["gamma", "--algebra", "sym4", "--nu", "3",
+                              "--rule", "eigenvalue-quadrature", "--nodes", "81"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: --nodes 81") and err.count("\n") == 1, err
+
+
+def test_gram_past_the_jacobi_mass_overflow_writes_finite_numbers():
+    # at lambda = 160 the Jacobi rule's mass overflowed to inf and the
+    # report held NaN with exit 0
+    code, out, err = run_cli(["gram", "--algebra", "sym2", "--kmax", "1",
+                              "--lambda", "160", "--mu", "3"])
+    assert code == 0, err
+    data = json.loads(out, parse_constant=_no_constant)
+    assert data["max_off_diagonal_ratio"] < 1e-12
+
+
 def test_the_parser_is_built_once_and_keeps_no_call_state(tmp_path, monkeypatch):
     # main reuses one parser per process: a --tol and a --config of one call
     # must not reach the next
@@ -705,7 +754,7 @@ def test_the_built_in_tolerances_per_algebra():
     assert len(names) == len(set(names)) == 18
     for alg in ALGEBRA_NAMES:
         want = {"iota-fact": 1e-10, "iota-roundtrip": 1e-12, "jacobian": 1e-6,
-                "gamma": {"rank1": 1e-10, "sym2": 1e-6}.get(alg, 1e-5)}
+                "gamma": 1e-12}
         if alg == "rank1":
             want.update({"orthogonality": 1e-12, "laplace": 1e-8, "adjoint": 1e-6,
                          "isometry-norm": 1e-6, "operator-equivalence": 1e-6,
@@ -975,6 +1024,19 @@ def test_gamma_suite_passes_for_every_algebra():
     for name in ALGEBRA_NAMES:
         reports, ok = run_suites(get_algebra(name), "gamma")
         assert ok, (name, [(r.get("method"), r.get("residual")) for r in reports])
+
+
+def test_gamma_suite_fails_on_a_wrong_cone_constant(monkeypatch):
+    # at 1e-5 a cone constant off by 1e-9 passed for nine algebras
+    from rclab.algebra import ALGEBRA_NAMES, get_algebra
+    from rclab.cli import run_suites
+
+    constant = quadrature.mehta_cone_constant
+    monkeypatch.setattr(quadrature, "mehta_cone_constant",
+                        lambda alg: constant(alg) * (1 + 1e-9))
+    for name in ALGEBRA_NAMES:
+        _, ok = run_suites(get_algebra(name), "gamma")
+        assert not ok, name
 
 
 def test_benchmark_tracer_still_wraps_rclab(tmp_path):

@@ -123,6 +123,19 @@ def test_gauss_jacobi_degree_exactness():
         assert abs(got - want) < 1e-13, deg
 
 
+@pytest.mark.parametrize("big", [155.0, 160.0, 165.0])
+@pytest.mark.parametrize("side", ["alpha", "beta"])
+def test_jacobi_mass_past_the_product_overflow(big, side):
+    # 2^(alpha+beta+1) Gamma(alpha+1) Gamma(beta+1) overflows to inf from
+    # about 151 without raising, and the rule came out NaN; at the other
+    # weight 0 the mass is 2^(big+1) B(1, big+1) = 2^(big+1) / (big+1)
+    alpha, beta = (big, 0.0) if side == "alpha" else (0.0, big)
+    rule = gauss_jacobi(80, alpha, beta)
+    assert np.isfinite(rule.nodes).all() and np.isfinite(rule.weights).all()
+    want = 2.0 ** (big + 1) / (big + 1)
+    assert abs(rule.weights.sum() - want) <= 1e-12 * want
+
+
 def test_gauss_rules_are_cached_and_read_only():
     # one rule per (n, alpha, beta), shared by every caller and frozen
     rule = gauss_jacobi(24, 1, 2.0)
@@ -254,30 +267,34 @@ def test_gamma_mc_sym2_holds_two_arrays_of_samples():
     assert peak <= 24 * samples, peak / samples
 
 
-def test_gamma_numeric_gap_coordinates():
-    for name in ("sym3", "sym4", "spin5"):
-        alg = get_algebra(name)
-        closed = gamma_omega_closed(alg, 4.0)
-        num = gamma_omega_numeric(alg, 4.0, n=40)
-        assert abs(num - closed) / closed < 1e-5, name
-
-
-def test_gamma_numeric_fractional_power_in_gap_coordinates():
-    # the first gap axis carries lam_1^p in its Laguerre rule; with det^p in
-    # the integrand sym3 at nu = 3.5 read 2.4e-6 and sym4 at nu = 4 2.0e-6
-    for name, nu in (("sym3", 3.5), ("sym4", 4.0)):
-        alg = get_algebra(name)
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_gamma_numeric_matches_the_closed_product(name):
+    # one chamber rule of rank r - 1 for every r >= 2, whose axes carry every
+    # x_i^p; with only lam_1^p in a rule, the r >= 3 gap grid read 1.1e-3 for
+    # sym3 at nu = 1.1 and sym4 at nu = 1.6, and 1.09e-8 for sym4 at nu = 3
+    alg = get_algebra(name)
+    lo = (alg.r - 1) * alg.d / 2 + 0.05
+    for nu in [*np.linspace(lo, 40.0, 24), *(nu for nu in (3.0, 3.5, 4.0) if nu > lo)]:
         closed = gamma_omega_closed(alg, nu)
-        assert abs(gamma_omega_numeric(alg, nu, n=48) - closed) / closed < 1e-10, name
+        got = gamma_omega_numeric(alg, nu, n=80)
+        assert abs(got - closed) <= 1e-12 * closed, (nu, got, closed)
 
 
-def test_gamma_numeric_sym4_is_summed_slice_by_slice():
-    # one node of g_1 at a time holds 40^3 points, not the 40^4 grid, whose
-    # arrays took 246 MB
+def test_gamma_numeric_sym4_peak_at_48_nodes():
+    # the 48^3 chamber rule; the 40^4 gap grid took 246 MB before it was
+    # summed one slice at a time
     alg = get_algebra("sym4")
     gamma_omega_numeric(alg, 4.0, n=48)     # the Gauss rules are built once
     peak = _peak_bytes(gamma_omega_numeric, alg, 4.0, "quadrature", 48)
     assert peak < 16e6, peak
+
+
+def test_gamma_numeric_sym4_peak_at_80_nodes():
+    # the 80^3 = 512,000 points that `gamma --nodes` allows at most
+    alg = get_algebra("sym4")
+    gamma_omega_numeric(alg, 4.0, n=80)
+    peak = _peak_bytes(gamma_omega_numeric, alg, 4.0, "quadrature", 80)
+    assert peak < 64e6, peak
 
 
 def test_gamma_divergent_rejection():
