@@ -161,33 +161,16 @@ def sym(r: int) -> JordanAlgebra:
         raise AlgebraError("sym(r) needs r >= 1")
     pairs = _sym_pairs(r)
     n = len(pairs)
-
-    def basis_matrix(k):
-        i, j = pairs[k]
-        m = [[Fraction(0)] * r for _ in range(r)]
-        m[i][j] += 1
-        if i != j:
-            m[j][i] += 1
-        return m
-
-    def mat_to_coords(m):
-        return tuple(m[i][j] for (i, j) in pairs)
-
-    def jordan(a, b):
-        out = [[Fraction(0)] * r for _ in range(r)]
-        for i in range(r):
-            for j in range(r):
-                s = Fraction(0)
-                for k in range(r):
-                    s += a[i][k] * b[k][j] + b[i][k] * a[k][j]
-                out[i][j] = s / 2
-        return out
-
-    mats = [basis_matrix(k) for k in range(n)]
-    table = tuple(
-        tuple(mat_to_coords(jordan(mats[i], mats[j])) for j in range(n))
-        for i in range(n)
-    )
+    # the basis matrices E_ij + E_ji (E_ii on the diagonal), and 2 b_a.b_b =
+    # b_a b_b + b_b b_a read at the coordinate entries (i, j), i <= j
+    mats = np.zeros((n, r, r), dtype=np.int64)
+    for k, (i, j) in enumerate(pairs):
+        mats[k, i, j] = mats[k, j, i] = 1
+    twice = np.einsum("aik,bkj->abij", mats, mats)
+    twice += twice.transpose(1, 0, 2, 3)
+    rows, cols = zip(*pairs)
+    table = tuple(tuple(tuple(Fraction(v, 2) for v in coords) for coords in row)
+                  for row in twice[:, :, rows, cols].tolist())
     e_coords = tuple(Fraction(1) if i == j else Fraction(0) for (i, j) in pairs)
     gram = tuple(Fraction(1) if i == j else Fraction(2) for (i, j) in pairs)
     trace_vec = tuple(Fraction(1) if i == j else Fraction(0) for (i, j) in pairs)

@@ -312,21 +312,23 @@ def _gamma_mc(algebra, nu, samples, seed):
     # Proposal: diagonals ~ Gamma(nu - 1/2), x12 uniform on the cone slice;
     # the det/(x11 x22) ratio is then bounded by 1, taming the variance.
     shape = nu - 0.5
-    m = rng.gamma(shape, size=samples)              # x11
-    m *= rng.gamma(shape, size=samples)             # x11 x22
-    np.sqrt(m, out=m)
-    vals = rng.random(samples)
-    vals *= 2
-    vals -= 1.0
-    vals *= m                                       # x12
-    vals /= m
-    vals **= 2
-    np.subtract(1.0, vals, out=vals)
-    vals **= nu - 1.5                               # the ratio
-    vals *= math.sqrt(2.0) * math.gamma(shape) ** 2
-    m *= 2
-    vals *= m
-    return float(np.mean(vals))
+    # near the top of the finite range the mean overflows; the caller refuses inf
+    with np.errstate(over="ignore"):
+        m = rng.gamma(shape, size=samples)              # x11
+        m *= rng.gamma(shape, size=samples)             # x11 x22
+        np.sqrt(m, out=m)
+        vals = rng.random(samples)
+        vals *= 2
+        vals -= 1.0
+        vals *= m                                       # x12
+        vals /= m
+        vals **= 2
+        np.subtract(1.0, vals, out=vals)
+        vals **= nu - 1.5                               # the ratio
+        vals *= math.sqrt(2.0) * math.gamma(shape) ** 2
+        m *= 2
+        vals *= m
+        return float(np.mean(vals))
 
 
 # ---------------------------------------------------------------------------

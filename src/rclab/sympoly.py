@@ -21,9 +21,11 @@ int64 pass: each jet is a polynomial of degree r in the pencil variable
 tau, evaluated at tau = 0..r and interpolated exactly, and each entry is
 bounded before it is formed, so nothing wraps.  Each T_beta is fitted in
 the Delta-monomials of degree |beta| - 1 at seeded integer points of a
-Jordan frame, by exact integer elimination; a fit point that disagrees
-raises, and so does a generic point off the frame where L misses the jets,
-which certifies the invariance the fit assumes.
+Jordan frame: the fit is solved mod the prime 2^31 - 1 and checked exactly
+over the integers at every fit point.  It assumes that scale * T_beta has
+integer coefficients and raises otherwise, as it does when a fit point
+disagrees; a generic point off the frame where L misses the jets raises
+too, which certifies the invariance the fit assumes.
 
 Extraction strips Delta_0^s Delta_r^t.  The Delta_j are algebraically
 independent, so a term left with a negative power of Delta_0 or Delta_r is
@@ -62,6 +64,8 @@ __all__ = [
 
 # seed of the fit and certificate points of every algebra's operator L
 _POINT_SEED = 2024
+# the prime modulus of the fit's elimination
+_PRIME = 2 ** 31 - 1
 
 
 class NonzeroRemainder(ArithmeticError):
@@ -398,28 +402,33 @@ def _exponents(count, degree):
 
 
 def _solve(a, b, context):
-    """X with a X = b, exactly, for integer matrices a (rows >= columns) and b.
+    """The integer X (an object array) with a X = b, for integer matrices a
+    (rows >= columns) and b.
 
-    Fraction-free elimination: each row step stays over the integers and is
-    divided by the gcd of the row.  A column without pivot (a singular fit)
-    and a row beyond the pivots with a nonzero right side (a fit point that
-    disagrees) raise ``NonzeroRemainder``.
+    Gauss-Jordan elimination runs mod P = 2^31 - 1 in int64 on entries
+    reduced from Python ints, so a product of two residues stays below 2^62.
+    The residues of X are lifted to (-P/2, P/2), and a X = b is checked
+    exactly over the integers at every row.  The fit assumes an integral
+    solution: a column without pivot mod P (a singular fit) raises
+    ``NonzeroRemainder``, and so does a row that misses, whether a fit point
+    disagrees or the solution is not integral.
     """
-    m = np.array([list(ra) + list(rb) for ra, rb in zip(a, b)], dtype=object)
-    rows, cols = len(a), len(a[0])
+    a, b = np.array(a, dtype=object), np.array(b, dtype=object)
+    cols = a.shape[1]
+    m = (np.concatenate([a, b], axis=1) % _PRIME).astype(np.int64)
     for c in range(cols):
-        pivots = [i for i in range(c, rows) if m[i, c]]
-        if not pivots:
+        pivots = np.flatnonzero(m[c:, c])
+        if not pivots.size:
             raise NonzeroRemainder(f"{context}: the fit is singular")
-        m[[c, pivots[0]]] = m[[pivots[0], c]]
-        pivot = m[c].copy()
-        for i in range(rows):
-            if i != c and m[i, c]:
-                row = m[i] * pivot[c] - pivot * m[i, c]
-                m[i] = row // (math.gcd(*row.tolist()) or 1)
-    if any(m[cols:, cols:].ravel().tolist()):
-        raise NonzeroRemainder(f"{context}: a fit point disagrees")
-    return [[Fraction(v, m[i, i]) for v in m[i, cols:].tolist()] for i in range(cols)]
+        m[[c, c + pivots[0]]] = m[[c + pivots[0], c]]
+        row = m[c] * pow(int(m[c, c]), -1, _PRIME) % _PRIME
+        m -= m[:, c, None] * row
+        m[c] = row
+        m %= _PRIME
+    x = ((m[:cols, cols:] + _PRIME // 2) % _PRIME - _PRIME // 2).astype(object)
+    if (a @ x != b).any():
+        raise NonzeroRemainder(f"{context}: a fit point disagrees with the lift of X mod P")
+    return x
 
 
 def _pencil_operator(algebra):
@@ -446,16 +455,17 @@ def _pencil_operator(algebra):
         for q in range(1, r + 1):
             alphas, betas = _exponents(r + 1, q - 1), _exponents(r + 1, q)
             context = f"{algebra.name} operator, order {q}"
-            sym = symbols[q].tolist()
-            x = _solve([[math.prod(map(pow, d, al)) for al in alphas] for d in delta[:count]],
-                       sym[:count], context)
-            for col, beta in enumerate(betas):
-                coefs = [(al, x[row][col]) for row, al in enumerate(alphas) if x[row][col]]
-                for d, values in zip(delta[count:], sym[count:]):
-                    if sum(v * math.prod(map(pow, d, al)) for al, v in coefs) != values[col]:
-                        raise NonzeroRemainder(f"{context}: the certificate fails at {beta}")
+            a = np.array([[math.prod(map(pow, d, al)) for al in alphas] for d in delta],
+                         dtype=object)
+            sym = symbols[q].astype(object)
+            x = _solve(a[:count], sym[:count], context)
+            misses = np.flatnonzero((a[count:] @ x != sym[count:]).any(axis=0))
+            if misses.size:
+                raise NonzeroRemainder(f"{context}: the certificate fails at {betas[misses[0]]}")
+            for beta, column in zip(betas, x.T.tolist()):
+                coefs = [(al, Fraction(v, scale)) for al, v in zip(alphas, column) if v]
                 if coefs:
-                    operator.append((beta, [(al, v / scale) for al, v in coefs]))
+                    operator.append((beta, coefs))
         return operator
 
     return _memo(algebra, "_pencil_operator", build)

@@ -2,7 +2,9 @@
 
 A point is a tuple of Fractions.  Products read the Fraction structure
 table ``JordanAlgebra.table``, never the integer ``_int_table``, so the
-reference stays independent of the integer paths it checks.  The pencil
+reference stays independent of the integer paths it checks; ``sym_table``
+builds the sym(r) table itself from Fraction matrices, the construction the
+integer one of ``rclab.algebra.sym`` replaces.  The pencil
 chain is stepped here with one Fraction product per term, the loop the
 integer step of ``rclab.sympoly`` replaces.
 """
@@ -46,6 +48,27 @@ def quadratic_map(alg, a):
 
 def apply(matrix, x):
     return tuple(sum(m * v for m, v in zip(row, x)) for row in matrix)
+
+
+def sym_table(r):
+    """The structure table of sym(r) from Fraction matrices: b_a.b_b =
+    (b_a b_b + b_b b_a)/2 for the basis matrices E_ij + E_ji (E_ii on the
+    diagonal), read at the entries (i, j), i <= j, in the coordinate order
+    of ``rclab.algebra`` (the diagonal first)."""
+    pairs = [(i, i) for i in range(r)] + [(i, j) for i in range(r) for j in range(i + 1, r)]
+
+    def basis_matrix(i, j):
+        m = [[Fraction(0)] * r for _ in range(r)]
+        m[i][j] = m[j][i] = Fraction(1)
+        return m
+
+    def jordan(a, b):
+        return [[sum(a[i][k] * b[k][j] + b[i][k] * a[k][j] for k in range(r)) / 2
+                 for j in range(r)] for i in range(r)]
+
+    mats = [basis_matrix(i, j) for i, j in pairs]
+    return tuple(tuple(tuple(m[i][j] for i, j in pairs) for m in (jordan(a, b) for b in mats))
+                 for a in mats)
 
 
 def frame_matrix(alg):

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from fraction_ref import (
-    apply, cone_point, det, mul, quad_rep, quadratic_map, rational_point, trace,
+    apply, cone_point, det, mul, quad_rep, quadratic_map, rational_point, sym_table, trace,
 )
 from rclab.cli import _fd_jacobian
 from rclab.algebra import (
-    ALGEBRA_NAMES, get_algebra, spectral, cone_sqrt, inverse, quad_rep as float_quad_rep,
+    ALGEBRA_NAMES, get_algebra, sym, spectral, cone_sqrt, inverse, quad_rep as float_quad_rep,
     iota, iota_inv, iota_jacobian, random_interval_point, random_chart_points,
     _cone_ints, _int_mul, _random_ints, AlgebraError, NotInCone,
 )
@@ -62,6 +62,20 @@ def test_trace_form_positive_definite(algebra):
         x = rational_point(rng, algebra)
         if any(c != 0 for c in x):
             assert trace(algebra, mul(algebra, x, x)) > 0
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_sym_table_is_the_fraction_matrix_product(r):
+    # the integer einsum of sym(r) against (ab + ba)/2 of Fraction matrices,
+    # and the integer table over one denominator that the exact checks read
+    alg, table = sym(r), sym_table(r)
+    assert alg.table == table
+    assert all(type(c) is Fraction for row in alg.table for coords in row for c in coords)
+    sparse = [(i, j, k, c) for i, row in enumerate(table) for j, coords in enumerate(row)
+              for k, c in enumerate(coords) if c]
+    den = math.lcm(*(c.denominator for *_, c in sparse))
+    assert alg._table_den == den == (1 if r == 1 else 2)
+    assert alg._int_table == tuple((i, j, k, int(c * den)) for i, j, k, c in sparse)
 
 
 def test_sym2_identity_acts_trivially():

@@ -942,20 +942,32 @@ def test_check_all_reports_spell_no_numpy_scalar(name, cache_dir):
                       for z in zs for c in z)
 
 
-def test_entry_point_runs():
-    import os
-
+def run_entry_point(args):
+    """``python -m rclab.cli`` in a child process that shows every warning."""
     import rclab
 
     # the child process imports rclab from where this process found it
     where = os.path.dirname(os.path.dirname(rclab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [where, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "rclab.cli", "gamma", "--algebra", "rank1",
-         "--nu", "4"], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-W", "default", "-m", "rclab.cli"] + args,
+                          capture_output=True, text=True, env=env)
+
+
+def test_entry_point_runs():
+    proc = run_entry_point(["gamma", "--algebra", "rank1", "--nu", "4"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["closed"] == 6.0
+
+
+def test_gamma_monte_carlo_overflow_prints_only_the_error_line():
+    # the sym2 sample mean overflows at nu = 99: two numpy RuntimeWarnings
+    # (overflow in multiply and in reduce) came before the one error line
+    proc = run_entry_point(["gamma", "--algebra", "sym2", "--nu", "99",
+                            "--rule", "monte-carlo", "--samples", "1000"])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: --nu 99.0: the monte-carlo value")
+    assert proc.stderr.count("\n") == 1, proc.stderr
 
 
 def same_bytes_from_a_cold_and_a_warm_cache(command, tmp_path, monkeypatch):

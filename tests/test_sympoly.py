@@ -153,6 +153,37 @@ def test_a_wrong_jet_fails_the_derivation(make, row, message, monkeypatch):
         _pencil_operator(make())
 
 
+def test_solve_returns_the_integral_solution_exactly():
+    # the first column has no pivot in row 0, and X has entries of both signs
+    a = [[0, 1, 2], [3, -1, 0], [1, 1, 1], [2, 0, 5]]
+    x = [[4, -7], [-300, 1], [0, 2 ** 20]]
+    b = (np.array(a, dtype=object) @ np.array(x, dtype=object)).tolist()
+    solution = S._solve(a, b, "test").tolist()
+    assert solution == x
+    assert all(type(v) is int for row in solution for v in row)
+
+
+def test_solve_reduces_entries_past_int64():
+    # int64 would overflow on these entries; sym4's symbols reach 2^33
+    a = [[2 ** 70 + 1, 3], [5, -2 ** 65], [2 ** 64, 2 ** 63 + 7]]
+    x = [[7, -1], [-9, 12]]
+    b = (np.array(a, dtype=object) @ np.array(x, dtype=object)).tolist()
+    assert S._solve(a, b, "test").tolist() == x
+
+
+@pytest.mark.parametrize("a,b,message", [
+    ([[1, 2], [2, 4], [3, 6]], [[1], [2], [3]], "the fit is singular"),
+    ([[1, 0], [0, 1], [1, 1]], [[1], [2], [4]], "a fit point disagrees"),
+    # 2x = 1: X mod P is 1/2 mod P, whose lift misses the row
+    ([[2]], [[1]], "a fit point disagrees"),
+    # x = P: an integral solution outside (-P/2, P/2) lifts to 0 and misses
+    ([[1]], [[2 ** 31 - 1]], "a fit point disagrees"),
+], ids=["singular", "disagrees", "not-integral", "out-of-range"])
+def test_solve_raises_rather_than_return_a_wrong_solution(a, b, message):
+    with pytest.raises(NonzeroRemainder, match=f"test: {message}"):
+        S._solve(a, b, "test")
+
+
 @pytest.mark.parametrize("make", [lambda: sym(3), lambda: sym(4)], ids=["sym3", "sym4"])
 def test_interpolation_is_exact_or_raises(make, monkeypatch):
     # tau^2 (tau - 1) from its values at tau = 0..4; tau (tau - 1) / 2 takes
