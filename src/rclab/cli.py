@@ -11,7 +11,7 @@ Configuration precedence: command-line flags > config file (simple
 ``key = value`` lines, '#' comments) > built-in defaults.  A config key is
 one of the subcommand's flag names without its dashes ('-' and '_' alike);
 any other key is a configuration error.  All artifacts
-are deterministic: identical configuration (including seeds) produces
+are deterministic: identical configuration produces
 byte-identical output.  Exit codes: 0 success, 1 check failure, 2 bad
 configuration.
 """
@@ -43,12 +43,11 @@ K_CAPS = {
 # acceptance-scale k ranges exercised by `check`
 CHECK_K = {"rank1": 6, "sym2": 3}
 
-# documented caps on the costly numeric options.  The sym2 Monte Carlo
-# sampler holds at most two float arrays of --samples values; a Gauss rule of
-# n nodes takes time growing faster than n^2 (4,000 nodes take about 20 s);
-# gram integrates on (n + 8)^r points, n = --nodes, for rank r, and gamma's
-# eigenvalue rule on n^(r-1) points (80^3 for sym4 at the default 80).
-MAX_SAMPLES = 2_000_000
+# documented caps on the costly numeric options.  A Gauss rule of n nodes
+# takes time growing faster than n^2 (4,000 nodes take about 20 s); gram
+# integrates on (n + 8)^r points, n = --nodes, for rank r, and gamma's
+# eigenvalue rule on n^(r-1) points (80^3 for sym4 at the default 80), or on
+# at most quadrature.MAX_LAGUERRE_NODES Laguerre nodes in rank 1.
 MAX_NODES = 1_000
 MAX_GRAM_POINTS = 250_000
 MAX_GAMMA_POINTS = 512_000
@@ -86,8 +85,9 @@ def read_config_file(path: str, keys) -> dict:
     """The ``key = value`` lines of ``path`` by argparse dest.  ``keys`` maps
     the dests of the subcommand's flags, each its flag name without the
     dashes and with '_' for '-', to the flag's choices or None; any other
-    key, or a value outside the choices, is a ConfigError."""
-    out = {}
+    key, a key set on two lines, or a value outside the choices, is a
+    ConfigError."""
+    out, first = {}, {}
     try:
         with open(path) as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -102,6 +102,10 @@ def read_config_file(path: str, keys) -> dict:
                     names = ", ".join(k.replace("_", "-") for k in sorted(keys))
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}; "
                                       f"choose from {names}")
+                if dest in first:
+                    raise ConfigError(f"{path}:{lineno}: {key} is set again; "
+                                      f"line {first[dest]} set it first")
+                first[dest] = lineno
                 if keys[dest] is not None and val not in keys[dest]:
                     raise ConfigError(f"{path}:{lineno}: invalid {key} {val!r}; "
                                       f"choose from {', '.join(keys[dest])}")
@@ -253,25 +257,18 @@ def cmd_gamma(args) -> int:
     if nu is None:
         raise ConfigError("gamma requires --nu")
     kind = merged(args, "rule", None)
-    # an option the rule does not read is refused, not ignored
-    reads = {"eigenvalue-quadrature": ("nodes",), "monte-carlo": ("samples", "seed")}
-    unread = [f"--{key}" for key in ("nodes", "samples", "seed")
-              if key not in reads.get(kind, ()) and merged(args, key) is not None]
-    if unread:
-        raise ConfigError(f"{', '.join(unread)}: not read "
-                          f"{f'by --rule {kind}' if kind else 'without --rule'}")
+    # --nodes sizes the rule: without one it is refused, not ignored
+    if not kind and merged(args, "nodes") is not None:
+        raise ConfigError("--nodes: not read without --rule")
     if not math.isfinite(nu):
         raise ConfigError(f"--nu {nu}: not a finite number")
-    if kind == "monte-carlo":
-        samples = _int_option(args, "samples", 1_000_000, 1, MAX_SAMPLES)
-        seed = merged(args, "seed", 20240, int)
-        rule = {"kind": kind, "samples": samples, "seed": seed}
-        opts = {"method": "mc", "mc_samples": samples, "seed": seed}
-    elif kind:
+    if kind:
         n = _int_option(args, "nodes", 80, 1, MAX_NODES)
+        if algebra.r == 1 and n > quadrature.MAX_LAGUERRE_NODES:
+            raise ConfigError(f"--nodes {n}: rank 1 takes at most "
+                              f"{quadrature.MAX_LAGUERRE_NODES} Laguerre nodes")
         if n ** (algebra.r - 1) > MAX_GAMMA_POINTS:
             raise ConfigError(f"--nodes {n}: n^{algebra.r - 1} > {MAX_GAMMA_POINTS} points")
-        rule, opts = {"kind": kind, "nodes": n}, {"n": n}
     try:
         closed = quadrature.gamma_omega_closed(algebra, nu)
     except OverflowError:
@@ -281,7 +278,8 @@ def cmd_gamma(args) -> int:
     out = {"schema": SCHEMA, "kind": "cone-gamma", "algebra": algebra.name,
            "nu": nu, "closed": closed}
     if kind:
-        out.update(numeric=quadrature.gamma_omega_numeric(algebra, nu, **opts), rule=rule)
+        out.update(numeric=quadrature.gamma_omega_numeric(algebra, nu, n),
+                   rule={"kind": kind, "nodes": n})
         if not math.isfinite(out["numeric"]):
             raise ConfigError(f"--nu {nu}: the {kind} value is not a finite float")
     _write_out(args, dump_report(out))
@@ -421,27 +419,19 @@ def _suite_varchange(algebra, tols):
     return [quadrature.check_change_of_variables(algebra, tols["change-of-variables"])]
 
 
-def _suite_gamma(algebra, tols):
-    def gamma_report(nu, method, numeric, tol, **fields):
-        closed = quadrature.gamma_omega_closed(algebra, nu)
-        return report("cone-gamma-integral", algebra.name, nu=nu, method=method,
-                      **fields, closed=closed, numeric=numeric,
-                      residual=abs(numeric - closed) / closed, tolerance=tol)
+# (nu, nodes, method) of the cone Gamma check per algebra; "*" is the rest
+_GAMMA_CHECK = {"rank1": (3.0, 60, "gauss-laguerre"),
+                "sym2": (3.0, 80, "eigenvalue-quadrature"),
+                "*": (4.0, 48, "eigenvalue-quadrature")}
 
-    if algebra.family == "rank1":
-        return [gamma_report(3.0, "gauss-laguerre",
-                             quadrature.gamma_omega_numeric(algebra, 3.0, n=60),
-                             tols["gamma"])]
-    if algebra.name == "sym2":
-        quad = quadrature.gamma_omega_numeric(algebra, 3.0, n=80)
-        mc = quadrature.gamma_omega_numeric(algebra, 3.0, method="mc",
-                                            mc_samples=1_000_000, seed=20240)
-        return [gamma_report(3.0, "eigenvalue-quadrature", quad, tols["gamma"]),
-                gamma_report(3.0, "monte-carlo", mc, tols["gamma-mc"],
-                             seed=20240, samples=1_000_000)]
-    return [gamma_report(4.0, "eigenvalue-quadrature",
-                         quadrature.gamma_omega_numeric(algebra, 4.0, n=48),
-                         tols["gamma"])]
+
+def _suite_gamma(algebra, tols):
+    nu, n, method = _GAMMA_CHECK.get(algebra.name, _GAMMA_CHECK["*"])
+    closed = quadrature.gamma_omega_closed(algebra, nu)
+    numeric = quadrature.gamma_omega_numeric(algebra, nu, n)
+    return [report("cone-gamma-integral", algebra.name, nu=nu, method=method,
+                   closed=closed, numeric=numeric,
+                   residual=abs(numeric - closed) / closed, tolerance=tols["gamma"])]
 
 
 def _suite_orthogonality(algebra, tols):
@@ -599,7 +589,7 @@ SUITE_TABLE = {
                              tols={"iota-roundtrip": 1e-12, "jacobian": 1e-6}),
     "change-of-variables": Suite(_suite_varchange, tuple(quadrature.CHART_NODES),
                                  {"change-of-variables": _CHART_TOL}),
-    "gamma": Suite(_suite_gamma, tols={"gamma": 1e-12, "gamma-mc": {"sym2": 1e-2}}),
+    "gamma": Suite(_suite_gamma, tols={"gamma": 1e-12}),
     "orthogonality": Suite(_suite_orthogonality, ("rank1", "sym2", "sym3"),
                            {"orthogonality": {"rank1": 1e-12, "sym2": 1e-8, "sym3": 1e-8}}),
     "laplace": Suite(_suite_laplace, _RANK1_SYM2, {
@@ -675,6 +665,9 @@ def cmd_check(args) -> int:
         name, sep, val = item.partition("=")
         if not sep:
             raise ConfigError(f"--tol expects name=value, got {item!r}")
+        if name in tols:
+            # last one wins would drop a tolerance without a word
+            raise ConfigError(f"--tol {name}: given twice")
         try:
             tols[name] = float(val)
         except ValueError:
@@ -734,10 +727,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gamma", help="Gamma function of the cone")
     common(sp)
     sp.add_argument("--nu", type=float)
-    sp.add_argument("--rule", choices=("eigenvalue-quadrature", "monte-carlo"))
+    sp.add_argument("--rule", choices=("eigenvalue-quadrature",))
     sp.add_argument("--nodes", type=int)
-    sp.add_argument("--samples", type=int)
-    sp.add_argument("--seed", type=int)
     sp.set_defaults(func=cmd_gamma)
 
     sp = sub.add_parser("check", help="run verification suites")

@@ -33,10 +33,8 @@ midpoint rules over boxes that hold the compact supports of their smooth
 integrands, memoised per ball.  The chart side sums its v ball in blocks:
 through the quadratic form of P(z^{1/2}) in the trace form, the two bump
 arguments of a block of v nodes at every z node come from two matrix
-products.  The one Monte Carlo path
-left, for the Gamma integral, takes an explicit seed and its report records
-it; summation is numpy's pairwise reduction, so results are reproducible bit
-for bit.
+products.  No rule draws random numbers, and summation is numpy's pairwise
+reduction, so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -59,6 +57,7 @@ __all__ = [
     "gauss_jacobi",
     "gauss_legendre",
     "gauss_laguerre",
+    "MAX_LAGUERRE_NODES",
     "gamma_omega_closed",
     "gamma_omega_numeric",
     "mehta_cone_constant",
@@ -181,15 +180,19 @@ def gauss_legendre(n: int) -> QuadratureRule:
     return gauss_jacobi(n, 0.0, 0.0)
 
 
+# the most Laguerre nodes a rule takes: nodes past ~745 already get weights
+# that underflow to 0
+MAX_LAGUERRE_NODES = 256
+
+
 def gauss_laguerre(n: int, alpha: float = 0.0) -> QuadratureRule:
-    """Nodes/weights for x^alpha e^{-x} on [0, inf), n <= 256 (nodes past ~745
-    already get weights that underflow to 0)."""
+    """Nodes/weights for x^alpha e^{-x} on [0, inf), n <= MAX_LAGUERRE_NODES."""
     if n < 1:
         raise ValueError("need at least one node")
     if alpha <= -1:
         raise ValueError("Laguerre weight needs alpha > -1")
-    if n > 256:
-        raise ValueError("at most 256 Laguerre nodes")
+    if n > MAX_LAGUERRE_NODES:
+        raise ValueError(f"at most {MAX_LAGUERRE_NODES} Laguerre nodes")
     return _laguerre_rule(n, float(alpha))
 
 
@@ -264,22 +267,16 @@ def _integral(weights, vals):
     return out[()]
 
 
-def gamma_omega_numeric(algebra: JordanAlgebra, nu, method: str = "quadrature",
-                        n: int = 80, mc_samples: int = 1_000_000,
-                        seed: int = 20240) -> float:
-    """Gamma_Omega(nu) = int_Omega e^{-tr x} det(x)^p dx, p = nu - n/r, by
-    Monte Carlo ("mc") or over the eigenvalues against the Vandermonde-power
-    density ("quadrature").  Rank 1: Gauss-Laguerre with alpha = p.  Rank
-    r >= 2: with s = lam_r and lam_i = s x_i the s integral is Gamma(r nu)
-    (1 + sum x_i)^(-r nu), Gamma(r nu) through lgamma (it overflows long
-    before Gamma_Omega), and the x integral is the chamber rule of rank r - 1
-    at (lam, mu) = (d, p), a = 2x - 1, whose ``n`` nodes per axis carry x^p.
+def gamma_omega_numeric(algebra: JordanAlgebra, nu, n: int = 80) -> float:
+    """Gamma_Omega(nu) = int_Omega e^{-tr x} det(x)^p dx, p = nu - n/r, over
+    the eigenvalues against the Vandermonde-power density.  Rank 1:
+    Gauss-Laguerre with alpha = p.  Rank r >= 2: with s = lam_r and
+    lam_i = s x_i the s integral is Gamma(r nu) (1 + sum x_i)^(-r nu),
+    Gamma(r nu) through lgamma (it overflows long before Gamma_Omega), and
+    the x integral is the chamber rule of rank r - 1 at (lam, mu) = (d, p),
+    a = 2x - 1, whose ``n`` nodes per axis carry x^p.
     """
     nu = _convergent(algebra, nu)
-    if method == "mc":
-        return _gamma_mc(algebra, nu, mc_samples, seed)
-    if method != "quadrature":
-        raise ValueError(f"unknown method {method!r}")
     c0 = mehta_cone_constant(algebra)
     r, d, p = algebra.r, algebra.d, nu - algebra.n / algebra.r
     if r == 1:
@@ -290,45 +287,6 @@ def gamma_omega_numeric(algebra: JordanAlgebra, nu, method: str = "quadrature",
     # da = 2^m dx, (1-a)^d (1+a)^p = 2^(d+p) (1-x)^d x^p, a_j - a_i = 2(x_j - x_i)
     log2 = (m * (d + p + 1) + d * m * (m - 1) / 2) * math.log(2.0)
     return float(c0 * math.exp(math.lgamma(r * nu) + math.log(total) - log2))
-
-
-def _gamma_mc(algebra, nu, samples, seed):
-    """Importance-sampled Monte Carlo for Gamma_Omega (rank1 and sym2).
-
-    The arithmetic runs in place on the drawn arrays, so sym2 holds at most
-    two arrays of ``samples`` floats at a time and rank1 one.
-    """
-    rng = np.random.default_rng(seed)
-    if algebra.family == "rank1":
-        # proposal Gamma(shape), shape matched to halve the power tail
-        shape = max(nu / 2, 0.5)
-        ratio = rng.gamma(shape, size=samples)
-        ratio **= nu - shape
-        ratio *= math.gamma(shape)
-        return float(np.mean(ratio))
-    if algebra.name != "sym2":
-        raise ValueError("Monte Carlo Gamma integral implemented for rank1/sym2")
-    # coords (x11, x22, x12); Lebesgue of the trace form = sqrt(2) dx11 dx22 dx12.
-    # Proposal: diagonals ~ Gamma(nu - 1/2), x12 uniform on the cone slice;
-    # the det/(x11 x22) ratio is then bounded by 1, taming the variance.
-    shape = nu - 0.5
-    # near the top of the finite range the mean overflows; the caller refuses inf
-    with np.errstate(over="ignore"):
-        m = rng.gamma(shape, size=samples)              # x11
-        m *= rng.gamma(shape, size=samples)             # x11 x22
-        np.sqrt(m, out=m)
-        vals = rng.random(samples)
-        vals *= 2
-        vals -= 1.0
-        vals *= m                                       # x12
-        vals /= m
-        vals **= 2
-        np.subtract(1.0, vals, out=vals)
-        vals **= nu - 1.5                               # the ratio
-        vals *= math.sqrt(2.0) * math.gamma(shape) ** 2
-        m *= 2
-        vals *= m
-        return float(np.mean(vals))
 
 
 # ---------------------------------------------------------------------------

@@ -112,12 +112,8 @@ def test_criterion_07_gamma():
     e1 = abs(quadrature.gamma_omega_numeric(r1, 3.0, n=60) - 2.0) / 2.0
     closed = quadrature.gamma_omega_closed(s2, 3.0)
     e2 = abs(quadrature.gamma_omega_numeric(s2, 3.0, n=80) - closed) / closed
-    mc = quadrature.gamma_omega_numeric(s2, 3.0, method="mc",
-                                        mc_samples=1_000_000, seed=20240)
-    e3 = abs(mc - closed) / closed
-    ok = e1 < 1e-10 and e2 < 1e-6 and e3 < 1e-2
-    _line(7, "cone-gamma-integral", ok,
-          f"(rank1 {e1:.2e} < 1e-10, sym2 {e2:.2e} < 1e-6, mc {e3:.2e} < 1e-2)")
+    ok = e1 < 1e-12 and e2 < 1e-12
+    _line(7, "cone-gamma-integral", ok, f"(rank1 {e1:.2e} < 1e-12, sym2 {e2:.2e} < 1e-12)")
 
 
 def test_criterion_08_laplace_identity():

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from rclab import quadrature, report
-from rclab.cli import MAX_NODES, MAX_SAMPLES, main
+from rclab.cli import MAX_NODES, main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -132,13 +132,7 @@ def test_polys_refuses_weights_for_the_two_slot_family(weights, config, tmp_path
 
 
 @pytest.mark.parametrize("args, unread", [
-    (["--nodes", "5", "--samples", "7", "--seed", "3"], "--nodes, --samples, --seed"),
     (["--nodes", "5"], "--nodes"),
-    (["--samples", "7"], "--samples"),
-    (["--seed", "3"], "--seed"),
-    (["--rule", "monte-carlo", "--nodes", "5"], "--nodes"),
-    (["--rule", "eigenvalue-quadrature", "--samples", "7"], "--samples"),
-    (["--rule", "eigenvalue-quadrature", "--seed", "3"], "--seed"),
 ])
 def test_gamma_refuses_an_option_its_rule_does_not_read(args, unread, monkeypatch):
     # each was ignored without a word, with exit 0
@@ -201,8 +195,9 @@ def test_gram_builds_no_x_y_table(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("args", [
-    ["gamma", "--nu", "3", "--rule", "monte-carlo", "--samples", "0"],
-    ["gamma", "--nu", "3", "--rule", "monte-carlo", "--samples", str(MAX_SAMPLES + 1)],
+    ["gamma", "--nu", "3", "--rule", "eigenvalue-quadrature",
+     "--nodes", str(quadrature.MAX_LAGUERRE_NODES + 1)],
+    ["gamma", "--nu", "3", "--rule", "eigenvalue-quadrature", "--nodes", str(MAX_NODES)],
     ["gamma", "--nu", "3", "--rule", "eigenvalue-quadrature", "--nodes", "0"],
     ["gamma", "--nu", "3", "--rule", "eigenvalue-quadrature", "--nodes", str(MAX_NODES + 1)],
     ["gram", "--kmax", "-1"],
@@ -304,6 +299,54 @@ def test_gamma_caps_the_points_of_the_chamber_rule(monkeypatch):
     assert err.startswith("error: --nodes 81") and err.count("\n") == 1, err
 
 
+def test_gamma_caps_the_laguerre_nodes_of_rank1(monkeypatch):
+    # the Laguerre rule raised "at most 256 Laguerre nodes", which does not
+    # name the flag, after the closed product was computed
+    def no_work(*args, **kwargs):
+        raise AssertionError("a rejected configuration computed a Gamma value")
+
+    monkeypatch.setattr(quadrature, "gamma_omega_closed", no_work)
+    monkeypatch.setattr(quadrature, "gamma_omega_numeric", no_work)
+    nodes = quadrature.MAX_LAGUERRE_NODES + 1
+    code, out, err = run_cli(["gamma", "--algebra", "rank1", "--nu", "3",
+                              "--rule", "eigenvalue-quadrature", "--nodes", str(nodes)])
+    assert code == 2 and out == ""
+    assert err == (f"error: --nodes {nodes}: rank 1 takes at most "
+                   f"{quadrature.MAX_LAGUERRE_NODES} Laguerre nodes\n"), err
+
+
+def test_gamma_takes_the_laguerre_cap_in_rank1():
+    code, out, err = run_cli(["gamma", "--algebra", "rank1", "--nu", "3", "--rule",
+                              "eigenvalue-quadrature",
+                              "--nodes", str(quadrature.MAX_LAGUERRE_NODES)])
+    assert code == 0, err
+    data = json.loads(out)
+    assert abs(data["numeric"] - data["closed"]) <= 1e-12 * data["closed"], data
+
+
+@pytest.mark.parametrize("args", [
+    ["--rule", "monte-carlo"],
+    ["--samples", "7"],
+    ["--seed", "3"],
+])
+def test_gamma_has_no_monte_carlo_options(args, capsys):
+    # the Monte Carlo rule and its --samples and --seed are gone
+    with pytest.raises(SystemExit) as exc:
+        main(["gamma", "--algebra", "sym2", "--nu", "3", *args])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert args[0] in err and sum("error:" in line for line in err.splitlines()) == 1, err
+
+
+def test_check_gamma_sym2_writes_one_eigenvalue_report():
+    # sym2 wrote a second, Monte Carlo report at tolerance 1e-2
+    code, out, err = run_cli(["check", "gamma", "--algebra", "sym2"])
+    assert code == 0, err
+    (rep,) = json.loads(out)["reports"]
+    assert rep["check"] == "cone-gamma-integral"
+    assert rep["method"] == "eigenvalue-quadrature" and rep["tolerance"] == 1e-12, rep
+
+
 def test_gram_past_the_jacobi_mass_overflow_writes_finite_numbers():
     # at lambda = 160 the Jacobi rule's mass overflowed to inf and the
     # report held NaN with exit 0
@@ -399,6 +442,21 @@ def test_config_file_precedence(tmp_path):
     assert code == 0 and "2 + 3*s^1" not in out
 
 
+@pytest.mark.parametrize("text, first, again", [
+    ("nu = 3\nnu = 4\n", 1, 2),
+    ("cache-dir = a\n# a comment\n\ncache_dir = b\n", 1, 4),
+    ("algebra = sym2\nnu = 3\nalgebra = rank1\n", 1, 3),
+], ids=["nu", "cache-dir", "algebra"])
+def test_config_refuses_a_key_set_twice(text, first, again, tmp_path):
+    # the last line won without a word: nu = 3 then nu = 4 ran nu = 4
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code, out, err = run_cli(["--config", str(cfg), "gamma"])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {cfg}:{again}: ") and f"line {first}" in err, err
+    assert err.count("\n") == 1, err
+
+
 def test_config_file_parse_error(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("algebra rank1\n")
@@ -436,6 +494,9 @@ def test_config_keys_take_dashes_or_underscores(key, tmp_path):
     # a flag of another subcommand
     (["polys", "--algebra", "rank1"], "nu = 3\n", "nu"),
     (["check", "branch", "--algebra", "rank1"], "suite = all\n", "suite"),
+    # the flags of the Monte Carlo rule, which is gone
+    (["gamma", "--algebra", "sym2", "--nu", "3"], "samples = 7\n", "samples"),
+    (["gamma", "--algebra", "sym2", "--nu", "3"], "seed = 3\n", "seed"),
 ])
 def test_config_rejects_a_key_that_is_no_flag(command, text, key, tmp_path):
     # `lamda = 3` in a gram config was ignored, with exit 0
@@ -457,7 +518,7 @@ def test_polys_rejects_a_weight_that_is_no_rational(weight, value, tmp_path):
     assert code == 2 and out == ""
     assert err.startswith(f"error: {weight}") and err.count("\n") == 1, err
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"kind = restricted\nlambda = 2\nmu = 2\n{weight[2:]} = {value}\n")
+    cfg.write_text("kind = restricted\n" + "".join(f"{k[2:]} = {v}\n" for k, v in args.items()))
     code, out, err = run_cli(["--config", str(cfg), "polys", "--algebra", "rank1",
                               "--k", "1"])
     assert code == 2 and out == ""
@@ -672,6 +733,40 @@ def test_check_tolerance_may_only_tighten(value, tmp_path):
         assert err.startswith("error: --tol branch=") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("flags, config, named", [
+    (["--tol", "gamma=1e-30", "--tol", "gamma=1e-12"], None, "--tol gamma"),
+    ([], "tol = gamma=1e-30, gamma=1e-12\n", "--tol gamma"),
+    ([], "tol = gamma=1e-30\ntol = gamma=1e-12\n", ":2: tol is set again; line 1"),
+], ids=["two-flags", "one-line", "two-lines"])
+def test_check_refuses_a_tolerance_given_twice(flags, config, named, tmp_path, monkeypatch):
+    # the last one won: the tighter 1e-30 was dropped and the check exited 0
+    import rclab.cli as cli
+
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a refused check ran a suite")
+
+    monkeypatch.setitem(cli.SUITES, "gamma", no_suite)
+    argv = ["check", "gamma", "--algebra", "rank1", *flags]
+    if config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = ["--config", str(cfg), *argv]
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and named in err and err.count("\n") == 1, err
+
+
+def test_check_tolerance_flags_override_the_file(tmp_path):
+    # a name in both the file and a flag is no repeat: the flags replace the file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol = gamma=1e-30\n")
+    code, out, err = run_cli(["--config", str(cfg), "check", "gamma", "--algebra",
+                              "rank1", "--tol", "gamma=1e-13"])
+    assert code == 0, err
+    (rep,) = json.loads(out)["reports"]
+    assert rep["tolerance"] == 1e-13
+
+
 def test_run_suites_lets_a_loose_tolerance_through():
     # not a suite-error report: a loose tolerance is the caller's error
     from rclab.algebra import get_algebra
@@ -745,13 +840,13 @@ def test_every_tolerance_a_suite_reads_is_named():
 
 
 def test_the_built_in_tolerances_per_algebra():
-    # 18 names, each read by one suite, at the values the checks held before
+    # 17 names, each read by one suite, at the values the checks held before
     # the table
     from rclab.algebra import ALGEBRA_NAMES
     import rclab.cli as cli
 
     names = [t for row in cli.SUITE_TABLE.values() for t in row.tols]
-    assert len(names) == len(set(names)) == 18
+    assert len(names) == len(set(names)) == 17
     for alg in ALGEBRA_NAMES:
         want = {"iota-fact": 1e-10, "iota-roundtrip": 1e-12, "jacobian": 1e-6,
                 "gamma": 1e-12}
@@ -760,8 +855,7 @@ def test_the_built_in_tolerances_per_algebra():
                          "isometry-norm": 1e-6, "operator-equivalence": 1e-6,
                          "isometry": 1e-6})
         if alg == "sym2":
-            want.update({"orthogonality": 1e-8, "laplace": 1e-4, "adjoint": 1e-3,
-                         "gamma-mc": 1e-2})
+            want.update({"orthogonality": 1e-8, "laplace": 1e-4, "adjoint": 1e-3})
         if alg == "sym3":
             want["orthogonality"] = 1e-8
         if alg in ("rank1", "sym2"):
@@ -782,6 +876,8 @@ def test_the_built_in_tolerances_per_algebra():
     ["all", "--algebra", "rank1", "--tol", "gamma-mc=1e-1"],
     ["branch", "--algebra", "rank1", "--tol", "cauchy=1e-3"],
     ["all", "--algebra", "sym2", "--tol", "cauchy=1e-3"],
+    # sym2 read gamma-mc, the tolerance of the Monte Carlo Gamma check
+    ["all", "--algebra", "sym2", "--tol", "gamma-mc=1e-3"],
 ])
 def test_check_refuses_a_run_that_tests_nothing_before_any_suite(args, monkeypatch):
     # each exited 0, or 2 only after the suites before the reader had run
@@ -958,16 +1054,6 @@ def test_entry_point_runs():
     proc = run_entry_point(["gamma", "--algebra", "rank1", "--nu", "4"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["closed"] == 6.0
-
-
-def test_gamma_monte_carlo_overflow_prints_only_the_error_line():
-    # the sym2 sample mean overflows at nu = 99: two numpy RuntimeWarnings
-    # (overflow in multiply and in reduce) came before the one error line
-    proc = run_entry_point(["gamma", "--algebra", "sym2", "--nu", "99",
-                            "--rule", "monte-carlo", "--samples", "1000"])
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.startswith("error: --nu 99.0: the monte-carlo value")
-    assert proc.stderr.count("\n") == 1, proc.stderr
 
 
 def same_bytes_from_a_cold_and_a_warm_cache(command, tmp_path, monkeypatch):

@@ -191,9 +191,8 @@ def test_a_nan_nu_is_refused(name):
     alg = get_algebra(name)
     with pytest.raises(ValueError, match="integral diverges"):
         gamma_omega_closed(alg, math.nan)
-    for method in ("quadrature", "mc"):
-        with pytest.raises(ValueError, match="integral diverges"):
-            gamma_omega_numeric(alg, math.nan, method)
+    with pytest.raises(ValueError, match="integral diverges"):
+        gamma_omega_numeric(alg, math.nan)
 
 
 def test_gamma_numeric_rank1():
@@ -207,64 +206,15 @@ def test_gamma_numeric_rank1_fractional_power():
     assert abs(gamma_omega_numeric(alg, 2.5) - gamma_omega_closed(alg, 2.5)) < 1e-13
 
 
-def test_gamma_numeric_sym2_quadrature():
-    alg = get_algebra("sym2")
-    closed = gamma_omega_closed(alg, 3.0)
-    num = gamma_omega_numeric(alg, 3.0, n=80)
-    assert abs(num - closed) / closed < 1e-6
-
-
-def test_gamma_numeric_sym2_mc():
-    alg = get_algebra("sym2")
-    closed = gamma_omega_closed(alg, 3.0)
-    num = gamma_omega_numeric(alg, 3.0, method="mc", mc_samples=1_000_000,
-                              seed=20240)
-    assert abs(num - closed) / closed < 1e-2
-
-
-def _gamma_mc_reference(algebra, nu, samples, seed):
-    """The Monte Carlo Gamma integral with a new array for every step."""
-    rng = np.random.default_rng(seed)
-    if algebra.family == "rank1":
-        shape = max(nu / 2, 0.5)
-        x = rng.gamma(shape, size=samples)
-        return float(np.mean(x ** (nu - shape) * math.gamma(shape)))
-    shape = nu - 0.5
-    x11 = rng.gamma(shape, size=samples)
-    x22 = rng.gamma(shape, size=samples)
-    m = np.sqrt(x11 * x22)
-    x12 = (2 * rng.random(samples) - 1.0) * m
-    ratio = (1.0 - (x12 / m) ** 2) ** (nu - 1.5)
-    vals = math.sqrt(2.0) * math.gamma(shape) ** 2 * ratio * (2 * m)
-    return float(np.mean(vals))
-
-
-@pytest.mark.parametrize("name", ["rank1", "sym2"])
-def test_gamma_mc_in_place_keeps_the_bits(name):
-    alg = get_algebra(name)
-    for nu in (2.5, 3.0):
-        for samples in (1_000, 100_001):
-            got = quadrature._gamma_mc(alg, nu, samples, 20240)
-            assert got == _gamma_mc_reference(alg, nu, samples, 20240), (nu, samples)
-
-
-def _peak_bytes(fn, *args):
+def _peak_bytes(fn, *args, **kwargs):
     """The peak of the memory that tracemalloc sees (numpy buffers
-    included) during fn(*args)."""
+    included) during fn(*args, **kwargs)."""
     tracemalloc.start()
     try:
-        fn(*args)
+        fn(*args, **kwargs)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-def test_gamma_mc_sym2_holds_two_arrays_of_samples():
-    # in place the sampler holds 16 bytes per sample; with a new array for
-    # every step it held 56
-    samples = 200_000
-    peak = _peak_bytes(quadrature._gamma_mc, get_algebra("sym2"), 3.0, samples, 20240)
-    assert peak <= 24 * samples, peak / samples
 
 
 @pytest.mark.parametrize("name", ALGEBRA_NAMES)
@@ -285,7 +235,7 @@ def test_gamma_numeric_sym4_peak_at_48_nodes():
     # summed one slice at a time
     alg = get_algebra("sym4")
     gamma_omega_numeric(alg, 4.0, n=48)     # the Gauss rules are built once
-    peak = _peak_bytes(gamma_omega_numeric, alg, 4.0, "quadrature", 48)
+    peak = _peak_bytes(gamma_omega_numeric, alg, 4.0, n=48)
     assert peak < 16e6, peak
 
 
@@ -293,7 +243,7 @@ def test_gamma_numeric_sym4_peak_at_80_nodes():
     # the 80^3 = 512,000 points that `gamma --nodes` allows at most
     alg = get_algebra("sym4")
     gamma_omega_numeric(alg, 4.0, n=80)
-    peak = _peak_bytes(gamma_omega_numeric, alg, 4.0, "quadrature", 80)
+    peak = _peak_bytes(gamma_omega_numeric, alg, 4.0, n=80)
     assert peak < 64e6, peak
 
 
