@@ -9,14 +9,15 @@ with a positive-definite trace form:
 * ``spin(m)`` -- the spin factor R + R^{m-1} with
   (x0, xb).(y0, yb) = (x0*y0 + <xb, yb>, x0*yb + y0*xb).
 
-A point is a row of coordinates.  The exact checks draw integer rows over
-one denominator (``_random_ints``, ``_cone_ints``) and multiply them with
-the integer structure table (``_int_mul``).  A float or complex point is a
-numpy row, and the numerics of the cone run on (m, n) float arrays, one
-point per row: ``spectral`` (eigenvalues), ``cone_sqrt``, ``quad_rep``
-(P(a)b) and ``inverse`` (x^{-1}), both in each family's closed form and on
-complex rows too, the polar chart ``iota``, its inverse and its Jacobian,
-and ``det_poly.numeric`` for determinants.  The trace inner product is
+A point is a row of coordinates.  Every exact constant is an integer: the
+structure table is held once, as integers over one denominator, and the
+exact checks draw integer rows over one denominator (``_random_ints``,
+``_cone_ints``) and multiply them with it (``_int_mul``).  A float or
+complex point is a numpy row, and the numerics of the cone run on (m, n)
+float arrays, one point per row: ``spectral`` (eigenvalues),
+``cone_sqrt``, ``quad_rep`` (P(a)b) and ``inverse`` (x^{-1}), both in each
+family's closed form and on complex rows too, the polar chart ``iota``,
+its inverse and its Jacobian, and ``det_poly.numeric`` for determinants.  The trace inner product is
 (x, y) = tr(x.y); its Gram matrix is diagonal in the chosen bases and the
 Lebesgue measure used throughout the package is the Euclidean measure of
 that form (orthonormal coordinates x_ii, sqrt(2) x_ij for sym(r)).
@@ -31,7 +32,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -69,14 +69,14 @@ class NotInCone(AlgebraError):
 class JordanAlgebra:
     """Descriptor of a concrete algebra: dimensions, product table, det/trace.
 
-    ``table[i][j]`` holds the coordinates of b_i . b_j as Fractions.
-    ``gram`` is the (diagonal) Gram vector of the trace form, so the
-    inner product is (x, y) = sum_i gram[i] * x_i * y_i.  ``e`` is the
-    identity as a read-only float row.  The integer samplers and the exact
-    checks read the nonzero constants over one integer denominator:
-    ``_int_table`` holds (i, j, k, c * _table_den) for each nonzero
-    c = table[i][j][k].  The float numerics never read the table: each
-    family has its own closed forms (``quad_rep``, ``inverse``).
+    The structure table is held once, over the integers: ``_int_table``
+    holds (i, j, k, c) for each nonzero coordinate c / ``_table_den`` of
+    b_i . b_j along b_k, every c a Python int.  ``gram`` is the (diagonal)
+    Gram vector of the trace form, so the inner product is (x, y) =
+    sum_i gram[i] * x_i * y_i; it, ``e_coords``, ``trace_vec`` and the det
+    coefficients are ints.  ``e`` is the identity as a read-only float row.
+    The float numerics never read the table: each family has its own closed
+    forms (``quad_rep``, ``inverse``).
     """
 
     name: str
@@ -85,7 +85,6 @@ class JordanAlgebra:
     r: int
     d: int
     basis_labels: tuple
-    table: tuple              # n x n tuple of coordinate tuples (Fractions)
     e_coords: tuple           # identity element coordinates
     e: np.ndarray = field(hash=False, repr=False, compare=False)
     gram: tuple               # diagonal trace-form Gram entries
@@ -102,33 +101,28 @@ class JordanAlgebra:
 # Family constructors
 
 
-def _build(name, family, n, r, d, labels, table, e_coords, gram, trace_vec, det_poly):
-    sparse = []
-    for i in range(n):
-        for j in range(n):
-            for k, c in enumerate(table[i][j]):
-                if c:
-                    sparse.append((i, j, k, c))
-    t = math.lcm(*(c.denominator for *_, c in sparse))
+def _build(name, family, n, r, d, labels, table, den, e_coords, gram, trace_vec, det_poly):
+    """The descriptor of the product b_i . b_j = sum_k table[i, j, k] b_k / den,
+    ``table`` an (n, n, n) integer array, reduced by the gcd of den and its
+    entries."""
+    table = np.asarray(table)
+    i, j, k = np.nonzero(table)
+    coefs = table[i, j, k].tolist()
+    g = math.gcd(den, *coefs)
     e = np.array(e_coords, dtype=float)
     e.setflags(write=False)
     return JordanAlgebra(
         name=name, family=family, n=n, r=r, d=d,
-        basis_labels=tuple(labels), table=table, e_coords=tuple(e_coords), e=e,
+        basis_labels=tuple(labels), e_coords=tuple(e_coords), e=e,
         gram=tuple(gram), trace_vec=tuple(trace_vec),
         det_poly=Poly.from_terms(det_poly, n),
-        _table_den=t,
-        _int_table=tuple((i, j, k, int(c * t)) for i, j, k, c in sparse),
+        _table_den=den // g,
+        _int_table=tuple(zip(i.tolist(), j.tolist(), k.tolist(), (c // g for c in coefs))),
     )
 
 
 def rank_one() -> JordanAlgebra:
-    one = Fraction(1)
-    return _build(
-        "rank1", "rank1", 1, 1, 0, ["x"],
-        ((( one,),),), (one,), (one,), (one,),
-        {(1,): one},
-    )
+    return _build("rank1", "rank1", 1, 1, 0, ["x"], [[[1]]], 1, (1,), (1,), (1,), {(1,): 1})
 
 
 def _sym_pairs(r):
@@ -146,12 +140,12 @@ def _sym_det_poly(r):
     # sign of a permutation is (-1)^(its number of inversions)
     index, poly = _sym_index(r), {}
     for perm in itertools.permutations(range(r)):
-        sign = Fraction((-1) ** sum(p > q for p, q in itertools.combinations(perm, 2)))
+        sign = (-1) ** sum(p > q for p, q in itertools.combinations(perm, 2))
         expo = [0] * (r * (r + 1) // 2)
         for i in range(r):
             expo[index[i][perm[i]]] += 1
         e = tuple(expo)
-        poly[e] = poly.get(e, Fraction(0)) + sign
+        poly[e] = poly.get(e, 0) + sign
     return {e: c for e, c in poly.items() if c}
 
 
@@ -169,14 +163,11 @@ def sym(r: int) -> JordanAlgebra:
     twice = np.einsum("aik,bkj->abij", mats, mats)
     twice += twice.transpose(1, 0, 2, 3)
     rows, cols = zip(*pairs)
-    table = tuple(tuple(tuple(Fraction(v, 2) for v in coords) for coords in row)
-                  for row in twice[:, :, rows, cols].tolist())
-    e_coords = tuple(Fraction(1) if i == j else Fraction(0) for (i, j) in pairs)
-    gram = tuple(Fraction(1) if i == j else Fraction(2) for (i, j) in pairs)
-    trace_vec = tuple(Fraction(1) if i == j else Fraction(0) for (i, j) in pairs)
+    diagonal = tuple(int(i == j) for (i, j) in pairs)
     labels = [f"x{i+1}{j+1}" for (i, j) in pairs]
-    return _build(f"sym{r}", "sym", n, r, 1, labels, table, e_coords, gram,
-                  trace_vec, _sym_det_poly(r))
+    gram = tuple(1 if i == j else 2 for (i, j) in pairs)
+    return _build(f"sym{r}", "sym", n, r, 1, labels, twice[:, :, rows, cols], 2, diagonal,
+                  gram, diagonal, _sym_det_poly(r))
 
 
 def spin(m: int) -> JordanAlgebra:
@@ -184,32 +175,18 @@ def spin(m: int) -> JordanAlgebra:
     if m < 3:
         raise AlgebraError("spin(m) needs m >= 3")
     n = m
-    zero, one = Fraction(0), Fraction(1)
-
-    def prod(i, j):
-        # b_0 = (1, 0); b_i = (0, unit_i).  (x0,xb).(y0,yb) =
-        # (x0 y0 + <xb, yb>, x0 yb + y0 xb)
-        out = [zero] * n
-        if i == 0 and j == 0:
-            out[0] = one
-        elif i == 0:
-            out[j] = one
-        elif j == 0:
-            out[i] = one
-        elif i == j:
-            out[0] = one
-        return tuple(out)
-
-    table = tuple(tuple(prod(i, j) for j in range(n)) for i in range(n))
-    e_coords = (one,) + (zero,) * (n - 1)
-    gram = (Fraction(2),) * n
-    trace_vec = (Fraction(2),) + (zero,) * (n - 1)
-    det_poly = {tuple(2 if k == 0 else 0 for k in range(n)): one}
+    # b_0 = (1, 0); b_i = (0, unit_i).  (x0,xb).(y0,yb) =
+    # (x0 y0 + <xb, yb>, x0 yb + y0 xb): b_0 . b_j = b_j and b_i . b_i = b_0
+    table = np.zeros((n, n, n), dtype=np.int64)
+    table[0] = table[:, 0] = np.eye(n, dtype=np.int64)
+    table[range(1, n), range(1, n), 0] = 1
+    e_coords = (1,) + (0,) * (n - 1)
+    det_poly = {tuple(2 if k == 0 else 0 for k in range(n)): 1}
     for i in range(1, n):
-        det_poly[tuple(2 if k == i else 0 for k in range(n))] = -one
+        det_poly[tuple(2 if k == i else 0 for k in range(n))] = -1
     labels = ["x0"] + [f"xb{i}" for i in range(1, n)]
-    return _build(f"spin{m}", "spin", n, 2, m - 2, labels, table, e_coords,
-                  gram, trace_vec, det_poly)
+    return _build(f"spin{m}", "spin", n, 2, m - 2, labels, table, 1, e_coords,
+                  (2,) * n, (2,) + (0,) * (n - 1), det_poly)
 
 
 _REGISTRY: dict = {}
@@ -360,7 +337,7 @@ def iota_jacobian(algebra: JordanAlgebra, Z) -> np.ndarray:
 #
 # The draws run over the integers, one point at a time in a fixed rng order:
 # an exact draw stays an integer row over one denominator, a float one
-# divides once, and int / int rounds correctly, as float(Fraction) does.
+# divides once, and int / int rounds correctly to the nearest float.
 
 
 def _random_ints(rng: random.Random, n: int, num_bound: int = 6, den_bound: int = 4):
@@ -387,7 +364,7 @@ def _cone_ints(rng: random.Random, algebra: JordanAlgebra):
     (q^2 t)."""
     U, q = _random_ints(rng, algebra.n, 3, 3)
     den = q * q * algebra._table_den
-    return [w + den * int(e) for w, e in zip(_int_mul(algebra, U, U), algebra.e_coords)], den
+    return [w + den * e for w, e in zip(_int_mul(algebra, U, U), algebra.e_coords)], den
 
 
 def random_interval_point(rng: random.Random, algebra: JordanAlgebra) -> np.ndarray:
@@ -398,9 +375,9 @@ def random_interval_point(rng: random.Random, algebra: JordanAlgebra) -> np.ndar
     With w = W/D and tr w = T/D that point is a (2W - T e) / (10 T).
     """
     W, _ = _cone_ints(rng, algebra)
-    T = sum(int(t) * w for t, w in zip(algebra.trace_vec, W))
+    T = sum(t * w for t, w in zip(algebra.trace_vec, W))
     a = rng.randint(1, 9)
-    return np.array([a * (2 * w - T * int(e)) / (10 * T)
+    return np.array([a * (2 * w - T * e) / (10 * T)
                      for w, e in zip(W, algebra.e_coords)])
 
 

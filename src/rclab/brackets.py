@@ -76,7 +76,8 @@ def _load_chain(path, algebra):
     """The pencil chain of a cache file, or None unless it is this algebra's
     chain in the current format: a missing, torn or stale file, another
     algebra's chain, a row of other than r + 1 exponents and a term of
-    entry k whose Delta-degree is not k are all misses."""
+    entry k whose Delta-degree is not k are all misses.  The "p/q" strings
+    of an entry are put over their lcm."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -89,7 +90,9 @@ def _load_chain(path, algebra):
                 if len(exps) != algebra.r + 1 or sum(exps) != k:
                     return None
                 terms[tuple(exps)] = {(i, j): Fraction(v) for i, j, v in coef}
-            chain.append(SymExpr(algebra, terms))
+            den = lcm(1, *(v.denominator for c in terms.values() for v in c.values()))
+            chain.append(SymExpr(algebra, {e: {ij: int(v * den) for ij, v in c.items()}
+                                           for e, c in terms.items()}, den))
         return chain
     except (OSError, ValueError, KeyError, TypeError):
         return None
@@ -124,8 +127,10 @@ def pencil_cache(algebra: JordanAlgebra, cache_dir: str | None):
     chain = _pencils.get(algebra.name)
     if not chain or (len(chain) <= _on_disk[path] and os.path.exists(path)):
         return
-    entries = [[[e, [[i, j, f"{v.numerator}/{v.denominator}"] for (i, j), v in c.items()]]
-                for e, c in expr.terms.items()] for expr in chain]
+    # each coefficient w / den in lowest terms as "p/q", q = 1 included
+    entries = [[[e, [[i, j, "{0.numerator}/{0.denominator}".format(Fraction(w, expr.den))]
+                     for (i, j), w in c.items()]] for e, c in expr.terms.items()]
+               for expr in chain]
     payload = json.dumps({"format": CACHE_FORMAT, "algebra": algebra.name, "chain": entries},
                          separators=(",", ":"))
     fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix="c_", suffix=".tmp")

@@ -159,10 +159,13 @@ def _cache_dir(args):
 
 
 def _check_output(args):
-    """Refuse, before any work, an --output in a missing or read-only directory."""
+    """Refuse, before any work, an --output that is a directory or lies in a
+    missing or read-only one."""
     path = merged(args, "output")
     if not path:
         return
+    if os.path.isdir(path):
+        raise ConfigError(f"--output {path}: is a directory")
     folder = os.path.dirname(path) or "."
     if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
         raise ConfigError(f"--output {path}: no writable directory {folder}")
@@ -287,7 +290,9 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_cache(args) -> int:
-    cache_dir = merged(args, "cache_dir") or ".rclab-cache"
+    cache_dir = merged(args, "cache_dir")
+    if not cache_dir:
+        raise ConfigError("cache requires --cache-dir")
     if args.cache_action == "inspect":
         entries = []
         if os.path.isdir(cache_dir):
@@ -660,18 +665,23 @@ def cmd_check(args) -> int:
     algebra = _algebra_from(args)
     selector = args.suite
     tols = {}
-    # flags give a list; a config file gives ``tol = name=value, name=value``
-    for item in merged(args, "tol", [], lambda v: v.replace(",", " ").split()):
-        name, sep, val = item.partition("=")
-        if not sep:
-            raise ConfigError(f"--tol expects name=value, got {item!r}")
-        if name in tols:
-            # last one wins would drop a tolerance without a word
-            raise ConfigError(f"--tol {name}: given twice")
-        try:
-            tols[name] = float(val)
-        except ValueError:
-            raise ConfigError(f"--tol {item}: {val!r} is not a number") from None
+    # the config file's ``tol = name=value, name=value`` first, then the
+    # flags, each replacing the names it gives; a name given twice by one of
+    # the two is refused, as last one wins would drop a tolerance unseen
+    for items in (getattr(args, "_config", {}).get("tol", "").replace(",", " ").split(),
+                  args.tol or []):
+        own = {}
+        for item in items:
+            name, sep, val = item.partition("=")
+            if not sep:
+                raise ConfigError(f"--tol expects name=value, got {item!r}")
+            if name in own:
+                raise ConfigError(f"--tol {name}: given twice")
+            try:
+                own[name] = float(val)
+            except ValueError:
+                raise ConfigError(f"--tol {item}: {val!r} is not a number") from None
+        tols.update(own)
     _plan(algebra, selector, tols)      # a refused run makes no --cache-dir
     with brackets.pencil_cache(algebra, _cache_dir(args)):
         reports, ok = run_suites(algebra, selector, tols)
@@ -701,10 +711,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key = value configuration file")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--algebra", choices=ALGEBRA_NAMES)
+    def common(sp, algebra=True, cache_dir=True):
+        if algebra:
+            sp.add_argument("--algebra", choices=ALGEBRA_NAMES)
         sp.add_argument("--output", help="write to this path instead of stdout")
-        sp.add_argument("--cache-dir")
+        if cache_dir:
+            sp.add_argument("--cache-dir")
 
     sp = sub.add_parser("polys", help="emit bracket polynomial tables")
     common(sp)
@@ -725,7 +737,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_gram)
 
     sp = sub.add_parser("gamma", help="Gamma function of the cone")
-    common(sp)
+    common(sp, cache_dir=False)
     sp.add_argument("--nu", type=float)
     sp.add_argument("--rule", choices=("eigenvalue-quadrature",))
     sp.add_argument("--nodes", type=int)
@@ -739,7 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("cache", help="inspect or clear the polynomial cache")
-    common(sp)
+    common(sp, algebra=False)
     sp.add_argument("cache_action", choices=("inspect", "clear"))
     sp.set_defaults(func=cmd_cache)
     # a config-file key is the dest of one of the subcommand's flags, and

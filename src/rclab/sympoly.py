@@ -7,9 +7,10 @@ on functions of Delta_0..Delta_r, D acts as the order-r operator
 L = sum_{1 <= |beta| <= r} T_beta(Delta) d_Delta^beta, each T_beta of
 Delta-degree |beta| - 1.  The recursion runs on sums of terms
 coef(s, t) Delta_0^(s+e_0) Delta_1^e_1 ... Delta_r^(t+e_r), coef in Q[s, t].
-Each step runs on Python ints: L is held over one integer denominator per
-algebra, the terms are put over the lcm of theirs, and a Fraction is made
-only for each coefficient of the step's result.
+Every exact object is held once, as Python ints over one denominator: L
+per algebra, and each expression with the integer coefficients of all its
+terms over its ``den``.  A chain step, its shift and the expansions run on
+ints and make no Fraction.
 
 L is derived once per algebra from exact jets.  At p = (x0, y0),
 (d/dx - d/dy)^gamma f(p) = d_u^gamma f(x0 + u, y0 - u) at u = 0, so
@@ -74,8 +75,8 @@ class NonzeroRemainder(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# Coefficient ring: plain dicts {(deg_s, deg_t): coefficient} of Q[s, t],
-# with int coefficients over one denominator inside a chain step
+# Coefficient ring: plain dicts {(deg_s, deg_t): int} of Z[s, t]; an
+# expression puts all of them over one denominator
 
 
 def _c_mul(a, ps, pt):
@@ -114,15 +115,20 @@ class SymExpr:
     """Sum of coef(s,t) * Delta_0^(s+e_0) Delta_1^e_1 ... Delta_r^(t+e_r) terms.
 
     Internal storage: dict {(e_0, ..., e_r): coefdict} with coefdict a
-    Q[s,t] dict.  Terms with equal exponents are always merged; zero terms
-    are dropped.
+    Z[s,t] dict, every coefficient over the one positive int ``den``.  The
+    constructor divides both by their gcd, so equal expressions have equal
+    terms and den.  Terms with equal exponents are always merged; zero
+    terms are dropped.
     """
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra", "terms", "den")
 
-    def __init__(self, algebra: JordanAlgebra, terms=None):
-        self.algebra = algebra
-        self.terms = terms if terms is not None else {}
+    def __init__(self, algebra: JordanAlgebra, terms=None, den=1):
+        terms = terms if terms is not None else {}
+        g = math.gcd(den, *(v for c in terms.values() for v in c.values()))
+        if g != 1:
+            terms = {e: {ij: v // g for ij, v in c.items()} for e, c in terms.items()}
+        self.algebra, self.terms, self.den = algebra, terms, den // g
 
     @classmethod
     def det_power_seed(cls, algebra: JordanAlgebra, a: int, b: int) -> "SymExpr":
@@ -135,28 +141,18 @@ class SymExpr:
 
         ``expr`` is c(k) (det x)^s (det y)^t, as ``apply_D_power`` returns
         it; D applied to the weight and stripped of (det x)^s (det y)^t is
-        c(k+1).  The shift runs on integer coefficients over one denominator.
+        c(k+1).  The shift keeps the denominator.
         """
-        terms, den = _over_one_denominator(
-            _polynomial_terms(expr, f"{expr.algebra.name} weight"))
-        return cls(expr.algebra, {(e[0] + 1,) + e[1:-1] + (e[-1] + 1,):
-                                  {ij: Fraction(w, den) for ij, w in _c_shift(coef).items()}
-                                  for e, coef in terms.items()})
+        terms = _polynomial_terms(expr, f"{expr.algebra.name} weight")
+        return cls(expr.algebra, {(e[0] + 1,) + e[1:-1] + (e[-1] + 1,): _c_shift(coef)
+                                  for e, coef in terms.items()}, expr.den)
 
     def num_terms(self):
         return len(self.terms)
 
     def __eq__(self, other):
         return (isinstance(other, SymExpr) and self.algebra is other.algebra
-                and self.terms == other.terms)
-
-
-def _over_one_denominator(terms):
-    """{exponents: {(i, j): rational}} as ({exponents: {(i, j): int}}, den),
-    the coefficients times den, the lcm of their denominators."""
-    den = math.lcm(1, *(v.denominator for c in terms.values() for v in c.values()))
-    return {e: {ij: v.numerator * (den // v.denominator) for ij, v in c.items()}
-            for e, c in terms.items()}, den
+                and self.den == other.den and self.terms == other.terms)
 
 
 def _polynomial_terms(expr, context):
@@ -182,13 +178,9 @@ def _memo(algebra, attr, build):
 
 
 def _det_terms(algebra):
-    """(exponent tuple, int) per monomial of det."""
-    out = []
-    for mono, c in algebra.det_poly.items():
-        if c.denominator != 1:
-            raise ValueError(f"{algebra.name}: det coefficient {c} is not an integer")
-        out.append((mono, int(c)))
-    return out
+    """(exponent tuple, int) per monomial of det, whose coefficients are ints."""
+    det = algebra.det_poly
+    return list(zip(map(tuple, det.exps.tolist()), det.coef[:, 0, 0].tolist()))
 
 
 def _mul(a, b):
@@ -432,12 +424,14 @@ def _solve(a, b, context):
 
 
 def _pencil_operator(algebra):
-    """L as [(beta, [(alpha, coefficient)])]: D acts on functions of Delta as
-    sum_beta T_beta(Delta) d_Delta^beta, T_beta = sum_alpha coefficient Delta^alpha.
+    """L as (operator, den), operator = [(beta, [(alpha, int)])]: D acts on
+    functions of Delta as sum_beta T_beta(Delta) d_Delta^beta, T_beta =
+    sum_alpha (int / den) Delta^alpha.
 
     Fitted at C(2r-1, r) + r integer points of a Jordan frame (only the
     first r coordinates of each slot nonzero), then certified at two
-    generic integer points.
+    generic integer points.  The fit's integral solution is L times its
+    scale; both are divided by their gcd.
     """
     def build():
         n, r = algebra.n, algebra.r
@@ -463,36 +457,22 @@ def _pencil_operator(algebra):
             if misses.size:
                 raise NonzeroRemainder(f"{context}: the certificate fails at {betas[misses[0]]}")
             for beta, column in zip(betas, x.T.tolist()):
-                coefs = [(al, Fraction(v, scale)) for al, v in zip(alphas, column) if v]
+                coefs = [(al, v) for al, v in zip(alphas, column) if v]
                 if coefs:
                     operator.append((beta, coefs))
-        return operator
+        g = math.gcd(scale, *(v for _, coefs in operator for _, v in coefs))
+        return [(beta, [(al, v // g) for al, v in coefs]) for beta, coefs in operator], scale // g
 
     return _memo(algebra, "_pencil_operator", build)
 
 
-def _integer_operator(algebra):
-    """L over one denominator: (operator, den), ``_pencil_operator`` with every
-    coefficient times den, the lcm of their denominators, an int."""
-    def build():
-        operator, den = _over_one_denominator(
-            {beta: dict(t_beta) for beta, t_beta in _pencil_operator(algebra)})
-        return [(beta, list(t_beta.items())) for beta, t_beta in operator.items()], den
-
-    return _memo(algebra, "_integer_operator", build)
-
-
-def _apply_pencil_operator(terms, algebra):
-    """L applied to {exponents: coefdict}: d_Delta^beta of each term, times T_beta.
-
-    The step runs on ints: the terms over their one denominator, L over its
-    own (``_integer_operator``); a Fraction is formed only for each output
-    coefficient.
-    """
-    r, (operator, op_den) = algebra.r, _integer_operator(algebra)
-    terms, den = _over_one_denominator(terms)
+def _apply_pencil_operator(expr):
+    """L applied to ``expr``: d_Delta^beta of each term, times T_beta, as
+    (terms, den), the ints over the product of the two denominators."""
+    algebra = expr.algebra
+    r, (operator, op_den) = algebra.r, _pencil_operator(algebra)
     out = {}
-    for e, coef in terms.items():
+    for e, coef in expr.terms.items():
         for beta, t_beta in operator:
             mid = math.prod(math.perm(e[j], beta[j]) for j in range(1, r))
             if not mid:
@@ -504,19 +484,17 @@ def _apply_pencil_operator(terms, algebra):
                 vm = v * mid
                 for ij, w in c.items():
                     acc[ij] = acc.get(ij, 0) + w * vm
-    den *= op_den
-    out = {e: {ij: Fraction(w, den) for ij, w in c.items() if w} for e, c in out.items()}
-    return {e: c for e, c in out.items() if c}
+    out = {e: {ij: w for ij, w in c.items() if w} for e, c in out.items()}
+    return {e: c for e, c in out.items() if c}, expr.den * op_den
 
 
 def apply_D_power(expr: SymExpr, k: int) -> SymExpr:
     """Apply det(d/dx - d/dy)^k, as the algebra's pencil operator L."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    terms = expr.terms
     for _ in range(k):
-        terms = _apply_pencil_operator(terms, expr.algebra)
-    return SymExpr(expr.algebra, terms)
+        expr = SymExpr(expr.algebra, *_apply_pencil_operator(expr))
+    return expr
 
 
 # ---------------------------------------------------------------------------
@@ -592,14 +570,14 @@ def _expand(expr: SymExpr, k: int, tables: _TableSet) -> Poly:
     ``tables``, over den^k times the common denominator of the terms.  A
     term left with a negative power of det x or det y means the operator
     (not the construction) is wrong, so it raises."""
-    terms, den = _over_one_denominator(_polynomial_terms(expr, f"{expr.algebra.name} k={k}"))
+    terms = _polynomial_terms(expr, f"{expr.algebra.name} k={k}")
     out = {}
     for e, coef in terms.items():
         for mono, c in tables.monomial(e).items():
             acc = out.setdefault(mono, {})
             for ij, v in coef.items():
                 acc[ij] = acc.get(ij, 0) + v * c
-    return Poly.from_terms(out, tables.nvars, den * tables.den ** k)
+    return Poly.from_terms(out, tables.nvars, expr.den * tables.den ** k)
 
 
 def extract_bracket_polynomial(expr: SymExpr, k: int) -> BracketPolynomial:
@@ -634,4 +612,4 @@ def cayley_check(algebra: JordanAlgebra, m: int) -> Fraction:
     if set(values) != {want}:
         raise NonzeroRemainder(f"cayley {algebra.name} m={m}: L det^m is not a "
                                f"multiple of det^(m-1): {sorted(values)[:3]}")
-    return Fraction(values[want])
+    return Fraction(values[want], expr.den)

@@ -1,23 +1,50 @@
 """The Fraction reference of the exact Jordan arithmetic, for the tests.
 
-A point is a tuple of Fractions.  Products read the Fraction structure
-table ``JordanAlgebra.table``, never the integer ``_int_table``, so the
-reference stays independent of the integer paths it checks; ``sym_table``
-builds the sym(r) table itself from Fraction matrices, the construction the
-integer one of ``rclab.algebra.sym`` replaces.  The pencil
-chain is stepped here with one Fraction product per term, the loop the
-integer step of ``rclab.sympoly`` replaces.
+A point is a tuple of Fractions.  Products read a Fraction structure table
+that this module builds from each family's definition (``table``), never
+the integer ``_int_table`` of ``rclab.algebra``, so the reference stays
+independent of the integer paths it checks: ``sym_table`` multiplies
+Fraction matrices, and the spin and rank-1 products are written out.  The
+pencil chain is stepped here with one Fraction product per term, the loop
+the integer step of ``rclab.sympoly`` replaces, from L taken to Fractions
+(``fraction_operator``).
 """
 
 from fractions import Fraction
 from math import comb, perm, prod
 from operator import add, sub
 
+from rclab.sympoly import _pencil_operator
+
+# algebra name -> its Fraction structure table
+_TABLES = {}
+
+
+def table(alg):
+    """table[i][j], the coordinates of b_i.b_j as Fractions, built once per
+    algebra from the family's definition."""
+    if alg.name not in _TABLES:
+        n = alg.n
+        if alg.family == "sym":
+            _TABLES[alg.name] = sym_table(alg.r)
+        elif alg.family == "spin":
+            # (x0, xb).(y0, yb) = (x0 y0 + <xb, yb>, x0 yb + y0 xb)
+            def product(x, y):
+                inner = sum(a * b for a, b in zip(x[1:], y[1:]))
+                return (x[0] * y[0] + inner,) + tuple(
+                    x[0] * b + y[0] * a for a, b in zip(x[1:], y[1:]))
+
+            basis = [tuple(Fraction(int(i == j)) for i in range(n)) for j in range(n)]
+            _TABLES[alg.name] = tuple(tuple(product(u, v) for v in basis) for u in basis)
+        else:   # rank1: the reals
+            _TABLES[alg.name] = (((Fraction(1),),),)
+    return _TABLES[alg.name]
+
 
 def mul(alg, x, y):
     """The Jordan product x.y."""
     out = [Fraction(0)] * alg.n
-    for i, row in enumerate(alg.table):
+    for i, row in enumerate(table(alg)):
         for j, prod in enumerate(row):
             for k, c in enumerate(prod):
                 if c:
@@ -148,6 +175,13 @@ def apply_pencil_operator(terms, r, operator):
                     acc[ij] = acc.get(ij, 0) + w * v * mid
     out = {e: {ij: w for ij, w in c.items() if w} for e, c in out.items()}
     return {e: c for e, c in out.items() if c}
+
+
+def fraction_operator(alg):
+    """L of ``rclab.sympoly`` as [(beta, [(alpha, Fraction)])]."""
+    operator, den = _pencil_operator(alg)
+    return [(beta, [(alpha, Fraction(v, den)) for alpha, v in t_beta])
+            for beta, t_beta in operator]
 
 
 def pencil_chain(alg, kmax, operator):

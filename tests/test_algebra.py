@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from fraction_ref import (
-    apply, cone_point, det, mul, quad_rep, quadratic_map, rational_point, sym_table, trace,
+    apply, cone_point, det, mul, quad_rep, quadratic_map, rational_point, sym_table, table,
+    trace,
 )
 from rclab.cli import _fd_jacobian
 from rclab.algebra import (
@@ -66,16 +67,16 @@ def test_trace_form_positive_definite(algebra):
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_sym_table_is_the_fraction_matrix_product(r):
-    # the integer einsum of sym(r) against (ab + ba)/2 of Fraction matrices,
-    # and the integer table over one denominator that the exact checks read
-    alg, table = sym(r), sym_table(r)
-    assert alg.table == table
-    assert all(type(c) is Fraction for row in alg.table for coords in row for c in coords)
-    sparse = [(i, j, k, c) for i, row in enumerate(table) for j, coords in enumerate(row)
+    # the integer table of sym(r) over its one denominator, the only table
+    # the algebra holds, against (ab + ba)/2 of Fraction matrices; every
+    # entry is a Python int, so _int_mul cannot overflow
+    alg, fractions = sym(r), sym_table(r)
+    sparse = [(i, j, k, c) for i, row in enumerate(fractions) for j, coords in enumerate(row)
               for k, c in enumerate(coords) if c]
     den = math.lcm(*(c.denominator for *_, c in sparse))
     assert alg._table_den == den == (1 if r == 1 else 2)
     assert alg._int_table == tuple((i, j, k, int(c * den)) for i, j, k, c in sparse)
+    assert all(type(v) is int for entry in alg._int_table for v in entry)
 
 
 def test_sym2_identity_acts_trivially():
@@ -97,6 +98,7 @@ def test_spin_product_formula():
     # (x0 y0 + <xb, yb>, x0 yb + y0 xb)
     expected = (2 * 3 + (0 + 0 - 1), 2 * 0 + 3 * 1, 2 * 2 + 0, 2 * 1 - 3)
     assert mul(alg, x, y) == expected
+    assert alg._table_den == 1 and _int_mul(alg, x, y) == list(expected)
 
 
 def test_det_trace_examples():
@@ -130,9 +132,9 @@ def rows(*points):
 
 
 def jordan_products(algebra, X, Y):
-    """The rows x.y = sum_ij x_i y_j (b_i.b_j), by the Fraction product table
-    taken to floats."""
-    return np.einsum("bi,bj,ijk->bk", X, Y, np.array(algebra.table, dtype=float))
+    """The rows x.y = sum_ij x_i y_j (b_i.b_j), by the Fraction reference's
+    product table taken to floats."""
+    return np.einsum("bi,bj,ijk->bk", X, Y, np.array(table(algebra), dtype=float))
 
 
 def test_spectral_reconstruction(algebra):

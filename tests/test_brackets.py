@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from fraction_ref import (
-    cone_point, det, frame, frame_matrix, mul, pencil_chain, quad_rep, rational_point,
+    cone_point, det, fraction_operator, frame, frame_matrix, mul, pencil_chain, quad_rep,
+    rational_point,
 )
 from rclab.algebra import ALGEBRA_NAMES, get_algebra, iota, spectral
 from rclab.brackets import (
@@ -23,7 +24,7 @@ from rclab.brackets import (
 from rclab.poly import Poly
 from rclab.quadrature import weyl_integral
 from rclab.cli import K_CAPS
-from rclab.sympoly import SymExpr, apply_D_power, extract_bracket_polynomial, _pencil_operator
+from rclab.sympoly import SymExpr, apply_D_power, extract_bracket_polynomial
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -153,7 +154,7 @@ def test_a_chain_file_keeps_the_bytes_of_the_fraction_chain(name, tmp_path, monk
     cached_c(alg, kmax, str(tmp_path))
     chain = [[[list(e), [[i, j, f"{v.numerator}/{v.denominator}"] for (i, j), v in coef.items()]]
               for e, coef in terms.items()]
-             for terms in pencil_chain(alg, kmax, _pencil_operator(alg))]
+             for terms in pencil_chain(alg, kmax, fraction_operator(alg))]
     want = json.dumps({"format": 2, "algebra": name, "chain": chain}, separators=(",", ":"))
     assert (tmp_path / f"c_{name}.json").read_text() == want
 
@@ -689,13 +690,14 @@ def test_the_box_oracle_catches_a_chain_that_keeps_slot_exchange(monkeypatch):
 
     for name in ("sym2", "sym3", "spin3", "spin4", "spin5", "spin6", "spin7", "spin8"):
         alg = get_algebra(name)
-        terms = {e: dict(c) for e, c in brackets._pencil(alg, 1).terms.items()}
+        c1 = brackets._pencil(alg, 1)
+        terms = {e: dict(c) for e, c in c1.terms.items()}
         for e, step in (((0,) * alg.r + (1,), 1), ((1,) + (0,) * alg.r, (-1) ** alg.r)):
             coef = terms.setdefault(e, {})
-            coef[0, 0] = coef.get((0, 0), 0) + step
+            coef[0, 0] = coef.get((0, 0), 0) + step * c1.den
         with monkeypatch.context() as m:
             m.setitem(brackets._pencils, name,
-                      [brackets._pencil(alg, 0), SymExpr(alg, terms)])
+                      [brackets._pencil(alg, 0), SymExpr(alg, terms, c1.den)])
             m.setattr(brackets, "_memory_cache", {})
             assert box_ratios(alg, 1).max() > 1e-3, name
             assert run_suites(alg, "iota-factorization")[1], name

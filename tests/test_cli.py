@@ -442,16 +442,16 @@ def test_config_file_precedence(tmp_path):
     assert code == 0 and "2 + 3*s^1" not in out
 
 
-@pytest.mark.parametrize("text, first, again", [
-    ("nu = 3\nnu = 4\n", 1, 2),
-    ("cache-dir = a\n# a comment\n\ncache_dir = b\n", 1, 4),
-    ("algebra = sym2\nnu = 3\nalgebra = rank1\n", 1, 3),
+@pytest.mark.parametrize("command, text, first, again", [
+    ("gamma", "nu = 3\nnu = 4\n", 1, 2),
+    ("polys", "cache-dir = a\n# a comment\n\ncache_dir = b\n", 1, 4),
+    ("gamma", "algebra = sym2\nnu = 3\nalgebra = rank1\n", 1, 3),
 ], ids=["nu", "cache-dir", "algebra"])
-def test_config_refuses_a_key_set_twice(text, first, again, tmp_path):
+def test_config_refuses_a_key_set_twice(command, text, first, again, tmp_path):
     # the last line won without a word: nu = 3 then nu = 4 ran nu = 4
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
-    code, out, err = run_cli(["--config", str(cfg), "gamma"])
+    code, out, err = run_cli(["--config", str(cfg), command])
     assert code == 2 and out == ""
     assert err.startswith(f"error: {cfg}:{again}: ") and f"line {first}" in err, err
     assert err.count("\n") == 1, err
@@ -577,6 +577,78 @@ def test_an_output_in_a_missing_directory_stops_the_check_before_any_suite(
     code, _, err = run_cli(["check", "cayley", "--algebra", "rank1",
                             "--output", str(tmp_path / "out.json")])
     assert code == 0 and calls == ["rank1"], err
+
+
+def test_an_output_that_is_a_directory_stops_the_check_before_any_suite(
+        tmp_path, monkeypatch):
+    # every suite ran, and then the write failed with Is a directory
+    import rclab.cli as cli
+
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a refused check ran a suite")
+
+    monkeypatch.setattr(cli, "SUITES", dict.fromkeys(cli.SUITES, no_suite))
+    code, out, err = run_cli(["check", "all", "--algebra", "sym2", "--output", str(tmp_path)])
+    assert code == 2 and out == ""
+    assert err == f"error: --output {tmp_path}: is a directory\n", err
+
+
+@pytest.mark.parametrize("action", ["inspect", "clear"])
+def test_cache_requires_a_cache_dir(action, tmp_path, monkeypatch):
+    # cache clear fell back to ./.rclab-cache, which no command writes
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / ".rclab-cache").mkdir()
+    (tmp_path / ".rclab-cache" / "c_rank1.json").write_text("{}")
+    code, out, err = run_cli(["cache", action])
+    assert code == 2 and out == ""
+    assert err == "error: cache requires --cache-dir\n", err
+    assert os.listdir(tmp_path / ".rclab-cache") == ["c_rank1.json"]
+
+
+# a cheap run of each subcommand, with every flag left to its default
+SUBCOMMAND_RUNS = {
+    "polys": ["polys", "--algebra", "rank1", "--k", "0"],
+    "gram": ["gram", "--algebra", "rank1", "--kmax", "0"],
+    "gamma": ["gamma", "--nu", "3"],
+    "check": ["check", "cayley", "--algebra", "rank1"],
+    "cache": ["cache", "inspect", "--cache-dir", "CACHE"],
+}
+
+
+def test_every_flag_a_subcommand_declares_is_read(tmp_path, monkeypatch):
+    # gamma took a --cache-dir it never read, and cache an --algebra
+    import argparse
+
+    from rclab.cli import build_parser
+
+    read = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    # argparse looks up every dest while it parses: record from the
+    # parsed namespace on, what the command reads
+    parser = build_parser()
+    parse = parser.parse_args
+
+    def parse_and_record(argv):
+        args = parse(argv)
+        args.__class__ = Recording
+        return args
+
+    monkeypatch.setattr(parser, "parse_args", parse_and_record)
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(subparsers) == set(SUBCOMMAND_RUNS)
+    for name, sp in subparsers.items():
+        read.clear()
+        argv = [str(tmp_path / "cache") if a == "CACHE" else a for a in SUBCOMMAND_RUNS[name]]
+        code, _, err = run_cli(argv)
+        assert code == 0, err
+        declared = {a.dest for a in sp._actions if a.option_strings and a.dest != "help"}
+        assert declared <= read, (name, sorted(declared - read))
 
 
 @pytest.mark.parametrize("command", PATH_COMMANDS + [["check", "polynomiality"]])
@@ -767,6 +839,19 @@ def test_check_tolerance_flags_override_the_file(tmp_path):
     assert rep["tolerance"] == 1e-13
 
 
+def test_check_tolerance_flags_merge_with_the_file_name_by_name(tmp_path, cache_dir):
+    # a --tol flag replaced the file's whole tol line: cauchy ran at the
+    # built-in 1e-9, not the file's 1e-10, and the check exited 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol = branch=1e-11, cauchy=1e-10\n")
+    code, out, err = run_cli(["--config", str(cfg), "check", "all", "--algebra", "rank1",
+                              "--cache-dir", cache_dir, "--tol", "branch=1e-12"])
+    assert code == 0, err
+    tolerance = {r["check"]: r.get("tolerance") for r in json.loads(out)["reports"]}
+    assert tolerance["branch-path-independence"] == 1e-12
+    assert tolerance["contour-derivative-stability"] == 1e-10
+
+
 def test_run_suites_lets_a_loose_tolerance_through():
     # not a suite-error report: a loose tolerance is the caller's error
     from rclab.algebra import get_algebra
@@ -916,7 +1001,9 @@ def test_config_values_must_be_among_the_flag_choices(command, text, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     cache = tmp_path / "cache"
-    code, out, err = run_cli(["--config", str(cfg), *command, "--cache-dir", str(cache)])
+    # gamma reads no cache, so it declares no --cache-dir
+    flags = [] if command[0] == "gamma" else ["--cache-dir", str(cache)]
+    code, out, err = run_cli(["--config", str(cfg), *command, *flags])
     assert code == 2 and out == "" and not cache.exists()
     key, _, val = text.strip().partition(" = ")
     assert err.startswith("error: ") and f"invalid {key} {val!r}" in err, err

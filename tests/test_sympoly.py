@@ -1,6 +1,7 @@
 """The exact symbolic engine: the pencil operator L, its powers, extraction."""
 
 import json
+import math
 import os
 import random
 from fractions import Fraction
@@ -10,20 +11,35 @@ import numpy as np
 import pytest
 
 import rclab.sympoly as S
-from fraction_ref import frame, pencil_chain
+from fraction_ref import apply_pencil_operator, fraction_operator, frame, pencil_chain
 from rclab.algebra import ALGEBRA_NAMES, get_algebra, rank_one, sym
 from rclab.cli import K_CAPS
 from rclab.poly import Poly
 from rclab.sympoly import (
     SymExpr, BracketPolynomial, NonzeroRemainder,
-    apply_D_power, extract_bracket_polynomial, cayley_check,
+    apply_D_power, extract_bracket_polynomial, extract_interval_polynomial, cayley_check,
     _pencil_operator, _pencil_tables, _eigen_tables,
 )
 
 
 def coefficient(expr, e):
     """The Q[s,t] coefficient of Delta_0^(s+e_0) ... Delta_r^(t+e_r) in expr."""
-    return {key: Fraction(v) for key, v in expr.terms.get(tuple(e), {}).items()}
+    return {key: Fraction(v, expr.den) for key, v in expr.terms.get(tuple(e), {}).items()}
+
+
+def listed(terms):
+    """{exponents: coefdict} as a list of (exponents, [(key, value)]), so that
+    == compares the order of the terms and of their coefficients too."""
+    return [(e, list(c.items())) for e, c in terms.items()]
+
+
+def fraction_terms(expr):
+    """The terms of expr with each int coefficient over expr.den as a Fraction,
+    after checking that they are ints over one positive int denominator."""
+    assert type(expr.den) is int and expr.den > 0
+    assert all(type(v) is int for c in expr.terms.values() for v in c.values())
+    return {e: {ij: Fraction(v, expr.den) for ij, v in c.items()}
+            for e, c in expr.terms.items()}
 
 
 def coefs(c):
@@ -34,7 +50,7 @@ def coefs(c):
 
 def operator(alg):
     """L as {beta: {alpha: coefficient of Delta^alpha in T_beta}}."""
-    return {beta: dict(t_beta) for beta, t_beta in _pencil_operator(alg)}
+    return {beta: dict(t_beta) for beta, t_beta in fraction_operator(alg)}
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +121,7 @@ def test_spin3_is_sym2_in_the_pencil_coordinates():
     for _ in range(3):
         a = apply_D_power(SymExpr.shifted_weight(a), 1)
         b = apply_D_power(SymExpr.shifted_weight(b), 1)
-        assert a.terms == b.terms
+        assert (a.terms, a.den) == (b.terms, b.den)
 
 
 @pytest.mark.parametrize("name", ALGEBRA_NAMES)
@@ -115,7 +131,12 @@ def test_every_operator_matches_the_pinned_one(name):
     path = os.path.join(os.path.dirname(__file__), "fixtures", "pencil_operators.json")
     with open(path) as fh:
         pinned = json.load(fh)[name]
-    assert _pencil_operator(get_algebra(name)) == [
+    # L is held once, as ints over one denominator
+    operator, den = _pencil_operator(get_algebra(name))
+    assert all(type(v) is int for _, t_beta in operator for _, v in t_beta)
+    assert type(den) is int and den > 0
+    assert [(beta, [(alpha, Fraction(v, den)) for alpha, v in t_beta])
+            for beta, t_beta in operator] == [
         (tuple(beta), [(tuple(alpha), Fraction(v)) for alpha, v in t_beta])
         for beta, t_beta in pinned]
 
@@ -222,25 +243,52 @@ def test_int64_overflow_raises_instead_of_wrapping(bound, stage):
 
 @pytest.mark.parametrize("name", ALGEBRA_NAMES)
 def test_the_integer_operator_over_its_denominator_is_L(name):
+    # L is held once, as ints over one denominator in lowest terms, and the
+    # integer step with it is the Fraction step with L over that
+    # denominator, on a term where every beta acts (the chain's terms leave
+    # most of sym4's 125 beta idle)
     alg = get_algebra(name)
-    operator, den = S._integer_operator(alg)
-    assert all(type(v) is int for _, t_beta in operator for _, v in t_beta)
-    assert [(beta, [(alpha, Fraction(v, den)) for alpha, v in t_beta])
-            for beta, t_beta in operator] == _pencil_operator(alg)
+    operator, den = _pencil_operator(alg)
+    assert math.gcd(den, *(v for _, t_beta in operator for _, v in t_beta)) == 1
+    every = (alg.r + 2,) * (alg.r + 1)
+    expr = SymExpr(alg, {every: {(0, 0): 5, (1, 2): -3}, (1,) * (alg.r + 1): {(2, 0): 1}}, 7)
+    want = apply_pencil_operator(fraction_terms(expr), alg.r, fraction_operator(alg))
+    assert listed(fraction_terms(apply_D_power(expr, 1))) == listed(want)
 
 
 @pytest.mark.parametrize("name,kmax", [(name, K_CAPS[name]) for name in ALGEBRA_NAMES]
                          + [("sym4", 2), ("sym3", 3)])
 def test_the_integer_chain_is_the_fraction_chain(name, kmax):
     # the chain steps over ints; the Fraction loop it replaced must give the
-    # same terms, in the same order and of the same types, at every k
+    # same terms, in the same order, at every k, and each entry holds ints
+    # over one denominator
     alg = get_algebra(name)
     expr, chain = SymExpr.det_power_seed(alg, 0, 0), []
-    for _ in range(kmax):
-        chain.append(expr.terms)
+    for k in range(kmax + 1):
+        if k:
+            expr = apply_D_power(SymExpr.shifted_weight(expr), 1)
+        chain.append(listed(fraction_terms(expr)))
+    assert chain == [listed(terms) for terms in pencil_chain(alg, kmax, fraction_operator(alg))]
+
+
+def test_the_chain_and_its_expansions_make_no_fraction(monkeypatch):
+    # once L is built, a chain step, its shift and both expansions run on
+    # ints over one denominator: not one Fraction is made
+    alg = sym(2)
+    _pencil_operator(alg)
+
+    def refuse(*args):
+        raise AssertionError("the exact engine made a Fraction")
+
+    monkeypatch.setattr(S, "Fraction", refuse)
+    expr, polys = SymExpr.det_power_seed(alg, 0, 0), []
+    for k in range(1, 5):
         expr = apply_D_power(SymExpr.shifted_weight(expr), 1)
-    chain.append(expr.terms)
-    assert repr(chain) == repr(pencil_chain(alg, kmax, _pencil_operator(alg)))
+        polys.append(extract_bracket_polynomial(expr, k).poly)
+        extract_interval_polynomial(expr, k)
+    monkeypatch.undo()
+    from rclab.brackets import compute_c
+    assert polys[-1] == compute_c(get_algebra("sym2"), 4).poly
 
 
 def test_apply_D_zero_is_identity():
