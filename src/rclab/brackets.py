@@ -28,7 +28,7 @@ from math import lcm
 
 import numpy as np
 
-from . import report, worst
+from . import SCHEMA, report, worst
 from .algebra import (
     JordanAlgebra, get_algebra, iota, spectral, _random_ints, _cone_ints, _int_mul,
     random_chart_points,
@@ -67,6 +67,8 @@ _memory_cache: dict = {}
 # algebra name -> [c(0), c(1), ...] times (det x)^s (det y)^t, in the pencil
 # coordinates: the in-process chain each build extends
 _pencils: dict = {}
+# the c(k) the table emitters last rendered, and its ``_labelled_rows``
+_rendered: list = [None, None]
 # cache file path -> length of the chain it holds, as this process last read
 # (0 for a miss or a chain that disagrees with the held one) or wrote it
 _on_disk: dict = {}
@@ -370,61 +372,56 @@ def check_iota_factorization(algebra: JordanAlgebra, kmax: int, samples: int = 2
 # Table emitters (CLI backends)
 
 
-def _mono_label(algebra, mono):
-    n = algebra.n
-    bits = []
-    for i, e in enumerate(mono):
-        if not e:
-            continue
-        slot = "x" if i < n else "y"
-        name = algebra.basis_labels[i % n]
-        suffix = name[1:] if name.startswith("x") else name
-        var = f"{slot}{suffix}"
-        bits.append(var if e == 1 else f"{var}^{e}")
-    return "*".join(bits) if bits else "1"
-
-
 def _coef_label(coef) -> str:
     """One coefficient of ``Poly.rows`` as a sum of c*s^i*t^j terms."""
     return " + ".join((f"{p}" if q == 1 else f"{p}/{q}") + (f"*s^{i}" if i else "")
                       + (f"*t^{j}" if j else "") for i, j, p, q in coef)
 
 
+def _labelled_rows(poly: BracketPolynomial):
+    """``poly.poly.rows()``, each row with its monomial label (x1*y2^3) and
+    its coefficient label, for all three table formats.  The c(k) last
+    rendered and its rows are held in ``_rendered``, so the three formats of
+    one c(k), asked for one after another, share one pass; a c(k) built
+    again is another object and gets its own."""
+    if _rendered[0] is not poly:
+        n, labels = poly.algebra.n, poly.algebra.basis_labels
+        names = [slot + (name[1:] if name.startswith("x") else name)
+                 for slot in "xy" for name in labels[:n]]
+        rows = [(mono, coef, "*".join(names[i] if e == 1 else f"{names[i]}^{e}"
+                                      for i, e in enumerate(mono) if e) or "1",
+                 _coef_label(coef)) for mono, coef in poly.poly.rows()]
+        _rendered[:] = poly, rows
+    return _rendered[1]
+
+
 def bracket_table_json(poly: BracketPolynomial) -> str:
-    """``poly.to_jsonable()`` in the bytes of ``json.dumps(..., indent=2,
-    sort_keys=True)``, written line by line in its fixed layout: with an
-    indent, json drops its C encoder and runs several times slower."""
-    data = poly.to_jsonable()
-    terms = data.pop("terms")   # the last key in sorted order
-    lines = ["{", *(f"  {json.dumps(key)}: {json.dumps(data[key])}," for key in sorted(data)),
-             '  "terms": [']
+    """The table in the bytes of ``json.dumps(..., indent=2, sort_keys=True)``
+    of {"algebra", "format": 1, "k", "kind": "bracket-polynomial", "schema",
+    "terms": [{"coef": [[i, j, "p/q"], ...], "mono": [...]}, ...]}, written
+    line by line in its fixed layout: with an indent, json drops its C
+    encoder and runs several times slower.  A "p/q" of ints is plain ASCII,
+    so json would write it as the f-string does."""
+    head = [f"  {json.dumps(key)}: {json.dumps(val)}," for key, val in (
+        ("algebra", poly.algebra.name), ("format", 1), ("k", poly.k),
+        ("kind", "bracket-polynomial"), ("schema", SCHEMA))]
     rows = []
-    for term in terms:
+    for mono, coef, _, _ in _labelled_rows(poly):
         coef = ",\n".join(f"        [\n          {i},\n          {j},\n"
-                          f"          {json.dumps(v)}\n        ]" for i, j, v in term["coef"])
-        mono = ",\n".join(f"        {e}" for e in term["mono"])
+                          f"          \"{p}/{q}\"\n        ]" for i, j, p, q in coef)
+        mono = ",\n".join(f"        {e}" for e in mono)
         rows.append(f'    {{\n      "coef": [\n{coef}\n      ],\n'
                     f'      "mono": [\n{mono}\n      ]\n    }}')
-    return "\n".join([*lines, ",\n".join(rows), "  ]", "}"]) + "\n"
+    return "\n".join(["{", *head, '  "terms": [', ",\n".join(rows), "  ]", "}"]) + "\n"
 
 
 def bracket_table_csv(poly: BracketPolynomial) -> str:
-    lines = ["mono,coefficient"]
-    for m, coef in poly.poly.rows():
-        lines.append(f"\"{_mono_label(poly.algebra, m)}\",\"{_coef_label(coef)}\"")
-    return "\n".join(lines) + "\n"
+    return "mono,coefficient\n" + "".join(
+        f"\"{mono}\",\"{coef}\"\n" for _, _, mono, coef in _labelled_rows(poly))
 
 
 def bracket_table_latex(poly: BracketPolynomial) -> str:
-    rows = []
-    for m, coef in poly.poly.rows():
-        label = _mono_label(poly.algebra, m).replace("*", r"\,")
-        coef = _coef_label(coef).replace("*", r"\,")
-        rows.append(f"  ${label}$ & ${coef}$ \\\\")
-    body = "\n".join(rows)
-    return (
-        "\\begin{tabular}{ll}\n"
-        "\\hline\n"
-        "monomial & coefficient \\\\\n"
-        "\\hline\n" + body + "\n\\hline\n\\end{tabular}\n"
-    )
+    body = "".join(f"  ${mono}$ & ${coef}$ \\\\\n".replace("*", r"\,")
+                   for _, _, mono, coef in _labelled_rows(poly))
+    return ("\\begin{tabular}{ll}\n\\hline\nmonomial & coefficient \\\\\n\\hline\n"
+            + body + "\\hline\n\\end{tabular}\n")

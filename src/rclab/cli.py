@@ -770,7 +770,7 @@ def main(argv=None) -> int:
                         if args.config else {})
         _check_output(args)
         return args.func(args)
-    except (ConfigError, AlgebraError, ValueError) as exc:
+    except (ConfigError, AlgebraError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -37,7 +37,8 @@ class Poly:
     __slots__ = ("exps", "coef", "den", "_columns", "_fcoef")
 
     def __init__(self, exps, coef, den=1):
-        """Rows of ``exps`` distinct and sorted; ``collect`` sees to both."""
+        """Rows of ``exps`` distinct and sorted; ``from_terms`` and ``collect``
+        see to both."""
         self.exps = exps          # (m, N) int64
         self.coef = coef          # (m, deg_s + 1, deg_t + 1) object array of ints
         self.den = den
@@ -49,36 +50,44 @@ class Poly:
     def from_terms(cls, terms, nvars: int, den=1) -> "Poly":
         """From {exponent tuple: coefficient}, every coefficient divided by
         ``den``; a coefficient is a rational (int or Fraction) or a
-        {(i, j): rational} dict, the polynomial sum of c s^i t^j."""
-        coefs = [c if isinstance(c, dict) else {(0, 0): c} for c in terms.values()]
+        {(i, j): rational} dict, the polynomial sum of c s^i t^j.  The keys
+        are distinct, so the rows are the sorted keys and nothing is summed."""
+        keys = sorted(terms)
+        coefs = [c if isinstance(c, dict) else {(0, 0): c} for c in map(terms.__getitem__, keys)]
         entries = [(r, i, j, v) for r, c in enumerate(coefs) for (i, j), v in c.items()]
         rs, i, j, v = zip(*entries) if entries else ((),) * 4
         lcm = math.lcm(1, *(x.denominator for x in v))
-        coef = np.zeros((len(coefs), max(i, default=0) + 1, max(j, default=0) + 1),
+        coef = np.zeros((len(keys), max(i, default=0) + 1, max(j, default=0) + 1),
                         dtype=object)
         coef[list(rs), list(i), list(j)] = [x.numerator * (lcm // x.denominator) for x in v]
-        exps = np.array(list(terms), dtype=np.int64).reshape(len(coefs), nvars)
-        return cls.collect(exps, coef, lcm * den)
+        exps = np.array(keys, dtype=np.int64).reshape(len(keys), nvars)
+        return cls._trimmed(exps, coef, lcm * den)
 
     @classmethod
     def collect(cls, exps, coef, den=1) -> "Poly":
         """From integer rows in any order, over ``den``: equal exponent rows
-        are summed, zero rows and zero top powers of s and t dropped, and the
-        denominator reduced, so equal polynomials have equal tables."""
+        are summed, then trimmed as in ``_trimmed``."""
         exps, inverse = np.unique(exps, axis=0, return_inverse=True)
         summed = np.zeros((len(exps),) + coef.shape[1:], dtype=object)
         np.add.at(summed, inverse.ravel(), coef)
-        nonzero = summed != 0
+        return cls._trimmed(exps, summed, den)
+
+    @classmethod
+    def _trimmed(cls, exps, coef, den) -> "Poly":
+        """From distinct sorted rows over ``den``: zero rows and zero top
+        powers of s and t dropped, and the denominator reduced, so equal
+        polynomials have equal tables."""
+        nonzero = coef != 0
         keep = nonzero.any(axis=(1, 2))
         ds = max(np.flatnonzero(nonzero.any(axis=(0, 2))), default=0)
         dt = max(np.flatnonzero(nonzero.any(axis=(0, 1))), default=0)
-        summed = summed[keep, :ds + 1, :dt + 1]
-        g = math.gcd(den, *summed.ravel().tolist())
-        return cls(exps[keep], summed // g, den // g)
+        coef = coef[keep, :ds + 1, :dt + 1]
+        g = math.gcd(den, *coef.ravel().tolist())
+        return cls(exps[keep], coef // g, den // g)
 
     def at(self, s, t) -> "Poly":
         """This polynomial at rational s, t, in the canonical form of
-        ``collect``: rows that vanish are dropped, the denominator reduced."""
+        ``_trimmed``: rows that vanish are dropped, the denominator reduced."""
         s, t = Fraction(s), Fraction(t)
         ds, dt = self.coef.shape[1] - 1, self.coef.shape[2] - 1
         # homogenised powers: s^i = s_num^i s_den^(ds - i) / s_den^ds
@@ -86,12 +95,8 @@ class Poly:
                       dtype=object)
         tp = np.array([t.numerator**j * t.denominator**(dt - j) for j in range(dt + 1)],
                       dtype=object)
-        coef = self.coef.dot(tp).dot(sp)
-        keep = coef != 0
-        coef = coef[keep]
-        den = self.den * s.denominator**ds * t.denominator**dt
-        g = math.gcd(den, *coef.tolist())
-        return Poly(self.exps[keep], (coef // g).reshape(-1, 1, 1), den // g)
+        return Poly._trimmed(self.exps, self.coef.dot(tp).dot(sp).reshape(-1, 1, 1),
+                             self.den * s.denominator**ds * t.denominator**dt)
 
     def _constant(self):
         if self.coef.shape[1:] != (1, 1):

@@ -49,7 +49,6 @@ from operator import add, sub
 
 import numpy as np
 
-from . import SCHEMA
 from .algebra import JordanAlgebra
 from .poly import Poly
 
@@ -544,21 +543,6 @@ class BracketPolynomial:
         return (isinstance(other, BracketPolynomial)
                 and self.algebra is other.algebra and self.k == other.k
                 and self.poly == other.poly)
-
-    # -- wire format --------------------------------------------------------
-
-    def to_jsonable(self):
-        rows = [{"mono": list(mono),
-                 "coef": [[i, j, f"{p}/{q}"] for i, j, p, q in coef]}
-                for mono, coef in self.poly.rows()]
-        return {
-            "schema": SCHEMA,
-            "kind": "bracket-polynomial",
-            "format": 1,
-            "algebra": self.algebra.name,
-            "k": self.k,
-            "terms": rows,
-        }
 
     def __repr__(self):
         return (f"BracketPolynomial({self.algebra.name}, k={self.k}, "

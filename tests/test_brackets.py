@@ -122,7 +122,7 @@ def test_disk_cache_rewrites_an_old_format(tmp_path, monkeypatch):
 
     alg = get_algebra("sym2")
     path = tmp_path / "c_sym2.json"
-    path.write_text(json.dumps(compute_c(alg, 1).to_jsonable()))
+    path.write_text(bracket_table_json(compute_c(alg, 1)))
     cold(monkeypatch)
     cached_c(alg, 1, str(tmp_path))
     assert json.loads(path.read_text())["format"] == B.CACHE_FORMAT
@@ -204,7 +204,7 @@ def test_compute_c_recurrence_matches_the_definition(name, kmax, monkeypatch):
     for k in range(kmax + 1):
         seed = SymExpr.det_power_seed(alg, k, k)
         want = extract_bracket_polynomial(apply_D_power(seed, k), k)
-        assert compute_c(alg, k).to_jsonable() == want.to_jsonable()
+        assert compute_c(alg, k) == want
 
 
 def test_a_cold_compute_c_writes_its_own_file(tmp_path, monkeypatch):
@@ -225,7 +225,7 @@ def test_a_build_reads_no_lower_file(tmp_path, monkeypatch):
     alg = get_algebra("sym2")
     want = compute_c(alg, 2)
     path = tmp_path / "c_sym2_k1.json"
-    misnamed = json.dumps(compute_c(get_algebra("spin3"), 1).to_jsonable())
+    misnamed = bracket_table_json(compute_c(get_algebra("spin3"), 1))
     path.write_text(misnamed)
     cold(monkeypatch)
     assert cached_c(alg, 2, str(tmp_path)) == want
@@ -491,6 +491,53 @@ def test_emitters_deterministic():
     assert latex.count("\\\\") >= c.num_monomials()
     data = json.loads(bracket_table_json(c))
     assert data["schema"] == "rc-lab/1"
+
+
+EMITTERS = (bracket_table_json, bracket_table_csv, bracket_table_latex)
+
+
+def test_the_three_tables_of_a_c_k_read_its_rows_once(monkeypatch):
+    # each format read Poly.rows and labelled every row again
+    import rclab.brackets as B
+
+    calls = []
+    rows = Poly.rows
+
+    def counted(poly):
+        calls.append(poly)
+        return rows(poly)
+
+    monkeypatch.setattr(Poly, "rows", counted)
+    monkeypatch.setattr(B, "_rendered", [None, None])
+    c = compute_c(get_algebra("sym2"), 2)
+    for emit in EMITTERS:
+        emit(c)
+    assert calls == [c.poly]
+
+
+def test_a_c_k_built_again_renders_its_own_tables(monkeypatch):
+    # the emitters hold the rows of the c(k) last rendered: a c(k) built
+    # again for the same (algebra, k), from a chain with one coefficient
+    # changed, must not be written with them
+    import rclab.brackets as B
+
+    alg = get_algebra("sym2")
+    c1 = compute_c(alg, 1)
+    before = [emit(c1) for emit in EMITTERS]
+    chain = B._pencil(alg, 1)
+    terms = {e: dict(c) for e, c in chain.terms.items()}
+    coef = terms.setdefault((0,) * alg.r + (1,), {})
+    coef[0, 0] = coef.get((0, 0), 0) + chain.den
+    with monkeypatch.context() as m:
+        m.setitem(B._pencils, alg.name, [B._pencil(alg, 0), SymExpr(alg, terms, chain.den)])
+        m.setattr(B, "_memory_cache", {})
+        other = compute_c(alg, 1)
+        assert other != c1
+        after = [emit(other) for emit in EMITTERS]
+        m.setattr(B, "_rendered", [None, None])
+        assert after == [emit(other) for emit in EMITTERS]
+    assert all(a != b for a, b in zip(after, before))
+    assert [emit(c1) for emit in EMITTERS] == before
 
 
 def test_ortho_poly_degree_bound():

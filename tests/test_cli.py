@@ -674,6 +674,33 @@ def test_cache_inspect_and_clear(tmp_path):
     assert json.loads(out)["entries"] == []
 
 
+def test_a_cache_file_that_is_a_directory_is_an_error(tmp_path):
+    # the chain's atomic write raised IsADirectoryError in a traceback
+    (tmp_path / "c_rank1.json").mkdir()
+    code, out, err = run_cli(["polys", "--algebra", "rank1", "--k", "2", "--format", "csv",
+                              "--cache-dir", str(tmp_path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Is a directory" in err and err.count("\n") == 1, err
+    assert sorted(os.listdir(tmp_path)) == ["c_rank1.json"]
+
+
+def test_cache_inspect_of_a_dangling_link_is_an_error(tmp_path):
+    # os.path.getsize raised FileNotFoundError in a traceback
+    (tmp_path / "c_x.json").symlink_to(tmp_path / "missing")
+    code, out, err = run_cli(["cache", "inspect", "--cache-dir", str(tmp_path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "c_x.json" in err and err.count("\n") == 1, err
+
+
+def test_cache_clear_of_a_directory_is_an_error(tmp_path):
+    # os.unlink raised IsADirectoryError in a traceback
+    (tmp_path / "c_dir.json").mkdir()
+    code, out, err = run_cli(["cache", "clear", "--cache-dir", str(tmp_path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "c_dir.json" in err and err.count("\n") == 1, err
+    assert (tmp_path / "c_dir.json").is_dir()
+
+
 def test_check_suite_exit_zero(tmp_path):
     code, out, _ = run_cli(["check", "cayley", "--algebra", "rank1",
                             "--cache-dir", str(tmp_path / "c")])

@@ -1,11 +1,12 @@
 """The sparse polynomial type: exact and numpy evaluation against a plain loop."""
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fraction_ref import quad_rep
 from rclab.algebra import ALGEBRA_NAMES, get_algebra, quad_rep as float_quad_rep
@@ -151,3 +152,27 @@ def test_zero_coefficients_are_not_stored():
     q = Poly.collect(np.array([[1, 0], [0, 1], [1, 0]]),
                      np.array([3, 4, -3], dtype=object).reshape(3, 1, 1), 8)
     assert q.exps.tolist() == [[0, 1]] and q.coef.tolist() == [[[1]]] and q.den == 2
+
+
+# a coefficient: an int or a Fraction, zero included, or a dict of them over
+# s^i t^j, i, j <= 2, whose top powers may all be zero
+numbers = st.one_of(st.integers(-3, 3), rationals)
+coefficients = st.one_of(numbers, st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), numbers, max_size=4))
+
+
+@given(terms=st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), coefficients, max_size=6),
+       den=st.integers(1, 12))
+@example(terms={}, den=4)
+@example(terms={(1, 0, 0): 0, (0, 2, 0): {(1, 1): 0}}, den=1)
+@example(terms={(0, 0, 1): {(2, 1): 0, (0, 2): 0, (0, 0): 3}, (0, 1, 0): Fraction(1, 2)}, den=6)
+def test_from_terms_is_collect_on_the_same_terms(terms, den):
+    # from_terms sorts the distinct keys and skips collect's unique-and-sum
+    coefs = [c if isinstance(c, dict) else {(0, 0): c} for c in terms.values()]
+    lcm = math.lcm(1, *(Fraction(v).denominator for c in coefs for v in c.values()))
+    coef = np.zeros((len(coefs), 3, 3), dtype=object)
+    for row, c in enumerate(coefs):
+        for (i, j), v in c.items():
+            coef[row, i, j] = int(Fraction(v) * lcm)
+    exps = np.array(list(terms), dtype=np.int64).reshape(len(terms), 3)
+    assert Poly.from_terms(terms, 3, den) == Poly.collect(exps, coef, lcm * den)
