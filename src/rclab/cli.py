@@ -451,11 +451,11 @@ def _suite_laplace(algebra, tols):
     nu = 2.8
     closed_gamma = quadrature.gamma_omega_closed(algebra, nu)
     ie = 1j * algebra.e
+    one = Poly.from_terms({(0,) * algebra.n: 1}, algebra.n)
     rows = []
     for z in tube._default_tube_points(algebra):
-        num = quadrature.tube_laplace(
-            algebra, [lambda c: np.ones(len(c))], z,
-            det_power=nu - algebra.n / algebra.r)[0]
+        num = quadrature.tube_laplace(algebra, one, z,
+                                      det_power=nu - algebra.n / algebra.r)[0]
         want = closed_gamma * np.exp(
             -nu * tube.logdet_tube(algebra, (z + ie).reshape(1, -1))[0])
         rows.append({"z": [[c.real, c.imag] for c in z.tolist()],

@@ -17,13 +17,17 @@ A Poly without parameters evaluates
   one-row case, its sum divided once, by den q^D;
 * over an (m, N) float or complex array (``numeric``): per-coordinate power
   tables are multiplied into the monomial columns of a block of points,
-  and the block's columns are summed against the float coefficients.
+  and the block's columns are summed against the float coefficients;
+  ``monomial_rows`` gives the monomial values themselves, rows first, for a
+  caller that integrates each monomial on its own.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -51,15 +55,21 @@ class Poly:
         """From {exponent tuple: coefficient}, every coefficient divided by
         ``den``; a coefficient is a rational (int or Fraction) or a
         {(i, j): rational} dict, the polynomial sum of c s^i t^j.  The keys
-        are distinct, so the rows are the sorted keys and nothing is summed."""
+        are distinct, so the rows are the sorted keys and nothing is summed;
+        each value goes straight to its place in the flat table."""
         keys = sorted(terms)
         coefs = [c if isinstance(c, dict) else {(0, 0): c} for c in map(terms.__getitem__, keys)]
-        entries = [(r, i, j, v) for r, c in enumerate(coefs) for (i, j), v in c.items()]
-        rs, i, j, v = zip(*entries) if entries else ((),) * 4
-        lcm = math.lcm(1, *(x.denominator for x in v))
-        coef = np.zeros((len(keys), max(i, default=0) + 1, max(j, default=0) + 1),
-                        dtype=object)
-        coef[list(rs), list(i), list(j)] = [x.numerator * (lcm // x.denominator) for x in v]
+        lcm = math.lcm(1, *map(attrgetter("denominator"),
+                               chain.from_iterable(map(dict.values, coefs))))
+        powers = set().union(*coefs)
+        ds = max((i for i, _ in powers), default=0)
+        width = max((j for _, j in powers), default=0) + 1
+        size = (ds + 1) * width
+        flat = [0] * (len(keys) * size)
+        for base, c in zip(range(0, len(flat), size), coefs):
+            for (i, j), x in c.items():
+                flat[base + i * width + j] = x.numerator * (lcm // x.denominator)
+        coef = np.array(flat, dtype=object).reshape(len(keys), ds + 1, width)
         exps = np.array(keys, dtype=np.int64).reshape(len(keys), nvars)
         return cls._trimmed(exps, coef, lcm * den)
 
@@ -83,7 +93,9 @@ class Poly:
         dt = max(np.flatnonzero(nonzero.any(axis=(0, 1))), default=0)
         coef = coef[keep, :ds + 1, :dt + 1]
         g = math.gcd(den, *coef.ravel().tolist())
-        return cls(exps[keep], coef // g, den // g)
+        if g > 1:
+            coef, den = coef // g, den // g
+        return cls(exps[keep], coef, den)
 
     def at(self, s, t) -> "Poly":
         """This polynomial at rational s, t, in the canonical form of
@@ -175,6 +187,26 @@ class Poly:
                 acc *= table[:, e]
             out[lo:lo + step] = acc @ fcoef
         return out
+
+    def monomial_rows(self, coordinate, m: int) -> np.ndarray:
+        """The (rows, m) table, rows first, of each monomial at m float or
+        complex points, whose coordinate i is the (m,) array
+        ``coordinate(i)``.  Only the coordinates that occur are asked for,
+        so a constant asks for none.  One power table per coordinate, also
+        rows first, feeds every row; each row has the bits of ``numeric``
+        on its monomial alone (at complex points from two points up: numpy
+        multiplies one complex value in place without fused multiply-adds,
+        a longer array with them)."""
+        cols = [(e, np.asarray(coordinate(i))) for i, e in self._columns]
+        dtype = np.result_type(np.float64, *(x.dtype for _, x in cols))
+        acc = np.ones((len(self.exps), m), dtype)
+        for e, x in cols:
+            table = np.empty((int(e.max()) + 1, m), dtype)
+            table[0] = 1
+            for p in range(1, len(table)):
+                np.multiply(table[p - 1], x, out=table[p])
+            acc *= table[e]
+        return acc
 
 
 def _powers(col, top) -> np.ndarray:

@@ -5,10 +5,12 @@ weight, nodes from the recurrence's Jacobi matrix, weights by the
 Christoffel sum of squared orthonormal polynomials.  Newton polishes the
 nodes until the largest step relative to max(1, |x|) is below 1e-14 or no
 longer shrinks: Laguerre nodes reach ~1000, where an absolute 1e-14 is below
-one ulp, and the steps then bounce at the rounding floor.  The recurrence
-rescales a node's polynomials by 2^-256 whenever they pass 2^256, so the
-Christoffel sum cannot overflow (it did from 187 Laguerre nodes); powers of
-two are exact, so every weight that was a normal float keeps its bits.
+one ulp, and the steps then bounce at the rounding floor.  Each Newton step
+is one pass of the recurrence on the stacked rows (p, p'), and one last
+pass of p alone gives the Christoffel sum.  Each pass rescales a node's
+values by 2^-256 whenever they pass 2^256, so nothing overflows (the
+Christoffel sum did from 187 Laguerre nodes); powers of two are exact, so
+every weight that was a normal float keeps its bits.
 Each rule is built once per (n, alpha, beta) and cached for the life of the
 process; its nodes and weights are read-only arrays that every caller
 shares, so nobody can corrupt a rule in place.
@@ -24,7 +26,7 @@ formula in absolute terms, not just up to ratios.  For rank r >= 2 that
 integral is one sum of the chamber rule of rank r - 1.  The tube Laplace
 transform sweeps the cone along rays xi = s omega, a table of unit rays per
 algebra (rank 1 is the one ray omega = 1), with a Laguerre rule in s that
-absorbs the det power.
+absorbs the det power; its integrands are the monomial rows of one Poly.
 
 Interval (Weyl-reduced) integrals, one cube-to-chamber rule in every rank,
 use the chamber normalization 1: only their ratios and zero tests are used.
@@ -51,6 +53,7 @@ from .algebra import (
     iota_jacobian,
 )
 from .brackets import compute_C
+from .poly import Poly
 
 __all__ = [
     "QuadratureRule",
@@ -83,60 +86,79 @@ class QuadratureRule:
     weights: np.ndarray
 
 
-def _orthonormal_eval(x, a, b, m0, n):
-    """p_tilde_n, its derivative and the Christoffel sum of p_tilde_0..n-1
-    squared at x (vectorized over x), each times 2^-e, 2^-e and 2^-2e.
+# a node's recurrence values are scaled by 2^-256 once they pass this
+_BIG = 2.0 ** 256
 
-    The per-node exponent e grows by 256 whenever |p| or |dp| passes 2^256,
-    before a square can overflow; scaling by a power of two is exact, so
-    nodes that never pass it get the same bits as an unscaled recurrence.
+
+def _newton_step(x, a, sb, n):
+    """p_tilde_n / p_tilde_n' at x (vectorized over x), from one (2, m)
+    recurrence on the rows (p_tilde, p_tilde'); ``sb`` lists sqrt(b).
+
+    A node whose |p| or |p'| passes 2^256 has both rows scaled by 2^-256,
+    before they can overflow; the ratio does not see the scale.
     """
-    x = np.asarray(x, dtype=float)
+    P = np.zeros((2, len(x)))
+    P[0] = 1.0 / sb[0]
+    P_prev = np.zeros_like(P)
+    for j in range(n):
+        nxt = (x - a[j]) * P
+        nxt[1] += P[0]
+        nxt -= (sb[j] if j > 0 else 0.0) * P_prev
+        nxt /= sb[j + 1]
+        P_prev, P = P, nxt
+        if np.abs(P).max() > _BIG:
+            f = np.where(np.abs(P).max(axis=0) > _BIG, 2.0 ** -256, 1.0)
+            P *= f
+            P_prev *= f
+    return P[0] / P[1]
+
+
+def _christoffel_weights(x, a, sb, n):
+    """The Gauss weights 1 / sum_{j<n} p_tilde_j(x)^2 at the nodes x;
+    ``sb`` lists sqrt(b).
+
+    The per-node exponent e grows by 256 whenever |p| passes 2^256, and the
+    sum is kept times 2^-2e, so it cannot overflow (it did from 187 Laguerre
+    nodes); scaling by a power of two is exact, so a weight that is a
+    normal float gets the bits of the unscaled sum.
+    """
     p_prev = np.zeros_like(x)
-    p = np.full_like(x, 1.0 / math.sqrt(m0))
-    dp_prev = np.zeros_like(x)
-    dp = np.zeros_like(x)
+    p = np.full_like(x, 1.0 / sb[0])
     s = np.zeros_like(x)
     e = np.zeros(x.shape, dtype=int)
     for j in range(n):
-        s += p ** 2
-        sb_next = math.sqrt(b[j + 1])
-        sb = math.sqrt(b[j]) if j > 0 else 0.0
-        p_next = ((x - a[j]) * p - sb * p_prev) / sb_next
-        dp_next = ((x - a[j]) * dp + p - sb * dp_prev) / sb_next
-        p_prev, p = p, p_next
-        dp_prev, dp = dp, dp_next
-        big = np.maximum(np.abs(p), np.abs(dp)) > 2.0 ** 256
-        if big.any():
+        s += p * p
+        p_prev, p = p, ((x - a[j]) * p - (sb[j] if j > 0 else 0.0) * p_prev) / sb[j + 1]
+        if np.abs(p).max() > _BIG:
+            big = np.abs(p) > _BIG
             f = np.where(big, 2.0 ** -256, 1.0)
-            p, p_prev, dp, dp_prev, s = p * f, p_prev * f, dp * f, dp_prev * f, s * f * f
+            p, p_prev, s = p * f, p_prev * f, s * f * f
             e += 256 * big
-    return p, dp, s, e
+    return np.ldexp(1.0 / s, -2 * e)
 
 
-def _gauss_from_recurrence(n, a, b, m0):
+def _gauss_from_recurrence(n, a, b):
     """Golub-Welsch initial nodes, Newton-polished on the recurrence until
     the largest step relative to max(1, |x|) is below 1e-14 or stops
-    shrinking (the rounding floor)."""
-    J = np.zeros((n, n))
-    for i in range(n):
-        J[i, i] = a[i]
-        if i + 1 < n:
-            off = math.sqrt(b[i + 1])
-            J[i, i + 1] = off
-            J[i + 1, i] = off
+    shrinking (the rounding floor); each Newton pass runs the recurrence of
+    (p_tilde, p_tilde') once (``_newton_step``), and one last pass of
+    p_tilde alone gives the weights (``_christoffel_weights``).  ``b[0]``
+    is the mass of the weight, and p_tilde_0 = 1 / sqrt(b[0])."""
+    sb = np.sqrt(b)
+    J = np.diag(a)
+    off = np.arange(n - 1)
+    J[off, off + 1] = J[off + 1, off] = sb[1:n]
     x = np.linalg.eigvalsh(J)
+    a, sb = a.tolist(), sb.tolist()
     last = math.inf
     for _ in range(50):
-        pn, dpn, _, _ = _orthonormal_eval(x, a, b, m0, n)
-        dx = pn / dpn
+        dx = _newton_step(x, a, sb, n)
         x = x - dx
         step = np.max(np.abs(dx) / np.maximum(1.0, np.abs(x)))
         if step < 1e-14 or step >= last:
             break
         last = step
-    _, _, s, e = _orthonormal_eval(x, a, b, m0, n)
-    w = np.ldexp(1.0 / s, -2 * e)
+    w = _christoffel_weights(x, a, sb, n)
     x.flags.writeable = False
     w.flags.writeable = False
     return QuadratureRule(x, w)
@@ -173,7 +195,7 @@ def _jacobi_rule(n, alpha, beta):
         num = 4.0 * k * (k + alpha) * (k + beta) * (k + ab)
         den = (2 * k + ab) ** 2 * (2 * k + ab + 1) * (2 * k + ab - 1)
         b[k] = num / den
-    return _gauss_from_recurrence(n, a, b, m0)
+    return _gauss_from_recurrence(n, a, b)
 
 
 def gauss_legendre(n: int) -> QuadratureRule:
@@ -204,7 +226,7 @@ def _laguerre_rule(n, alpha):
     b[0] = m0
     for k in range(1, n + 1):
         b[k] = k * (k + alpha)
-    return _gauss_from_recurrence(n, a, b, m0)
+    return _gauss_from_recurrence(n, a, b)
 
 
 def scaled_interval_rule(rule: QuadratureRule, lo: float, hi: float):
@@ -394,7 +416,7 @@ def gram_matrix(algebra: JordanAlgebra, lam, mu, k_max: int,
         n = gram_nodes(algebra, lam, mu, k_max)
     G = _gram_once(algebra, polys, lam, mu, n)
     G2 = _gram_once(algebra, polys, lam, mu, n + 8)
-    err = max(abs(G[i][j] - G2[i][j]) for i in range(len(G)) for j in range(len(G)))
+    err = worst(abs(G[i][j] - G2[i][j]) for i in range(len(G)) for j in range(len(G)))
     def ratio(k, l):
         scale = G2[k][k] * G2[l][l]
         # where the product overflows, the root of each diagonal entry
@@ -450,23 +472,25 @@ def _rays(name):
     return rays
 
 
-def tube_laplace(algebra: JordanAlgebra, integrands, z,
+def tube_laplace(algebra: JordanAlgebra, integrands: Poly, z,
                  det_power: float = 0.0) -> np.ndarray:
     """integral over Omega of det(xi)^p g(xi) e^{-tr xi} e^{i(z, xi)} d xi
-    at the tube point ``z``, for each g of the sequence ``integrands``, as a
-    complex array.
+    at the tube point ``z``, for each g a monomial row of the Poly
+    ``integrands`` (its coefficients are not read), as a complex array in
+    row order.
 
-    Each g maps an (m, n) coordinate array to an (m,) array, grows at most
-    polynomially, and is evaluated on the rule's nodes in turn.  Along a ray
-    xi = s omega of ``_rays``, det(xi)^p = s^{rp} det(omega)^p and the
-    density is s^{n-1}, so one Laguerre rule in s with alpha = n - 1 + rp
-    absorbs the (possibly fractional) power.  Its nodes are rescaled per ray
-    by q = (e + Im z | omega), so e^{-s} is the integrand's full decay; the
-    bounded phase e^{i s (Re z | omega)} is left to the rule, and each ray
-    weighs w_omega det(omega)^p / q^{alpha+1}.  The integral converges when
-    Im z + e lies in the cone.  Rays are summed in blocks of ``_RAY_BLOCK``
-    into one (integrands x rays) array, so the (rays x radial nodes) grid
-    never exists.
+    Along a ray xi = s omega of ``_rays``, det(xi)^p = s^{rp} det(omega)^p
+    and the density is s^{n-1}, so one Laguerre rule in s with
+    alpha = n - 1 + rp absorbs the (possibly fractional) power.  Its nodes
+    are rescaled per ray by q = (e + Im z | omega), so e^{-s} is the
+    integrand's full decay; the bounded phase e^{i s (Re z | omega)} is left
+    to the rule, and each ray weighs w_omega det(omega)^p / q^{alpha+1}.
+    The integral converges when Im z + e lies in the cone.  Rays are summed
+    in blocks of ``_RAY_BLOCK`` into one (integrands x rays) array, so the
+    (rays x radial nodes) grid never exists.  A block evaluates every row
+    from one rows-first power table (``Poly.monomial_rows``), and builds
+    only the coordinates of xi that some row reads: a constant row needs
+    none.
     """
     p = float(det_power)
     unit, weights, det = _rays(algebra.name)
@@ -477,14 +501,14 @@ def tube_laplace(algebra: JordanAlgebra, integrands, z,
     posc = unit @ (gram * z.real)
     if np.any(q <= 0):
         raise ValueError("integral does not converge")
-    sums = np.empty((len(integrands), len(q)), dtype=complex)
+    sums = np.empty((len(integrands.exps), len(q)), dtype=complex)
     for lo in range(0, len(q), _RAY_BLOCK):
         rays = slice(lo, lo + _RAY_BLOCK)
         s = rs.nodes[None, :] / q[rays, None]
-        coords = (s[:, :, None] * unit[rays, None, :]).reshape(-1, algebra.n)
         phase = np.exp(1j * posc[rays, None] * s)
-        for i, g in enumerate(integrands):
-            sums[i, rays] = (g(coords).reshape(s.shape) * phase) @ rs.weights
+        table = integrands.monomial_rows(lambda i: (s * unit[rays, i, None]).ravel(), s.size)
+        for i, vals in enumerate(table):
+            sums[i, rays] = (vals.reshape(s.shape) * phase) @ rs.weights
     return np.sum(sums * (weights * det**p / q ** (alpha + 1)), axis=1)
 
 

@@ -512,6 +512,7 @@ class BracketPolynomial:
         self.algebra = algebra
         self.k = int(k)
         self.poly = poly
+        self._specialized = {}      # (s0, t0) -> poly.at(s0, t0)
         bad = poly.exps.sum(axis=1) != algebra.r * self.k
         if bad.any():
             m = tuple(poly.exps[bad][0].tolist())
@@ -522,8 +523,13 @@ class BracketPolynomial:
         return len(self.poly.exps)
 
     def specialize(self, s0, t0) -> Poly:
-        """The polynomial at rational (s0, t0), for evaluate_specialized."""
-        return self.poly.at(s0, t0)
+        """The polynomial at rational (s0, t0), for evaluate_specialized.
+        Built once per (s0, t0) and held by this object; callers share it
+        and do not change it."""
+        key = (s0, t0)
+        if key not in self._specialized:
+            self._specialized[key] = self.poly.at(s0, t0)
+        return self._specialized[key]
 
     def evaluate(self, x, y, s0, t0):
         """The exact value at rational coordinate sequences x, y and (s0, t0)."""

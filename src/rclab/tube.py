@@ -390,10 +390,9 @@ def check_adjoint_image(algebra: JordanAlgebra, k: int, lam, mu, z1, z2,
     # one Laplace rule per slot transforms every monomial of that slot
     slots = []
     for cut, z, weight in ((slice(0, n), z1, lam), (slice(n, 2 * n), z2, mu)):
-        monos = list(dict.fromkeys(tuple(m) for m in spec.exps[:, cut].tolist()))
-        vals = tube_laplace(algebra, [Poly.from_terms({m: 1}, n).numeric for m in monos],
-                            z, det_power=float(weight) - float(shift))
-        slots.append(dict(zip(monos, vals.tolist())))
+        monos = Poly.from_terms(dict.fromkeys(map(tuple, spec.exps[:, cut].tolist()), 1), n)
+        vals = tube_laplace(algebra, monos, z, det_power=float(weight) - float(shift))
+        slots.append(dict(zip(map(tuple, monos.exps.tolist()), vals.tolist())))
     num = 0.0 + 0.0j
     for mono, coef in zip(spec.exps.tolist(), spec.fcoef):
         num += coef * slots[0][tuple(mono[:n])] * slots[1][tuple(mono[n:])]
@@ -454,11 +453,12 @@ def check_partial_isometry(algebra: JordanAlgebra, k: int, lam, mu,
     nu = lam_f + mu_f + 2 * k
     shift = 1.0  # n/r
     spec = compute_c(algebra, k).specialize(Fraction(lam) - 1, Fraction(mu) - 1)
+    nodes, w = box_rule([(1e-9, 3.0), (1e-9, 3.0)], n)
+    xi, zeta = nodes[:, 0], nodes[:, 1]
+    eta, we = scaled_interval_rule(gauss_legendre(n), 1e-9, 3.0)
     ratios = []
     for lo, hi in ((1.0, 2.2), (1.6, 3.0), (0.8, 2.8)):      # bumps h on (lo, hi)
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        nodes, w = box_rule([(1e-9, 3.0), (1e-9, 3.0)], n)
-        xi, zeta = nodes[:, 0], nodes[:, 1]
         hv = bump(((xi + zeta - mid) / half) ** 2)
         mask = hv > 0
         # |Phi h|^2 against the L^2_{lam,mu} weight xi^{-lam+1} zeta^{-mu+1}
@@ -470,8 +470,6 @@ def check_partial_isometry(algebra: JordanAlgebra, k: int, lam, mu,
             * spec.numeric(nodes[mask]) ** 2 * hv[mask] ** 2
         )
         num = float(np.sum(w * integrand))
-        g1 = gauss_legendre(n)
-        eta, we = scaled_interval_rule(g1, 1e-9, 3.0)
         den = float(np.sum(we * bump(((eta - mid) / half) ** 2) ** 2 * eta ** (-nu + 1)))
         ratios.append(num / den)
     spread = (worst(ratios) - min(ratios)) / worst(map(abs, ratios))
@@ -518,10 +516,9 @@ def check_bracket_transform_equivalence(algebra: JordanAlgebra, k: int,
     vg, wv = scaled_interval_rule(gl, -1.0, 1.0)
     cvals = C.poly.numeric(vg[:, None])
     eg, we = scaled_interval_rule(gl, 2 * lo, 2 * hi)
-    inner = np.array([
-        np.sum(wv * cvals * f1(eta * (1 - vg) / 2) * f1(eta * (1 + vg) / 2))
-        for eta in eg
-    ])
+    # one row per eta node, summed along v
+    inner = np.sum(wv * cvals * f1(eg[:, None] * (1 - vg) / 2)
+                   * f1(eg[:, None] * (1 + vg) / 2), axis=1)
     rk = algebra.r * k
     bhat = (1j ** rk) * 2.0 ** (-algebra.n) * eg ** (k + 1) * inner
     rhs = complex(np.sum(we * bhat * np.exp(1j * zz * eg)))

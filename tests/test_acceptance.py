@@ -9,6 +9,7 @@ import numpy as np
 
 from rclab.algebra import get_algebra
 from rclab import brackets, quadrature, tube
+from rclab.poly import Poly
 import rclab.cli as cli
 
 RANGE = [("rank1", 6), ("sym2", 3), ("sym3", 2), ("spin4", 2)]
@@ -128,7 +129,7 @@ def test_criterion_08_laplace_identity():
         assert len(pts) == 5
         for z in pts:
             num = quadrature.tube_laplace(
-                alg, [lambda c: np.ones(len(c))], z,
+                alg, Poly.from_terms({(0,) * alg.n: 1}, alg.n), z,
                 det_power=nu - alg.n / alg.r)[0]
             want = gamma_nu * np.exp(-nu * tube.logdet_tube(
                 alg, (z + ie).reshape(1, -1))[0])

@@ -2,6 +2,7 @@
 
 import functools
 import math
+from fractions import Fraction
 import tracemalloc
 import warnings
 
@@ -16,12 +17,14 @@ from rclab.brackets import jacobi_classical
 from rclab.cli import SUITE_TABLE
 from rclab.poly import Poly
 from rclab.quadrature import (
-    gauss_jacobi, gauss_legendre, gauss_laguerre,
+    gauss_jacobi, gauss_legendre, gauss_laguerre, MAX_LAGUERRE_NODES,
     gamma_omega_closed, gamma_omega_numeric,
     weyl_integral, gram_matrix,
     tube_laplace, box_rule, check_change_of_variables,
 )
 from rclab.tube import check_J_factorization, _default_tube_points
+
+from recurrence_ref import gauss_from_recurrence
 
 
 def test_gauss_rule_invariants():
@@ -38,38 +41,117 @@ def test_gauss_rule_invariants():
     assert abs(r.weights.sum() - math.gamma(3.5)) < 1e-11 * math.gamma(3.5)
 
 
-def test_newton_stops_at_the_rounding_floor(tmp_path, monkeypatch):
-    # every rule that check all builds for rank1 and sym2 takes at most three
-    # Newton passes over the recurrence and one pass for the weights
+# the algebras whose check-all rules are compared with the reference loop
+CHECKED_RULE_ALGEBRAS = ("rank1", "sym2", "spin4", "spin5", "spin6", "spin7", "spin8")
+
+
+@pytest.fixture(scope="module")
+def check_all_rules(tmp_path_factory):
+    """Every Gauss rule that check all builds for CHECKED_RULE_ALGEBRAS, each
+    built afresh: {(kind, key): (n, a, b, rule, Newton passes, weight
+    passes)}, with the recurrence (a, b) the rule was built from."""
     from rclab.cli import main
 
-    calls, per_rule = [0], {}
-    evaluate = quadrature._orthonormal_eval
+    tmp = tmp_path_factory.mktemp("check-all-rules")
+    calls, built, per_rule = {}, [], {}
+    newton, weights = quadrature._newton_step, quadrature._christoffel_weights
+    from_recurrence = quadrature._gauss_from_recurrence
 
-    def counted_eval(*args):
-        calls[0] += 1
-        return evaluate(*args)
+    def counted(kind, fn):
+        def run(*args):
+            calls[kind] += 1
+            return fn(*args)
+
+        return run
+
+    def recorded(n, a, b):
+        rule = from_recurrence(n, a, b)
+        built.append((n, a.copy(), b.copy(), rule))
+        return rule
 
     def counted_rule(kind, rule):
         @functools.cache
         def build(*key):
-            calls[0] = 0
+            calls.update(newton=0, weights=0)
             out = rule.__wrapped__(*key)
-            per_rule[kind, key] = calls[0]
+            per_rule[kind, key] = (*built[-1], calls["newton"], calls["weights"])
             return out
 
         return build
 
-    monkeypatch.setattr(quadrature, "_orthonormal_eval", counted_eval)
-    monkeypatch.setattr(quadrature, "_jacobi_rule",
-                        counted_rule("gauss-jacobi", quadrature._jacobi_rule))
-    monkeypatch.setattr(quadrature, "_laguerre_rule",
-                        counted_rule("gauss-laguerre", quadrature._laguerre_rule))
-    for name in ("rank1", "sym2"):
-        assert main(["check", "all", "--algebra", name, "--cache-dir", str(tmp_path),
-                     "--output", str(tmp_path / f"{name}.json")]) == 0
-    assert {kind for kind, _ in per_rule} == {"gauss-jacobi", "gauss-laguerre"}
-    assert max(per_rule.values()) <= 4, per_rule
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "_newton_step", counted("newton", newton))
+        mp.setattr(quadrature, "_christoffel_weights", counted("weights", weights))
+        mp.setattr(quadrature, "_gauss_from_recurrence", recorded)
+        mp.setattr(quadrature, "_jacobi_rule",
+                   counted_rule("gauss-jacobi", quadrature._jacobi_rule))
+        mp.setattr(quadrature, "_laguerre_rule",
+                   counted_rule("gauss-laguerre", quadrature._laguerre_rule))
+        for name in CHECKED_RULE_ALGEBRAS:
+            assert main(["check", "all", "--algebra", name, "--cache-dir", str(tmp),
+                         "--output", str(tmp / f"{name}.json")]) == 0
+    return per_rule
+
+
+def test_newton_stops_at_the_rounding_floor(check_all_rules):
+    # every rule that check all builds takes at most three Newton passes over
+    # the recurrence and one pass for the weights
+    assert {kind for kind, _ in check_all_rules} == {"gauss-jacobi", "gauss-laguerre"}
+    passes = {key: rec[-2:] for key, rec in check_all_rules.items()}
+    assert all(1 <= newton <= 3 and weights == 1
+               for newton, weights in passes.values()), passes
+
+
+def _assert_reference_bits(n, a, b, rule):
+    nodes, weights = gauss_from_recurrence(n, a, b, b[0])
+    assert np.array_equal(rule.nodes, nodes), n
+    assert np.array_equal(rule.weights, weights), n
+
+
+def test_check_all_rules_have_the_reference_bits(check_all_rules):
+    # the two-pass rules match the loop that ran the whole recurrence in
+    # every pass, bit for bit, on every rule of check all
+    assert len(check_all_rules) >= 10
+    for n, a, b, rule, _, _ in check_all_rules.values():
+        _assert_reference_bits(n, a, b, rule)
+
+
+def _recurrences(monkeypatch):
+    """Capture the (n, a, b) of each rule built while this is installed."""
+    seen = []
+
+    def capture(n, a, b):
+        seen.append((n, a, b))
+        return quadrature.QuadratureRule(np.zeros(n), np.zeros(n))
+
+    monkeypatch.setattr(quadrature, "_gauss_from_recurrence", capture)
+    return seen
+
+
+def test_laguerre_rules_past_the_rescale_have_the_reference_bits(monkeypatch):
+    # from 187 nodes the 2^256 rescale fires, and each pass now decides it
+    # from its own rows; every weight keeps its bits
+    seen = _recurrences(monkeypatch)
+    for n in range(187, MAX_LAGUERRE_NODES + 1):
+        quadrature._laguerre_rule.__wrapped__(n, 0.0)
+    for n in (187, 220, MAX_LAGUERRE_NODES):
+        quadrature._laguerre_rule.__wrapped__(n, 11.0)
+    monkeypatch.undo()
+    for n, a, b in seen:
+        _assert_reference_bits(n, a, b, quadrature._gauss_from_recurrence(n, a, b))
+
+
+def test_heavy_jacobi_rules_have_the_reference_bits(monkeypatch):
+    # alpha or beta about 151-165, where the mass comes from lgamma
+    seen = _recurrences(monkeypatch)
+    for big in (151.5, 155.0, 160.0, 165.0):
+        for n in (20, 60):
+            quadrature._jacobi_rule.__wrapped__(n, big, 3.0)
+            quadrature._jacobi_rule.__wrapped__(n, 0.0, big)
+    quadrature._jacobi_rule.__wrapped__(200, 160.0, 3.0)
+    monkeypatch.undo()
+    for n, a, b in seen:
+        _assert_reference_bits(n, a, b, quadrature._gauss_from_recurrence(n, a, b))
 
 
 def test_gauss_laguerre_moments_at_128_nodes():
@@ -100,18 +182,20 @@ def test_rescaled_christoffel_sum_keeps_the_bits():
     x = np.array(gauss_laguerre(n, alpha).nodes)
     a = np.array([2 * k + alpha + 1 for k in range(n)], dtype=float)
     b = np.array([1.0] + [k * (k + alpha) for k in range(1, n + 1)])
-    _, _, s, e = quadrature._orthonormal_eval(x, a, b, 1.0, n)
-    assert e.max() > 0
+    got = quadrature._christoffel_weights(x, a.tolist(), np.sqrt(b).tolist(), n)
     p_prev, p, plain = np.zeros_like(x), np.ones_like(x), np.zeros_like(x)
+    top = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n):
             plain += p ** 2
             sb = math.sqrt(b[j]) if j > 0 else 0.0
             p_prev, p = p, ((x - a[j]) * p - sb * p_prev) / math.sqrt(b[j + 1])
+            top = max(top, np.abs(p[:-1]).max())
         w = 1.0 / plain
+    assert top > 2.0 ** 256     # so the rescale fired
     normal = w >= np.finfo(float).tiny
     assert normal.sum() >= n - 2
-    assert np.array_equal(np.ldexp(1.0 / s, -2 * e)[normal], w[normal])
+    assert np.array_equal(got[normal], w[normal])
 
 
 def test_gauss_jacobi_degree_exactness():
@@ -370,6 +454,25 @@ def test_gram_ratio_survives_a_diagonal_product_past_the_float_range():
     assert rep.max_off_diagonal_ratio >= got
 
 
+def test_gram_error_keeps_a_nan_that_is_not_first(monkeypatch):
+    # Python's max drops a NaN that follows a number: max([1e-13, nan]) is
+    # 1e-13, so a NaN entry of the n-node matrix read as a tiny error
+    gram_once = quadrature._gram_once
+
+    def nan_at_n_nodes(algebra, polys, lam, mu, n):
+        G = gram_once(algebra, polys, lam, mu, n)
+        if n == nodes:
+            G[1][2] = math.nan
+        return G
+
+    alg = get_algebra("rank1")
+    nodes = quadrature.gram_nodes(alg, 2.0, 1.0, 3)
+    monkeypatch.setattr(quadrature, "_gram_once", nan_at_n_nodes)
+    rep = gram_matrix(alg, 2.0, 1.0, 3)
+    assert math.isnan(rep.estimated_error)
+    assert all(math.isfinite(v) for row in rep.matrix for v in row)
+
+
 def test_gram_matrix_symmetric():
     rep = gram_matrix(get_algebra("rank1"), 2.0, 1.0, 3)
     G = rep.matrix
@@ -378,25 +481,40 @@ def test_gram_matrix_symmetric():
             assert G[i][j] == G[j][i]
 
 
+def _rows(monos, n):
+    """The Poly whose monomial rows are ``monos``, each with coefficient 1."""
+    return Poly.from_terms(dict.fromkeys(map(tuple, monos), 1), n)
+
+
+def _row_integrands(rows):
+    """One callable per monomial row of ``rows``, in row order: the row as a
+    Poly of its own, evaluated by ``Poly.numeric``."""
+    return [_rows([m], rows.exps.shape[1]).numeric for m in rows.exps.tolist()]
+
+
 def test_tube_laplace_rank1_closed_form():
     alg = get_algebra("rank1")
     nu = 2.5
     z = np.array([2 + 3j])
-    got = tube_laplace(alg, [lambda c: np.ones(len(c))], z, det_power=nu - 1.0)[0]
+    got = tube_laplace(alg, _rows([(0,)], 1), z, det_power=nu - 1.0)[0]
     want = math.gamma(nu) * ((2 + 3j + 1j) / 1j) ** (-nu)
     assert abs(got - want) / abs(want) < 1e-12
 
 
 def test_tube_laplace_many_integrands_match_single_calls():
-    # one rule for three integrands gives the bits of three calls
-    integrands = [lambda c: np.ones(len(c)), lambda c: c[:, 0],
-                  lambda c: c[:, -1] ** 2 + 1j * c[:, 0]]
+    # one rule for several monomial rows gives the bits of one call per row,
+    # and the coefficients of the rows are not read: 1, x_0, x_-1^2, x_0^3
     for name, coords in (("rank1", (0.3 + 1.4j,)), ("sym2", (0.3 + 1.4j, 1.1j, 0.2 + 0.1j))):
         alg = get_algebra(name)
+        n = alg.n
+        monos = [(0,) * n, (1,) + (0,) * (n - 1), (0,) * (n - 1) + (2,),
+                 (3,) + (0,) * (n - 1)]
+        rows = Poly.from_terms({m: Fraction(-7, 3 + i) for i, m in enumerate(monos)}, n)
         z = np.array(coords)
-        got = tube_laplace(alg, integrands, z, det_power=0.8)
-        one = [tube_laplace(alg, [g], z, det_power=0.8) for g in integrands]
-        assert got.shape == (3,) and got.dtype == complex
+        got = tube_laplace(alg, rows, z, det_power=0.8)
+        one = [tube_laplace(alg, _rows([m], n), z, det_power=0.8)
+               for m in rows.exps.tolist()]
+        assert got.shape == (4,) and got.dtype == complex
         assert got.tobytes() == np.concatenate(one).tobytes(), name
 
 
@@ -434,14 +552,14 @@ def _tube_laplace_sym2_reference(integrands, z, p):
 
 
 def test_tube_laplace_sym2_blocks_keep_the_bits():
-    # cached rays and ray blocks change no bit of the whole-grid rule
-    monos = [(1, 0, 0), (0, 1, 1), (2, 0, 1), (1, 2, 3)]
-    integrands = [lambda c: np.ones(len(c))] + [Poly.from_terms({m: 1}, 3).numeric
-                                                 for m in monos]
+    # cached rays, ray blocks and one power table per block change no bit of
+    # the whole-grid rule that evaluates each row on its own
+    rows = _rows([(0, 0, 0), (1, 0, 0), (0, 1, 1), (2, 0, 1), (1, 2, 3)], 3)
+    integrands = _row_integrands(rows)
     alg = get_algebra("sym2")
     for z in _default_tube_points(alg):
         for p in (0.3, 1.5):
-            got = tube_laplace(alg, integrands, z, det_power=p)
+            got = tube_laplace(alg, rows, z, det_power=p)
             assert np.array_equal(got, _tube_laplace_sym2_reference(integrands, z, p)), (z, p)
 
 
@@ -482,11 +600,12 @@ def test_tube_laplace_rays_match_the_per_branch_rule(name):
     # the one ray rule moves each value by rounding only, measured against
     # the largest value of its row: some monomial integrals are about 1e-18
     alg = get_algebra(name)
-    monos = [(0,) * alg.n, *np.eye(alg.n, dtype=int).tolist(), [2] + [1] * (alg.n - 1)]
-    integrands = [Poly.from_terms({tuple(m): 1}, alg.n).numeric for m in monos]
+    rows = _rows([(0,) * alg.n, *np.eye(alg.n, dtype=int).tolist(),
+                  [2] + [1] * (alg.n - 1)], alg.n)
+    integrands = _row_integrands(rows)
     for z in _default_tube_points(alg):
         for p in (0.3, 1.8):
-            got = tube_laplace(alg, integrands, z, det_power=p)
+            got = tube_laplace(alg, rows, z, det_power=p)
             want = _tube_laplace_per_branch(alg, integrands, z, p)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (z, p)
 
@@ -531,7 +650,7 @@ def test_laplace_fails_on_a_radial_rule_without_the_det_power(name, monkeypatch)
 def test_tube_laplace_sym2_peak_memory():
     # ray blocks keep the peak at a few MB; the whole grid took 30.9 MB
     alg = get_algebra("sym2")
-    args = (alg, [lambda c: np.ones(len(c))], _default_tube_points(alg)[1], 1.3)
+    args = (alg, _rows([(0, 0, 0)], 3), _default_tube_points(alg)[1], 1.3)
     tube_laplace(*args)     # the Gauss rules and the rays are built once
     peak = _peak_bytes(tube_laplace, *args)
     assert peak < 8e6, peak
@@ -541,7 +660,7 @@ def test_tube_laplace_divergence_guard():
     alg = get_algebra("rank1")
     z = np.array([0.5 - 2j])     # Im z + e = -1 is outside the cone
     with pytest.raises(ValueError):
-        tube_laplace(alg, [lambda c: np.ones(len(c))], z)
+        tube_laplace(alg, _rows([(0,)], 1), z)
 
 
 def test_box_rule_volume():

@@ -414,6 +414,24 @@ def test_specialize_and_evaluate_examples():
     assert spec[(0, 1)] == 3 and spec[(1, 0)] == -4
 
 
+def test_specialize_builds_once_per_weight_on_its_own_c_k(monkeypatch):
+    # the c(k) holds each specialisation it built; a c(k) built again after
+    # the memory cache is reset holds its own
+    import rclab.brackets as B
+
+    alg = get_algebra("sym2")
+    c = B.compute_c(alg, 2)
+    spec = c.specialize(Fraction(1, 2), Fraction(3))
+    assert spec == c.poly.at(Fraction(1, 2), Fraction(3))
+    assert c.specialize(Fraction(1, 2), Fraction(3)) is spec
+    assert c.specialize(Fraction(3), Fraction(1, 2)) is not spec
+    monkeypatch.setattr(B, "_memory_cache", {})
+    again = B.compute_c(alg, 2)
+    assert again is not c
+    fresh = again.specialize(Fraction(1, 2), Fraction(3))
+    assert fresh is not spec and fresh == spec
+
+
 # ---------------------------------------------------------------------------
 # Cayley-type constants (internal oracle for the operator expansion)
 

@@ -11,6 +11,7 @@ import pytest
 from rclab.algebra import get_algebra, spectral, NotInCone
 from rclab.brackets import compute_c
 from rclab.cli import _path_logdet
+from rclab.poly import Poly
 from rclab.quadrature import gamma_omega_closed, tube_laplace
 from rclab.tube import (
     logdet_tube, coherent_state, holo_mixed_derivatives, GroupGenerator, pi_action, apply_B,
@@ -137,7 +138,7 @@ def test_laplace_of_weight_reproduces_coherent_state():
     nu = 2.0
     z = tube_el(2 + 3j)
     K = coherent_state(alg, nu, tube_el(1j))
-    got = tube_laplace(alg, [lambda c: np.ones(len(c))], z, det_power=nu - 1.0)[0]
+    got = tube_laplace(alg, Poly.from_terms({(0,): 1}, 1), z, det_power=nu - 1.0)[0]
     want = gamma_omega_closed(alg, nu) * at(K, z)
     assert abs(got - want) / abs(want) < 1e-8
 
