@@ -11,7 +11,7 @@ with a positive-definite trace form:
 
 A point is a row of coordinates.  Every exact constant is an integer: the
 structure table is held once, as integers over one denominator, and the
-exact checks draw integer rows over one denominator (``_random_ints``,
+samplers draw integer rows over one denominator (``_random_ints``,
 ``_cone_ints``) and multiply them with it (``_int_mul``).  A float or
 complex point is a numpy row, and the numerics of the cone run on (m, n)
 float arrays, one point per row: ``spectral`` (eigenvalues),

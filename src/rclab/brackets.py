@@ -7,61 +7,53 @@ the operator per step from c(k-1) to c(k) in the pencil coordinates of
 ``compute_C`` expands the same pencil form on the interval chart
 x = (e - v)/2, y = (e + v)/2, in the r eigenvalues of v, producing the
 one-slot family that generalizes the Jacobi polynomials (and reduces to
-them exactly in rank 1).  Both expansions read the one chain, so the
-checks that compare them test the two expansions, not the chain.
+them exactly in rank 1).  ``certify_expansions`` puts both expansions
+against the pencil form of their chain entry, exactly, with the Delta_j
+taken from det itself, and checks the two corner coefficients of the
+entry against their closed products.
 Only the chain goes to disk, one file per algebra, read and written by
 ``pencil_cache`` around the work of a command.
-
-The check_* functions return JSON-serializable reports made by
-``rclab.report``; exact checks use rational arithmetic end to end.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import random
 import tempfile
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
-from . import SCHEMA, report, worst
-from .algebra import (
-    JordanAlgebra, get_algebra, iota, spectral, _random_ints, _cone_ints, _int_mul,
-    random_chart_points,
-)
+from . import SCHEMA
+from .algebra import JordanAlgebra, get_algebra, spectral
 from .poly import Poly
 from .sympoly import (
-    SymExpr, BracketPolynomial, apply_D_power, extract_bracket_polynomial,
-    extract_interval_polynomial,
+    NonzeroRemainder, SymExpr, BracketPolynomial, apply_D_power, extract_bracket_polynomial,
+    extract_interval_polynomial, _c_mul, _interpolate,
 )
 
 __all__ = [
     "pencil_cache",
     "compute_c",
+    "certify_expansions",
     "OrthoPoly",
     "compute_C",
     "jacobi_classical",
     "jacobi_proportionality",
-    "check_chi_covariance",
-    "check_iota_factorization",
     "bracket_table_json",
     "bracket_table_csv",
     "bracket_table_latex",
 ]
 
 CACHE_FORMAT = 2
-# fixed draws of the numeric and exact checks, so their reports repeat bit
-# for bit: the seeds and the (lam, mu) weights of the iota factorization
-CHI_SEED = 2024
-IOTA_SEED = 99
-IOTA_WEIGHTS = ((2, 3), (Fraction(7, 2), Fraction(5, 2)))
-# samples per integer monomial table of the chi-covariance check: a table of
-# all 2 x 50 points at spin8 k = 2 holds about 1 MB of big integers
-CHI_BLOCK = 10
+# fixed draws of ``certify_expansions``: its seed, the samples per k and
+# side, and the bound on each drawn integer coordinate
+CERT_SEED = 2024
+CERT_SAMPLES = 8
+CERT_BOUND = 9
 # (algebra name, k) -> c(k) in x, y monomials
 _memory_cache: dict = {}
 # algebra name -> [c(0), c(1), ...] times (det x)^s (det y)^t, in the pencil
@@ -92,7 +84,7 @@ def _load_chain(path, algebra):
                 if len(exps) != algebra.r + 1 or sum(exps) != k:
                     return None
                 terms[tuple(exps)] = {(i, j): Fraction(v) for i, j, v in coef}
-            den = lcm(1, *(v.denominator for c in terms.values() for v in c.values()))
+            den = math.lcm(1, *(v.denominator for c in terms.values() for v in c.values()))
             chain.append(SymExpr(algebra, {e: {ij: int(v * den) for ij, v in c.items()}
                                            for e, c in terms.items()}, den))
         return chain
@@ -157,6 +149,73 @@ def _pencil(algebra, k):
     return chain[k]
 
 
+def _deltas(algebra, rows):
+    """Delta_0..Delta_r at integer rows (x, y), one list per row: det at
+    x + tau y, tau = 0..r, interpolated exactly in tau.  It reads det alone,
+    not the tables or the expansion loop that ``certify_expansions``
+    checks."""
+    n, r, det = algebra.n, algebra.r, algebra.det_poly
+    lines = [[u + tau * w for u, w in zip(row[:n], row[n:])]
+             for tau in range(r + 1) for row in rows]
+    values = det.monomials(lines).dot(det.coef[:, 0, 0]).reshape(r + 1, len(rows))
+    return _interpolate(values.astype(np.int64), f"{algebra.name} certificate").T.tolist()
+
+
+def certify_expansions(algebra: JordanAlgebra, k: int) -> None:
+    """Raise ``NonzeroRemainder``, naming the side, k and the sample, unless
+    c(k) and C(k) are the pencil form of chain entry k.
+
+    Each side is compared exactly at CERT_SAMPLES integer samples of a fixed
+    seed, as polynomials in (s, t), with the Delta_j of ``_deltas``:
+    * x, y: c(k)(x, y) against sum_e coef_e(s, t) prod_j Delta_j(x, y)^e_j;
+    * eigenvalues: C(k)(a) against the same at x = (e - v)/2, y = (e + v)/2,
+      with v = sum_i a_i c_i on the coordinate frame: the diagonal for
+      sym(r), ((a_1 + a_2)/2, (a_1 - a_2)/2, 0, ...) for the spin factors
+      and a in rank 1.  It is taken at the integers 4x, 4y, where each term,
+      of Delta-degree k, is 4^(rk) times its value.
+    The corners of the entry read only r and d: the coefficient of
+    Delta_r^k is prod_{i<r} (s + 1 + i d/2)_k (rising factorials), and that
+    of Delta_0^k is (-1)^(rk) times the same product in t.
+    """
+    r, n, d = algebra.r, algebra.n, algebra.d
+    pencil = _pencil(algebra, k)
+    # 2^(rk) times each corner product, one factor 2 (s + 1 + i d/2 + m) at a time
+    corner_s, corner_t = {(0, 0): 1}, {(0, 0): (-1) ** (r * k)}
+    for i in range(r):
+        for m in range(k):
+            corner_s = _c_mul(corner_s, [2 + i * d + 2 * m, 2], [1])
+            corner_t = _c_mul(corner_t, [1], [2 + i * d + 2 * m, 2])
+    for name, e, want in (("Delta_r^k", (0,) * r + (k,), corner_s),
+                          ("Delta_0^k", (k,) + (0,) * r, corner_t)):
+        got = {ij: v * 2 ** (r * k) for ij, v in pencil.terms.get(e, {}).items()}
+        if got != {ij: v * pencil.den for ij, v in want.items() if v}:
+            raise NonzeroRemainder(f"{algebra.name} k={k}: the coefficient of {name} "
+                                   f"is not its corner product")
+    rng = random.Random(CERT_SEED)
+    xys, eigs = ([[rng.randint(-CERT_BOUND, CERT_BOUND) for _ in range(count)]
+                  for _ in range(CERT_SAMPLES)] for count in (2 * n, r))
+    # 4x = 2e - 2v and 4y = 2e + 2v, with 2v on the coordinate frame
+    two_v = [[a[0] + a[1], a[0] - a[1]] + [0] * (n - 2) if algebra.family == "spin"
+             else [2 * x for x in a] + [0] * (n - r) for a in eigs]
+    charts = [[2 * e - w for e, w in zip(algebra.e_coords, v)]
+              + [2 * e + w for e, w in zip(algebra.e_coords, v)] for v in two_v]
+    for side, poly, points, scale, rows in (
+            ("x, y", compute_c(algebra, k).poly, xys, 1, xys),
+            ("eigenvalue", compute_C(algebra, k).poly, eigs, 4 ** (r * k), charts)):
+        width = poly.coef.shape[2]
+        values = poly.monomials(points).dot(poly.coef.reshape(len(poly.coef), -1))
+        for idx, (row, delta) in enumerate(zip(values.tolist(), _deltas(algebra, rows))):
+            form = {}
+            for e, coef in pencil.terms.items():
+                w = math.prod(map(pow, delta, e))
+                for ij, v in coef.items():
+                    form[ij] = form.get(ij, 0) + v * w
+            if ({divmod(p, width): v * scale * pencil.den for p, v in enumerate(row) if v}
+                    != {ij: v * poly.den for ij, v in form.items() if v}):
+                raise NonzeroRemainder(f"{algebra.name} k={k}: the {side} expansion "
+                                       f"differs from the pencil form at sample {idx}")
+
+
 def compute_c(algebra: JordanAlgebra, k: int) -> BracketPolynomial:
     """The k-th bracket polynomial c(k)_{s,t} for the given algebra: the
     x, y expansion of the pencil form ``_pencil(algebra, k)``, memoized
@@ -197,10 +256,8 @@ def compute_C(algebra: JordanAlgebra, k: int, lam=None, mu=None) -> OrthoPoly:
 
     C(k) is expanded from the pencil form of the in-process chain over the
     closed eigenvalue tables delta_j(a) (``extract_interval_polynomial``),
-    never from a c(k) in memory or on disk.  ``check_iota_factorization``
-    compares the x, y expansion of the chain through det's pencil tables
-    and iota with this expansion through ``spectral``: both read the one
-    chain, so it tests the two expansions and a wrong chain passes it.
+    never from a c(k) in memory or on disk; ``certify_expansions`` puts it
+    against that pencil form with the Delta_j taken from det.
     """
     if (lam is None) != (mu is None):
         raise ValueError("give both weights lam and mu, or neither")
@@ -262,110 +319,6 @@ def jacobi_proportionality(k: int, lam, mu):
     if ratio is None or ratio == 0:
         raise AssertionError(f"k={k}: degenerate proportionality constant")
     return ratio
-
-
-# ---------------------------------------------------------------------------
-# Identity checks (report dicts)
-
-
-def check_chi_covariance(algebra: JordanAlgebra, kmax: int, samples: int = 50) -> list:
-    """Exact test of c(k)(l x, l y) = chi(l)^k c(k)(x, y) for l = P(a), one
-    report per k = 0..kmax.
-
-    The samples are drawn once per algebra and shared by every k, all as
-    integers: a cone point a = A/D, two rational points x, y over one
-    denominator q, and weights (s0, t0).  With structure constants C/t,
-    l x = (2 C(A, C(A, X)) - C(C(A, A), X)) / (t^2 D^2 q), and chi(l) =
-    det(a)^2 = (N / (m D^r))^2, N / m the value of det_poly at A.  c(k) is
-    homogeneous of degree rk, so with v the integer value of c(k) at
-    integer numerators, the identity reads
-    v(l X, l Y) m^2k = N^2k t^2rk v(X, Y).  Per k, each sample's
-    coefficients of c(k) at (s0, t0) meet the integer monomial table of its
-    two points, built for CHI_BLOCK samples at a time; no Fraction is made
-    per sample.
-    """
-    cs = [compute_c(algebra, k) for k in range(kmax + 1)]
-    n, t, det_poly = algebra.n, algebra._table_den, algebra.det_poly
-    rng = random.Random(CHI_SEED)
-    cones, points, weights = [], [], []
-    for _ in range(samples):
-        A, _ = _cone_ints(rng, algebra)
-        X, qx = _random_ints(rng, n)
-        Y, qy = _random_ints(rng, n)
-        q = lcm(qx, qy)
-        AA = _int_mul(algebra, A, A)
-        XY = [v * (q // qx) for v in X] + [v * (q // qy) for v in Y]
-        for Z in (XY[:n], XY[n:]):
-            # (t D)^2 q P(a) z = 2 C(A, C(A, Z)) - C(C(A, A), Z)
-            AAZ = _int_mul(algebra, A, _int_mul(algebra, A, Z))
-            points.extend(2 * u - v for u, v in zip(AAZ, _int_mul(algebra, AA, Z)))
-        points.extend(XY)
-        cones.append(A)
-        weights.append([rng.randint(-4, 4), rng.randint(1, 3),
-                        rng.randint(-4, 4), rng.randint(1, 3)])
-    points = np.array(points, dtype=object).reshape(samples, 2, 2 * n)
-    sn, sd, tn, td = np.array(weights, dtype=object).reshape(-1, 4).T
-    dets = det_poly.monomials(cones).dot(det_poly.coef[:, 0, 0])
-    reports = []
-    for k, c in enumerate(cs):
-        coef = c.poly.coef
-        flat = coef.reshape(len(coef), -1)
-        # per sample: c(k)'s coefficients at (s0, t0) = (sn/sd, tn/td), times
-        # den sd^ds td^dt, contracted with the monomials at l(x, y) and (x, y)
-        sp = [sn**a * sd**(coef.shape[1] - 1 - a) for a in range(coef.shape[1])]
-        tp = [tn**b * td**(coef.shape[2] - 1 - b) for b in range(coef.shape[2])]
-        st = np.stack([u * v for u in sp for v in tp], axis=1)
-        lhs, rhs = np.empty((2, samples), dtype=object)
-        for lo in range(0, samples, CHI_BLOCK):
-            table = c.poly.monomials(points[lo:lo + CHI_BLOCK].reshape(-1, 2 * n))
-            for i, row in enumerate(st[lo:lo + CHI_BLOCK]):
-                spec = flat.dot(row)
-                lhs[lo + i], rhs[lo + i] = table[2 * i].dot(spec), table[2 * i + 1].dot(spec)
-        lhs *= det_poly.den ** (2 * k)
-        rhs *= dets ** (2 * k) * t ** (2 * algebra.r * k)
-        violations = [{"sample": idx, "s": str(Fraction(weights[idx][0], weights[idx][1])),
-                       "t": str(Fraction(weights[idx][2], weights[idx][3]))}
-                      for idx in np.flatnonzero(lhs != rhs).tolist()]
-        reports.append(report("chi-covariance", algebra.name, ok=not violations, k=k,
-                              samples=samples, exact=True, violations=violations))
-    return reports
-
-
-def check_iota_factorization(algebra: JordanAlgebra, kmax: int, samples: int = 20, *,
-                             tol: float) -> list:
-    """Numeric test of c(k)_{lam,mu}(iota(eta, v)) = det(eta)^k C(k)_{lam,mu}(v),
-    one report per k = 1..kmax (at k = 0 both sides are 1).
-
-    The left side is the x, y expansion of the chain through det's pencil
-    tables, at iota(eta, v); the right side is its expansion over the closed
-    eigenvalue tables, at the eigenvalues of v.  Both read the one chain, so
-    a wrong table on either side fails the test and a wrong chain passes it.
-
-    The chart points, ``samples`` per (lam, mu) of IOTA_WEIGHTS, are drawn
-    and mapped by iota once and shared by every k.
-    """
-    rng = random.Random(IOTA_SEED)
-    charts = []
-    for lam, mu in IOTA_WEIGHTS:
-        etas, vs = random_chart_points(rng, algebra, samples)
-        xs, ys = iota(algebra, etas, vs)
-        charts.append((lam, mu, np.hstack([xs, ys]), algebra.det_poly.numeric(etas), vs))
-    reports = []
-    for k in range(1, kmax + 1):
-        c = compute_c(algebra, k)
-        rows = []
-        for lam, mu, xys, dets, vs in charts:
-            spec = c.specialize(Fraction(lam), Fraction(mu))
-            lhss = spec.numeric(xys)
-            rhss = dets ** k * compute_C(algebra, k, lam, mu).evaluate(vs)
-            for lhs, rhs in zip(lhss.tolist(), rhss.tolist()):
-                scale = max(abs(lhs), abs(rhs), 1e-30)
-                rows.append({"lam": str(lam), "mu": str(mu),
-                             "residual": abs(lhs - rhs) / scale})
-        reports.append(report("interval-chart-factorization", algebra.name, k=k,
-                              tolerance=tol, max_residual=worst(r["residual"] for r in rows),
-                              samples=rows))
-    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,8 @@ _BLOCK = 1 << 13
 class Poly:
     __slots__ = ("exps", "coef", "den", "_columns", "_fcoef")
 
-    def __init__(self, exps, coef, den=1):
-        """Rows of ``exps`` distinct and sorted; ``from_terms`` and ``collect``
-        see to both."""
+    def __init__(self, exps, coef, den):
+        """Rows of ``exps`` distinct and sorted; ``from_terms`` sees to both."""
         self.exps = exps          # (m, N) int64
         self.coef = coef          # (m, deg_s + 1, deg_t + 1) object array of ints
         self.den = den
@@ -72,15 +71,6 @@ class Poly:
         coef = np.array(flat, dtype=object).reshape(len(keys), ds + 1, width)
         exps = np.array(keys, dtype=np.int64).reshape(len(keys), nvars)
         return cls._trimmed(exps, coef, lcm * den)
-
-    @classmethod
-    def collect(cls, exps, coef, den=1) -> "Poly":
-        """From integer rows in any order, over ``den``: equal exponent rows
-        are summed, then trimmed as in ``_trimmed``."""
-        exps, inverse = np.unique(exps, axis=0, return_inverse=True)
-        summed = np.zeros((len(exps),) + coef.shape[1:], dtype=object)
-        np.add.at(summed, inverse.ravel(), coef)
-        return cls._trimmed(exps, summed, den)
 
     @classmethod
     def _trimmed(cls, exps, coef, den) -> "Poly":

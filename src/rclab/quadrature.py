@@ -194,6 +194,9 @@ def _jacobi_rule(n, alpha, beta):
     for k in range(1, n + 1):
         num = 4.0 * k * (k + alpha) * (k + beta) * (k + ab)
         den = (2 * k + ab) ** 2 * (2 * k + ab + 1) * (2 * k + ab - 1)
+        if k == 1 and 1 + ab == 0:
+            # k + ab and 2k + ab - 1 both vanish: the same ratio without them
+            num, den = 4.0 * (1 + alpha) * (1 + beta), (2 + ab) ** 2 * (3 + ab)
         b[k] = num / den
     return _gauss_from_recurrence(n, a, b)
 

@@ -69,8 +69,9 @@ _PRIME = 2 ** 31 - 1
 
 
 class NonzeroRemainder(ArithmeticError):
-    """An exact certificate failed: a non-polynomial remainder, or an operator
-    fit that misses a point; signals an implementation bug."""
+    """An exact certificate failed: a non-polynomial remainder, an operator
+    fit that misses a point, or an expansion that is not its pencil form;
+    signals an implementation bug."""
 
 
 # ---------------------------------------------------------------------------
@@ -538,12 +539,6 @@ class BracketPolynomial:
     def evaluate_specialized(self, spec: Poly, x, y):
         """``evaluate`` with the parameters already set by ``specialize``."""
         return spec.exact(tuple(x) + tuple(y))
-
-    def swap_slots_and_params(self) -> "BracketPolynomial":
-        """c(k)_{t,s}(y, x) as a BracketPolynomial (for the exchange test)."""
-        p = self.poly
-        return BracketPolynomial(self.algebra, self.k, Poly.collect(
-            np.roll(p.exps, self.algebra.n, axis=1), p.coef.transpose(0, 2, 1), p.den))
 
     def __eq__(self, other):
         return (isinstance(other, BracketPolynomial)

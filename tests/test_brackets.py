@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from math import comb, prod
@@ -18,7 +19,6 @@ from rclab.algebra import ALGEBRA_NAMES, get_algebra, iota, spectral
 from rclab.brackets import (
     pencil_cache, compute_c, compute_C,
     jacobi_classical, jacobi_proportionality,
-    check_chi_covariance, check_iota_factorization,
     bracket_table_csv, bracket_table_latex, bracket_table_json,
 )
 from rclab.poly import Poly
@@ -53,8 +53,6 @@ def test_compute_c_rank1_k1():
 def test_diagonal_restriction_at_equal_parameters():
     # the slot exchange sends c_{s,t}(x,y) to (-1)^{rk} c_{t,s}(y,x), so the
     # diagonal restriction at s = t vanishes exactly when r*k is odd
-    import random
-
     rng = random.Random(0)
     r1 = get_algebra("rank1")
     c1 = compute_c(r1, 3)   # rk = 3, odd
@@ -328,117 +326,52 @@ def test_jacobi_proportionality_exact(params):
         assert ratio == math.factorial(k)
 
 
-def test_chi_covariance_reports_clean():
-    # every Delta_j has weight chi, so the pencil engine is covariant by
-    # construction; this tests the expansion to x, y and the integer P(a)
-    for name, kmax in (("rank1", 2), ("sym2", 1), ("spin4", 1)):
-        reps = check_chi_covariance(get_algebra(name), kmax, samples=15)
-        assert [rep["k"] for rep in reps] == list(range(kmax + 1))
-        for rep in reps:
-            assert rep["pass"] and rep["violations"] == []
-            assert rep["exact"] is True
-
-
-def test_chi_covariance_draws_each_sample_once(monkeypatch, tmp_path):
-    from rclab import brackets
-    from rclab.cli import main
-
-    calls = []
-    draw = brackets._cone_ints
-
-    def counted(rng, algebra):
-        calls.append(algebra.name)
-        return draw(rng, algebra)
-
-    monkeypatch.setattr(brackets, "_cone_ints", counted)
-    code = main(["check", "chi-covariance", "--algebra", "spin4",
-                 "--cache-dir", str(tmp_path), "--output", str(tmp_path / "chi.json")])
-    assert code == 0
-    # 50 samples shared by k = 0, 1, 2, not 50 per k
-    assert calls == ["spin4"] * 50
-
-
 def chi_covariance_reference(algebra, kmax, samples=50):
-    """check_chi_covariance as written over Fractions: the same draws, P(a)x
-    and P(a)y from the Fraction product per sample, and c.specialize plus
-    two evaluate_specialized calls per sample and k."""
-    import random
-
-    from rclab import brackets, report
-
-    rng = random.Random(brackets.CHI_SEED)
-    draws = []
-    for _ in range(samples):
-        a = cone_point(rng, algebra)
-        x = rational_point(rng, algebra)
-        y = rational_point(rng, algebra)
-        s0 = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        t0 = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        draws.append((det(algebra, a) ** 2, x, y, s0, t0,
-                      quad_rep(algebra, a, x), quad_rep(algebra, a, y)))
-    reports = []
+    """The samples at which c(k)(P(a)x, P(a)y) = det(a)^(2k) c(k)(x, y) fails,
+    per k = 0..kmax, over Fractions, each sample drawn once for every k."""
+    rng = random.Random(2024)
+    draws = [(cone_point(rng, algebra), rational_point(rng, algebra), rational_point(rng, algebra),
+              [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in "st"])
+             for _ in range(samples)]
+    out = []
     for k in range(kmax + 1):
         c = compute_c(algebra, k)
-        violations = []
-        for idx, (chi_val, x, y, s0, t0, lx, ly) in enumerate(draws):
-            spec = c.specialize(s0, t0)
-            lhs = c.evaluate_specialized(spec, lx, ly)
-            rhs = chi_val**k * c.evaluate_specialized(spec, x, y)
-            if lhs != rhs:
-                violations.append({"sample": idx, "s": str(s0), "t": str(t0)})
-        reports.append(report("chi-covariance", algebra.name, ok=not violations, k=k,
-                              samples=samples, exact=True, violations=violations))
-    return reports
+        out.append([i for i, (a, x, y, st) in enumerate(draws) if c.evaluate_specialized(
+            c.specialize(*st), quad_rep(algebra, a, x), quad_rep(algebra, a, y))
+            != det(algebra, a) ** (2 * k) * c.evaluate_specialized(c.specialize(*st), x, y)])
+    return out
 
 
-@pytest.mark.parametrize("name", ["rank1", "sym2", "sym3", "sym4", "spin3", "spin4",
-                                  "spin5", "spin6", "spin7", "spin8"])
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
 def test_chi_covariance_matches_the_fraction_reference(name):
+    # no suite checks the covariance: it holds by construction once the
+    # certificate ties c(k) to the pencil form; over Fractions every sample
+    # of every k matches
     from rclab.cli import _check_k
 
     alg = get_algebra(name)
-    kmax = _check_k(alg)
-    assert check_chi_covariance(alg, kmax) == chi_covariance_reference(alg, kmax)
+    assert chi_covariance_reference(alg, _check_k(alg)) == [[]] * (_check_k(alg) + 1)
 
 
-def test_chi_covariance_catches_a_wrong_coefficient(monkeypatch, tmp_path, wrong_c1):
+def test_chi_covariance_catches_a_wrong_coefficient(monkeypatch, wrong_c1):
     from rclab import brackets
-    from rclab.cli import main
 
     alg = get_algebra("spin4")
     monkeypatch.setitem(brackets._memory_cache, ("spin4", 1), wrong_c1(alg))
-    reps = check_chi_covariance(alg, 2)
-    assert [(rep["k"], rep["pass"]) for rep in reps] == [(0, True), (1, False), (2, True)]
-    assert reps[1]["violations"] and not reps[0]["violations"] and not reps[2]["violations"]
-    assert reps == chi_covariance_reference(alg, 2)
-    out = tmp_path / "chi.json"
-    code = main(["check", "chi-covariance", "--algebra", "spin4",
-                 "--cache-dir", str(tmp_path / "cache"), "--output", str(out)])
-    assert code == 1
-    data = json.loads(out.read_text())
-    assert data["pass"] is False
-    assert [rep["pass"] for rep in data["reports"]] == [True, False, True]
+    assert [bool(v) for v in chi_covariance_reference(alg, 2)] == [False, True, False]
 
 
 def test_a_wrong_integer_constant_fails_against_the_fraction_reference(monkeypatch):
     # the reference reads the Fraction table, so one corrupted constant of the
-    # integer table shows in _int_mul and in check_chi_covariance
+    # integer table shows in _int_mul (which test_algebra puts against it)
     from rclab.algebra import _int_mul
 
-    alg = get_algebra("spin4")
-    for k in range(2):
-        compute_c(alg, k)   # built, and cached, before the table is corrupted
-    want = chi_covariance_reference(alg, 1)
-    assert check_chi_covariance(alg, 1) == want
-    X, Y = [1, 2, -1, 3], [2, -1, 1, 1]
+    alg, X, Y = get_algebra("spin4"), [1, 2, -1, 3], [2, -1, 1, 1]
     t = alg._table_den
     assert [Fraction(v, t) for v in _int_mul(alg, X, Y)] == list(mul(alg, X, Y))
     (i, j, m, c), *rest = alg._int_table
     monkeypatch.setitem(vars(alg), "_int_table", ((i, j, m, 2 * c), *rest))
     assert [Fraction(v, t) for v in _int_mul(alg, X, Y)] != list(mul(alg, X, Y))
-    assert chi_covariance_reference(alg, 1) == want
-    reps = check_chi_covariance(alg, 1)
-    assert reps != want and [rep["pass"] for rep in reps] == [True, False]
 
 
 def test_iota_factorization_rank1_v0():
@@ -450,23 +383,6 @@ def test_iota_factorization_rank1_v0():
     x, y = iota(alg, np.array([[1.7]]), np.array([[0.0]]))
     lhs = spec.numeric(np.hstack([x, y]))[0]
     assert abs(lhs - 1.7 * (5 - 2) / 2) < 1e-12
-
-
-def test_iota_factorization_reports():
-    for name, kmax in (("rank1", 2), ("sym2", 2), ("spin4", 2)):
-        reps = check_iota_factorization(get_algebra(name), kmax, samples=8, tol=1e-10)
-        assert [rep["k"] for rep in reps] == list(range(1, kmax + 1))
-        for rep in reps:
-            assert rep["pass"], rep
-            assert rep["max_residual"] < 1e-10
-
-
-def test_iota_factorization_fails_on_nan(monkeypatch):
-    from rclab.poly import Poly
-
-    monkeypatch.setattr(Poly, "numeric", lambda self, points: np.full(len(points), np.nan))
-    [rep] = check_iota_factorization(get_algebra("rank1"), 1, tol=1e-10)
-    assert rep["pass"] is False
 
 
 @pytest.mark.parametrize("name", ALGEBRA_NAMES)
@@ -609,26 +525,21 @@ def restriction_reference(c, lam, mu):
 def restriction_over_Q_s_t(algebra, c):
     """C(k) from the x, y monomials of c(k), over Q[s,t]: each monomial at the
     integer forms 4x, 4y of the frame (every monomial has degree rk, so each
-    takes 4^-(rk) into the denominator)."""
+    takes 4^-(rk) into the denominator), summed term by term."""
     forms = [{m: int(4 * v) for m, v in form.items()} for form in frame_forms(algebra)]
-    poly, exps, rows, weights = c.poly, [], [], []
-    for row, mono in enumerate(poly.exps.tolist()):
-        acc = on_the_frame(forms, mono, algebra.r, 1)
-        exps.extend(acc)
-        rows.extend([row] * len(acc))
-        weights.extend(acc.values())
-    coef = np.array(weights, dtype=object).reshape(-1, 1, 1) * poly.coef[rows]
-    return Poly.collect(np.array(exps, dtype=np.int64).reshape(-1, algebra.r), coef,
-                        poly.den * 4 ** (algebra.r * c.k))
+    terms = {}
+    for mono, coef in c.poly.rows():
+        for m, w in on_the_frame(forms, mono, algebra.r, 1).items():
+            acc = terms.setdefault(m, {})
+            for i, j, p, q in coef:
+                acc[i, j] = acc.get((i, j), 0) + w * Fraction(p, q)
+    return Poly.from_terms(terms, algebra.r, 4 ** (algebra.r * c.k))
 
 
-def _capped_cases():
-    from rclab.cli import K_CAPS
-
-    return [(name, k) for name, cap in K_CAPS.items() for k in range(cap + 1)]
+CAPPED_CASES = [(name, k) for name, cap in K_CAPS.items() for k in range(cap + 1)]
 
 
-@pytest.mark.parametrize("name, k", _capped_cases())
+@pytest.mark.parametrize("name, k", CAPPED_CASES)
 def test_compute_C_is_the_restriction_of_the_specialized_c(name, k):
     alg = get_algebra(name)
     c = compute_c(alg, k)
@@ -636,7 +547,7 @@ def test_compute_C_is_the_restriction_of_the_specialized_c(name, k):
         assert compute_C(alg, k, lam, mu).poly == restriction_reference(c, lam, mu)
 
 
-@pytest.mark.parametrize("name, k", _capped_cases())
+@pytest.mark.parametrize("name, k", CAPPED_CASES)
 def test_compute_C_is_the_restriction_of_c_over_Q_s_t(name, k):
     # C(k) comes from the pencil form over the eigenvalue tables, the oracle
     # from the x, y monomials of c(k) on a Jordan frame
@@ -646,43 +557,39 @@ def test_compute_C_is_the_restriction_of_c_over_Q_s_t(name, k):
 
 def test_compute_C_ignores_a_replaced_c(monkeypatch, tmp_path, wrong_c1):
     # C(k) reads no c(k), so a wrong c(1) leaves C(1) as it was, and the
-    # factorization that compares the two routes fails
+    # certificate, which puts c(1) against the chain, fails
     from rclab import brackets
     from rclab.cli import main
 
     for name in ("rank1", "spin4"):
         alg = get_algebra(name)
         before = compute_C(alg, 1).poly
+        out = tmp_path / f"poly_{name}.json"
         with monkeypatch.context() as m:
             m.setitem(brackets._memory_cache, (name, 1), wrong_c1(alg))
             assert compute_C(alg, 1).poly == before
-            out = tmp_path / f"iota_{name}.json"
-            code = main(["check", "iota-factorization", "--algebra", name,
-                         "--output", str(out)])
-        assert code == 1
-        reps = json.loads(out.read_text())["reports"]
-        assert [(rep["k"], rep["pass"]) for rep in reps] == [(1, False), (2, True)]
+            assert main(["check", "polynomiality", "--algebra", name, "--output", str(out)]) == 1
+        assert "k=1: the x, y expansion" in json.loads(out.read_text())["reports"][0]["error"]
 
 
-@pytest.mark.parametrize("name", ["sym2", "spin6", "sym3"])
-def test_a_wrong_eigen_table_fails_iota_factorization(monkeypatch, tmp_path, name):
-    # the constant of delta_0(a) = prod (1 - a_i) / 2^r off by one: C(k) is no
-    # longer c(k) on the chart, and check all, like the suite alone, says so
-    from rclab import sympoly
-    from rclab.cli import main
+@pytest.mark.parametrize("table, side", [("_pencil_tables", "x, y"),
+                                         ("_eigen_tables", "eigenvalue")], ids=["pencil", "eigen"])
+@pytest.mark.parametrize("name", ["rank1", "sym2", "sym3", "sym4", "spin4", "spin6", "spin8"])
+def test_a_wrong_table_entry_fails_polynomiality(monkeypatch, name, table, side):
+    # one entry of Delta_0 (the first monomial of det x, or the constant of
+    # prod (1 - a_i)) off by one: the expansion is no longer the pencil form,
+    # and the certificate names the side and k
+    from rclab import brackets, sympoly
+    from rclab.cli import run_suites
 
     alg = get_algebra(name)
-    tables = sympoly._eigen_tables(alg)
+    tables = getattr(sympoly, table)(alg)
     rows = [dict(row) for row in tables.rows]
-    rows[0][(0,) * alg.r] += 1
-    monkeypatch.setitem(vars(alg), "_eigen_tables",
-                        sympoly._TableSet(rows, tables.nvars, tables.den))
-    for suite in ("iota-factorization", "all"):
-        out = tmp_path / f"{suite}.json"
-        assert main(["check", suite, "--algebra", name, "--output", str(out)]) == 1
-        reports = json.loads(out.read_text())["reports"]
-        iota_reports = [rep for rep in reports if rep["check"] == "interval-chart-factorization"]
-        assert [rep["pass"] for rep in iota_reports] == [False, False]
+    rows[0][min(rows[0])] += 1
+    monkeypatch.setitem(vars(alg), table, sympoly._TableSet(rows, tables.nvars, tables.den))
+    monkeypatch.setattr(brackets, "_memory_cache", {})
+    [rep], ok = run_suites(alg, "polynomiality")
+    assert not ok and f"k=1: the {side} expansion" in rep["error"]
 
 
 def monomial_symmetric(a, kappa):
@@ -716,11 +623,7 @@ def box_ratios(alg, k, lam=3, mu=2):
     return np.abs(cross) / np.sqrt(vals[0] * norms)
 
 
-def _capped_cases():
-    return [(name, k) for name in ALGEBRA_NAMES for k in range(1, K_CAPS[name] + 1)]
-
-
-@pytest.mark.parametrize("name, k", _capped_cases())
+@pytest.mark.parametrize("name, k", [(name, k) for name, k in CAPPED_CASES if k])
 def test_C_is_orthogonal_to_the_rest_of_its_box(name, k):
     alg = get_algebra(name)
     ratios = box_ratios(alg, k)
@@ -728,23 +631,43 @@ def test_C_is_orthogonal_to_the_rest_of_its_box(name, k):
     assert ratios.max() < 1e-12, ratios.max()
 
 
-def test_the_box_oracle_catches_a_chain_that_keeps_slot_exchange(monkeypatch):
-    # a change of c(1) in the chain that keeps slot exchange: 1 more in the
-    # s^0 t^0 coefficient of Delta_r and (-1)^r more in that of Delta_0.  Both
-    # expansions read the chain, so iota-factorization passes it
+def corner_change(alg, twin=True):
+    """c(0) and c(1) plus Delta_r + (-1)^r Delta_0, a change of the chain
+    that keeps slot exchange; without its ``twin`` Delta_0, one that breaks it."""
     from rclab import brackets
-    from rclab.cli import run_suites
+
+    c1 = brackets._pencil(alg, 1)
+    terms = {e: dict(c) for e, c in c1.terms.items()}
+    for e, step in (((0,) * alg.r + (1,), 1), ((1,) + (0,) * alg.r, twin * (-1) ** alg.r)):
+        coef = terms.setdefault(e, {})
+        coef[0, 0] = coef.get((0, 0), 0) + step * c1.den
+    return [brackets._pencil(alg, 0), SymExpr(alg, terms, c1.den)]
+
+
+def test_the_box_oracle_catches_a_chain_that_keeps_slot_exchange(monkeypatch):
+    # the box oracle reads no chain (the certificate's corners fail it too)
+    from rclab import brackets
 
     for name in ("sym2", "sym3", "spin3", "spin4", "spin5", "spin6", "spin7", "spin8"):
-        alg = get_algebra(name)
-        c1 = brackets._pencil(alg, 1)
-        terms = {e: dict(c) for e, c in c1.terms.items()}
-        for e, step in (((0,) * alg.r + (1,), 1), ((1,) + (0,) * alg.r, (-1) ** alg.r)):
-            coef = terms.setdefault(e, {})
-            coef[0, 0] = coef.get((0, 0), 0) + step * c1.den
         with monkeypatch.context() as m:
-            m.setitem(brackets._pencils, name,
-                      [brackets._pencil(alg, 0), SymExpr(alg, terms, c1.den)])
+            m.setitem(brackets._pencils, name, corner_change(get_algebra(name)))
             m.setattr(brackets, "_memory_cache", {})
-            assert box_ratios(alg, 1).max() > 1e-3, name
-            assert run_suites(alg, "iota-factorization")[1], name
+            assert box_ratios(get_algebra(name), 1).max() > 1e-3, name
+
+
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_a_chain_with_wrong_corners_fails_check_all(monkeypatch, name):
+    # exchange and both expansions hold: only the corners in polynomiality,
+    # which check all runs everywhere, see it; without its twin exchange does
+    from rclab import brackets
+    from rclab.cli import _plan, run_suites
+
+    alg = get_algebra(name)
+    kept, broken = corner_change(alg), corner_change(alg, twin=False)
+    monkeypatch.setitem(brackets._pencils, name, kept)
+    monkeypatch.setattr(brackets, "_memory_cache", {})
+    [rep], ok = run_suites(alg, "polynomiality")
+    assert not ok and "k=1: the coefficient of Delta_r^k" in rep["error"]
+    assert run_suites(alg, "exchange")[1] and "polynomiality" in _plan(alg, "all", {})
+    monkeypatch.setitem(brackets._pencils, name, broken)
+    assert [rep["pass"] for rep in run_suites(alg, "exchange")[0][:2]] == [True, False]

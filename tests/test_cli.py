@@ -372,11 +372,11 @@ def test_the_parser_is_built_once_and_keeps_no_call_state(tmp_path, monkeypatch)
     monkeypatch.setattr(cli, "run_suites", record)
     config = tmp_path / "rclab.conf"
     config.write_text("algebra = sym2\n")
-    assert run_cli(["--config", str(config), "check", "iota-factorization",
-                    "--tol", "iota-fact=1e-11"])[0] == 0
-    assert run_cli(["check", "iota-factorization"])[0] == 0
-    assert seen == [("sym2", "iota-factorization", {"iota-fact": 1e-11}),
-                    ("rank1", "iota-factorization", {})]
+    assert run_cli(["--config", str(config), "check", "jordan-numerics",
+                    "--tol", "jacobian=1e-7"])[0] == 0
+    assert run_cli(["check", "jordan-numerics"])[0] == 0
+    assert seen == [("sym2", "jordan-numerics", {"jacobian": 1e-7}),
+                    ("rank1", "jordan-numerics", {})]
 
 
 @pytest.mark.parametrize("config, bad", [
@@ -931,6 +931,15 @@ def test_the_automorphism_suite_and_its_tolerance_are_gone(tmp_path):
         assert code == 2 and out == "" and "aut" in err and err.count("\n") == 1, (argv, err)
 
 
+def test_the_chi_and_iota_suites_and_their_tolerance_are_gone(tmp_path):
+    (tmp_path / "run.cfg").write_text("tol = iota-fact=1e-11\n")
+    for argv in (["check", "chi-covariance"], ["check", "iota-factorization"],
+                 ["check", "all", "--tol", "iota-fact=1e-11"],
+                 ["--config", str(tmp_path / "run.cfg"), "check", "all"]):
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == "" and ("chi" in err or "iota" in err), (argv, err)
+
+
 def test_every_tolerance_a_suite_reads_is_named():
     # a suite reads ``tols`` only as tols["literal"], and exactly the names
     # its SUITE_TABLE row lists
@@ -952,16 +961,15 @@ def test_every_tolerance_a_suite_reads_is_named():
 
 
 def test_the_built_in_tolerances_per_algebra():
-    # 17 names, each read by one suite, at the values the checks held before
+    # 16 names, each read by one suite, at the values the checks held before
     # the table
     from rclab.algebra import ALGEBRA_NAMES
     import rclab.cli as cli
 
     names = [t for row in cli.SUITE_TABLE.values() for t in row.tols]
-    assert len(names) == len(set(names)) == 17
+    assert len(names) == len(set(names)) == 16
     for alg in ALGEBRA_NAMES:
-        want = {"iota-fact": 1e-10, "iota-roundtrip": 1e-12, "jacobian": 1e-6,
-                "gamma": 1e-12}
+        want = {"iota-roundtrip": 1e-12, "jacobian": 1e-6, "gamma": 1e-12}
         if alg == "rank1":
             want.update({"orthogonality": 1e-12, "laplace": 1e-8, "adjoint": 1e-6,
                          "isometry-norm": 1e-6, "operator-equivalence": 1e-6,
@@ -1073,7 +1081,7 @@ def test_every_suite_the_table_lists_reports_and_reads_its_tolerances(
         code, out, err = run_cli(["check", "all", "--algebra", alg, "--cache-dir", cache_dir])
         assert code == 0, (alg, err)
         want = [n for n, row in cli.SUITE_TABLE.items() if alg in row.algebras]
-        assert list(ran) == want and len(want) == {"rank1": 19, "sym2": 16, "sym3": 8}.get(alg, 7)
+        assert list(ran) == want and len(want) == {"rank1": 17, "sym2": 14, "sym3": 6}.get(alg, 5)
         for name, (count, names) in ran.items():
             assert count > 0, (alg, name)
             assert names == set(cli.SUITE_TABLE[name].tolerances(alg)), (alg, name)
@@ -1096,7 +1104,7 @@ def test_cauchy_and_branch_suites_pass_for_the_spin_factors(name):
 
 # suites that left rclab while the benchmark's tracer still names them: the
 # tracer reports 0 s for each until the benchmark's own next change drops it
-GONE_FROM_RCLAB = {"aut-invariance"}
+GONE_FROM_RCLAB = {"aut-invariance", "chi-covariance", "iota-factorization"}
 
 
 def test_the_benchmark_tracer_names_only_suites_that_exist():
@@ -1132,7 +1140,7 @@ def test_check_all_rank1_exit_zero(tmp_path):
     assert data["pass"] is True
     names = {r["check"] for r in data["reports"]}
     # the aggregate names every verified identity
-    assert {"chi-covariance", "interval-orthogonality",
+    assert {"rodrigues-polynomiality", "interval-orthogonality",
             "bracket-group-covariance", "cone-gamma-integral",
             "laplace-averaging-factorization",
             "adjoint-partial-isometry"} <= names
@@ -1251,13 +1259,23 @@ def test_gamma_suite_fails_on_a_wrong_cone_constant(monkeypatch):
         assert not ok, name
 
 
+def test_jordan_numerics_catches_a_scaled_iota(monkeypatch):
+    # jordan-numerics is the only suite that reads iota
+    from rclab import algebra
+
+    iota = algebra.iota
+    monkeypatch.setattr(algebra, "iota", lambda *args: tuple(1.001 * p for p in iota(*args)))
+    for name in algebra.ALGEBRA_NAMES:
+        assert run_cli(["check", "jordan-numerics", "--algebra", name])[0] == 1, name
+
+
 def test_benchmark_tracer_still_wraps_rclab(tmp_path):
     # perfbench/tracing.py wraps BracketPolynomial.evaluate, evaluate_specialized
     # and specialize, OrthoPoly.evaluate, the f_eig/h_eig integrands, the
     # coordinates of logdet_tube and SymExpr.num_terms by name; a rename or a
     # new signature of a hooked function breaks `perfbench/run.py --trace 1`.
-    # The iota factorization specializes c(k) (chi-covariance no longer does);
-    # gamma and laplace run check-numeric's quadrature and tube hooks
+    # covariance specializes c(k) for apply_B; gamma and laplace run
+    # check-numeric's quadrature and tube hooks
     import os
     import textwrap
 
@@ -1276,10 +1294,8 @@ def test_benchmark_tracer_still_wraps_rclab(tmp_path):
         tracer = Tracer()
         tracer.install(rclab)
         codes = [
-            rclab.cli.main(["check", "chi-covariance", "--algebra", "spin4",
-                            "--output", out + "/chi.json"]),
-            rclab.cli.main(["check", "iota-factorization", "--algebra", "spin4",
-                            "--output", out + "/iota.json"]),
+            rclab.cli.main(["check", "covariance", "--algebra", "rank1",
+                            "--output", out + "/covariance.json"]),
             rclab.cli.main(["gram", "--algebra", "spin4", "--kmax", "1", "--lambda", "4",
                             "--mu", "4", "--output", out + "/gram.json"]),
             rclab.cli.main(["check", "gamma", "--algebra", "sym2",
@@ -1288,7 +1304,7 @@ def test_benchmark_tracer_still_wraps_rclab(tmp_path):
                             "--output", out + "/laplace.json"]),
         ]
         metrics = tracer.layer_metrics()
-        assert codes == [0, 0, 0, 0, 0], codes
+        assert codes == [0, 0, 0, 0], codes
         assert metrics["sympoly.evaluate.calls"] > 0, metrics
         assert metrics["quadrature.weyl_integral.calls"] > 0, metrics
         assert metrics["quadrature.integrand_evals"] > 0, metrics

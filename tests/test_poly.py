@@ -148,9 +148,8 @@ def test_zero_coefficients_are_not_stored():
     p = Poly.from_terms({(0, 1): {(0, 0): 0, (1, 1): Fraction(2)}, (1, 0): 0}, 2)
     assert p.rows() == [((0, 1), [(1, 1, 2, 1)])]
     assert p.coef.shape == (1, 2, 2)
-    # rows that cancel are dropped, and the denominator is reduced
-    q = Poly.collect(np.array([[1, 0], [0, 1], [1, 0]]),
-                     np.array([3, 4, -3], dtype=object).reshape(3, 1, 1), 8)
+    # rows that vanish are dropped, and the denominator is reduced
+    q = Poly.from_terms({(1, 0): 0, (0, 1): 4}, 2, 8)
     assert q.exps.tolist() == [[0, 1]] and q.coef.tolist() == [[[1]]] and q.den == 2
 
 
@@ -167,15 +166,17 @@ coefficients = st.one_of(numbers, st.dictionaries(
 @example(terms={(1, 0, 0): 0, (0, 2, 0): {(1, 1): 0}}, den=1)
 @example(terms={(0, 0, 1): {(2, 1): 0, (0, 2): 0, (0, 0): 3}, (0, 1, 0): Fraction(1, 2)}, den=6)
 def test_from_terms_is_collect_on_the_same_terms(terms, den):
-    # from_terms sorts the distinct keys and skips collect's unique-and-sum
+    # from_terms fills its table straight from the distinct keys; the
+    # reference sorts the rows with np.unique and trims them
     coefs = [c if isinstance(c, dict) else {(0, 0): c} for c in terms.values()]
     lcm = math.lcm(1, *(Fraction(v).denominator for c in coefs for v in c.values()))
     coef = np.zeros((len(coefs), 3, 3), dtype=object)
     for row, c in enumerate(coefs):
         for (i, j), v in c.items():
             coef[row, i, j] = int(Fraction(v) * lcm)
-    exps = np.array(list(terms), dtype=np.int64).reshape(len(terms), 3)
-    assert Poly.from_terms(terms, 3, den) == Poly.collect(exps, coef, lcm * den)
+    exps, order = np.unique(np.array(list(terms), dtype=np.int64).reshape(-1, 3), axis=0,
+                            return_index=True)
+    assert Poly.from_terms(terms, 3, den) == Poly._trimmed(exps, coef[order], lcm * den)
 
 
 @settings(max_examples=60, deadline=None)

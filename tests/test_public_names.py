@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+from collections import Counter
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "rclab"
 
@@ -11,6 +12,13 @@ NO_CALLER_NEEDED = {
     "__init__.ALGEBRA_NAMES": "re-exported as the package's entry point",
     "__init__.__version__": "the package version",
 }
+
+# Public methods that nothing in src/rclab reads, each with its reason.
+NO_READER_NEEDED = dict.fromkeys(
+    ("sympoly.BracketPolynomial.evaluate", "sympoly.BracketPolynomial.evaluate_specialized",
+     "brackets.OrthoPoly.evaluate", "sympoly.SymExpr.num_terms"),
+    "perfbench's tracer wraps it by name") | {
+    "poly.Poly.exact": "read only by BracketPolynomial.evaluate and evaluate_specialized"}
 
 
 def public_names(tree):
@@ -86,6 +94,34 @@ def test_every_public_name_has_a_caller():
     assert sorted(unused_public_names(SRC)) == sorted(NO_CALLER_NEEDED)
 
 
+def unused_public_methods(src):
+    """module.Class.method for each public method of a top-level class whose
+    name no code of the package reads as an attribute.  A read inside the
+    method itself, or inside a method found unread, does not count, so a
+    method read only by unread ones is found too, in a later round."""
+    def attrs(node):
+        return Counter(sub.attr for sub in ast.walk(node)
+                       if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+
+    total, inside = Counter(), {}
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        total += attrs(tree)
+        inside.update({f"{path.stem}.{cls.name}.{fn.name}": attrs(fn) for cls in tree.body
+                       if isinstance(cls, ast.ClassDef) for fn in cls.body
+                       if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")})
+    found = set()
+    while new := {m for m in set(inside) - found if not (total - sum(
+            (inside[dead] for dead in found | {m}), Counter()))[m.rsplit(".", 1)[1]]}:
+        found |= new
+    return sorted(found)
+
+
+def test_every_public_method_is_read():
+    # exact like the list of names: an allowed method that gains a reader fails
+    assert unused_public_methods(SRC) == sorted(NO_READER_NEEDED)
+
+
 def test_the_check_sees_a_name_without_a_caller(tmp_path):
     # a local variable of the same name is not a caller, nor is a recursive
     # call; a module attribute read is
@@ -99,3 +135,15 @@ def test_the_check_sees_a_name_without_a_caller(tmp_path):
         "from . import a\n"
         "def f():\n    unused = 1\n    return a.attr_used() + unused\n")
     assert unused_public_names(tmp_path) == ["a.unused", "a.recursive"]
+
+
+def test_the_check_sees_a_method_without_a_reader(tmp_path):
+    # a method read only by itself or by an unread method is unread; one read
+    # by module code, or by a read method, is not
+    (tmp_path / "a.py").write_text(
+        "class A:\n    def used(self):\n        return self.helper()\n"
+        "    def helper(self):\n        return 1\n"
+        "    def unused(self):\n        return self.only_from_unused()\n"
+        "    def only_from_unused(self):\n        return self.only_from_unused()\n"
+        "def f(a):\n    return a.used()\n")
+    assert unused_public_methods(tmp_path) == ["a.A.only_from_unused", "a.A.unused"]

@@ -207,6 +207,24 @@ def test_gauss_jacobi_degree_exactness():
         assert abs(got - want) < 1e-13, deg
 
 
+def test_chebyshev_rule_at_alpha_plus_beta_minus_one():
+    # b[1] divided 0 by 0 when alpha + beta = -1 (ZeroDivisionError)
+    rule = gauss_jacobi(5, -0.5, -0.5)
+    assert np.allclose(rule.nodes, np.cos((9 - 2 * np.arange(5)) * np.pi / 10), 0, 1e-15)
+    assert np.allclose(rule.weights, np.pi / 5, rtol=4e-15, atol=0)
+
+
+def test_jacobi_rule_at_alpha_plus_beta_minus_one_is_exact():
+    # the Beta moments: x = 2u - 1 with u ~ Beta(1/4, 3/4), whose moments are in Q,
+    # times the mass Gamma(3/4) Gamma(1/4) = pi sqrt(2)
+    rule, b = gauss_jacobi(5, -0.25, -0.75), Fraction(1, 4)
+    for m in range(10):
+        moment = sum(math.comb(m, j) * (-1) ** (m - j) * 2 ** j
+                     * math.prod((b + i) / (1 + i) for i in range(j)) for j in range(m + 1))
+        want = math.pi * math.sqrt(2) * float(moment)
+        assert abs(np.sum(rule.weights * rule.nodes ** m) - want) <= 1e-14 * abs(want), m
+
+
 @pytest.mark.parametrize("big", [155.0, 160.0, 165.0])
 @pytest.mark.parametrize("side", ["alpha", "beta"])
 def test_jacobi_mass_past_the_product_overflow(big, side):

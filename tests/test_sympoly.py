@@ -387,10 +387,11 @@ def test_exchange_antisymmetry_small():
         for k in (1, 2):
             c = extract_bracket_polynomial(
                 apply_D_power(SymExpr.det_power_seed(alg, k, k), k), k)
-            sw = c.swap_slots_and_params()
-            sign = Fraction((-1) ** (alg.r * k))
-            assert coefs(sw) == {m: {key: sign * v for key, v in p.items()}
-                                 for m, p in coefs(c).items()}
+            # c(k)_{t,s}(y, x): the slots and the parameters swapped
+            n, sign, cs = alg.n, (-1) ** (alg.r * k), coefs(c)
+            swapped = {m[n:] + m[:n]: {(j, i): v for (i, j), v in p.items()}
+                       for m, p in cs.items()}
+            assert swapped == {m: {ij: sign * v for ij, v in p.items()} for m, p in cs.items()}
 
 
 def test_extract_raises_on_a_non_polynomial():
