@@ -15,8 +15,7 @@ __version__ = "0.1.0"
 SCHEMA = "rc-lab/1"
 
 # Report fields that measure an error against the report's tolerance.
-RESIDUALS = ("residual", "max_residual", "constant_residual", "ratio_spread",
-             "max_off_diagonal_ratio")
+RESIDUALS = ("residual", "max_residual", "constant_residual", "ratio_spread")
 
 __all__ = ["get_algebra", "ALGEBRA_NAMES", "SCHEMA", "report", "worst",
            "__version__"]

@@ -9,8 +9,8 @@ x = (e - v)/2, y = (e + v)/2, in the r eigenvalues of v, producing the
 one-slot family that generalizes the Jacobi polynomials (and reduces to
 them exactly in rank 1).  ``certify_expansions`` puts both expansions
 against the pencil form of their chain entry, exactly, with the Delta_j
-taken from det itself, and checks the two corner coefficients of the
-entry against their closed products.
+from det itself, and checks the entry's two corners against their closed
+products; ``certify_box`` checks the orthogonality that fixes C(k).
 Only the chain goes to disk, one file per algebra, read and written by
 ``pencil_cache`` around the work of a command.
 """
@@ -18,12 +18,14 @@ Only the chain goes to disk, one file per algebra, read and written by
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
 import random
 import tempfile
 from fractions import Fraction
+from operator import add
 
 import numpy as np
 
@@ -32,16 +34,16 @@ from .algebra import JordanAlgebra, get_algebra, spectral
 from .poly import Poly
 from .sympoly import (
     NonzeroRemainder, SymExpr, BracketPolynomial, apply_D_power, extract_bracket_polynomial,
-    extract_interval_polynomial, _c_mul, _interpolate,
+    extract_interval_polynomial, _c_mul, _check_int64, _interpolate, _mul,
 )
 
 __all__ = [
     "pencil_cache",
     "compute_c",
     "certify_expansions",
+    "certify_box",
     "OrthoPoly",
     "compute_C",
-    "jacobi_classical",
     "jacobi_proportionality",
     "bracket_table_json",
     "bracket_table_csv",
@@ -54,7 +56,7 @@ CACHE_FORMAT = 2
 CERT_SEED = 2024
 CERT_SAMPLES = 8
 CERT_BOUND = 9
-# (algebra name, k) -> c(k) in x, y monomials
+# (algebra name, k) -> c(k) in x, y monomials; (name, k, "C") -> C(k) in Q[s, t]
 _memory_cache: dict = {}
 # algebra name -> [c(0), c(1), ...] times (det x)^s (det y)^t, in the pencil
 # coordinates: the in-process chain each build extends
@@ -257,67 +259,78 @@ def compute_C(algebra: JordanAlgebra, k: int, lam=None, mu=None) -> OrthoPoly:
     C(k) is expanded from the pencil form of the in-process chain over the
     closed eigenvalue tables delta_j(a) (``extract_interval_polynomial``),
     never from a c(k) in memory or on disk; ``certify_expansions`` puts it
-    against that pencil form with the Delta_j taken from det.
+    against that pencil form with the Delta_j taken from det.  Each weight
+    specialises the one expansion over Q[s, t] held in ``_memory_cache``.
     """
     if (lam is None) != (mu is None):
         raise ValueError("give both weights lam and mu, or neither")
-    C = extract_interval_polynomial(_pencil(algebra, k), k)
+    if (algebra.name, k, "C") not in _memory_cache:
+        _memory_cache[algebra.name, k, "C"] = extract_interval_polynomial(_pencil(algebra, k), k)
+    C = _memory_cache[algebra.name, k, "C"]
     return OrthoPoly(algebra, C if lam is None else C.at(lam, mu))
 
 
 # ---------------------------------------------------------------------------
-# Classical Jacobi polynomials (exact three-term recurrence oracle)
+# The box certificate of C(k), and Jacobi reduction in rank 1
 
 
-def jacobi_classical(k: int, alpha, beta):
-    """Coefficient list of P_k^(alpha,beta) from the three-term recurrence."""
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    p0 = [Fraction(1)]
-    if k == 0:
-        return p0
-    p1 = [(alpha - beta) / 2, (alpha + beta + 2) / 2]
-    if k == 1:
-        return p1
-    for n in range(2, k + 1):
-        ab = alpha + beta
-        c0 = 2 * n * (n + ab) * (2 * n + ab - 2)
-        c1 = (2 * n + ab - 1) * (alpha**2 - beta**2)
-        c2 = (2 * n + ab - 1) * (2 * n + ab) * (2 * n + ab - 2)
-        c3 = 2 * (n + alpha - 1) * (n + beta - 1) * (2 * n + ab)
-        pn = [Fraction(0)] * (n + 1)
-        for j, v in enumerate(p1):
-            pn[j] += c1 * v
-            pn[j + 1] += c2 * v
-        for j, v in enumerate(p0):
-            pn[j] -= c3 * v
-        p0, p1 = p1, [v / c0 for v in pn]
-    return p1
-
-
-def jacobi_proportionality(k: int, lam, mu):
-    """Exact ratio C(k)_{lam,mu} / P_k^(lam,mu) in rank 1.
-
-    The families are proportional with a nonzero rational constant; the
-    constant is measured, not assumed.  Raises if proportionality fails.
+def certify_box(algebra: JordanAlgebra, k: int, lam: int, mu: int) -> None:
+    """Raise ``NonzeroRemainder``, naming k, (lam, mu) and the first bad
+    kappa, unless C(k) at integers lam, mu >= 0 has no exponent above k and
+    is orthogonal to the monomial symmetric m_kappa of each kappa of the
+    r x k box but (k^r), under (1 - a)^lam (1 + a)^mu |V(a)|^d on the
+    eigenvalue chamber: that fixes C(k), the BC_r Jacobi polynomial of (k^r)
+    (Koornwinder, Contemp. Math. 138, 1992), up to a scalar.  At x = (1 + a)/2
+    on 0 < x_1 < ... < x_r < 1 the weight is a polynomial, x^alpha integrates
+    to prod_j 1/(alpha_1 + ... + alpha_j + j), the m_kappa(x) span what the
+    m_kappa(a) do (symmetric, in the box, of degree < rk), and every integral
+    times lcm(1..top)^r, top the largest factor, is an int.
     """
+    if not all(isinstance(w, int) and w >= 0 for w in (lam, mu)):
+        raise ValueError("certify_box takes integer weights lam, mu >= 0")
+    r, d, where = algebra.r, algebra.d, f"{algebra.name} k={k}, (lambda, mu) = ({lam}, {mu})"
+    C = compute_C(algebra, k, lam, mu).poly
+    if C.exps.max(initial=0) > k:
+        raise NonzeroRemainder(f"{where}: C(k) has an exponent above k, outside the box")
+    kappas = list(itertools.combinations_with_replacement(range(k, -1, -1), r))[1:]
+    if not kappas:  # k = 0: the box holds (0^r) alone
+        return
+    c_x = {}  # C(k) at a = 2x - 1
+    for beta, c in zip(map(tuple, C.exps.tolist()), C.coef[:, 0, 0].tolist()):
+        for alpha in itertools.product(*(range(b + 1) for b in beta)):
+            c_x[alpha] = c_x.get(alpha, 0) + c * math.prod(
+                math.comb(b, j) * 2 ** j * (-1) ** (b - j) for b, j in zip(beta, alpha))
+    # the weight: (1 - x_j)^lam x_j^mu per j, times (x_j - x_i)^d per i < j
+    line = [(mu + p, math.comb(lam, p) * (-1) ** p) for p in range(lam + 1)]
+    weight = {tuple(e for e, _ in f): math.prod(c for _, c in f)
+              for f in itertools.product(line, repeat=r)}
+    for i, j in itertools.combinations(range(r), 2):
+        weight = _mul(weight, {tuple(d - p if m == j else p if m == i else 0 for m in range(r)):
+                               math.comb(d, p) * (-1) ** p for p in range(d + 1)})
+    # the factors alpha_1 + ... + alpha_j + j <= top of x^alpha, alpha_i <= 2k, per weight term
+    top = 2 * r * k + r * (lam + mu) + d * r * (r - 1) // 2 + r
+    _check_int64(top ** r, f"{where}: box certificate")
+    alphas = list(itertools.product(range(2 * k + 1), repeat=r))
+    factors = np.cumsum(np.reshape(alphas, (-1, 1, r)) + list(weight), axis=2) + range(1, r + 1)
+    scaled = math.lcm(*range(1, top + 1)) ** r // np.prod(factors, axis=2).astype(object)
+    moments = dict(zip(alphas, scaled.dot(np.array(list(weight.values()), dtype=object))))
+    for kappa in kappas:
+        if sum(c * moments[tuple(map(add, p, beta))] for p in set(itertools.permutations(kappa))
+               for beta, c in c_x.items()):
+            raise NonzeroRemainder(f"{where}: <C(k), m_kappa> is not 0 at kappa = "
+                                   f"{kappa} of the {r} x {k} box")
+
+
+def jacobi_proportionality(k: int, lam: int, mu: int) -> Fraction:
+    """c in C(k)_{lam,mu} = c P_k^(lam,mu), rank 1, integer lam, mu >= 0, once
+    ``certify_box`` shows C(k) such a multiple (degree <= k, orthogonal to
+    every lower degree): c = C(k)(1) / P_k(1), P_k(1) = binom(k + lam, k).
+    The constant is measured, not assumed; a zero one raises."""
     alg = get_algebra("rank1")
-    C = compute_C(alg, k, lam, mu)
-    ref = jacobi_classical(k, lam, mu)
-    coef = dict(C.poly.items())
-    ours = [coef.get((j,), Fraction(0)) for j in range(len(ref))]
-    ratio = None
-    for c_ours, c_ref in zip(ours, ref):
-        if c_ref == 0:
-            if c_ours != 0:
-                raise AssertionError(f"k={k}: zero pattern mismatch")
-            continue
-        r = Fraction(c_ours) / c_ref
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            raise AssertionError(f"k={k}: ratios differ: {ratio} vs {r}")
-    if ratio is None or ratio == 0:
-        raise AssertionError(f"k={k}: degenerate proportionality constant")
+    certify_box(alg, k, lam, mu)
+    ratio = compute_C(alg, k, lam, mu).poly.exact((1,)) / math.comb(k + lam, k)
+    if not ratio:
+        raise NonzeroRemainder(f"rank1 k={k}: C(k) is 0, so no multiple of P_k")
     return ratio
 
 

@@ -323,14 +323,16 @@ def cmd_cache(args) -> int:
 
 
 def _suite_polynomiality(algebra, tols):
-    # compute_c certifies each row: a nonzero remainder or a monomial of the
-    # wrong degree raises, and so does certify_expansions unless c(k) and
-    # C(k) are the pencil form of the chain; run_suites turns that into a
-    # failed report
+    # each row is certified, and run_suites turns a raise into a failed report:
+    # compute_c raises on a nonzero remainder or a monomial of the wrong degree,
+    # certify_expansions unless c(k) and C(k) are the pencil form of the chain,
+    # and certify_box unless C(k) is orthogonal to the rest of its box
     rows = []
     for k in range(_check_k(algebra) + 1):
         poly = brackets.compute_c(algebra, k)
         brackets.certify_expansions(algebra, k)
+        for lam, mu in ((3, 2), (3, 3)):
+            brackets.certify_box(algebra, k, lam, mu)
         rows.append({"k": k, "monomials": poly.num_monomials(),
                      "degree": algebra.r * k, "zero_remainder": True,
                      "homogeneous": True})
@@ -377,7 +379,7 @@ def _suite_jacobi(algebra, tols):
             ratio = brackets.jacobi_proportionality(k, lam, mu)
             rows.append({"k": k, "lambda": lam, "mu": mu,
                          "ratio": f"{ratio.numerator}/{ratio.denominator}"})
-    # jacobi_proportionality raises unless C(k) is a nonzero multiple of P_k
+    # jacobi_proportionality raises unless certify_box shows C(k) = c P_k, c != 0
     return [report("rank1-jacobi-reduction", algebra.name, ok=True, exact=True,
                    rows=rows)]
 
@@ -434,14 +436,6 @@ def _suite_gamma(algebra, tols):
     return [report("cone-gamma-integral", algebra.name, nu=nu, method=method,
                    closed=closed, numeric=numeric,
                    residual=abs(numeric - closed) / closed, tolerance=tols["gamma"])]
-
-
-def _suite_orthogonality(algebra, tols):
-    weight, kmax = (1.0, 4) if algebra.family == "rank1" else (3.0, 3)
-    data = quadrature.gram_matrix(algebra, weight, weight, kmax).to_jsonable()
-    del data["schema"], data["algebra"]
-    return [report("interval-orthogonality", algebra.name,
-                   tolerance=tols["orthogonality"], **data)]
 
 
 def _suite_laplace(algebra, tols):
@@ -590,8 +584,6 @@ SUITE_TABLE = {
     "change-of-variables": Suite(_suite_varchange, tuple(quadrature.CHART_NODES),
                                  {"change-of-variables": _CHART_TOL}),
     "gamma": Suite(_suite_gamma, tols={"gamma": 1e-12}),
-    "orthogonality": Suite(_suite_orthogonality, ("rank1", "sym2", "sym3"),
-                           {"orthogonality": {"rank1": 1e-12, "sym2": 1e-8, "sym3": 1e-8}}),
     "laplace": Suite(_suite_laplace, _RANK1_SYM2, {
         "laplace": {"rank1": 1e-8, "sym2": 1e-4}, "isometry-norm": {"rank1": 1e-6}}),
     "laplace-factorization": Suite(_suite_jfact, tuple(quadrature.CHART_NODES),

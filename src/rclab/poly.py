@@ -105,11 +105,6 @@ class Poly:
             raise ValueError("set the parameters with at(s, t) first")
         return self.coef[:, 0, 0]
 
-    def items(self):
-        """(exponent tuple, Fraction) per row of a Poly without parameters."""
-        return [(tuple(m), Fraction(int(c), self.den))
-                for m, c in zip(self.exps.tolist(), self._constant())]
-
     def rows(self):
         """(exponent tuple, [(i, j, p, q)]) per row: each nonzero coefficient
         p/q of s^i t^j in lowest terms (q > 0), in ascending (i, j)."""

@@ -20,6 +20,12 @@ from rclab.sympoly import _pencil_operator
 _TABLES = {}
 
 
+def poly_items(poly):
+    """(exponent tuple, Fraction) per row of a Poly without parameters."""
+    return [(tuple(m), Fraction(int(c), poly.den))
+            for m, c in zip(poly.exps.tolist(), poly.coef[:, 0, 0])]
+
+
 def table(alg):
     """table[i][j], the coordinates of b_i.b_j as Fractions, built once per
     algebra from the family's definition."""

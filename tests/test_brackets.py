@@ -5,26 +5,25 @@ import os
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
-from math import comb, prod
+from math import comb, factorial, prod
 from operator import add
 
 import numpy as np
 import pytest
 
 from fraction_ref import (
-    cone_point, det, fraction_operator, frame, frame_matrix, mul, pencil_chain, quad_rep,
-    rational_point,
+    cone_point, det, fraction_operator, frame, frame_matrix, mul, pencil_chain, poly_items,
+    quad_rep, rational_point,
 )
 from rclab.algebra import ALGEBRA_NAMES, get_algebra, iota, spectral
 from rclab.brackets import (
-    pencil_cache, compute_c, compute_C,
-    jacobi_classical, jacobi_proportionality,
+    pencil_cache, compute_c, compute_C, certify_box, jacobi_proportionality,
     bracket_table_csv, bracket_table_latex, bracket_table_json,
 )
 from rclab.poly import Poly
 from rclab.quadrature import weyl_integral
 from rclab.cli import K_CAPS
-from rclab.sympoly import SymExpr, apply_D_power, extract_bracket_polynomial
+from rclab.sympoly import NonzeroRemainder, SymExpr, apply_D_power, extract_bracket_polynomial
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -288,13 +287,13 @@ def test_a_file_that_disagrees_with_the_held_chain_is_overwritten(tmp_path, monk
 def test_compute_C_k0_is_one():
     alg = get_algebra("sym2")
     C = compute_C(alg, 0, 2, 2)
-    assert C.poly.items() == [((0, 0), Fraction(1))]
+    assert poly_items(C.poly) == [((0, 0), Fraction(1))]
 
 
 def test_compute_C_rank1_k1_formula():
     # C(1)_{lam,mu}(v) = (lam-mu)/2 + (lam+mu+2) v / 2
     C = compute_C(get_algebra("rank1"), 1, Fraction(3), Fraction(5))
-    assert C.poly.items() == [((0,), Fraction(-1)), ((1,), Fraction(5))]
+    assert poly_items(C.poly) == [((0,), Fraction(-1)), ((1,), Fraction(5))]
     C2 = compute_C(get_algebra("rank1"), 1, Fraction(2), Fraction(7))
     assert C2.poly.exact((Fraction(0),)) == Fraction(-5, 2)
 
@@ -304,14 +303,6 @@ def test_compute_C_symbolic_parameters():
     # coefficient of v is (s + t + 2)/2 as a parameter polynomial
     assert coefs(C)[(1,)] == {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2),
                               (0, 0): Fraction(1)}
-
-
-def test_jacobi_classical_values():
-    # P_2^{(0,0)} = (3x^2 - 1)/2
-    p2 = jacobi_classical(2, 0, 0)
-    assert p2 == [Fraction(-1, 2), Fraction(0), Fraction(3, 2)]
-    # P_1^{(1,2)} = (1-2)/2 + (1+2+2)x/2
-    assert jacobi_classical(1, 1, 2) == [Fraction(-1, 2), Fraction(5, 2)]
 
 
 @pytest.mark.parametrize("params", [(0, 0), (1, 2), (3, 3)])
@@ -516,7 +507,7 @@ def restriction_reference(c, lam, mu):
     monomial at x = F(1 - a)/2, y = F(1 + a)/2, one coordinate at a time."""
     forms = frame_forms(c.algebra)
     terms = {}
-    for mono, value in c.poly.at(lam, mu).items():
+    for mono, value in poly_items(c.poly.at(lam, mu)):
         for m, w in on_the_frame(forms, mono, c.algebra.r, value).items():
             terms[m] = terms.get(m, 0) + w
     return Poly.from_terms(terms, c.algebra.r)
@@ -631,15 +622,16 @@ def test_C_is_orthogonal_to_the_rest_of_its_box(name, k):
     assert ratios.max() < 1e-12, ratios.max()
 
 
-def corner_change(alg, twin=True):
-    """c(0) and c(1) plus Delta_r + (-1)^r Delta_0, a change of the chain
-    that keeps slot exchange; without its ``twin`` Delta_0, one that breaks it."""
+def c1_change(alg, j, twin=True):
+    """c(0) and c(1) plus Delta_j + (-1)^r Delta_{r-j}, a change of the chain
+    that keeps slot exchange; without its ``twin`` Delta_{r-j}, one that
+    breaks it.  j = r changes the two corners."""
     from rclab import brackets
 
-    c1 = brackets._pencil(alg, 1)
+    r, c1 = alg.r, brackets._pencil(alg, 1)
     terms = {e: dict(c) for e, c in c1.terms.items()}
-    for e, step in (((0,) * alg.r + (1,), 1), ((1,) + (0,) * alg.r, twin * (-1) ** alg.r)):
-        coef = terms.setdefault(e, {})
+    for i, step in ((j, 1), (r - j, twin * (-1) ** r)):
+        coef = terms.setdefault(tuple(int(m == i) for m in range(r + 1)), {})
         coef[0, 0] = coef.get((0, 0), 0) + step * c1.den
     return [brackets._pencil(alg, 0), SymExpr(alg, terms, c1.den)]
 
@@ -650,7 +642,7 @@ def test_the_box_oracle_catches_a_chain_that_keeps_slot_exchange(monkeypatch):
 
     for name in ("sym2", "sym3", "spin3", "spin4", "spin5", "spin6", "spin7", "spin8"):
         with monkeypatch.context() as m:
-            m.setitem(brackets._pencils, name, corner_change(get_algebra(name)))
+            m.setitem(brackets._pencils, name, c1_change(get_algebra(name), get_algebra(name).r))
             m.setattr(brackets, "_memory_cache", {})
             assert box_ratios(get_algebra(name), 1).max() > 1e-3, name
 
@@ -663,7 +655,7 @@ def test_a_chain_with_wrong_corners_fails_check_all(monkeypatch, name):
     from rclab.cli import _plan, run_suites
 
     alg = get_algebra(name)
-    kept, broken = corner_change(alg), corner_change(alg, twin=False)
+    kept, broken = c1_change(alg, alg.r), c1_change(alg, alg.r, twin=False)
     monkeypatch.setitem(brackets._pencils, name, kept)
     monkeypatch.setattr(brackets, "_memory_cache", {})
     [rep], ok = run_suites(alg, "polynomiality")
@@ -671,3 +663,78 @@ def test_a_chain_with_wrong_corners_fails_check_all(monkeypatch, name):
     assert run_suites(alg, "exchange")[1] and "polynomiality" in _plan(alg, "all", {})
     monkeypatch.setitem(brackets._pencils, name, broken)
     assert [rep["pass"] for rep in run_suites(alg, "exchange")[0][:2]] == [True, False]
+
+
+@pytest.mark.parametrize("name", [name for name in ALGEBRA_NAMES if name != "rank1"])
+def test_a_change_inside_the_chain_fails_check_all_through_the_box(monkeypatch, tmp_path, name):
+    # c(1) + Delta_1 + (-1)^r Delta_{r-1} keeps slot exchange, both corners
+    # and both expansions; without the box certificate check all passed it
+    # for sym3, sym4 and spin3..spin8
+    from rclab import brackets
+    from rclab.cli import main
+
+    alg = get_algebra(name)
+    monkeypatch.setitem(brackets._pencils, name, c1_change(alg, 1))
+    monkeypatch.setattr(brackets, "_memory_cache", {})
+    out = tmp_path / "check.json"
+    assert main(["check", "all", "--algebra", name, "--output", str(out)]) == 1
+    reports = json.loads(out.read_text())["reports"]
+    [error] = [rep["error"] for rep in reports if rep.get("suite") == "polynomiality"]
+    assert f"k=1, (lambda, mu) = (3, 2): <C(k), m_kappa> is not 0" in error
+    assert f"of the {alg.r} x 1 box" in error
+    assert all(rep["pass"] for rep in reports if rep["check"] == "slot-exchange-antisymmetry")
+
+
+def changed_C(monkeypatch, change):
+    """brackets.compute_C replaced by ``change`` of what it returns, as
+    (algebra, k, lam, mu, C) -> Poly."""
+    from rclab import brackets
+
+    real = brackets.compute_C
+    monkeypatch.setattr(brackets, "compute_C", lambda alg, k, lam, mu: brackets.OrthoPoly(
+        alg, change(alg, k, lam, mu, real)))
+
+
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_the_box_certificate_fails_sums_at_a_weight_off_by_one(monkeypatch, name):
+    # the box sums at (lam + 1, mu) against C(k) at (lam, mu)
+    changed_C(monkeypatch, lambda alg, k, lam, mu, real: real(alg, k, lam - 1, mu).poly)
+    with pytest.raises(NonzeroRemainder, match=r"k=1, \(lambda, mu\) = \(4, 2\): <C\(k\), m_kappa> is not 0"):
+        certify_box(get_algebra(name), 1, 4, 2)
+
+
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_the_box_certificate_fails_an_exponent_above_k(monkeypatch, name):
+    def grown(alg, k, lam, mu, real):
+        terms = dict(poly_items(real(alg, k, lam, mu).poly))
+        terms[(k + 1,) + (0,) * (alg.r - 1)] = 1
+        return Poly.from_terms(terms, alg.r)
+
+    changed_C(monkeypatch, grown)
+    with pytest.raises(NonzeroRemainder, match="an exponent above k"):
+        certify_box(get_algebra(name), 1, 3, 2)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_a_rank1_C_scaled_in_one_coefficient_fails_the_box_and_jacobi(monkeypatch, k):
+    # its lowest monomial doubled: C(k) is no longer orthogonal to it
+    def scaled(alg, k, lam, mu, real):
+        C = real(alg, k, lam, mu).poly
+        assert C.exps[0, 0] < k
+        coef = C.coef.copy()
+        coef[0] *= 2
+        return Poly(C.exps, coef, C.den)
+
+    changed_C(monkeypatch, scaled)
+    with pytest.raises(NonzeroRemainder, match=f"rank1 k={k}, .*: <C\\(k\\), m_kappa> is not 0"):
+        certify_box(get_algebra("rank1"), k, 1, 2)
+    with pytest.raises(NonzeroRemainder, match=f"rank1 k={k}, .*: <C\\(k\\), m_kappa> is not 0"):
+        jacobi_proportionality(k, 1, 2)
+
+
+def test_the_jacobi_report_reads_k_factorial():
+    from rclab.cli import run_suites
+
+    [rep], ok = run_suites(get_algebra("rank1"), "jacobi")
+    assert ok and len(rep["rows"]) == 21
+    assert all(row["ratio"] == f"{factorial(row['k'])}/1" for row in rep["rows"])

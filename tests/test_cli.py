@@ -932,12 +932,18 @@ def test_the_automorphism_suite_and_its_tolerance_are_gone(tmp_path):
 
 
 def test_the_chi_and_iota_suites_and_their_tolerance_are_gone(tmp_path):
-    (tmp_path / "run.cfg").write_text("tol = iota-fact=1e-11\n")
+    # and the float orthogonality suite with its tolerance, which the box
+    # certificate in polynomiality replaces
+    for line, word in (("iota-fact=1e-11", "iota"), ("orthogonality=1e-12", "orthogonality")):
+        cfg = tmp_path / f"{word}.cfg"
+        cfg.write_text(f"tol = {line}\n")
+        for argv in (["check", "all", "--tol", line], ["--config", str(cfg), "check", "all"]):
+            code, out, err = run_cli(argv)
+            assert code == 2 and out == "" and word in err, (argv, err)
     for argv in (["check", "chi-covariance"], ["check", "iota-factorization"],
-                 ["check", "all", "--tol", "iota-fact=1e-11"],
-                 ["--config", str(tmp_path / "run.cfg"), "check", "all"]):
+                 ["check", "orthogonality"]):
         code, out, err = run_cli(argv)
-        assert code == 2 and out == "" and ("chi" in err or "iota" in err), (argv, err)
+        assert code == 2 and out == "" and argv[1] in err, (argv, err)
 
 
 def test_every_tolerance_a_suite_reads_is_named():
@@ -961,23 +967,21 @@ def test_every_tolerance_a_suite_reads_is_named():
 
 
 def test_the_built_in_tolerances_per_algebra():
-    # 16 names, each read by one suite, at the values the checks held before
+    # 15 names, each read by one suite, at the values the checks held before
     # the table
     from rclab.algebra import ALGEBRA_NAMES
     import rclab.cli as cli
 
     names = [t for row in cli.SUITE_TABLE.values() for t in row.tols]
-    assert len(names) == len(set(names)) == 16
+    assert len(names) == len(set(names)) == 15
     for alg in ALGEBRA_NAMES:
         want = {"iota-roundtrip": 1e-12, "jacobian": 1e-6, "gamma": 1e-12}
         if alg == "rank1":
-            want.update({"orthogonality": 1e-12, "laplace": 1e-8, "adjoint": 1e-6,
+            want.update({"laplace": 1e-8, "adjoint": 1e-6,
                          "isometry-norm": 1e-6, "operator-equivalence": 1e-6,
                          "isometry": 1e-6})
         if alg == "sym2":
-            want.update({"orthogonality": 1e-8, "laplace": 1e-4, "adjoint": 1e-3})
-        if alg == "sym3":
-            want["orthogonality"] = 1e-8
+            want.update({"laplace": 1e-4, "adjoint": 1e-3})
         if alg in ("rank1", "sym2"):
             chart = {"rank1": 1e-6, "sym2": 1e-4}[alg]
             want.update({"covariance": 1e-6, "hua": 1e-8, "coherent": 1e-8,
@@ -1081,7 +1085,7 @@ def test_every_suite_the_table_lists_reports_and_reads_its_tolerances(
         code, out, err = run_cli(["check", "all", "--algebra", alg, "--cache-dir", cache_dir])
         assert code == 0, (alg, err)
         want = [n for n, row in cli.SUITE_TABLE.items() if alg in row.algebras]
-        assert list(ran) == want and len(want) == {"rank1": 17, "sym2": 14, "sym3": 6}.get(alg, 5)
+        assert list(ran) == want and len(want) == {"rank1": 16, "sym2": 13}.get(alg, 5)
         for name, (count, names) in ran.items():
             assert count > 0, (alg, name)
             assert names == set(cli.SUITE_TABLE[name].tolerances(alg)), (alg, name)
@@ -1104,7 +1108,7 @@ def test_cauchy_and_branch_suites_pass_for_the_spin_factors(name):
 
 # suites that left rclab while the benchmark's tracer still names them: the
 # tracer reports 0 s for each until the benchmark's own next change drops it
-GONE_FROM_RCLAB = {"aut-invariance", "chi-covariance", "iota-factorization"}
+GONE_FROM_RCLAB = {"aut-invariance", "chi-covariance", "iota-factorization", "orthogonality"}
 
 
 def test_the_benchmark_tracer_names_only_suites_that_exist():
@@ -1126,9 +1130,10 @@ def test_the_benchmark_tracer_names_only_suites_that_exist():
 
 
 def test_check_report_names_each_identity(tmp_path):
-    code, out, _ = run_cli(["check", "orthogonality", "--algebra", "rank1",
+    code, out, _ = run_cli(["check", "exchange", "--algebra", "rank1",
                             "--cache-dir", str(tmp_path / "c")])
     data = json.loads(out)
+    assert code == 0 and len(data["reports"]) == 7
     assert all("check" in r for r in data["reports"])
 
 
@@ -1140,8 +1145,7 @@ def test_check_all_rank1_exit_zero(tmp_path):
     assert data["pass"] is True
     names = {r["check"] for r in data["reports"]}
     # the aggregate names every verified identity
-    assert {"rodrigues-polynomiality", "interval-orthogonality",
-            "bracket-group-covariance", "cone-gamma-integral",
+    assert {"rodrigues-polynomiality", "bracket-group-covariance", "cone-gamma-integral",
             "laplace-averaging-factorization",
             "adjoint-partial-isometry"} <= names
 

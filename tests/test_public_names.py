@@ -17,8 +17,7 @@ NO_CALLER_NEEDED = {
 NO_READER_NEEDED = dict.fromkeys(
     ("sympoly.BracketPolynomial.evaluate", "sympoly.BracketPolynomial.evaluate_specialized",
      "brackets.OrthoPoly.evaluate", "sympoly.SymExpr.num_terms"),
-    "perfbench's tracer wraps it by name") | {
-    "poly.Poly.exact": "read only by BracketPolynomial.evaluate and evaluate_specialized"}
+    "perfbench's tracer wraps it by name")
 
 
 def public_names(tree):

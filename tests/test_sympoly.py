@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import rclab.sympoly as S
-from fraction_ref import apply_pencil_operator, fraction_operator, frame, pencil_chain
+from fraction_ref import (
+    apply_pencil_operator, fraction_operator, frame, pencil_chain, poly_items,
+)
 from rclab.algebra import ALGEBRA_NAMES, get_algebra, rank_one, sym
 from rclab.cli import K_CAPS
 from rclab.brackets import bracket_table_json
@@ -411,7 +413,7 @@ def test_specialize_and_evaluate_examples():
         apply_D_power(SymExpr.det_power_seed(alg, 1, 1), 1), 1)
     assert c1.evaluate((1,), (1,), Fraction(0), Fraction(0)) == 0
     assert c1.evaluate((1,), (2,), Fraction(2), Fraction(3)) == 2
-    spec = dict(c1.specialize(Fraction(2), Fraction(3)).items())
+    spec = dict(poly_items(c1.specialize(Fraction(2), Fraction(3))))
     assert spec[(0, 1)] == 3 and spec[(1, 0)] == -4
 
 
