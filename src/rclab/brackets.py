@@ -262,6 +262,8 @@ def compute_C(algebra: JordanAlgebra, k: int, lam=None, mu=None) -> OrthoPoly:
     against that pencil form with the Delta_j taken from det.  Each weight
     specialises the one expansion over Q[s, t] held in ``_memory_cache``.
     """
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if (lam is None) != (mu is None):
         raise ValueError("give both weights lam and mu, or neither")
     if (algebra.name, k, "C") not in _memory_cache:

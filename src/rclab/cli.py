@@ -443,12 +443,13 @@ def _suite_laplace(algebra, tols):
     closed_gamma = quadrature.gamma_omega_closed(algebra, nu)
     ie = 1j * algebra.e
     one = Poly.from_terms({(0,) * algebra.n: 1}, algebra.n)
+    points = tube._default_tube_points(algebra)
+    logdets = tube.logdet_tube(algebra, np.array(points) + ie)
     rows = []
-    for z in tube._default_tube_points(algebra):
+    for z, logdet in zip(points, logdets):
         num = quadrature.tube_laplace(algebra, one, z,
                                       det_power=nu - algebra.n / algebra.r)[0]
-        want = closed_gamma * np.exp(
-            -nu * tube.logdet_tube(algebra, (z + ie).reshape(1, -1))[0])
+        want = closed_gamma * np.exp(-nu * logdet)
         rows.append({"z": [[c.real, c.imag] for c in z.tolist()],
                      "residual": abs(num - want) / abs(want)})
     out = [report("laplace-transform-of-weight", algebra.name, nu=nu,

@@ -16,7 +16,10 @@ so both sides of any covariance identity use the same group lift.
 
 A tube point is an (n,) complex numpy row, and function evaluators are
 vectorized: they take an (m, n) complex coordinate array and return (m,)
-complex values.  All aggregation is deterministic.
+complex values.  The derivatives and the bracket also take a (P, n) stack
+of points, so a check evaluates all its sample points in one call per
+evaluator; each row keeps the bits of a call on that row alone.  All
+aggregation is deterministic.
 """
 
 from __future__ import annotations
@@ -136,25 +139,32 @@ def holo_mixed_derivatives(algebra: JordanAlgebra, F, point, alphas,
                            n_nodes: int = 32):
     """Coordinate mixed partials of F at ``point`` for several multi-indices.
 
-    ``F`` is a vectorized evaluator on (m, d) arrays, d = len(point); the
-    point may pack several tube points (e.g. a pair slot).  Each multi-index
-    is a combination of m-th derivatives along a few primitive directions p
-    (centred polarisation, ``_polarisation``), and each direction is one 1-D
-    Cauchy ring tau -> F(z + tau p) read by an FFT (Lyness-Moler 1967,
-    Fornberg 1981).  All multi-indices of a call share the rings, and the
-    rings and the centre point go to ``F`` in one call.  A ring has radius
-    rho / |p|_1, so every node stays in the l1 ball of radius rho about the
-    point, and max(n_nodes, 2 m + 2) nodes for the highest order m it
-    serves; the node count is the only accuracy knob.
-    Returns {alpha: complex}.
+    ``point`` is a (d,) row or a (P, d) stack of rows, and ``F`` a vectorized
+    evaluator on (m, d) arrays; a row may pack several tube points (e.g. a
+    pair slot).  Each multi-index is a combination of m-th derivatives along
+    a few primitive directions p (centred polarisation, ``_polarisation``),
+    and each direction is one 1-D Cauchy ring tau -> F(z + tau p) read by an
+    FFT (Lyness-Moler 1967, Fornberg 1981).  All multi-indices and all rows
+    of a call share the directions, and the centres and the rings of every
+    row go to ``F`` in one call.  A ring has radius rho / |p|_1, rho
+    CONTOUR_RADIUS times the least eigenvalue of the row's imaginary part
+    over its slots, so every node stays in the l1 ball of radius rho about
+    the row, and max(n_nodes, 2 m + 2) nodes for the highest order m it
+    serves; the node count is the only accuracy knob.  Each row's
+    derivatives are summed in scalars, with the bits of a call on that row
+    alone.
+    Returns {alpha: complex} for a row, {alpha: (P,) complex array} for a
+    stack.
     """
     point = np.asarray(point, dtype=complex)
-    d = len(point)
+    stack = np.atleast_2d(point)
+    P, d = stack.shape
     n = algebra.n
-    # safe radius: all slots perturb their own imaginary part
+    # safe radius per row: all slots perturb their own imaginary part
     slots = d // n
-    rho_bound = spectral(algebra, point.imag.reshape(slots, n)).min() * CONTOUR_RADIUS
-    if rho_bound <= 0:
+    least = spectral(algebra, stack.imag.reshape(P * slots, n)).reshape(P, -1).min(axis=1)
+    rho_bound = least * CONTOUR_RADIUS
+    if np.any(rho_bound <= 0):
         raise ValueError("contour radius violation: point too close to the "
                          "tube boundary")
     combos = {alpha: _polarisation(alpha) for alpha in map(tuple, alphas)}
@@ -162,31 +172,37 @@ def holo_mixed_derivatives(algebra: JordanAlgebra, F, point, alphas,
     for alpha, combo in combos.items():
         for p in combo:
             orders[p] = max(orders.get(p, 0), sum(alpha))
-    # rings of equal node count form one (rings, nodes) block for one FFT
+    # rings of equal node count form one (rows, rings, nodes) block for one FFT
     blocks = {}
     for p, m in orders.items():
         blocks.setdefault(max(n_nodes, 2 * m + 2), []).append(p)
-    radii = {nodes: rho_bound / np.abs(np.array(dirs)).sum(axis=1)
+    radii = {nodes: rho_bound[:, None] / np.abs(np.array(dirs)).sum(axis=1)
              for nodes, dirs in blocks.items()}
-    pts = [point[None]]
+    pts = [stack]
     for nodes, dirs in blocks.items():
-        ring = radii[nodes][:, None] * np.exp(2j * math.pi * np.arange(nodes) / nodes)
-        pts.append((point + ring[:, :, None] * np.array(dirs)[:, None, :]).reshape(-1, d))
+        ring = radii[nodes][:, :, None] * np.exp(2j * math.pi * np.arange(nodes) / nodes)
+        pts.append((stack[:, None, None, :]
+                    + ring[:, :, :, None] * np.array(dirs)[:, None, :]).reshape(-1, d))
     vals = F(np.concatenate(pts))
-    coeffs = {}                     # direction -> (FFT coefficients, radius)
-    start = 1
+    coeffs = [{} for _ in range(P)]     # per row: direction -> (FFT coefficients, radius)
+    start = P
     for nodes, dirs in blocks.items():
-        block = vals[start:start + len(dirs) * nodes].reshape(len(dirs), nodes)
+        block = vals[start:start + P * len(dirs) * nodes].reshape(P, len(dirs), nodes)
         start += block.size
-        coeffs.update(zip(dirs, zip(np.fft.fft(block, axis=1) / nodes, radii[nodes])))
-    out = {}
-    for alpha, combo in combos.items():
-        m = sum(alpha)
-        total = complex(vals[0]) if not m else 0.0
-        for p, w in combo.items():
-            row, rho = coeffs[p]
-            total += row[m] * w / rho ** m
-        out[alpha] = complex(total)
+        fft = np.fft.fft(block, axis=2) / nodes
+        for row_coeffs, row_fft, row_radii in zip(coeffs, fft, radii[nodes]):
+            row_coeffs.update(zip(dirs, zip(row_fft, row_radii)))
+    out = {alpha: np.empty(P, dtype=complex) for alpha in combos}
+    for i, row_coeffs in enumerate(coeffs):
+        for alpha, combo in combos.items():
+            m = sum(alpha)
+            total = complex(vals[i]) if not m else 0.0
+            for p, w in combo.items():
+                row, rho = row_coeffs[p]
+                total += row[m] * w / rho ** m
+            out[alpha][i] = total
+    if point.ndim == 1:
+        return {alpha: complex(v[0]) for alpha, v in out.items()}
     return out
 
 
@@ -276,15 +292,17 @@ def pi_action(gen: GroupGenerator, nu, F):
 # The bracket as a bi-differential operator
 
 
-def apply_B(algebra: JordanAlgebra, k: int, lam, mu, F, G, z) -> complex:
+def apply_B(algebra: JordanAlgebra, k: int, lam, mu, F, G, z):
     """The k-th bracket applied to F(z) G(w), restricted to the diagonal w = z,
-    at the tube point ``z``.
+    at the tube point ``z``, an (n,) row, or at each row of a (P, n) stack.
 
     F and G are vectorized evaluators on (m, n) arrays.  The operator is the
     bracket polynomial specialized at (lam - n/r, mu - n/r), read as mixed
     trace-form derivatives in the two slots.  On a product each monomial
     splits by Leibniz, d^a_z d^b_w [F(z) G(w)] = d^a F(z) d^b G(w), so each
-    slot gets its own contour grids over its own n coordinates.
+    slot gets its own contour grids over its own n coordinates, one
+    ``holo_mixed_derivatives`` call for all rows.  Returns a complex for a
+    row, a (P,) complex array for a stack.
     """
     shift = Fraction(algebra.n, algebra.r)
     spec = compute_c(algebra, k).specialize(Fraction(lam) - shift, Fraction(mu) - shift)
@@ -294,12 +312,19 @@ def apply_B(algebra: JordanAlgebra, k: int, lam, mu, F, G, z) -> complex:
     n = algebra.n
     alphas = [tuple(m) for m in spec.exps[:, :n].tolist()]
     betas = [tuple(m) for m in spec.exps[:, n:].tolist()]
-    dF = holo_mixed_derivatives(algebra, F, z, alphas)
-    dG = holo_mixed_derivatives(algebra, G, z, betas)
-    total = 0.0 + 0.0j
-    for alpha, beta, coef in zip(alphas, betas, coefs):
-        total += coef * dF[alpha] * dG[beta]
-    return complex(total)
+    stack = np.atleast_2d(z)
+    dF = holo_mixed_derivatives(algebra, F, stack, alphas)
+    dG = holo_mixed_derivatives(algebra, G, stack, betas)
+    # each row summed in scalars, as for one row
+    dF = {alpha: v.tolist() for alpha, v in dF.items()}
+    dG = {beta: v.tolist() for beta, v in dG.items()}
+    out = []
+    for i in range(len(stack)):
+        total = 0.0 + 0.0j
+        for alpha, beta, coef in zip(alphas, betas, coefs):
+            total += coef * dF[alpha][i] * dG[beta][i]
+        out.append(complex(total))
+    return out[0] if np.ndim(z) == 1 else np.array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +371,8 @@ def check_covariance_B(algebra: JordanAlgebra, k: int, lam, mu,
     witnesses of F and G and the sample points are fixed.  For the inversion
     the sample points keep g^{-1}(z) well inside the tube (minimal
     eigenvalue of the imaginary part > 0.1), where the contour rings retain
-    their accuracy.
+    their accuracy.  Each route is one ``apply_B`` call on the stack of kept
+    points; with none kept the report fails with no samples.
     """
     nu = lam + mu + 2 * k
     n = algebra.n
@@ -355,18 +381,20 @@ def check_covariance_B(algebra: JordanAlgebra, k: int, lam, mu,
     G = coherent_state(algebra, mu, (-0.3 + 0.9j) * e + 0.04j * np.arange(n)[::-1])
     scale_psi = algebra.r / (2.0 * algebra.n)
     F_g, G_g = pi_action(gen, lam, F), pi_action(gen, mu, G)
+    Z = np.array(_default_tube_points(algebra))
+    ginv_Z = gen.apply_inv(Z)
+    keep = ~(spectral(algebra, ginv_Z.imag)[:, 0] < 0.1)     # a NaN row stays, and fails
     rows = []
-    for z in _default_tube_points(algebra):
-        ginv_z = gen.apply_inv(z.reshape(1, -1))[0]
-        if spectral(algebra, ginv_z.imag)[0, 0] < 0.1:
-            continue
-        lhs = apply_B(algebra, k, lam, mu, F_g, G_g, z)
-        inner_B = apply_B(algebra, k, lam, mu, F, G, ginv_z)
-        fac = np.exp(complex(nu) * scale_psi * gen.psi_inv(z.reshape(1, -1))[0])
-        rhs = fac * inner_B
-        scale = max(abs(lhs), abs(rhs), 1e-30)
-        rows.append({"z": [[c.real, c.imag] for c in z.tolist()],
-                     "residual": abs(lhs - rhs) / scale})
+    if keep.any():
+        Z, ginv_Z = Z[keep], ginv_Z[keep]
+        lhs = apply_B(algebra, k, lam, mu, F_g, G_g, Z).tolist()
+        inner_B = apply_B(algebra, k, lam, mu, F, G, ginv_Z).tolist()
+        # each row's factor and residual in scalars, as for one row
+        for z, lhs_z, inner_z, psi in zip(Z, lhs, inner_B, gen.psi_inv(Z)):
+            rhs = np.exp(complex(nu) * scale_psi * psi) * inner_z
+            scale = max(abs(lhs_z), abs(rhs), 1e-30)
+            rows.append({"z": [[c.real, c.imag] for c in z.tolist()],
+                         "residual": abs(lhs_z - rhs) / scale})
     return report("bracket-group-covariance", algebra.name, ok=bool(rows), k=k,
                   **{"lambda": float(lam)}, mu=float(mu), generator=gen.kind,
                   tolerance=tol, max_residual=worst(r["residual"] for r in rows),
@@ -592,18 +620,18 @@ def check_hua_cocycle(algebra: JordanAlgebra, gen: GroupGenerator, z, w,
 def check_coherent_transform(algebra: JordanAlgebra, nu, gen: GroupGenerator,
                              w, tol: float) -> dict:
     """pi_nu(g) k_nu^w = e^{(r nu / 2n) conj(psi_g(w))} k_nu^{g(w)} at the
-    default tube points, for the tube point ``w``."""
+    default tube points, for the tube point ``w``; each side is evaluated
+    once, on the stack of all the points."""
     K = coherent_state(algebra, nu, w)
     KT = pi_action(gen, nu, K)
     gw = gen.apply(w.reshape(1, -1))[0]
     K2 = coherent_state(algebra, nu, gw)
     fac = np.exp((algebra.r * complex(nu) / (2.0 * algebra.n))
                  * np.conj(gen.psi(w.reshape(1, -1))[0]))
+    Z = np.array(_default_tube_points(algebra))
     residuals = []
-    for z in _default_tube_points(algebra):
-        point = z[None]
-        a = complex(KT(point)[0])
-        b = fac * complex(K2(point)[0])
+    for a, b2 in zip(KT(Z).tolist(), K2(Z).tolist()):
+        b = fac * b2
         residuals.append(abs(a - b) / max(abs(a), abs(b), 1e-300))
     return report("coherent-state-transport", algebra.name, nu=float(nu),
                   generator=gen.kind, tolerance=tol, max_residual=worst(residuals))

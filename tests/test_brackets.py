@@ -468,6 +468,13 @@ def test_restriction_needs_both_weights_or_neither():
         compute_C(get_algebra("rank1"), 1, 3)
 
 
+@pytest.mark.parametrize("weights", [(), (3, 2)])
+def test_restriction_refuses_a_negative_k(weights):
+    # as compute_c does; a negative k must not read the end of the chain
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        compute_C(get_algebra("sym2"), -1, *weights)
+
+
 def frame_forms(alg):
     """x = F(1 - a)/2 and y = F(1 + a)/2 on the frame F of ``frame_matrix``, as
     2n linear forms {exponent tuple of a_1..a_r: Fraction} in the eigenvalues."""

@@ -226,6 +226,91 @@ def test_polarised_derivatives_of_an_exponential(name, slots):
             assert abs(got[alpha] - want) <= 1e-10 * abs(want), alpha
 
 
+def _stack_rows(alg, slots):
+    """Four (slots n,) rows whose imaginary parts have different least
+    eigenvalues, so each row gets its own ring radius."""
+    n = alg.n
+    off = 0.05 * (1 + 1j) * np.arange(n) / n
+    return np.array([np.concatenate([(x + 1j * y) * alg.e + off,
+                                     (-x + 1j * (y + 0.3)) * alg.e - off][:slots])
+                     for x, y in ((0.3, 1.2), (-0.2, 0.7), (0.5, 2.1), (0.0, 1.6))])
+
+
+@pytest.mark.parametrize("name, slots", [("rank1", 1), ("sym2", 1), ("sym2", 2)],
+                         ids=["rank1", "sym2", "sym2-pair"])
+def test_holo_derivatives_of_a_stack_have_the_bits_of_each_row(name, slots):
+    alg = get_algebra(name)
+    n = alg.n
+    K = coherent_state(alg, 2.3, (0.1 + 1.0j) * alg.e)
+    L = coherent_state(alg, 1.7, (-0.2 + 0.8j) * alg.e)
+
+    def F(c):
+        return K(c[:, :n]) * (L(c[:, n:]) if slots == 2 else 1)
+
+    stack = _stack_rows(alg, slots)
+    radii = {spectral(alg, row.imag.reshape(slots, n)).min() for row in stack}
+    assert len(radii) == len(stack)
+    alphas = orders_upto(slots * n, 3)
+    got = holo_mixed_derivatives(alg, F, stack, alphas)
+    for i, row in enumerate(stack):
+        one = holo_mixed_derivatives(alg, F, row, alphas)
+        for alpha in alphas:
+            assert isinstance(one[alpha], complex)
+            assert got[alpha][i] == one[alpha], (i, alpha)
+
+
+@pytest.mark.parametrize("name, k", [("rank1", 0), ("rank1", 3), ("sym2", 1), ("sym2", 2)])
+def test_apply_B_on_a_stack_has_the_bits_of_each_row(name, k):
+    alg = get_algebra(name)
+    n = alg.n
+    F = coherent_state(alg, 2.6, (0.2 + 1.1j) * alg.e + 0.05j * np.arange(n))
+    G = coherent_state(alg, 3.2, (-0.3 + 0.9j) * alg.e + 0.04j * np.arange(n)[::-1])
+    stack = _stack_rows(alg, 1)
+    got = apply_B(alg, k, 2.6, 3.2, F, G, stack)
+    assert got.shape == (len(stack),)
+    for value, row in zip(got, stack):
+        assert value == apply_B(alg, k, 2.6, 3.2, F, G, row)
+
+
+@pytest.mark.parametrize("name, ks", [("rank1", (0, 1, 2, 3)), ("sym2", (1,)),
+                                      ("spin4", (1,)), ("spin8", (1,))],
+                         ids=["rank1", "sym2", "spin4", "spin8"])
+def test_covariance_writes_the_report_of_the_per_point_loop(name, ks):
+    import tube_ref
+
+    alg = get_algebra(name)
+    for k in ks:
+        for gen in default_generators(alg):
+            want = tube_ref.check_covariance_B(alg, k, 2.6, 3.2, gen, 1e-6)
+            assert check_covariance_B(alg, k, 2.6, 3.2, gen, 1e-6) == want, (k, gen.kind)
+
+
+@pytest.mark.parametrize("name", ["rank1", "sym2"])
+def test_coherent_transport_writes_the_report_of_the_per_point_loop(name):
+    import tube_ref
+
+    alg = get_algebra(name)
+    w = -0.2 * alg.e + 0.9j * alg.e
+    for gen in default_generators(alg):
+        want = tube_ref.check_coherent_transform(alg, 2.7, gen, w, 1e-8)
+        assert check_coherent_transform(alg, 2.7, gen, w, 1e-8) == want, gen.kind
+
+
+def test_covariance_with_every_point_dropped_fails_without_samples(monkeypatch):
+    # under the inversion Im g^-1(100 + i) is about 1e-4, below the 0.1 the
+    # rings need, so no point is kept and nothing is differentiated
+    from rclab import tube
+
+    alg = get_algebra("rank1")
+    monkeypatch.setattr(tube, "_default_tube_points", lambda algebra: [np.array([100 + 1j])])
+    monkeypatch.setattr(tube, "apply_B", None)
+    gen = default_generators(alg)[2]
+    assert gen.kind == "inversion"
+    rep = check_covariance_B(alg, 1, 2.6, 3.2, gen, 1e-6)
+    assert rep["pass"] is False
+    assert rep["samples"] == [] and rep["max_residual"] == 0.0
+
+
 @pytest.mark.parametrize("name", ["rank1", "sym2"])
 def test_generator_cocycles_match_numeric_jacobian(name):
     alg = get_algebra(name)

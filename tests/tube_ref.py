@@ -1,0 +1,57 @@
+"""The per-point loops that ``rclab.tube`` replaced, for the tests.
+
+``check_covariance_B`` and ``check_coherent_transform`` here visit the
+default tube points one at a time: one ``apply_B`` per route and point, one
+evaluation of each coherent state per point.  ``rclab.tube`` evaluates all
+the points of a check in one call per evaluator; both must write the same
+report.
+"""
+
+import numpy as np
+
+from rclab import report, worst
+from rclab.algebra import spectral
+from rclab.tube import _default_tube_points, apply_B, coherent_state, pi_action
+
+
+def check_covariance_B(algebra, k, lam, mu, gen, tol):
+    nu = lam + mu + 2 * k
+    n = algebra.n
+    e = algebra.e
+    F = coherent_state(algebra, lam, (0.2 + 1.1j) * e + 0.05j * np.arange(n))
+    G = coherent_state(algebra, mu, (-0.3 + 0.9j) * e + 0.04j * np.arange(n)[::-1])
+    scale_psi = algebra.r / (2.0 * algebra.n)
+    F_g, G_g = pi_action(gen, lam, F), pi_action(gen, mu, G)
+    rows = []
+    for z in _default_tube_points(algebra):
+        ginv_z = gen.apply_inv(z.reshape(1, -1))[0]
+        if spectral(algebra, ginv_z.imag)[0, 0] < 0.1:
+            continue
+        lhs = apply_B(algebra, k, lam, mu, F_g, G_g, z)
+        inner_B = apply_B(algebra, k, lam, mu, F, G, ginv_z)
+        fac = np.exp(complex(nu) * scale_psi * gen.psi_inv(z.reshape(1, -1))[0])
+        rhs = fac * inner_B
+        scale = max(abs(lhs), abs(rhs), 1e-30)
+        rows.append({"z": [[c.real, c.imag] for c in z.tolist()],
+                     "residual": abs(lhs - rhs) / scale})
+    return report("bracket-group-covariance", algebra.name, ok=bool(rows), k=k,
+                  **{"lambda": float(lam)}, mu=float(mu), generator=gen.kind,
+                  tolerance=tol, max_residual=worst(r["residual"] for r in rows),
+                  samples=rows)
+
+
+def check_coherent_transform(algebra, nu, gen, w, tol):
+    K = coherent_state(algebra, nu, w)
+    KT = pi_action(gen, nu, K)
+    gw = gen.apply(w.reshape(1, -1))[0]
+    K2 = coherent_state(algebra, nu, gw)
+    fac = np.exp((algebra.r * complex(nu) / (2.0 * algebra.n))
+                 * np.conj(gen.psi(w.reshape(1, -1))[0]))
+    residuals = []
+    for z in _default_tube_points(algebra):
+        point = z[None]
+        a = complex(KT(point)[0])
+        b = fac * complex(K2(point)[0])
+        residuals.append(abs(a - b) / max(abs(a), abs(b), 1e-300))
+    return report("coherent-state-transport", algebra.name, nu=float(nu),
+                  generator=gen.kind, tolerance=tol, max_residual=worst(residuals))
