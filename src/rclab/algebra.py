@@ -1,7 +1,8 @@
-"""Euclidean Jordan algebras: product tables and the array polar chart.
+"""Euclidean Jordan algebras: descriptors and the array polar chart.
 
-Three families are implemented, each as a table-driven commutative algebra
-with a positive-definite trace form:
+Three families are implemented, each a commutative algebra with a
+positive-definite trace form, known by its closed forms alone (no
+structure table is held):
 
 * ``rank1``   -- the reals, V = R, with ordinary multiplication;
 * ``sym(r)``  -- r x r real symmetric matrices with x.y = (xy + yx)/2,
@@ -9,15 +10,15 @@ with a positive-definite trace form:
 * ``spin(m)`` -- the spin factor R + R^{m-1} with
   (x0, xb).(y0, yb) = (x0*y0 + <xb, yb>, x0*yb + y0*xb).
 
-A point is a row of coordinates.  Every exact constant is an integer: the
-structure table is held once, as integers over one denominator, and the
-samplers draw integer rows over one denominator (``_random_ints``,
-``_cone_ints``) and multiply them with it (``_int_mul``).  A float or
-complex point is a numpy row, and the numerics of the cone run on (m, n)
-float arrays, one point per row: ``spectral`` (eigenvalues),
-``cone_sqrt``, ``quad_rep`` (P(a)b) and ``inverse`` (x^{-1}), both in each
-family's closed form and on complex rows too, the polar chart ``iota``,
-its inverse and its Jacobian, and ``det_poly.numeric`` for determinants.  The trace inner product is
+A point is a row of coordinates.  Every exact constant is an integer (the
+det coefficients, the trace form, the identity), and the samplers draw
+integer rows over one denominator (``_random_ints``; ``_cone_ints``
+squares its row in the family's closed form).  A float or complex point is
+a numpy row, and the numerics of the cone run on (m, n) float arrays, one
+point per row: ``spectral`` (eigenvalues), ``cone_sqrt``, ``quad_rep``
+(P(a)b) and ``inverse`` (x^{-1}), both in each family's closed form and on
+complex rows too, the polar chart ``iota``, its inverse and its Jacobian,
+and ``det_poly.numeric`` for determinants.  The trace inner product is
 (x, y) = tr(x.y); its Gram matrix is diagonal in the chosen bases and the
 Lebesgue measure used throughout the package is the Euclidean measure of
 that form (orthonormal coordinates x_ii, sqrt(2) x_ij for sym(r)).
@@ -67,16 +68,13 @@ class NotInCone(AlgebraError):
 
 @dataclass(frozen=True)
 class JordanAlgebra:
-    """Descriptor of a concrete algebra: dimensions, product table, det/trace.
+    """Descriptor of a concrete algebra: dimensions, det and trace form.
 
-    The structure table is held once, over the integers: ``_int_table``
-    holds (i, j, k, c) for each nonzero coordinate c / ``_table_den`` of
-    b_i . b_j along b_k, every c a Python int.  ``gram`` is the (diagonal)
-    Gram vector of the trace form, so the inner product is (x, y) =
-    sum_i gram[i] * x_i * y_i; it, ``e_coords``, ``trace_vec`` and the det
-    coefficients are ints.  ``e`` is the identity as a read-only float row.
-    The float numerics never read the table: each family has its own closed
-    forms (``quad_rep``, ``inverse``).
+    ``gram`` is the (diagonal) Gram vector of the trace form, so the inner
+    product is (x, y) = sum_i gram[i] * x_i * y_i; it, ``e_coords``,
+    ``trace_vec`` and the det coefficients are ints.  ``e`` is the identity
+    as a read-only float row.  Products are each family's closed forms
+    (``quad_rep``, ``inverse``, the square in ``_cone_ints``).
     """
 
     name: str
@@ -90,8 +88,6 @@ class JordanAlgebra:
     gram: tuple               # diagonal trace-form Gram entries
     trace_vec: tuple          # tr(x) = sum_i trace_vec[i] x_i
     det_poly: Poly = field(hash=False, compare=False)
-    _int_table: tuple = field(hash=False, repr=False, compare=False)
-    _table_den: int = field(hash=False, repr=False, compare=False)
 
     def __repr__(self):
         return f"JordanAlgebra({self.name}, n={self.n}, r={self.r}, d={self.d})"
@@ -101,14 +97,7 @@ class JordanAlgebra:
 # Family constructors
 
 
-def _build(name, family, n, r, d, labels, table, den, e_coords, gram, trace_vec, det_poly):
-    """The descriptor of the product b_i . b_j = sum_k table[i, j, k] b_k / den,
-    ``table`` an (n, n, n) integer array, reduced by the gcd of den and its
-    entries."""
-    table = np.asarray(table)
-    i, j, k = np.nonzero(table)
-    coefs = table[i, j, k].tolist()
-    g = math.gcd(den, *coefs)
+def _build(name, family, n, r, d, labels, e_coords, gram, trace_vec, det_poly):
     e = np.array(e_coords, dtype=float)
     e.setflags(write=False)
     return JordanAlgebra(
@@ -116,13 +105,11 @@ def _build(name, family, n, r, d, labels, table, den, e_coords, gram, trace_vec,
         basis_labels=tuple(labels), e_coords=tuple(e_coords), e=e,
         gram=tuple(gram), trace_vec=tuple(trace_vec),
         det_poly=Poly.from_terms(det_poly, n),
-        _table_den=den // g,
-        _int_table=tuple(zip(i.tolist(), j.tolist(), k.tolist(), (c // g for c in coefs))),
     )
 
 
 def rank_one() -> JordanAlgebra:
-    return _build("rank1", "rank1", 1, 1, 0, ["x"], [[[1]]], 1, (1,), (1,), (1,), {(1,): 1})
+    return _build("rank1", "rank1", 1, 1, 0, ["x"], (1,), (1,), (1,), {(1,): 1})
 
 
 def _sym_pairs(r):
@@ -154,20 +141,11 @@ def sym(r: int) -> JordanAlgebra:
     if r < 1:
         raise AlgebraError("sym(r) needs r >= 1")
     pairs = _sym_pairs(r)
-    n = len(pairs)
-    # the basis matrices E_ij + E_ji (E_ii on the diagonal), and 2 b_a.b_b =
-    # b_a b_b + b_b b_a read at the coordinate entries (i, j), i <= j
-    mats = np.zeros((n, r, r), dtype=np.int64)
-    for k, (i, j) in enumerate(pairs):
-        mats[k, i, j] = mats[k, j, i] = 1
-    twice = np.einsum("aik,bkj->abij", mats, mats)
-    twice += twice.transpose(1, 0, 2, 3)
-    rows, cols = zip(*pairs)
     diagonal = tuple(int(i == j) for (i, j) in pairs)
     labels = [f"x{i+1}{j+1}" for (i, j) in pairs]
     gram = tuple(1 if i == j else 2 for (i, j) in pairs)
-    return _build(f"sym{r}", "sym", n, r, 1, labels, twice[:, :, rows, cols], 2, diagonal,
-                  gram, diagonal, _sym_det_poly(r))
+    return _build(f"sym{r}", "sym", len(pairs), r, 1, labels, diagonal, gram, diagonal,
+                  _sym_det_poly(r))
 
 
 def spin(m: int) -> JordanAlgebra:
@@ -175,18 +153,13 @@ def spin(m: int) -> JordanAlgebra:
     if m < 3:
         raise AlgebraError("spin(m) needs m >= 3")
     n = m
-    # b_0 = (1, 0); b_i = (0, unit_i).  (x0,xb).(y0,yb) =
-    # (x0 y0 + <xb, yb>, x0 yb + y0 xb): b_0 . b_j = b_j and b_i . b_i = b_0
-    table = np.zeros((n, n, n), dtype=np.int64)
-    table[0] = table[:, 0] = np.eye(n, dtype=np.int64)
-    table[range(1, n), range(1, n), 0] = 1
     e_coords = (1,) + (0,) * (n - 1)
     det_poly = {tuple(2 if k == 0 else 0 for k in range(n)): 1}
     for i in range(1, n):
         det_poly[tuple(2 if k == i else 0 for k in range(n))] = -1
     labels = ["x0"] + [f"xb{i}" for i in range(1, n)]
-    return _build(f"spin{m}", "spin", n, 2, m - 2, labels, table, 1, e_coords,
-                  (2,) * n, (2,) + (0,) * (n - 1), det_poly)
+    return _build(f"spin{m}", "spin", n, 2, m - 2, labels, e_coords, (2,) * n,
+                  (2,) + (0,) * (n - 1), det_poly)
 
 
 _REGISTRY: dict = {}
@@ -349,22 +322,18 @@ def _random_ints(rng: random.Random, n: int, num_bound: int = 6, den_bound: int 
     return [num * (q // den) for num, den in draws], q
 
 
-def _int_mul(algebra: JordanAlgebra, U, V):
-    """C(U, V) = t u.v for integer coordinate lists U, V, with structure
-    constants C/t (t = algebra._table_den)."""
-    out = [0] * algebra.n
-    for i, j, k, c in algebra._int_table:
-        out[k] += c * U[i] * V[j]
-    return out
-
-
 def _cone_ints(rng: random.Random, algebra: JordanAlgebra):
     """u.u + e, with u drawn by _random_ints(rng, n, 3, 3), as integers W
-    over one denominator D: with u = U/q, u.u + e = (C(U, U) + q^2 t e) /
-    (q^2 t)."""
+    over one denominator D: with u = U/q, u.u + e = (U.U + q^2 e) / q^2.
+    U.U is the matrix square in sym(r) (rank 1 is sym(1)) and
+    (U0^2 + |Ub|^2, 2 U0 Ub) in spin(m)."""
     U, q = _random_ints(rng, algebra.n, 3, 3)
-    den = q * q * algebra._table_den
-    return [w + den * e for w, e in zip(_int_mul(algebra, U, U), algebra.e_coords)], den
+    if algebra.family == "spin":
+        square = [sum(u * u for u in U)] + [2 * U[0] * u for u in U[1:]]
+    else:
+        M = [[U[k] for k in row] for row in _sym_index(algebra.r)]
+        square = [sum(a * b for a, b in zip(M[i], M[j])) for i, j in _sym_pairs(algebra.r)]
+    return [w + q * q * e for w, e in zip(square, algebra.e_coords)], q * q
 
 
 def random_interval_point(rng: random.Random, algebra: JordanAlgebra) -> np.ndarray:

@@ -11,10 +11,9 @@ wherever the polynomial came from (built in the process or read from disk).
 A Poly without parameters evaluates
 
 * exactly over the integers (``monomials``): for a batch of integer
-  points, every row homogenised to the top degree D by a power of a
-  common denominator q, one power table per coordinate feeds the integer
-  table of the monomial values; ``exact`` at one rational point is its
-  one-row case, its sum divided once, by den q^D;
+  points, one power table per coordinate feeds the integer table of the
+  monomial values; ``exact`` at one rational point X/q lifts each row of
+  its table at X to the top degree D and divides the sum once, by den q^D;
 * over an (m, N) float or complex array (``numeric``): per-coordinate power
   tables are multiplied into the monomial columns of a block of points,
   and the block's columns are summed against the float coefficients;
@@ -129,30 +128,29 @@ class Poly:
                                    dtype=float)
         return self._fcoef
 
-    def monomials(self, ints, q=1) -> np.ndarray:
+    def monomials(self, ints) -> np.ndarray:
         """The (m, rows) integer table of the monomials at the rows of an (m, N)
-        integer array, every row homogenised to the top degree D by q^(D - deg):
-        at the points ints / q the polynomial is ``table @ coef / (den q^D)``.
-        ``q`` is one positive integer or one per point; one power table per
-        coordinate feeds the products."""
+        integer array, so the polynomial there is ``table @ coef / den``;
+        one power table per coordinate feeds the products."""
         ints = np.asarray(ints, dtype=object).reshape(-1, self.exps.shape[1])
-        deg = self.exps.sum(axis=1)
-        top = int(deg.max(initial=0))
-        q = np.broadcast_to(np.asarray(q, dtype=object), (len(ints),))
-        acc = _powers(q, top)[:, top - deg]
+        acc = np.ones((len(ints), len(self.exps)), dtype=object)
         for i, e in self._columns:
             rows = np.flatnonzero(e)
             acc[:, rows] *= _powers(ints[:, i], int(e.max()))[:, e[rows]]
         return acc
 
     def exact(self, point) -> Fraction:
-        """Value at a point with rational coordinates, over the integers."""
-        coef = self._constant()
+        """Value at a point with rational coordinates, over the integers: at
+        the point X/q, q one denominator, each monomial of X is lifted to the
+        top degree D by q^(D - its degree), and the sum divided once, by
+        den q^D."""
         point = [Fraction(x) for x in point]
         q = math.lcm(1, *(x.denominator for x in point))
-        ints = [x.numerator * (q // x.denominator) for x in point]
-        top = int(self.exps.sum(axis=1).max(initial=0))
-        return Fraction(int(self.monomials([ints], q)[0].dot(coef)), self.den * q**top)
+        deg = self.exps.sum(axis=1).tolist()
+        top = max(deg, default=0)
+        table = self.monomials([[x.numerator * (q // x.denominator) for x in point]])[0]
+        lifted = table * np.array([q ** (top - d) for d in deg], dtype=object)
+        return Fraction(int(lifted.dot(self._constant())), self.den * q**top)
 
     def numeric(self, points) -> np.ndarray:
         """Values at the rows of an (m, N) float or complex array."""

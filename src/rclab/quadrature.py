@@ -65,7 +65,6 @@ __all__ = [
     "gamma_omega_numeric",
     "mehta_cone_constant",
     "weyl_integral",
-    "GramReport",
     "gram_matrix",
     "tube_laplace",
     "bump",
@@ -354,41 +353,6 @@ def weyl_integral(algebra: JordanAlgebra, f_eig, lam, mu, n: int = 60):
 # Gram matrices of the C(k) family
 
 
-@dataclass
-class GramReport:
-    algebra: str
-    lam: float
-    mu: float
-    k_max: int
-    matrix: list            # (k_max+1)^2 nested lists
-    off_diagonal_ratios: list
-    max_off_diagonal_ratio: float
-    node_count: int
-    estimated_error: float
-
-    def to_jsonable(self):
-        return {
-            "schema": SCHEMA,
-            "kind": "gram-report",
-            "algebra": self.algebra,
-            "lambda": self.lam,
-            "mu": self.mu,
-            "k_max": self.k_max,
-            "matrix": self.matrix,
-            "off_diagonal_ratios": self.off_diagonal_ratios,
-            "max_off_diagonal_ratio": self.max_off_diagonal_ratio,
-            "node_count": self.node_count,
-            "estimated_error": self.estimated_error,
-        }
-
-    def to_csv(self) -> str:
-        lines = ["k,l,value"]
-        for k, row in enumerate(self.matrix):
-            for l, v in enumerate(row):
-                lines.append(f"{k},{l},{v!r}")
-        return "\n".join(lines) + "\n"
-
-
 def _gram_once(algebra, polys, lam, mu, n):
     """All products C(k) C(l) in one rule: each C(k) is evaluated once, on
     the eigenvalue rows of the rule."""
@@ -408,8 +372,9 @@ def gram_nodes(algebra: JordanAlgebra, lam, mu, k_max: int) -> int:
 
 
 def gram_matrix(algebra: JordanAlgebra, lam, mu, k_max: int,
-                n: int | None = None) -> GramReport:
-    """Pairwise interval inner products of C(0..k_max) at weight (lam, mu).
+                n: int | None = None) -> dict:
+    """Pairwise interval inner products of C(0..k_max) at weight (lam, mu),
+    as the ``gram-report`` dict.
 
     Precondition: lam, mu > 1 + (r-1)d - n/r (documented threshold for the
     orthogonality statement; not asserted sharp).
@@ -429,12 +394,11 @@ def gram_matrix(algebra: JordanAlgebra, lam, mu, k_max: int,
 
     ratios = [{"k": k, "l": l, "ratio": ratio(k, l)}
               for k in range(k_max + 1) for l in range(k + 1, k_max + 1)]
-    return GramReport(
-        algebra=algebra.name, lam=float(lam), mu=float(mu), k_max=k_max,
-        matrix=G2, off_diagonal_ratios=ratios,
-        max_off_diagonal_ratio=worst(r["ratio"] for r in ratios),
-        node_count=n + 8, estimated_error=err,
-    )
+    return {"schema": SCHEMA, "kind": "gram-report", "algebra": algebra.name,
+            "lambda": float(lam), "mu": float(mu), "k_max": k_max, "matrix": G2,
+            "off_diagonal_ratios": ratios,
+            "max_off_diagonal_ratio": worst(r["ratio"] for r in ratios),
+            "node_count": n + 8, "estimated_error": err}
 
 
 # ---------------------------------------------------------------------------

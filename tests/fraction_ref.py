@@ -1,10 +1,11 @@
 """The Fraction reference of the exact Jordan arithmetic, for the tests.
 
 A point is a tuple of Fractions.  Products read a Fraction structure table
-that this module builds from each family's definition (``table``), never
-the integer ``_int_table`` of ``rclab.algebra``, so the reference stays
-independent of the integer paths it checks: ``sym_table`` multiplies
-Fraction matrices, and the spin and rank-1 products are written out.  The
+that this module builds from each family's definition (``table``), where
+``rclab.algebra`` holds no table at all, only closed forms, so the
+reference stays independent of the integer paths it checks: ``sym_table``
+multiplies Fraction matrices, and the spin and rank-1 products are written
+out.  The
 pencil chain is stepped here with one Fraction product per term, the loop
 the integer step of ``rclab.sympoly`` replaces, from L taken to Fractions
 (``fraction_operator``).

@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 
 from fraction_ref import (
-    apply, cone_point, det, mul, quad_rep, quadratic_map, rational_point, sym_table, table,
+    apply, cone_point, det, mul, quad_rep, quadratic_map, rational_point, table,
     trace,
 )
 from rclab.cli import _fd_jacobian
 from rclab.algebra import (
-    ALGEBRA_NAMES, get_algebra, sym, spectral, cone_sqrt, inverse, quad_rep as float_quad_rep,
+    ALGEBRA_NAMES, get_algebra, spectral, cone_sqrt, inverse, quad_rep as float_quad_rep,
     iota, iota_inv, iota_jacobian, random_interval_point, random_chart_points,
-    _cone_ints, _int_mul, _random_ints, AlgebraError, NotInCone,
+    _cone_ints, _random_ints, AlgebraError, NotInCone,
 )
 
 ALGEBRAS = ["rank1", "sym2", "sym3", "spin4", "spin5"]
@@ -65,20 +65,6 @@ def test_trace_form_positive_definite(algebra):
             assert trace(algebra, mul(algebra, x, x)) > 0
 
 
-@pytest.mark.parametrize("r", [1, 2, 3, 4])
-def test_sym_table_is_the_fraction_matrix_product(r):
-    # the integer table of sym(r) over its one denominator, the only table
-    # the algebra holds, against (ab + ba)/2 of Fraction matrices; every
-    # entry is a Python int, so _int_mul cannot overflow
-    alg, fractions = sym(r), sym_table(r)
-    sparse = [(i, j, k, c) for i, row in enumerate(fractions) for j, coords in enumerate(row)
-              for k, c in enumerate(coords) if c]
-    den = math.lcm(*(c.denominator for *_, c in sparse))
-    assert alg._table_den == den == (1 if r == 1 else 2)
-    assert alg._int_table == tuple((i, j, k, int(c * den)) for i, j, k, c in sparse)
-    assert all(type(v) is int for entry in alg._int_table for v in entry)
-
-
 def test_sym2_identity_acts_trivially():
     alg = get_algebra("sym2")
     rng = random.Random(3)
@@ -98,7 +84,6 @@ def test_spin_product_formula():
     # (x0 y0 + <xb, yb>, x0 yb + y0 xb)
     expected = (2 * 3 + (0 + 0 - 1), 2 * 0 + 3 * 1, 2 * 2 + 0, 2 * 1 - 3)
     assert mul(alg, x, y) == expected
-    assert alg._table_den == 1 and _int_mul(alg, x, y) == list(expected)
 
 
 def test_det_trace_examples():
@@ -416,19 +401,17 @@ def interval_point(rng, alg):
 
 @pytest.mark.parametrize("name", ALGEBRA_NAMES)
 def test_integer_samplers_match_the_fraction_reference(name):
-    # _cone_ints, _random_ints and _int_mul run over the integers; the
-    # reference is the Fraction arithmetic, from the same rng state
+    # _random_ints and _cone_ints run over the integers, _cone_ints with its
+    # family's closed-form square; the reference is the product of the
+    # Fraction table, from the same rng state
     alg = get_algebra(name)
-    t = alg._table_den
     rng, ref = random.Random(31), random.Random(31)
     for _ in range(10):
-        A, D = _cone_ints(rng, alg)
-        a = cone_point(ref, alg)
-        assert tuple(Fraction(v, D) for v in A) == a
+        W, D = _cone_ints(rng, alg)
+        u = rational_point(ref, alg, 3, 3)
+        assert tuple(Fraction(w, D) - e for w, e in zip(W, alg.e_coords)) == mul(alg, u, u)
         X, q = _random_ints(rng, alg.n)
-        x = rational_point(ref, alg)
-        assert tuple(Fraction(v, q) for v in X) == x
-        assert tuple(Fraction(v, t * D * q) for v in _int_mul(alg, A, X)) == mul(alg, a, x)
+        assert tuple(Fraction(v, q) for v in X) == rational_point(ref, alg)
     assert rng.random() == ref.random()
 
 

@@ -352,19 +352,6 @@ def test_chi_covariance_catches_a_wrong_coefficient(monkeypatch, wrong_c1):
     assert [bool(v) for v in chi_covariance_reference(alg, 2)] == [False, True, False]
 
 
-def test_a_wrong_integer_constant_fails_against_the_fraction_reference(monkeypatch):
-    # the reference reads the Fraction table, so one corrupted constant of the
-    # integer table shows in _int_mul (which test_algebra puts against it)
-    from rclab.algebra import _int_mul
-
-    alg, X, Y = get_algebra("spin4"), [1, 2, -1, 3], [2, -1, 1, 1]
-    t = alg._table_den
-    assert [Fraction(v, t) for v in _int_mul(alg, X, Y)] == list(mul(alg, X, Y))
-    (i, j, m, c), *rest = alg._int_table
-    monkeypatch.setitem(vars(alg), "_int_table", ((i, j, m, 2 * c), *rest))
-    assert [Fraction(v, t) for v in _int_mul(alg, X, Y)] != list(mul(alg, X, Y))
-
-
 def test_iota_factorization_rank1_v0():
     # at v = 0, k = 1: both sides equal det(eta) (lam - mu)/2
     alg = get_algebra("rank1")

@@ -419,6 +419,16 @@ def test_gram_cli_offdiagonals(tmp_path):
     assert data["max_off_diagonal_ratio"] < 1e-12
 
 
+def test_gram_csv_lists_the_matrix_of_the_json_report():
+    args = ["gram", "--algebra", "sym2", "--kmax", "2", "--lambda", "3", "--mu", "3"]
+    _, out, _ = run_cli(args)
+    code, csv, err = run_cli(args + ["--format", "csv"])
+    assert code == 0, err
+    matrix = json.loads(out)["matrix"]
+    assert csv.splitlines() == ["k,l,value"] + [
+        f"{k},{l},{v!r}" for k, row in enumerate(matrix) for l, v in enumerate(row)]
+
+
 def test_gram_threshold_guard():
     code, _, err = run_cli(["gram", "--algebra", "sym2", "--kmax", "2",
                             "--lambda", "-1", "--mu", "3"])
@@ -701,6 +711,17 @@ def test_cache_clear_of_a_directory_is_an_error(tmp_path):
     assert (tmp_path / "c_dir.json").is_dir()
 
 
+def test_cache_clear_removes_every_name_past_one_it_cannot_remove(tmp_path):
+    # clear stopped at c_dir.json, and c_zz.json, sorted after it, stayed
+    (tmp_path / "c_dir.json").mkdir()
+    (tmp_path / "c_zz.json").write_text("{}")
+    (tmp_path / "c_zz2.tmp").mkdir()
+    code, out, err = run_cli(["cache", "clear", "--cache-dir", str(tmp_path)])
+    assert code == 2 and out == "" and err.count("\n") == 1, err
+    assert err.startswith("error: ") and "c_dir.json" in err and "c_zz2.tmp" in err, err
+    assert sorted(os.listdir(tmp_path)) == ["c_dir.json", "c_zz2.tmp"]
+
+
 def test_check_suite_exit_zero(tmp_path):
     code, out, _ = run_cli(["check", "cayley", "--algebra", "rank1",
                             "--cache-dir", str(tmp_path / "c")])
@@ -968,7 +989,7 @@ def test_every_tolerance_a_suite_reads_is_named():
 
 def test_the_built_in_tolerances_per_algebra():
     # 15 names, each read by one suite, at the values the checks held before
-    # the table
+    # the table; hua and coherent at 1,000 x their worst residual
     from rclab.algebra import ALGEBRA_NAMES
     import rclab.cli as cli
 
@@ -984,7 +1005,8 @@ def test_the_built_in_tolerances_per_algebra():
             want.update({"laplace": 1e-4, "adjoint": 1e-3})
         if alg in ("rank1", "sym2"):
             chart = {"rank1": 1e-6, "sym2": 1e-4}[alg]
-            want.update({"covariance": 1e-6, "hua": 1e-8, "coherent": 1e-8,
+            want.update({"covariance": 1e-6, "hua": 1e-12,
+                         "coherent": {"rank1": 1e-12, "sym2": 1e-11}[alg],
                          "branch": 1e-10, "cauchy": 1e-9, "change-of-variables": chart,
                          "laplace-factorization": chart})
         got = {}
@@ -992,6 +1014,24 @@ def test_the_built_in_tolerances_per_algebra():
             if alg in row.algebras:
                 got.update(row.tolerances(alg))
         assert got == want, alg
+
+
+@pytest.mark.parametrize("name", ["rank1", "sym2"])
+def test_cocycles_fail_psi_off_by_a_relative_1e_10(name, monkeypatch):
+    # hua and coherent were 1e-8, which passed psi_g scaled by 1 + 1e-10;
+    # at 1,000 x the worst residual each report that reads psi fails it
+    import rclab.cli as cli
+    from rclab import tube
+    from rclab.algebra import get_algebra
+
+    alg = get_algebra(name)
+    psi = tube.GroupGenerator.psi
+    monkeypatch.setattr(tube.GroupGenerator, "psi", lambda g, z: psi(g, z) * (1 + 1e-10))
+    assert all(r["pass"] for r in cli.SUITES["cocycles"](alg, {"hua": 1e-8, "coherent": 1e-8}))
+    reports, ok = cli.run_suites(alg, "cocycles")
+    assert not ok and {(r["check"], r["generator"]) for r in reports if not r["pass"]} == {
+        (check, gen) for check in ("kernel-cocycle-identity", "coherent-state-transport")
+        for gen in ("dilation", "inversion")}
 
 
 @pytest.mark.parametrize("args", [

@@ -443,30 +443,27 @@ def test_weyl_node_doubling_stability():
 
 def test_gram_rank1():
     rep = gram_matrix(get_algebra("rank1"), 1.0, 1.0, 4)
-    assert rep.max_off_diagonal_ratio < 1e-12
-    assert all(rep.matrix[i][i] > 0 for i in range(5))
+    assert rep["max_off_diagonal_ratio"] < 1e-12
+    assert all(rep["matrix"][i][i] > 0 for i in range(5))
 
 
 def test_gram_sym2():
     rep = gram_matrix(get_algebra("sym2"), 3.0, 3.0, 3)
-    assert rep.max_off_diagonal_ratio < 1e-8
-    assert all(rep.matrix[i][i] > 0 for i in range(4))
-    data = rep.to_jsonable()
-    assert data["schema"] == "rc-lab/1"
-    csv = rep.to_csv()
-    assert csv.splitlines()[0] == "k,l,value"
+    assert rep["max_off_diagonal_ratio"] < 1e-8
+    assert all(rep["matrix"][i][i] > 0 for i in range(4))
+    assert (rep["schema"], rep["kind"]) == ("rc-lab/1", "gram-report")
 
 
 def test_gram_ratio_survives_a_diagonal_product_past_the_float_range():
     # at lambda = 600 the diagonal entries reach 1e175 and 1e179, whose
     # product overflows to inf and made every ratio 0.0
     rep = gram_matrix(get_algebra("rank1"), 600.0, 1.0, 4)
-    G = rep.matrix
+    G = rep["matrix"]
     assert math.isinf(G[0][0] * G[4][4])
     want = abs(G[0][4]) / (math.sqrt(G[0][0]) * math.sqrt(G[4][4]))
-    got = next(r["ratio"] for r in rep.off_diagonal_ratios if (r["k"], r["l"]) == (0, 4))
+    got = next(r["ratio"] for r in rep["off_diagonal_ratios"] if (r["k"], r["l"]) == (0, 4))
     assert got > 0 and abs(got - want) <= 1e-12 * want
-    assert rep.max_off_diagonal_ratio >= got
+    assert rep["max_off_diagonal_ratio"] >= got
 
 
 def test_gram_error_keeps_a_nan_that_is_not_first(monkeypatch):
@@ -484,13 +481,13 @@ def test_gram_error_keeps_a_nan_that_is_not_first(monkeypatch):
     nodes = quadrature.gram_nodes(alg, 2.0, 1.0, 3)
     monkeypatch.setattr(quadrature, "_gram_once", nan_at_n_nodes)
     rep = gram_matrix(alg, 2.0, 1.0, 3)
-    assert math.isnan(rep.estimated_error)
-    assert all(math.isfinite(v) for row in rep.matrix for v in row)
+    assert math.isnan(rep["estimated_error"])
+    assert all(math.isfinite(v) for row in rep["matrix"] for v in row)
 
 
 def test_gram_matrix_symmetric():
     rep = gram_matrix(get_algebra("rank1"), 2.0, 1.0, 3)
-    G = rep.matrix
+    G = rep["matrix"]
     for i in range(4):
         for j in range(4):
             assert G[i][j] == G[j][i]

@@ -1,17 +1,40 @@
 """The per-point loops that ``rclab.tube`` replaced, for the tests.
 
-``check_covariance_B`` and ``check_coherent_transform`` here visit the
-default tube points one at a time: one ``apply_B`` per route and point, one
-evaluation of each coherent state per point.  ``rclab.tube`` evaluates all
-the points of a check in one call per evaluator; both must write the same
-report.
+``apply_B``, ``check_covariance_B`` and ``check_coherent_transform`` here
+visit the tube points one at a time: one ``holo_mixed_derivatives`` call
+per slot and point, each bracket summed in scalars one monomial at a time,
+one evaluation of each coherent state per point.  ``rclab.tube`` evaluates
+all the points of a check in one call per evaluator; both must give the
+same bits and write the same report.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
 from rclab import report, worst
 from rclab.algebra import spectral
-from rclab.tube import _default_tube_points, apply_B, coherent_state, pi_action
+from rclab.brackets import compute_c
+from rclab.tube import _default_tube_points, coherent_state, holo_mixed_derivatives, pi_action
+
+
+def apply_B(algebra, k, lam, mu, F, G, z):
+    """The bracket on F(z) G(w) at w = z for the (n,) row ``z``: the
+    coefficients as ``rclab.tube.apply_B`` builds them, and
+    sum_m coef_m dF[alpha_m] dG[beta_m] in scalars."""
+    shift = Fraction(algebra.n, algebra.r)
+    spec = compute_c(algebra, k).specialize(Fraction(lam) - shift, Fraction(mu) - shift)
+    inv_gram = 1.0 / np.array([float(g) for g in algebra.gram * 2])
+    coefs = spec.fcoef * np.prod(inv_gram ** spec.exps, axis=1)
+    n = algebra.n
+    alphas = [tuple(m) for m in spec.exps[:, :n].tolist()]
+    betas = [tuple(m) for m in spec.exps[:, n:].tolist()]
+    dF = holo_mixed_derivatives(algebra, F, z, alphas)
+    dG = holo_mixed_derivatives(algebra, G, z, betas)
+    total = 0.0 + 0.0j
+    for alpha, beta, coef in zip(alphas, betas, coefs):
+        total += coef * dF[alpha] * dG[beta]
+    return complex(total)
 
 
 def check_covariance_B(algebra, k, lam, mu, gen, tol):
