@@ -162,25 +162,24 @@ def spin(m: int) -> JordanAlgebra:
                   (2,) + (0,) * (n - 1), det_poly)
 
 
+ALGEBRA_NAMES = ("rank1", "sym2", "sym3", "sym4",
+                 "spin3", "spin4", "spin5", "spin6", "spin7", "spin8")
+
 _REGISTRY: dict = {}
 
 
 def get_algebra(name: str) -> JordanAlgebra:
-    """Look up an algebra by name: 'rank1', 'sym2'..'sym4', 'spin3'..'spin8'."""
+    """Look up one of ALGEBRA_NAMES: 'rank1', 'sym2'..'sym4', 'spin3'..'spin8'."""
+    if name not in ALGEBRA_NAMES:
+        raise AlgebraError(f"unknown algebra {name!r}")
     if name not in _REGISTRY:
         if name == "rank1":
             _REGISTRY[name] = rank_one()
-        elif name.startswith("sym") and name[3:].isdigit() and 1 <= int(name[3:]) <= 4:
+        elif name.startswith("sym"):
             _REGISTRY[name] = sym(int(name[3:]))
-        elif name.startswith("spin") and name[4:].isdigit() and 3 <= int(name[4:]) <= 8:
-            _REGISTRY[name] = spin(int(name[4:]))
         else:
-            raise AlgebraError(f"unknown algebra {name!r}")
+            _REGISTRY[name] = spin(int(name[4:]))
     return _REGISTRY[name]
-
-
-ALGEBRA_NAMES = ("rank1", "sym2", "sym3", "sym4",
-                 "spin3", "spin4", "spin5", "spin6", "spin7", "spin8")
 
 
 # ---------------------------------------------------------------------------

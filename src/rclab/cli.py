@@ -226,9 +226,11 @@ def cmd_polys(args) -> int:
 def cmd_gram(args) -> int:
     algebra = _algebra_from(args)
     kmax = _int_option(args, "kmax", 2, 0, K_CAPS[algebra.name])
-    lam = merged(args, "lambda", 1.0, float)
-    mu = merged(args, "mu", 1.0, float)
     threshold = 1 + (algebra.r - 1) * algebra.d - algebra.n / algebra.r
+    # by default each weight is the least integer the family is orthogonal at
+    least = float(math.floor(threshold) + 1)
+    lam = merged(args, "lambda", least, float)
+    mu = merged(args, "mu", least, float)
     if lam <= threshold or mu <= threshold:
         raise ConfigError(
             f"weights must exceed 1 + (r-1)d - n/r = {threshold} for orthogonality"
@@ -554,7 +556,8 @@ def _suite_cauchy(algebra, tols):
     z = (0.3 + 1.4j) * e + (0.2 + 0.05j) * off
     # a mixed index wherever there are two coordinates: it takes several rings
     alpha = (2,) if algebra.n == 1 else (2, 1) + (0,) * (algebra.n - 2)
-    d32, d64 = (tube.holo_mixed_derivatives(algebra, K, z, [alpha], n_nodes=nodes)[alpha]
+    d32, d64 = (complex(tube.holo_mixed_derivatives(algebra, K, z[None], [alpha],
+                                                    n_nodes=nodes)[alpha][0])
                 for nodes in (32, 64))
     return [report("contour-derivative-stability", algebra.name,
                    residual=abs(d32 - d64) / max(abs(d64), 1e-300),

@@ -281,16 +281,6 @@ def _tensor_rule(axes, waxes):
     return nodes, weights
 
 
-def _integral(weights, vals):
-    """sum_i weights_i vals_i over the first axis of vals, real where the
-    imaginary part is negligible."""
-    out = np.tensordot(weights, vals, axes=1)
-    if np.iscomplexobj(out) and np.all(np.abs(out.imag)
-                                       < 1e-12 * np.maximum(1.0, np.abs(out.real))):
-        out = out.real
-    return out[()]
-
-
 def gamma_omega_numeric(algebra: JordanAlgebra, nu, n: int = 80) -> float:
     """Gamma_Omega(nu) = int_Omega e^{-tr x} det(x)^p dx, p = nu - n/r, over
     the eigenvalues against the Vandermonde-power density.  Rank 1:
@@ -346,7 +336,7 @@ def weyl_integral(algebra: JordanAlgebra, f_eig, lam, mu, n: int = 60):
     maps (m, r) rows of ascending eigenvalues to (m, ...) values, each entry
     integrated."""
     a, w = _chamber_rule(algebra.r, algebra.d, lam, mu, n)
-    return _integral(w, f_eig(a))
+    return np.tensordot(w, f_eig(a), axes=1)[()]
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,11 @@ so both sides of any covariance identity use the same group lift.
 
 A tube point is an (n,) complex numpy row, and function evaluators are
 vectorized: they take an (m, n) complex coordinate array and return (m,)
-complex values.  The derivatives and the bracket also take a (P, n) stack
-of points, so a check evaluates all its sample points in one call per
-evaluator; each row keeps the bits of a call on that row alone.  All
-aggregation is deterministic.
+complex values.  The derivatives and the bracket take only a (P, n) stack
+of points and return (P,) arrays, so a check evaluates all its sample
+points in one call per evaluator, and a single point is a one-row stack;
+each row keeps the bits of a one-row call.  All aggregation is
+deterministic.
 """
 
 from __future__ import annotations
@@ -135,74 +136,58 @@ def _polarisation(alpha):
     return {p: w / 2**m for p, w in ints.items() if w}
 
 
-def holo_mixed_derivatives(algebra: JordanAlgebra, F, point, alphas,
+def holo_mixed_derivatives(algebra: JordanAlgebra, F, points, alphas,
                            n_nodes: int = 32):
-    """Coordinate mixed partials of F at ``point`` for several multi-indices.
+    """Coordinate mixed partials of F at each row of ``points`` for several
+    multi-indices.
 
-    ``point`` is a (d,) row or a (P, d) stack of rows, and ``F`` a vectorized
-    evaluator on (m, d) arrays; a row may pack several tube points (e.g. a
-    pair slot).  Each multi-index is a combination of m-th derivatives along
-    a few primitive directions p (centred polarisation, ``_polarisation``),
-    and each direction is one 1-D Cauchy ring tau -> F(z + tau p) read by an
-    FFT (Lyness-Moler 1967, Fornberg 1981).  All multi-indices and all rows
-    of a call share the directions, and the centres and the rings of every
-    row go to ``F`` in one call.  A ring has radius rho / |p|_1, rho
-    CONTOUR_RADIUS times the least eigenvalue of the row's imaginary part
-    over its slots, so every node stays in the l1 ball of radius rho about
-    the row, and max(n_nodes, 2 m + 2) nodes for the highest order m it
-    serves; the node count is the only accuracy knob.  Each row's
-    derivatives are summed in scalars, with the bits of a call on that row
-    alone.
-    Returns {alpha: complex} for a row, {alpha: (P,) complex array} for a
-    stack.
+    ``points`` is a (P, d) stack of rows, and ``F`` a vectorized evaluator on
+    (m, d) arrays; a row may pack several tube points (e.g. a pair slot).
+    Each multi-index is a combination of m-th derivatives along a few
+    primitive directions p (centred polarisation, ``_polarisation``), and
+    each direction is one 1-D Cauchy ring tau -> F(z + tau p) of ``n_nodes``
+    nodes read by an FFT (Lyness-Moler 1967, Fornberg 1981).  All
+    multi-indices and all rows share the directions: the centres and the
+    rings go to ``F`` in one call, and one FFT reads the (P, directions,
+    n_nodes) block.  A ring has radius rho / |p|_1, rho CONTOUR_RADIUS times
+    the least eigenvalue of the row's imaginary part over its slots, so
+    every node stays in the l1 ball of radius rho about the row.  The node
+    count is the only accuracy knob; an order m with 2 m + 2 > n_nodes
+    raises ValueError.  Each row's derivatives are summed in scalars, with
+    the bits of a call on that row alone.
+    Returns {alpha: (P,) complex array}.
     """
-    point = np.asarray(point, dtype=complex)
-    stack = np.atleast_2d(point)
-    P, d = stack.shape
+    points = np.asarray(points, dtype=complex)
+    P, d = points.shape
     n = algebra.n
     # safe radius per row: all slots perturb their own imaginary part
     slots = d // n
-    least = spectral(algebra, stack.imag.reshape(P * slots, n)).reshape(P, -1).min(axis=1)
+    least = spectral(algebra, points.imag.reshape(P * slots, n)).reshape(P, -1).min(axis=1)
     rho_bound = least * CONTOUR_RADIUS
     if np.any(rho_bound <= 0):
         raise ValueError("contour radius violation: point too close to the "
                          "tube boundary")
     combos = {alpha: _polarisation(alpha) for alpha in map(tuple, alphas)}
-    orders = {}                     # direction -> the highest order it serves
-    for alpha, combo in combos.items():
-        for p in combo:
-            orders[p] = max(orders.get(p, 0), sum(alpha))
-    # rings of equal node count form one (rows, rings, nodes) block for one FFT
-    blocks = {}
-    for p, m in orders.items():
-        blocks.setdefault(max(n_nodes, 2 * m + 2), []).append(p)
-    radii = {nodes: rho_bound[:, None] / np.abs(np.array(dirs)).sum(axis=1)
-             for nodes, dirs in blocks.items()}
-    pts = [stack]
-    for nodes, dirs in blocks.items():
-        ring = radii[nodes][:, :, None] * np.exp(2j * math.pi * np.arange(nodes) / nodes)
-        pts.append((stack[:, None, None, :]
-                    + ring[:, :, :, None] * np.array(dirs)[:, None, :]).reshape(-1, d))
-    vals = F(np.concatenate(pts))
-    coeffs = [{} for _ in range(P)]     # per row: direction -> (FFT coefficients, radius)
-    start = P
-    for nodes, dirs in blocks.items():
-        block = vals[start:start + P * len(dirs) * nodes].reshape(P, len(dirs), nodes)
-        start += block.size
-        fft = np.fft.fft(block, axis=2) / nodes
-        for row_coeffs, row_fft, row_radii in zip(coeffs, fft, radii[nodes]):
-            row_coeffs.update(zip(dirs, zip(row_fft, row_radii)))
+    top = max(map(sum, combos), default=0)
+    if 2 * top + 2 > n_nodes:
+        raise ValueError(f"a derivative of order {top} needs at least "
+                         f"{2 * top + 2} ring nodes, got {n_nodes}")
+    dirs = list(dict.fromkeys(p for combo in combos.values() for p in combo))
+    column = {p: j for j, p in enumerate(dirs)}
+    steps = np.array(dirs).reshape(len(dirs), d)       # (0, d) when only order 0 is asked
+    radii = rho_bound[:, None] / np.abs(steps).sum(axis=1)
+    ring = radii[:, :, None] * np.exp(2j * math.pi * np.arange(n_nodes) / n_nodes)
+    vals = F(np.concatenate([points, (points[:, None, None, :]
+                                      + ring[:, :, :, None] * steps[:, None, :]).reshape(-1, d)]))
+    fft = np.fft.fft(vals[P:].reshape(P, len(dirs), n_nodes), axis=2) / n_nodes
     out = {alpha: np.empty(P, dtype=complex) for alpha in combos}
-    for i, row_coeffs in enumerate(coeffs):
+    for i in range(P):
         for alpha, combo in combos.items():
             m = sum(alpha)
             total = complex(vals[i]) if not m else 0.0
             for p, w in combo.items():
-                row, rho = row_coeffs[p]
-                total += row[m] * w / rho ** m
+                total += fft[i, column[p], m] * w / radii[i, column[p]] ** m
             out[alpha][i] = total
-    if point.ndim == 1:
-        return {alpha: complex(v[0]) for alpha, v in out.items()}
     return out
 
 
@@ -294,15 +279,15 @@ def pi_action(gen: GroupGenerator, nu, F):
 
 def apply_B(algebra: JordanAlgebra, k: int, lam, mu, F, G, z):
     """The k-th bracket applied to F(z) G(w), restricted to the diagonal w = z,
-    at the tube point ``z``, an (n,) row, or at each row of a (P, n) stack.
+    at each row of the (P, n) stack ``z`` of tube points.
 
     F and G are vectorized evaluators on (m, n) arrays.  The operator is the
     bracket polynomial specialized at (lam - n/r, mu - n/r), read as mixed
     trace-form derivatives in the two slots.  On a product each monomial
     splits by Leibniz, d^a_z d^b_w [F(z) G(w)] = d^a F(z) d^b G(w), so each
     slot gets its own contour grids over its own n coordinates, one
-    ``holo_mixed_derivatives`` call for all rows.  Returns a complex for a
-    row, a (P,) complex array for a stack.
+    ``holo_mixed_derivatives`` call for all rows.  Returns a (P,) complex
+    array, each row summed in scalars one monomial at a time.
     """
     shift = Fraction(algebra.n, algebra.r)
     spec = compute_c(algebra, k).specialize(Fraction(lam) - shift, Fraction(mu) - shift)
@@ -312,19 +297,15 @@ def apply_B(algebra: JordanAlgebra, k: int, lam, mu, F, G, z):
     n = algebra.n
     alphas = [tuple(m) for m in spec.exps[:, :n].tolist()]
     betas = [tuple(m) for m in spec.exps[:, n:].tolist()]
-    stack = np.atleast_2d(z)
-    dF = holo_mixed_derivatives(algebra, F, stack, alphas)
-    dG = holo_mixed_derivatives(algebra, G, stack, betas)
-    # each row summed in scalars, as for one row
-    dF = {alpha: v.tolist() for alpha, v in dF.items()}
-    dG = {beta: v.tolist() for beta, v in dG.items()}
-    out = []
-    for i in range(len(stack)):
+    dF = {alpha: v.tolist() for alpha, v in holo_mixed_derivatives(algebra, F, z, alphas).items()}
+    dG = {beta: v.tolist() for beta, v in holo_mixed_derivatives(algebra, G, z, betas).items()}
+    out = np.empty(len(z), dtype=complex)
+    for i in range(len(z)):
         total = 0.0 + 0.0j
         for alpha, beta, coef in zip(alphas, betas, coefs):
             total += coef * dF[alpha][i] * dG[beta][i]
-        out.append(complex(total))
-    return out[0] if np.ndim(z) == 1 else np.array(out)
+        out[i] = total
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +519,7 @@ def check_bracket_transform_equivalence(algebra: JordanAlgebra, k: int,
     def transform(coords):
         return np.exp(1j * np.outer(coords[:, 0], xi)) @ fw
 
-    lhs = apply_B(algebra, k, lam, mu, transform, transform, np.array([zz]))
+    lhs = complex(apply_B(algebra, k, lam, mu, transform, transform, np.array([[zz]]))[0])
     shift = Fraction(algebra.n, algebra.r)
     C = compute_C(algebra, k, Fraction(lam) - shift, Fraction(mu) - shift)
     vg, wv = scaled_interval_rule(gl, -1.0, 1.0)

@@ -436,6 +436,18 @@ def test_gram_threshold_guard():
     assert "orthogonality" in err
 
 
+@pytest.mark.parametrize("name, weight", [("rank1", 1.0), ("sym2", 1.0), ("spin3", 1.0),
+                                          ("sym3", 2.0), ("spin4", 2.0), ("spin5", 2.0),
+                                          ("spin6", 3.0), ("spin7", 3.0), ("spin8", 4.0)])
+def test_gram_default_weights_clear_the_threshold(name, weight):
+    # the defaults are the least integer above 1 + (r-1)d - n/r; at 1 they
+    # sat on or below it for sym3 and spin4..spin8, and gram exited 2
+    code, out, err = run_cli(["gram", "--algebra", name, "--kmax", "0"])
+    assert code == 0, err
+    rep = json.loads(out)
+    assert rep["lambda"] == rep["mu"] == weight
+
+
 def test_config_error_unknown_algebra():
     code, _, err = run_cli(["polys", "--algebra", "rank1", "--k", "99"])
     assert code == 2

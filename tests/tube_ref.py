@@ -29,11 +29,11 @@ def apply_B(algebra, k, lam, mu, F, G, z):
     n = algebra.n
     alphas = [tuple(m) for m in spec.exps[:, :n].tolist()]
     betas = [tuple(m) for m in spec.exps[:, n:].tolist()]
-    dF = holo_mixed_derivatives(algebra, F, z, alphas)
-    dG = holo_mixed_derivatives(algebra, G, z, betas)
+    dF = holo_mixed_derivatives(algebra, F, z[None], alphas)
+    dG = holo_mixed_derivatives(algebra, G, z[None], betas)
     total = 0.0 + 0.0j
     for alpha, beta, coef in zip(alphas, betas, coefs):
-        total += coef * dF[alpha] * dG[beta]
+        total += coef * complex(dF[alpha][0]) * complex(dG[beta][0])
     return complex(total)
 
 
