@@ -11,26 +11,27 @@ structure table is held):
   (x0, xb).(y0, yb) = (x0*y0 + <xb, yb>, x0*yb + y0*xb).
 
 A point is a row of coordinates.  Every exact constant is an integer (the
-det coefficients, the trace form, the identity), and the samplers draw
-integer rows over one denominator (``_random_ints``; ``_cone_ints``
-squares its row in the family's closed form).  A float or complex point is
-a numpy row, and the numerics of the cone run on (m, n) float arrays, one
-point per row: ``spectral`` (eigenvalues), ``cone_sqrt``, ``quad_rep``
+det coefficients, the trace form, the identity).  A float or complex point
+is a numpy row, and the numerics of the cone run on (m, n) float arrays,
+one point per row: ``spectral`` (eigenvalues), ``cone_sqrt``, ``quad_rep``
 (P(a)b) and ``inverse`` (x^{-1}), both in each family's closed form and on
 complex rows too, the polar chart ``iota``, its inverse and its Jacobian,
-and ``det_poly.numeric`` for determinants.  The trace inner product is
-(x, y) = tr(x.y); its Gram matrix is diagonal in the chosen bases and the
-Lebesgue measure used throughout the package is the Euclidean measure of
-that form (orthonormal coordinates x_ii, sqrt(2) x_ij for sym(r)).
+and ``det_poly.numeric`` for determinants; ``random_chart_points`` draws
+float pairs (z, v) for the chart, squared with ``quad_rep``.  The trace
+inner product is (x, y) = tr(x.y); its Gram matrix is diagonal in the
+chosen bases and the Lebesgue measure used throughout the package is the
+Euclidean measure of that form (orthonormal coordinates x_ii, sqrt(2) x_ij
+for sym(r)).
 
 All values are immutable after construction and all operations are pure,
-so everything here is safe to share between threads.
+so everything here is safe to share between threads; tables derived from a
+descriptor are memoised by ``functools.cache`` on it, never stored on it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 import random
 from dataclasses import dataclass, field
 
@@ -54,7 +55,6 @@ __all__ = [
     "iota",
     "iota_inv",
     "iota_jacobian",
-    "random_interval_point",
     "random_chart_points",
 ]
 
@@ -74,7 +74,9 @@ class JordanAlgebra:
     product is (x, y) = sum_i gram[i] * x_i * y_i; it, ``e_coords``,
     ``trace_vec`` and the det coefficients are ints.  ``e`` is the identity
     as a read-only float row.  Products are each family's closed forms
-    (``quad_rep``, ``inverse``, the square in ``_cone_ints``).
+    (``quad_rep``, ``inverse``).  Frozen and hashable: ``e`` and
+    ``det_poly``, functions of the other fields, are left out of the hash
+    and of equality.
     """
 
     name: str
@@ -165,21 +167,16 @@ def spin(m: int) -> JordanAlgebra:
 ALGEBRA_NAMES = ("rank1", "sym2", "sym3", "sym4",
                  "spin3", "spin4", "spin5", "spin6", "spin7", "spin8")
 
-_REGISTRY: dict = {}
-
-
+@functools.cache
 def get_algebra(name: str) -> JordanAlgebra:
     """Look up one of ALGEBRA_NAMES: 'rank1', 'sym2'..'sym4', 'spin3'..'spin8'."""
     if name not in ALGEBRA_NAMES:
         raise AlgebraError(f"unknown algebra {name!r}")
-    if name not in _REGISTRY:
-        if name == "rank1":
-            _REGISTRY[name] = rank_one()
-        elif name.startswith("sym"):
-            _REGISTRY[name] = sym(int(name[3:]))
-        else:
-            _REGISTRY[name] = spin(int(name[4:]))
-    return _REGISTRY[name]
+    if name == "rank1":
+        return rank_one()
+    if name.startswith("sym"):
+        return sym(int(name[3:]))
+    return spin(int(name[4:]))
 
 
 # ---------------------------------------------------------------------------
@@ -305,57 +302,22 @@ def iota_jacobian(algebra: JordanAlgebra, Z) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Random sampling helpers
-#
-# The draws run over the integers, one point at a time in a fixed rng order:
-# an exact draw stays an integer row over one denominator, a float one
-# divides once, and int / int rounds correctly to the nearest float.
-
-
-def _random_ints(rng: random.Random, n: int, num_bound: int = 6, den_bound: int = 4):
-    """n rationals num/den, each drawn numerator first, as integers X over
-    one common denominator q."""
-    draws = [(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
-             for _ in range(n)]
-    q = math.lcm(*(den for _, den in draws))
-    return [num * (q // den) for num, den in draws], q
-
-
-def _cone_ints(rng: random.Random, algebra: JordanAlgebra):
-    """u.u + e, with u drawn by _random_ints(rng, n, 3, 3), as integers W
-    over one denominator D: with u = U/q, u.u + e = (U.U + q^2 e) / q^2.
-    U.U is the matrix square in sym(r) (rank 1 is sym(1)) and
-    (U0^2 + |Ub|^2, 2 U0 Ub) in spin(m)."""
-    U, q = _random_ints(rng, algebra.n, 3, 3)
-    if algebra.family == "spin":
-        square = [sum(u * u for u in U)] + [2 * U[0] * u for u in U[1:]]
-    else:
-        M = [[U[k] for k in row] for row in _sym_index(algebra.r)]
-        square = [sum(a * b for a, b in zip(M[i], M[j])) for i, j in _sym_pairs(algebra.r)]
-    return [w + q * q * e for w, e in zip(square, algebra.e_coords)], q * q
-
-
-def random_interval_point(rng: random.Random, algebra: JordanAlgebra) -> np.ndarray:
-    """A point of )-e, e( as a float row.
-
-    w = u.u + e has eigenvalues in (0, tr w]; alpha (w - (tr w / 2) e) then
-    has eigenvalues inside (-1, 1) for alpha = (a / 10) 2 / tr w, a = 1..9.
-    With w = W/D and tr w = T/D that point is a (2W - T e) / (10 T).
-    """
-    W, _ = _cone_ints(rng, algebra)
-    T = sum(t * w for t, w in zip(algebra.trace_vec, W))
-    a = rng.randint(1, 9)
-    return np.array([a * (2 * w - T * e) / (10 * T)
-                     for w, e in zip(W, algebra.e_coords)])
+# Random chart points
 
 
 def random_chart_points(rng: random.Random, algebra: JordanAlgebra, count: int):
-    """``count`` pairs (z, v), z in the cone and v in )-e, e(, drawn in turn
-    as by _cone_ints and random_interval_point, as two (count, n) float
-    arrays."""
-    Z, V = [], []
-    for _ in range(count):
-        W, den = _cone_ints(rng, algebra)
-        Z.append([w / den for w in W])
-        V.append(random_interval_point(rng, algebra))
-    return np.array(Z), np.array(V)
+    """``count`` pairs (z, v), z in the cone and v in )-e, e(, as two
+    (count, n) float arrays.
+
+    Each pair takes 2n + 1 calls of ``rng.random()`` in turn: the
+    coordinates of u, then of s, each in [-3, 3), then a in [0.1, 0.9).
+    z = u^2 + e has eigenvalues >= 1; so has w = s^2 + e, whose eigenvalues
+    then lie below tr w in rank >= 2, and v = a (2w - tr(w) e) / tr(w) has
+    eigenvalues of absolute value < a (a itself in rank 1).
+    """
+    n, e = algebra.n, algebra.e
+    draws = np.array([rng.random() for _ in range(count * (2 * n + 1))]).reshape(count, -1)
+    U, S = 6 * draws[:, :n] - 3, 6 * draws[:, n:2 * n] - 3
+    Z, W = quad_rep(algebra, U, e) + e, quad_rep(algebra, S, e) + e
+    tr = (W @ np.array(algebra.trace_vec, dtype=float))[:, None]
+    return Z, (0.1 + 0.8 * draws[:, 2 * n:]) * (2 * W - tr * e) / tr

@@ -225,7 +225,8 @@ def cmd_polys(args) -> int:
 
 def cmd_gram(args) -> int:
     algebra = _algebra_from(args)
-    kmax = _int_option(args, "kmax", 2, 0, K_CAPS[algebra.name])
+    cap = K_CAPS[algebra.name]
+    kmax = _int_option(args, "kmax", min(2, cap), 0, cap)
     threshold = 1 + (algebra.r - 1) * algebra.d - algebra.n / algebra.r
     # by default each weight is the least integer the family is orthogonal at
     least = float(math.floor(threshold) + 1)

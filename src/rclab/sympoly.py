@@ -40,6 +40,7 @@ floating point enters anywhere.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -166,15 +167,7 @@ def _polynomial_terms(expr, context):
 
 
 # ---------------------------------------------------------------------------
-# Integer tables, cached on the algebra descriptor
-
-
-def _memo(algebra, attr, build):
-    value = getattr(algebra, attr, None)
-    if value is None:
-        value = build()
-        object.__setattr__(algebra, attr, value)
-    return value
+# Integer tables, memoised per algebra descriptor
 
 
 def _det_terms(algebra):
@@ -212,42 +205,38 @@ class _TableSet:
         return self._products[e]
 
 
+@functools.cache
 def _pencil_tables(algebra):
     """Delta_0..Delta_r over the 2n coordinates (x-slot first): substitute
     z = x + tau y in det and split by the power of tau."""
-    def build():
-        tables = [{} for _ in range(algebra.r + 1)]
-        for mono, c in _det_terms(algebra):
-            # prod_i (x_i + tau y_i)^m_i: a_i of the m_i factors come from y
-            for a in itertools.product(*(range(m + 1) for m in mono)):
-                w = c * math.prod(map(comb, mono, a))
-                key = tuple(map(sub, mono, a)) + a
-                table = tables[sum(a)]
-                table[key] = table.get(key, 0) + w
-        return _TableSet([{m: c for m, c in t.items() if c} for t in tables], 2 * algebra.n)
-
-    return _memo(algebra, "_pencil_tables", build)
+    tables = [{} for _ in range(algebra.r + 1)]
+    for mono, c in _det_terms(algebra):
+        # prod_i (x_i + tau y_i)^m_i: a_i of the m_i factors come from y
+        for a in itertools.product(*(range(m + 1) for m in mono)):
+            w = c * math.prod(map(comb, mono, a))
+            key = tuple(map(sub, mono, a)) + a
+            table = tables[sum(a)]
+            table[key] = table.get(key, 0) + w
+    return _TableSet([{m: c for m, c in t.items() if c} for t in tables], 2 * algebra.n)
 
 
+@functools.cache
 def _eigen_tables(algebra):
     """delta_j(a) = 2^-r [tau^j] prod_i ((1 - a_i) + tau (1 + a_i)) over the r
     eigenvalues a_i of v, each over 2^r: Delta_j((e - v)/2, (e + v)/2) at
     v = sum_i a_i c_i on a Jordan frame c_1..c_r, where det is the product
     of the eigenvalues."""
-    def build():
-        r = algebra.r
-        one, product = (0,) * r, {(0,) * (r + 1): 1}
-        for i in range(r):
-            a_i = tuple(int(j == i) for j in range(r))
-            # times (1 - a_i) + tau (1 + a_i), the last exponent that of tau
-            product = _mul(product, {one + (0,): 1, a_i + (0,): -1,
-                                     one + (1,): 1, a_i + (1,): 1})
-        rows = [{} for _ in range(r + 1)]
-        for m, c in product.items():
-            rows[m[-1]][m[:-1]] = c
-        return _TableSet(rows, r, 2 ** r)
-
-    return _memo(algebra, "_eigen_tables", build)
+    r = algebra.r
+    one, product = (0,) * r, {(0,) * (r + 1): 1}
+    for i in range(r):
+        a_i = tuple(int(j == i) for j in range(r))
+        # times (1 - a_i) + tau (1 + a_i), the last exponent that of tau
+        product = _mul(product, {one + (0,): 1, a_i + (0,): -1,
+                                 one + (1,): 1, a_i + (1,): 1})
+    rows = [{} for _ in range(r + 1)]
+    for m, c in product.items():
+        rows[m[-1]][m[:-1]] = c
+    return _TableSet(rows, r, 2 ** r)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +254,7 @@ def _set_partitions(items):
             yield part[:i] + [(first,) + part[i]] + part[i + 1:]
 
 
+@functools.cache
 def _faa_di_bruno(algebra):
     """det(grad_u) exp(g(u)) at u = 0, for any g with g(0) = 0, as
     (keys, scale, plan): the sum over the keys (blocks, weight) of
@@ -279,32 +269,29 @@ def _faa_di_bruno(algebra):
     the m with m - gamma_g = rests[t], so that [u^gamma_g] det(a + v) =
     sum_t coefs[t, g] a^rests[t].
     """
-    def build():
-        n, det = algebra.n, _det_terms(algebra)
-        table = {}
+    n, det = algebra.n, _det_terms(algebra)
+    table = {}
+    for mono, c in det:
+        w = c / math.prod(Fraction(g) ** e for g, e in zip(algebra.gram, mono))
+        positions = [i for i, e in enumerate(mono) for _ in range(e)]
+        for part in _set_partitions(list(range(len(positions)))):
+            key = tuple(sorted(tuple(sum(positions[p] == i for p in block) for i in range(n))
+                               for block in part))
+            weight = w * math.prod(math.factorial(x) for gamma in key for x in gamma)
+            table[key] = table.get(key, 0) + weight
+    scale = math.lcm(1, *(w.denominator for w in table.values()))
+    gammas = sorted({(0,) * n} | {g for key in table for g in key})
+    rests = {}
+    for g, gamma in enumerate(gammas):
         for mono, c in det:
-            w = c / math.prod(Fraction(g) ** e for g, e in zip(algebra.gram, mono))
-            positions = [i for i, e in enumerate(mono) for _ in range(e)]
-            for part in _set_partitions(list(range(len(positions)))):
-                key = tuple(sorted(tuple(sum(positions[p] == i for p in block) for i in range(n))
-                                   for block in part))
-                weight = w * math.prod(math.factorial(x) for gamma in key for x in gamma)
-                table[key] = table.get(key, 0) + weight
-        scale = math.lcm(1, *(w.denominator for w in table.values()))
-        gammas = sorted({(0,) * n} | {g for key in table for g in key})
-        rests = {}
-        for g, gamma in enumerate(gammas):
-            for mono, c in det:
-                if all(map(int.__ge__, mono, gamma)):
-                    row = rests.setdefault(tuple(map(sub, mono, gamma)), [0] * len(gammas))
-                    row[g] += c * math.prod(map(comb, mono, gamma))
-        index = {gamma: g for g, gamma in enumerate(gammas)}
-        keys = [(tuple(index[gamma] for gamma in key), int(w * scale))
-                for key, w in table.items() if w]
-        return keys, scale, (gammas, np.array(list(rests), dtype=np.int64),
-                             np.array(list(rests.values()), dtype=np.int64))
-
-    return _memo(algebra, "_faa_di_bruno", build)
+            if all(map(int.__ge__, mono, gamma)):
+                row = rests.setdefault(tuple(map(sub, mono, gamma)), [0] * len(gammas))
+                row[g] += c * math.prod(map(comb, mono, gamma))
+    index = {gamma: g for g, gamma in enumerate(gammas)}
+    keys = [(tuple(index[gamma] for gamma in key), int(w * scale))
+            for key, w in table.items() if w]
+    return keys, scale, (gammas, np.array(list(rests), dtype=np.int64),
+                         np.array(list(rests.values()), dtype=np.int64))
 
 
 def _check_int64(bound, context):
@@ -423,6 +410,7 @@ def _solve(a, b, context):
     return x
 
 
+@functools.cache
 def _pencil_operator(algebra):
     """L as (operator, den), operator = [(beta, [(alpha, int)])]: D acts on
     functions of Delta as sum_beta T_beta(Delta) d_Delta^beta, T_beta =
@@ -433,37 +421,34 @@ def _pencil_operator(algebra):
     generic integer points.  The fit's integral solution is L times its
     scale; both are divided by their gcd.
     """
-    def build():
-        n, r = algebra.n, algebra.r
-        scale = _faa_di_bruno(algebra)[1]
-        rng = random.Random(_POINT_SEED)
+    n, r = algebra.n, algebra.r
+    scale = _faa_di_bruno(algebra)[1]
+    rng = random.Random(_POINT_SEED)
 
-        def frame():
-            return tuple(rng.randint(-4, 4) for _ in range(r)) + (0,) * (n - r)
+    def frame():
+        return tuple(rng.randint(-4, 4) for _ in range(r)) + (0,) * (n - r)
 
-        fit = [frame() + frame() for _ in range(comb(2 * r - 1, r) + r)]
-        generic = [tuple(rng.randint(-3, 3) for _ in range(2 * n)) for _ in range(2)]
-        delta, symbols = _pencil_samples(algebra, fit + generic)
-        delta, count = delta.tolist(), len(fit)
-        operator = []
-        for q in range(1, r + 1):
-            alphas, betas = _exponents(r + 1, q - 1), _exponents(r + 1, q)
-            context = f"{algebra.name} operator, order {q}"
-            a = np.array([[math.prod(map(pow, d, al)) for al in alphas] for d in delta],
-                         dtype=object)
-            sym = symbols[q].astype(object)
-            x = _solve(a[:count], sym[:count], context)
-            misses = np.flatnonzero((a[count:] @ x != sym[count:]).any(axis=0))
-            if misses.size:
-                raise NonzeroRemainder(f"{context}: the certificate fails at {betas[misses[0]]}")
-            for beta, column in zip(betas, x.T.tolist()):
-                coefs = [(al, v) for al, v in zip(alphas, column) if v]
-                if coefs:
-                    operator.append((beta, coefs))
-        g = math.gcd(scale, *(v for _, coefs in operator for _, v in coefs))
-        return [(beta, [(al, v // g) for al, v in coefs]) for beta, coefs in operator], scale // g
-
-    return _memo(algebra, "_pencil_operator", build)
+    fit = [frame() + frame() for _ in range(comb(2 * r - 1, r) + r)]
+    generic = [tuple(rng.randint(-3, 3) for _ in range(2 * n)) for _ in range(2)]
+    delta, symbols = _pencil_samples(algebra, fit + generic)
+    delta, count = delta.tolist(), len(fit)
+    operator = []
+    for q in range(1, r + 1):
+        alphas, betas = _exponents(r + 1, q - 1), _exponents(r + 1, q)
+        context = f"{algebra.name} operator, order {q}"
+        a = np.array([[math.prod(map(pow, d, al)) for al in alphas] for d in delta],
+                     dtype=object)
+        sym = symbols[q].astype(object)
+        x = _solve(a[:count], sym[:count], context)
+        misses = np.flatnonzero((a[count:] @ x != sym[count:]).any(axis=0))
+        if misses.size:
+            raise NonzeroRemainder(f"{context}: the certificate fails at {betas[misses[0]]}")
+        for beta, column in zip(betas, x.T.tolist()):
+            coefs = [(al, v) for al, v in zip(alphas, column) if v]
+            if coefs:
+                operator.append((beta, coefs))
+    g = math.gcd(scale, *(v for _, coefs in operator for _, v in coefs))
+    return [(beta, [(al, v // g) for al, v in coefs]) for beta, coefs in operator], scale // g
 
 
 def _apply_pencil_operator(expr):

@@ -31,3 +31,19 @@ def fresh_chart_rule():
     quadrature._chart_rule.cache_clear()
     yield
     quadrature._chart_rule.cache_clear()
+
+
+@pytest.fixture
+def fresh_tables():
+    """sympoly memoises its integer tables and L per algebra: a test that
+    breaks one must rebuild it, and must not leave the broken one to later
+    tests."""
+    from rclab import sympoly
+
+    tables = (sympoly._pencil_tables, sympoly._eigen_tables, sympoly._faa_di_bruno,
+              sympoly._pencil_operator)
+    for table in tables:
+        table.cache_clear()
+    yield
+    for table in tables:
+        table.cache_clear()

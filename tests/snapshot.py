@@ -17,7 +17,8 @@ For each of the ten algebras it runs, each in a fresh process on the
 OUTDIR/<algebra>/ gets <command>.out and <command>.err, the bytes of
 stdout and stderr, and exit_codes.txt, one "<command> <code>" line per
 command.  The commands of one algebra run in order in one scratch working
-directory, so they share its default polynomial cache.  To compare two
+directory; none passes --cache-dir, and there is no default cache
+directory, so each process builds its polynomials afresh.  To compare two
 checkouts, copy this file into the other one's tests/, run it there too
 and ``diff -r`` the two OUTDIRs.  pytest does not collect this file.
 """

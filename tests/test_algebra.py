@@ -15,8 +15,7 @@ from fraction_ref import (
 from rclab.cli import _fd_jacobian
 from rclab.algebra import (
     ALGEBRA_NAMES, get_algebra, spectral, cone_sqrt, inverse, quad_rep as float_quad_rep,
-    iota, iota_inv, iota_jacobian, random_interval_point, random_chart_points,
-    _cone_ints, _random_ints, AlgebraError, NotInCone,
+    iota, iota_inv, iota_jacobian, random_chart_points, AlgebraError, NotInCone,
 )
 
 ALGEBRAS = ["rank1", "sym2", "sym3", "spin4", "spin5"]
@@ -399,52 +398,15 @@ def test_structure_map_composition():
     assert character(alg, comp) == det(alg, a) ** 2 * det(alg, b) ** 2
 
 
-def interval_point(rng, alg):
-    """The Fraction reference of random_interval_point, as a float row."""
-    w = cone_point(rng, alg)
-    t = trace(alg, w)
-    alpha = Fraction(rng.randint(1, 9), 10) * 2 / t
-    return rows([alpha * (c - t / 2 * e) for c, e in zip(w, alg.e_coords)])[0]
-
-
 @pytest.mark.parametrize("name", ALGEBRA_NAMES)
-def test_integer_samplers_match_the_fraction_reference(name):
-    # _random_ints and _cone_ints run over the integers, _cone_ints with its
-    # family's closed-form square; the reference is the product of the
-    # Fraction table, from the same rng state
+def test_chart_points_are_in_the_cone_and_the_interval(name):
+    # z = u^2 + e has least eigenvalue >= 1 (up to rounding) and v = a (2w -
+    # tr(w) e) / tr(w) eigenvalues of absolute value <= a < 0.9; equal seeds
+    # give equal bytes
     alg = get_algebra(name)
-    rng, ref = random.Random(31), random.Random(31)
-    for _ in range(10):
-        W, D = _cone_ints(rng, alg)
-        u = rational_point(ref, alg, 3, 3)
-        assert tuple(Fraction(w, D) - e for w, e in zip(W, alg.e_coords)) == mul(alg, u, u)
-        X, q = _random_ints(rng, alg.n)
-        assert tuple(Fraction(v, q) for v in X) == rational_point(ref, alg)
-    assert rng.random() == ref.random()
-
-
-@pytest.mark.parametrize("name", ALGEBRA_NAMES)
-def test_float_samplers_keep_the_bits_of_the_fraction_reference(name):
-    # random_interval_point and random_chart_points divide integers once;
-    # int / int rounds correctly, as float(Fraction) does, so every bit and
-    # the rng state match the Fraction draws
-    alg = get_algebra(name)
-    rng, ref = random.Random(37), random.Random(37)
-    def same_bits(got, want):
-        want = np.array(want)
-        return (got.dtype == want.dtype and got.shape == want.shape
-                and got.tobytes() == want.tobytes())
-
-    for _ in range(5):
-        assert same_bits(random_interval_point(rng, alg), interval_point(ref, alg))
-    Z, V = random_chart_points(rng, alg, 12)
-    pairs = [(rows(cone_point(ref, alg))[0], interval_point(ref, alg)) for _ in range(12)]
-    assert same_bits(Z, [z for z, _ in pairs]) and same_bits(V, [v for _, v in pairs])
-    assert rng.getstate() == ref.getstate()
-
-
-def test_random_interval_points_are_in_interval(algebra):
-    rng = random.Random(14)
-    for _ in range(20):
-        v = random_interval_point(rng, algebra)
-        assert np.all(np.abs(spectral(algebra, v)) < 1)
+    Z, V = random_chart_points(random.Random(14), alg, 50)
+    assert Z.shape == V.shape == (50, alg.n)
+    assert spectral(alg, Z).min() >= 1 - 1e-12
+    assert np.abs(spectral(alg, V)).max() <= 0.9
+    again = random_chart_points(random.Random(14), alg, 50)
+    assert Z.tobytes() == again[0].tobytes() and V.tobytes() == again[1].tobytes()

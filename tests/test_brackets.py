@@ -560,7 +560,7 @@ def test_compute_C_ignores_a_replaced_c(monkeypatch, tmp_path, wrong_c1):
 @pytest.mark.parametrize("table, side", [("_pencil_tables", "x, y"),
                                          ("_eigen_tables", "eigenvalue")], ids=["pencil", "eigen"])
 @pytest.mark.parametrize("name", ["rank1", "sym2", "sym3", "sym4", "spin4", "spin6", "spin8"])
-def test_a_wrong_table_entry_fails_polynomiality(monkeypatch, name, table, side):
+def test_a_wrong_table_entry_fails_polynomiality(monkeypatch, fresh_tables, name, table, side):
     # one entry of Delta_0 (the first monomial of det x, or the constant of
     # prod (1 - a_i)) off by one: the expansion is no longer the pencil form,
     # and the certificate names the side and k
@@ -571,7 +571,8 @@ def test_a_wrong_table_entry_fails_polynomiality(monkeypatch, name, table, side)
     tables = getattr(sympoly, table)(alg)
     rows = [dict(row) for row in tables.rows]
     rows[0][min(rows[0])] += 1
-    monkeypatch.setitem(vars(alg), table, sympoly._TableSet(rows, tables.nvars, tables.den))
+    wrong = sympoly._TableSet(rows, tables.nvars, tables.den)
+    monkeypatch.setattr(sympoly, table, lambda algebra: wrong)
     monkeypatch.setattr(brackets, "_memory_cache", {})
     [rep], ok = run_suites(alg, "polynomiality")
     assert not ok and f"k=1: the {side} expansion" in rep["error"]

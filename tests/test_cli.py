@@ -448,6 +448,14 @@ def test_gram_default_weights_clear_the_threshold(name, weight):
     assert rep["lambda"] == rep["mu"] == weight
 
 
+def test_gram_default_kmax_reaches_the_node_cap_for_sym4():
+    # the default kmax is min(2, cap); at 2 it was above sym4's cap of 1 and
+    # gram exited 2 on --kmax before the weights were read
+    code, _, err = run_cli(["gram", "--algebra", "sym4"])
+    assert code == 2
+    assert "--kmax" not in err and "(n + 8)^4 <= 250000" in err
+
+
 def test_config_error_unknown_algebra():
     code, _, err = run_cli(["polys", "--algebra", "rank1", "--k", "99"])
     assert code == 2

@@ -14,7 +14,7 @@ import rclab.sympoly as S
 from fraction_ref import (
     apply_pencil_operator, fraction_operator, frame, pencil_chain, poly_items,
 )
-from rclab.algebra import ALGEBRA_NAMES, get_algebra, rank_one, sym
+from rclab.algebra import ALGEBRA_NAMES, get_algebra, sym
 from rclab.cli import K_CAPS
 from rclab.brackets import bracket_table_json
 from rclab.poly import Poly
@@ -146,9 +146,8 @@ def test_every_operator_matches_the_pinned_one(name):
 
 @pytest.mark.parametrize("row,message", [(0, "a fit point disagrees"),
                                          (-1, "the certificate fails")])
-@pytest.mark.parametrize("make", [rank_one, lambda: sym(2), lambda: sym(3), lambda: sym(4)],
-                         ids=["rank1", "sym2", "sym3", "sym4"])
-def test_a_wrong_jet_fails_the_derivation(make, row, message, monkeypatch):
+@pytest.mark.parametrize("name", ["rank1", "sym2", "sym3", "sym4"])
+def test_a_wrong_jet_fails_the_derivation(name, row, message, monkeypatch, fresh_tables):
     # one coefficient of one jet off by one, at the first fit point or at the
     # last certificate point: the derivation of L must raise.  The jet of
     # order r is the constant coefficient of a monomial of det, and it alone
@@ -160,7 +159,7 @@ def test_a_wrong_jet_fails_the_derivation(make, row, message, monkeypatch):
         return samples(algebra, points)
 
     monkeypatch.setattr(S, "_pencil_samples", record)
-    alg = make()
+    alg = get_algebra(name)
     _pencil_operator(alg)
     # one batched pass over every fit and certificate point
     assert [len(points) for points in calls] == [comb(2 * alg.r - 1, alg.r) + alg.r + 2]
@@ -173,8 +172,9 @@ def test_a_wrong_jet_fails_the_derivation(make, row, message, monkeypatch):
         return jets
 
     monkeypatch.setattr(S, "_interpolate", wrong)
+    _pencil_operator.cache_clear()
     with pytest.raises(NonzeroRemainder, match=message):
-        _pencil_operator(make())
+        _pencil_operator(alg)
 
 
 def test_solve_returns_the_integral_solution_exactly():
@@ -208,8 +208,8 @@ def test_solve_raises_rather_than_return_a_wrong_solution(a, b, message):
         S._solve(a, b, "test")
 
 
-@pytest.mark.parametrize("make", [lambda: sym(3), lambda: sym(4)], ids=["sym3", "sym4"])
-def test_interpolation_is_exact_or_raises(make, monkeypatch):
+@pytest.mark.parametrize("name", ["sym3", "sym4"])
+def test_interpolation_is_exact_or_raises(name, monkeypatch, fresh_tables):
     # tau^2 (tau - 1) from its values at tau = 0..4; tau (tau - 1) / 2 takes
     # integer values there but has no integer coefficients
     tau = np.arange(5)[:, None]
@@ -227,7 +227,7 @@ def test_interpolation_is_exact_or_raises(make, monkeypatch):
 
     monkeypatch.setattr(S, "_interpolate", wrong)
     with pytest.raises(NonzeroRemainder, match="sym[34] jets: a jet is not divisible"):
-        _pencil_operator(make())
+        _pencil_operator(get_algebra(name))
 
 
 @pytest.mark.parametrize("bound,stage", [(10 ** 5, "evaluation"), (3000, "interpolation"),
