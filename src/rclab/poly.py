@@ -16,9 +16,7 @@ A Poly without parameters evaluates
   its table at X to the top degree D and divides the sum once, by den q^D;
 * over an (m, N) float or complex array (``numeric``): per-coordinate power
   tables are multiplied into the monomial columns of a block of points,
-  and the block's columns are summed against the float coefficients;
-  ``monomial_rows`` gives the monomial values themselves, rows first, for a
-  caller that integrates each monomial on its own.
+  and the block's columns are summed against the float coefficients.
 """
 
 from __future__ import annotations
@@ -170,26 +168,6 @@ class Poly:
                 acc *= table[:, e]
             out[lo:lo + step] = acc @ fcoef
         return out
-
-    def monomial_rows(self, coordinate, m: int) -> np.ndarray:
-        """The (rows, m) table, rows first, of each monomial at m float or
-        complex points, whose coordinate i is the (m,) array
-        ``coordinate(i)``.  Only the coordinates that occur are asked for,
-        so a constant asks for none.  One power table per coordinate, also
-        rows first, feeds every row; each row has the bits of ``numeric``
-        on its monomial alone (at complex points from two points up: numpy
-        multiplies one complex value in place without fused multiply-adds,
-        a longer array with them)."""
-        cols = [(e, np.asarray(coordinate(i))) for i, e in self._columns]
-        dtype = np.result_type(np.float64, *(x.dtype for _, x in cols))
-        acc = np.ones((len(self.exps), m), dtype)
-        for e, x in cols:
-            table = np.empty((int(e.max()) + 1, m), dtype)
-            table[0] = 1
-            for p in range(1, len(table)):
-                np.multiply(table[p - 1], x, out=table[p])
-            acc *= table[e]
-        return acc
 
 
 def _powers(col, top) -> np.ndarray:

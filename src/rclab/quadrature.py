@@ -25,8 +25,9 @@ Mehta's integral, so numeric values of Gamma_Omega match the closed product
 formula in absolute terms, not just up to ratios.  For rank r >= 2 that
 integral is one sum of the chamber rule of rank r - 1.  The tube Laplace
 transform sweeps the cone along rays xi = s omega, a table of unit rays per
-algebra (rank 1 is the one ray omega = 1), with a Laguerre rule in s that
-absorbs the det power; its integrands are the monomial rows of one Poly.
+algebra (rank 1 is the one ray omega = 1); the integral in s of each
+monomial row of one Poly is closed, Gamma(a) b^(-a), with the det power in
+a, so only the sum over the rays is quadrature.
 
 Interval (Weyl-reduced) integrals, one cube-to-chamber rule in every rank,
 use the chamber normalization 1: only their ratios and zero tests are used.
@@ -395,11 +396,6 @@ def gram_matrix(algebra: JordanAlgebra, lam, mu, k_max: int,
 # The tube Laplace transform along rays of the cone
 
 
-# rays of the Laplace rule summed together: a block of (rays x radial
-# nodes) coordinates and phases takes a few MB
-_RAY_BLOCK = 256
-
-
 @functools.cache
 def _rays(name):
     """The rays of the Laplace rule of the algebra ``name``, which depend on
@@ -429,6 +425,12 @@ def _rays(name):
     return rays
 
 
+def _radial(a, b):
+    """int_0^inf s^(a-1) e^(-b s) ds = Gamma(a) b^(-a), for real a > 0 and
+    complex b with Re b > 0, on the principal branch of b^(-a)."""
+    return math.gamma(a) * b ** -a
+
+
 def tube_laplace(algebra: JordanAlgebra, integrands: Poly, z,
                  det_power: float = 0.0) -> np.ndarray:
     """integral over Omega of det(xi)^p g(xi) e^{-tr xi} e^{i(z, xi)} d xi
@@ -436,37 +438,26 @@ def tube_laplace(algebra: JordanAlgebra, integrands: Poly, z,
     ``integrands`` (its coefficients are not read), as a complex array in
     row order.
 
-    Along a ray xi = s omega of ``_rays``, det(xi)^p = s^{rp} det(omega)^p
-    and the density is s^{n-1}, so one Laguerre rule in s with
-    alpha = n - 1 + rp absorbs the (possibly fractional) power.  Its nodes
-    are rescaled per ray by q = (e + Im z | omega), so e^{-s} is the
-    integrand's full decay; the bounded phase e^{i s (Re z | omega)} is left
-    to the rule, and each ray weighs w_omega det(omega)^p / q^{alpha+1}.
-    The integral converges when Im z + e lies in the cone.  Rays are summed
-    in blocks of ``_RAY_BLOCK`` into one (integrands x rays) array, so the
-    (rays x radial nodes) grid never exists.  A block evaluates every row
-    from one rows-first power table (``Poly.monomial_rows``), and builds
-    only the coordinates of xi that some row reads: a constant row needs
-    none.
+    Along a ray xi = s omega of ``_rays``, det(xi)^p = s^{rp} det(omega)^p,
+    the density is s^{n-1}, the row x^m is s^{|m|} omega^m, and the
+    exponential is e^{-b s} with b = (e + Im z | omega) - i (Re z | omega).
+    So the radial integral is closed, Gamma(a) b^(-a) with
+    a = n + rp + |m| (``_radial``), for any (possibly fractional) power and
+    however fast the phase turns; only the angular sum over the rays is
+    quadrature, each ray weighing w_omega det(omega)^p omega^m.  The
+    integral converges when Im z + e lies in the cone.
     """
     p = float(det_power)
     unit, weights, det = _rays(algebra.name)
-    alpha = algebra.n - 1 + algebra.r * p
-    rs = gauss_laguerre(128, alpha)
     gram = np.array(algebra.gram, dtype=float)
     q = unit @ (gram * (algebra.e + z.imag))
-    posc = unit @ (gram * z.real)
     if np.any(q <= 0):
         raise ValueError("integral does not converge")
-    sums = np.empty((len(integrands.exps), len(q)), dtype=complex)
-    for lo in range(0, len(q), _RAY_BLOCK):
-        rays = slice(lo, lo + _RAY_BLOCK)
-        s = rs.nodes[None, :] / q[rays, None]
-        phase = np.exp(1j * posc[rays, None] * s)
-        table = integrands.monomial_rows(lambda i: (s * unit[rays, i, None]).ravel(), s.size)
-        for i, vals in enumerate(table):
-            sums[i, rays] = (vals.reshape(s.shape) * phase) @ rs.weights
-    return np.sum(sums * (weights * det**p / q ** (alpha + 1)), axis=1)
+    b = q - 1j * (unit @ (gram * z.real))
+    radial = np.stack([_radial(algebra.n + algebra.r * p + m, b)
+                       for m in integrands.exps.sum(axis=1).tolist()])
+    rays = np.prod(unit ** integrands.exps[:, None, :], axis=2)
+    return np.sum(rays * radial * (weights * det**p), axis=1)
 
 
 # ---------------------------------------------------------------------------

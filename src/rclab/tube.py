@@ -389,9 +389,11 @@ def check_adjoint_image(algebra: JordanAlgebra, k: int, lam, mu, z1, z2,
 
     Numeric side: expand the bracket polynomial monomially, so the double
     cone integral factorizes into products of single-cone transforms with
-    polynomial insertions; each factor is honest quadrature.  Closed side:
-    product of cone Gamma values, det(z1-z2)^k, and inverse det powers on
-    the branch of ``logdet_tube``.  The measured global phase is recorded.
+    polynomial insertions; each factor is angular quadrature over the rays
+    of the cone of radial integrals in closed form (``tube_laplace``).
+    Closed side: product of cone Gamma values, det(z1-z2)^k, and inverse
+    det powers on the branch of ``logdet_tube``.  The measured global phase
+    is recorded.
     """
     n, r = algebra.n, algebra.r
     shift = Fraction(n, r)

@@ -1009,7 +1009,8 @@ def test_every_tolerance_a_suite_reads_is_named():
 
 def test_the_built_in_tolerances_per_algebra():
     # 15 names, each read by one suite, at the values the checks held before
-    # the table; hua and coherent at 1,000 x their worst residual
+    # the table; hua, coherent and rank1's laplace and adjoint at 1,000 x
+    # their worst residual
     from rclab.algebra import ALGEBRA_NAMES
     import rclab.cli as cli
 
@@ -1018,7 +1019,7 @@ def test_the_built_in_tolerances_per_algebra():
     for alg in ALGEBRA_NAMES:
         want = {"iota-roundtrip": 1e-12, "jacobian": 1e-6, "gamma": 1e-12}
         if alg == "rank1":
-            want.update({"laplace": 1e-8, "adjoint": 1e-6,
+            want.update({"laplace": 1e-12, "adjoint": 1e-11,
                          "isometry-norm": 1e-6, "operator-equivalence": 1e-6,
                          "isometry": 1e-6})
         if alg == "sym2":
@@ -1052,6 +1053,28 @@ def test_cocycles_fail_psi_off_by_a_relative_1e_10(name, monkeypatch):
     assert not ok and {(r["check"], r["generator"]) for r in reports if not r["pass"]} == {
         (check, gen) for check in ("kernel-cocycle-identity", "coherent-state-transport")
         for gen in ("dilation", "inversion")}
+
+
+@pytest.mark.parametrize("suite, tol, old", [("laplace", "laplace", 1e-8),
+                                             ("adjoint-image", "adjoint", 1e-6)])
+def test_rank1_laplace_reports_fail_a_radial_factor_off_by_a_relative_1e_10(
+        suite, tol, old, monkeypatch):
+    # laplace was 1e-8 and adjoint 1e-6, which passed every ray's closed
+    # radial integral scaled by 1 + 1e-10; at 1,000 x the worst residual
+    # every report that reads tube_laplace fails it
+    import rclab.cli as cli
+    from rclab import quadrature
+    from rclab.algebra import get_algebra
+
+    alg = get_algebra("rank1")
+    radial = quadrature._radial
+    monkeypatch.setattr(quadrature, "_radial", lambda a, b: radial(a, b) * (1 + 1e-10))
+    assert all(r["pass"] for r in cli.SUITES[suite](alg, {tol: old, "isometry-norm": 1e-6}))
+    reports, ok = cli.run_suites(alg, suite)
+    failed = [r["check"] for r in reports if not r["pass"]]
+    want = {"laplace": ["laplace-transform-of-weight"],
+            "adjoint-image": ["adjoint-image-laplace"] * 3}[suite]
+    assert not ok and failed == want, reports
 
 
 @pytest.mark.parametrize("args", [

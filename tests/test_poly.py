@@ -177,36 +177,3 @@ def test_from_terms_is_collect_on_the_same_terms(terms, den):
     exps, order = np.unique(np.array(list(terms), dtype=np.int64).reshape(-1, 3), axis=0,
                             return_index=True)
     assert Poly.from_terms(terms, 3, den) == Poly._trimmed(exps, coef[order], lcm * den)
-
-
-@settings(max_examples=60, deadline=None)
-@given(monos=st.lists(st.tuples(*[st.integers(0, 4)] * 3), min_size=1, max_size=6),
-       nvars=st.integers(1, 3), complex_points=st.booleans(), data=st.data())
-def test_monomial_rows_are_numeric_on_each_monomial(monos, nvars, complex_points, data):
-    # row r of the rows-first table has the bits of numeric on monomial r
-    # alone.  numpy multiplies complex arrays with fused multiply-adds, but a
-    # lone complex value in place without them, so complex tables are
-    # compared from two points up
-    monos = {m[:nvars]: 1 for m in monos}
-    poly = Poly.from_terms(monos, nvars)
-    coords = st.floats(-3, 3, allow_nan=False)
-    m = data.draw(st.integers(2 if complex_points else 1, 9))
-    real = np.array(data.draw(st.lists(coords, min_size=m * nvars, max_size=m * nvars)))
-    points = real.reshape(m, nvars)
-    if complex_points:
-        imag = data.draw(st.lists(coords, min_size=m * nvars, max_size=m * nvars))
-        points = points + 1j * np.array(imag).reshape(m, nvars)
-    table = poly.monomial_rows(lambda i: points[:, i], m)
-    assert table.shape == (len(monos), m)
-    # a table of constants reads no coordinate, and stays real
-    assert table.dtype == (np.result_type(points, float) if poly.exps.any() else float)
-    for row, mono in zip(table, poly.exps.tolist()):
-        assert np.array_equal(row, Poly.from_terms({tuple(mono): 1}, nvars).numeric(points))
-
-
-def test_monomial_rows_of_a_constant_read_no_coordinate():
-    def no_coordinate(i):
-        raise AssertionError(f"coordinate {i} read")
-
-    table = Poly.from_terms({(0, 0): 3}, 2).monomial_rows(no_coordinate, 5)
-    assert np.array_equal(table, np.ones((1, 5)))
