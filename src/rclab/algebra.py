@@ -11,17 +11,18 @@ structure table is held):
   (x0, xb).(y0, yb) = (x0*y0 + <xb, yb>, x0*yb + y0*xb).
 
 A point is a row of coordinates.  Every exact constant is an integer (the
-det coefficients, the trace form, the identity).  A float or complex point
-is a numpy row, and the numerics of the cone run on (m, n) float arrays,
-one point per row: ``spectral`` (eigenvalues), ``cone_sqrt``, ``quad_rep``
-(P(a)b) and ``inverse`` (x^{-1}), both in each family's closed form and on
-complex rows too, the polar chart ``iota``, its inverse and its Jacobian,
-and ``det_poly.numeric`` for determinants; ``random_chart_points`` draws
-float pairs (z, v) for the chart, squared with ``quad_rep``.  The trace
-inner product is (x, y) = tr(x.y); its Gram matrix is diagonal in the
-chosen bases and the Lebesgue measure used throughout the package is the
-Euclidean measure of that form (orthonormal coordinates x_ii, sqrt(2) x_ij
-for sym(r)).
+det coefficients, the trace form, the identity).  The numerics of the cone
+take stacks in and give arrays out: an (m, n) float array holds m points,
+one per row, and a single point is a one-row stack.  They are
+``spectral`` (eigenvalues), ``cone_sqrt``, ``quad_rep`` (P(a)b) and
+``inverse`` (x^{-1}), both in each family's closed form and on complex
+stacks too, the polar chart ``iota``, its inverse and its Jacobian, and
+``det_poly.numeric`` for determinants; ``random_chart_points`` draws float
+pairs (z, v) for the chart, squared with ``quad_rep``.  The trace inner
+product is (x, y) = tr(x.y); its Gram matrix is diagonal in the chosen
+bases, so tr x = (x, e) = sum_i gram_i e_i x_i, and the Lebesgue measure
+used throughout the package is the Euclidean measure of that form
+(orthonormal coordinates x_ii, sqrt(2) x_ij for sym(r)).
 
 All values are immutable after construction and all operations are pure,
 so everything here is safe to share between threads; tables derived from a
@@ -71,12 +72,11 @@ class JordanAlgebra:
     """Descriptor of a concrete algebra: dimensions, det and trace form.
 
     ``gram`` is the (diagonal) Gram vector of the trace form, so the inner
-    product is (x, y) = sum_i gram[i] * x_i * y_i; it, ``e_coords``,
-    ``trace_vec`` and the det coefficients are ints.  ``e`` is the identity
-    as a read-only float row.  Products are each family's closed forms
-    (``quad_rep``, ``inverse``).  Frozen and hashable: ``e`` and
-    ``det_poly``, functions of the other fields, are left out of the hash
-    and of equality.
+    product is (x, y) = sum_i gram[i] * x_i * y_i; it, ``e_coords`` and the
+    det coefficients are ints.  ``e`` is the identity as a read-only float
+    row.  Products are each family's closed forms (``quad_rep``,
+    ``inverse``).  Frozen and hashable: ``e`` and ``det_poly``, functions of
+    the other fields, are left out of the hash and of equality.
     """
 
     name: str
@@ -88,7 +88,6 @@ class JordanAlgebra:
     e_coords: tuple           # identity element coordinates
     e: np.ndarray = field(hash=False, repr=False, compare=False)
     gram: tuple               # diagonal trace-form Gram entries
-    trace_vec: tuple          # tr(x) = sum_i trace_vec[i] x_i
     det_poly: Poly = field(hash=False, compare=False)
 
     def __repr__(self):
@@ -99,19 +98,19 @@ class JordanAlgebra:
 # Family constructors
 
 
-def _build(name, family, n, r, d, labels, e_coords, gram, trace_vec, det_poly):
+def _build(name, family, n, r, d, labels, e_coords, gram, det_poly):
     e = np.array(e_coords, dtype=float)
     e.setflags(write=False)
     return JordanAlgebra(
         name=name, family=family, n=n, r=r, d=d,
         basis_labels=tuple(labels), e_coords=tuple(e_coords), e=e,
-        gram=tuple(gram), trace_vec=tuple(trace_vec),
+        gram=tuple(gram),
         det_poly=Poly.from_terms(det_poly, n),
     )
 
 
 def rank_one() -> JordanAlgebra:
-    return _build("rank1", "rank1", 1, 1, 0, ["x"], (1,), (1,), (1,), {(1,): 1})
+    return _build("rank1", "rank1", 1, 1, 0, ["x"], (1,), (1,), {(1,): 1})
 
 
 def _sym_pairs(r):
@@ -146,7 +145,7 @@ def sym(r: int) -> JordanAlgebra:
     diagonal = tuple(int(i == j) for (i, j) in pairs)
     labels = [f"x{i+1}{j+1}" for (i, j) in pairs]
     gram = tuple(1 if i == j else 2 for (i, j) in pairs)
-    return _build(f"sym{r}", "sym", len(pairs), r, 1, labels, diagonal, gram, diagonal,
+    return _build(f"sym{r}", "sym", len(pairs), r, 1, labels, diagonal, gram,
                   _sym_det_poly(r))
 
 
@@ -160,8 +159,7 @@ def spin(m: int) -> JordanAlgebra:
     for i in range(1, n):
         det_poly[tuple(2 if k == i else 0 for k in range(n))] = -1
     labels = ["x0"] + [f"xb{i}" for i in range(1, n)]
-    return _build(f"spin{m}", "spin", n, 2, m - 2, labels, e_coords, (2,) * n,
-                  (2,) + (0,) * (n - 1), det_poly)
+    return _build(f"spin{m}", "spin", n, 2, m - 2, labels, e_coords, (2,) * n, det_poly)
 
 
 ALGEBRA_NAMES = ("rank1", "sym2", "sym3", "sym4",
@@ -206,11 +204,11 @@ def spectral(algebra: JordanAlgebra, X) -> np.ndarray:
     traceless part x - (tr x / 2) e, which avoids the cancellation in
     tr^2 - 4 det; sym(r >= 3) calls eigvalsh.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = np.asarray(X, dtype=float)
     if algebra.r == 1:
         return X
     if algebra.r == 2:
-        half = X @ np.array(algebra.trace_vec, dtype=float) / 2
+        half = X @ (np.array(algebra.gram) * algebra.e) / 2
         T = X - half[:, None] * algebra.e
         delta = np.sqrt((T * T) @ np.array(algebra.gram, dtype=float) / 2)
         return np.stack([half - delta, half + delta], axis=1)
@@ -225,7 +223,7 @@ def cone_sqrt(algebra: JordanAlgebra, Z) -> np.ndarray:
     eigenvalues.  sym(r >= 3): V diag(sqrt(lam)) V^T from eigh.  Raises
     NotInCone when a row has an eigenvalue <= 0.
     """
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    Z = np.asarray(Z, dtype=float)
     if algebra.r >= 3:
         lams, vecs = np.linalg.eigh(_sym_matrices(algebra, Z))
     else:
@@ -243,7 +241,7 @@ def cone_sqrt(algebra: JordanAlgebra, Z) -> np.ndarray:
 
 def _star(algebra: JordanAlgebra, X) -> np.ndarray:
     """x* = tr(x) e - x on rows of a rank-2 algebra."""
-    return (X @ np.array(algebra.trace_vec, dtype=float))[..., None] * algebra.e - X
+    return (X @ (np.array(algebra.gram) * algebra.e))[..., None] * algebra.e - X
 
 
 def quad_rep(algebra: JordanAlgebra, A, B) -> np.ndarray:
@@ -267,7 +265,6 @@ def quad_rep(algebra: JordanAlgebra, A, B) -> np.ndarray:
 def inverse(algebra: JordanAlgebra, X) -> np.ndarray:
     """x^{-1} of float or complex rows: 1/x in rank 1, x*/det x in rank 2,
     the r x r inverse in sym(r >= 3)."""
-    X = np.atleast_2d(X)
     if algebra.r == 1:
         return 1 / X
     if algebra.r == 2:
@@ -281,7 +278,6 @@ def iota(algebra: JordanAlgebra, Z, V):
     Raises NotInCone for a z outside the cone and AlgebraError for a v
     outside the open interval )-e, e(.
     """
-    Z, V = np.atleast_2d(Z), np.atleast_2d(V)
     root = cone_sqrt(algebra, Z)
     if not np.all(np.abs(spectral(algebra, V)) < 1):
         raise AlgebraError("iota: v not in the open interval )-e, e(")
@@ -291,7 +287,6 @@ def iota(algebra: JordanAlgebra, Z, V):
 
 def iota_inv(algebra: JordanAlgebra, X, Y):
     """Inverse chart on rows: z = x + y, v = P(z^{-1/2}) (y - x)."""
-    X, Y = np.atleast_2d(X), np.atleast_2d(Y)
     Z = X + Y
     return Z, quad_rep(algebra, inverse(algebra, cone_sqrt(algebra, Z)), Y - X)
 
@@ -319,5 +314,5 @@ def random_chart_points(rng: random.Random, algebra: JordanAlgebra, count: int):
     draws = np.array([rng.random() for _ in range(count * (2 * n + 1))]).reshape(count, -1)
     U, S = 6 * draws[:, :n] - 3, 6 * draws[:, n:2 * n] - 3
     Z, W = quad_rep(algebra, U, e) + e, quad_rep(algebra, S, e) + e
-    tr = (W @ np.array(algebra.trace_vec, dtype=float))[:, None]
+    tr = (W @ (np.array(algebra.gram) * algebra.e))[:, None]
     return Z, (0.1 + 0.8 * draws[:, 2 * n:]) * (2 * W - tr * e) / tr

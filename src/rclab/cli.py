@@ -32,7 +32,6 @@ import numpy as np
 from . import SCHEMA, report, worst
 from .algebra import get_algebra, ALGEBRA_NAMES, AlgebraError
 from . import brackets, quadrature, tube
-from .poly import Poly
 
 # documented feasibility caps for the Rodrigues pipeline (desk scale)
 K_CAPS = {
@@ -452,14 +451,12 @@ def _suite_gamma(algebra, tols):
 def _suite_laplace(algebra, tols):
     nu = 2.8
     closed_gamma = quadrature.gamma_omega_closed(algebra, nu)
-    ie = 1j * algebra.e
-    one = Poly.from_terms({(0,) * algebra.n: 1}, algebra.n)
     points = tube._default_tube_points(algebra)
-    logdets = tube.logdet_tube(algebra, np.array(points) + ie)
+    logdets = tube.logdet_tube(algebra, points + 1j * algebra.e)
+    nums = quadrature.tube_laplace(algebra, np.zeros((1, algebra.n), dtype=int), points,
+                                   nu - algebra.n / algebra.r)[:, 0]
     rows = []
-    for z, logdet in zip(points, logdets):
-        num = quadrature.tube_laplace(algebra, one, z,
-                                      det_power=nu - algebra.n / algebra.r)[0]
+    for z, logdet, num in zip(points, logdets, nums):
         want = closed_gamma * np.exp(-nu * logdet)
         rows.append({"z": [[c.real, c.imag] for c in z.tolist()],
                      "residual": abs(num - want) / abs(want)})
@@ -530,7 +527,7 @@ def _suite_branch(algebra, tols):
     n = algebra.n
     # Im target = 1.5 e + 0.6 (0..n-1)/n stays in the cone for every algebra
     target = 0.7 * np.arange(1, n + 1) / n + 1j * (1.5 * e + 0.6 * np.arange(n) / n)
-    direct = tube.logdet_tube(algebra, target.reshape(1, -1))[0]
+    direct = tube.logdet_tube(algebra, target[None])[0]
     via = _path_logdet(algebra, np.array([-0.5 * e + 2.1j * e, target]))
     return [report("branch-path-independence", algebra.name,
                    residual=abs(direct - via), tolerance=tols["branch"])]

@@ -25,9 +25,10 @@ Mehta's integral, so numeric values of Gamma_Omega match the closed product
 formula in absolute terms, not just up to ratios.  For rank r >= 2 that
 integral is one sum of the chamber rule of rank r - 1.  The tube Laplace
 transform sweeps the cone along rays xi = s omega, a table of unit rays per
-algebra (rank 1 is the one ray omega = 1); the integral in s of each
-monomial row of one Poly is closed, Gamma(a) b^(-a), with the det power in
-a, so only the sum over the rays is quadrature.
+algebra (rank 1 is the one ray omega = 1); the integral in s of each row of
+an exponent table, at each point of a stack of tube points, is closed,
+Gamma(a) b^(-a), with the det power in a, so only the sum over the rays is
+quadrature.
 
 Interval (Weyl-reduced) integrals, one cube-to-chamber rule in every rank,
 use the chamber normalization 1: only their ratios and zero tests are used.
@@ -54,7 +55,6 @@ from .algebra import (
     iota_jacobian,
 )
 from .brackets import compute_C
-from .poly import Poly
 
 __all__ = [
     "QuadratureRule",
@@ -431,33 +431,38 @@ def _radial(a, b):
     return math.gamma(a) * b ** -a
 
 
-def tube_laplace(algebra: JordanAlgebra, integrands: Poly, z,
-                 det_power: float = 0.0) -> np.ndarray:
-    """integral over Omega of det(xi)^p g(xi) e^{-tr xi} e^{i(z, xi)} d xi
-    at the tube point ``z``, for each g a monomial row of the Poly
-    ``integrands`` (its coefficients are not read), as a complex array in
-    row order.
+def tube_laplace(algebra: JordanAlgebra, exps, Z, det_power) -> np.ndarray:
+    """integral over Omega of det(xi)^p xi^m e^{-tr xi} e^{i(z, xi)} d xi
+    for each row m of the integer (rows, n) exponent table ``exps`` and
+    each tube point z of the (P, n) stack ``Z``, as a (P, rows) complex
+    array.
 
     Along a ray xi = s omega of ``_rays``, det(xi)^p = s^{rp} det(omega)^p,
-    the density is s^{n-1}, the row x^m is s^{|m|} omega^m, and the
+    the density is s^{n-1}, the monomial xi^m is s^{|m|} omega^m, and the
     exponential is e^{-b s} with b = (e + Im z | omega) - i (Re z | omega).
     So the radial integral is closed, Gamma(a) b^(-a) with
     a = n + rp + |m| (``_radial``), for any (possibly fractional) power and
     however fast the phase turns; only the angular sum over the rays is
     quadrature, each ray weighing w_omega det(omega)^p omega^m.  The
     integral converges when Im z + e lies in the cone.
+
+    The angular rule, not the radial integral, bounds the accuracy away
+    from the imaginary axis: for m = 0 at p = 1.3, sym2's 48 x 48 rule is
+    off by a relative 1.4e-7 at z = (5, 0, 0) and 1.3e-4 at z = (20, 0, 0),
+    so every report point keeps |Re z| <= 0.6.
     """
     p = float(det_power)
     unit, weights, det = _rays(algebra.name)
     gram = np.array(algebra.gram, dtype=float)
-    q = unit @ (gram * (algebra.e + z.imag))
+    # one matrix-vector product per point, each with the bits of a lone point
+    q = (unit @ (gram * (algebra.e + Z.imag))[:, :, None])[:, :, 0]
     if np.any(q <= 0):
         raise ValueError("integral does not converge")
-    b = q - 1j * (unit @ (gram * z.real))
+    b = q - 1j * (unit @ (gram * Z.real)[:, :, None])[:, :, 0]
     radial = np.stack([_radial(algebra.n + algebra.r * p + m, b)
-                       for m in integrands.exps.sum(axis=1).tolist()])
-    rays = np.prod(unit ** integrands.exps[:, None, :], axis=2)
-    return np.sum(rays * radial * (weights * det**p), axis=1)
+                       for m in exps.sum(axis=1).tolist()], axis=1)
+    rays = np.prod(unit ** exps[:, None, :], axis=2)
+    return np.sum(rays * radial * (weights * det**p), axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -479,10 +484,8 @@ def trace_ball_bump(algebra: JordanAlgebra, center: float, radius: float):
     e = algebra.e
 
     def f(coords):
-        coords = np.atleast_2d(np.asarray(coords, dtype=float))
         dev = coords - center * e
-        q2 = (dev * dev) @ gram / radius**2
-        return bump(q2)
+        return bump((dev * dev) @ gram / radius**2)
 
     return f
 

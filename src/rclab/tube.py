@@ -14,13 +14,13 @@ of P(y^{-1/2}) x for z = x + i y (``logdet_tube``).  The cocycle data
 psi_g of a lifted generator always derives psi_{g^{-1}} = -psi_g o g^{-1},
 so both sides of any covariance identity use the same group lift.
 
-A tube point is an (n,) complex numpy row, and function evaluators are
-vectorized: they take an (m, n) complex coordinate array and return (m,)
-complex values.  The derivatives and the bracket take only a (P, n) stack
-of points and return (P,) arrays, so a check evaluates all its sample
-points in one call per evaluator, and a single point is a one-row stack;
-each row keeps the bits of a one-row call.  All aggregation is
-deterministic.
+Every function here takes stacks in and gives arrays out: points go in as
+a (P, n) complex stack, one tube point per row, and values come back as
+(P,) arrays, so a check evaluates all its sample points in one call per
+evaluator.  A single point is a one-row stack; in rank 1 and sym2, where
+the tube suites run, each row keeps the bits of a one-row call.  An (n,)
+row is only ever a parameter: a coherent state's w, a generator's u or a,
+or a point a check is asked about.  All aggregation is deterministic.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import numpy as np
 from . import report, worst
 from .algebra import JordanAlgebra, spectral, cone_sqrt, quad_rep, inverse
 from .brackets import compute_c, compute_C
-from .poly import Poly
 from .quadrature import (
     gamma_omega_closed, tube_laplace, gauss_legendre, gauss_jacobi,
     scaled_interval_rule, box_rule, weyl_integral, bump, chart_integrals,
@@ -74,7 +73,7 @@ def logdet_tube(algebra: JordanAlgebra, coords) -> np.ndarray:
     has real part 1, so the principal logs sum to the continuous branch.
     Raises NotInCone for a point whose imaginary part is outside the cone.
     """
-    coords = np.atleast_2d(np.asarray(coords, dtype=complex))
+    coords = np.asarray(coords, dtype=complex)
     y = coords.imag
     w = quad_rep(algebra, inverse(algebra, cone_sqrt(algebra, y)), coords.real)
     return (np.log(algebra.det_poly.numeric(y))
@@ -202,63 +201,41 @@ class GroupGenerator:
             'dilation'    (z -> P(a^{1/2}) z, a in the cone),
             'inversion'   (z -> -z^{-1}).
     parameter  the float row u or a; the inversion takes none.
-    psi     the chosen continuous logarithm of j(g, .) = Det_C(Dg);
-            psi_{g^{-1}} is always derived as -psi_g o g^{-1}.
+
+    The constructor defines the generator in one place: ``apply`` (g),
+    ``apply_inv`` (g^{-1}) and ``psi`` (psi_g, the chosen continuous
+    logarithm of j(g, .) = Det_C(Dg)), each on an (m, n) stack.
+    psi_{g^{-1}} is always derived as -psi_g o g^{-1} (``psi_inv``).
     """
 
     def __init__(self, algebra: JordanAlgebra, kind: str, parameter=None):
         self.algebra = algebra
         self.kind = kind
+        n, r = algebra.n, algebra.r
         if kind == "translation":
-            self._u = np.asarray(parameter, dtype=complex)
+            u = np.asarray(parameter, dtype=complex)
+            self.apply = lambda coords: coords + u
+            self.apply_inv = lambda coords: coords - u
+            self.psi = lambda coords: np.zeros(len(coords), dtype=complex)
         elif kind == "dilation":
             # cone_sqrt raises NotInCone for a parameter outside the cone
-            self._root = cone_sqrt(algebra, parameter)
-            self._root_inv = inverse(algebra, self._root)
-            self._chi = float(algebra.det_poly.numeric(np.atleast_2d(parameter))[0])
+            root = cone_sqrt(algebra, [parameter])
+            root_inv = inverse(algebra, root)
+            log_chi = (n / r) * math.log(float(algebra.det_poly.numeric([parameter])[0]))
+            self.apply = lambda coords: quad_rep(algebra, root, coords)
+            self.apply_inv = lambda coords: quad_rep(algebra, root_inv, coords)
+            self.psi = lambda coords: np.full(len(coords), log_chi, dtype=complex)
         elif kind == "inversion":
-            pass
+            # the inversion is an involution
+            self.apply = self.apply_inv = lambda coords: -inverse(algebra, coords)
+            self.psi = lambda coords: -(2 * n / r) * (logdet_tube(algebra, coords)
+                                                      + r * (1j * math.pi / 2))
         else:
             raise ValueError(f"unknown generator kind {kind!r}")
-
-    # -- point maps ----------------------------------------------------------
-
-    def apply(self, coords: np.ndarray) -> np.ndarray:
-        coords = np.atleast_2d(np.asarray(coords, dtype=complex))
-        if self.kind == "translation":
-            return coords + self._u
-        if self.kind == "dilation":
-            return quad_rep(self.algebra, self._root, coords)
-        return -inverse(self.algebra, coords)
-
-    def apply_inv(self, coords: np.ndarray) -> np.ndarray:
-        coords = np.atleast_2d(np.asarray(coords, dtype=complex))
-        if self.kind == "translation":
-            return coords - self._u
-        if self.kind == "dilation":
-            return quad_rep(self.algebra, self._root_inv, coords)
-        return self.apply(coords)       # the inversion is an involution
-
-    # -- cocycle -------------------------------------------------------------
-
-    def psi(self, coords: np.ndarray) -> np.ndarray:
-        """psi_g on a batch: continuous log of Det_C(Dg(z))."""
-        coords = np.atleast_2d(np.asarray(coords, dtype=complex))
-        n, r = self.algebra.n, self.algebra.r
-        if self.kind == "translation":
-            return np.zeros(len(coords), dtype=complex)
-        if self.kind == "dilation":
-            return np.full(len(coords), (n / r) * math.log(self._chi),
-                           dtype=complex)
-        logdet_z = logdet_tube(self.algebra, coords) + r * (1j * math.pi / 2)
-        return -(2 * n / r) * logdet_z
 
     def psi_inv(self, coords: np.ndarray) -> np.ndarray:
         """psi_{g^{-1}} = -psi_g o g^{-1} (same lift on both sides)."""
         return -self.psi(self.apply_inv(coords))
-
-    def __repr__(self):
-        return f"GroupGenerator({self.algebra.name}, {self.kind})"
 
 
 def pi_action(gen: GroupGenerator, nu, F):
@@ -313,20 +290,16 @@ def apply_B(algebra: JordanAlgebra, k: int, lam, mu, F, G, z):
 
 
 def _default_tube_points(algebra):
-    """A deterministic spread of well-interior tube points."""
-    n = algebra.n
-    e = algebra.e
+    """A deterministic spread of well-interior tube points, a (5, n) stack."""
+    n, e = algebra.n, algebra.e
     pts = []
-    shifts = [
-        (0.0, 1.0), (0.3, 1.4), (-0.4, 0.9), (0.6, 2.0), (-0.2, 1.1),
-    ]
+    shifts = [(0.0, 1.0), (0.3, 1.4), (-0.4, 0.9), (0.6, 2.0), (-0.2, 1.1)]
     for idx, (re_, im_) in enumerate(shifts):
         coords = re_ * e + 1j * im_ * e
         if n > 1:
-            bump_idx = 1 + (idx % (n - 1))
-            coords = coords + np.eye(n)[bump_idx] * (0.15 + 0.05 * idx) * (1 + 0.5j)
-        pts.append(coords.astype(complex))
-    return pts
+            coords = coords + np.eye(n)[1 + idx % (n - 1)] * (0.15 + 0.05 * idx) * (1 + 0.5j)
+        pts.append(coords)
+    return np.array(pts)
 
 
 def default_generators(algebra):
@@ -362,7 +335,7 @@ def check_covariance_B(algebra: JordanAlgebra, k: int, lam, mu,
     G = coherent_state(algebra, mu, (-0.3 + 0.9j) * e + 0.04j * np.arange(n)[::-1])
     scale_psi = algebra.r / (2.0 * algebra.n)
     F_g, G_g = pi_action(gen, lam, F), pi_action(gen, mu, G)
-    Z = np.array(_default_tube_points(algebra))
+    Z = _default_tube_points(algebra)
     ginv_Z = gen.apply_inv(Z)
     keep = ~(spectral(algebra, ginv_Z.imag)[:, 0] < 0.1)     # a NaN row stays, and fails
     rows = []
@@ -398,15 +371,15 @@ def check_adjoint_image(algebra: JordanAlgebra, k: int, lam, mu, z1, z2,
     n, r = algebra.n, algebra.r
     shift = Fraction(n, r)
     spec = compute_c(algebra, k).specialize(Fraction(lam) - shift, Fraction(mu) - shift)
-    # one Laplace rule per slot transforms every monomial of that slot
+    # one Laplace rule per slot transforms each distinct monomial of that slot
     slots = []
     for cut, z, weight in ((slice(0, n), z1, lam), (slice(n, 2 * n), z2, mu)):
-        monos = Poly.from_terms(dict.fromkeys(map(tuple, spec.exps[:, cut].tolist()), 1), n)
-        vals = tube_laplace(algebra, monos, z, det_power=float(weight) - float(shift))
-        slots.append(dict(zip(map(tuple, monos.exps.tolist()), vals.tolist())))
+        exps, index = np.unique(spec.exps[:, cut], axis=0, return_inverse=True)
+        vals = tube_laplace(algebra, exps, z[None], float(weight) - float(shift))[0]
+        slots.append(vals[index].tolist())
     num = 0.0 + 0.0j
-    for mono, coef in zip(spec.exps.tolist(), spec.fcoef):
-        num += coef * slots[0][tuple(mono[:n])] * slots[1][tuple(mono[n:])]
+    for coef, x, y in zip(spec.fcoef, *slots):
+        num += coef * x * y
     num *= 1j ** (r * k)
     det_diff = complex(algebra.det_poly.numeric((z1 - z2)[None])[0]) ** k
     powers = np.exp(-np.array([float(lam) + k, float(mu) + k])
@@ -585,16 +558,10 @@ def check_hua_cocycle(algebra: JordanAlgebra, gen: GroupGenerator, z, w,
                       tol: float) -> dict:
     """det(g z - conj(g w)) = e^{(r/2n) psi_g(z)} det(z - conj w) conj(e^{(r/2n) psi_g(w)})
     at the tube points ``z`` and ``w``."""
-    r, n = algebra.r, algebra.n
-    zc = z.reshape(1, -1)
-    wc = w.reshape(1, -1)
-    gz = gen.apply(zc)[0]
-    gw = gen.apply(wc)[0]
-    lhs = algebra.det_poly.numeric((gz - np.conj(gw)).reshape(1, -1))[0]
-    scale = r / (2.0 * n)
-    fz = np.exp(scale * gen.psi(zc)[0])
-    fw = np.exp(scale * gen.psi(wc)[0])
-    mid = algebra.det_poly.numeric((zc[0] - np.conj(wc[0])).reshape(1, -1))[0]
+    zw = np.array([z, w])
+    gz, gw = gen.apply(zw)
+    lhs, mid = algebra.det_poly.numeric(np.array([gz - np.conj(gw), z - np.conj(w)]))
+    fz, fw = np.exp(algebra.r / (2.0 * algebra.n) * gen.psi(zw))
     rhs = fz * mid * np.conj(fw)
     return report("kernel-cocycle-identity", algebra.name, generator=gen.kind,
                   tolerance=tol, residual=abs(lhs - rhs) / max(abs(lhs), 1e-300))
@@ -607,11 +574,11 @@ def check_coherent_transform(algebra: JordanAlgebra, nu, gen: GroupGenerator,
     once, on the stack of all the points."""
     K = coherent_state(algebra, nu, w)
     KT = pi_action(gen, nu, K)
-    gw = gen.apply(w.reshape(1, -1))[0]
+    gw = gen.apply(w[None])[0]
     K2 = coherent_state(algebra, nu, gw)
     fac = np.exp((algebra.r * complex(nu) / (2.0 * algebra.n))
-                 * np.conj(gen.psi(w.reshape(1, -1))[0]))
-    Z = np.array(_default_tube_points(algebra))
+                 * np.conj(gen.psi(w[None])[0]))
+    Z = _default_tube_points(algebra)
     residuals = []
     for a, b2 in zip(KT(Z).tolist(), K2(Z).tolist()):
         b = fac * b2

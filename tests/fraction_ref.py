@@ -60,7 +60,8 @@ def mul(alg, x, y):
 
 
 def trace(alg, x):
-    return sum(t * c for t, c in zip(alg.trace_vec, x))
+    # tr x = (x, e) in the diagonal trace form
+    return sum(g * e * c for g, e, c in zip(alg.gram, alg.e_coords, x))
 
 
 def det(alg, x):

@@ -146,7 +146,7 @@ def test_spectral_reconstruction(algebra):
 
 
 def test_spectral_identity_eigenvalues(algebra):
-    lams = spectral(algebra, algebra.e)
+    lams = spectral(algebra, algebra.e[None])
     assert np.all(np.abs(lams - 1) < 1e-14)
 
 
@@ -168,7 +168,7 @@ def test_rank2_spectral_keeps_a_small_gap():
 
 def test_sqrt_examples(algebra):
     e = algebra.e
-    assert np.max(np.abs(cone_sqrt(algebra, e) - e)) < 1e-14
+    assert np.max(np.abs(cone_sqrt(algebra, e[None]) - e)) < 1e-14
 
 
 def test_sqrt_roundtrip(algebra):
@@ -261,19 +261,19 @@ def test_quad_rep_on_complex_rows(name):
 
 def test_cone_membership_examples(algebra):
     e = algebra.e
-    assert np.all(spectral(algebra, e) > 0)
-    assert np.all(np.abs(spectral(algebra, 0.5 * e)) < 1)
-    assert not np.all(np.abs(spectral(algebra, 2 * e)) < 1)
-    iota(algebra, e, 0.5 * e)
+    assert np.all(spectral(algebra, e[None]) > 0)
+    assert np.all(np.abs(spectral(algebra, 0.5 * e[None])) < 1)
+    assert not np.all(np.abs(spectral(algebra, 2 * e[None])) < 1)
+    iota(algebra, e[None], 0.5 * e[None])
     with pytest.raises(AlgebraError):
-        iota(algebra, e, 2 * e)
+        iota(algebra, e[None], 2 * e[None])
 
 
 def test_in_interval_sym2_example():
     alg = get_algebra("sym2")
     v = rows((0.5, -0.9, 0.0))
     assert np.all(np.abs(spectral(alg, v)) < 1)
-    iota(alg, alg.e, v)
+    iota(alg, alg.e[None], v)
 
 
 def test_iota_rank1_examples():
@@ -312,7 +312,7 @@ def test_iota_batch_matches_one_row_at_a_time(algebra):
     Z, V = random_chart_points(random.Random(13), algebra, 6)
     X, Y = iota(algebra, Z, V)
     for i in range(6):
-        x, y = iota(algebra, Z[i], V[i])
+        x, y = iota(algebra, Z[i][None], V[i][None])
         assert np.max(np.abs(x[0] - X[i])) < 1e-14 * max(1.0, np.abs(X[i]).max())
         assert np.max(np.abs(y[0] - Y[i])) < 1e-14 * max(1.0, np.abs(Y[i]).max())
 

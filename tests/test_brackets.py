@@ -370,7 +370,7 @@ def test_the_frame_of_the_oracles(name):
     alg = get_algebra(name)
     a = [Fraction(3, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-5, 4)][:alg.r]
     v = frame(alg, a)
-    got = spectral(alg, np.array(v, dtype=float))[0]
+    got = spectral(alg, np.array(v, dtype=float)[None])[0]
     assert np.allclose(got, sorted(map(float, a)), rtol=0, atol=1e-14)
     assert det(alg, v) == prod(a)
     assert frame(alg, [1] * alg.r) == alg.e_coords

@@ -1046,8 +1046,18 @@ def test_cocycles_fail_psi_off_by_a_relative_1e_10(name, monkeypatch):
     from rclab.algebra import get_algebra
 
     alg = get_algebra(name)
-    psi = tube.GroupGenerator.psi
-    monkeypatch.setattr(tube.GroupGenerator, "psi", lambda g, z: psi(g, z) * (1 + 1e-10))
+    generators = tube.default_generators
+
+    def off(psi):
+        return lambda z: psi(z) * (1 + 1e-10)
+
+    def skewed(algebra):
+        gens = generators(algebra)
+        for gen in gens:
+            gen.psi = off(gen.psi)
+        return gens
+
+    monkeypatch.setattr(tube, "default_generators", skewed)
     assert all(r["pass"] for r in cli.SUITES["cocycles"](alg, {"hua": 1e-8, "coherent": 1e-8}))
     reports, ok = cli.run_suites(alg, "cocycles")
     assert not ok and {(r["check"], r["generator"]) for r in reports if not r["pass"]} == {

@@ -512,7 +512,7 @@ def test_tube_laplace_rank1_closed_form():
     nu = 2.5
     for zz in (2 + 3j, -5 + 1j, 10, 60):
         z = np.array([zz], dtype=complex)
-        got = tube_laplace(alg, _rows([(0,)], 1), z, det_power=nu - 1.0)[0]
+        got = tube_laplace(alg, _rows([(0,)], 1).exps, z[None], nu - 1.0)[0, 0]
         want = math.gamma(nu) * ((zz + 1j) / 1j) ** (-nu)
         assert abs(got - want) / abs(want) < 1e-13, zz
 
@@ -523,14 +523,14 @@ def test_tube_laplace_sym2_far_from_the_imaginary_axis():
     alg = get_algebra("sym2")
     nu = 2.8
     z = np.array([20, 0, 0], dtype=complex)
-    got = tube_laplace(alg, _rows([(0, 0, 0)], 3), z, det_power=nu - 1.5)[0]
+    got = tube_laplace(alg, _rows([(0, 0, 0)], 3).exps, z[None], nu - 1.5)[0, 0]
     want = gamma_omega_closed(alg, nu) * np.exp(-nu * logdet_tube(alg, (z + 1j * alg.e)[None]))[0]
     assert abs(got - want) / abs(want) < 1e-3
 
 
 def test_tube_laplace_many_integrands_match_single_calls():
-    # one rule for several monomial rows gives the bits of one call per row,
-    # and the coefficients of the rows are not read: 1, x_0, x_-1^2, x_0^3
+    # one rule for several monomial rows gives the bits of one call per row:
+    # 1, x_0, x_-1^2, x_0^3
     for name, coords in (("rank1", (0.3 + 1.4j,)), ("sym2", (0.3 + 1.4j, 1.1j, 0.2 + 0.1j))):
         alg = get_algebra(name)
         n = alg.n
@@ -538,11 +538,22 @@ def test_tube_laplace_many_integrands_match_single_calls():
                  (3,) + (0,) * (n - 1)]
         rows = Poly.from_terms({m: Fraction(-7, 3 + i) for i, m in enumerate(monos)}, n)
         z = np.array(coords)
-        got = tube_laplace(alg, rows, z, det_power=0.8)
-        one = [tube_laplace(alg, _rows([m], n), z, det_power=0.8)
+        got = tube_laplace(alg, rows.exps, z[None], 0.8)[0]
+        one = [tube_laplace(alg, _rows([m], n).exps, z[None], 0.8)[0]
                for m in rows.exps.tolist()]
         assert got.shape == (4,) and got.dtype == complex
         assert got.tobytes() == np.concatenate(one).tobytes(), name
+
+
+@pytest.mark.parametrize("name", ["rank1", "sym2"])
+def test_tube_laplace_on_a_stack_gives_the_bits_of_one_call_per_point(name):
+    alg = get_algebra(name)
+    exps = np.array([(0,) * alg.n, (1,) + (0,) * (alg.n - 1), (2,) * alg.n])
+    Z = _default_tube_points(alg)
+    got = tube_laplace(alg, exps, Z, 0.8)
+    assert got.shape == (len(Z), len(exps)) and got.dtype == complex
+    one = [tube_laplace(alg, exps, z[None], 0.8) for z in Z]
+    assert got.tobytes() == np.concatenate(one).tobytes()
 
 
 def _sym2_ray_grid():
@@ -601,7 +612,7 @@ def test_tube_laplace_rays_match_the_per_branch_rule(name):
     integrands = _row_integrands(rows)
     for z in _default_tube_points(alg):
         for p in (0.3, 1.8):
-            got = tube_laplace(alg, rows, z, det_power=p)
+            got = tube_laplace(alg, rows.exps, z[None], p)[0]
             want = _tube_laplace_per_branch(alg, integrands, z, p)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (z, p)
 
@@ -646,7 +657,7 @@ def test_tube_laplace_sym2_peak_memory():
     # the closed radial integral needs a few (rows x rays) tables, about
     # 0.24 MB; a 128-node radial rule on the rays took 2.17 MB
     alg = get_algebra("sym2")
-    args = (alg, _rows([(0, 0, 0)], 3), _default_tube_points(alg)[1], 1.3)
+    args = (alg, _rows([(0, 0, 0)], 3).exps, _default_tube_points(alg)[1][None], 1.3)
     tube_laplace(*args)     # the rays are built once
     peak = _peak_bytes(tube_laplace, *args)
     assert peak < 1e6, peak
@@ -656,7 +667,7 @@ def test_tube_laplace_divergence_guard():
     alg = get_algebra("rank1")
     z = np.array([0.5 - 2j])     # Im z + e = -1 is outside the cone
     with pytest.raises(ValueError):
-        tube_laplace(alg, _rows([(0,)], 1), z)
+        tube_laplace(alg, _rows([(0,)], 1).exps, z[None], 0.0)
 
 
 def test_box_rule_volume():

@@ -8,16 +8,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rclab.algebra import get_algebra, spectral, NotInCone
+from rclab.algebra import ALGEBRA_NAMES, get_algebra, spectral, NotInCone
 from rclab.brackets import compute_c
 from rclab.cli import _path_logdet
-from rclab.poly import Poly
 from rclab.quadrature import gamma_omega_closed, tube_laplace
 from rclab.tube import (
     logdet_tube, coherent_state, holo_mixed_derivatives, GroupGenerator, pi_action, apply_B,
     check_covariance_B, check_adjoint_image, check_J_factorization,
     check_partial_isometry, check_hua_cocycle, check_coherent_transform,
-    default_generators,
+    default_generators, _default_tube_points,
 )
 
 
@@ -40,8 +39,8 @@ def derivative(alg, F, z, alpha, n_nodes=32):
 def test_tube_point_validation():
     # a point is in the tube when its imaginary part is in the open cone
     alg = get_algebra("sym2")
-    assert np.all(spectral(alg, tube_el(1j, 2j, 0).imag) > 0)
-    assert not np.all(spectral(alg, tube_el(1j, -1j, 0).imag) > 0)
+    assert np.all(spectral(alg, tube_el(1j, 2j, 0).imag[None]) > 0)
+    assert not np.all(spectral(alg, tube_el(1j, -1j, 0).imag[None]) > 0)
 
 
 def test_logdet_matches_principal_rank1():
@@ -88,7 +87,7 @@ def test_logdet_raises_off_the_tube():
     alg = get_algebra("spin8")
     n = alg.n
     z = 0.7 * np.arange(1, n + 1) / n + 1j * (1.5 * alg.e + 0.2 * np.arange(n))
-    assert spectral(alg, z.imag).min() < 0
+    assert spectral(alg, z.imag[None]).min() < 0
     with pytest.raises(NotInCone):
         logdet_tube(alg, z[None])
 
@@ -138,7 +137,7 @@ def test_laplace_of_weight_reproduces_coherent_state():
     nu = 2.0
     z = tube_el(2 + 3j)
     K = coherent_state(alg, nu, tube_el(1j))
-    got = tube_laplace(alg, Poly.from_terms({(0,): 1}, 1), z, det_power=nu - 1.0)[0]
+    got = tube_laplace(alg, np.zeros((1, 1), dtype=int), z[None], nu - 1.0)[0, 0]
     want = gamma_omega_closed(alg, nu) * at(K, z)
     assert abs(got - want) / abs(want) < 1e-8
 
@@ -307,7 +306,7 @@ def test_covariance_with_every_point_dropped_fails_without_samples(monkeypatch):
     from rclab import tube
 
     alg = get_algebra("rank1")
-    monkeypatch.setattr(tube, "_default_tube_points", lambda algebra: [np.array([100 + 1j])])
+    monkeypatch.setattr(tube, "_default_tube_points", lambda algebra: np.array([[100 + 1j]]))
     monkeypatch.setattr(tube, "apply_B", None)
     gen = default_generators(alg)[2]
     assert gen.kind == "inversion"
@@ -316,22 +315,21 @@ def test_covariance_with_every_point_dropped_fails_without_samples(monkeypatch):
     assert rep["samples"] == [] and rep["max_residual"] == 0.0
 
 
-@pytest.mark.parametrize("name", ["rank1", "sym2"])
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
 def test_generator_cocycles_match_numeric_jacobian(name):
     alg = get_algebra(name)
-    e = np.array([float(c) for c in alg.e_coords])
-    z0 = 0.3 * np.arange(alg.n) + 1.2j * e + 0.1j * np.arange(alg.n)
+    Z = _default_tube_points(alg)
     h = 1e-6
+    steps = h * np.eye(alg.n)
     for gen in default_generators(alg):
-        # Det_C(Dg(z)) by central differences against exp(psi_g(z))
-        J = np.zeros((alg.n, alg.n), dtype=complex)
-        for i in range(alg.n):
-            step = np.zeros(alg.n, dtype=complex)
-            step[i] = h
-            J[:, i] = (gen.apply(z0 + step)[0] - gen.apply(z0 - step)[0]) / (2 * h)
-        want = np.linalg.det(J)
-        got = np.exp(gen.psi(z0.reshape(1, -1))[0])
-        assert abs(got - want) / abs(want) < 1e-8, gen.kind
+        assert np.abs(gen.apply_inv(gen.apply(Z)) - Z).max() < 1e-14, gen.kind
+        got = np.exp(gen.psi(Z))
+        for z0, psi_z in zip(Z, got):
+            # Det_C(Dg(z)) by central differences against exp(psi_g(z)):
+            # column i of Dg is the difference along coordinate i
+            J = (gen.apply(z0 + steps) - gen.apply(z0 - steps)).T / (2 * h)
+            want = np.linalg.det(J)
+            assert abs(psi_z - want) / abs(want) < 1e-8, gen.kind
 
 
 def test_translation_cocycle_is_one():
@@ -367,6 +365,14 @@ def test_pi_action_inversion_modulus():
     FT = pi_action(gen, 2.0, lambda c: np.ones(len(c)))
     val = at(FT, tube_el(1j))
     assert abs(abs(val) - 1.0) < 1e-12
+
+
+def test_generator_refuses_a_dilation_off_the_cone_and_an_unknown_kind():
+    alg = get_algebra("sym2")
+    with pytest.raises(NotInCone):
+        GroupGenerator(alg, "dilation", np.array([1.0, -1.0, 0.0]))
+    with pytest.raises(ValueError, match="unknown generator kind"):
+        GroupGenerator(alg, "rotation")
 
 
 def _z(c):
@@ -556,7 +562,7 @@ def test_covariance_catches_a_wrong_coefficient(name, monkeypatch, tmp_path, wro
 def _flip_det_term(algebra, A, B, P):
     """(a|b) a + det(a) b* from P(a)b = (a|b) a - det(a) b* in rank 2."""
     det = algebra.det_poly.numeric(np.atleast_2d(A))[:, None]
-    return P + 2 * det * ((B @ np.array(algebra.trace_vec, dtype=float))[..., None]
+    return P + 2 * det * ((B @ (np.array(algebra.gram) * algebra.e))[..., None]
                           * algebra.e - B)
 
 

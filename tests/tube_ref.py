@@ -48,7 +48,7 @@ def check_covariance_B(algebra, k, lam, mu, gen, tol):
     rows = []
     for z in _default_tube_points(algebra):
         ginv_z = gen.apply_inv(z.reshape(1, -1))[0]
-        if spectral(algebra, ginv_z.imag)[0, 0] < 0.1:
+        if spectral(algebra, ginv_z.imag[None])[0, 0] < 0.1:
             continue
         lhs = apply_B(algebra, k, lam, mu, F_g, G_g, z)
         inner_B = apply_B(algebra, k, lam, mu, F, G, ginv_z)
