@@ -37,8 +37,9 @@ midpoint rules over boxes that hold the compact supports of their smooth
 integrands, memoised per ball.  The chart side sums its v ball in blocks:
 through the quadratic form of P(z^{1/2}) in the trace form, the two bump
 arguments of a block of v nodes at every z node come from two matrix
-products.  No rule draws random numbers, and summation is numpy's pairwise
-reduction, so results are reproducible bit for bit.
+products, and the bumps are evaluated on their joint support only.  No
+rule draws random numbers, and summation is numpy's pairwise reduction, so
+results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -470,10 +471,11 @@ def tube_laplace(algebra: JordanAlgebra, exps, Z, det_power) -> np.ndarray:
 
 
 def bump(q2):
-    """Smooth compactly supported profile of the squared radius, 1 at 0."""
+    """Smooth compactly supported profile of the squared radius, 1 at 0;
+    NaN at a NaN argument."""
     q2 = np.asarray(q2, dtype=float)
     out = np.zeros_like(q2)
-    inside = q2 < 1.0
+    inside = ~(q2 >= 1.0)
     out[inside] = np.exp(1.0 - 1.0 / (1.0 - q2[inside]))
     return out
 
@@ -484,8 +486,9 @@ def trace_ball_bump(algebra: JordanAlgebra, center: float, radius: float):
     e = algebra.e
 
     def f(coords):
-        dev = coords - center * e
-        return bump((dev * dev) @ gram / radius**2)
+        sq = coords - center * e
+        sq *= sq    # in place: a chart grid's (m, n) array is a few MB
+        return bump(sq @ gram / radius**2)
 
     return f
 
@@ -605,12 +608,17 @@ def _v_ball_sum(Pz, dev, gram, radius, unit):
 
     With M = Pz^T G Pz and b = 2 Pz^T G dev, 4|x - ce|^2 and 4|y - ce|^2
     are |dev|^2 + u^T M u -+ b.u, so a block of u nodes takes two matrix
-    products, not one Python step per node.  Blocks hold at most
-    ``_CHART_BLOCK`` (u nodes x z nodes) entries; their rows are added to
-    the sum in u order, one node at a time, as a loop over the nodes would.
+    products, not one Python step per node.  The bumps are evaluated on the
+    joint support only, where both arguments are below 1 (or NaN); elsewhere
+    the product is exactly 0.  Blocks hold at most ``_CHART_BLOCK`` (u nodes
+    x z nodes) entries; their rows are added to the sum in u order, one node
+    at a time, as a loop over the nodes would.
     """
     n = Pz.shape[1]
-    M = np.einsum("zia,i,zib->zab", Pz, gram, Pz).reshape(len(dev), n * n)
+    # (n * n, z nodes), contiguous: a product with the transposed view is
+    # several times slower
+    MT = np.ascontiguousarray(
+        np.einsum("zia,i,zib->zab", Pz, gram, Pz).reshape(len(dev), n * n).T)
     b = 2 * np.einsum("zia,i,zi->za", Pz, gram, dev)
     d2 = (dev * dev) @ gram
     scale = 4 * radius**2
@@ -618,8 +626,12 @@ def _v_ball_sum(Pz, dev, gram, radius, unit):
     step = max(1, _CHART_BLOCK // len(dev))
     for lo in range(0, len(unit), step):
         u = unit[lo:lo + step]
-        even = d2 + (u[:, :, None] * u[:, None, :]).reshape(len(u), n * n) @ M.T
+        even = d2 + (u[:, :, None] * u[:, None, :]).reshape(len(u), n * n) @ MT
         odd = u @ b.T
-        for row in bump((even - odd) / scale) * bump((even + odd) / scale):
+        qa, qb = (even - odd) / scale, (even + odd) / scale
+        both = ~(qa >= 1.0) & ~(qb >= 1.0)
+        f = np.zeros_like(qa)
+        f[both] = bump(qa[both]) * bump(qb[both])
+        for row in f:
             inner += row
     return inner

@@ -422,50 +422,59 @@ def check_J_factorization(algebra: JordanAlgebra, tol: float) -> dict:
                   lhs=[lhs.real, lhs.imag], rhs=[rhs.real, rhs.imag])
 
 
-def check_partial_isometry(algebra: JordanAlgebra, k: int, lam, mu,
-                           tol: float) -> dict:
-    """Norm ratio constancy of the adjoint embedding, rank 1.
+def check_partial_isometry(algebra: JordanAlgebra, ks, lam, mu,
+                           tol: float) -> list:
+    """Norm ratio constancy of the adjoint embedding, rank 1: one report per
+    k of ``ks``.
 
     ||Phi h||^2 / ||h||^2 must match the interval integral
     2^{-r lam - r mu + n} int |C(k)|^2 det(e-v)^{lam-n/r} det(e+v)^{mu-n/r} dv
-    and be flat across test bumps; every rule has 220 nodes per axis.
+    and be flat across test bumps.  The norms take 220-node rules per axis,
+    built once with the bumps for every k; the interval integral takes the
+    Gauss-Jacobi rule of 2k + 8 nodes, exact for |C(k)|^2 of degree 2k.
     """
     if algebra.family != "rank1":
         raise ValueError("partial isometry check implemented for rank1")
     n = 220
     lam_f, mu_f = float(lam), float(mu)
-    nu = lam_f + mu_f + 2 * k
-    shift = 1.0  # n/r
-    spec = compute_c(algebra, k).specialize(Fraction(lam) - 1, Fraction(mu) - 1)
     nodes, w = box_rule([(1e-9, 3.0), (1e-9, 3.0)], n)
     xi, zeta = nodes[:, 0], nodes[:, 1]
     eta, we = scaled_interval_rule(gauss_legendre(n), 1e-9, 3.0)
-    ratios = []
-    for lo, hi in ((1.0, 2.2), (1.6, 3.0), (0.8, 2.8)):      # bumps h on (lo, hi)
+    # per bump h on (lo, hi): its support in the box, and the k-independent
+    # factors of both norms there
+    bumps = []
+    for lo, hi in ((1.0, 2.2), (1.6, 3.0), (0.8, 2.8)):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         hv = bump(((xi + zeta - mid) / half) ** 2)
         mask = hv > 0
-        # |Phi h|^2 against the L^2_{lam,mu} weight xi^{-lam+1} zeta^{-mu+1}
-        # collapses to this integrand
-        integrand = np.zeros(len(nodes))
-        integrand[mask] = (
-            xi[mask] ** (lam_f - 1) * zeta[mask] ** (mu_f - 1)
-            * (xi[mask] + zeta[mask]) ** (-2 * lam_f - 2 * mu_f - 4 * k + 2)
-            * spec.numeric(nodes[mask]) ** 2 * hv[mask] ** 2
-        )
-        num = float(np.sum(w * integrand))
-        den = float(np.sum(we * bump(((eta - mid) / half) ** 2) ** 2 * eta ** (-nu + 1)))
-        ratios.append(num / den)
-    spread = (worst(ratios) - min(ratios)) / worst(map(abs, ratios))
-    C = compute_C(algebra, k, Fraction(lam) - 1, Fraction(mu) - 1)
-    interval = weyl_integral(algebra, lambda eigs: C.poly.numeric(eigs) ** 2,
-                             lam_f - 1, mu_f - 1, n=max(n, 2 * k + 8))
-    expected = 2.0 ** (-algebra.r * lam_f - algebra.r * mu_f + algebra.n) * interval
-    return report("adjoint-partial-isometry", algebra.name, k=k,
-                  **{"lambda": lam_f}, mu=mu_f, ratios=ratios,
-                  ratio_spread=spread, expected_constant=expected,
-                  constant_residual=abs(ratios[0] - expected) / abs(expected),
-                  tolerance=tol)
+        bumps.append((mask, xi[mask] ** (lam_f - 1) * zeta[mask] ** (mu_f - 1),
+                      hv[mask] ** 2, we * bump(((eta - mid) / half) ** 2) ** 2))
+    reports = []
+    for k in ks:
+        nu = lam_f + mu_f + 2 * k
+        power = -2 * lam_f - 2 * mu_f - 4 * k + 2
+        spec = compute_c(algebra, k).specialize(Fraction(lam) - 1, Fraction(mu) - 1)
+        ratios = []
+        for mask, wt, h2, weta in bumps:
+            # |Phi h|^2 against the L^2_{lam,mu} weight xi^{-lam+1} zeta^{-mu+1}
+            # collapses to this integrand
+            inside = nodes[mask]
+            integrand = np.zeros(len(nodes))
+            integrand[mask] = wt * inside.sum(axis=1) ** power * spec.numeric(inside) ** 2 * h2
+            num = float(np.sum(w * integrand))
+            den = float(np.sum(weta * eta ** (-nu + 1)))
+            ratios.append(num / den)
+        spread = (worst(ratios) - min(ratios)) / worst(map(abs, ratios))
+        C = compute_C(algebra, k, Fraction(lam) - 1, Fraction(mu) - 1)
+        interval = weyl_integral(algebra, lambda eigs: C.poly.numeric(eigs) ** 2,
+                                 lam_f - 1, mu_f - 1, n=2 * k + 8)
+        expected = 2.0 ** (-algebra.r * lam_f - algebra.r * mu_f + algebra.n) * interval
+        reports.append(report("adjoint-partial-isometry", algebra.name, k=k,
+                              **{"lambda": lam_f}, mu=mu_f, ratios=ratios,
+                              ratio_spread=spread, expected_constant=expected,
+                              constant_residual=abs(ratios[0] - expected) / abs(expected),
+                              tolerance=tol))
+    return reports
 
 
 def check_bracket_transform_equivalence(algebra: JordanAlgebra, k: int,
@@ -520,7 +529,9 @@ def check_bergman_isometry(algebra: JordanAlgebra, tol: float) -> dict:
     constant times ||f||^2 in L^2(det^{-nu+n/r}); the constant for the
     e^{i(z,xi)} convention is (2 pi)^n 2^{n/r-nu} Gamma_Omega(nu - n/r),
     an independent Parseval computation.  Constancy across test functions
-    is asserted as well.  The rules have n = 140 nodes (4n along x).
+    is asserted as well.  The rules have n = 140 nodes: Gauss-Legendre in
+    xi, Gauss-Jacobi in y, and along x on [-X, X] the Legendre rule on each
+    of four panels of width X/2.
     """
     if algebra.family != "rank1":
         raise ValueError("isometry check implemented for rank1")
@@ -528,22 +539,24 @@ def check_bergman_isometry(algebra: JordanAlgebra, tol: float) -> dict:
     gl = gauss_legendre(n)
     xi, wxi = scaled_interval_rule(gl, 0.5, 3.5)
     X, Y = 90.0, 20.0
-    x_nodes, wx = scaled_interval_rule(gauss_legendre(4 * n), -X, X)
     # y-integral against y^{nu-2}: Jacobi rule with the weight built in
     jr = gauss_jacobi(n, 0.0, nu - 2.0)
     y_nodes = Y * (1 + jr.nodes) / 2
     wy = jr.weights * (Y / 2) ** (nu - 1.0)
-    kernel = np.exp(1j * np.outer(x_nodes, xi))   # e^{i x xi}, the same for every y
+    # per x panel, e^{i x xi} (the same for every y) and the x weights
+    panels = [(np.exp(1j * np.outer(x_nodes, xi)), wx)
+              for x_nodes, wx in (scaled_interval_rule(gl, lo, lo + X / 2)
+                                  for lo in (-X, -X / 2, 0.0, X / 2))]
+    decay = np.exp(-xi[:, None] * y_nodes[None, :])   # e^{-y xi}, (xi, y)
     ratios = []
     for lo, hi in ((1.0, 3.0), (0.8, 2.4)):
         f = bump(((xi - 0.5 * (lo + hi)) / (0.5 * (hi - lo))) ** 2)    # a bump on (lo, hi)
-        fvals = f * wxi
-        # transform values on the (x, y) grid, vectorized over x
+        damped = (f * wxi)[:, None] * decay
+        # transform values on a panel's (x, y) grid, one matrix product
         norm_tube = 0.0
-        for y0, wy0 in zip(y_nodes, wy):
-            damped = fvals * np.exp(-y0 * xi)
+        for kernel, wx in panels:
             lf = kernel @ damped
-            norm_tube += wy0 * float(wx @ (lf.real**2 + lf.imag**2))
+            norm_tube += float(wy @ (wx @ (lf.real**2 + lf.imag**2)))
         norm_cone = float(np.sum(wxi * f ** 2 * xi ** (1.0 - nu)))
         ratios.append(norm_tube / norm_cone)
     expected = (2 * math.pi) * 2.0 ** (1.0 - nu) * math.gamma(nu - 1.0)

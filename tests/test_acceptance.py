@@ -169,8 +169,7 @@ def test_criterion_10_adjoint_image():
 def test_criterion_11_partial_isometry():
     worst_spread = 0.0
     worst_const = 0.0
-    for k in (0, 1, 2):
-        rep = tube.check_partial_isometry(get_algebra("rank1"), k, 3, 3, tol=1e-6)
+    for rep in tube.check_partial_isometry(get_algebra("rank1"), (0, 1, 2), 3, 3, tol=1e-6):
         worst_spread = max(worst_spread, rep["ratio_spread"])
         worst_const = max(worst_const, rep["constant_residual"])
     ok = worst_spread < 1e-6 and worst_const < 1e-6

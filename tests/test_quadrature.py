@@ -92,6 +92,23 @@ def check_all_rules(tmp_path_factory):
     return per_rule
 
 
+def test_check_all_builds_no_rule_past_220_nodes(monkeypatch):
+    # each rule is O(n^3) through the dense eigvalsh of its Jacobi matrix;
+    # the isometry check's x axis once took a 560-node rule of its own
+    from rclab.cli import run_suites
+
+    sizes = []
+    build = quadrature._gauss_from_recurrence
+    monkeypatch.setattr(quadrature, "_gauss_from_recurrence",
+                        lambda n, a, b: sizes.append(n) or build(n, a, b))
+    for cached in ("_jacobi_rule", "_laguerre_rule", "_rays"):   # every rule afresh
+        monkeypatch.setattr(quadrature, cached,
+                            functools.cache(getattr(quadrature, cached).__wrapped__))
+    for name in ("rank1", "sym2"):
+        assert run_suites(get_algebra(name), "all")[1], name
+    assert sizes and max(sizes) <= 220, sorted(set(sizes))
+
+
 def test_newton_stops_at_the_rounding_floor(check_all_rules):
     # every rule that check all builds takes at most three Newton passes over
     # the recurrence and one pass for the weights
@@ -709,7 +726,7 @@ def test_rank1_chart_checks_read_below_1e_10(check):
     # the shared midpoint rule reads about 1.5e-12 and 1.2e-12 in rank 1; the
     # Gauss-Legendre boxes it replaced read 2.3e-8 and 1.5e-8
     rep = _at_table_tol(check, "rank1")
-    assert rep["pass"] and rep["tolerance"] == 1e-6, rep
+    assert rep["pass"] and rep["tolerance"] == 1e-8, rep
     assert rep["residual"] < 1e-10, rep
     assert rep["nodes"] == quadrature.CHART_NODES["rank1"]
 
@@ -791,6 +808,55 @@ def test_sym2_chart_checks_fail_on_nan(check, nan_bump):
 def test_rank1_chart_checks_fail_on_nan(check, nan_bump):
     rep = _at_table_tol(check, "rank1")
     assert not rep["pass"] and np.all(np.isnan(rep["rhs"])), rep
+
+
+def test_bump_is_nan_at_a_nan_argument():
+    # NaN < 1 is false: a NaN point must not read as outside the support
+    assert np.isnan(quadrature.bump(np.nan))
+    q2 = np.array([0.0, 0.25, 0.5, 0.999, 1.0, 1.5, np.inf, np.nan])
+    got = quadrature.bump(q2)
+    with np.errstate(divide="ignore"):
+        want = np.where(q2 < 1.0, np.exp(1.0 - 1.0 / (1.0 - q2)), 0.0)
+    assert np.array_equal(got[:-1], want[:-1]) and np.isnan(got[-1])
+
+
+@pytest.mark.parametrize("name", list(quadrature.CHART_NODES))
+def test_chart_check_fails_on_a_nan_chart_point(name, monkeypatch, fresh_chart_rule):
+    # a NaN in one z row of z^{1/2} makes every bump argument of that row
+    # NaN; the v sum must carry it to the chart side, not drop the row
+    exact = quadrature.cone_sqrt
+
+    def nan_row(algebra, zs):
+        roots = exact(algebra, zs)
+        roots[len(roots) // 2] = np.nan
+        return roots
+
+    monkeypatch.setattr(quadrature, "cone_sqrt", nan_row)
+    rep = _at_table_tol(check_change_of_variables, name)
+    assert not rep["pass"] and np.isnan(rep["rhs"]), rep
+
+
+@pytest.fixture
+def chart_terms_off_by_1e_7(monkeypatch):
+    # every term of the chart rule times 1 + 1e-7: both rank 1 chart
+    # residuals become about 1e-7, between the old tolerance and the table's
+    rule = quadrature._chart_rule
+
+    def scaled(*args):
+        zs, terms, zcell = rule(*args)
+        return zs, terms * (1 + 1e-7), zcell
+
+    monkeypatch.setattr(quadrature, "_chart_rule", scaled)
+
+
+@pytest.mark.parametrize("check", CHART_CHECKS)
+def test_rank1_chart_checks_catch_a_1e_7_error_at_the_table_tolerance(
+        check, chart_terms_off_by_1e_7):
+    alg = get_algebra("rank1")
+    assert check(alg, 1e-6)["pass"]
+    rep = _at_table_tol(check, "rank1")
+    assert rep["tolerance"] == 1e-8
+    assert not rep["pass"] and 1e-8 < rep["residual"] < 1e-6, rep
 
 
 def _chart_rule_reference(name, center, radius):

@@ -750,8 +750,7 @@ def test_J_factorization_sym2_quadrature():
 
 def test_partial_isometry_rank1():
     alg = get_algebra("rank1")
-    for k in (0, 1):
-        rep = check_partial_isometry(alg, k, 3, 3, 1e-6)
+    for rep in check_partial_isometry(alg, (0, 1), 3, 3, 1e-6):
         assert rep["pass"], rep
         assert rep["ratio_spread"] < 1e-6
         assert rep["constant_residual"] < 1e-6
@@ -760,7 +759,7 @@ def test_partial_isometry_rank1():
 def test_partial_isometry_k0_beta_identity():
     # c(lam, mu; 0) = Beta(lam, mu) in rank 1
     alg = get_algebra("rank1")
-    rep = check_partial_isometry(alg, 0, 3, 3, 1e-6)
+    [rep] = check_partial_isometry(alg, (0,), 3, 3, 1e-6)
     want = math.gamma(3.0) ** 2 / math.gamma(6.0)
     assert abs(rep["expected_constant"] - want) / want < 1e-12
     assert abs(rep["ratios"][0] - want) / want < 1e-6
@@ -783,8 +782,84 @@ def test_bergman_norm_isometry_rank1():
     assert rep["ratio_spread"] < 1e-6 and rep["residual"] < 1e-6
 
 
+def _isometry_ratios_on_one_panel(alg):
+    """The two norm ratios of check_bergman_isometry with the x axis one
+    560-node Gauss-Legendre rule on [-90, 90] and the y nodes summed one at
+    a time."""
+    from rclab.quadrature import bump, gauss_jacobi, gauss_legendre, scaled_interval_rule
+
+    nu, n = 2.5, 140
+    xi, wxi = scaled_interval_rule(gauss_legendre(n), 0.5, 3.5)
+    x_nodes, wx = scaled_interval_rule(gauss_legendre(4 * n), -90.0, 90.0)
+    jr = gauss_jacobi(n, 0.0, nu - 2.0)
+    kernel = np.exp(1j * np.outer(x_nodes, xi))
+    ratios = []
+    for lo, hi in ((1.0, 3.0), (0.8, 2.4)):
+        f = bump(((xi - 0.5 * (lo + hi)) / (0.5 * (hi - lo))) ** 2)
+        norm_tube = 0.0
+        for y0, wy0 in zip(20.0 * (1 + jr.nodes) / 2, jr.weights * 10.0 ** (nu - 1.0)):
+            lf = kernel @ (f * wxi * np.exp(-y0 * xi))
+            norm_tube += wy0 * float(wx @ (lf.real**2 + lf.imag**2))
+        ratios.append(norm_tube / float(np.sum(wxi * f**2 * xi ** (1.0 - nu))))
+    return ratios
+
+
+def test_bergman_isometry_four_panels_match_one_560_node_rule():
+    from rclab.tube import check_bergman_isometry
+
+    alg = get_algebra("rank1")
+    rep = check_bergman_isometry(alg, 1e-6)
+    for got, want in zip(rep["ratios"], _isometry_ratios_on_one_panel(alg), strict=True):
+        assert abs(got - want) <= 1e-13 * abs(want), (got, want)
+
+
+def _interval_constant(alg, k):
+    """2^(-r lam - r mu + n) int C(k)(a)^2 (1 - a)^2 (1 + a)^2 da at
+    (lam, mu) = (3, 3), in Fractions, from the moments
+    int a^j (1 - a)^2 (1 + a)^2 da = 2/(j+1) - 4/(j+3) + 2/(j+5), j even."""
+    from rclab.brackets import compute_C
+
+    poly = compute_C(alg, k, Fraction(2), Fraction(2)).poly
+    coef = {int(e): Fraction(int(c), poly.den)
+            for e, c in zip(poly.exps[:, 0], poly.coef[:, 0, 0])}
+
+    def moment(j):
+        return Fraction(0) if j % 2 else Fraction(2, j + 1) - Fraction(4, j + 3) + Fraction(2, j + 5)
+
+    integral = sum(a * b * moment(i + j) for i, a in coef.items() for j, b in coef.items())
+    return Fraction(1, 2 ** (3 + 3 - 1)) * integral
+
+
+def test_partial_isometry_constants_match_exact_moments():
+    alg = get_algebra("rank1")
+    reps = check_partial_isometry(alg, (0, 1, 2), 3, 3, 1e-6)
+    assert [rep["k"] for rep in reps] == [0, 1, 2]
+    for rep in reps:
+        want = float(_interval_constant(alg, rep["k"]))
+        assert abs(rep["expected_constant"] - want) <= 1e-15 * want, (rep, want)
+
+
+def test_partial_isometry_leaves_under_1_mb_held():
+    # the suite shares its 220 x 220 box, bumps and masks within one call;
+    # held past it (a cache), they would keep several MB
+    import tracemalloc
+    from rclab.cli import run_suites
+
+    alg = get_algebra("rank1")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        reports, ok = run_suites(alg, "partial-isometry")
+        assert ok and len(reports) == 3
+        del reports
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1e6, held
+
+
 def test_partial_isometry_scale_invariance():
     # doubling h scales both norms by 4: the ratio is h-independent, which
     # the spread over differently-scaled bumps already witnesses
-    rep = check_partial_isometry(get_algebra("rank1"), 1, 3, 3, 1e-6)
+    [rep] = check_partial_isometry(get_algebra("rank1"), (1,), 3, 3, 1e-6)
     assert rep["ratio_spread"] < 1e-6
