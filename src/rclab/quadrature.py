@@ -32,14 +32,14 @@ quadrature.
 
 Interval (Weyl-reduced) integrals, one cube-to-chamber rule in every rank,
 use the chamber normalization 1: only their ratios and zero tests are used.
-The polar-chart checks use one rule for every algebra of CHART_NODES: tensor
-midpoint rules over boxes that hold the compact supports of their smooth
-integrands, memoised per ball.  The chart side sums its v ball in blocks:
-through the quadratic form of P(z^{1/2}) in the trace form, the two bump
-arguments of a block of v nodes at every z node come from two matrix
-products, and the bumps are evaluated on their joint support only.  No
-rule draws random numbers, and summation is numpy's pairwise reduction, so
-results are reproducible bit for bit.
+The polar-chart checks integrate F(x, y) = det(x) e^{-tr x} det(y)^{1/2}
+e^{-tr y}, whose side over the cone is closed, a product of two cone Gamma
+values; the chart side is one cached rule per algebra (rank 1 and sym2):
+z = s omega with s on a Laguerre rule and omega on the Laplace rays, v on
+the chamber rule, each weight divided by the factor of F it carries, so
+that F is evaluated through iota at every node and the sum closes at
+rounding.  No rule draws random numbers, and summation is numpy's pairwise
+reduction, so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -52,8 +52,7 @@ import numpy as np
 
 from . import SCHEMA, report, worst
 from .algebra import (
-    JordanAlgebra, get_algebra, spectral, cone_sqrt, quad_rep,
-    iota_jacobian,
+    JordanAlgebra, get_algebra, iota, iota_jacobian,
 )
 from .brackets import compute_C
 
@@ -71,7 +70,7 @@ __all__ = [
     "tube_laplace",
     "bump",
     "box_rule",
-    "CHART_NODES",
+    "CHART_POWERS",
     "chart_integrals",
     "check_change_of_variables",
 ]
@@ -397,30 +396,37 @@ def gram_matrix(algebra: JordanAlgebra, lam, mu, k_max: int,
 # The tube Laplace transform along rays of the cone
 
 
+def _sym2_polar(a1, a2, w, n_theta):
+    """The sym2 rows k diag(a1, a2) k^T, k the rotation by each of
+    ``n_theta`` midpoint angles in [0, pi), for each eigenvalue pair of a
+    rule with weights w, and their weights w (pi / n_theta) c_Omega / pi:
+    the trace-form measure of the polar map, less the density of the pairs."""
+    t = np.tile((np.arange(n_theta) + 0.5) * math.pi / n_theta, len(a1))
+    a1, a2 = np.repeat(a1, n_theta), np.repeat(a2, n_theta)
+    c2, s2, cs = np.cos(t) ** 2, np.sin(t) ** 2, np.cos(t) * np.sin(t)
+    c_polar = mehta_cone_constant(get_algebra("sym2")) / math.pi
+    return (np.stack([c2 * a1 + s2 * a2, s2 * a1 + c2 * a2, cs * (a2 - a1)], axis=1),
+            np.repeat(w, n_theta) * (math.pi / n_theta) * c_polar)
+
+
 @functools.cache
-def _rays(name):
+def _rays(name, n_u=48, n_theta=48):
     """The rays of the Laplace rule of the algebra ``name``, which depend on
     neither z nor p: unit rows omega (tr omega = 1), their weights and det
     omega.  Rank 1 is the single ray omega = 1.  sym2 takes omega = k
-    diag((1-u)/2, (1+u)/2) k^T, k the rotation by theta, on 48 Gauss-Legendre
-    nodes of the spread u in [0, 1] and 48 midpoint angles in [0, pi).
-    Built once per process and returned read-only."""
+    diag((1-u)/2, (1+u)/2) k^T, k the rotation by theta, on ``n_u``
+    Gauss-Legendre nodes of the spread u in [0, 1] and ``n_theta`` midpoint
+    angles in [0, pi).  Built once per process and returned read-only;
+    ValueError for any other algebra."""
     if name == "rank1":
         rays = (np.ones((1, 1)), np.ones(1), np.ones(1))
     elif name == "sym2":
-        n_u, n_theta = 48, 48
         u, wu = scaled_interval_rule(gauss_legendre(n_u), 0.0, 1.0)
-        theta = (np.arange(n_theta) + 0.5) * math.pi / n_theta
-        U, T = np.meshgrid(u, theta, indexing="ij")
-        u, t = U.ravel(), T.ravel()
-        c_polar = mehta_cone_constant(get_algebra("sym2")) / math.pi
-        weights = np.repeat(wu, n_theta) * (math.pi / n_theta) * c_polar * (u / 2)
-        c2, s2, cs = np.cos(t) ** 2, np.sin(t) ** 2, np.cos(t) * np.sin(t)
-        h1, h2 = (1 - u) / 2, (1 + u) / 2
-        unit = np.stack([c2 * h1 + s2 * h2, s2 * h1 + c2 * h2, cs * (h2 - h1)], axis=1)
-        rays = (unit, weights, h1 * h2)
+        unit, weights = _sym2_polar((1 - u) / 2, (1 + u) / 2, wu, n_theta)
+        u = np.repeat(u, n_theta)
+        rays = (unit, weights * (u / 2), (1 - u) / 2 * ((1 + u) / 2))
     else:
-        raise ValueError("tube_laplace supports rank1 and sym2")
+        raise ValueError("the ray rules cover rank1 and sym2")
     for arr in rays:
         arr.flags.writeable = False
     return rays
@@ -480,158 +486,90 @@ def bump(q2):
     return out
 
 
-def trace_ball_bump(algebra: JordanAlgebra, center: float, radius: float):
-    """C^infty bump supported on the trace-form ball around center*e."""
-    gram = np.array([float(g) for g in algebra.gram])
-    e = algebra.e
-
-    def f(coords):
-        sq = coords - center * e
-        sq *= sq    # in place: a chart grid's (m, n) array is a few MB
-        return bump(sq @ gram / radius**2)
-
-    return f
-
-
 def box_rule(bounds, n: int):
     """Tensor Gauss-Legendre nodes/weights over a product of intervals."""
     gl = gauss_legendre(n)
     return _tensor_rule(*zip(*(scaled_interval_rule(gl, lo, hi) for lo, hi in bounds)))
 
 
-# (u nodes x z nodes) entries of one block of the chart rule's v sum: a
-# block's few arrays take a few MB
-_CHART_BLOCK = 2 ** 16
+# (p, q) of F(x, y) = det(x)^p e^{-tr x} det(y)^q e^{-tr y}, the test
+# function of the chart checks; p must be an integer, for the chamber rule
+# of v is exact only at an integer (1 - a) power
+CHART_POWERS = (1.0, 0.5)
+# the chart rule's Laguerre nodes of s, (u, theta) nodes of the rays omega,
+# and chamber nodes per axis and angles of v
+_CHART_S, _CHART_RAYS, _CHART_V = 24, (12, 16), (2, 3)
 
-# Midpoint nodes per axis of the chart rules, per algebra: x for the lhs, z
-# and v for the rhs (z over the box of the trace ball, v over the box of a
-# ball per z, of whose v nodes only those inside the ball are summed).  An
-# algebra without an entry has no chart rule.
-CHART_NODES = {"rank1": {"x": 160, "z": 160, "v": 100},
-               "sym2": {"x": 48, "z": 16, "v": 10}}
+
+def chart_integrals(algebra: JordanAlgebra, z=None):
+    """(lhs, rhs, node counts) of the polar-chart formula for F of
+    CHART_POWERS against w(x) w(y), w(x) = e^{i(x, z)} at the tube point
+    ``z`` (w = 1 for None).
+
+    lhs is closed, Gamma_Omega(p + n/r) Gamma_Omega(q + n/r), its value at
+    w = 1: a character multiplies it by det(e - i z)^{-(p + q + 2n/r)} on
+    the branch of ``tube.logdet_tube``, which is the caller's part.  rhs is
+    2^{-n} int int F(iota(z', v)) w(z') (det z')^{n/r} dv dz' by
+    ``_chart_rule``: float for None (the change of variables), complex for
+    a z (the Laplace-averaging factorization).  ValueError for an algebra
+    other than rank1 and sym2.
+    """
+    zs, terms, n_v = _chart_rule(algebra.name)
+    p, q = CHART_POWERS
+    ratio = algebra.n / algebra.r
+    lhs = gamma_omega_closed(algebra, p + ratio) * gamma_omega_closed(algebra, q + ratio)
+    nodes = {"s": _CHART_S, "omega": len(zs) // _CHART_S, "v": n_v}
+    if z is None:
+        return lhs, float(np.sum(terms)), nodes
+    gz = np.array(algebra.gram, dtype=float) * z    # w(x) = e^{i x . gz}
+    return lhs, complex(np.sum(terms * np.exp(1j * (zs @ gz)))), nodes
 
 
 def check_change_of_variables(algebra: JordanAlgebra, tol: float) -> dict:
-    """Both sides of the polar-chart integration formula on a smooth bump
-    (``chart_integrals`` with weight 1), at the tolerance ``tol``."""
-    lhs, rhs = chart_integrals(algebra, 2.0, 0.9)
+    """Both sides of the polar-chart integration formula (``chart_integrals``
+    with weight 1), at the tolerance ``tol``."""
+    lhs, rhs, nodes = chart_integrals(algebra)
     return report("polar-chart-change-of-variables", algebra.name,
-                  method="quadrature", nodes=dict(CHART_NODES[algebra.name]), lhs=lhs,
-                  rhs=rhs, residual=abs(lhs - rhs) / max(abs(lhs), 1e-300),
-                  tolerance=tol)
-
-
-def _midpoint_grid(bounds, n: int):
-    """Tensor midpoint nodes over a product of intervals, and the cell volume."""
-    axes = [lo + (hi - lo) * (np.arange(n) + 0.5) / n for lo, hi in bounds]
-    grids = np.meshgrid(*axes, indexing="ij")
-    cell = math.prod((hi - lo) / n for lo, hi in bounds)
-    return np.stack([g.ravel() for g in grids], axis=1), cell
-
-
-def chart_integrals(algebra: JordanAlgebra, center, radius, z=None):
-    """Both sides of the polar-chart formula by tensor midpoint rules.
-
-    With f1 the trace_ball_bump of ``radius`` around ``center`` e and the
-    weight w(x) = e^{i(z, x)} at the tube point ``z`` (w = 1 for None; not
-    the chart's z = x + y below),
-    lhs = int int f1(x) f1(y) w(x) w(y) dx dy and rhs is the same integral
-    in the chart coordinates, 2^{-n} int int f1(x) f1(y) w(z) (det z)^{n/r}
-    dv dz with (x, y) = iota(z, v) and z = x + y.  w = 1 is the change of
-    variables itself (float results); a character gives the Laplace-averaging
-    factorization (complex results).  The ball must lie inside the cone
-    (radius < center).  Each integrand is C^infty with compact support
-    inside its box, where the midpoint rule converges faster than any power
-    of the node count.  Raises ValueError for an algebra without a
-    CHART_NODES entry.
-    """
-    if algebra.name not in CHART_NODES:
-        raise ValueError(f"chart rules implemented for {', '.join(CHART_NODES)}")
-    f1 = trace_ball_bump(algebra, center, radius)
-    # lhs factors because w(x) w(y) = w(x + y): the square of one n-D integral
-    xs, cell = _midpoint_grid(_ball_box(algebra, center, radius),
-                              CHART_NODES[algebra.name]["x"])
-    zs, terms, zcell = _chart_rule(algebra.name, center, radius)
-    if z is None:
-        return float((cell * np.sum(f1(xs))) ** 2), float(zcell * np.sum(terms))
-    gz = np.array(algebra.gram, dtype=float) * z    # w(x) = e^{i x . gz}
-    lhs = (cell * np.sum(f1(xs) * np.exp(1j * (xs @ gz)))) ** 2
-    return complex(lhs), complex(zcell * np.sum(terms * np.exp(1j * (zs @ gz))))
-
-
-def _ball_box(algebra, c, r):
-    """The box around the trace-form ball of radius r about c e."""
-    return [(c * e - r / math.sqrt(g), c * e + r / math.sqrt(g))
-            for e, g in zip(algebra.e, map(float, algebra.gram))]
+                  method="quadrature", nodes=nodes, lhs=lhs, rhs=rhs,
+                  residual=abs(lhs - rhs) / max(abs(lhs), 1e-300), tolerance=tol)
 
 
 @functools.cache
-def _chart_rule(name, center, radius):
-    """The z nodes of the rhs rule of ``chart_integrals``, the chart term at
-    each (everything but the weight, the v integral over the ball of radius
-    rho(z) done, by ``_v_ball_sum``) and the z cell volume.  Built once per
-    (algebra name, center, radius) and returned read-only."""
+def _chart_rule(name):
+    """The nodes z = s omega of the chart rule of the algebra ``name``, the
+    term at each, F(iota(z, v)) 2^{-n} (det z)^{n/r} summed over v, and the
+    count of v nodes; built once per algebra, returned read-only.
+
+    Each weight is divided by the factor of F its rule carries, so F is
+    evaluated through iota at every node: s on the Laguerre rule of
+    s^a e^{-s}, a = 2n - 1 + r(p + q), over s^a e^{-s} / s^{n-1} (s^{n-1}
+    is the density of dz); omega on ``_rays`` at _CHART_RAYS; v on the
+    chamber rule at (p, q), over prod (1 - a_i)^p (1 + a_i)^q, turned by
+    ``_sym2_polar`` in sym2.  What is left is
+    det(omega)^(p + q + n/r), a polynomial here, so the sum closes at
+    rounding.  iota runs at every s node, not at s = 1 alone, so a chart
+    that leaves the cone off s = 1 shows as NaN.
+    """
     algebra = get_algebra(name)
-    nodes = CHART_NODES[name]
-    gram = np.array(algebra.gram, dtype=float)
-    # z = x + y lies in the trace ball of radius 2R about 2 center e.  Given
-    # z, w = P(z^{1/2}) v lies in the two balls |w -+ (z - 2ce)| < 2R, so
-    # |w| < sqrt(4R^2 - |z - 2ce|^2); pulled back by the least eigenvalue of
-    # P(z^{1/2}), v lies in the ball of radius rho(z) about 0.
-    zs, zcell = _midpoint_grid(_ball_box(algebra, 2 * center, 2 * radius), nodes["z"])
-    d2 = ((zs - 2 * center * algebra.e) ** 2 * gram).sum(axis=1)
-    inside = d2 < 4 * radius**2
-    zs, d2 = zs[inside], d2[inside]
-    rho = np.sqrt(4 * radius**2 - d2) / spectral(algebra, zs)[:, 0]
-    unit, ucell = _midpoint_grid(_ball_box(algebra, 0.0, 1.0), nodes["v"])
-    # v = rho(z) u and w = P(z^{1/2}) v, with one matrix per z node.  Only
-    # the u nodes inside the open unit trace-form ball count: outside it
-    # |w|^2 >= |u|^2 (4R^2 - |z - 2ce|^2), so by the parallelogram law x or
-    # y leaves its ball and f1(x) f1(y) is exactly 0.  No node of the grids
-    # of CHART_NODES lies within rounding of the unit sphere.
-    unit = unit[(unit * unit) @ gram < 1.0]
-    roots = cone_sqrt(algebra, zs)
-    Pz = rho[:, None, None] * np.stack([quad_rep(algebra, roots, b)
-                                        for b in np.eye(algebra.n)], axis=2)
-    inner = _v_ball_sum(Pz, zs - 2 * center * algebra.e, gram, radius, unit)
-    terms = inner * ucell * rho**algebra.n * iota_jacobian(algebra, zs)
+    p, q = CHART_POWERS
+    n, r = algebra.n, algebra.r
+    unit, w_rays, _ = _rays(name, *_CHART_RAYS)
+    a, w_a = _chamber_rule(r, algebra.d, p, q, _CHART_V[0])
+    w_a = w_a / np.prod((1 - a) ** p * (1 + a) ** q, axis=1)
+    vs, w_v = (a, w_a) if r == 1 else _sym2_polar(a[:, 0], a[:, 1], w_a, _CHART_V[1])
+    alpha = 2 * n - 1 + r * (p + q)
+    radial = gauss_laguerre(_CHART_S, alpha)
+    tr = np.array(algebra.gram, dtype=float) * algebra.e    # tr x = x . tr
+    zs, terms = [], []
+    for s, w_s in zip(radial.nodes.tolist(), radial.weights.tolist()):
+        zs.append(s * unit)
+        X, Y = iota(algebra, np.repeat(zs[-1], len(vs), axis=0), np.tile(vs, (len(unit), 1)))
+        with np.errstate(invalid="ignore"):     # a y off the cone gives NaN
+            F = (algebra.det_poly.numeric(X) ** p * np.exp(-(X @ tr))
+                 * algebra.det_poly.numeric(Y) ** q * np.exp(-(Y @ tr)))
+        terms.append(F.reshape(len(unit), len(vs)) @ w_v * iota_jacobian(algebra, zs[-1])
+                     * w_rays * (w_s * math.exp(s) * s ** (n - 1 - alpha)))
+    zs, terms = np.concatenate(zs), np.concatenate(terms)
     zs.flags.writeable = False
     terms.flags.writeable = False
-    return zs, terms, zcell
-
-
-def _v_ball_sum(Pz, dev, gram, radius, unit):
-    """The sum over the u rows of ``unit`` of f1(x) f1(y) at each z node,
-    with (x, y) = ((z - w)/2, (z + w)/2), w = Pz u, f1 the bump of
-    ``radius`` about ce in the trace form G = diag(``gram``), and one row
-    dev = z - 2ce of ``dev`` per z node.
-
-    With M = Pz^T G Pz and b = 2 Pz^T G dev, 4|x - ce|^2 and 4|y - ce|^2
-    are |dev|^2 + u^T M u -+ b.u, so a block of u nodes takes two matrix
-    products, not one Python step per node.  The bumps are evaluated on the
-    joint support only, where both arguments are below 1 (or NaN); elsewhere
-    the product is exactly 0.  Blocks hold at most ``_CHART_BLOCK`` (u nodes
-    x z nodes) entries; their rows are added to the sum in u order, one node
-    at a time, as a loop over the nodes would.
-    """
-    n = Pz.shape[1]
-    # (n * n, z nodes), contiguous: a product with the transposed view is
-    # several times slower
-    MT = np.ascontiguousarray(
-        np.einsum("zia,i,zib->zab", Pz, gram, Pz).reshape(len(dev), n * n).T)
-    b = 2 * np.einsum("zia,i,zi->za", Pz, gram, dev)
-    d2 = (dev * dev) @ gram
-    scale = 4 * radius**2
-    inner = np.zeros(len(dev))
-    step = max(1, _CHART_BLOCK // len(dev))
-    for lo in range(0, len(unit), step):
-        u = unit[lo:lo + step]
-        even = d2 + (u[:, :, None] * u[:, None, :]).reshape(len(u), n * n) @ MT
-        odd = u @ b.T
-        qa, qb = (even - odd) / scale, (even + odd) / scale
-        both = ~(qa >= 1.0) & ~(qb >= 1.0)
-        f = np.zeros_like(qa)
-        f[both] = bump(qa[both]) * bump(qb[both])
-        for row in f:
-            inner += row
-    return inner
+    return zs, terms, len(vs)

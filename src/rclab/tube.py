@@ -37,8 +37,7 @@ from .algebra import JordanAlgebra, spectral, cone_sqrt, quad_rep, inverse
 from .brackets import compute_c, compute_C
 from .quadrature import (
     gamma_omega_closed, tube_laplace, gauss_legendre, gauss_jacobi,
-    scaled_interval_rule, box_rule, weyl_integral, bump, chart_integrals,
-    CHART_NODES,
+    scaled_interval_rule, box_rule, weyl_integral, bump, chart_integrals, CHART_POWERS,
 )
 
 __all__ = [
@@ -400,7 +399,7 @@ def check_adjoint_image(algebra: JordanAlgebra, k: int, lam, mu, z1, z2,
                   tolerance=tol, residual=resid)
 
 
-# the tube point z of check_J_factorization, per algebra of CHART_NODES
+# the tube point z of check_J_factorization, per algebra of the chart rule
 CHART_TUBE_POINTS = {"rank1": (0.4 + 1.3j,),
                      "sym2": (0.2 + 0.9j, -0.1 + 1.1j, 0.05 + 0.1j)}
 
@@ -409,15 +408,19 @@ def check_J_factorization(algebra: JordanAlgebra, tol: float) -> dict:
     """res o (two-slot Laplace) against (one-slot Laplace) o averaging map,
     at the tube point z of CHART_TUBE_POINTS.
 
-    Both sides are the polar-chart integrals of a smooth bump about 2e of
-    radius 0.9 against the character e^{i(z, .)}, by the tensor midpoint
-    rules of CHART_NODES (``chart_integrals``), at the tolerance ``tol``.
+    Both sides are the polar-chart integrals of F of CHART_POWERS against
+    the character e^{i(z, .)} (``chart_integrals``), at the tolerance
+    ``tol``; the closed side takes det(e - i z) = det((z + i e)/i) on the
+    branch of ``logdet_tube``.
     """
-    # z is None only off CHART_NODES, where chart_integrals raises
-    lhs, rhs = chart_integrals(algebra, 2.0, 0.9, z=CHART_TUBE_POINTS.get(algebra.name))
+    # z is None only off the chart rule, where chart_integrals raises
+    z = CHART_TUBE_POINTS.get(algebra.name)
+    moments, rhs, nodes = chart_integrals(algebra, z=z)
+    nu = sum(CHART_POWERS) + 2 * algebra.n / algebra.r
+    lhs = complex(moments * np.exp(-nu * logdet_tube(algebra, [np.add(z, 1j * algebra.e)])[0]))
     resid = abs(lhs - rhs) / max(abs(lhs), 1e-300)
     return report("laplace-averaging-factorization", algebra.name,
-                  method="quadrature", nodes=dict(CHART_NODES[algebra.name]),
+                  method="quadrature", nodes=nodes,
                   tolerance=tol, residual=resid,
                   lhs=[lhs.real, lhs.imag], rhs=[rhs.real, rhs.imag])
 

@@ -24,8 +24,9 @@ def wrong_c1():
 
 @pytest.fixture
 def fresh_chart_rule():
-    """The polar-chart rule is memoised per ball: a test that breaks a piece
-    of it must rebuild it, and must not leave the broken rule to later tests."""
+    """The polar-chart rule is memoised per algebra: a test that breaks a
+    piece of it must rebuild it, and must not leave the broken rule to later
+    tests."""
     from rclab import quadrature
 
     quadrature._chart_rule.cache_clear()

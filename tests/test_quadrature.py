@@ -10,9 +10,7 @@ import numpy as np
 import pytest
 
 from rclab import quadrature
-from rclab.algebra import (
-    ALGEBRA_NAMES, get_algebra, spectral, cone_sqrt, quad_rep, iota_jacobian,
-)
+from rclab.algebra import ALGEBRA_NAMES, get_algebra
 from rclab.cli import SUITE_TABLE
 from rclab.poly import Poly
 from rclab.quadrature import (
@@ -723,17 +721,26 @@ def _at_table_tol(check, name):
 
 @pytest.mark.parametrize("check", CHART_CHECKS)
 def test_rank1_chart_checks_read_below_1e_10(check):
-    # the shared midpoint rule reads about 1.5e-12 and 1.2e-12 in rank 1; the
-    # Gauss-Legendre boxes it replaced read 2.3e-8 and 1.5e-8
+    # the Laguerre x ray x chamber rule on the closed moments of F reads about
+    # 1.3e-16 and 1.3e-15 in rank 1; the midpoint rule of a bump it replaced
+    # read 1.5e-12 and 1.2e-12
     rep = _at_table_tol(check, "rank1")
-    assert rep["pass"] and rep["tolerance"] == 1e-8, rep
-    assert rep["residual"] < 1e-10, rep
-    assert rep["nodes"] == quadrature.CHART_NODES["rank1"]
+    assert rep["pass"] and rep["tolerance"] <= 1e-11, rep
+    assert rep["residual"] < 1e-13, rep
+    assert rep["nodes"] == {"s": 24, "omega": 1, "v": 2}, rep
+
+
+@pytest.mark.parametrize("check", CHART_CHECKS)
+def test_sym2_chart_checks_read_below_1e_13(check):
+    # about 7.2e-16 and 1.7e-15; the bump grids read 1.8e-5 and 4.3e-6
+    rep = _at_table_tol(check, "sym2")
+    assert rep["pass"] and rep["tolerance"] <= 1e-11, rep
+    assert rep["residual"] < 1e-13, rep
+    assert rep["nodes"] == {"s": 24, "omega": 192, "v": 12}, rep
 
 
 @pytest.mark.parametrize("check", CHART_CHECKS)
 def test_chart_checks_raise_off_the_chart_table(check):
-    assert "spin4" not in quadrature.CHART_NODES
     with pytest.raises(ValueError):
         check(get_algebra("spin4"), 1e-6)
 
@@ -743,9 +750,9 @@ def test_every_chart_algebra_has_a_tolerance_and_a_tube_point():
 
     for suite in CHART_SUITES.values():
         row = SUITE_TABLE[suite]
-        assert row.algebras == tuple(quadrature.CHART_NODES), suite
+        assert row.algebras == ("rank1", "sym2"), suite
         assert all(suite in row.tolerances(name) for name in row.algebras), suite
-    assert CHART_TUBE_POINTS.keys() == quadrature.CHART_NODES.keys()
+    assert CHART_TUBE_POINTS.keys() == {"rank1", "sym2"}
 
 
 def _fails(check, name):
@@ -755,14 +762,20 @@ def _fails(check, name):
 
 @pytest.fixture
 def scaled_chart(monkeypatch, fresh_chart_rule):
-    # a 1e-3 scale error in P(z^{1/2}), w = P(z^{1/2}) v, changes the chart's
-    # volume by about n 1e-3 and moves both sides apart by as much
-    exact = quadrature.quad_rep
+    # a 1e-9 scale error in P(z^{1/2}), w = P(z^{1/2}) v, inside iota moves
+    # both chart residuals to about 3.6e-10 in rank 1 and 1.2e-9 for sym2
+    from rclab import algebra as jordan
 
-    def scaled(algebra, A, B):
-        return 1.001 * exact(algebra, A, B)
+    exact = jordan.quad_rep
+    monkeypatch.setattr(jordan, "quad_rep", lambda *args: (1 + 1e-9) * exact(*args))
 
-    monkeypatch.setattr(quadrature, "quad_rep", scaled)
+
+@pytest.fixture
+def scaled_iota(monkeypatch, fresh_chart_rule):
+    # x and y both off by a relative 1e-9: the residuals read 2.6e-10 to 6e-9
+    exact = quadrature.iota
+    monkeypatch.setattr(quadrature, "iota",
+                        lambda *args: tuple((1 + 1e-9) * p for p in exact(*args)))
 
 
 @pytest.fixture
@@ -781,6 +794,12 @@ def test_rank1_chart_checks_fail_on_a_scaled_chart(check, scaled_chart):
     _fails(check, "rank1")
 
 
+@pytest.mark.parametrize("name", ["rank1", "sym2"])
+@pytest.mark.parametrize("check", CHART_CHECKS)
+def test_chart_checks_fail_on_a_scaled_iota(check, name, scaled_iota):
+    _fails(check, name)
+
+
 @pytest.mark.parametrize("check", CHART_CHECKS)
 def test_sym2_chart_checks_fail_without_the_det_factor(check, no_det_factor):
     _fails(check, "sym2")
@@ -792,20 +811,27 @@ def test_rank1_chart_checks_fail_without_the_det_factor(check, no_det_factor):
 
 
 @pytest.fixture
-def nan_bump(monkeypatch, fresh_chart_rule):
-    bump = quadrature.bump
-    monkeypatch.setattr(quadrature, "bump", lambda q2: bump(q2) * np.nan)
+def nan_chart_point(monkeypatch, fresh_chart_rule):
+    # one x row of each iota call NaN: the chart sum has no filter, so the
+    # NaN must reach the rhs of both checks
+    exact = quadrature.iota
+
+    def nan_row(*args):
+        X, Y = exact(*args)
+        X[len(X) // 2] = np.nan
+        return X, Y
+
+    monkeypatch.setattr(quadrature, "iota", nan_row)
 
 
 @pytest.mark.parametrize("check", CHART_CHECKS)
-def test_sym2_chart_checks_fail_on_nan(check, nan_bump):
-    # the chart side reads the bump too: a NaN lhs alone would fail the check
+def test_sym2_chart_checks_fail_on_nan(check, nan_chart_point):
     rep = _at_table_tol(check, "sym2")
     assert not rep["pass"] and np.all(np.isnan(rep["rhs"])), rep
 
 
 @pytest.mark.parametrize("check", CHART_CHECKS)
-def test_rank1_chart_checks_fail_on_nan(check, nan_bump):
+def test_rank1_chart_checks_fail_on_nan(check, nan_chart_point):
     rep = _at_table_tol(check, "rank1")
     assert not rep["pass"] and np.all(np.isnan(rep["rhs"])), rep
 
@@ -820,33 +846,40 @@ def test_bump_is_nan_at_a_nan_argument():
     assert np.array_equal(got[:-1], want[:-1]) and np.isnan(got[-1])
 
 
-@pytest.mark.parametrize("name", list(quadrature.CHART_NODES))
+@pytest.mark.parametrize("name", ["rank1", "sym2"])
 def test_chart_check_fails_on_a_nan_chart_point(name, monkeypatch, fresh_chart_rule):
-    # a NaN in one z row of z^{1/2} makes every bump argument of that row
-    # NaN; the v sum must carry it to the chart side, not drop the row
-    exact = quadrature.cone_sqrt
+    # a NaN in one z row of z^{1/2} makes that row's x and y NaN inside iota;
+    # the chart term must carry it to the chart side, not drop the row
+    from rclab import algebra as jordan
+
+    exact = jordan.cone_sqrt
 
     def nan_row(algebra, zs):
         roots = exact(algebra, zs)
         roots[len(roots) // 2] = np.nan
         return roots
 
-    monkeypatch.setattr(quadrature, "cone_sqrt", nan_row)
+    monkeypatch.setattr(jordan, "cone_sqrt", nan_row)
     rep = _at_table_tol(check_change_of_variables, name)
     assert not rep["pass"] and np.isnan(rep["rhs"]), rep
 
 
-@pytest.fixture
-def chart_terms_off_by_1e_7(monkeypatch):
-    # every term of the chart rule times 1 + 1e-7: both rank 1 chart
-    # residuals become about 1e-7, between the old tolerance and the table's
+def _chart_terms_off_by(monkeypatch, factor):
+    """Every term of the cached chart rule times ``factor``."""
     rule = quadrature._chart_rule
 
-    def scaled(*args):
-        zs, terms, zcell = rule(*args)
-        return zs, terms * (1 + 1e-7), zcell
+    def scaled(name):
+        zs, terms, n_v = rule(name)
+        return zs, terms * factor, n_v
 
     monkeypatch.setattr(quadrature, "_chart_rule", scaled)
+
+
+@pytest.fixture
+def chart_terms_off_by_1e_7(monkeypatch):
+    # both rank 1 chart residuals become about 1e-7, between the tolerance
+    # before the table (1e-6) and the table's
+    _chart_terms_off_by(monkeypatch, 1 + 1e-7)
 
 
 @pytest.mark.parametrize("check", CHART_CHECKS)
@@ -855,105 +888,97 @@ def test_rank1_chart_checks_catch_a_1e_7_error_at_the_table_tolerance(
     alg = get_algebra("rank1")
     assert check(alg, 1e-6)["pass"]
     rep = _at_table_tol(check, "rank1")
-    assert rep["tolerance"] == 1e-8
-    assert not rep["pass"] and 1e-8 < rep["residual"] < 1e-6, rep
+    assert not rep["pass"] and rep["tolerance"] < rep["residual"] < 1e-6, rep
 
 
-def _chart_rule_reference(name, center, radius):
-    """The chart rule of ``name`` summed over every v node of the box."""
+@pytest.fixture
+def chart_terms_off_by_1e_10(monkeypatch):
+    # each chart residual becomes about 1e-10: below the tolerances of the
+    # bump grids (1e-8 in rank 1, 1e-4 for sym2), above the table's
+    _chart_terms_off_by(monkeypatch, 1 + 1e-10)
+
+
+@pytest.mark.parametrize("name, old_tol", [("rank1", 1e-8), ("sym2", 1e-4)])
+@pytest.mark.parametrize("check", CHART_CHECKS)
+def test_chart_checks_catch_a_1e_10_error_at_the_table_tolerance(
+        check, name, old_tol, chart_terms_off_by_1e_10):
+    assert check(get_algebra(name), old_tol)["pass"]
+    rep = _at_table_tol(check, name)
+    assert rep["tolerance"] <= 1e-11
+    assert not rep["pass"] and 1e-11 < rep["residual"] < 1e-9, rep
+
+
+def _chart_rule_reference(name):
+    """The terms of the chart rule of ``name`` from r x r matrices: x, y =
+    (z -+ z^{1/2} v z^{1/2}) / 2 with z^{1/2} from eigh, F and the Jacobian
+    2^{-n} det(z)^{n/r} by numpy's det, at the rule's own nodes and
+    weights, each weight divided by the factor of F its rule carries."""
     alg = get_algebra(name)
-    nodes = quadrature.CHART_NODES[name]
-    f1 = quadrature.trace_ball_bump(alg, center, radius)
-    zs, zcell = quadrature._midpoint_grid(quadrature._ball_box(alg, 2 * center, 2 * radius),
-                                          nodes["z"])
-    d2 = sum(float(g) * (zs[:, i] - 2 * center * e) ** 2
-             for i, (g, e) in enumerate(zip(alg.gram, alg.e)))
-    inside = d2 < 4 * radius**2
-    zs, d2 = zs[inside], d2[inside]
-    rho = np.sqrt(4 * radius**2 - d2) / spectral(alg, zs)[:, 0]
-    unit, ucell = quadrature._midpoint_grid(quadrature._ball_box(alg, 0.0, 1.0), nodes["v"])
-    assert len(unit) == {"rank1": 100, "sym2": 1_000}[name]
-    roots = cone_sqrt(alg, zs)
-    Pz = rho[:, None, None] * np.stack([quad_rep(alg, roots, b) for b in np.eye(alg.n)],
-                                       axis=2)
-    inner = np.zeros(len(zs))
-    for u in unit:
-        w = Pz @ u
-        inner += f1((zs - w) / 2) * f1((zs + w) / 2)
-    return zs, inner * ucell * rho**alg.n * iota_jacobian(alg, zs), zcell
+    n, r = alg.n, alg.r
+    idx = {"rank1": [[0]], "sym2": [[0, 2], [2, 1]]}[name]
+    p, q = quadrature.CHART_POWERS
+    alpha = 2 * n - 1 + r * (p + q)
+    radial = gauss_laguerre(24, alpha)
+    unit, w_rays, _ = quadrature._rays(name, 12, 16)
+    a, w_a = quadrature._chamber_rule(r, alg.d, p, q, 2)
+    w_a = w_a / np.prod((1 - a) ** p * (1 + a) ** q, axis=1)
+    vs, w_v = (a, w_a) if r == 1 else quadrature._sym2_polar(a[:, 0], a[:, 1], w_a, 3)
+    V = vs[:, idx]
+    terms = []
+    for s, w_s in zip(radial.nodes, radial.weights):
+        Z = (s * unit)[:, idx]
+        lam, vec = np.linalg.eigh(Z)
+        root = (vec * np.sqrt(lam)[:, None, :]) @ np.swapaxes(vec, 1, 2)
+        W = root[:, None] @ V[None] @ root[:, None]
+        X, Y = (Z[:, None] - W) / 2, (Z[:, None] + W) / 2
+        F = (np.linalg.det(X) ** p * np.exp(-np.trace(X, axis1=2, axis2=3))
+             * np.linalg.det(Y) ** q * np.exp(-np.trace(Y, axis1=2, axis2=3)))
+        jac = 2.0 ** -n * np.linalg.det(Z) ** (n / r)
+        terms.append(F @ w_v * jac * w_rays * w_s * np.exp(s) * s ** (n - 1 - alpha))
+    return np.concatenate(terms)
 
 
-def _agrees_with_the_reference(name):
-    """The chart rule of ``name`` against the loop over every v node of the
-    box: the same z nodes and cell, and every term within 1e-13 of the
-    largest.  The rule sums its v ball in matrix products, through the
-    quadratic form of P(z^{1/2}), so its terms move at rounding level."""
-    zs, terms, zcell = quadrature._chart_rule(name, 2.0, 0.9)
-    want_zs, want_terms, want_zcell = _chart_rule_reference(name, 2.0, 0.9)
-    assert np.array_equal(zs, want_zs) and zcell == want_zcell
-    assert np.count_nonzero(want_terms) > 0
-    scale = np.max(np.abs(want_terms))
-    assert np.max(np.abs(terms - want_terms)) <= 1e-13 * scale
-
-
-def test_sym2_chart_rule_over_the_v_ball_matches_the_reference(fresh_chart_rule):
-    # the rule sums over the ball's 552 v nodes, the reference over all 1,000
-    _agrees_with_the_reference("sym2")
+def _agrees_with_the_reference(name, z_nodes, v_nodes):
+    """The chart rule of ``name`` against ``_chart_rule_reference``: the
+    node counts, and every term within a relative 1e-13."""
+    zs, terms, n_v = quadrature._chart_rule(name)
+    want = _chart_rule_reference(name)
+    assert len(zs) == len(terms) == len(want) == z_nodes and n_v == v_nodes
+    assert np.all(want > 0)
+    assert np.max(np.abs(terms - want) / want) <= 1e-13
 
 
 def test_rank1_chart_rule_matches_the_reference(fresh_chart_rule):
-    # in rank 1 the ball holds every v node of the box
-    _agrees_with_the_reference("rank1")
+    # 24 radial nodes on the single ray, 2 v nodes
+    _agrees_with_the_reference("rank1", 24, 2)
 
 
-def test_sym2_v_ball_filter_drops_only_exact_zeros(monkeypatch, fresh_chart_rule):
-    # outside the unit trace-form ball f1(x) f1(y) is exactly 0, so the v sum
-    # over the ball's 552 nodes keeps the bits of the sum over all 1,000
-    v_sum = quadrature._v_ball_sum
-    seen = []
-    monkeypatch.setattr(quadrature, "_v_ball_sum",
-                        lambda *args: seen.append(args) or v_sum(*args))
-    quadrature._chart_rule("sym2", 2.0, 0.9)
-    (Pz, dev, gram, radius, ball), = seen
-    box, _ = quadrature._midpoint_grid(quadrature._ball_box(get_algebra("sym2"), 0.0, 1.0),
-                                       quadrature.CHART_NODES["sym2"]["v"])
-    assert (len(ball), len(box)) == (552, 1_000)
-    inner = v_sum(Pz, dev, gram, radius, ball)
-    assert np.count_nonzero(inner) > 0
-    assert np.array_equal(inner, v_sum(Pz, dev, gram, radius, box))
+def test_sym2_chart_rule_matches_the_reference(fresh_chart_rule):
+    # 24 radial nodes x 192 rays, 4 eigenvalue pairs of v x 3 angles
+    _agrees_with_the_reference("sym2", 24 * 192, 12)
 
 
 def test_sym2_chart_rule_peak_memory(fresh_chart_rule):
-    # blocks of _CHART_BLOCK (u nodes x z nodes) entries bound the peak:
-    # 4.5 MB at 2^16 entries, 8.3 MB at 2^17, 0.6 MB with one v node at a time
-    peak = _peak_bytes(quadrature._chart_rule, "sym2", 2.0, 0.9)
+    # summed per radial node, the 55,296 points of the rule take about
+    # 0.7 MB; one pass over all of them took 8.6 MB
+    quadrature._rays("sym2", 12, 16)    # the rays and the Laguerre rule are
+    gauss_laguerre(24, 8.0)             # built and cached apart
+    peak = _peak_bytes(quadrature._chart_rule, "sym2")
     assert peak <= 8e6, peak
 
 
-@pytest.mark.parametrize("name", list(quadrature.CHART_NODES))
-def test_no_v_node_lies_within_rounding_of_the_unit_sphere(name):
-    # the v-ball filter drops only nodes where f1(x) f1(y) is exactly 0, as
-    # long as no node's |u|^2 is within rounding of 1
-    alg = get_algebra(name)
-    unit, _ = quadrature._midpoint_grid(quadrature._ball_box(alg, 0.0, 1.0),
-                                        quadrature.CHART_NODES[name]["v"])
-    norm2 = (unit * unit) @ np.array(alg.gram, dtype=float)
-    assert np.min(np.abs(norm2 - 1.0)) > 1e-3
-
-
-def _chart_loop_runs(name, tmp_path, monkeypatch):
-    """The z node counts of the P(a)b calls `check all` makes in quadrature:
-    one call per basis column each time the chart matrices are built."""
+def _chart_iota_calls(name, tmp_path, monkeypatch):
+    """The row counts of the iota calls `check all` makes in quadrature."""
     from rclab.cli import main
 
-    exact = quadrature.quad_rep
+    exact = quadrature.iota
     calls = []
 
-    def counted(algebra, A, B):
-        calls.append(len(A))
-        return exact(algebra, A, B)
+    def counted(algebra, Z, V):
+        calls.append(len(Z))
+        return exact(algebra, Z, V)
 
-    monkeypatch.setattr(quadrature, "quad_rep", counted)
+    monkeypatch.setattr(quadrature, "iota", counted)
     code = main(["check", "all", "--algebra", name, "--cache-dir", str(tmp_path),
                  "--output", str(tmp_path / "all.json")])
     assert code == 0
@@ -962,16 +987,14 @@ def _chart_loop_runs(name, tmp_path, monkeypatch):
 
 def test_check_all_sym2_runs_the_chart_inner_loop_once(tmp_path, monkeypatch,
                                                        fresh_chart_rule):
-    # both sym2 chart checks integrate over the same ball, so they share one
-    # rhs rule: its chart matrices, and with them its v-ball sum, are
-    # built once per process, not once per check: one P(a)b call for each
-    # of the n = 3 columns, all over the same z nodes
-    calls = _chart_loop_runs("sym2", tmp_path, monkeypatch)
-    assert len(calls) == 3 and len(set(calls)) == 1 and calls[0] > 0, calls
+    # both sym2 chart checks share one cached rule: iota runs once per
+    # process at each of its 24 radial nodes, over the 192 rays x 12 v nodes
+    calls = _chart_iota_calls("sym2", tmp_path, monkeypatch)
+    assert calls == [192 * 12] * 24, calls
 
 
 def test_check_all_rank1_runs_the_chart_inner_loop_once(tmp_path, monkeypatch,
                                                         fresh_chart_rule):
     # rank 1 shares the same rule between its two chart checks
-    calls = _chart_loop_runs("rank1", tmp_path, monkeypatch)
-    assert len(calls) == 1 and calls[0] > 0, calls
+    calls = _chart_iota_calls("rank1", tmp_path, monkeypatch)
+    assert calls == [2] * 24, calls
