@@ -69,7 +69,6 @@ __all__ = [
     "gram_matrix",
     "tube_laplace",
     "bump",
-    "box_rule",
     "CHART_POWERS",
     "chart_integrals",
     "check_change_of_variables",
@@ -473,7 +472,7 @@ def tube_laplace(algebra: JordanAlgebra, exps, Z, det_power) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Bump functions, box rules, the polar-chart rule
+# Bump functions, the polar-chart rule
 
 
 def bump(q2):
@@ -484,12 +483,6 @@ def bump(q2):
     inside = ~(q2 >= 1.0)
     out[inside] = np.exp(1.0 - 1.0 / (1.0 - q2[inside]))
     return out
-
-
-def box_rule(bounds, n: int):
-    """Tensor Gauss-Legendre nodes/weights over a product of intervals."""
-    gl = gauss_legendre(n)
-    return _tensor_rule(*zip(*(scaled_interval_rule(gl, lo, hi) for lo, hi in bounds)))
 
 
 # (p, q) of F(x, y) = det(x)^p e^{-tr x} det(y)^q e^{-tr y}, the test

@@ -37,7 +37,7 @@ from .algebra import JordanAlgebra, spectral, cone_sqrt, quad_rep, inverse
 from .brackets import compute_c, compute_C
 from .quadrature import (
     gamma_omega_closed, tube_laplace, gauss_legendre, gauss_jacobi,
-    scaled_interval_rule, box_rule, weyl_integral, bump, chart_integrals, CHART_POWERS,
+    scaled_interval_rule, weyl_integral, bump, chart_integrals, CHART_POWERS,
 )
 
 __all__ = [
@@ -425,6 +425,14 @@ def check_J_factorization(algebra: JordanAlgebra, tol: float) -> dict:
                   lhs=[lhs.real, lhs.imag], rhs=[rhs.real, rhs.imag])
 
 
+def _band(t, lo, hi):
+    """Rows (i, j), row-major, of the nodes of t x t with lo < t_i + t_j < hi."""
+    first = np.searchsorted(t, lo - t, side="right")
+    count = np.maximum(np.searchsorted(t, hi - t) - first, 0)
+    i = np.repeat(np.arange(len(t)), count)
+    return i, np.arange(len(i)) + np.repeat(first - np.cumsum(count) + count, count)
+
+
 def check_partial_isometry(algebra: JordanAlgebra, ks, lam, mu,
                            tol: float) -> list:
     """Norm ratio constancy of the adjoint embedding, rank 1: one report per
@@ -432,50 +440,46 @@ def check_partial_isometry(algebra: JordanAlgebra, ks, lam, mu,
 
     ||Phi h||^2 / ||h||^2 must match the interval integral
     2^{-r lam - r mu + n} int |C(k)|^2 det(e-v)^{lam-n/r} det(e+v)^{mu-n/r} dv
-    and be flat across test bumps.  The norms take 220-node rules per axis,
-    built once with the bumps for every k; the interval integral takes the
-    Gauss-Jacobi rule of 2k + 8 nodes, exact for |C(k)|^2 of degree 2k.
+    and be flat across test bumps.  The norms take the 220-node rule on
+    [1e-9, 3] per axis, a bump on (lo, hi) only on its band lo < xi + zeta
+    < hi, one band at a time (working set about 1.1 MB); the interval
+    integral the Gauss-Jacobi rule of 2k + 8 nodes, exact for |C(k)|^2.
     """
     if algebra.family != "rank1":
         raise ValueError("partial isometry check implemented for rank1")
-    n = 220
     lam_f, mu_f = float(lam), float(mu)
-    nodes, w = box_rule([(1e-9, 3.0), (1e-9, 3.0)], n)
-    xi, zeta = nodes[:, 0], nodes[:, 1]
-    eta, we = scaled_interval_rule(gauss_legendre(n), 1e-9, 3.0)
-    # per bump h on (lo, hi): its support in the box, and the k-independent
-    # factors of both norms there
-    bumps = []
+    t, wt = scaled_interval_rule(gauss_legendre(220), 1e-9, 3.0)
+    specs = [compute_c(algebra, k).specialize(Fraction(lam) - 1, Fraction(mu) - 1) for k in ks]
+    ratios = [[] for _ in ks]
     for lo, hi in ((1.0, 2.2), (1.6, 3.0), (0.8, 2.8)):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        hv = bump(((xi + zeta - mid) / half) ** 2)
-        mask = hv > 0
-        bumps.append((mask, xi[mask] ** (lam_f - 1) * zeta[mask] ** (mu_f - 1),
-                      hv[mask] ** 2, we * bump(((eta - mid) / half) ** 2) ** 2))
+        i, j = _band(t, lo, hi)
+        points = np.stack([t[i], t[j]], axis=1)
+        factor = wt[i] * wt[j]
+        del i, j
+        s = points[:, 0] + points[:, 1]
+        # |Phi h|^2 against the L^2_{lam,mu} weight xi^{-lam+1} zeta^{-mu+1}
+        # collapses to factor (xi + zeta)^(2 - 2 nu) c(k)(xi, zeta)^2
+        factor *= points[:, 0] ** (lam_f - 1)
+        factor *= points[:, 1] ** (mu_f - 1)
+        factor *= bump(((s - mid) / half) ** 2) ** 2
+        weta = wt * bump(((t - mid) / half) ** 2) ** 2
+        for k, spec, out in zip(ks, specs, ratios):
+            e = 1 - lam_f - mu_f - 2 * k      # 1 - nu, nu = lam + mu + 2k
+            num = float(np.sum(factor * s ** (2 * e) * spec.numeric(points) ** 2))
+            out.append(num / float(np.sum(weta * t ** e)))
+        del points, s, factor     # before the next band is built
     reports = []
-    for k in ks:
-        nu = lam_f + mu_f + 2 * k
-        power = -2 * lam_f - 2 * mu_f - 4 * k + 2
-        spec = compute_c(algebra, k).specialize(Fraction(lam) - 1, Fraction(mu) - 1)
-        ratios = []
-        for mask, wt, h2, weta in bumps:
-            # |Phi h|^2 against the L^2_{lam,mu} weight xi^{-lam+1} zeta^{-mu+1}
-            # collapses to this integrand
-            inside = nodes[mask]
-            integrand = np.zeros(len(nodes))
-            integrand[mask] = wt * inside.sum(axis=1) ** power * spec.numeric(inside) ** 2 * h2
-            num = float(np.sum(w * integrand))
-            den = float(np.sum(weta * eta ** (-nu + 1)))
-            ratios.append(num / den)
-        spread = (worst(ratios) - min(ratios)) / worst(map(abs, ratios))
+    for k, rs in zip(ks, ratios):
+        spread = (worst(rs) - min(rs)) / worst(map(abs, rs))
         C = compute_C(algebra, k, Fraction(lam) - 1, Fraction(mu) - 1)
         interval = weyl_integral(algebra, lambda eigs: C.poly.numeric(eigs) ** 2,
                                  lam_f - 1, mu_f - 1, n=2 * k + 8)
         expected = 2.0 ** (-algebra.r * lam_f - algebra.r * mu_f + algebra.n) * interval
         reports.append(report("adjoint-partial-isometry", algebra.name, k=k,
-                              **{"lambda": lam_f}, mu=mu_f, ratios=ratios,
+                              **{"lambda": lam_f}, mu=mu_f, ratios=rs,
                               ratio_spread=spread, expected_constant=expected,
-                              constant_residual=abs(ratios[0] - expected) / abs(expected),
+                              constant_residual=abs(rs[0] - expected) / abs(expected),
                               tolerance=tol))
     return reports
 
@@ -534,7 +538,8 @@ def check_bergman_isometry(algebra: JordanAlgebra, tol: float) -> dict:
     an independent Parseval computation.  Constancy across test functions
     is asserted as well.  The rules have n = 140 nodes: Gauss-Legendre in
     xi, Gauss-Jacobi in y, and along x on [-X, X] the Legendre rule on each
-    of four panels of width X/2.
+    of four panels of width X/2, one panel at a time (working set about 1 MB);
+    each bump's tube norm adds up its panels in order.
     """
     if algebra.family != "rank1":
         raise ValueError("isometry check implemented for rank1")
@@ -546,22 +551,24 @@ def check_bergman_isometry(algebra: JordanAlgebra, tol: float) -> dict:
     jr = gauss_jacobi(n, 0.0, nu - 2.0)
     y_nodes = Y * (1 + jr.nodes) / 2
     wy = jr.weights * (Y / 2) ** (nu - 1.0)
-    # per x panel, e^{i x xi} (the same for every y) and the x weights
-    panels = [(np.exp(1j * np.outer(x_nodes, xi)), wx)
-              for x_nodes, wx in (scaled_interval_rule(gl, lo, lo + X / 2)
-                                  for lo in (-X, -X / 2, 0.0, X / 2))]
     decay = np.exp(-xi[:, None] * y_nodes[None, :])   # e^{-y xi}, (xi, y)
-    ratios = []
-    for lo, hi in ((1.0, 3.0), (0.8, 2.4)):
-        f = bump(((xi - 0.5 * (lo + hi)) / (0.5 * (hi - lo))) ** 2)    # a bump on (lo, hi)
-        damped = (f * wxi)[:, None] * decay
-        # transform values on a panel's (x, y) grid, one matrix product
-        norm_tube = 0.0
-        for kernel, wx in panels:
-            lf = kernel @ damped
-            norm_tube += float(wy @ (wx @ (lf.real**2 + lf.imag**2)))
-        norm_cone = float(np.sum(wxi * f ** 2 * xi ** (1.0 - nu)))
-        ratios.append(norm_tube / norm_cone)
+    fs = [bump(((xi - 0.5 * (lo + hi)) / (0.5 * (hi - lo))) ** 2)    # a bump on (lo, hi)
+          for lo, hi in ((1.0, 3.0), (0.8, 2.4))]
+    norm_tube = [0.0] * len(fs)
+    for lo in (-X, -X / 2, 0.0, X / 2):
+        x_nodes, wx = scaled_interval_rule(gl, lo, lo + X / 2)
+        phase = np.outer(x_nodes, xi)
+        cos, sin = np.cos(phase), np.sin(phase, out=phase)
+        for b, f in enumerate(fs):
+            damped = (f * wxi)[:, None] * decay
+            # |L f|^2 on the panel's (x, y) grid, from its real and imaginary parts
+            re, im = cos @ damped, sin @ damped
+            re *= re
+            im *= im
+            re += im
+            norm_tube[b] += float(wy @ (wx @ re))
+            del damped, re, im     # before the next bump's are built
+    ratios = [nt / float(np.sum(wxi * f ** 2 * xi ** (1.0 - nu))) for nt, f in zip(norm_tube, fs)]
     expected = (2 * math.pi) * 2.0 ** (1.0 - nu) * math.gamma(nu - 1.0)
     return report("transform-norm-isometry", algebra.name, nu=nu, ratios=ratios,
                   expected_constant=expected,

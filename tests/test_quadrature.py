@@ -17,7 +17,7 @@ from rclab.quadrature import (
     gauss_jacobi, gauss_legendre, gauss_laguerre, MAX_LAGUERRE_NODES,
     gamma_omega_closed, gamma_omega_numeric,
     weyl_integral, gram_matrix,
-    tube_laplace, box_rule, check_change_of_variables,
+    tube_laplace, check_change_of_variables,
 )
 from rclab.tube import check_J_factorization, logdet_tube, _default_tube_points
 
@@ -683,13 +683,6 @@ def test_tube_laplace_divergence_guard():
     z = np.array([0.5 - 2j])     # Im z + e = -1 is outside the cone
     with pytest.raises(ValueError):
         tube_laplace(alg, _rows([(0,)], 1).exps, z[None], 0.0)
-
-
-def test_box_rule_volume():
-    nodes, w = box_rule([(0.0, 2.0), (1.0, 4.0)], 12)
-    assert abs(w.sum() - 6.0) < 1e-12
-    got = float(np.sum(w * nodes[:, 0] * nodes[:, 1]))
-    assert abs(got - 2.0 * 7.5) < 1e-12
 
 
 def test_change_of_variables_rank1():

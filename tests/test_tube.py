@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import tube_ref
 from rclab.algebra import ALGEBRA_NAMES, get_algebra, spectral, NotInCone
 from rclab.brackets import compute_c
 from rclab.cli import _path_logdet
@@ -266,8 +267,6 @@ def test_apply_B_on_a_stack_has_the_bits_of_each_row(name, k):
     G = coherent_state(alg, 3.2, (-0.3 + 0.9j) * alg.e + 0.04j * np.arange(n)[::-1])
     # the reference sums each row in scalars, one monomial at a time: a
     # stack summed in numpy arrays rounds differently
-    import tube_ref
-
     stack = _stack_rows(alg, 1)
     got = apply_B(alg, k, 2.6, 3.2, F, G, stack)
     assert got.shape == (len(stack),)
@@ -280,8 +279,6 @@ def test_apply_B_on_a_stack_has_the_bits_of_each_row(name, k):
                                       ("spin4", (1,)), ("spin8", (1,))],
                          ids=["rank1", "sym2", "spin4", "spin8"])
 def test_covariance_writes_the_report_of_the_per_point_loop(name, ks):
-    import tube_ref
-
     alg = get_algebra(name)
     for k in ks:
         for gen in default_generators(alg):
@@ -291,8 +288,6 @@ def test_covariance_writes_the_report_of_the_per_point_loop(name, ks):
 
 @pytest.mark.parametrize("name", ["rank1", "sym2"])
 def test_coherent_transport_writes_the_report_of_the_per_point_loop(name):
-    import tube_ref
-
     alg = get_algebra(name)
     w = -0.2 * alg.e + 0.9j * alg.e
     for gen in default_generators(alg):
@@ -840,8 +835,9 @@ def test_partial_isometry_constants_match_exact_moments():
 
 
 def test_partial_isometry_leaves_under_1_mb_held():
-    # the suite shares its 220 x 220 box, bumps and masks within one call;
-    # held past it (a cache), they would keep several MB
+    # the suite holds one bump's band of the 220 x 220 box at a time, shared
+    # by its k within one call; held past it (a cache), the three bands
+    # would keep over 1 MB
     import tracemalloc
     from rclab.cli import run_suites
 
@@ -856,6 +852,66 @@ def test_partial_isometry_leaves_under_1_mb_held():
     finally:
         tracemalloc.stop()
     assert held < 1e6, held
+
+
+def _warm_peak_bytes(fn):
+    """The peak of the memory that tracemalloc sees during a second call of
+    fn(), after a first one built the rules, c(k) and C(k) it caches."""
+    import tracemalloc
+
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_partial_isometry_peak_memory():
+    # one bump's band at a time, about 1.1 MB; the full 220 x 220 box with a
+    # zero-padded integrand per bump peaked at 3.5 MB
+    alg = get_algebra("rank1")
+    peak = _warm_peak_bytes(lambda: check_partial_isometry(alg, (0, 1, 2), 3, 3, 1e-6))
+    assert peak <= 2.0e6, peak
+
+
+def test_bergman_isometry_peak_memory():
+    # one x panel's cos and sin at a time, about 1.0 MB; the complex kernels
+    # of all four panels at once peaked at 2.5 MB
+    from rclab.tube import check_bergman_isometry
+
+    alg = get_algebra("rank1")
+    peak = _warm_peak_bytes(lambda: check_bergman_isometry(alg, 1e-6))
+    assert peak <= 2.0e6, peak
+
+
+def test_partial_isometry_bands_match_the_full_box():
+    alg = get_algebra("rank1")
+    reps = check_partial_isometry(alg, (0, 1, 2), 3, 3, 1e-6)
+    want = tube_ref.partial_isometry_ratios(alg, (0, 1, 2), 3, 3)
+    for rep, ratios in zip(reps, want, strict=True):
+        for got, ref in zip(rep["ratios"], ratios, strict=True):
+            assert abs(got - ref) <= 1e-14 * abs(ref), (rep["k"], got, ref)
+
+
+@pytest.mark.parametrize("lo, hi", tube_ref.PARTIAL_ISOMETRY_BUMPS)
+def test_partial_isometry_band_holds_every_node_of_its_bump(lo, hi):
+    # a band one node short at an edge drops nodes whose bump values are
+    # below what the 1e-6 tolerance of the ratios can see
+    from rclab.quadrature import bump
+    from rclab.tube import _band
+
+    t, _ = tube_ref.partial_isometry_axis()
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    box = bump(((t[:, None] + t[None, :] - mid) / half) ** 2)
+    i, j = _band(t, lo, hi)
+    assert np.all(np.diff(i * len(t) + j) > 0)      # row-major, no node twice
+    in_band = np.zeros(box.shape, dtype=bool)
+    in_band[i, j] = True
+    assert np.all(in_band[box > 0])
+    # the bump the band evaluates is the box's, exactly 0 off its support
+    assert np.array_equal(bump(((t[i] + t[j] - mid) / half) ** 2), box[i, j])
 
 
 def test_partial_isometry_scale_invariance():
