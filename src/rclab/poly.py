@@ -14,9 +14,13 @@ A Poly without parameters evaluates
   points, one power table per coordinate feeds the integer table of the
   monomial values; ``exact`` at one rational point X/q lifts each row of
   its table at X to the top degree D and divides the sum once, by den q^D;
-* over an (m, N) float or complex array (``numeric``): per-coordinate power
-  tables are multiplied into the monomial columns of a block of points,
-  and the block's columns are summed against the float coefficients.
+* over an (m, N) float or complex array (``numeric``): per block of points,
+  one contiguous array per power of each coordinate that occurs, each the
+  one below it times the coordinate; each monomial is the product of its
+  powers in column order, and the rows are added into the output in
+  canonical order, ``out += c * term``.  A value takes the same operations
+  whatever else is in the stack, so each row keeps the bits of a one-row
+  call.
 """
 
 from __future__ import annotations
@@ -30,12 +34,12 @@ import numpy as np
 
 __all__ = ["Poly"]
 
-# values of the (points x monomials) array ``numeric`` holds at a time
-_BLOCK = 1 << 13
+# points ``numeric`` evaluates at a time
+_BLOCK = 1 << 12
 
 
 class Poly:
-    __slots__ = ("exps", "coef", "den", "_columns", "_fcoef")
+    __slots__ = ("exps", "coef", "den", "_columns", "_fcoef", "_terms")
 
     def __init__(self, exps, coef, den):
         """Rows of ``exps`` distinct and sorted; ``from_terms`` sees to both."""
@@ -44,7 +48,7 @@ class Poly:
         self.den = den
         # the exponent column of each coordinate that occurs
         self._columns = [(i, exps[:, i]) for i in range(exps.shape[1]) if exps[:, i].any()]
-        self._fcoef = None
+        self._fcoef = self._terms = None
 
     @classmethod
     def from_terms(cls, terms, nvars: int, den=1) -> "Poly":
@@ -154,19 +158,35 @@ class Poly:
         """Values at the rows of an (m, N) float or complex array."""
         points = np.asarray(points)
         dtype = np.result_type(points.dtype, np.float64)
-        fcoef = self.fcoef
-        out = np.empty(len(points), dtype)
-        step = max(1, _BLOCK // max(1, len(fcoef)))
-        for lo in range(0, len(points), step):
-            block = points[lo:lo + step]
-            acc = np.ones((len(block), len(fcoef)), dtype)
-            for i, e in self._columns:
-                table = np.empty((len(block), int(e.max()) + 1), dtype)
-                table[:, 0] = 1
-                for p in range(1, table.shape[1]):
-                    table[:, p] = table[:, p - 1] * block[:, i]
-                acc *= table[:, e]
-            out[lo:lo + step] = acc @ fcoef
+        if self._terms is None:
+            # the top power of each coordinate that occurs; per row, its
+            # float coefficient and the (coordinate, exponent) keys of its
+            # powers, in column order
+            self._terms = ([(i, int(e.max())) for i, e in self._columns],
+                           [(c, [(i, e) for i, e in enumerate(row) if e])
+                            for c, row in zip(self.fcoef.tolist(), self.exps.tolist())])
+        tops, terms = self._terms
+        out = np.zeros(len(points), dtype)
+        for lo in range(0, len(points), _BLOCK):
+            cols = np.ascontiguousarray(points[lo:lo + _BLOCK].T, dtype=dtype)
+            power = {}
+            for i, top in tops:
+                power[i, 1] = cols[i]
+                for p in range(2, top + 1):
+                    power[i, p] = power[i, p - 1] * cols[i]
+            acc = out[lo:lo + _BLOCK]
+            free, spare = np.empty((2, len(acc)), dtype)
+            for c, keys in terms:
+                if not keys:        # the constant row
+                    acc += c
+                    continue
+                term = power[keys[0]]
+                for key in keys[1:]:
+                    # into a free buffer: numpy multiplies complex arrays in
+                    # place by another loop, which may round differently
+                    term = np.multiply(term, power[key], out=free)
+                    free, spare = spare, free
+                acc += np.multiply(term, c, out=free)
         return out
 
 

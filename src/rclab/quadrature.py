@@ -10,7 +10,9 @@ is one pass of the recurrence on the stacked rows (p, p'), and one last
 pass of p alone gives the Christoffel sum.  Each pass rescales a node's
 values by 2^-256 whenever they pass 2^256, so nothing overflows (the
 Christoffel sum did from 187 Laguerre nodes); powers of two are exact, so
-every weight that was a normal float keeps its bits.
+every weight that was a normal float keeps its bits.  A pass only looks at
+its values when a float bound on their growth could pass 2^255, so the
+test runs a few times per pass where the values stay small.
 Each rule is built once per (n, alpha, beta) and cached for the life of the
 process; its nodes and weights are read-only arrays that every caller
 shares, so nobody can corrupt a rule in place.
@@ -89,26 +91,46 @@ class QuadratureRule:
 _BIG = 2.0 ** 256
 
 
+def _growth(x, a, sb, n, slope):
+    """Per step j, (g[j], h[j]) such that the largest |value| over the
+    nodes x at step j + 1 is at most g[j] times the largest at step j plus
+    h[j] times the largest at step j - 1: the triangle inequality on the
+    recurrence of p_tilde (``slope`` 0) or of the rows (p_tilde, p_tilde')
+    (``slope`` 1, for the p_tilde term of p_tilde')."""
+    lo, hi = float(x.min()), float(x.max())
+    g = [(max(hi - a[j], a[j] - lo) + slope) / sb[j + 1] for j in range(n)]
+    h = [sb[j] / sb[j + 1] if j > 0 else 0.0 for j in range(n)]
+    return g, h
+
+
 def _newton_step(x, a, sb, n):
     """p_tilde_n / p_tilde_n' at x (vectorized over x), from one (2, m)
     recurrence on the rows (p_tilde, p_tilde'); ``sb`` lists sqrt(b).
 
     A node whose |p| or |p'| passes 2^256 has both rows scaled by 2^-256,
-    before they can overflow; the ratio does not see the scale.
+    before they can overflow; the ratio does not see the scale.  The rows
+    are only looked at when ``bound``, grown by ``_growth`` from the last
+    look, could pass 2^255: a test it skips could not have fired.
     """
     P = np.zeros((2, len(x)))
     P[0] = 1.0 / sb[0]
     P_prev = np.zeros_like(P)
+    g, h = _growth(x, a, sb, n, 1.0)
+    bound, prev = 1.0 / sb[0], 0.0
     for j in range(n):
         nxt = (x - a[j]) * P
         nxt[1] += P[0]
         nxt -= (sb[j] if j > 0 else 0.0) * P_prev
         nxt /= sb[j + 1]
         P_prev, P = P, nxt
-        if np.abs(P).max() > _BIG:
-            f = np.where(np.abs(P).max(axis=0) > _BIG, 2.0 ** -256, 1.0)
-            P *= f
-            P_prev *= f
+        bound, prev = g[j] * bound + h[j] * prev, bound
+        if not bound <= _BIG / 2:
+            bound = float(np.abs(P).max())
+            if bound > _BIG:
+                f = np.where(np.abs(P).max(axis=0) > _BIG, 2.0 ** -256, 1.0)
+                P *= f
+                P_prev *= f
+                bound = max(_BIG, bound * 2.0 ** -256)
     return P[0] / P[1]
 
 
@@ -119,20 +141,27 @@ def _christoffel_weights(x, a, sb, n):
     The per-node exponent e grows by 256 whenever |p| passes 2^256, and the
     sum is kept times 2^-2e, so it cannot overflow (it did from 187 Laguerre
     nodes); scaling by a power of two is exact, so a weight that is a
-    normal float gets the bits of the unscaled sum.
+    normal float gets the bits of the unscaled sum.  As in ``_newton_step``,
+    |p| is only looked at when its growth bound could pass 2^255.
     """
     p_prev = np.zeros_like(x)
     p = np.full_like(x, 1.0 / sb[0])
     s = np.zeros_like(x)
     e = np.zeros(x.shape, dtype=int)
+    g, h = _growth(x, a, sb, n, 0.0)
+    bound, prev = 1.0 / sb[0], 0.0
     for j in range(n):
         s += p * p
         p_prev, p = p, ((x - a[j]) * p - (sb[j] if j > 0 else 0.0) * p_prev) / sb[j + 1]
-        if np.abs(p).max() > _BIG:
-            big = np.abs(p) > _BIG
-            f = np.where(big, 2.0 ** -256, 1.0)
-            p, p_prev, s = p * f, p_prev * f, s * f * f
-            e += 256 * big
+        bound, prev = g[j] * bound + h[j] * prev, bound
+        if not bound <= _BIG / 2:
+            bound = float(np.abs(p).max())
+            if bound > _BIG:
+                big = np.abs(p) > _BIG
+                f = np.where(big, 2.0 ** -256, 1.0)
+                p, p_prev, s = p * f, p_prev * f, s * f * f
+                e += 256 * big
+                bound = max(_BIG, bound * 2.0 ** -256)
     return np.ldexp(1.0 / s, -2 * e)
 
 

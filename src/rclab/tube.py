@@ -18,7 +18,8 @@ Every function here takes stacks in and gives arrays out: points go in as
 a (P, n) complex stack, one tube point per row, and values come back as
 (P,) arrays, so a check evaluates all its sample points in one call per
 evaluator.  A single point is a one-row stack; in rank 1 and sym2, where
-the tube suites run, each row keeps the bits of a one-row call.  An (n,)
+the tube suites run, each row keeps the bits of a one-row call, and ``det``
+rows keep them in every algebra.  An (n,)
 row is only ever a parameter: a coherent state's w, a generator's u or a,
 or a point a check is asked about.  All aggregation is deterministic.
 """

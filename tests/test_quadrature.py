@@ -212,6 +212,38 @@ def test_rescaled_christoffel_sum_keeps_the_bits():
     assert np.array_equal(got[normal], w[normal])
 
 
+@pytest.mark.parametrize("slope", [0.0, 1.0])
+def test_the_growth_bound_holds_at_every_step(monkeypatch, slope):
+    # a pass skips its overflow test while the bound grown by _growth stays
+    # under 2^255; from the true maxima of two steps that bound must reach
+    # the next true maximum, or a skipped test could have fired.  Rows p
+    # (slope 0) and (p, p') (slope 1), over rules where the growth is nearly
+    # as large as the bound and over ones where it is far below it
+    seen = _recurrences(monkeypatch)
+    quadrature._laguerre_rule.__wrapped__(256, 0.0)
+    quadrature._laguerre_rule.__wrapped__(100, 11.0)
+    quadrature._jacobi_rule.__wrapped__(140, 0.0, 0.0)
+    quadrature._jacobi_rule.__wrapped__(60, 2.5, 160.0)
+    monkeypatch.undo()
+    tight = 0.0
+    for n, a, b in seen:
+        x = quadrature._gauss_from_recurrence(n, a, b).nodes
+        sb = np.sqrt(b)
+        g, h = quadrature._growth(x, a.tolist(), sb.tolist(), n, slope)
+        P_prev, P = np.zeros((2, n)), np.zeros((2, n))
+        P[0] = 1.0 / sb[0]
+        for j in range(n):
+            nxt = ((x - a[j]) * P - (sb[j] if j > 0 else 0.0) * P_prev) / sb[j + 1]
+            nxt[1] += slope * P[0] / sb[j + 1]
+            top, bound = np.abs(nxt).max(), g[j] * np.abs(P).max() + h[j] * np.abs(P_prev).max()
+            assert top <= bound * (1 + 1e-12), (n, j)
+            tight = max(tight, top / bound)
+            # the next step from these maxima, scaled by a power of two
+            f = 2.0 ** -math.frexp(top)[1]
+            P_prev, P = P * f, nxt * f
+    assert tight > 0.6      # halved, the bound would fail some step
+
+
 def test_gauss_jacobi_degree_exactness():
     # rule with N nodes integrates polynomials of degree 2N-1 exactly
     rule = gauss_jacobi(6, 1.0, 1.0)
