@@ -595,10 +595,10 @@ SUITE_TABLE = {
         "laplace": {"rank1": 1e-12, "sym2": 1e-4}, "isometry-norm": {"rank1": 1e-6}}),
     "laplace-factorization": Suite(_suite_jfact, _RANK1_SYM2, {"laplace-factorization": 1e-11}),
     "operator-equivalence": Suite(_suite_operator_equivalence, _RANK1,
-                                  {"operator-equivalence": 1e-6}),
+                                  {"operator-equivalence": 1e-11}),
     "adjoint-image": Suite(_suite_adjoint, _RANK1_SYM2,
                            {"adjoint": {"rank1": 1e-11, "sym2": 1e-3}}),
-    "partial-isometry": Suite(_suite_isometry, _RANK1, {"isometry": 1e-6}),
+    "partial-isometry": Suite(_suite_isometry, _RANK1, {"isometry": 1e-12}),
     "covariance": Suite(_suite_covariance, _RANK1_SYM2, {"covariance": 1e-9}),
     "cocycles": Suite(_suite_hua, _RANK1_SYM2,
                       {"hua": 1e-12, "coherent": {"rank1": 1e-12, "sym2": 1e-11}}),

@@ -37,8 +37,8 @@ from . import report, worst
 from .algebra import JordanAlgebra, spectral, cone_sqrt, quad_rep, inverse
 from .brackets import compute_c, compute_C
 from .quadrature import (
-    gamma_omega_closed, tube_laplace, gauss_legendre, gauss_jacobi,
-    scaled_interval_rule, weyl_integral, bump, chart_integrals, CHART_POWERS,
+    gamma_omega_closed, tube_laplace, gauss_legendre, gauss_jacobi, gauss_laguerre,
+    scaled_interval_rule, weyl_integral, bump, chart_integrals, CHART_POWERS, _tensor_rule,
 )
 
 __all__ = [
@@ -426,14 +426,6 @@ def check_J_factorization(algebra: JordanAlgebra, tol: float) -> dict:
                   lhs=[lhs.real, lhs.imag], rhs=[rhs.real, rhs.imag])
 
 
-def _band(t, lo, hi):
-    """Rows (i, j), row-major, of the nodes of t x t with lo < t_i + t_j < hi."""
-    first = np.searchsorted(t, lo - t, side="right")
-    count = np.maximum(np.searchsorted(t, hi - t) - first, 0)
-    i = np.repeat(np.arange(len(t)), count)
-    return i, np.arange(len(i)) + np.repeat(first - np.cumsum(count) + count, count)
-
-
 def check_partial_isometry(algebra: JordanAlgebra, ks, lam, mu,
                            tol: float) -> list:
     """Norm ratio constancy of the adjoint embedding, rank 1: one report per
@@ -441,37 +433,34 @@ def check_partial_isometry(algebra: JordanAlgebra, ks, lam, mu,
 
     ||Phi h||^2 / ||h||^2 must match the interval integral
     2^{-r lam - r mu + n} int |C(k)|^2 det(e-v)^{lam-n/r} det(e+v)^{mu-n/r} dv
-    and be flat across test bumps.  The norms take the 220-node rule on
-    [1e-9, 3] per axis, a bump on (lo, hi) only on its band lo < xi + zeta
-    < hi, one band at a time (working set about 1.1 MB); the interval
-    integral the Gauss-Jacobi rule of 2k + 8 nodes, exact for |C(k)|^2.
+    and be flat across the test functions h_m(s)^2 = s^(2 nu - 2 + m) e^(-s),
+    m = 0, 1, 2, nu = lam + mu + 2k, whose norms ||h_m||^2 = Gamma(nu + m)
+    are closed.  ||Phi h_m||^2 evaluates its integrand as defined at every
+    node of the tensor rule of two (k + 2)-node Laguerre rules, of
+    xi^(lam-1) e^(-xi) and zeta^(mu-1) e^(-zeta), each weight divided by
+    the factor its rule carries: what is left, c(k)^2 (xi + zeta)^m, has
+    degree at most 2k + 2 per axis, which the rule integrates exactly.  The
+    interval integral takes the Gauss-Jacobi rule of 2k + 8 nodes, exact
+    for |C(k)|^2.
     """
     if algebra.family != "rank1":
         raise ValueError("partial isometry check implemented for rank1")
     lam_f, mu_f = float(lam), float(mu)
-    t, wt = scaled_interval_rule(gauss_legendre(220), 1e-9, 3.0)
-    specs = [compute_c(algebra, k).specialize(Fraction(lam) - 1, Fraction(mu) - 1) for k in ks]
-    ratios = [[] for _ in ks]
-    for lo, hi in ((1.0, 2.2), (1.6, 3.0), (0.8, 2.8)):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        i, j = _band(t, lo, hi)
-        points = np.stack([t[i], t[j]], axis=1)
-        factor = wt[i] * wt[j]
-        del i, j
-        s = points[:, 0] + points[:, 1]
-        # |Phi h|^2 against the L^2_{lam,mu} weight xi^{-lam+1} zeta^{-mu+1}
-        # collapses to factor (xi + zeta)^(2 - 2 nu) c(k)(xi, zeta)^2
-        factor *= points[:, 0] ** (lam_f - 1)
-        factor *= points[:, 1] ** (mu_f - 1)
-        factor *= bump(((s - mid) / half) ** 2) ** 2
-        weta = wt * bump(((t - mid) / half) ** 2) ** 2
-        for k, spec, out in zip(ks, specs, ratios):
-            e = 1 - lam_f - mu_f - 2 * k      # 1 - nu, nu = lam + mu + 2k
-            num = float(np.sum(factor * s ** (2 * e) * spec.numeric(points) ** 2))
-            out.append(num / float(np.sum(weta * t ** e)))
-        del points, s, factor     # before the next band is built
     reports = []
-    for k, rs in zip(ks, ratios):
+    for k in ks:
+        nu = lam_f + mu_f + 2 * k
+        rules = [gauss_laguerre(k + 2, p - 1) for p in (lam_f, mu_f)]
+        points, w = _tensor_rule([g.nodes for g in rules], [g.weights for g in rules])
+        xi, zeta = points.T
+        s = xi + zeta
+        powers = xi ** (lam_f - 1) * zeta ** (mu_f - 1)
+        w = w / (powers * np.exp(-s))       # less the factor the rules carry
+        spec = compute_c(algebra, k).specialize(Fraction(lam) - 1, Fraction(mu) - 1)
+        # |Phi h|^2 against the L^2_{lam,mu} weight xi^{-lam+1} zeta^{-mu+1}
+        # collapses to powers (xi + zeta)^(2 - 2 nu) c(k)(xi, zeta)^2 h(xi + zeta)^2
+        phi = w * powers * s ** (2 - 2 * nu) * spec.numeric(points) ** 2
+        rs = [float(np.sum(phi * s ** (2 * nu - 2 + m) * np.exp(-s))) / math.gamma(nu + m)
+              for m in (0, 1, 2)]
         spread = (worst(rs) - min(rs)) / worst(map(abs, rs))
         C = compute_C(algebra, k, Fraction(lam) - 1, Fraction(mu) - 1)
         interval = weyl_integral(algebra, lambda eigs: C.poly.numeric(eigs) ** 2,
@@ -487,42 +476,34 @@ def check_partial_isometry(algebra: JordanAlgebra, ks, lam, mu,
 
 def check_bracket_transform_equivalence(algebra: JordanAlgebra, k: int,
                                         lam, mu, tol: float) -> dict:
-    """The bracket on transforms equals the transform of the averaged form.
+    """The bracket on transforms equals the transform of the averaged form,
+    rank 1, for f1(xi) = xi^A e^(-xi) and f2(zeta) = zeta^B e^(-zeta) at
+    (A, B) = (2, 1), unequal so that a swap of the two slots shows.
 
-    Left route: apply the bi-differential bracket to the two-slot transform
-    of a product bump, the one-slot transform in each slot (contour
-    derivatives at z = 0.3 + 1.2i).  Right route:
+    Left route: apply the bi-differential bracket to the one-slot
+    transforms of f1 and f2, each closed by ``tube_laplace`` (contour
+    derivatives at z = 0.3 + 1.2i).  Right route: the one-slot transform of
     i^{rk} 2^{-n} (det eta)^{k + n/r} int C(k)_{lam-n/r, mu-n/r}(v)
-    f(iota(eta, v)) dv, then the one-slot transform.  Rank 1, with 120-node
-    Gauss-Legendre rules.
+    f1 f2(iota(eta, v)) dv, which for these f is
+    i^{rk} 2^{-n-A-B} W (det eta)^{k + n/r + A + B} e^{-tr eta} with
+    W = int C(k)(v) (1 - v)^A (1 + v)^B dv, the exact Gauss-Jacobi rule of
+    k + 1 nodes; its transform is closed by ``tube_laplace`` too.
     """
     if algebra.family != "rank1":
         raise ValueError("operator-equivalence check implemented for rank1")
-    zz, n = 0.3 + 1.2j, 120
-    lo, hi = 1.0, 3.0
+    A, B = 2, 1
+    Z = np.array([[0.3 + 1.2j]])
+    zero = np.zeros((1, algebra.n), dtype=int)
 
-    def f1(x):              # the bump on (lo, hi)
-        return bump((x - 2.0) ** 2)
+    def transform(power):
+        return lambda coords: tube_laplace(algebra, zero, coords, power)[:, 0]
 
-    gl = gauss_legendre(n)
-    xi, wxi = scaled_interval_rule(gl, lo, hi)
-    fw = f1(xi) * wxi
-
-    def transform(coords):
-        return np.exp(1j * np.outer(coords[:, 0], xi)) @ fw
-
-    lhs = complex(apply_B(algebra, k, lam, mu, transform, transform, np.array([[zz]]))[0])
+    lhs = complex(apply_B(algebra, k, lam, mu, transform(A), transform(B), Z)[0])
     shift = Fraction(algebra.n, algebra.r)
     C = compute_C(algebra, k, Fraction(lam) - shift, Fraction(mu) - shift)
-    vg, wv = scaled_interval_rule(gl, -1.0, 1.0)
-    cvals = C.poly.numeric(vg[:, None])
-    eg, we = scaled_interval_rule(gl, 2 * lo, 2 * hi)
-    # one row per eta node, summed along v
-    inner = np.sum(wv * cvals * f1(eg[:, None] * (1 - vg) / 2)
-                   * f1(eg[:, None] * (1 + vg) / 2), axis=1)
-    rk = algebra.r * k
-    bhat = (1j ** rk) * 2.0 ** (-algebra.n) * eg ** (k + 1) * inner
-    rhs = complex(np.sum(we * bhat * np.exp(1j * zz * eg)))
+    interval = weyl_integral(algebra, C.poly.numeric, A, B, n=k + 1)
+    rhs = complex((1j ** (algebra.r * k)) * 2.0 ** (-algebra.n - A - B) * interval
+                  * tube_laplace(algebra, zero, Z, k + float(shift) + A + B)[0, 0])
     return report("bracket-transform-equivalence", algebra.name, k=k,
                   **{"lambda": float(lam)}, mu=float(mu),
                   lhs=[lhs.real, lhs.imag], rhs=[rhs.real, rhs.imag],

@@ -169,12 +169,12 @@ def test_criterion_10_adjoint_image():
 def test_criterion_11_partial_isometry():
     worst_spread = 0.0
     worst_const = 0.0
-    for rep in tube.check_partial_isometry(get_algebra("rank1"), (0, 1, 2), 3, 3, tol=1e-6):
+    for rep in tube.check_partial_isometry(get_algebra("rank1"), (0, 1, 2), 3, 3, tol=1e-12):
         worst_spread = max(worst_spread, rep["ratio_spread"])
         worst_const = max(worst_const, rep["constant_residual"])
-    ok = worst_spread < 1e-6 and worst_const < 1e-6
+    ok = worst_spread < 1e-12 and worst_const < 1e-12
     _line(11, "adjoint-partial-isometry", ok,
-          f"(spread {worst_spread:.2e}, constant {worst_const:.2e}, both < 1e-6)")
+          f"(spread {worst_spread:.2e}, constant {worst_const:.2e}, both < 1e-12)")
 
 
 def test_criterion_12_covariance():

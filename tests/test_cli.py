@@ -1010,8 +1010,8 @@ def test_every_tolerance_a_suite_reads_is_named():
 def test_the_built_in_tolerances_per_algebra():
     # 15 names, each read by one suite, at the values the checks held before
     # the table; hua, coherent, rank1's laplace, adjoint and jacobian, the
-    # two chart checks, covariance, branch and cauchy at the power of ten
-    # at or above 1,000 x their worst residual
+    # two chart checks, operator-equivalence, isometry, covariance, branch
+    # and cauchy at the power of ten at or above 1,000 x their worst residual
     from rclab.algebra import ALGEBRA_NAMES
     import rclab.cli as cli
 
@@ -1022,8 +1022,8 @@ def test_the_built_in_tolerances_per_algebra():
                 "gamma": 1e-12}
         if alg == "rank1":
             want.update({"laplace": 1e-12, "adjoint": 1e-11,
-                         "isometry-norm": 1e-6, "operator-equivalence": 1e-6,
-                         "isometry": 1e-6})
+                         "isometry-norm": 1e-6, "operator-equivalence": 1e-11,
+                         "isometry": 1e-12})
         if alg == "sym2":
             want.update({"laplace": 1e-4, "adjoint": 1e-3})
         if alg in ("rank1", "sym2"):
@@ -1117,6 +1117,46 @@ def test_covariance_fails_the_slot_actions_off_by_a_relative_1e_8(name, count, m
     monkeypatch.setattr(tube, "pi_action", off)
     _fails_only_at_the_table(name, "covariance", {"covariance": 1e-6},
                              ["bracket-group-covariance"] * count)
+
+
+@pytest.mark.parametrize("suite, tol, check, count", [
+    ("partial-isometry", "isometry", "adjoint-partial-isometry", 3),
+    ("operator-equivalence", "operator-equivalence", "bracket-transform-equivalence", 4)])
+def test_rank1_closed_moment_checks_fail_the_interval_integral_off_by_a_relative_1e_9(
+        suite, tol, check, count, monkeypatch):
+    # both were 1e-6, which passed the interval integral scaled by 1 + 1e-9
+    # (partial-isometry even at 1e-7); on closed moments the table's 1e-12
+    # and 1e-11 fail every report, each of which reads it
+    from rclab import tube
+
+    integral = tube.weyl_integral
+    monkeypatch.setattr(tube, "weyl_integral",
+                        lambda *args, **kwargs: integral(*args, **kwargs) * (1 + 1e-9))
+    _fails_only_at_the_table("rank1", suite, {tol: 1e-6}, [check] * count)
+
+
+@pytest.mark.parametrize("swap", ["weights", "functions"])
+def test_operator_equivalence_fails_the_bracket_with_its_slots_swapped(swap, monkeypatch):
+    # lam != mu and f1, f2 of different powers: a bracket that swaps its
+    # weights or its functions fails for each k that sees the slot order
+    # (k = 0 is the product F G); one bump in both slots missed the swapped
+    # weights at k = 2
+    import rclab.cli as cli
+    from rclab import tube
+    from rclab.algebra import get_algebra
+
+    apply_B = tube.apply_B
+
+    def swapped(algebra, k, lam, mu, F, G, z):
+        if swap == "weights":
+            return apply_B(algebra, k, mu, lam, F, G, z)
+        return apply_B(algebra, k, lam, mu, G, F, z)
+
+    monkeypatch.setattr(tube, "apply_B", swapped)
+    reports, ok = cli.run_suites(get_algebra("rank1"), "operator-equivalence")
+    failed = [r for r in reports if not r["pass"]]
+    assert not ok and [r["k"] for r in failed] == [1, 2, 3], reports
+    assert all(r["residual"] > 0.1 for r in failed), failed
 
 
 @pytest.mark.parametrize("name", ["rank1", "sym2"])

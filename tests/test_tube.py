@@ -754,10 +754,10 @@ def test_partial_isometry_rank1():
 def test_partial_isometry_k0_beta_identity():
     # c(lam, mu; 0) = Beta(lam, mu) in rank 1
     alg = get_algebra("rank1")
-    [rep] = check_partial_isometry(alg, (0,), 3, 3, 1e-6)
+    [rep] = check_partial_isometry(alg, (0,), 3, 3, 1e-12)
     want = math.gamma(3.0) ** 2 / math.gamma(6.0)
     assert abs(rep["expected_constant"] - want) / want < 1e-12
-    assert abs(rep["ratios"][0] - want) / want < 1e-6
+    assert abs(rep["ratios"][0] - want) / want < 1e-13
 
 
 def test_bracket_transform_equivalence_rank1():
@@ -834,10 +834,21 @@ def test_partial_isometry_constants_match_exact_moments():
         assert abs(rep["expected_constant"] - want) <= 1e-15 * want, (rep, want)
 
 
+def test_partial_isometry_ratios_match_exact_moments():
+    # each ||Phi h_m||^2 / ||h_m||^2 lands on an exact Laguerre rule, so
+    # every ratio is the interval constant at rounding
+    alg = get_algebra("rank1")
+    reps = check_partial_isometry(alg, (0, 1, 2), 3, 3, 1e-12)
+    for rep in reps:
+        want = float(_interval_constant(alg, rep["k"]))
+        assert len(rep["ratios"]) == 3
+        for got in rep["ratios"]:
+            assert abs(got - want) <= 1e-14 * want, (rep["k"], got, want)
+
+
 def test_partial_isometry_leaves_under_1_mb_held():
-    # the suite holds one bump's band of the 220 x 220 box at a time, shared
-    # by its k within one call; held past it (a cache), the three bands
-    # would keep over 1 MB
+    # the suite's tensor rules have at most 4 x 4 nodes; what it keeps, its
+    # cached Gauss rules, c(k) and C(k), stays far under 1 MB
     import tracemalloc
     from rclab.cli import run_suites
 
@@ -869,8 +880,7 @@ def _warm_peak_bytes(fn):
 
 
 def test_partial_isometry_peak_memory():
-    # one bump's band at a time, about 1.1 MB; the full 220 x 220 box with a
-    # zero-padded integrand per bump peaked at 3.5 MB
+    # one (k + 2) x (k + 2) Laguerre tensor rule per k, about 12 kB at peak
     alg = get_algebra("rank1")
     peak = _warm_peak_bytes(lambda: check_partial_isometry(alg, (0, 1, 2), 3, 3, 1e-6))
     assert peak <= 2.0e6, peak
@@ -886,36 +896,8 @@ def test_bergman_isometry_peak_memory():
     assert peak <= 2.0e6, peak
 
 
-def test_partial_isometry_bands_match_the_full_box():
-    alg = get_algebra("rank1")
-    reps = check_partial_isometry(alg, (0, 1, 2), 3, 3, 1e-6)
-    want = tube_ref.partial_isometry_ratios(alg, (0, 1, 2), 3, 3)
-    for rep, ratios in zip(reps, want, strict=True):
-        for got, ref in zip(rep["ratios"], ratios, strict=True):
-            assert abs(got - ref) <= 1e-14 * abs(ref), (rep["k"], got, ref)
-
-
-@pytest.mark.parametrize("lo, hi", tube_ref.PARTIAL_ISOMETRY_BUMPS)
-def test_partial_isometry_band_holds_every_node_of_its_bump(lo, hi):
-    # a band one node short at an edge drops nodes whose bump values are
-    # below what the 1e-6 tolerance of the ratios can see
-    from rclab.quadrature import bump
-    from rclab.tube import _band
-
-    t, _ = tube_ref.partial_isometry_axis()
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    box = bump(((t[:, None] + t[None, :] - mid) / half) ** 2)
-    i, j = _band(t, lo, hi)
-    assert np.all(np.diff(i * len(t) + j) > 0)      # row-major, no node twice
-    in_band = np.zeros(box.shape, dtype=bool)
-    in_band[i, j] = True
-    assert np.all(in_band[box > 0])
-    # the bump the band evaluates is the box's, exactly 0 off its support
-    assert np.array_equal(bump(((t[i] + t[j] - mid) / half) ** 2), box[i, j])
-
-
 def test_partial_isometry_scale_invariance():
-    # doubling h scales both norms by 4: the ratio is h-independent, which
-    # the spread over differently-scaled bumps already witnesses
+    # the ratio is h-independent: the three h_m, of different powers of
+    # s, give one ratio
     [rep] = check_partial_isometry(get_algebra("rank1"), (1,), 3, 3, 1e-6)
     assert rep["ratio_spread"] < 1e-6
