@@ -592,7 +592,7 @@ SUITE_TABLE = {
     "change-of-variables": Suite(_suite_varchange, _RANK1_SYM2, {"change-of-variables": 1e-12}),
     "gamma": Suite(_suite_gamma, tols={"gamma": 1e-12}),
     "laplace": Suite(_suite_laplace, _RANK1_SYM2, {
-        "laplace": {"rank1": 1e-12, "sym2": 1e-4}, "isometry-norm": {"rank1": 1e-6}}),
+        "laplace": {"rank1": 1e-12, "sym2": 1e-4}, "isometry-norm": {"rank1": 1e-12}}),
     "laplace-factorization": Suite(_suite_jfact, _RANK1_SYM2, {"laplace-factorization": 1e-11}),
     "operator-equivalence": Suite(_suite_operator_equivalence, _RANK1,
                                   {"operator-equivalence": 1e-11}),

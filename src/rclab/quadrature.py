@@ -70,7 +70,6 @@ __all__ = [
     "weyl_integral",
     "gram_matrix",
     "tube_laplace",
-    "bump",
     "CHART_POWERS",
     "chart_integrals",
     "check_change_of_variables",
@@ -484,7 +483,9 @@ def tube_laplace(algebra: JordanAlgebra, exps, Z, det_power) -> np.ndarray:
     The angular rule, not the radial integral, bounds the accuracy away
     from the imaginary axis: for m = 0 at p = 1.3, sym2's 48 x 48 rule is
     off by a relative 1.4e-7 at z = (5, 0, 0) and 1.3e-4 at z = (20, 0, 0),
-    so every report point keeps |Re z| <= 0.6.
+    so every sym2 report point keeps |Re z| <= 0.6.  Rank 1's single ray
+    carries no such bound: its transform is closed at every tube point
+    (the Bergman isometry reads it at |Re z| up to about 15).
     """
     p = float(det_power)
     unit, weights, det = _rays(algebra.name)
@@ -501,17 +502,7 @@ def tube_laplace(algebra: JordanAlgebra, exps, Z, det_power) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Bump functions, the polar-chart rule
-
-
-def bump(q2):
-    """Smooth compactly supported profile of the squared radius, 1 at 0;
-    NaN at a NaN argument."""
-    q2 = np.asarray(q2, dtype=float)
-    out = np.zeros_like(q2)
-    inside = ~(q2 >= 1.0)
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - q2[inside]))
-    return out
+# The polar-chart rule
 
 
 # (p, q) of F(x, y) = det(x)^p e^{-tr x} det(y)^q e^{-tr y}, the test

@@ -301,15 +301,11 @@ def _check_int64(bound, context):
         raise OverflowError(f"{context}: int64 entries could reach {float(bound):.3g}")
 
 
-def _interpolate(values, context):
-    """The tau^j coefficients, j = 0..r, of integer polynomials of degree at
-    most r in tau from their values at tau = 0..r (axis -2), exactly.
-
-    With V the Vandermonde matrix at tau = 0..r and D the least common
-    denominator of V^-1, the coefficients are (D V^-1) values / D; a nonzero
-    remainder of the division by D raises ``NonzeroRemainder``.
-    """
-    r = values.shape[-2] - 1
+@functools.cache
+def _lagrange(r):
+    """(D V^-1, D) for the Vandermonde matrix V at tau = 0..r, D the least
+    common denominator of V^-1: an int64 matrix, built once per r and
+    returned read-only."""
     basis = []   # the Lagrange polynomial of each node, lowest coefficient first
     for k in range(r + 1):
         p = [Fraction(1)]
@@ -319,6 +315,20 @@ def _interpolate(values, context):
         basis.append(p)
     den = math.lcm(1, *(v.denominator for p in basis for v in p))
     matrix = np.array([[int(p[j] * den) for p in basis] for j in range(r + 1)], dtype=np.int64)
+    matrix.flags.writeable = False
+    return matrix, den
+
+
+def _interpolate(values, context):
+    """The tau^j coefficients, j = 0..r, of integer polynomials of degree at
+    most r in tau from their values at tau = 0..r (axis -2), exactly.
+
+    With V the Vandermonde matrix at tau = 0..r and D the least common
+    denominator of V^-1, the coefficients are (D V^-1) values / D
+    (``_lagrange``); a nonzero remainder of the division by D raises
+    ``NonzeroRemainder``.
+    """
+    matrix, den = _lagrange(values.shape[-2] - 1)
     _check_int64(int(np.abs(matrix).sum(axis=1).max()) * int(np.abs(values).max(initial=0)),
                  f"{context} interpolation")
     jets, rem = np.divmod(matrix @ values, den)

@@ -37,8 +37,8 @@ from . import report, worst
 from .algebra import JordanAlgebra, spectral, cone_sqrt, quad_rep, inverse
 from .brackets import compute_c, compute_C
 from .quadrature import (
-    gamma_omega_closed, tube_laplace, gauss_legendre, gauss_jacobi, gauss_laguerre,
-    scaled_interval_rule, weyl_integral, bump, chart_integrals, CHART_POWERS, _tensor_rule,
+    gamma_omega_closed, tube_laplace, gauss_jacobi, gauss_laguerre, weyl_integral,
+    chart_integrals, CHART_POWERS, _tensor_rule,
 )
 
 __all__ = [
@@ -518,43 +518,36 @@ def check_bergman_isometry(algebra: JordanAlgebra, tol: float) -> dict:
     constant times ||f||^2 in L^2(det^{-nu+n/r}); the constant for the
     e^{i(z,xi)} convention is (2 pi)^n 2^{n/r-nu} Gamma_Omega(nu - n/r),
     an independent Parseval computation.  Constancy across test functions
-    is asserted as well.  The rules have n = 140 nodes: Gauss-Legendre in
-    xi, Gauss-Jacobi in y, and along x on [-X, X] the Legendre rule on each
-    of four panels of width X/2, one panel at a time (working set about 1 MB);
-    each bump's tube norm adds up its panels in order.
+    is asserted as well.  The test functions f_a(xi) = xi^a e^(-xi),
+    a = 1, 2, 3, have transforms closed by ``tube_laplace``.  The tube norm
+    takes x = (1 + y) t / sqrt(1 - t^2), y = (1 + v) / (1 - v) and evaluates
+    its integrand at every node of two 4-node Gauss-Jacobi rules, of
+    (1 - t^2)^(1/2) and (1 - v)^(3-nu) (1 + v)^(nu-2), ||f_a||^2 at xi = s/2
+    on the 4-node Laguerre rule of s^(3-nu) e^(-s); each weight divided by
+    the factor its rule carries, what is left is a polynomial of degree at
+    most 2a - 2 per axis, which the rules integrate exactly.
     """
     if algebra.family != "rank1":
         raise ValueError("isometry check implemented for rank1")
-    nu, n = 2.5, 140
-    gl = gauss_legendre(n)
-    xi, wxi = scaled_interval_rule(gl, 0.5, 3.5)
-    X, Y = 90.0, 20.0
-    # y-integral against y^{nu-2}: Jacobi rule with the weight built in
-    jr = gauss_jacobi(n, 0.0, nu - 2.0)
-    y_nodes = Y * (1 + jr.nodes) / 2
-    wy = jr.weights * (Y / 2) ** (nu - 1.0)
-    decay = np.exp(-xi[:, None] * y_nodes[None, :])   # e^{-y xi}, (xi, y)
-    fs = [bump(((xi - 0.5 * (lo + hi)) / (0.5 * (hi - lo))) ** 2)    # a bump on (lo, hi)
-          for lo, hi in ((1.0, 3.0), (0.8, 2.4))]
-    norm_tube = [0.0] * len(fs)
-    for lo in (-X, -X / 2, 0.0, X / 2):
-        x_nodes, wx = scaled_interval_rule(gl, lo, lo + X / 2)
-        phase = np.outer(x_nodes, xi)
-        cos, sin = np.cos(phase), np.sin(phase, out=phase)
-        for b, f in enumerate(fs):
-            damped = (f * wxi)[:, None] * decay
-            # |L f|^2 on the panel's (x, y) grid, from its real and imaginary parts
-            re, im = cos @ damped, sin @ damped
-            re *= re
-            im *= im
-            re += im
-            norm_tube[b] += float(wy @ (wx @ re))
-            del damped, re, im     # before the next bump's are built
-    ratios = [nt / float(np.sum(wxi * f ** 2 * xi ** (1.0 - nu))) for nt, f in zip(norm_tube, fs)]
+    nu = 2.5
+    rt, rv = gauss_jacobi(4, 0.5, 0.5), gauss_jacobi(4, 3 - nu, nu - 2)
+    points, w = _tensor_rule([rt.nodes, rv.nodes], [rt.weights, rv.weights])
+    t, v = points.T
+    c, y = np.sqrt(1 - t * t), (1 + v) / (1 - v)
+    Z = ((1 + y) * t / c + 1j * y)[:, None]
+    # y^(nu-2) dx/dt dy/dv = y^(nu-2) (1 + y)^3 / (2 c^3), less the rules' factors
+    w = w * y ** (nu - 2) * (1 + y) ** 3 / (2 * c ** 4 * (1 - v) ** (3 - nu) * (1 + v) ** (nu - 2))
+    rs = gauss_laguerre(4, 3 - nu)
+    xi, wxi = rs.nodes / 2, rs.weights / (2 * rs.nodes ** (3 - nu) * np.exp(-rs.nodes))
+    ratios = []
+    for a in (1, 2, 3):
+        lf = tube_laplace(algebra, np.zeros((1, 1), dtype=int), Z, a)[:, 0]
+        ratios.append(float(np.sum(w * (lf.real ** 2 + lf.imag ** 2)))
+                      / float(np.sum(wxi * (xi ** a * np.exp(-xi)) ** 2 * xi ** (1 - nu))))
     expected = (2 * math.pi) * 2.0 ** (1.0 - nu) * math.gamma(nu - 1.0)
     return report("transform-norm-isometry", algebra.name, nu=nu, ratios=ratios,
                   expected_constant=expected,
-                  ratio_spread=abs(ratios[0] - ratios[1]) / abs(ratios[0]),
+                  ratio_spread=(worst(ratios) - min(ratios)) / worst(map(abs, ratios)),
                   residual=worst(abs(r_ - expected) / expected for r_ in ratios),
                   tolerance=tol)
 

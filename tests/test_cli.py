@@ -1022,7 +1022,7 @@ def test_the_built_in_tolerances_per_algebra():
                 "gamma": 1e-12}
         if alg == "rank1":
             want.update({"laplace": 1e-12, "adjoint": 1e-11,
-                         "isometry-norm": 1e-6, "operator-equivalence": 1e-11,
+                         "isometry-norm": 1e-12, "operator-equivalence": 1e-11,
                          "isometry": 1e-12})
         if alg == "sym2":
             want.update({"laplace": 1e-4, "adjoint": 1e-3})
@@ -1071,9 +1071,9 @@ def test_cocycles_fail_psi_off_by_a_relative_1e_10(name, monkeypatch):
                                              ("adjoint-image", "adjoint", 1e-6)])
 def test_rank1_laplace_reports_fail_a_radial_factor_off_by_a_relative_1e_10(
         suite, tol, old, monkeypatch):
-    # laplace was 1e-8 and adjoint 1e-6, which passed every ray's closed
-    # radial integral scaled by 1 + 1e-10; at 1,000 x the worst residual
-    # every report that reads tube_laplace fails it
+    # laplace was 1e-8, adjoint and isometry-norm 1e-6, which passed every
+    # ray's closed radial integral scaled by 1 + 1e-10; at 1,000 x the worst
+    # residual every report that reads tube_laplace fails it
     import rclab.cli as cli
     from rclab import quadrature
     from rclab.algebra import get_algebra
@@ -1084,9 +1084,27 @@ def test_rank1_laplace_reports_fail_a_radial_factor_off_by_a_relative_1e_10(
     assert all(r["pass"] for r in cli.SUITES[suite](alg, {tol: old, "isometry-norm": 1e-6}))
     reports, ok = cli.run_suites(alg, suite)
     failed = [r["check"] for r in reports if not r["pass"]]
-    want = {"laplace": ["laplace-transform-of-weight"],
+    want = {"laplace": ["laplace-transform-of-weight", "transform-norm-isometry"],
             "adjoint-image": ["adjoint-image-laplace"] * 3}[suite]
     assert not ok and failed == want, reports
+
+
+def test_rank1_bergman_isometry_fails_a_det_power_off_by_1e_9(monkeypatch):
+    # the Bergman isometry's transforms come from tube_laplace, so a det
+    # power 1e-9 off moves its ratios by about 2e-9: the old 1e-6 passed
+    # that, the table's 1e-12 fails it
+    import rclab.cli as cli
+    from rclab import tube
+    from rclab.algebra import get_algebra
+
+    alg = get_algebra("rank1")
+    laplace = tube.tube_laplace
+    monkeypatch.setattr(tube, "tube_laplace",
+                        lambda algebra, exps, Z, p: laplace(algebra, exps, Z, p + 1e-9))
+    assert tube.check_bergman_isometry(alg, 1e-6)["pass"]
+    reports, ok = cli.run_suites(alg, "laplace")
+    assert not ok and [r["check"] for r in reports if not r["pass"]] == [
+        "transform-norm-isometry"], reports
 
 
 def _fails_only_at_the_table(name, suite, old, failing):

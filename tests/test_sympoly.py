@@ -208,6 +208,33 @@ def test_solve_raises_rather_than_return_a_wrong_solution(a, b, message):
         S._solve(a, b, "test")
 
 
+def _inverse_vandermonde(r):
+    """V^-1 in Fractions for V[i][j] = i^j, i, j = 0..r, by Gauss-Jordan."""
+    rows = [[Fraction(i) ** j for j in range(r + 1)] + [Fraction(i == m) for m in range(r + 1)]
+            for i in range(r + 1)]
+    for c in range(r + 1):
+        p = next(i for i in range(c, r + 1) if rows[i][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for i in range(r + 1):
+            if i != c:
+                rows[i] = [a - rows[i][c] * b for a, b in zip(rows[i], rows[c])]
+    return [row[r + 1:] for row in rows]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_lagrange_matrix_is_d_times_the_inverse_vandermonde(r):
+    # built once per r and shared by every call, so it must be read-only
+    matrix, den = S._lagrange(r)
+    inverse = _inverse_vandermonde(r)
+    assert den == lcm(*(v.denominator for row in inverse for v in row))
+    assert matrix.tolist() == [[int(v * den) for v in row] for row in inverse]
+    assert matrix.dtype == np.int64 and not matrix.flags.writeable
+    assert S._lagrange(r)[0] is matrix
+    with pytest.raises(ValueError):
+        matrix[0, 0] = 0
+
+
 @pytest.mark.parametrize("name", ["sym3", "sym4"])
 def test_interpolation_is_exact_or_raises(name, monkeypatch, fresh_tables):
     # tau^2 (tau - 1) from its values at tau = 0..4; tau (tau - 1) / 2 takes
