@@ -544,23 +544,6 @@ def _path_logdet(algebra, corners, steps=64):
     return complex(np.log(dets[1:] / dets[:-1]).sum())
 
 
-def _suite_cauchy(algebra, tols):
-    e = algebra.e
-    # off the line through e, where the spin factors' alpha = (2, 1, 0, ...)
-    # derivative vanishes; the offset is 0 in rank 1
-    off = np.arange(algebra.n) / algebra.n
-    K = tube.coherent_state(algebra, 2.3, (0.1 + 1.0j) * e + (-0.1 + 0.04j) * off)
-    z = (0.3 + 1.4j) * e + (0.2 + 0.05j) * off
-    # a mixed index wherever there are two coordinates: it takes several rings
-    alpha = (2,) if algebra.n == 1 else (2, 1) + (0,) * (algebra.n - 2)
-    d32, d64 = (complex(tube.holo_mixed_derivatives(algebra, K, z[None], [alpha],
-                                                    n_nodes=nodes)[alpha][0])
-                for nodes in (32, 64))
-    return [report("contour-derivative-stability", algebra.name,
-                   residual=abs(d32 - d64) / max(abs(d64), 1e-300),
-                   tolerance=tols["cauchy"])]
-
-
 @dataclass(frozen=True)
 class Suite:
     """A row of SUITE_TABLE: the run function, the algebras it runs for and
@@ -595,16 +578,15 @@ SUITE_TABLE = {
         "laplace": {"rank1": 1e-12, "sym2": 1e-4}, "isometry-norm": {"rank1": 1e-12}}),
     "laplace-factorization": Suite(_suite_jfact, _RANK1_SYM2, {"laplace-factorization": 1e-11}),
     "operator-equivalence": Suite(_suite_operator_equivalence, _RANK1,
-                                  {"operator-equivalence": 1e-11}),
+                                  {"operator-equivalence": 1e-12}),
     "adjoint-image": Suite(_suite_adjoint, _RANK1_SYM2,
                            {"adjoint": {"rank1": 1e-11, "sym2": 1e-3}}),
     "partial-isometry": Suite(_suite_isometry, _RANK1, {"isometry": 1e-12}),
-    "covariance": Suite(_suite_covariance, _RANK1_SYM2, {"covariance": 1e-9}),
+    "covariance": Suite(_suite_covariance, _RANK1_SYM2,
+                        {"covariance": {"rank1": 1e-9, "sym2": 1e-10}}),
     "cocycles": Suite(_suite_hua, _RANK1_SYM2,
                       {"hua": 1e-12, "coherent": {"rank1": 1e-12, "sym2": 1e-11}}),
     "branch": Suite(_suite_branch, _RANK1_SYM2, {"branch": {"rank1": 1e-11, "sym2": 1e-12}}),
-    "cauchy-stability": Suite(_suite_cauchy, _RANK1_SYM2,
-                              {"cauchy": {"rank1": 1e-13, "sym2": 1e-11}}),
 }
 
 # run_suites looks these up at call time: a caller may wrap an entry

@@ -1,11 +1,10 @@
 """Numerical holomorphic calculus on the tube domain V + i Omega.
 
 Everything here is float/complex: determinant powers on one branch,
-coherent states, mixed derivatives from 1-D Cauchy rings along the
-directions of a polarisation, the lifted action of the tube automorphism
-generators (translations, cone dilations, the inversion z -> -z^{-1}), the
-bracket as a bi-differential operator, and the checks that tie them
-together.
+coherent states, mixed derivatives of det powers from Taylor jets, the
+lifted action of the tube automorphism generators (translations, cone
+dilations, the inversion z -> -z^{-1}), the bracket as a bi-differential
+operator on coherent states, and the checks that tie them together.
 
 Branch convention: log det(z/i) is the unique continuous determination on
 the (simply connected, convex) tube that vanishes at z = i e; it has a
@@ -17,9 +16,9 @@ so both sides of any covariance identity use the same group lift.
 Every function here takes stacks in and gives arrays out: points go in as
 a (P, n) complex stack, one tube point per row, and values come back as
 (P,) arrays, so a check evaluates all its sample points in one call per
-evaluator.  A single point is a one-row stack; in rank 1 and sym2, where
-the tube suites run, each row keeps the bits of a one-row call, and ``det``
-rows keep them in every algebra.  An (n,)
+evaluator.  A single point is a one-row stack; ``det`` rows, and
+``logdet_tube`` rows in rank <= 2, keep the bits of a one-row call in
+every algebra, and so do the jets of ``det_power_jets``.  An (n,)
 row is only ever a parameter: a coherent state's w, a generator's u or a,
 or a point a check is asked about.  All aggregation is deterministic.
 """
@@ -34,8 +33,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import report, worst
-from .algebra import JordanAlgebra, spectral, cone_sqrt, quad_rep, inverse
+from .algebra import JordanAlgebra, NotInCone, spectral, cone_sqrt, quad_rep, inverse
 from .brackets import compute_c, compute_C
+from .poly import Poly
 from .quadrature import (
     gamma_omega_closed, tube_laplace, gauss_jacobi, gauss_laguerre, weyl_integral,
     chart_integrals, CHART_POWERS, _tensor_rule,
@@ -43,10 +43,11 @@ from .quadrature import (
 
 __all__ = [
     "logdet_tube",
+    "det_power_jets",
     "coherent_state",
-    "holo_mixed_derivatives",
     "GroupGenerator",
     "pi_action",
+    "transport",
     "apply_B",
     "check_covariance_B",
     "check_adjoint_image",
@@ -70,14 +71,79 @@ def logdet_tube(algebra: JordanAlgebra, coords) -> np.ndarray:
     w = P(y^{-1/2}) x, z = P(y^{1/2})(w + i e), so
     det(z/i) = det(y) prod_j (1 - i mu_j) over the real eigenvalues mu_j
     of w (Faraut-Koranyi, Analysis on Symmetric Cones, 1994).  Every factor
-    has real part 1, so the principal logs sum to the continuous branch.
-    Raises NotInCone for a point whose imaginary part is outside the cone.
+    has real part 1, so its principal log has imaginary part in
+    (-pi/2, pi/2), and the principal logs sum to the continuous branch.
+    In rank <= 2 there are at most two, so the branch's imaginary part lies
+    in (-pi, pi): it is the principal log of det(z/i), read from
+    ``det_poly``.  Raises NotInCone for a point whose imaginary part is
+    outside the cone.
     """
     coords = np.asarray(coords, dtype=complex)
     y = coords.imag
+    if algebra.r <= 2:
+        if not np.all(spectral(algebra, y) > 0):
+            raise NotInCone("a point has an eigenvalue <= 0")
+        return np.log(algebra.det_poly.numeric(-1j * coords))
     w = quad_rep(algebra, inverse(algebra, cone_sqrt(algebra, y)), coords.real)
     return (np.log(algebra.det_poly.numeric(y))
             + np.log(1 - 1j * spectral(algebra, w)).sum(axis=1))
+
+
+@functools.cache
+def _taylor_polys(algebra: JordanAlgebra) -> dict:
+    """{beta: T_beta} for 0 < |beta| <= r, T_beta = d^beta det / beta! as a
+    Poly: each monomial c x^m of det gives C(m, beta) c x^(m - beta), with
+    C(m, beta) = prod_i C(m_i, beta_i) an integer."""
+    det = algebra.det_poly
+    terms = {}
+    for m, c in zip(det.exps.tolist(), det.coef[:, 0, 0].tolist()):
+        for beta in itertools.product(*(range(e + 1) for e in m)):
+            if any(beta):
+                shifted = tuple(a - b for a, b in zip(m, beta))
+                terms.setdefault(beta, {})[shifted] = c * math.prod(map(math.comb, m, beta))
+    return {beta: Poly.from_terms(t, algebra.n, det.den) for beta, t in sorted(terms.items())}
+
+
+def det_power_jets(algebra: JordanAlgebra, nu, U, alphas) -> dict:
+    """d^alpha det^(-nu) / det^(-nu) at each row u of the (P, n) stack
+    ``U``, for each multi-index alpha of ``alphas``: {alpha: (P,) array}.
+
+    Taylor-coefficient propagation (Griewank and Walther, Evaluating
+    Derivatives, 2nd ed., SIAM 2008, ch. 13): det(u + h) = det(u)(1 + g(h))
+    with g = sum_beta (T_beta(u) / det u) h^beta over the Taylor polynomials
+    of ``_taylor_polys``, so det(u + h)^(-nu) / det(u)^(-nu) is
+    sum_j binom(-nu, j) g^j, summed by Horner's rule on series truncated to
+    the multi-indices at or below some alpha; alpha! times the coefficient
+    of h^alpha is the ratio asked for.  It is rational in u, so no branch
+    enters.  Every operation is elementwise over the rows, so each row
+    keeps the bits of a one-row call.
+    """
+    U = np.asarray(U, dtype=complex)
+    alphas = [tuple(a) for a in alphas]
+    keep = {gamma for a in alphas for gamma in itertools.product(*(range(e + 1) for e in a))}
+    det = algebra.det_poly.numeric(U)
+    g = [(beta, T.numeric(U) / det) for beta, T in _taylor_polys(algebra).items()
+         if beta in keep]
+    top = max(map(sum, alphas), default=0)
+    binoms = [1.0]
+    for j in range(top):
+        binoms.append(binoms[-1] * (-float(nu) - j) / (j + 1))
+    zero = (0,) * algebra.n
+    series = {zero: np.full(len(U), binoms[top], dtype=complex)}
+    for j in range(top - 1, -1, -1):
+        # series <- binom(-nu, j) + g series; g has no constant term
+        product = {}
+        for gamma, s in series.items():
+            for beta, g_beta in g:
+                key = tuple(a + b for a, b in zip(gamma, beta))
+                if key in keep:
+                    term = s * g_beta
+                    product[key] = product[key] + term if key in product else term
+        product[zero] = np.full(len(U), binoms[j], dtype=complex)
+        series = product
+    none = np.zeros(len(U), dtype=complex)
+    return {alpha: math.prod(map(math.factorial, alpha)) * series.get(alpha, none)
+            for alpha in alphas}
 
 
 # ---------------------------------------------------------------------------
@@ -93,101 +159,6 @@ def coherent_state(algebra: JordanAlgebra, nu, w):
         return np.exp(complex(-nu) * logdet_tube(algebra, coords - wbar))
 
     return k
-
-
-# ---------------------------------------------------------------------------
-# Mixed derivatives from Cauchy rings
-
-
-# Contour radius, as a fraction of the least eigenvalue of Im z, in the l1
-# norm of the displacement: the functions built here stay holomorphic that
-# far from the point.
-CONTOUR_RADIUS = 0.4
-
-
-@functools.cache
-def _polarisation(alpha):
-    """d^alpha as {primitive direction p: w}, with d^alpha F equal to
-    sum_p w c_m(p) for m = |alpha| and c_m(p) the m-th Taylor coefficient
-    of tau -> F(z + tau p).
-
-    Centred polarisation: d^alpha F = 2^-m / m! sum_beta w_beta D_beta^m F
-    over beta_i in {-alpha_i, -alpha_i + 2, ..., alpha_i}, beta != 0, with
-    w_beta = prod_i C(alpha_i, (alpha_i + beta_i)/2) (-1)^((alpha_i - beta_i)/2).
-    Each beta = s p with p primitive (first nonzero entry positive), so
-    D_beta^m = s^m D_p^m and D_p^m F = m! c_m(p).  The weights are exact
-    until the one division by 2^m.
-    """
-    m = sum(alpha)
-    axes = [i for i, a in enumerate(alpha) if a]      # beta is 0 elsewhere
-    ints = {}
-    for beta in itertools.product(*(range(-alpha[i], alpha[i] + 1, 2) for i in axes)):
-        if not any(beta):
-            continue
-        w = math.prod(math.comb(alpha[i], (alpha[i] + b) // 2) * (-1) ** ((alpha[i] - b) // 2)
-                      for i, b in zip(axes, beta))
-        s = math.gcd(*beta) * (1 if next(b for b in beta if b) > 0 else -1)
-        p = [0] * len(alpha)
-        for i, b in zip(axes, beta):
-            p[i] = b // s
-        p = tuple(p)
-        ints[p] = ints.get(p, 0) + w * s**m
-    return {p: w / 2**m for p, w in ints.items() if w}
-
-
-def holo_mixed_derivatives(algebra: JordanAlgebra, F, points, alphas,
-                           n_nodes: int = 32):
-    """Coordinate mixed partials of F at each row of ``points`` for several
-    multi-indices.
-
-    ``points`` is a (P, d) stack of rows, and ``F`` a vectorized evaluator on
-    (m, d) arrays; a row may pack several tube points (e.g. a pair slot).
-    Each multi-index is a combination of m-th derivatives along a few
-    primitive directions p (centred polarisation, ``_polarisation``), and
-    each direction is one 1-D Cauchy ring tau -> F(z + tau p) of ``n_nodes``
-    nodes read by an FFT (Lyness-Moler 1967, Fornberg 1981).  All
-    multi-indices and all rows share the directions: the centres and the
-    rings go to ``F`` in one call, and one FFT reads the (P, directions,
-    n_nodes) block.  A ring has radius rho / |p|_1, rho CONTOUR_RADIUS times
-    the least eigenvalue of the row's imaginary part over its slots, so
-    every node stays in the l1 ball of radius rho about the row.  The node
-    count is the only accuracy knob; an order m with 2 m + 2 > n_nodes
-    raises ValueError.  Each row's derivatives are summed in scalars, with
-    the bits of a call on that row alone.
-    Returns {alpha: (P,) complex array}.
-    """
-    points = np.asarray(points, dtype=complex)
-    P, d = points.shape
-    n = algebra.n
-    # safe radius per row: all slots perturb their own imaginary part
-    slots = d // n
-    least = spectral(algebra, points.imag.reshape(P * slots, n)).reshape(P, -1).min(axis=1)
-    rho_bound = least * CONTOUR_RADIUS
-    if np.any(rho_bound <= 0):
-        raise ValueError("contour radius violation: point too close to the "
-                         "tube boundary")
-    combos = {alpha: _polarisation(alpha) for alpha in map(tuple, alphas)}
-    top = max(map(sum, combos), default=0)
-    if 2 * top + 2 > n_nodes:
-        raise ValueError(f"a derivative of order {top} needs at least "
-                         f"{2 * top + 2} ring nodes, got {n_nodes}")
-    dirs = list(dict.fromkeys(p for combo in combos.values() for p in combo))
-    column = {p: j for j, p in enumerate(dirs)}
-    steps = np.array(dirs).reshape(len(dirs), d)       # (0, d) when only order 0 is asked
-    radii = rho_bound[:, None] / np.abs(steps).sum(axis=1)
-    ring = radii[:, :, None] * np.exp(2j * math.pi * np.arange(n_nodes) / n_nodes)
-    vals = F(np.concatenate([points, (points[:, None, None, :]
-                                      + ring[:, :, :, None] * steps[:, None, :]).reshape(-1, d)]))
-    fft = np.fft.fft(vals[P:].reshape(P, len(dirs), n_nodes), axis=2) / n_nodes
-    out = {alpha: np.empty(P, dtype=complex) for alpha in combos}
-    for i in range(P):
-        for alpha, combo in combos.items():
-            m = sum(alpha)
-            total = complex(vals[i]) if not m else 0.0
-            for p, w in combo.items():
-                total += fft[i, column[p], m] * w / radii[i, column[p]] ** m
-            out[alpha][i] = total
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -250,21 +221,42 @@ def pi_action(gen: GroupGenerator, nu, F):
     return moved
 
 
+def transport(gen: GroupGenerator, slot):
+    """pi_nu(g) of the coherent-state slot (nu, w, factor), the function
+    factor k_nu^w: by pi_nu(g) k_nu^w = e^{(r nu / 2n) conj psi_g(w)} k_nu^{g w}
+    it is the slot (nu, g w, factor e^{(r nu / 2n) conj psi_g(w)})."""
+    nu, w, factor = slot
+    alg = gen.algebra
+    fac = np.exp((alg.r * complex(nu) / (2.0 * alg.n)) * np.conj(gen.psi(w[None])[0]))
+    return nu, gen.apply(w[None])[0], factor * fac
+
+
 # ---------------------------------------------------------------------------
 # The bracket as a bi-differential operator
+
+
+def _slot_derivatives(algebra: JordanAlgebra, slot, z, alphas) -> dict:
+    """d^alpha of the slot (nu, w, factor) at each row of ``z``, as lists:
+    the value times i^(-|alpha|) times the jet at u = (z - conj w)/i."""
+    nu, w, factor = slot
+    value = factor * coherent_state(algebra, nu, w)(z)
+    jets = det_power_jets(algebra, nu, -1j * (z - np.conj(w)), alphas)
+    return {alpha: (value * (-1j) ** sum(alpha) * jet).tolist() for alpha, jet in jets.items()}
 
 
 def apply_B(algebra: JordanAlgebra, k: int, lam, mu, F, G, z):
     """The k-th bracket applied to F(z) G(w), restricted to the diagonal w = z,
     at each row of the (P, n) stack ``z`` of tube points.
 
-    F and G are vectorized evaluators on (m, n) arrays.  The operator is the
-    bracket polynomial specialized at (lam - n/r, mu - n/r), read as mixed
+    F and G are coherent-state slots (nu, w, factor), each the function
+    factor k_nu^w (``coherent_state``).  The operator is the bracket
+    polynomial specialized at (lam - n/r, mu - n/r), read as mixed
     trace-form derivatives in the two slots.  On a product each monomial
-    splits by Leibniz, d^a_z d^b_w [F(z) G(w)] = d^a F(z) d^b G(w), so each
-    slot gets its own contour grids over its own n coordinates, one
-    ``holo_mixed_derivatives`` call for all rows.  Returns a (P,) complex
-    array, each row summed in scalars one monomial at a time.
+    splits by Leibniz, d^a_z d^b_w [F(z) G(w)] = d^a F(z) d^b G(w), and
+    d^a of a slot is its value, on the branch of ``logdet_tube``, times
+    i^(-|a|) times ``det_power_jets`` at u = (z - conj w)/i: one jet call
+    per slot for all rows.  Returns a (P,) complex array, each row summed
+    in scalars one monomial at a time.
     """
     shift = Fraction(algebra.n, algebra.r)
     spec = compute_c(algebra, k).specialize(Fraction(lam) - shift, Fraction(mu) - shift)
@@ -274,8 +266,8 @@ def apply_B(algebra: JordanAlgebra, k: int, lam, mu, F, G, z):
     n = algebra.n
     alphas = [tuple(m) for m in spec.exps[:, :n].tolist()]
     betas = [tuple(m) for m in spec.exps[:, n:].tolist()]
-    dF = {alpha: v.tolist() for alpha, v in holo_mixed_derivatives(algebra, F, z, alphas).items()}
-    dG = {beta: v.tolist() for beta, v in holo_mixed_derivatives(algebra, G, z, betas).items()}
+    dF = _slot_derivatives(algebra, F, z, alphas)
+    dG = _slot_derivatives(algebra, G, z, betas)
     out = np.empty(len(z), dtype=complex)
     for i in range(len(z)):
         total = 0.0 + 0.0j
@@ -319,37 +311,32 @@ def check_covariance_B(algebra: JordanAlgebra, k: int, lam, mu,
                        gen: GroupGenerator, tol: float) -> dict:
     """Both routes of the bracket covariance on a coherent-state product F G.
 
-    LHS: transform the slots, pi_lam(g) F and pi_mu(g) G, then apply the
-    bracket.  RHS: apply the bracket to F and G, then transform by
-    pi_{lam+mu+2k}(g).  apply_B differentiates each slot on its own.  The
-    witnesses of F and G and the sample points are fixed.  For the inversion
-    the sample points keep g^{-1}(z) well inside the tube (minimal
-    eigenvalue of the imaginary part > 0.1), where the contour rings retain
-    their accuracy.  Each route is one ``apply_B`` call on the stack of kept
-    points; with none kept the report fails with no samples.
+    LHS: move the slots, pi_lam(g) F and pi_mu(g) G, then apply the
+    bracket; each moved slot is a coherent state again (``transport``, the
+    identity ``check_coherent_transform`` checks).  RHS: apply the bracket
+    to F and G at g^{-1}(z), then multiply by e^{(r nu/2n) psi_{g^{-1}}(z)},
+    nu = lam + mu + 2k.  The witnesses of F and G and the five sample
+    points are fixed; each route is one ``apply_B`` call on the stack of
+    points.  A point whose g^{-1}(z) is off the tube raises NotInCone, and
+    a NaN residual fails the report.
     """
     nu = lam + mu + 2 * k
     n = algebra.n
     e = algebra.e
-    F = coherent_state(algebra, lam, (0.2 + 1.1j) * e + 0.05j * np.arange(n))
-    G = coherent_state(algebra, mu, (-0.3 + 0.9j) * e + 0.04j * np.arange(n)[::-1])
+    F = (lam, (0.2 + 1.1j) * e + 0.05j * np.arange(n), 1.0)
+    G = (mu, (-0.3 + 0.9j) * e + 0.04j * np.arange(n)[::-1], 1.0)
     scale_psi = algebra.r / (2.0 * algebra.n)
-    F_g, G_g = pi_action(gen, lam, F), pi_action(gen, mu, G)
     Z = _default_tube_points(algebra)
-    ginv_Z = gen.apply_inv(Z)
-    keep = ~(spectral(algebra, ginv_Z.imag)[:, 0] < 0.1)     # a NaN row stays, and fails
+    lhs = apply_B(algebra, k, lam, mu, transport(gen, F), transport(gen, G), Z).tolist()
+    inner_B = apply_B(algebra, k, lam, mu, F, G, gen.apply_inv(Z)).tolist()
     rows = []
-    if keep.any():
-        Z, ginv_Z = Z[keep], ginv_Z[keep]
-        lhs = apply_B(algebra, k, lam, mu, F_g, G_g, Z).tolist()
-        inner_B = apply_B(algebra, k, lam, mu, F, G, ginv_Z).tolist()
-        # each row's factor and residual in scalars, as for one row
-        for z, lhs_z, inner_z, psi in zip(Z, lhs, inner_B, gen.psi_inv(Z)):
-            rhs = np.exp(complex(nu) * scale_psi * psi) * inner_z
-            scale = max(abs(lhs_z), abs(rhs), 1e-30)
-            rows.append({"z": [[c.real, c.imag] for c in z.tolist()],
-                         "residual": abs(lhs_z - rhs) / scale})
-    return report("bracket-group-covariance", algebra.name, ok=bool(rows), k=k,
+    # each row's factor and residual in scalars, as for one row
+    for z, lhs_z, inner_z, psi in zip(Z, lhs, inner_B, gen.psi_inv(Z)):
+        rhs = np.exp(complex(nu) * scale_psi * psi) * inner_z
+        scale = max(abs(lhs_z), abs(rhs), 1e-30)
+        rows.append({"z": [[c.real, c.imag] for c in z.tolist()],
+                     "residual": abs(lhs_z - rhs) / scale})
+    return report("bracket-group-covariance", algebra.name, k=k,
                   **{"lambda": float(lam)}, mu=float(mu), generator=gen.kind,
                   tolerance=tol, max_residual=worst(r["residual"] for r in rows),
                   samples=rows)
@@ -481,24 +468,23 @@ def check_bracket_transform_equivalence(algebra: JordanAlgebra, k: int,
     (A, B) = (2, 1), unequal so that a swap of the two slots shows.
 
     Left route: apply the bi-differential bracket to the one-slot
-    transforms of f1 and f2, each closed by ``tube_laplace`` (contour
-    derivatives at z = 0.3 + 1.2i).  Right route: the one-slot transform of
+    transforms of f1 and f2, which are Gamma(A + 1) k_{A+1}^{ie} and
+    Gamma(B + 1) k_{B+1}^{ie} (``tube_laplace`` with no monomial), at
+    z = 0.3 + 1.2i.  Right route: the one-slot transform of
     i^{rk} 2^{-n} (det eta)^{k + n/r} int C(k)_{lam-n/r, mu-n/r}(v)
     f1 f2(iota(eta, v)) dv, which for these f is
     i^{rk} 2^{-n-A-B} W (det eta)^{k + n/r + A + B} e^{-tr eta} with
     W = int C(k)(v) (1 - v)^A (1 + v)^B dv, the exact Gauss-Jacobi rule of
-    k + 1 nodes; its transform is closed by ``tube_laplace`` too.
+    k + 1 nodes; its transform is closed by ``tube_laplace``.
     """
     if algebra.family != "rank1":
         raise ValueError("operator-equivalence check implemented for rank1")
     A, B = 2, 1
     Z = np.array([[0.3 + 1.2j]])
     zero = np.zeros((1, algebra.n), dtype=int)
-
-    def transform(power):
-        return lambda coords: tube_laplace(algebra, zero, coords, power)[:, 0]
-
-    lhs = complex(apply_B(algebra, k, lam, mu, transform(A), transform(B), Z)[0])
+    ie = 1j * algebra.e
+    lhs = complex(apply_B(algebra, k, lam, mu, (A + 1, ie, math.gamma(A + 1)),
+                          (B + 1, ie, math.gamma(B + 1)), Z)[0])
     shift = Fraction(algebra.n, algebra.r)
     C = compute_C(algebra, k, Fraction(lam) - shift, Fraction(mu) - shift)
     interval = weyl_integral(algebra, C.poly.numeric, A, B, n=k + 1)
@@ -568,14 +554,12 @@ def check_hua_cocycle(algebra: JordanAlgebra, gen: GroupGenerator, z, w,
 def check_coherent_transform(algebra: JordanAlgebra, nu, gen: GroupGenerator,
                              w, tol: float) -> dict:
     """pi_nu(g) k_nu^w = e^{(r nu / 2n) conj(psi_g(w))} k_nu^{g(w)} at the
-    default tube points, for the tube point ``w``; each side is evaluated
-    once, on the stack of all the points."""
-    K = coherent_state(algebra, nu, w)
-    KT = pi_action(gen, nu, K)
-    gw = gen.apply(w[None])[0]
+    default tube points, for the tube point ``w``: ``pi_action`` against
+    ``transport``, each side evaluated once, on the stack of all the
+    points."""
+    KT = pi_action(gen, nu, coherent_state(algebra, nu, w))
+    _, gw, fac = transport(gen, (nu, w, 1.0))
     K2 = coherent_state(algebra, nu, gw)
-    fac = np.exp((algebra.r * complex(nu) / (2.0 * algebra.n))
-                 * np.conj(gen.psi(w[None])[0]))
     Z = _default_tube_points(algebra)
     residuals = []
     for a, b2 in zip(KT(Z).tolist(), K2(Z).tolist()):

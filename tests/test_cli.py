@@ -797,22 +797,22 @@ def test_check_all_reports_a_crashing_suite_and_goes_on(tmp_path, monkeypatch):
     import rclab.cli as cli
 
     def boom(algebra, tols):
-        raise ValueError("polydisc radius violation")
+        raise ValueError("point off the tube")
 
-    monkeypatch.setitem(cli.SUITES, "branch", boom)
+    monkeypatch.setitem(cli.SUITES, "cocycles", boom)
     code, out, _ = run_cli(["check", "all", "--algebra", "rank1",
                             "--cache-dir", str(tmp_path / "c")])
     assert code == 1
     reports = json.loads(out)["reports"]
     failed = [r for r in reports if not r["pass"]]
     assert failed == [{"schema": "rc-lab/1", "check": "suite-error",
-                       "algebra": "rank1", "suite": "branch",
-                       "error": "ValueError: polydisc radius violation",
+                       "algebra": "rank1", "suite": "cocycles",
+                       "error": "ValueError: point off the tube",
                        "pass": False}]
     names = {r["check"] for r in reports}
-    assert "branch-path-independence" not in names
+    assert "kernel-cocycle-identity" not in names
     # suites before and after the failing one still report
-    assert {"rodrigues-polynomiality", "contour-derivative-stability"} <= names
+    assert {"rodrigues-polynomiality", "branch-path-independence"} <= names
 
 
 def test_check_k_stays_within_the_caps(monkeypatch):
@@ -851,13 +851,13 @@ def test_check_tolerance_override_can_fail(tmp_path):
 
 def test_config_file_tolerances_are_name_value_pairs(tmp_path, cache_dir):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("tol = branch=1e-12, cauchy=1e-14\n")
+    cfg.write_text("tol = branch=1e-12, isometry-norm=1e-14\n")
     code, out, err = run_cli(["--config", str(cfg), "check", "all",
                               "--algebra", "rank1", "--cache-dir", cache_dir])
     assert code == 0, err
     tolerance = {r["check"]: r.get("tolerance") for r in json.loads(out)["reports"]}
     assert tolerance["branch-path-independence"] == 1e-12
-    assert tolerance["contour-derivative-stability"] == 1e-14
+    assert tolerance["transform-norm-isometry"] == 1e-14
 
 
 @pytest.mark.parametrize("value", ["inf", "1e300", "1e-9", "0", "-1e-12", "nan", "abc"])
@@ -908,16 +908,16 @@ def test_check_tolerance_flags_override_the_file(tmp_path):
 
 
 def test_check_tolerance_flags_merge_with_the_file_name_by_name(tmp_path, cache_dir):
-    # a --tol flag replaced the file's whole tol line: cauchy ran at the
-    # built-in tolerance, not the file's, and the check exited 0
+    # a --tol flag replaced the file's whole tol line: isometry-norm ran at
+    # the built-in tolerance, not the file's, and the check exited 0
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("tol = branch=1e-12, cauchy=1e-14\n")
+    cfg.write_text("tol = branch=1e-12, isometry-norm=1e-14\n")
     code, out, err = run_cli(["--config", str(cfg), "check", "all", "--algebra", "rank1",
                               "--cache-dir", cache_dir, "--tol", "branch=1e-13"])
     assert code == 0, err
     tolerance = {r["check"]: r.get("tolerance") for r in json.loads(out)["reports"]}
     assert tolerance["branch-path-independence"] == 1e-13
-    assert tolerance["contour-derivative-stability"] == 1e-14
+    assert tolerance["transform-norm-isometry"] == 1e-14
 
 
 def test_run_suites_lets_a_loose_tolerance_through():
@@ -974,15 +974,17 @@ def test_the_automorphism_suite_and_its_tolerance_are_gone(tmp_path):
 
 def test_the_chi_and_iota_suites_and_their_tolerance_are_gone(tmp_path):
     # and the float orthogonality suite with its tolerance, which the box
-    # certificate in polynomiality replaces
-    for line, word in (("iota-fact=1e-11", "iota"), ("orthogonality=1e-12", "orthogonality")):
+    # certificate in polynomiality replaces, and cauchy-stability with its
+    # tolerance, which tested the Cauchy rings the Taylor jets replaced
+    for line, word in (("iota-fact=1e-11", "iota"), ("orthogonality=1e-12", "orthogonality"),
+                       ("cauchy=1e-14", "cauchy")):
         cfg = tmp_path / f"{word}.cfg"
         cfg.write_text(f"tol = {line}\n")
         for argv in (["check", "all", "--tol", line], ["--config", str(cfg), "check", "all"]):
             code, out, err = run_cli(argv)
             assert code == 2 and out == "" and word in err, (argv, err)
     for argv in (["check", "chi-covariance"], ["check", "iota-factorization"],
-                 ["check", "orthogonality"]):
+                 ["check", "orthogonality"], ["check", "cauchy-stability"]):
         code, out, err = run_cli(argv)
         assert code == 2 and out == "" and argv[1] in err, (argv, err)
 
@@ -1008,29 +1010,28 @@ def test_every_tolerance_a_suite_reads_is_named():
 
 
 def test_the_built_in_tolerances_per_algebra():
-    # 15 names, each read by one suite, at the values the checks held before
+    # 14 names, each read by one suite, at the values the checks held before
     # the table; hua, coherent, rank1's laplace, adjoint and jacobian, the
-    # two chart checks, operator-equivalence, isometry, covariance, branch
-    # and cauchy at the power of ten at or above 1,000 x their worst residual
+    # two chart checks, operator-equivalence, isometry, covariance and
+    # branch at the power of ten at or above 1,000 x their worst residual
     from rclab.algebra import ALGEBRA_NAMES
     import rclab.cli as cli
 
     names = [t for row in cli.SUITE_TABLE.values() for t in row.tols]
-    assert len(names) == len(set(names)) == 15
+    assert len(names) == len(set(names)) == 14
     for alg in ALGEBRA_NAMES:
         want = {"iota-roundtrip": 1e-12, "jacobian": 1e-7 if alg == "rank1" else 1e-6,
                 "gamma": 1e-12}
         if alg == "rank1":
             want.update({"laplace": 1e-12, "adjoint": 1e-11,
-                         "isometry-norm": 1e-12, "operator-equivalence": 1e-11,
+                         "isometry-norm": 1e-12, "operator-equivalence": 1e-12,
                          "isometry": 1e-12})
         if alg == "sym2":
             want.update({"laplace": 1e-4, "adjoint": 1e-3})
         if alg in ("rank1", "sym2"):
-            want.update({"covariance": 1e-9, "hua": 1e-12,
+            want.update({"covariance": {"rank1": 1e-9, "sym2": 1e-10}[alg], "hua": 1e-12,
                          "coherent": {"rank1": 1e-12, "sym2": 1e-11}[alg],
                          "branch": {"rank1": 1e-11, "sym2": 1e-12}[alg],
-                         "cauchy": {"rank1": 1e-13, "sym2": 1e-11}[alg],
                          "change-of-variables": 1e-12, "laplace-factorization": 1e-11})
         got = {}
         for row in cli.SUITE_TABLE.values():
@@ -1120,21 +1121,70 @@ def _fails_only_at_the_table(name, suite, old, failing):
     assert not ok and [r["check"] for r in reports if not r["pass"]] == failing, reports
 
 
+def _transport_off(monkeypatch, by):
+    """tube.transport with each moved slot's factor scaled by 1 + ``by``."""
+    from rclab import tube
+
+    transport = tube.transport
+
+    def off(gen, slot):
+        nu, w, factor = transport(gen, slot)
+        return nu, w, factor * (1 + by)
+
+    monkeypatch.setattr(tube, "transport", off)
+
+
 @pytest.mark.parametrize("name, count", [("rank1", 12), ("sym2", 3)])
 def test_covariance_fails_the_slot_actions_off_by_a_relative_1e_8(name, count, monkeypatch):
     # covariance was 1e-6, which passed pi_lam(g) F and pi_mu(g) G each
-    # scaled by 1 + 1e-8 (one route off by 2e-8); at 1e-9 every report fails
-    from rclab import tube
-
-    action = tube.pi_action
-
-    def off(gen, nu, F):
-        moved = action(gen, nu, F)
-        return lambda coords: moved(coords) * (1 + 1e-8)
-
-    monkeypatch.setattr(tube, "pi_action", off)
+    # scaled by 1 + 1e-8 (one route off by 2e-8); at the table's 1e-9
+    # (rank1) and 1e-10 (sym2) every report fails
+    _transport_off(monkeypatch, 1e-8)
     _fails_only_at_the_table(name, "covariance", {"covariance": 1e-6},
                              ["bracket-group-covariance"] * count)
+
+
+def test_sym2_covariance_fails_the_slot_actions_off_by_a_relative_2e_10(monkeypatch):
+    # sym2's covariance was 1e-9, which passed both moved slots scaled by
+    # 1 + 2e-10 (one route off by 4e-10); the jets' worst residual, 1.6e-14,
+    # puts it at 1e-10, which fails every report
+    _transport_off(monkeypatch, 2e-10)
+    _fails_only_at_the_table("sym2", "covariance", {"covariance": 1e-9},
+                             ["bracket-group-covariance"] * 3)
+
+
+@pytest.mark.parametrize("name, failing", [("rank1", [(2, "inversion"), (3, "inversion")]),
+                                           ("sym2", [(1, "inversion")])])
+def test_covariance_fails_a_jet_off_at_one_order(name, failing, monkeypatch):
+    # the second-order jets off by a relative 1e-8 read 6e-7 to 9e-7 where
+    # a bracket takes them and the inversion sees them; a translation moves
+    # u = (z - conj w)/i nowhere and a dilation scales every order alike
+    import rclab.cli as cli
+    from rclab import tube
+    from rclab.algebra import get_algebra
+
+    jets = tube.det_power_jets
+
+    def off(algebra, nu, U, alphas):
+        return {a: v * (1 + 1e-8) if sum(a) == 2 else v
+                for a, v in jets(algebra, nu, U, alphas).items()}
+
+    monkeypatch.setattr(tube, "det_power_jets", off)
+    reports, ok = cli.run_suites(get_algebra(name), "covariance")
+    assert not ok and [(r["k"], r["generator"]) for r in reports if not r["pass"]] == failing
+
+
+def test_operator_equivalence_fails_the_jets_off_by_a_relative_3e_12(monkeypatch):
+    # operator-equivalence was 1e-11, which passed every jet scaled by
+    # 1 + 3e-12 (the bracket off by 6e-12); the jets' worst residual,
+    # 7.3e-16, puts it at 1e-12, which fails every report
+    from rclab import tube
+
+    jets = tube.det_power_jets
+    monkeypatch.setattr(tube, "det_power_jets", lambda *args: {
+        a: v * (1 + 3e-12) for a, v in jets(*args).items()})
+    _fails_only_at_the_table("rank1", "operator-equivalence", {"operator-equivalence": 1e-11},
+                             ["bracket-transform-equivalence"] * 4)
 
 
 @pytest.mark.parametrize("suite, tol, check, count", [
@@ -1188,23 +1238,6 @@ def test_branch_fails_a_path_log_off_by_3e_11(name, monkeypatch):
     _fails_only_at_the_table(name, "branch", {"branch": 1e-10}, ["branch-path-independence"])
 
 
-@pytest.mark.parametrize("name", ["rank1", "sym2"])
-def test_cauchy_fails_the_32_node_ring_off_by_a_relative_1e_10(name, monkeypatch):
-    # cauchy was 1e-9 for both; the table's 1e-13 (rank1) and 1e-11 (sym2)
-    # catch the 32-node derivative off by a relative 1e-10 from the 64-node one
-    from rclab import tube
-
-    derivatives = tube.holo_mixed_derivatives
-
-    def off(*args, n_nodes=32):
-        out = derivatives(*args, n_nodes=n_nodes)
-        return {a: v * (1 + 1e-10) for a, v in out.items()} if n_nodes == 32 else out
-
-    monkeypatch.setattr(tube, "holo_mixed_derivatives", off)
-    _fails_only_at_the_table(name, "cauchy-stability", {"cauchy": 1e-9},
-                             ["contour-derivative-stability"])
-
-
 def test_rank1_jacobian_fails_the_closed_jacobian_off_by_a_relative_3e_7(monkeypatch):
     # jacobian was 1e-6, which passed the closed Jacobian 2^{-n} det(z)^{n/r}
     # scaled by 1 + 3e-7 against the finite differences; rank1's 1e-7 fails it
@@ -1222,8 +1255,8 @@ def test_rank1_jacobian_fails_the_closed_jacobian_off_by_a_relative_3e_7(monkeyp
     ["covariance", "--algebra", "spin4"],
     ["jacobi", "--algebra", "sym2", "--tol", "gamma=1e-30"],
     ["all", "--algebra", "rank1", "--tol", "gamma-mc=1e-1"],
-    ["branch", "--algebra", "rank1", "--tol", "cauchy=1e-3"],
-    ["all", "--algebra", "sym2", "--tol", "cauchy=1e-3"],
+    ["branch", "--algebra", "rank1", "--tol", "covariance=1e-10"],
+    ["all", "--algebra", "sym2", "--tol", "covariance=1e-3"],
     # sym2 read gamma-mc, the tolerance of the Monte Carlo Gamma check
     ["all", "--algebra", "sym2", "--tol", "gamma-mc=1e-3"],
 ])
@@ -1286,7 +1319,7 @@ def test_a_suite_that_reports_nothing_fails_the_check(monkeypatch):
 
 def test_every_suite_the_table_lists_reports_and_reads_its_tolerances(
         cache_dir, monkeypatch):
-    # rank1 runs 19 suites, sym2 16, sym3 8 and the other algebras 7
+    # rank1 runs 15 suites, sym2 12 and the other algebras 5
     from rclab.algebra import ALGEBRA_NAMES
     import rclab.cli as cli
 
@@ -1309,7 +1342,7 @@ def test_every_suite_the_table_lists_reports_and_reads_its_tolerances(
         code, out, err = run_cli(["check", "all", "--algebra", alg, "--cache-dir", cache_dir])
         assert code == 0, (alg, err)
         want = [n for n, row in cli.SUITE_TABLE.items() if alg in row.algebras]
-        assert list(ran) == want and len(want) == {"rank1": 16, "sym2": 13}.get(alg, 5)
+        assert list(ran) == want and len(want) == {"rank1": 15, "sym2": 12}.get(alg, 5)
         for name, (count, names) in ran.items():
             assert count > 0, (alg, name)
             assert names == set(cli.SUITE_TABLE[name].tolerances(alg)), (alg, name)
@@ -1317,22 +1350,20 @@ def test_every_suite_the_table_lists_reports_and_reads_its_tolerances(
 
 @pytest.mark.parametrize("name", ["spin3", "spin4", "spin5", "spin6", "spin7", "spin8"])
 def test_cauchy_and_branch_suites_pass_for_the_spin_factors(name):
-    # still gated to rank1 and sym2; called directly.  On the line through e
-    # the alpha = (2, 1, 0, ...) derivative of a spin factor vanishes and
-    # cauchy-stability read 1.40; branch's target left the cone for spin7
-    # and spin8 and raised NotInCone
+    # still gated to rank1 and sym2; called directly.  branch's target left
+    # the cone for spin7 and spin8 and raised NotInCone.  The cauchy half
+    # left with cauchy-stability, whose rings the Taylor jets replaced
     from rclab.algebra import get_algebra
     import rclab.cli as cli
 
-    alg = get_algebra(name)
-    for suite, tols in (("cauchy-stability", {"cauchy": 1e-9}), ("branch", {"branch": 1e-10})):
-        (rep,) = cli.SUITES[suite](alg, tols)
-        assert rep["pass"], (suite, rep)
+    (rep,) = cli.SUITES["branch"](get_algebra(name), {"branch": 1e-10})
+    assert rep["pass"], rep
 
 
 # suites that left rclab while the benchmark's tracer still names them: the
 # tracer reports 0 s for each until the benchmark's own next change drops it
-GONE_FROM_RCLAB = {"aut-invariance", "chi-covariance", "iota-factorization", "orthogonality"}
+GONE_FROM_RCLAB = {"aut-invariance", "chi-covariance", "iota-factorization", "orthogonality",
+                   "cauchy-stability"}
 
 
 def test_the_benchmark_tracer_names_only_suites_that_exist():
