@@ -18,6 +18,7 @@ Only the chain goes to disk, one file per algebra, read and written by
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -31,10 +32,10 @@ import numpy as np
 
 from . import SCHEMA
 from .algebra import JordanAlgebra, get_algebra, spectral
-from .poly import Poly
+from .poly import Poly, _check_int64
 from .sympoly import (
     NonzeroRemainder, SymExpr, BracketPolynomial, apply_D_power, extract_bracket_polynomial,
-    extract_interval_polynomial, _c_mul, _check_int64, _interpolate, _mul,
+    extract_interval_polynomial, _c_mul, _interpolate, _mul, _term_table,
 )
 
 __all__ = [
@@ -152,15 +153,37 @@ def _pencil(algebra, k):
 
 
 def _deltas(algebra, rows):
-    """Delta_0..Delta_r at integer rows (x, y), one list per row: det at
-    x + tau y, tau = 0..r, interpolated exactly in tau.  It reads det alone,
-    not the tables or the expansion loop that ``certify_expansions``
+    """Delta_0..Delta_r at integer rows (x, y), an (rows, r + 1) int64 array:
+    det at x + tau y, tau = 0..r, interpolated exactly in tau.  It reads det
+    alone, not the tables or the expansion that ``certify_expansions``
     checks."""
-    n, r, det = algebra.n, algebra.r, algebra.det_poly
-    lines = [[u + tau * w for u, w in zip(row[:n], row[n:])]
-             for tau in range(r + 1) for row in rows]
-    values = det.monomials(lines).dot(det.coef[:, 0, 0]).reshape(r + 1, len(rows))
-    return _interpolate(values.astype(np.int64), f"{algebra.name} certificate").T.tolist()
+    n, r = algebra.n, algebra.r
+    rows = np.array(rows, dtype=np.int64)
+    lines = rows[:, :n] + np.arange(r + 1)[:, None, None] * rows[:, n:]
+    values = algebra.det_poly.values(lines.reshape(-1, n))[:, 0, 0].reshape(r + 1, len(rows))
+    return _interpolate(values, f"{algebra.name} certificate").T
+
+
+@functools.cache
+def _cert_samples(algebra):
+    """The samples of ``certify_expansions``, the same for every k, each
+    with its Delta_j (``_deltas``): ((x, y rows, their Delta_j), (eigenvalue
+    rows a, the Delta_j at the integer chart rows 4x, 4y)), int64 arrays
+    built once per algebra and returned read-only."""
+    n, r = algebra.n, algebra.r
+    rng = random.Random(CERT_SEED)
+    xys, eigs = ([[rng.randint(-CERT_BOUND, CERT_BOUND) for _ in range(count)]
+                  for _ in range(CERT_SAMPLES)] for count in (2 * n, r))
+    # 4x = 2e - 2v and 4y = 2e + 2v, with 2v on the coordinate frame
+    two_v = [[a[0] + a[1], a[0] - a[1]] + [0] * (n - 2) if algebra.family == "spin"
+             else [2 * x for x in a] + [0] * (n - r) for a in eigs]
+    charts = [[2 * e - w for e, w in zip(algebra.e_coords, v)]
+              + [2 * e + w for e, w in zip(algebra.e_coords, v)] for v in two_v]
+    samples = ((np.array(xys, dtype=np.int64), _deltas(algebra, xys)),
+               (np.array(eigs, dtype=np.int64), _deltas(algebra, charts)))
+    for array in itertools.chain.from_iterable(samples):
+        array.flags.writeable = False
+    return samples
 
 
 def certify_expansions(algebra: JordanAlgebra, k: int) -> None:
@@ -175,11 +198,18 @@ def certify_expansions(algebra: JordanAlgebra, k: int) -> None:
       sym(r), ((a_1 + a_2)/2, (a_1 - a_2)/2, 0, ...) for the spin factors
       and a in rank 1.  It is taken at the integers 4x, 4y, where each term,
       of Delta-degree k, is 4^(rk) times its value.
+    Both sides are int64 tables, one row per sample: ``Poly.values`` of the
+    expansion, and the (samples x terms) table of the Delta-monomials times
+    the entry's coefficient table.  Each stage is bounded before it runs and
+    raises OverflowError instead of wrapping.  The range is every k that
+    ``check`` uses (``cli._check_k``), whose largest bound is 2^44 (rank 1
+    at k = 6, the eigenvalue side); rank 1 stays below 2^62 up to k = 8,
+    and k = 9 raises.
     The corners of the entry read only r and d: the coefficient of
     Delta_r^k is prod_{i<r} (s + 1 + i d/2)_k (rising factorials), and that
     of Delta_0^k is (-1)^(rk) times the same product in t.
     """
-    r, n, d = algebra.r, algebra.n, algebra.d
+    r, d = algebra.r, algebra.d
     pencil = _pencil(algebra, k)
     # 2^(rk) times each corner product, one factor 2 (s + 1 + i d/2 + m) at a time
     corner_s, corner_t = {(0, 0): 1}, {(0, 0): (-1) ** (r * k)}
@@ -193,29 +223,29 @@ def certify_expansions(algebra: JordanAlgebra, k: int) -> None:
         if got != {ij: v * pencil.den for ij, v in want.items() if v}:
             raise NonzeroRemainder(f"{algebra.name} k={k}: the coefficient of {name} "
                                    f"is not its corner product")
-    rng = random.Random(CERT_SEED)
-    xys, eigs = ([[rng.randint(-CERT_BOUND, CERT_BOUND) for _ in range(count)]
-                  for _ in range(CERT_SAMPLES)] for count in (2 * n, r))
-    # 4x = 2e - 2v and 4y = 2e + 2v, with 2v on the coordinate frame
-    two_v = [[a[0] + a[1], a[0] - a[1]] + [0] * (n - 2) if algebra.family == "spin"
-             else [2 * x for x in a] + [0] * (n - r) for a in eigs]
-    charts = [[2 * e - w for e, w in zip(algebra.e_coords, v)]
-              + [2 * e + w for e, w in zip(algebra.e_coords, v)] for v in two_v]
-    for side, poly, points, scale, rows in (
-            ("x, y", compute_c(algebra, k).poly, xys, 1, xys),
-            ("eigenvalue", compute_C(algebra, k).poly, eigs, 4 ** (r * k), charts)):
-        width = poly.coef.shape[2]
-        values = poly.monomials(points).dot(poly.coef.reshape(len(poly.coef), -1))
-        for idx, (row, delta) in enumerate(zip(values.tolist(), _deltas(algebra, rows))):
-            form = {}
-            for e, coef in pencil.terms.items():
-                w = math.prod(map(pow, delta, e))
-                for ij, v in coef.items():
-                    form[ij] = form.get(ij, 0) + v * w
-            if ({divmod(p, width): v * scale * pencil.den for p, v in enumerate(row) if v}
-                    != {ij: v * poly.den for ij, v in form.items() if v}):
-                raise NonzeroRemainder(f"{algebra.name} k={k}: the {side} expansion "
-                                       f"differs from the pencil form at sample {idx}")
+    exps, coefs = _term_table(pencil)
+    form = Poly(exps, coefs.astype(object), pencil.den)
+    (xys, xy_deltas), (eigs, eig_deltas) = _cert_samples(algebra)
+    for side, poly, points, scale, deltas in (
+            ("x, y", compute_c(algebra, k).poly, xys, 1, xy_deltas),
+            ("eigenvalue", compute_C(algebra, k).poly, eigs, 4 ** (r * k), eig_deltas)):
+        # poly(points) scale = form(deltas), each side over its den
+        where = f"{algebra.name} k={k}: the {side} certificate"
+        g = math.gcd(scale * form.den, poly.den)
+        try:
+            sides = [(poly.values(points), scale * form.den // g),
+                     (form.values(deltas), poly.den // g)]
+        except OverflowError as exc:
+            raise OverflowError(f"{where}: {exc}") from exc
+        _check_int64(max(int(np.abs(v).max(initial=0)) * f for v, f in sides), where)
+        lhs, rhs = np.zeros((2, CERT_SAMPLES, *np.maximum(*(v.shape[1:] for v, _ in sides))),
+                            dtype=np.int64)
+        for out, (v, f) in zip((lhs, rhs), sides):
+            out[:, :v.shape[1], :v.shape[2]] = v * f
+        bad = np.flatnonzero((lhs != rhs).any(axis=(1, 2)))
+        if bad.size:
+            raise NonzeroRemainder(f"{algebra.name} k={k}: the {side} expansion "
+                                   f"differs from the pencil form at sample {bad[0]}")
 
 
 def compute_c(algebra: JordanAlgebra, k: int) -> BracketPolynomial:

@@ -10,10 +10,13 @@ wherever the polynomial came from (built in the process or read from disk).
 ``at(s, t)`` sets the parameters to rationals and stays over the integers.
 A Poly without parameters evaluates
 
-* exactly over the integers (``monomials``): for a batch of integer
-  points, one power table per coordinate feeds the integer table of the
-  monomial values; ``exact`` at one rational point X/q lifts each row of
-  its table at X to the top degree D and divides the sum once, by den q^D;
+* exactly over the integers, from one power table of the coordinates,
+  which feeds the table of the monomial values: ``values`` gives den times the
+  polynomial at a batch of integer points as that table in int64 times the
+  int64 coefficient table, bounded before it runs so that a value past
+  int64 raises OverflowError instead of wrapping; ``exact`` at one
+  rational point X/q builds the table over Python ints, lifts each row at
+  X to the top degree D and divides the sum once, by den q^D;
 * over an (m, N) float or complex array (``numeric``): per block of points,
   one contiguous array per power of each coordinate that occurs, each the
   one below it times the coordinate; each monomial is the product of its
@@ -77,16 +80,18 @@ class Poly:
     def _trimmed(cls, exps, coef, den) -> "Poly":
         """From distinct sorted rows over ``den``: zero rows and zero top
         powers of s and t dropped, and the denominator reduced, so equal
-        polynomials have equal tables."""
+        polynomials have equal tables.  ``coef`` holds Python ints, or int64
+        (an expansion's product, trimmed and reduced in int64); the result
+        holds Python ints."""
         nonzero = coef != 0
         keep = nonzero.any(axis=(1, 2))
         ds = max(np.flatnonzero(nonzero.any(axis=(0, 2))), default=0)
         dt = max(np.flatnonzero(nonzero.any(axis=(0, 1))), default=0)
         coef = coef[keep, :ds + 1, :dt + 1]
-        g = math.gcd(den, *coef.ravel().tolist())
+        g = math.gcd(den, int(np.gcd.reduce(coef.ravel())))
         if g > 1:
             coef, den = coef // g, den // g
-        return cls(exps[keep], coef, den)
+        return cls(exps[keep], coef.astype(object, copy=False), den)
 
     def at(self, s, t) -> "Poly":
         """This polynomial at rational s, t, in the canonical form of
@@ -130,16 +135,35 @@ class Poly:
                                    dtype=float)
         return self._fcoef
 
-    def monomials(self, ints) -> np.ndarray:
-        """The (m, rows) integer table of the monomials at the rows of an (m, N)
-        integer array, so the polynomial there is ``table @ coef / den``;
-        one power table per coordinate feeds the products."""
-        ints = np.asarray(ints, dtype=object).reshape(-1, self.exps.shape[1])
-        acc = np.ones((len(ints), len(self.exps)), dtype=object)
+    def _table(self, ints, dtype) -> np.ndarray:
+        """The (m, rows) ``dtype`` table of the monomials at the rows of an
+        (m, N) integer array: the power table of the coordinates
+        (``_powers``), read at each row's exponents, one coordinate at a
+        time."""
+        ints = np.asarray(ints, dtype=dtype).reshape(-1, self.exps.shape[1])
+        powers = _powers(ints, self.exps.max(axis=0, initial=0))
+        acc = np.ones((len(ints), len(self.exps)), dtype=dtype)
         for i, e in self._columns:
-            rows = np.flatnonzero(e)
-            acc[:, rows] *= _powers(ints[:, i], int(e.max()))[:, e[rows]]
+            acc *= powers[:, i, e]
         return acc
+
+    def values(self, ints) -> np.ndarray:
+        """den times the polynomial at the rows of an (m, N) integer array:
+        the (m, deg_s + 1, deg_t + 1) int64 table of the coefficients of
+        s^i t^j, the int64 monomial table times the coefficient table.
+
+        Every power, product and partial sum is at most the polynomial with
+        each coefficient row's largest |entry| at X, X_i the largest
+        |coordinate i| (at least 1).  That bound, taken in floats (whose
+        rounding is far below the factor 2 between 2^62 and int64's 2^63),
+        is checked before the product runs, so a value past it raises
+        OverflowError instead of wrapping."""
+        ints = np.asarray(ints, dtype=np.int64).reshape(-1, self.exps.shape[1])
+        coef = self.coef.reshape(len(self.coef), -1).astype(np.int64)
+        top = np.maximum(np.abs(ints.astype(float)).max(axis=0, initial=0), 1)
+        _check_int64(self._table(top, float)[0] @ np.abs(coef.astype(float)).max(axis=1),
+                     "Poly.values")
+        return (self._table(ints, np.int64) @ coef).reshape(len(ints), *self.coef.shape[1:])
 
     def exact(self, point) -> Fraction:
         """Value at a point with rational coordinates, over the integers: at
@@ -150,7 +174,7 @@ class Poly:
         q = math.lcm(1, *(x.denominator for x in point))
         deg = self.exps.sum(axis=1).tolist()
         top = max(deg, default=0)
-        table = self.monomials([[x.numerator * (q // x.denominator) for x in point]])[0]
+        table = self._table([[x.numerator * (q // x.denominator) for x in point]], object)[0]
         lifted = table * np.array([q ** (top - d) for d in deg], dtype=object)
         return Fraction(int(lifted.dot(self._constant())), self.den * q**top)
 
@@ -190,10 +214,19 @@ class Poly:
         return out
 
 
-def _powers(col, top) -> np.ndarray:
-    """The (m, top + 1) object table of col[i]**p."""
-    out = np.empty((len(col), top + 1), dtype=object)
-    out[:, 0] = 1
-    for p in range(1, top + 1):
-        out[:, p] = out[:, p - 1] * col
+def _check_int64(bound, context):
+    """numpy's int64 products wrap silently: raise unless ``bound``, a bound
+    on every product and sum about to be formed, stays below 2^62."""
+    if bound >= 2 ** 62:
+        raise OverflowError(f"{context}: int64 entries could reach {float(bound):.3g}")
+
+
+def _powers(ints, tops) -> np.ndarray:
+    """The (m, N, max(tops) + 1) table of ints[:, i] ** min(p, tops[i]), in
+    the dtype of ``ints``: no power past the top of its coordinate is
+    formed."""
+    out = np.empty(ints.shape + (int(tops.max(initial=0)) + 1,), dtype=ints.dtype)
+    out[..., 0] = 1
+    for p in range(1, out.shape[2]):
+        out[..., p] = out[..., p - 1] * np.where(p <= tops, ints, 1)
     return out

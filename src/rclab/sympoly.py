@@ -31,11 +31,14 @@ too, which certifies the invariance the fit assumes.
 Extraction strips Delta_0^s Delta_r^t.  The Delta_j are algebraically
 independent, so a term left with a negative power of Delta_0 or Delta_r is
 no polynomial and raises ``NonzeroRemainder``, the analogue of a remainder
-in division by det.  Only the polynomial asked for is expanded, by one loop
-over a set of integer Delta_j tables: the tables over x, y give c(k), and
-the tables delta_j(a) = Delta_j((e - v)/2, (e + v)/2) over the r
+in division by det.  Only the polynomial asked for is expanded, by one
+int64 matrix product over a set of integer Delta_j tables: the (table
+monomials x terms) matrix of the Delta-monomials of the terms times the
+(terms x s^i t^j) coefficient table, trimmed and reduced in int64, and
+bounded before it runs like every int64 stage.  The tables over x, y give
+c(k), and the tables delta_j(a) = Delta_j((e - v)/2, (e + v)/2) over the r
 eigenvalues a_i of v give C(k) with no x, y monomial in between.  No
-floating point enters anywhere.
+floating point enters the values; only the bounds are taken in floats.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from operator import add, sub
 import numpy as np
 
 from .algebra import JordanAlgebra
-from .poly import Poly
+from .poly import Poly, _check_int64
 
 __all__ = [
     "NonzeroRemainder",
@@ -292,13 +295,6 @@ def _faa_di_bruno(algebra):
             for key, w in table.items() if w]
     return keys, scale, (gammas, np.array(list(rests), dtype=np.int64),
                          np.array(list(rests.values()), dtype=np.int64))
-
-
-def _check_int64(bound, context):
-    """numpy's int64 products wrap silently: raise unless ``bound``, a bound
-    on every product and sum about to be formed, stays below 2^62."""
-    if bound >= 2 ** 62:
-        raise OverflowError(f"{context}: int64 entries could reach {float(bound):.3g}")
 
 
 @functools.cache
@@ -545,19 +541,49 @@ class BracketPolynomial:
                 f"{self.num_monomials()} monomials)")
 
 
+def _term_table(expr):
+    """(exponents, coefficients) of the terms of ``expr`` in sorted order:
+    an (terms, r + 1) int64 matrix of the e, and the (terms, deg_s + 1,
+    deg_t + 1) int64 table of their integer coefficients of s^i t^j; a
+    coefficient of 2^62 or more raises OverflowError."""
+    keys = sorted(expr.terms)
+    _check_int64(max((abs(v) for c in expr.terms.values() for v in c.values()), default=0),
+                 f"{expr.algebra.name} pencil terms")
+    ds = max((i for c in expr.terms.values() for i, _ in c), default=0)
+    dt = max((j for c in expr.terms.values() for _, j in c), default=0)
+    coefs = np.zeros((len(keys), ds + 1, dt + 1), dtype=np.int64)
+    for row, e in enumerate(keys):
+        for (i, j), v in expr.terms[e].items():
+            coefs[row, i, j] = v
+    return np.array(keys, dtype=np.int64).reshape(len(keys), -1), coefs
+
+
 def _expand(expr: SymExpr, k: int, tables: _TableSet) -> Poly:
     """Strip (det x)^s (det y)^t and expand the rest in the monomials of
     ``tables``, over den^k times the common denominator of the terms.  A
     term left with a negative power of det x or det y means the operator
-    (not the construction) is wrong, so it raises."""
-    terms = _polynomial_terms(expr, f"{expr.algebra.name} k={k}")
-    out = {}
-    for e, coef in terms.items():
-        for mono, c in tables.monomial(e).items():
-            acc = out.setdefault(mono, {})
-            for ij, v in coef.items():
-                acc[ij] = acc.get(ij, 0) + v * c
-    return Poly.from_terms(out, tables.nvars, expr.den * tables.den ** k)
+    (not the construction) is wrong, so it raises.
+
+    One int64 product: the (table monomials x terms) matrix of the
+    products ``tables.monomial(e)`` times the (terms x s^i t^j) coefficient
+    table of ``_term_table``; its entries and partial sums are bounded,
+    row by row, by |matrix| times the largest |coefficient| of each term
+    (in floats, far below the factor 2 between 2^62 and 2^63), and checked
+    before the product runs."""
+    _polynomial_terms(expr, f"{expr.algebra.name} k={k}")
+    exps, coefs = _term_table(expr)
+    products = [tables.monomial(e) for e in map(tuple, exps.tolist())]
+    monos = sorted(set().union(*products))
+    index = dict(zip(monos, itertools.count()))
+    matrix = np.zeros((len(monos), len(products)), dtype=np.int64)
+    for col, product in enumerate(products):
+        matrix[list(map(index.__getitem__, product)), col] = list(product.values())
+    flat = coefs.reshape(len(coefs), -1)
+    bound = np.abs(matrix.astype(float)) @ np.abs(flat.astype(float)).max(axis=1)
+    _check_int64(bound.max(initial=0), f"{expr.algebra.name} k={k} expansion")
+    table = (matrix @ flat).reshape(len(monos), *coefs.shape[1:])
+    return Poly._trimmed(np.array(monos, dtype=np.int64).reshape(len(monos), tables.nvars),
+                         table, expr.den * tables.den ** k)
 
 
 def extract_bracket_polynomial(expr: SymExpr, k: int) -> BracketPolynomial:

@@ -76,9 +76,11 @@ def logdet_tube(algebra: JordanAlgebra, coords) -> np.ndarray:
     In rank <= 2 there are at most two, so the branch's imaginary part lies
     in (-pi, pi): it is the principal log of det(z/i), read from
     ``det_poly``.  Raises NotInCone for a point whose imaginary part is
-    outside the cone.
+    outside the cone, or that has a coordinate that is not finite.
     """
     coords = np.asarray(coords, dtype=complex)
+    if not np.isfinite(coords).all():
+        raise NotInCone("a point has a coordinate that is not finite")
     y = coords.imag
     if algebra.r <= 2:
         if not np.all(spectral(algebra, y) > 0):

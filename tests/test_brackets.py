@@ -17,7 +17,7 @@ from fraction_ref import (
 )
 from rclab.algebra import ALGEBRA_NAMES, get_algebra, iota, spectral
 from rclab.brackets import (
-    pencil_cache, compute_c, compute_C, certify_box, jacobi_proportionality,
+    pencil_cache, compute_c, compute_C, certify_box, certify_expansions, jacobi_proportionality,
     bracket_table_csv, bracket_table_latex, bracket_table_json,
 )
 from rclab.poly import Poly
@@ -554,7 +554,9 @@ def test_compute_C_ignores_a_replaced_c(monkeypatch, tmp_path, wrong_c1):
             m.setitem(brackets._memory_cache, (name, 1), wrong_c1(alg))
             assert compute_C(alg, 1).poly == before
             assert main(["check", "polynomiality", "--algebra", name, "--output", str(out)]) == 1
-        assert "k=1: the x, y expansion" in json.loads(out.read_text())["reports"][0]["error"]
+        assert json.loads(out.read_text())["reports"][0]["error"] == (
+            f"NonzeroRemainder: {name} k=1: the x, y expansion differs from the pencil form "
+            f"at sample 0")
 
 
 @pytest.mark.parametrize("table, side", [("_pencil_tables", "x, y"),
@@ -563,7 +565,8 @@ def test_compute_C_ignores_a_replaced_c(monkeypatch, tmp_path, wrong_c1):
 def test_a_wrong_table_entry_fails_polynomiality(monkeypatch, fresh_tables, name, table, side):
     # one entry of Delta_0 (the first monomial of det x, or the constant of
     # prod (1 - a_i)) off by one: the expansion is no longer the pencil form,
-    # and the certificate names the side and k
+    # and the certificate names the side, k and the first sample that
+    # differs (sym3 and spin4 agree at sample 0 on the x, y side)
     from rclab import brackets, sympoly
     from rclab.cli import run_suites
 
@@ -575,7 +578,35 @@ def test_a_wrong_table_entry_fails_polynomiality(monkeypatch, fresh_tables, name
     monkeypatch.setattr(sympoly, table, lambda algebra: wrong)
     monkeypatch.setattr(brackets, "_memory_cache", {})
     [rep], ok = run_suites(alg, "polynomiality")
-    assert not ok and f"k=1: the {side} expansion" in rep["error"]
+    sample = int(side == "x, y" and name in ("sym3", "spin4"))
+    assert not ok and rep["error"] == (f"NonzeroRemainder: {name} k=1: the {side} expansion "
+                                       f"differs from the pencil form at sample {sample}")
+
+
+def test_certificate_raises_past_int64_instead_of_wrapping():
+    # rank 1's eigenvalue-side pencil form is bounded by 2^61.7 at k = 8 and
+    # by 2^70.8 at k = 9, past the caps that polynomiality checks
+    alg = get_algebra("rank1")
+    certify_expansions(alg, 8)
+    with pytest.raises(OverflowError, match="rank1 k=9: the eigenvalue certificate: "
+                                            "Poly.values: int64 entries could reach"):
+        certify_expansions(alg, 9)
+
+
+def test_int64_stages_have_headroom_at_the_caps(monkeypatch):
+    # both expansions at every k up to the cap, and the certificate at every
+    # k that polynomiality checks, stay below the int64 bounds: the largest
+    # are 2^31 (expansion) and 2^44 (values and the pencil form)
+    from rclab import brackets
+    from rclab.cli import _check_k
+
+    monkeypatch.setattr(brackets, "_memory_cache", {})
+    for name in ALGEBRA_NAMES:
+        alg = get_algebra(name)
+        for k in range(K_CAPS[name] + 1):
+            compute_c(alg, k), compute_C(alg, k)
+        for k in range(_check_k(alg) + 1):
+            certify_expansions(alg, k)
 
 
 def monomial_symmetric(a, kappa):

@@ -105,6 +105,37 @@ def test_restriction_against_the_loop(case, lam, mu, data):
 
 
 @settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(CASES), data=st.data())
+def test_values_against_the_loop(case, data):
+    # den times c(k) at integer points, as the int64 table of the
+    # coefficients of s^i t^j
+    name, k = case
+    alg = get_algebra(name)
+    poly = compute_c(alg, k).poly
+    row = st.lists(st.integers(-9, 9), min_size=2 * alg.n, max_size=2 * alg.n)
+    ints = data.draw(st.lists(row, min_size=1, max_size=3))
+    got = poly.values(ints)
+    assert got.dtype == np.int64 and got.shape == (len(ints), *poly.coef.shape[1:])
+    rows = poly.rows()
+    for table, x in zip(got.tolist(), ints):
+        want = [[poly.den * reference([(m, Fraction(p, q)) for m, coef in rows
+                                       for i2, j2, p, q in coef if (i2, j2) == (i, j)], x)
+                 for j in range(len(table[0]))] for i in range(len(table))]
+        assert table == want
+
+
+@pytest.mark.parametrize("name", [name for name in ALGEBRA_NAMES if name != "rank1"])
+def test_values_raises_past_int64_instead_of_wrapping(name):
+    # det(2^31 e) is 2^(31 r): 2^62 in rank 2, past 2^63 in rank >= 3, where
+    # an int64 product would wrap
+    alg = get_algebra(name)
+    e = alg.e_coords
+    assert alg.det_poly.values([[2 ** 10 * c for c in e]]).tolist() == [[[2 ** (10 * alg.r)]]]
+    with pytest.raises(OverflowError, match="Poly.values: int64 entries could reach"):
+        alg.det_poly.values([[2 ** 31 * c for c in e]])
+
+
+@settings(max_examples=40, deadline=None)
 @given(name=st.sampled_from(ALGEBRA_NAMES), data=st.data())
 def test_quad_rep_against_the_fraction_reference(name, data):
     alg = get_algebra(name)

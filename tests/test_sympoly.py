@@ -271,6 +271,25 @@ def test_int64_overflow_raises_instead_of_wrapping(bound, stage):
         S._pencil_samples(alg, points)
 
 
+def test_expansion_raises_past_int64_instead_of_wrapping():
+    # Delta_1 of sym2 has a coefficient -2, so Delta_1^2 has a monomial with
+    # the coefficient 4: at 3 * 2^60 that is 12 * 2^60, past 2^63, where an
+    # int64 product would wrap.  At 2^56 the expansion is 2^56 times the one
+    # of Delta_1^2.
+    alg = get_algebra("sym2")
+    tables = _pencil_tables(alg)
+    assert min(tables.rows[1].values()) == -2
+    one = S._expand(SymExpr(alg, {(0, 2, 0): {(0, 0): 1}}), 2, tables)
+    big = S._expand(SymExpr(alg, {(0, 2, 0): {(0, 0): 2 ** 56}}), 2, tables)
+    assert np.array_equal(big.exps, one.exps) and big.den == one.den
+    assert big.coef.tolist() == (one.coef * 2 ** 56).tolist()
+    with pytest.raises(OverflowError, match="sym2 k=2 expansion: int64 entries could reach"):
+        S._expand(SymExpr(alg, {(0, 2, 0): {(0, 0): 3 * 2 ** 60}}), 2, tables)
+    # a coefficient past 2^62 cannot enter the int64 coefficient table
+    with pytest.raises(OverflowError, match="sym2 pencil terms: int64 entries could reach"):
+        S._expand(SymExpr(alg, {(0, 2, 0): {(0, 0): 2 ** 63 + 1}}), 2, tables)
+
+
 @pytest.mark.parametrize("name", ALGEBRA_NAMES)
 def test_the_integer_operator_over_its_denominator_is_L(name):
     # L is held once, as ints over one denominator in lowest terms, and the

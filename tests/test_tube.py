@@ -88,6 +88,20 @@ def test_logdet_leaves_the_principal_branch_in_rank_three():
     assert abs(principal - log - 2j * math.pi) < 1e-12
 
 
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_a_nan_coordinate_is_off_the_tube(name):
+    # nan * e + i e has its imaginary part in the cone: the rank <= 2 branch
+    # read NaN there, so apply_B divided by a NaN det (a RuntimeWarning),
+    # and sym(r >= 3) ended in LinAlgError
+    alg = get_algebra(name)
+    z = (np.nan * alg.e + 1j * alg.e)[None]
+    slot = (4.5, 1j * alg.e, 1.0)
+    with pytest.raises(NotInCone):
+        logdet_tube(alg, z)
+    with pytest.raises(NotInCone):
+        apply_B(alg, 1, 4.5, 4.5, slot, slot, z)
+
+
 def test_logdet_raises_off_the_tube():
     # the branch suite's target for spin8: its imaginary part
     # 1.5 e + 0.2 (0, ..., 7) has an eigenvalue below 0
